@@ -1,0 +1,201 @@
+//! Segmented build history: immutable sealed segments plus an open tail.
+//!
+//! "Long-term storage of results history" (slide 20) is read far more
+//! often than it is written: every status-page refresh and every
+//! read-plane epoch wants the whole history of every job, while a build
+//! only changes between its trigger and its completion. So a job's
+//! history is one logical sequence, in creation order, held in two parts:
+//!
+//! * **sealed segments** — `Arc<[Build]>` runs of exactly
+//!   [`SEGMENT_LEN`] builds, every one of them final (it has a result).
+//!   A sealed segment is never touched again, so anyone may hold it by
+//!   `Arc` for as long as they like;
+//! * **the open tail** — the builds after the last sealed segment. Only
+//!   here can a build still be queued or running, so this is the only
+//!   part [`crate::CiServer::assign`] and [`crate::CiServer::finish`]
+//!   ever search or mutate.
+//!
+//! A segment seals when the *leading* `SEGMENT_LEN` builds of the tail
+//! are all final. A build stuck unfinished at the head of the tail only
+//! delays sealing — builds behind it wait in the tail, in order — and the
+//! iteration order `sealed ++ open` is the creation order at all times.
+//!
+//! Cloning a [`JobHistory`] is how a reader freezes it: the sealed
+//! segments are shared (`Arc` clones), the tail is copied. There is no
+//! other copy of history anywhere; [`crate::JobView`] is a rendering
+//! derived on demand.
+
+use crate::model::{Build, BuildRef};
+use std::sync::Arc;
+
+/// Builds per sealed segment.
+const SEGMENT_LEN: usize = 8;
+
+/// One job's builds, in creation order. See the module docs.
+#[derive(Debug, Clone, Default)]
+pub struct JobHistory {
+    sealed: Vec<Arc<[Build]>>,
+    open: Vec<Build>,
+    /// Leading builds of `open` already seen final (always below
+    /// [`SEGMENT_LEN`] between calls): where the next sealing check
+    /// resumes, and the lower bound of every lookup.
+    settled: usize,
+}
+
+/// The history of a job nobody registered.
+pub(crate) static EMPTY: JobHistory = JobHistory::new();
+
+impl JobHistory {
+    pub(crate) const fn new() -> Self {
+        JobHistory {
+            sealed: Vec::new(),
+            open: Vec::new(),
+            settled: 0,
+        }
+    }
+
+    /// Number of builds, sealed and open.
+    pub fn len(&self) -> usize {
+        self.sealed.len() * SEGMENT_LEN + self.open.len()
+    }
+
+    /// Whether the job never built.
+    pub fn is_empty(&self) -> bool {
+        self.sealed.is_empty() && self.open.is_empty()
+    }
+
+    /// Every build in creation order: `sealed ++ open`.
+    pub fn iter(&self) -> impl Iterator<Item = &Build> + Clone + '_ {
+        self.sealed
+            .iter()
+            .flat_map(|segment| segment.iter())
+            .chain(&self.open)
+    }
+
+    /// The sealed segments, oldest first. Two histories frozen from the
+    /// same server share these by pointer.
+    pub fn sealed(&self) -> &[Arc<[Build]>] {
+        &self.sealed
+    }
+
+    /// The open tail: every build that may still change, and the final
+    /// ones queued behind it.
+    pub fn open(&self) -> &[Build] {
+        &self.open
+    }
+
+    pub(crate) fn push(&mut self, build: Build) {
+        self.open.push(build);
+    }
+
+    /// The build `r` names, for a caller that knows it is queued or
+    /// running. Such a build is not final, so it sits in the tail past
+    /// the settled prefix; recent builds are the likely hit, so the scan
+    /// runs from the back. `r.job` is not compared: the caller picked
+    /// this history by it.
+    pub(crate) fn pending_mut(&mut self, r: &BuildRef) -> Option<&mut Build> {
+        self.open[self.settled..]
+            .iter_mut()
+            .rev()
+            .find(|b| b.r#ref.number == r.number && b.r#ref.cell == r.cell)
+    }
+
+    /// Seal every full run of leading final builds. Called after a build
+    /// became final; amortised O(1) per build.
+    pub(crate) fn seal_settled(&mut self) {
+        while self
+            .open
+            .get(self.settled)
+            .is_some_and(|b| b.result.is_some())
+        {
+            self.settled += 1;
+        }
+        while self.settled >= SEGMENT_LEN {
+            self.sealed.push(self.open.drain(..SEGMENT_LEN).collect());
+            self.settled -= SEGMENT_LEN;
+        }
+    }
+}
+
+/// One job as a read-plane epoch holds it: its name and its history,
+/// frozen by [`crate::CiServer::freeze_history`].
+#[derive(Debug, Clone)]
+pub struct FrozenJob {
+    /// Job name, shared with the server and every other epoch.
+    pub name: Arc<str>,
+    /// Sealed segments shared with the server, tail copied at the freeze.
+    pub history: JobHistory,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{BuildResult, Cause};
+    use ttt_sim::SimTime;
+
+    fn build(number: u32) -> Build {
+        Build {
+            r#ref: BuildRef {
+                job: "j".into(),
+                number,
+                cell: None,
+            },
+            cause: Cause::Manual,
+            queued_at: SimTime::ZERO,
+            started_at: None,
+            finished_at: None,
+            result: None,
+            log: Vec::new(),
+        }
+    }
+
+    fn finish(h: &mut JobHistory, number: u32) {
+        let r = build(number).r#ref;
+        h.pending_mut(&r).expect("pending build").result = Some(BuildResult::Success);
+        h.seal_settled();
+    }
+
+    fn numbers(h: &JobHistory) -> Vec<u32> {
+        h.iter().map(|b| b.r#ref.number).collect()
+    }
+
+    #[test]
+    fn a_stuck_build_only_delays_sealing() {
+        let n = 3 * SEGMENT_LEN as u32;
+        let mut h = JobHistory::new();
+        for i in 1..=n {
+            h.push(build(i));
+        }
+        // Everything but the very first build finishes, newest first.
+        for i in (2..=n).rev() {
+            finish(&mut h, i);
+        }
+        assert!(h.sealed().is_empty(), "build 1 is still pending");
+        assert_eq!(h.len(), n as usize);
+        assert_eq!(numbers(&h), (1..=n).collect::<Vec<_>>());
+        // The straggler finishes: every full segment seals at once, in
+        // order, and nothing was lost or reordered on the way.
+        finish(&mut h, 1);
+        assert_eq!(h.sealed().len(), 3);
+        assert!(h.open().is_empty());
+        assert_eq!(numbers(&h), (1..=n).collect::<Vec<_>>());
+        assert!(h.iter().all(|b| b.result.is_some()));
+    }
+
+    #[test]
+    fn freezing_shares_sealed_segments_and_copies_the_tail() {
+        let mut h = JobHistory::new();
+        for i in 1..=SEGMENT_LEN as u32 + 2 {
+            h.push(build(i));
+            if i <= SEGMENT_LEN as u32 {
+                finish(&mut h, i);
+            }
+        }
+        let frozen = h.clone();
+        assert!(Arc::ptr_eq(&frozen.sealed()[0], &h.sealed()[0]));
+        // The live tail moves on; the frozen copy does not.
+        finish(&mut h, SEGMENT_LEN as u32 + 1);
+        assert_eq!(frozen.open()[0].result, None);
+        assert_eq!(h.open()[0].result, Some(BuildResult::Success));
+    }
+}

@@ -11,15 +11,21 @@
 //! * [`server`] — queue + executors + history + triggers. The server hands
 //!   work items to the campaign orchestrator and receives completions; it
 //!   never runs test logic itself;
-//! * [`rest`] — serializable views mirroring Jenkins' `/api/json`.
+//! * [`history`] — each job's builds as immutable sealed segments plus an
+//!   open tail, so a reader freezes the whole history for the cost of the
+//!   tail;
+//! * [`rest`] — serializable views mirroring Jenkins' `/api/json`, derived
+//!   from the history on demand.
 
 #![forbid(unsafe_code)]
 
+pub mod history;
 pub mod matrix;
 pub mod model;
 pub mod rest;
 pub mod server;
 
+pub use history::{FrozenJob, JobHistory};
 pub use matrix::{expand_axes, failed_cells, render_cell, Cell};
 pub use model::{Axis, Build, BuildResult, BuildRef, Cause, CronTrigger, JobKind, JobSpec};
 pub use rest::{cell_target, BuildView, JobView};

@@ -4,6 +4,7 @@
 //! Jenkins' REST API" — it consumes these views, never the server's
 //! internals.
 
+use crate::history::JobHistory;
 use crate::model::{Build, BuildResult, Cause};
 use crate::server::CiServer;
 use serde::{Deserialize, Serialize};
@@ -12,23 +13,24 @@ use ttt_sim::SimTime;
 /// Extract the status-page target key from a matrix cell string: the
 /// cluster or site axis value (images group under their cluster),
 /// `"global"` for cell-less builds. Shared by the status grid and the
-/// snapshot query engine so both planes bucket builds identically.
-pub fn cell_target(cell: Option<&str>) -> String {
+/// snapshot query engine so both planes bucket builds identically, and
+/// borrowed from the cell so bucketing a history allocates nothing.
+pub fn cell_target(cell: Option<&str>) -> &str {
     let Some(cell) = cell else {
-        return "global".to_string();
+        return "global";
     };
     for part in cell.split(',') {
         if let Some(v) = part.strip_prefix("cluster=") {
-            return v.to_string();
+            return v;
         }
         if let Some(v) = part.strip_prefix("site=") {
-            return v.to_string();
+            return v;
         }
         if let Some(v) = part.strip_prefix("scope=") {
-            return v.to_string();
+            return v;
         }
     }
-    cell.to_string()
+    cell
 }
 
 /// View of one build.
@@ -74,12 +76,17 @@ pub struct JobView {
 }
 
 impl JobView {
+    /// Render one job's history, live or frozen.
+    pub fn from_history(name: &str, history: &JobHistory) -> JobView {
+        JobView {
+            name: name.to_string(),
+            builds: history.iter().map(BuildView::from).collect(),
+        }
+    }
+
     /// Extract the view of one job from the server.
     pub fn from_server(server: &CiServer, job: &str) -> JobView {
-        JobView {
-            name: job.to_string(),
-            builds: server.history(job).iter().map(BuildView::from).collect(),
-        }
+        Self::from_history(job, server.history(job))
     }
 
     /// Extract every job's view (the full API dump), in registration order

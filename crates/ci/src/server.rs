@@ -4,15 +4,17 @@
 //! environment", "queue to control overloading", "access control …
 //! manually", "long-term storage of results history" — map here to: a FIFO
 //! queue in front of a bounded executor pool, manual/cron/external trigger
-//! causes, and per-job build history.
+//! causes, and per-job build history (segmented, see [`crate::history`]).
 //!
 //! The server does not execute test logic. The campaign orchestrator calls
 //! [`CiServer::assign`] to pull work onto free executors, runs it, and
 //! reports back through [`CiServer::finish`].
 
+use crate::history::{FrozenJob, JobHistory, EMPTY};
 use crate::matrix::{expand_axes, render_cell};
 use crate::model::{Build, BuildRef, BuildResult, Cause, JobKind, JobSpec};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use ttt_sim::{Buggify, SimTime};
 
 /// A unit of work handed to the orchestrator.
@@ -29,11 +31,11 @@ pub struct CiServer {
     jobs: BTreeMap<String, JobSpec>,
     /// Job names in registration order — the stable order REST views and
     /// the status page present jobs in.
-    registration_order: Vec<String>,
+    registration_order: Vec<Arc<str>>,
     queue: VecDeque<(BuildRef, Cause)>,
     executors: Vec<Option<BuildRef>>,
     /// Full build history per job, in creation order.
-    history: BTreeMap<String, Vec<Build>>,
+    history: BTreeMap<String, JobHistory>,
     next_number: BTreeMap<String, u32>,
     now: SimTime,
     last_trigger_scan: SimTime,
@@ -79,7 +81,7 @@ impl CiServer {
         self.history.entry(spec.name.clone()).or_default();
         self.next_number.entry(spec.name.clone()).or_insert(1);
         if !self.jobs.contains_key(&spec.name) {
-            self.registration_order.push(spec.name.clone());
+            self.registration_order.push(spec.name.as_str().into());
         }
         self.jobs.insert(spec.name.clone(), spec);
     }
@@ -91,7 +93,7 @@ impl CiServer {
 
     /// Registered job names in registration order — the stable presentation
     /// order for REST views and the status page.
-    pub fn job_names_in_order(&self) -> &[String] {
+    pub fn job_names_in_order(&self) -> &[Arc<str>] {
         &self.registration_order
     }
 
@@ -228,7 +230,7 @@ impl CiServer {
                 self.queue.push_front((r, cause));
                 break;
             }
-            if let Some(b) = find_build_mut(&mut self.history, &r) {
+            if let Some(b) = self.history.get_mut(&r.job).and_then(|h| h.pending_mut(&r)) {
                 b.started_at = Some(self.now);
             }
             *slot = Some(r.clone());
@@ -247,17 +249,35 @@ impl CiServer {
             return false;
         };
         *slot = None;
-        if let Some(b) = find_build_mut(&mut self.history, r) {
-            b.finished_at = Some(self.now);
-            b.result = Some(result);
-            b.log = log;
+        if let Some(history) = self.history.get_mut(&r.job) {
+            if let Some(b) = history.pending_mut(r) {
+                b.finished_at = Some(self.now);
+                b.result = Some(result);
+                b.log = log;
+            }
+            history.seal_settled();
         }
         true
     }
 
     /// Builds of one job (all numbers, all cells), in creation order.
-    pub fn history(&self, job: &str) -> &[Build] {
-        self.history.get(job).map(|v| v.as_slice()).unwrap_or(&[])
+    /// Empty for a job nobody registered.
+    pub fn history(&self, job: &str) -> &JobHistory {
+        self.history.get(job).unwrap_or(&EMPTY)
+    }
+
+    /// Every job's history in registration order, frozen for a reader:
+    /// names and sealed segments are shared with the server, open tails
+    /// are copied. Costs the tails and one pointer per sealed segment,
+    /// not the length of the histories.
+    pub fn freeze_history(&self) -> Vec<FrozenJob> {
+        self.registration_order
+            .iter()
+            .map(|name| FrozenJob {
+                name: Arc::clone(name),
+                history: self.history(name).clone(),
+            })
+            .collect()
     }
 
     /// All builds of one job sharing a build number (a matrix run).
@@ -269,7 +289,7 @@ impl CiServer {
     }
 
     /// Every job's history, for the status page.
-    pub fn all_history(&self) -> &BTreeMap<String, Vec<Build>> {
+    pub fn all_history(&self) -> &BTreeMap<String, JobHistory> {
         &self.history
     }
 
@@ -287,16 +307,6 @@ impl CiServer {
     pub fn executor_count(&self) -> usize {
         self.executors.len()
     }
-}
-
-fn find_build_mut<'a>(
-    history: &'a mut BTreeMap<String, Vec<Build>>,
-    r: &BuildRef,
-) -> Option<&'a mut Build> {
-    history
-        .get_mut(&r.job)?
-        .iter_mut()
-        .find(|b| &b.r#ref == r)
 }
 
 #[cfg(test)]
@@ -328,8 +338,8 @@ mod tests {
         assert_eq!(s.busy_executors(), 0);
         let h = s.history("stdenv");
         assert_eq!(h.len(), 1);
-        assert_eq!(h[0].result, Some(BuildResult::Success));
-        assert_eq!(h[0].log, vec!["ok".to_string()]);
+        assert_eq!(h.open()[0].result, Some(BuildResult::Success));
+        assert_eq!(h.open()[0].log, vec!["ok".to_string()]);
     }
 
     #[test]
@@ -420,7 +430,7 @@ mod tests {
         s.advance(SimTime::from_hours(24));
         // Fired at 2, 8, 14, 20 — but coalesced while queued: only 1 build.
         assert_eq!(s.history("refapi").len(), 1);
-        assert_eq!(s.history("refapi")[0].cause, Cause::Cron);
+        assert_eq!(s.history("refapi").open()[0].cause, Cause::Cron);
         // Drain, advance again: next firing enqueues anew.
         let w = s.assign();
         s.finish(&w[0].build, BuildResult::Success, vec![]);
@@ -441,7 +451,7 @@ mod tests {
         s.finish(&w1[0].build, BuildResult::Success, vec![]);
         let w2 = s.assign();
         assert_eq!(w2.len(), 1);
-        let b = &s.history("b")[0];
+        let b = &s.history("b").open()[0];
         assert_eq!(b.queue_time().unwrap(), SimDuration::from_mins(30));
     }
 

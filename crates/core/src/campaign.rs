@@ -17,8 +17,8 @@ use crate::matching::find_fault;
 use crate::metrics::CampaignMetrics;
 use crate::shard::ShardedRunQueue;
 use crate::snapshot::{
-    fold_answer, fold_snapshot, random_query, CampaignSnapshot, QueryEngine, QueryStats,
-    ServiceLiveness, SiteQueueView, SnapshotHub, QUERY_SAMPLE_PER_EPOCH,
+    fold_answer, fold_snapshot, random_query, refreshed_services, site_names, CampaignSnapshot,
+    QueryEngine, QueryStats, ServiceLiveness, SiteQueueView, SnapshotHub, QUERY_SAMPLE_PER_EPOCH,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -35,7 +35,7 @@ use ttt_oar::{
     FedJob, FedJobState, Federation, JobKind as OarJobKind, Queue, QueryLoad, ResourceRequest,
     UserLoadGenerator,
 };
-use ttt_refapi::{all_properties, PropertyMap, RefApi};
+use ttt_refapi::{all_properties, PropertyDb, RefApi};
 use ttt_sim::{Event, EventLog, EventQueue, RngFactory, SimDuration, SimTime};
 use ttt_suite::{build_suite, run_test, TestConfig, TestCtx, TestReport};
 use ttt_testbed::fault::inject_random;
@@ -170,10 +170,16 @@ pub struct Campaign {
     /// Running fold over every published snapshot — the "all engines
     /// publish identical snapshot sequences" observable.
     snapshot_fold: u64,
-    /// Property database derived from the last successfully described
-    /// testbed version (recomputed only on version changes; carried stale
-    /// over chaos-refused describe reads).
-    props_cache: Option<(u64, Arc<BTreeMap<String, PropertyMap>>)>,
+    /// Property database (maps and node index) derived from the last
+    /// successfully described testbed version (recomputed only on version
+    /// changes; carried stale over chaos-refused describe reads).
+    props_cache: Option<(u64, Arc<PropertyDb>)>,
+    /// Site names in site (= scheduling-domain) order, shared by every
+    /// service and queue row of every epoch. Filled at the first publish.
+    site_names: Vec<Arc<str>>,
+    /// The service rows last published; the next epoch shares them while
+    /// every row still renders its process.
+    service_rows: Arc<[ServiceLiveness]>,
 }
 
 impl Campaign {
@@ -323,6 +329,8 @@ impl Campaign {
             query_stats: QueryStats::default(),
             snapshot_fold: 0,
             props_cache: None,
+            site_names: Vec::new(),
+            service_rows: Arc::default(),
             cfg,
         }
     }
@@ -420,10 +428,10 @@ impl Campaign {
     /// perturbs the campaign digest — the read path draws only from its
     /// own `"queries"` stream (and not at all without query volume).
     pub fn arm_snapshots(&mut self) -> Arc<SnapshotHub> {
-        if self.hub.is_none() {
-            self.hub = Some(Arc::new(SnapshotHub::new(16)));
-        }
-        Arc::clone(self.hub.as_ref().expect("just armed"))
+        Arc::clone(
+            self.hub
+                .get_or_insert_with(|| Arc::new(SnapshotHub::new(16))),
+        )
     }
 
     /// Read-plane traffic counters.
@@ -706,8 +714,8 @@ impl Campaign {
             // 10b. The write plane hands the read plane its epoch: every
             //      sample instant (identical across engines) freezes a
             //      snapshot, so this changes nothing unless armed.
-            if self.hub.is_some() {
-                self.publish_snapshot(window_from, t);
+            if let Some(hub) = self.hub.clone() {
+                self.publish_snapshot(&hub, window_from, t);
             }
         }
         if t.since(self.last_snapshot) >= SimDuration::from_days(1) {
@@ -741,17 +749,20 @@ impl Campaign {
 
     /// Publish one read-plane epoch: freeze every consumer view at `t`
     /// into an immutable [`CampaignSnapshot`], fold it into the engine
-    /// equivalence digest, hand it to the hub, then serve this epoch's
-    /// inline query sample. Runs only when the hub is armed; an unarmed
-    /// campaign is bit-identical (guarded by the query-plane suite).
-    fn publish_snapshot(&mut self, from: SimTime, t: SimTime) {
+    /// equivalence digest, hand it to `hub`, then serve this epoch's
+    /// inline query sample. Sections that did not move since the last
+    /// epoch are shared with it, not rebuilt (the snapshot module's
+    /// sharing contract). An unarmed campaign never gets here and is
+    /// bit-identical (guarded by the query-plane suite).
+    fn publish_snapshot(&mut self, hub: &SnapshotHub, from: SimTime, t: SimTime) {
         // Description version + property database, re-derived only when
         // the version moved. A chaos-refused describe carries the stale
         // epoch — exactly what a cached reference-API mirror would serve.
         if let Ok(d) = self.refapi.describe_latest() {
             let version = d.version;
             if self.props_cache.as_ref().map(|(v, _)| *v) != Some(version) {
-                self.props_cache = Some((version, Arc::new(all_properties(d))));
+                let db = PropertyDb::new(all_properties(d));
+                self.props_cache = Some((version, Arc::new(db)));
             }
         }
         // Per-node power windows over [from, t): nodes that never sampled
@@ -765,26 +776,29 @@ impl Campaign {
                 windows.push((node.id.0, agg));
             }
         }
+        if self.site_names.is_empty() {
+            self.site_names = site_names(&self.tb);
+        }
         let depths = self.fed.queue_depths();
         let spill = self.fed.spillovers_by_domain();
         let queues = self
-            .fed
-            .domains()
+            .site_names
             .iter()
             .enumerate()
-            .map(|(i, d)| SiteQueueView {
-                site: d.name.clone(),
+            .map(|(i, site)| SiteQueueView {
+                site: Arc::clone(site),
                 waiting: depths.get(i).copied().unwrap_or(0) as u64,
                 spillovers: spill.get(i).copied().unwrap_or(0),
             })
             .collect();
+        self.service_rows = refreshed_services(&self.service_rows, &self.tb, &self.site_names);
         self.epoch += 1;
         let snap = CampaignSnapshot {
             epoch: self.epoch,
             at: t,
-            jobs: ttt_ci::JobView::all_from_server(&self.ci),
+            jobs: self.ci.freeze_history(),
             queues,
-            services: ServiceLiveness::rows_from_testbed(&self.tb),
+            services: Arc::clone(&self.service_rows),
             description_version: self.props_cache.as_ref().map(|(v, _)| *v),
             properties: self
                 .props_cache
@@ -796,11 +810,7 @@ impl Campaign {
             window_to: t,
         };
         self.snapshot_fold = fold_snapshot(self.snapshot_fold, &snap);
-        let snap = self
-            .hub
-            .as_ref()
-            .expect("publish_snapshot runs only when armed")
-            .publish(snap);
+        let snap = hub.publish(snap);
         // This epoch's query traffic: count the full arrival volume,
         // answer a bounded representative sample inline, fold the answers.
         let arrivals = self.query_load.arrivals(t.since(from));
@@ -1139,7 +1149,7 @@ impl Campaign {
             }
         }
         for builds in self.ci.all_history().values() {
-            for b in builds {
+            for b in builds.iter() {
                 if let Some(f) = b.finished_at {
                     self.metrics
                         .test_latency_hours
@@ -1173,17 +1183,17 @@ mod tests {
         let snap = hub.latest().expect("epochs published");
         assert_eq!(snap.epoch, hub.published());
         assert!(!snap.jobs.is_empty());
-        assert!(snap.jobs.iter().any(|v| !v.builds.is_empty()));
+        assert!(snap.jobs.iter().any(|j| !j.history.is_empty()));
         assert!(!snap.queues.is_empty());
         assert!(!snap.services.is_empty());
         assert!(snap.description_version.is_some());
         // And the query engine answers off it: some job finished builds
         // against the global target or a concrete site by now.
-        let grid_like = snap.jobs.iter().any(|v| {
+        let grid_like = snap.jobs.iter().any(|j| {
             QueryEngine::answer(
                 &snap,
                 &crate::snapshot::Query::StatusCell {
-                    job: v.name.clone(),
+                    job: j.name.to_string(),
                     target: "global".into(),
                 },
             ) != crate::snapshot::QueryAnswer::NotFound

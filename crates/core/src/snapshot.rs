@@ -5,7 +5,7 @@
 //! status pages and metrics series are the product. This module separates
 //! that read side from the mutable write plane. At every sample-cadence
 //! instant the campaign publishes an immutable, `Arc`-shared
-//! [`CampaignSnapshot`] — job views, per-site queue depths, service
+//! [`CampaignSnapshot`] — job histories, per-site queue depths, service
 //! liveness, the testbed description version with its property database,
 //! and per-node power windows — into a [`SnapshotHub`]. Any number of
 //! concurrent readers then answer typed [`Query`]s against any held epoch
@@ -23,36 +23,64 @@
 //!   chaos decisions hash monotone read counters, and nothing on the read
 //!   path writes campaign state.
 //!
+//! ## Sharing contract
+//!
+//! An epoch costs what changed since the previous one, because every
+//! section that did not change is the *same allocation* as last epoch's:
+//!
+//! * **Shared across epochs** (and with the write plane) — each job's
+//!   name and its sealed history segments (`Arc<[Build]>`, see
+//!   [`ttt_ci::history`]); the [`PropertyDb`] of the served description
+//!   version, maps and node index both, built at the first publish of a
+//!   version; the service rows, for as long as every row still renders
+//!   its process (`refreshed_services`); site names, in service rows
+//!   and queue rows alike.
+//! * **Copied every epoch** — each job's open tail (builds that may still
+//!   change, at most a segment plus what is in flight); one queue row per
+//!   site; one power window per sampled node. These are the facts that
+//!   move between epochs.
+//! * **When a segment seals** — once the leading builds of a job's tail
+//!   fill a segment (a private constant of [`ttt_ci::history`]) and all
+//!   have a result. A build stuck unfinished only delays sealing: builds
+//!   behind it stay in the (copied) tail, in order.
+//!
+//! Nothing else holds history: [`ttt_ci::JobView`] is the serde REST
+//! rendering, derived on demand ([`CampaignSnapshot::job_views`]). A
+//! [`QueryAnswer::Nodes`] answer is the index's own list, not a copy.
+//! Status-cell, job-trend and fold reads still walk a job's history; they
+//! allocate nothing per build.
+//!
 //! ## Locking honesty
 //!
 //! The crate forbids `unsafe`, so the hub is not a bare atomic-pointer
 //! swap: it is a bounded ring behind an `RwLock` plus a lock-free epoch
 //! counter. The critical sections are a single `Arc` clone (readers) and
 //! a single push/evict (the writer) — readers never hold the lock while
-//! evaluating queries, and a reader holding an epoch's `Arc` keeps that
+//! evaluating queries, the writer frees the evicted epoch only after it
+//! released the lock, and a reader holding an epoch's `Arc` keeps that
 //! snapshot alive after eviction, so the writer never waits for readers
 //! to finish with their data.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use ttt_ci::JobView;
+use ttt_ci::{FrozenJob, JobView};
 use ttt_kwapi::WindowAgg;
-use ttt_refapi::PropertyMap;
+use ttt_refapi::PropertyDb;
 // Re-exported so read-plane consumers get the full typed query surface
 // from one module.
 pub use ttt_refapi::{Query, QueryAnswer};
 use ttt_sim::rpc::Liveness;
 use ttt_sim::{PeriodSeries, SimDuration, SimTime};
-use ttt_testbed::Testbed;
+use ttt_testbed::{ProcessEntry, Testbed};
 
 /// One site's OAR queue, as captured at the publish instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteQueueView {
-    /// Site name.
-    pub site: String,
+    /// Site name (shared with every other row naming the site).
+    pub site: Arc<str>,
     /// Jobs waiting in the site's OAR queue.
     pub waiting: u64,
     /// Jobs this site absorbed away from their home site so far.
@@ -65,9 +93,10 @@ pub struct SiteQueueView {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceLiveness {
     /// Service name (e.g. `oar-server`).
-    pub service: String,
-    /// Site name the process serves.
-    pub site: String,
+    pub service: &'static str,
+    /// Site name the process serves (shared with every other row naming
+    /// the site).
+    pub site: Arc<str>,
     /// Host node index, if pinned.
     pub host: Option<u32>,
     /// Rendered liveness: `up`, `CRASHED` or `restarting@<min>m`.
@@ -82,36 +111,83 @@ pub struct ServiceLiveness {
     pub dropped_calls: u64,
 }
 
+/// The status page's rendering of a liveness state.
+fn state_label(state: Liveness) -> String {
+    match state {
+        Liveness::Up => "up".to_string(),
+        Liveness::Crashed => "CRASHED".to_string(),
+        Liveness::RestartingAt(t) => format!("restarting@{}m", t.as_secs() / 60),
+    }
+}
+
+/// Every site's name in site order — which is also scheduling-domain
+/// order, the federation building one domain per site.
+pub(crate) fn site_names(tb: &Testbed) -> Vec<Arc<str>> {
+    tb.sites().iter().map(|s| s.name.as_str().into()).collect()
+}
+
 impl ServiceLiveness {
+    fn of(e: &ProcessEntry, sites: &[Arc<str>]) -> ServiceLiveness {
+        let idx = e.id.site.index();
+        ServiceLiveness {
+            service: e.id.kind.name(),
+            site: sites
+                .get(idx)
+                .cloned()
+                .unwrap_or_else(|| format!("site-{idx}").into()),
+            host: e.host.map(|n| n.0),
+            state: state_label(e.state),
+            up: e.state.is_up(),
+            crashes: e.crashes,
+            restarts: e.restarts,
+            dropped_calls: e.dropped_calls,
+        }
+    }
+
+    /// Whether this row is still what `e` renders as. Identity (service,
+    /// site, host) is fixed at registration; only the ledger and the
+    /// state move. Allocates only while the process is restarting.
+    fn renders(&self, e: &ProcessEntry) -> bool {
+        self.crashes == e.crashes
+            && self.restarts == e.restarts
+            && self.dropped_calls == e.dropped_calls
+            && match e.state {
+                Liveness::Up => self.state == "up",
+                Liveness::Crashed => self.state == "CRASHED",
+                restarting => self.state == state_label(restarting),
+            }
+    }
+
     /// Flatten every registered service process, with the same rendering
     /// the status page uses.
     pub fn rows_from_testbed(tb: &Testbed) -> Vec<ServiceLiveness> {
+        let sites = site_names(tb);
         tb.processes()
             .iter()
-            .map(|e| {
-                let state = match e.state {
-                    Liveness::Up => "up".to_string(),
-                    Liveness::Crashed => "CRASHED".to_string(),
-                    Liveness::RestartingAt(t) => {
-                        format!("restarting@{}m", t.as_secs() / 60)
-                    }
-                };
-                let idx = e.id.site.index();
-                ServiceLiveness {
-                    service: e.id.kind.to_string(),
-                    site: tb
-                        .sites()
-                        .get(idx)
-                        .map(|s| s.name.clone())
-                        .unwrap_or_else(|| format!("site-{idx}")),
-                    host: e.host.map(|n| n.0),
-                    state,
-                    up: e.state.is_up(),
-                    crashes: e.crashes,
-                    restarts: e.restarts,
-                    dropped_calls: e.dropped_calls,
-                }
-            })
+            .map(|e| ServiceLiveness::of(e, &sites))
+            .collect()
+    }
+}
+
+/// The service rows of `tb` as it stands: `cached` itself while every row
+/// still renders its process, a fresh rendering (naming sites by `sites`)
+/// once any differs.
+pub(crate) fn refreshed_services(
+    cached: &Arc<[ServiceLiveness]>,
+    tb: &Testbed,
+    sites: &[Arc<str>],
+) -> Arc<[ServiceLiveness]> {
+    let mut entries = tb.processes().iter();
+    let unchanged = cached
+        .iter()
+        .all(|row| entries.next().is_some_and(|e| row.renders(e)))
+        && entries.next().is_none();
+    if unchanged {
+        Arc::clone(cached)
+    } else {
+        tb.processes()
+            .iter()
+            .map(|e| ServiceLiveness::of(e, sites))
             .collect()
     }
 }
@@ -124,19 +200,22 @@ pub struct CampaignSnapshot {
     pub epoch: u64,
     /// Publish instant (a sample-cadence grid instant).
     pub at: SimTime,
-    /// CI REST views, registration-ordered, full build history.
-    pub jobs: Vec<JobView>,
+    /// CI build histories, registration-ordered: names and sealed
+    /// segments shared with the server and every other epoch, open tails
+    /// copied at the publish instant.
+    pub jobs: Vec<FrozenJob>,
     /// Per-site queue depths and spillovers, in domain (site) order.
     pub queues: Vec<SiteQueueView>,
-    /// Service process rows, registry-ordered.
-    pub services: Vec<ServiceLiveness>,
+    /// Service process rows, registry-ordered (shared with the previous
+    /// epoch while no row changed).
+    pub services: Arc<[ServiceLiveness]>,
     /// Version of the testbed description this epoch serves. Carried
     /// stale over refused describe reads under chaos; `None` until the
     /// first successful read.
     pub description_version: Option<u64>,
-    /// The OAR property database derived from that description (shared —
-    /// recomputed only when the version changes).
-    pub properties: Arc<BTreeMap<String, PropertyMap>>,
+    /// The OAR property database derived from that description, with its
+    /// node index (shared — rebuilt only when the version changes).
+    pub properties: Arc<PropertyDb>,
     /// Per-node power windows over `[window_from, window_to)`, ascending
     /// node id. Nodes with no samples (or whose window read was refused
     /// under chaos) have no row.
@@ -145,6 +224,17 @@ pub struct CampaignSnapshot {
     pub window_from: SimTime,
     /// End of the power window (the publish instant, exclusive).
     pub window_to: SimTime,
+}
+
+impl CampaignSnapshot {
+    /// The CI REST views of this epoch, rendered on demand — a deep copy
+    /// for a consumer that wants serde views, never held by the epoch.
+    pub fn job_views(&self) -> Vec<JobView> {
+        self.jobs
+            .iter()
+            .map(|j| JobView::from_history(&j.name, &j.history))
+            .collect()
+    }
 }
 
 /// The epoch-tagged snapshot exchange between the write plane and its
@@ -173,14 +263,20 @@ impl SnapshotHub {
     pub fn publish(&self, snap: CampaignSnapshot) -> Arc<CampaignSnapshot> {
         let epoch = snap.epoch;
         let snap = Arc::new(snap);
-        {
+        let evicted = {
             let mut ring = self.ring.write().expect("snapshot ring poisoned");
             ring.push_back(Arc::clone(&snap));
-            while ring.len() > self.capacity {
-                ring.pop_front();
+            // One push per publish: at most one epoch is over capacity.
+            if ring.len() > self.capacity {
+                ring.pop_front()
+            } else {
+                None
             }
-        }
+        };
         self.published.store(epoch, Ordering::Release);
+        // Tearing the evicted epoch down (if this was its last handle) is
+        // the writer's own time, not the readers': the lock is released.
+        drop(evicted);
         snap
     }
 
@@ -249,13 +345,13 @@ impl QueryEngine {
     pub fn answer(snap: &CampaignSnapshot, q: &Query) -> QueryAnswer {
         match q {
             Query::StatusCell { job, target } => {
-                let Some(view) = snap.jobs.iter().find(|v| &v.name == job) else {
+                let Some(frozen) = snap.jobs.iter().find(|j| *j.name == **job) else {
                     return QueryAnswer::NotFound;
                 };
                 let (mut total, mut pass) = (0u64, 0u64);
-                for b in &view.builds {
+                for b in frozen.history.iter() {
                     let Some(result) = b.result else { continue };
-                    if ttt_ci::cell_target(b.cell.as_deref()) != *target {
+                    if ttt_ci::cell_target(b.r#ref.cell.as_deref()) != *target {
                         continue;
                     }
                     total += 1;
@@ -270,14 +366,14 @@ impl QueryEngine {
                 }
             }
             Query::JobTrend { job, period_mins } => {
-                let Some(view) = snap.jobs.iter().find(|v| &v.name == job) else {
+                let Some(frozen) = snap.jobs.iter().find(|j| *j.name == **job) else {
                     return QueryAnswer::NotFound;
                 };
                 // Same accumulator as the status page's HistoryReport, so
                 // the two planes agree to the last bit.
                 let mut series =
                     PeriodSeries::new(SimDuration::from_mins((*period_mins).max(1)));
-                for b in &view.builds {
+                for b in frozen.history.iter() {
                     if let (Some(result), Some(t)) = (b.result, b.finished_at) {
                         series.push(t, if result.is_success() { 1.0 } else { 0.0 });
                     }
@@ -291,15 +387,9 @@ impl QueryEngine {
                     _ => QueryAnswer::NotFound,
                 }
             }
-            Query::NodeFilter { key, value } => QueryAnswer::Nodes(
-                snap.properties
-                    .iter()
-                    .filter(|(_, props)| {
-                        props.get(key).is_some_and(|v| v.matches_literal(value))
-                    })
-                    .map(|(name, _)| name.clone())
-                    .collect(),
-            ),
+            Query::NodeFilter { key, value } => {
+                QueryAnswer::Nodes(snap.properties.matching(key, value))
+            }
             Query::MetricsWindow { node } => {
                 match snap.windows.binary_search_by_key(node, |(n, _)| *n) {
                     Ok(i) => {
@@ -317,7 +407,7 @@ impl QueryEngine {
             Query::QueueDepth { site } => snap
                 .queues
                 .iter()
-                .find(|qv| &qv.site == site)
+                .find(|qv| *qv.site == **site)
                 .map(|qv| QueryAnswer::Depth {
                     waiting: qv.waiting,
                     spillovers: qv.spillovers,
@@ -341,13 +431,13 @@ pub fn random_query<R: Rng>(rng: &mut R, snap: &CampaignSnapshot) -> Query {
     let pick_job = |rng: &mut R| -> String {
         snap.jobs
             .choose(rng)
-            .map(|v| v.name.clone())
+            .map(|j| j.name.to_string())
             .unwrap_or_else(|| "none".to_string())
     };
     let pick_site = |rng: &mut R| -> String {
         snap.queues
             .choose(rng)
-            .map(|q| q.site.clone())
+            .map(|q| q.site.to_string())
             .unwrap_or_else(|| "nowhere".to_string())
     };
     match rng.gen_range(0..6u8) {
@@ -448,11 +538,11 @@ pub fn fold_answer(acc: u64, a: &QueryAnswer) -> u64 {
 pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
     let mut h = mix(acc, s.epoch);
     h = mix(h, s.at.as_nanos());
-    for view in &s.jobs {
-        h = mix_str(h, &view.name);
-        h = mix(h, view.builds.len() as u64);
+    for job in &s.jobs {
+        h = mix_str(h, &job.name);
+        h = mix(h, job.history.len() as u64);
         let (mut finished, mut ok) = (0u64, 0u64);
-        for b in &view.builds {
+        for b in job.history.iter() {
             if let Some(r) = b.result {
                 finished += 1;
                 if r.is_success() {
@@ -465,12 +555,12 @@ pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
     for q in &s.queues {
         h = mix(mix(mix_str(h, &q.site), q.waiting), q.spillovers);
     }
-    for r in &s.services {
-        h = mix_str(mix_str(h, &r.service), &r.state);
+    for r in s.services.iter() {
+        h = mix_str(mix_str(h, r.service), &r.state);
         h = mix(mix(mix(h, r.crashes), r.restarts), r.dropped_calls);
     }
     h = mix(h, s.description_version.unwrap_or(0));
-    h = mix(h, s.properties.len() as u64);
+    h = mix(h, s.properties.nodes().len() as u64);
     for (node, w) in &s.windows {
         h = mix(mix(h, *node as u64), w.count as u64);
         h = mix(mix(mix(h, w.min.to_bits()), w.mean.to_bits()), w.max.to_bits());
@@ -481,37 +571,43 @@ pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttt_ci::{BuildResult, BuildView, Cause};
+    use ttt_ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
+
+    /// One `disk` job whose builds ran through a real server.
+    fn disk_history() -> Vec<FrozenJob> {
+        let mut ci = CiServer::new(1);
+        ci.register(JobSpec {
+            name: "disk".into(),
+            kind: JobKind::Freestyle,
+            trigger: None,
+        });
+        for (cell, result, day) in [
+            ("cluster=east", BuildResult::Failure, 1),
+            ("cluster=east", BuildResult::Success, 9),
+            ("site=west", BuildResult::Success, 9),
+        ] {
+            ci.advance(SimTime::from_days(day));
+            ci.trigger_cells("disk", Cause::Cron, &[cell.to_string()]);
+            for work in ci.assign() {
+                ci.finish(&work.build, result, vec![]);
+            }
+        }
+        ci.freeze_history()
+    }
 
     fn snap(epoch: u64) -> CampaignSnapshot {
-        let build = |cell: Option<&str>, result, day| BuildView {
-            number: 1,
-            cell: cell.map(String::from),
-            cause: Cause::Cron,
-            result: Some(result),
-            queued_at: SimTime::from_days(day),
-            finished_at: Some(SimTime::from_days(day)),
-            log: vec![],
-        };
         CampaignSnapshot {
             epoch,
             at: SimTime::from_days(epoch),
-            jobs: vec![JobView {
-                name: "disk".into(),
-                builds: vec![
-                    build(Some("cluster=east"), BuildResult::Failure, 1),
-                    build(Some("cluster=east"), BuildResult::Success, 9),
-                    build(Some("site=west"), BuildResult::Success, 9),
-                ],
-            }],
+            jobs: disk_history(),
             queues: vec![SiteQueueView {
                 site: "east".into(),
                 waiting: 4,
                 spillovers: 1,
             }],
-            services: vec![
+            services: Arc::new([
                 ServiceLiveness {
-                    service: "oar-server".into(),
+                    service: "oar-server",
                     site: "east".into(),
                     host: Some(0),
                     state: "up".into(),
@@ -521,7 +617,7 @@ mod tests {
                     dropped_calls: 0,
                 },
                 ServiceLiveness {
-                    service: "kwapi-server".into(),
+                    service: "kwapi-server",
                     site: "east".into(),
                     host: Some(1),
                     state: "CRASHED".into(),
@@ -530,9 +626,9 @@ mod tests {
                     restarts: 0,
                     dropped_calls: 2,
                 },
-            ],
+            ]),
             description_version: Some(1),
-            properties: Arc::new(BTreeMap::new()),
+            properties: Arc::default(),
             windows: vec![(
                 3,
                 WindowAgg {

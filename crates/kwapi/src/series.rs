@@ -1,7 +1,7 @@
 //! Ring-buffer time series with consolidation.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use ttt_sim::{SimDuration, SimTime};
 
 /// A consolidated (downsampled) point: statistics over one period.
@@ -112,23 +112,26 @@ impl RingSeries {
         self.raw.back().copied()
     }
 
+    /// The raw samples in `[from, to)`, oldest first. Both ends are found
+    /// by binary search on the time-ordered deque, so a read costs the
+    /// samples in the window (plus a logarithm), not the ring's capacity.
+    fn in_window(&self, from: SimTime, to: SimTime) -> vec_deque::Iter<'_, (SimTime, f64)> {
+        let lo = self.raw.partition_point(|(t, _)| *t < from);
+        let hi = self.raw.partition_point(|(t, _)| *t < to);
+        // An inverted window (`to < from`) is empty, not a panic.
+        self.raw.range(lo..hi.max(lo))
+    }
+
     /// Raw samples in `[from, to)`, oldest first.
     pub fn range(&self, from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
-        self.raw
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .copied()
-            .collect()
+        self.in_window(from, to).copied().collect()
     }
 
     /// Mean of raw samples in `[from, to)`, if any.
     pub fn mean(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let pts = self.range(from, to);
-        if pts.is_empty() {
-            None
-        } else {
-            Some(pts.iter().map(|(_, v)| v).sum::<f64>() / pts.len() as f64)
-        }
+        let pts = self.in_window(from, to);
+        let n = pts.len();
+        (n > 0).then(|| pts.map(|(_, v)| v).sum::<f64>() / n as f64)
     }
 
     /// Observed sampling frequency over the raw window, in Hz.
@@ -150,13 +153,11 @@ impl RingSeries {
     pub fn window(&self, from: SimTime, to: SimTime) -> Option<WindowAgg> {
         let mut count = 0u32;
         let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
-        for &(t, v) in &self.raw {
-            if t >= from && t < to {
-                count += 1;
-                min = min.min(v);
-                max = max.max(v);
-                sum += v;
-            }
+        for &(_, v) in self.in_window(from, to) {
+            count += 1;
+            min = min.min(v);
+            max = max.max(v);
+            sum += v;
         }
         if count == 0 {
             return None;
@@ -248,5 +249,107 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = RingSeries::new(0, SimDuration::from_mins(1));
+    }
+
+    /// What `range`, `mean` and `window` computed before they located the
+    /// window by binary search: one pass over every retained sample.
+    type Reads = (Vec<(SimTime, f64)>, Option<f64>, Option<WindowAgg>);
+
+    fn linear_scan(kept: &[(SimTime, f64)], from: SimTime, to: SimTime) -> Reads {
+        let pts: Vec<(SimTime, f64)> = kept
+            .iter()
+            .filter(|(t, _)| *t >= from && *t < to)
+            .copied()
+            .collect();
+        let mean = if pts.is_empty() {
+            None
+        } else {
+            Some(pts.iter().map(|(_, v)| v).sum::<f64>() / pts.len() as f64)
+        };
+        let mut count = 0u32;
+        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+        for &(t, v) in kept {
+            if t >= from && t < to {
+                count += 1;
+                min = min.min(v);
+                max = max.max(v);
+                sum += v;
+            }
+        }
+        let window = (count > 0).then(|| WindowAgg {
+            count,
+            min,
+            mean: sum / count as f64,
+            max,
+        });
+        (pts, mean, window)
+    }
+
+    /// The reads with every float as its bit pattern, so `assert_eq!`
+    /// compares them bit for bit.
+    type ReadBits = (Vec<(SimTime, u64)>, Option<u64>, Option<[u64; 4]>);
+
+    fn bits(reads: &Reads) -> ReadBits {
+        let (pts, mean, window) = reads;
+        (
+            pts.iter().map(|(t, v)| (*t, v.to_bits())).collect(),
+            mean.map(f64::to_bits),
+            window.map(|w| [w.count as u64, w.min.to_bits(), w.mean.to_bits(), w.max.to_bits()]),
+        )
+    }
+
+    #[test]
+    fn window_reads_match_the_linear_scan_bit_for_bit() {
+        use rand::Rng;
+        let mut checked = 0u32;
+        for seed in 0..48u64 {
+            let mut rng = ttt_sim::rng::stream_rng(seed, "ring-series");
+            let cap = [1usize, 2, 7, 64][seed as usize % 4];
+            let mut s = RingSeries::new(cap, SimDuration::from_mins(1));
+            // Up to three ring-fulls, so the deque wraps and evicts;
+            // steps of 0 s make runs of duplicate timestamps.
+            let n = rng.gen_range(0..=3 * cap + 1);
+            let mut pushed = Vec::with_capacity(n);
+            let mut t = SimTime::from_secs(rng.gen_range(0..50));
+            for _ in 0..n {
+                t += SimDuration::from_secs([0, 0, 1, 2, 30][rng.gen_range(0..5usize)]);
+                let v = rng.gen_range(0.0..400.0);
+                s.push(t, v);
+                pushed.push((t, v));
+            }
+            let kept = &pushed[pushed.len().saturating_sub(cap)..];
+            assert_eq!(s.raw_len(), kept.len());
+            let first = kept.first().map_or(SimTime::ZERO, |(t, _)| *t);
+            let last = kept.last().map_or(SimTime::ZERO, |(t, _)| *t);
+            let horizon = last.as_secs() + 40;
+            let mut windows = vec![
+                // Everything, nothing, and a window wholly older than the ring.
+                (SimTime::ZERO, SimTime::from_secs(horizon)),
+                (first, first),
+                (SimTime::ZERO, first),
+                // Ends that sit exactly on (possibly duplicated) sample times.
+                (first, last),
+                (last, last + SimDuration::from_secs(1)),
+                // Inverted.
+                (last, first),
+                (SimTime::from_secs(horizon), SimTime::ZERO),
+            ];
+            for _ in 0..24 {
+                let a = SimTime::from_secs(rng.gen_range(0..=horizon));
+                let b = SimTime::from_secs(rng.gen_range(0..=horizon));
+                windows.push((a, b));
+            }
+            for (from, to) in windows {
+                let got = (s.range(from, to), s.mean(from, to), s.window(from, to));
+                let want = linear_scan(kept, from, to);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "seed {seed} cap {cap} n {n} [{from:?}, {to:?})"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 1000);
     }
 }

@@ -316,4 +316,39 @@ mod tests {
         let (_, w) = store.power(n).latest().unwrap();
         assert_eq!(w, 0.0);
     }
+
+    #[test]
+    fn window_reads_refuse_by_read_count_alone() {
+        // The chaos decision hashes the monotone read counter: read `i`
+        // is refused exactly when the hook fires on salt `i`, whatever
+        // node or window it asks for, and a served read is the ring's own.
+        let (tb, mut store) = setup();
+        let mut rng = stream_rng(5, "kwapi");
+        PowerSampler::default().run(
+            &tb,
+            &BTreeMap::new(),
+            SimTime::ZERO,
+            SimTime::from_secs(90),
+            &mut store,
+            &mut rng,
+        );
+        let buggify = Buggify::new(99, 0.3);
+        store.set_buggify(buggify);
+        let (mut refused, mut served) = (0, 0);
+        for i in 1..=400u64 {
+            let node = tb.nodes()[i as usize % tb.nodes().len()].id;
+            // Full, partial, empty and inverted windows alike.
+            let from = SimTime::from_secs(i % 120);
+            let to = SimTime::from_secs((i * 7) % 120);
+            let got = store.window(node, from, to);
+            if buggify.fire_hashed("kwapi-window", i) {
+                assert_eq!(got, Err(RpcError::Refused), "read {i}");
+                refused += 1;
+            } else {
+                assert_eq!(got, Ok(store.power(node).window(from, to)), "read {i}");
+                served += 1;
+            }
+        }
+        assert!(refused > 50 && served > 50, "{refused} refused, {served} served");
+    }
 }

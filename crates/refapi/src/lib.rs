@@ -25,4 +25,6 @@ pub mod query;
 pub use archive::RefApi;
 pub use description::{describe, ClusterDescription, NodeDescription, SiteDescription, TestbedDescription};
 pub use diff::{diff_descriptions, DiffEntry};
-pub use query::{all_properties, node_properties, PropValue, PropertyMap, Query, QueryAnswer};
+pub use query::{
+    all_properties, node_properties, PropValue, PropertyDb, PropertyMap, Query, QueryAnswer,
+};

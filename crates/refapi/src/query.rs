@@ -8,6 +8,7 @@ use crate::description::{NodeDescription, TestbedDescription};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A property value in the resource database.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -137,6 +138,60 @@ pub fn all_properties(d: &TestbedDescription) -> BTreeMap<String, PropertyMap> {
     out
 }
 
+/// The property database of one description version as the read plane
+/// serves it: the per-node maps of [`all_properties`] plus an inverted
+/// `(key, literal) → node names` index, built once when the version is
+/// first published and shared by every epoch that serves that version.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PropertyDb {
+    nodes: BTreeMap<String, PropertyMap>,
+    /// key → rendered value → names of the nodes carrying it, sorted. A
+    /// value matches a literal exactly when it renders as it (see
+    /// [`PropValue::matches_literal`]), so a lookup here is the filter.
+    index: BTreeMap<String, BTreeMap<String, Arc<[String]>>>,
+}
+
+impl PropertyDb {
+    /// Index a `(node name → properties)` database.
+    pub fn new(nodes: BTreeMap<String, PropertyMap>) -> Self {
+        let mut by_literal: BTreeMap<&str, BTreeMap<String, Vec<String>>> = BTreeMap::new();
+        // Names arrive sorted, so every list is born sorted.
+        for (name, props) in &nodes {
+            for (key, value) in props {
+                by_literal
+                    .entry(key)
+                    .or_default()
+                    .entry(value.render())
+                    .or_default()
+                    .push(name.clone());
+            }
+        }
+        let index = by_literal
+            .into_iter()
+            .map(|(key, literals)| {
+                let literals = literals.into_iter().map(|(l, names)| (l, names.into()));
+                (key.to_string(), literals.collect())
+            })
+            .collect();
+        PropertyDb { nodes, index }
+    }
+
+    /// The per-node property maps, by node name.
+    pub fn nodes(&self) -> &BTreeMap<String, PropertyMap> {
+        &self.nodes
+    }
+
+    /// Names of the nodes whose property `key` matches `literal` the OAR
+    /// way, sorted — the shared list, not a copy.
+    pub fn matching(&self, key: &str, literal: &str) -> Arc<[String]> {
+        self.index
+            .get(key)
+            .and_then(|literals| literals.get(literal))
+            .cloned()
+            .unwrap_or_default()
+    }
+}
+
 /// One typed read-plane query — the mix a multi-tenant testbed front end
 /// serves. Answers are pure functions of `(snapshot epoch, query)`: the
 /// query carries only plain data, never references into live state, so
@@ -197,8 +252,9 @@ pub enum QueryAnswer {
         /// Last period's success ratio.
         last: f64,
     },
-    /// Node filter: matching node names, sorted.
-    Nodes(Vec<String>),
+    /// Node filter: matching node names, sorted. Shared with the epoch's
+    /// [`PropertyDb`] index — answering copies no name.
+    Nodes(Arc<[String]>),
     /// Metrics window stats for the node.
     Window {
         /// Samples in the window.
@@ -280,6 +336,36 @@ mod tests {
             let site = props["site"].render();
             assert!(tb.site_by_name(&site).is_some(), "bad site {site}");
         }
+    }
+
+    #[test]
+    fn index_answers_like_a_scan_of_the_maps() {
+        let tb = TestbedBuilder::small().build();
+        let d = describe(&tb, 1, SimTime::ZERO);
+        let db = PropertyDb::new(all_properties(&d));
+        let scan = |key: &str, lit: &str| -> Vec<String> {
+            db.nodes()
+                .iter()
+                .filter(|(_, p)| p.get(key).is_some_and(|v| v.matches_literal(lit)))
+                .map(|(name, _)| name.clone())
+                .collect()
+        };
+        let mut probed = 0;
+        for props in db.nodes().values() {
+            for (key, value) in props {
+                let lit = value.render();
+                assert_eq!(&db.matching(key, &lit)[..], &scan(key, &lit)[..], "{key}={lit}");
+                probed += 1;
+            }
+        }
+        assert!(probed > 0);
+        // Misses: unknown key, unknown literal, near-miss renderings.
+        for (key, lit) in [("nope", "x"), ("gpu", "yes"), ("cpucore", "08"), ("site", "")] {
+            assert!(db.matching(key, lit).is_empty(), "{key}={lit}");
+            assert!(scan(key, lit).is_empty(), "{key}={lit}");
+        }
+        // Every epoch of a version hands out the same list.
+        assert!(Arc::ptr_eq(&db.matching("gpu", "NO"), &db.matching("gpu", "NO")));
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl CellStatus {
 /// [`ttt_ci::cell_target`], the one shared bucketing rule for both the
 /// render plane and the snapshot query engine.
 fn target_of(cell: Option<&str>) -> String {
-    ttt_ci::cell_target(cell)
+    ttt_ci::cell_target(cell).to_string()
 }
 
 /// The status grid: tests on rows, targets (clusters/sites) on columns.
@@ -60,20 +60,41 @@ pub struct StatusGrid {
 impl StatusGrid {
     /// Build the grid from CI views (finished builds only).
     pub fn from_views(views: &[JobView]) -> StatusGrid {
+        Self::tally(views.iter().flat_map(|v| {
+            v.builds
+                .iter()
+                .filter_map(|b| Some((v.name.as_str(), b.cell.as_deref(), b.result?)))
+        }))
+    }
+
+    /// Build the grid from a published read-plane epoch. Walks the
+    /// epoch's shared history in place — no per-render copy of the job
+    /// histories — and agrees bit-for-bit with
+    /// `ttt_core::snapshot::QueryEngine` status-cell answers against the
+    /// same epoch (both share [`ttt_ci::cell_target`]).
+    pub fn from_snapshot(snap: &CampaignSnapshot) -> StatusGrid {
+        Self::tally(snap.jobs.iter().flat_map(|j| {
+            j.history
+                .iter()
+                .filter_map(|b| Some((&*j.name, b.r#ref.cell.as_deref(), b.result?)))
+        }))
+    }
+
+    /// Tally finished builds, given as `(job, cell, result)` in creation
+    /// order per job.
+    fn tally<'a>(
+        finished: impl Iterator<Item = (&'a str, Option<&'a str>, BuildResult)>,
+    ) -> StatusGrid {
         let mut cells: BTreeMap<(String, String), CellStatus> = BTreeMap::new();
-        for view in views {
-            for b in &view.builds {
-                let Some(result) = b.result else { continue };
-                let target = target_of(b.cell.as_deref());
-                let cell = cells
-                    .entry((view.name.clone(), target))
-                    .or_default();
-                cell.total += 1;
-                if result.is_success() {
-                    cell.successes += 1;
-                }
-                cell.latest = Some(result);
+        for (job, cell, result) in finished {
+            let cell = cells
+                .entry((job.to_string(), target_of(cell)))
+                .or_default();
+            cell.total += 1;
+            if result.is_success() {
+                cell.successes += 1;
             }
+            cell.latest = Some(result);
         }
         let mut jobs: Vec<String> = cells.keys().map(|(j, _)| j.clone()).collect();
         jobs.sort();
@@ -86,15 +107,6 @@ impl StatusGrid {
             targets,
             cells,
         }
-    }
-
-    /// Build the grid from a published read-plane epoch. Borrows the
-    /// snapshot's views in place — no per-render clone of the job
-    /// histories — and agrees bit-for-bit with
-    /// `ttt_core::snapshot::QueryEngine` status-cell answers against the
-    /// same epoch (both share [`ttt_ci::cell_target`]).
-    pub fn from_snapshot(snap: &CampaignSnapshot) -> StatusGrid {
-        Self::from_views(&snap.jobs)
     }
 
     /// Status of one cell.

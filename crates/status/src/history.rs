@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ttt_ci::JobView;
 use ttt_core::snapshot::CampaignSnapshot;
-use ttt_sim::{PeriodSeries, SimDuration};
+use ttt_sim::{PeriodSeries, SimDuration, SimTime};
 
 /// Per-job success-rate history.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -23,28 +23,53 @@ pub struct HistoryReport {
 impl HistoryReport {
     /// Build per-job histories from CI views.
     pub fn from_views(views: &[JobView], period: SimDuration) -> Self {
-        let mut per_job = BTreeMap::new();
-        for view in views {
-            let mut series = PeriodSeries::new(period);
-            for b in &view.builds {
-                if let (Some(result), Some(t)) = (b.result, b.finished_at) {
-                    series.push(t, if result.is_success() { 1.0 } else { 0.0 });
-                }
-            }
-            let means = series.means();
-            if !means.is_empty() {
-                per_job.insert(view.name.clone(), means);
-            }
-        }
-        HistoryReport { period, per_job }
+        Self::bucket(
+            period,
+            views.iter().map(|v| {
+                let finished = v
+                    .builds
+                    .iter()
+                    .filter_map(|b| Some((b.result?.is_success(), b.finished_at?)));
+                (v.name.as_str(), finished)
+            }),
+        )
     }
 
-    /// Build per-job histories from a published read-plane epoch,
-    /// borrowing its views in place. Bit-identical with
+    /// Build per-job histories from a published read-plane epoch, walking
+    /// its shared history in place. Bit-identical with
     /// `ttt_core::snapshot::QueryEngine` job-trend answers against the
     /// same epoch (both bucket through [`ttt_sim::PeriodSeries`]).
     pub fn from_snapshot(snap: &CampaignSnapshot, period: SimDuration) -> Self {
-        Self::from_views(&snap.jobs, period)
+        Self::bucket(
+            period,
+            snap.jobs.iter().map(|j| {
+                let finished = j
+                    .history
+                    .iter()
+                    .filter_map(|b| Some((b.result?.is_success(), b.finished_at?)));
+                (&*j.name, finished)
+            }),
+        )
+    }
+
+    /// Bucket each job's finished builds, given as `(passed, finished_at)`
+    /// in creation order.
+    fn bucket<'a, B>(period: SimDuration, jobs: impl Iterator<Item = (&'a str, B)>) -> Self
+    where
+        B: Iterator<Item = (bool, SimTime)>,
+    {
+        let mut per_job = BTreeMap::new();
+        for (name, finished) in jobs {
+            let mut series = PeriodSeries::new(period);
+            for (passed, t) in finished {
+                series.push(t, if passed { 1.0 } else { 0.0 });
+            }
+            let means = series.means();
+            if !means.is_empty() {
+                per_job.insert(name.to_string(), means);
+            }
+        }
+        HistoryReport { period, per_job }
     }
 
     /// Trend of one job: latest-period success minus first-period success

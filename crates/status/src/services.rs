@@ -61,8 +61,8 @@ impl ServicesPanel {
                 .services
                 .iter()
                 .map(|r| ServiceRow {
-                    service: r.service.clone(),
-                    site: r.site.clone(),
+                    service: r.service.to_string(),
+                    site: r.site.to_string(),
                     host: r.host,
                     state: r.state.clone(),
                     up: r.up,

@@ -41,11 +41,10 @@ impl ServiceKind {
         ServiceKind::KwapiServer,
         ServiceKind::SshGateway,
     ];
-}
 
-impl fmt::Display for ServiceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The daemon's name, as `Display` renders it.
+    pub fn name(self) -> &'static str {
+        match self {
             ServiceKind::ApiFrontend => "api-frontend",
             ServiceKind::OarServer => "oar-server",
             ServiceKind::KadeployServer => "kadeploy-server",
@@ -53,8 +52,13 @@ impl fmt::Display for ServiceKind {
             ServiceKind::KavlanServer => "kavlan-server",
             ServiceKind::KwapiServer => "kwapi-server",
             ServiceKind::SshGateway => "ssh-gateway",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ServiceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -47,7 +47,7 @@ fn main() {
     }
 
     println!("\n== historical perspective (slide 18 requirement 3) ==");
-    let series = success_series(&snap.jobs, SimDuration::from_days(1));
+    let series = success_series(&snap.job_views(), SimDuration::from_days(1));
     for (day, mean) in series.means() {
         println!("  day {:>2}: {:>5.1}%", day + 1, mean * 100.0);
     }

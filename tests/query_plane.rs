@@ -13,12 +13,20 @@
 //!    Checked with buggify off and via immutable accessors only
 //!    (`RefApi::latest`, `RingSeries::window`), so the comparison itself
 //!    cannot tick the chaos-audited read counters.
+//! 3. **Pinned folds** — how an epoch is *represented* (shared history
+//!    segments, an indexed property database, cached service rows) is the
+//!    write plane's business; what it *says* is not. The snapshot fold
+//!    and the inline query statistics of three campaigns are constants
+//!    recorded before epochs started sharing their sections.
 
 use proptest::prelude::*;
 use throughout::core::snapshot::{Query, QueryAnswer, QueryEngine, ServiceLiveness};
+use throughout::ci::JobView;
+use throughout::core::scenario::{grid_of_grids_scenario, multi_site_scenario};
+use throughout::core::snapshot::QueryStats;
 use throughout::core::{Campaign, CampaignConfig, Engine};
 use throughout::scengen::CampaignDigest;
-use throughout::sim::SimTime;
+use throughout::sim::{SimDuration, SimTime};
 use throughout::status::StatusGrid;
 use throughout::testbed::NodeId;
 
@@ -97,12 +105,52 @@ fn query_plane_is_digest_neutral_under_chaos() {
     }
 }
 
+/// The snapshot fold and query statistics of three armed campaigns, as
+/// the full-clone publish path of PR 10 produced them: a small campaign
+/// over five days, a multi-site week under chaos (stale descriptions,
+/// dropped window rows, service rows that move every epoch), and a day of
+/// an 8-site grid-of-grids. Any representation of an epoch must fold and
+/// answer to exactly these.
+#[test]
+fn snapshot_and_answer_folds_are_pinned() {
+    let run = |mut cfg: CampaignConfig, days: u64| {
+        cfg.queries_per_day = 50_000.0;
+        cfg.query_users = 1_000_000;
+        cfg.duration = SimDuration::from_days(days);
+        let mut c = Campaign::new(cfg);
+        c.run();
+        (c.snapshot_fold(), c.query_stats())
+    };
+    let stats = |issued, executed, answer_fold| QueryStats {
+        issued,
+        executed,
+        answer_fold,
+    };
+    assert_eq!(
+        run(CampaignConfig::small(2017), 5),
+        (0xc97d_5e67_2e94_f92d, stats(250_000, 3_840, 0x4a7b_cec7_3bd8_d897)),
+        "small(2017), 5 days"
+    );
+    let mut chaos = multi_site_scenario(2017);
+    chaos.buggify_rate = 0.10;
+    assert_eq!(
+        run(chaos, 7),
+        (0x75bf_e801_8de3_ce17, stats(350_000, 5_376, 0x56dd_bf86_6274_871c)),
+        "multi_site_scenario(2017) at buggify 0.10, 7 days"
+    );
+    assert_eq!(
+        run(grid_of_grids_scenario(2017, 8), 1),
+        (0xb566_9893_10b8_c385, stats(50_000, 768, 0x9902_026e_e96d_bca2)),
+        "grid_of_grids_scenario(2017, 8), 1 day"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Stop an armed campaign at an arbitrary sample instant and compare
     /// the last published epoch against the live campaign, field by
-    /// field: CI views, status grid, queue depths and spillovers,
+    /// field: CI histories and views, status grid, queue depths and spillovers,
     /// service liveness rows, description version, and every per-node
     /// power window. Then cross-check the query engine: answers against
     /// the snapshot must equal the live state the snapshot mirrors.
@@ -121,9 +169,19 @@ proptest! {
         prop_assert_eq!(snap.at, SimTime::from_hours(hours));
         prop_assert_eq!(snap.epoch, hub.published());
 
-        // CI views and the grid rendered from them.
+        // CI histories build by build (every field of every build, in
+        // registration and creation order), the REST views rendered from
+        // them, and the grid.
         let live_views = c.ci_views();
-        prop_assert_eq!(&snap.jobs, &live_views);
+        prop_assert_eq!(snap.jobs.len(), live_views.len());
+        for (frozen, view) in snap.jobs.iter().zip(&live_views) {
+            prop_assert_eq!(&*frozen.name, view.name.as_str());
+            let live = c.ci().history(&frozen.name);
+            prop_assert_eq!(frozen.history.len(), live.len());
+            prop_assert!(frozen.history.iter().eq(live.iter()), "job {}", &frozen.name);
+            prop_assert_eq!(&JobView::from_history(&frozen.name, &frozen.history), view);
+        }
+        prop_assert_eq!(&snap.job_views(), &live_views);
         prop_assert_eq!(
             StatusGrid::from_snapshot(&snap),
             StatusGrid::from_views(&live_views)
@@ -139,7 +197,7 @@ proptest! {
         }
 
         // Service liveness rows.
-        prop_assert_eq!(&snap.services, &ServiceLiveness::rows_from_testbed(c.testbed()));
+        prop_assert_eq!(&snap.services[..], &ServiceLiveness::rows_from_testbed(c.testbed())[..]);
 
         // Reference API: version via the immutable accessor.
         prop_assert_eq!(snap.description_version, c.refapi().latest().map(|d| d.version));
@@ -157,7 +215,7 @@ proptest! {
         // The query engine answers from the snapshot alone; spot-check it
         // against the live state the snapshot mirrors.
         for q in &snap.queues {
-            let a = QueryEngine::answer(&snap, &Query::QueueDepth { site: q.site.clone() });
+            let a = QueryEngine::answer(&snap, &Query::QueueDepth { site: q.site.to_string() });
             prop_assert_eq!(
                 a,
                 QueryAnswer::Depth { waiting: q.waiting, spillovers: q.spillovers }
