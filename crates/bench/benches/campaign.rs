@@ -67,7 +67,6 @@ fn bench_multi_site_day(c: &mut Criterion) {
     for (name, engine) in [
         ("one_day", Engine::NextEvent),
         ("one_day_lockstep", Engine::Lockstep),
-        ("one_day_parallel", Engine::ParallelSite),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched(
@@ -92,35 +91,25 @@ fn bench_multi_site_day(c: &mut Criterion) {
 
 fn bench_grid_of_grids(c: &mut Criterion) {
     // The scale-out bench: a 64-site grid-of-grids federation (128
-    // clusters, 1024 nodes) over one day. This is where the sharded
-    // engine's parallel fan-outs — per-domain OAR advance, dirty-node
-    // sync, availability and placement probes — have enough sites to
-    // amortize the pool dispatch; on a multi-core host ParallelSite
-    // should pull ahead of NextEvent here, and on any host all engines
-    // stay bit-identical (tests/engine_equivalence.rs).
+    // clusters, 1024 nodes) over one day: federation width (placement
+    // walks, per-domain advance, dirty-node sync) on the hot path.
     let mut group = c.benchmark_group("campaign/grid_of_grids");
     group.sample_size(10);
-    for (name, engine) in [
-        ("64_sites_one_day", Engine::NextEvent),
-        ("64_sites_one_day_parallel", Engine::ParallelSite),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let mut cfg = ttt_core::scenario::grid_of_grids_scenario(42, 64);
-                    cfg.duration = SimDuration::from_days(1);
-                    cfg.engine = engine;
-                    cfg
-                },
-                |cfg| {
-                    let mut campaign = Campaign::new(cfg);
-                    campaign.run();
-                    black_box(campaign.metrics().tests_run)
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    group.bench_function("64_sites_one_day", |b| {
+        b.iter_batched(
+            || {
+                let mut cfg = ttt_core::scenario::grid_of_grids_scenario(42, 64);
+                cfg.duration = SimDuration::from_days(1);
+                cfg
+            },
+            |cfg| {
+                let mut campaign = Campaign::new(cfg);
+                campaign.run();
+                black_box(campaign.metrics().tests_run)
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

@@ -15,7 +15,6 @@
 use crate::config::{CampaignConfig, Engine, SchedulingMode, TestbedScale};
 use crate::matching::find_fault;
 use crate::metrics::CampaignMetrics;
-use crate::shard::ShardedRunQueue;
 use crate::snapshot::{
     fold_answer, fold_snapshot, random_query, refreshed_services, site_names, CampaignSnapshot,
     QueryEngine, QueryStats, ServiceLiveness, SiteQueueView, SnapshotHub, QUERY_SAMPLE_PER_EPOCH,
@@ -87,7 +86,7 @@ pub struct Campaign {
     tb: Testbed,
     refapi: RefApi,
     /// Per-site scheduling domains: each site runs its own OAR server and
-    /// the driver shards placement across them.
+    /// the driver places work across them.
     fed: Federation,
     ci: CiServer,
     sched: ExternalScheduler,
@@ -117,15 +116,12 @@ pub struct Campaign {
     /// Scratch buffer of due suite indices reused across trigger passes.
     naive_scratch: Vec<usize>,
     next_phase: usize,
-    /// In-flight tests keyed by `finish_at`, sharded per site (a test
-    /// lives on the shard of the domain whose resources it holds).
-    /// Completions pop in global `(finish_at, submission order)` — the
-    /// k-way merge replays exactly the order the old single queue used,
-    /// for every engine.
-    running: ShardedRunQueue<RunningTest>,
-    /// Tests completed per site shard, merged deterministically at every
-    /// completion — the sharded engine's incremental per-shard digest
-    /// contribution (an engine-equivalence observable).
+    /// In-flight tests keyed by `finish_at`; completions pop in
+    /// `(finish_at, submission order)`.
+    running: EventQueue<RunningTest>,
+    /// Tests completed per site (the domain whose resources the test
+    /// held), counted as completions pop — an engine-equivalence
+    /// observable.
     site_completions: Vec<u64>,
     blocked: Vec<BlockedWork>,
     rng_inject: SmallRng,
@@ -167,7 +163,7 @@ pub struct Campaign {
     /// Read-plane traffic counters (engine-equivalence observables when
     /// the plane is armed identically across engines).
     query_stats: QueryStats,
-    /// Running fold over every published snapshot — the "all engines
+    /// Running fold over every published snapshot — the "both engines
     /// publish identical snapshot sequences" observable.
     snapshot_fold: u64,
     /// Property database (maps and node index) derived from the last
@@ -238,14 +234,7 @@ impl Campaign {
         // Same seed/rate; the submit path only uses the rng-free hashed
         // variant, so arming it never shifts a stream.
         fed.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
-        let mut sched = ExternalScheduler::new(cfg.policy.clone(), Vec::new());
-        if cfg.engine == Engine::ParallelSite {
-            // The sharded engine's fan-outs: per-domain advance/sync and
-            // availability/placement probe batches run on the worker pool.
-            // Both flags are value-preserving — see the equivalence suite.
-            fed.set_parallel(true);
-            sched.set_parallel(true);
-        }
+        let sched = ExternalScheduler::new(cfg.policy.clone(), Vec::new());
         let mut ci = CiServer::new(cfg.executors);
         // Same seed and rate as the testbed's hook: the CI side only uses
         // the rng-free hashed variant, so arming it never shifts a stream.
@@ -311,7 +300,7 @@ impl Campaign {
             naive_queue: EventQueue::new(),
             naive_scratch: Vec::new(),
             next_phase: 0,
-            running: ShardedRunQueue::new(sites),
+            running: EventQueue::new(),
             site_completions: vec![0; sites],
             blocked: Vec::new(),
             now: SimTime::ZERO,
@@ -350,10 +339,12 @@ impl Campaign {
         self.events.take()
     }
 
-    /// Append one event when recording is armed.
-    fn log_event(&mut self, event: Event) {
-        if let Some(log) = self.events.as_mut() {
-            log.push(event);
+    /// Append one event when recording is armed; a silent campaign never
+    /// builds it. Takes the log field, not `self`, so `event` may borrow
+    /// the campaign's other fields.
+    fn log_event(events: &mut Option<EventLog>, event: impl FnOnce() -> Event) {
+        if let Some(log) = events {
+            log.push(event());
         }
     }
 
@@ -388,9 +379,8 @@ impl Campaign {
         &self.ci
     }
 
-    /// Tests completed per site shard, in domain order — the sharded
-    /// engine's per-shard digest contribution, populated identically by
-    /// every engine (an engine-equivalence observable).
+    /// Tests completed per site, in domain order — populated identically
+    /// by both engines (an engine-equivalence observable).
     pub fn site_completions(&self) -> &[u64] {
         &self.site_completions
     }
@@ -477,10 +467,7 @@ impl Campaign {
                     self.step_to(t);
                 }
             }
-            // ParallelSite drives the identical next-event loop; the
-            // sharding shows up inside the step's fan-outs, never in
-            // which instants are processed.
-            Engine::NextEvent | Engine::ParallelSite => {
+            Engine::NextEvent => {
                 // The grid is anchored where this call starts, exactly like
                 // the lockstep `now + k*tick` sequence.
                 let anchor = self.now;
@@ -527,7 +514,7 @@ impl Campaign {
         match self.next_wake_scan(next_grid) {
             Some((t, reason)) => {
                 self.wake_reasons[reason] += 1;
-                self.log_event(Event::Wake {
+                Self::log_event(&mut self.events, || Event::Wake {
                     at: t,
                     reason: WAKE_REASONS[reason].to_string(),
                 });
@@ -625,7 +612,7 @@ impl Campaign {
             for f in &arrived {
                 let sig = f.signature();
                 let target = sig.split_once('@').map_or(sig.as_str(), |(_, t)| t);
-                self.log_event(Event::FaultArrival {
+                Self::log_event(&mut self.events, || Event::FaultArrival {
                     at: f.injected_at,
                     fault_id: f.id.0,
                     kind: f.kind.name().to_string(),
@@ -638,7 +625,7 @@ impl Campaign {
         //     this deterministic across engines).
         for id in self.tb.due_service_restarts(t) {
             if self.tb.repair(id) {
-                self.log_event(Event::FaultRepair { at: t, fault_id: id.0 });
+                Self::log_event(&mut self.events, || Event::FaultRepair { at: t, fault_id: id.0 });
             }
         }
         // 3. Every site's OAR notices dead/repaired hardware (diff of
@@ -681,7 +668,7 @@ impl Campaign {
                 if let Some(bug) = self.tracker.bug(bug_id) {
                     if let Some(fault) = find_fault(&self.tb, &bug.signature.clone()) {
                         if self.tb.repair(fault.id) {
-                            self.log_event(Event::FaultRepair {
+                            Self::log_event(&mut self.events, || Event::FaultRepair {
                                 at: t,
                                 fault_id: fault.id.0,
                             });
@@ -723,7 +710,7 @@ impl Campaign {
             self.metrics
                 .bug_snapshots
                 .push((t, self.tracker.filed(), self.tracker.fixed()));
-            self.log_event(Event::Checkpoint {
+            Self::log_event(&mut self.events, || Event::Checkpoint {
                 at: t,
                 tests_run: self.metrics.tests_run,
                 tests_failed: self.metrics.tests_failed,
@@ -737,7 +724,7 @@ impl Campaign {
         // pays nothing here.
         if self.events.is_some() {
             for entry in self.tb.take_rpc_trace() {
-                self.log_event(Event::RpcOutcome {
+                Self::log_event(&mut self.events, || Event::RpcOutcome {
                     at: t,
                     site: entry.site.0,
                     service: entry.kind.to_string(),
@@ -962,7 +949,7 @@ impl Campaign {
                     vec!["no eligible resources on the testbed".into()],
                 );
                 self.metrics.unstable_builds += 1;
-                self.log_event(Event::JobUnstable {
+                Self::log_event(&mut self.events, || Event::JobUnstable {
                     at: t,
                     test: self.suite_ids[idx].clone(),
                 });
@@ -993,7 +980,7 @@ impl Campaign {
                     vec!["testbed job could not be scheduled immediately".into()],
                 );
                 self.metrics.unstable_builds += 1;
-                self.log_event(Event::JobUnstable {
+                Self::log_event(&mut self.events, || Event::JobUnstable {
                     at: t,
                     test: self.suite_ids[idx].clone(),
                 });
@@ -1059,16 +1046,12 @@ impl Campaign {
         };
         let walltime = self.suite[idx].family.walltime();
         let finish_at = t + report.duration.min(walltime);
-        // The test lives on the shard of the site whose resources it
-        // holds (primary part for cross-site co-allocations).
-        let shard = oar_job.primary_domain();
-        self.log_event(Event::JobStarted {
+        Self::log_event(&mut self.events, || Event::JobStarted {
             at: t,
             test: self.suite_ids[idx].clone(),
-            site: shard as u16,
+            site: oar_job.primary_domain() as u16,
         });
         self.running.push(
-            shard,
             finish_at,
             RunningTest {
                 build,
@@ -1082,12 +1065,15 @@ impl Campaign {
     /// Complete every test whose `finish_at` elapsed, earliest first (FIFO
     /// among ties) — popped straight off the completion queue.
     fn complete_due(&mut self, t: SimTime) {
-        while let Some((finish_at, shard, r)) = self.running.pop_due(t) {
-            self.site_completions[shard] += 1;
-            self.log_event(Event::JobCompleted {
+        while let Some((finish_at, r)) = self.running.pop_due(t) {
+            // The site whose resources the test held (primary part for
+            // cross-site co-allocations).
+            let site = r.oar_job.primary_domain();
+            self.site_completions[site] += 1;
+            Self::log_event(&mut self.events, || Event::JobCompleted {
                 at: finish_at,
                 test: self.suite_ids[r.suite_idx].clone(),
-                site: shard as u16,
+                site: site as u16,
                 passed: r.report.passed(),
             });
             self.fed.complete_early(&r.oar_job);

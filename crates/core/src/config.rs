@@ -34,16 +34,6 @@ pub enum Engine {
     /// anything is due. Kept for the tick-vs-event equivalence suite and
     /// as a benchmark baseline.
     Lockstep,
-    /// Site-sharded parallel step: the next-event loop, with the
-    /// value-deterministic per-site work — OAR domain advance, dirty-node
-    /// reconciliation, scheduler availability probes, placement probes —
-    /// fanned out to a worker pool between the grid-instant barriers.
-    /// Per-site state (each site's OAR queue/gantt and running tests) is
-    /// sharded; cross-site effects (spillover, co-allocation, CI triggers,
-    /// RNG draws) are applied in the canonical sequential order at each
-    /// barrier, so campaigns are bit-identical to the sequential engines
-    /// at any `RAYON_NUM_THREADS`.
-    ParallelSite,
 }
 
 /// How test launches are decided.

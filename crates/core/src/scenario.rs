@@ -93,9 +93,9 @@ pub fn multi_site_scenario(seed: u64) -> CampaignConfig {
 /// The grid-of-grids scale-out scenario: a generated federation of
 /// `sites` sites (two eight-node clusters per site, collision-free names
 /// from [`ttt_testbed::gen::grid_specs`]) under the scheduling-scenario
-/// service mix. This is the sharded engine's scale axis: hundreds of
-/// sites, one run-queue shard and one OAR scheduling domain each, with
-/// the user load and executor pool widened so every site sees traffic.
+/// service mix. This is the federation's scale axis: hundreds of
+/// sites, one OAR scheduling domain each, with the user load and
+/// executor pool widened so every site sees traffic.
 pub fn grid_of_grids_scenario(seed: u64, sites: u32) -> CampaignConfig {
     let mut cfg = scheduling_scenario(seed, SchedulingMode::External);
     cfg.scale = TestbedScale::Custom(ttt_testbed::gen::grid_specs(sites, 2, 8));

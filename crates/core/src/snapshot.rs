@@ -15,7 +15,7 @@
 //!
 //! * Query answers are pure functions of `(epoch, query)`:
 //!   [`QueryEngine::answer`] receives only the snapshot and the query.
-//! * All three campaign engines publish identical snapshot sequences —
+//! * Both campaign engines publish identical snapshot sequences —
 //!   every published snapshot is folded into a running digest
 //!   ([`fold_snapshot`]) compared across engines by the equivalence suite.
 //! * Arming the read plane never perturbs the campaign digest: the query
@@ -533,7 +533,7 @@ pub fn fold_answer(acc: u64, a: &QueryAnswer) -> u64 {
 /// Fold one published snapshot into a running digest. The fold covers
 /// every section structurally (job histories, queues, liveness rows,
 /// description version, property count, window stats with float bits), so
-/// "all three engines publish identical snapshot sequences" is a single
+/// "both engines publish identical snapshot sequences" is a single
 /// u64 comparison per campaign.
 pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
     let mut h = mix(acc, s.epoch);

@@ -22,18 +22,11 @@
 use crate::ast::ResourceRequest;
 use crate::job::{Job, JobId, JobKind, JobState, Queue};
 use crate::server::{NodeState, OarServer, ResourceDb, SubmitError};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttt_refapi::TestbedDescription;
 use ttt_sim::{Buggify, SimTime};
 use ttt_testbed::{NodeId, ServiceKind, SiteId, Testbed};
-
-/// Fewest candidate domains for which a speculative parallel placement
-/// probe beats the short-circuiting sequential walk (pool dispatch costs
-/// ~10µs; below this the serial walk usually wins on its first probe).
-/// A tuning knob only — it never changes computed values.
-const PARALLEL_PROBE_MIN_DOMAINS: usize = 4;
 
 /// One site's scheduling domain.
 pub struct SiteDomain {
@@ -135,15 +128,6 @@ pub struct Federation {
     /// Monotone count of gateway submission attempts (rng-free buggify
     /// salt; retries draw fresh salts — delay, never starvation).
     submit_attempts: u64,
-    /// Whether the value-deterministic fan-outs (per-domain advance,
-    /// dirty-node sync, placement probes) dispatch to the worker pool.
-    /// Worker-pool width the parallel fan-out paths assume: 1 (the
-    /// default) runs everything sequentially; the `ParallelSite` engine
-    /// raises it to the pool width sampled at enable time (reading the
-    /// env-var-driven width per placement would put a global lock on the
-    /// probe hot path). Either setting computes bit-identical results —
-    /// the width only changes which threads do the arithmetic.
-    pool_width: usize,
 }
 
 impl Federation {
@@ -186,7 +170,6 @@ impl Federation {
             now: SimTime::ZERO,
             buggify: Buggify::off(),
             submit_attempts: 0,
-            pool_width: 1,
         }
     }
 
@@ -198,23 +181,6 @@ impl Federation {
         for d in &mut self.domains {
             d.oar.set_buggify(buggify);
         }
-    }
-
-    /// Enable (or disable) the parallel fan-out paths, sampling the pool
-    /// width once. The parallel and sequential paths are bit-identical;
-    /// dispatch only happens when the pool has more than one worker and
-    /// enough domains have work to amortize the hand-off.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.pool_width = if parallel {
-            rayon::current_num_threads().max(1)
-        } else {
-            1
-        };
-    }
-
-    /// Whether the parallel fan-out paths are enabled.
-    pub fn parallel(&self) -> bool {
-        self.pool_width > 1
     }
 
     /// The scheduling domains, in site order.
@@ -426,67 +392,20 @@ impl Federation {
                         }
                     }
                 }
-                let all_immediate = if self.pool_width() > 1 && parts.len() >= 2 {
-                    self.probe_immediate(parts.iter().map(|(d, part)| (*d, part)))
-                        .into_iter()
-                        .all(|hit| hit)
-                } else {
-                    parts.iter().all(|(d, part)| {
-                        self.domains[*d].oar.immediate_assignment(part).is_some()
-                    })
-                };
+                let all_immediate = parts
+                    .iter()
+                    .all(|(d, part)| self.domains[*d].oar.immediate_assignment(part).is_some());
                 return all_immediate.then_some(Placement::Split(parts));
             }
         }
         // Domains whose OAR process is down refuse probes outright.
-        let order: Vec<usize> = self
-            .candidate_order(home)
+        self.candidate_order(home)
             .into_iter()
-            .filter(|&d| self.domains[d].oar.process_up())
-            .collect();
-        let width = self.pool_width();
-        if width > 1 && order.len() >= PARALLEL_PROBE_MIN_DOMAINS {
-            // Chunked speculation: probe one pool-width of candidates at a
-            // time and take the first hit in candidate order — the same
-            // domain the sequential walk would have picked, with wasted
-            // probes bounded by one chunk instead of the whole federation
-            // (placements usually land on the home domain, so probing every
-            // site up front loses exactly where spillover is rare).
-            for chunk in order.chunks(width) {
-                let hits = self.probe_immediate(chunk.iter().map(|&d| (d, request)));
-                if let Some(i) = hits.iter().position(|&hit| hit) {
-                    return Some(Placement::Immediate(chunk[i]));
-                }
-            }
-            return None;
-        }
-        order
-            .into_iter()
-            .find(|&d| self.domains[d].oar.immediate_assignment(request).is_some())
+            .find(|&d| {
+                let oar = &self.domains[d].oar;
+                oar.process_up() && oar.immediate_assignment(request).is_some()
+            })
             .map(Placement::Immediate)
-    }
-
-    /// Workers the parallel fan-outs assume (sampled at
-    /// [`Federation::set_parallel`] time). Every parallel path degenerates
-    /// to the sequential walk at width 1 — same values, none of the
-    /// speculation.
-    fn pool_width(&self) -> usize {
-        self.pool_width
-    }
-
-    /// Probe "would this request start immediately on that domain?" for a
-    /// batch of `(domain, request)` pairs on the worker pool, preserving
-    /// input order. Read-only against `&self`, so the answers are the ones
-    /// the sequential walk would compute.
-    fn probe_immediate<'r>(
-        &self,
-        pairs: impl Iterator<Item = (usize, &'r ResourceRequest)>,
-    ) -> Vec<bool> {
-        pairs
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(d, req)| self.domains[d].oar.immediate_assignment(req).is_some())
-            .collect()
     }
 
     /// Home-first, then every other domain in ascending site order. With a
@@ -622,19 +541,10 @@ impl Federation {
         any
     }
 
-    /// Advance every domain to `to`. Domains share no mutable state, so
-    /// with the parallel flag on and at least two domains actually due
-    /// (an idle domain's advance is a cheap clock bump not worth a
-    /// dispatch) the per-domain advances run on the worker pool; the
-    /// merge point is this call's return.
+    /// Advance every domain to `to`.
     pub fn advance(&mut self, to: SimTime) {
-        let due = |d: &SiteDomain| d.oar.next_event_time().is_some_and(|t| t <= to);
-        if self.pool_width() > 1 && self.domains.iter().filter(|d| due(d)).count() >= 2 {
-            self.domains.par_iter_mut().for_each(|d| d.oar.advance(to));
-        } else {
-            for d in &mut self.domains {
-                d.oar.advance(to);
-            }
+        for d in &mut self.domains {
+            d.oar.advance(to);
         }
         self.now = to;
     }
@@ -652,33 +562,6 @@ impl Federation {
     /// nodes are `Absent` and must stay so).
     pub fn sync_dirty_nodes(&mut self, tb: &Testbed, dirty: &[NodeId]) {
         if dirty.is_empty() {
-            return;
-        }
-        if self.pool_width() > 1 {
-            // Partition once, then let every affected domain reconcile its
-            // own slice concurrently (a domain with no flipped nodes is a
-            // no-op and is skipped on both paths).
-            let work: Vec<(&mut SiteDomain, Vec<NodeId>)> = self
-                .domains
-                .iter_mut()
-                .map(|domain| {
-                    let part: Vec<NodeId> = dirty
-                        .iter()
-                        .copied()
-                        .filter(|&n| tb.node(n).site == domain.site)
-                        .collect();
-                    (domain, part)
-                })
-                .filter(|(_, part)| !part.is_empty())
-                .collect();
-            if work.len() >= 2 {
-                work.into_par_iter()
-                    .for_each(|(domain, part)| domain.oar.sync_dirty_nodes(tb, &part));
-            } else {
-                for (domain, part) in work {
-                    domain.oar.sync_dirty_nodes(tb, &part);
-                }
-            }
             return;
         }
         let mut scratch: Vec<NodeId> = Vec::with_capacity(dirty.len());
@@ -717,20 +600,6 @@ impl Federation {
             .flat_map(|(i, d)| d.oar.jobs().values().map(move |j| (i, j)))
     }
 }
-
-// Compile-time guard: the sharded engine moves these across pool workers,
-// so they must stay `Send + Sync` — a reintroduced `Rc`/`RefCell` fails to
-// build right here instead of deep inside a `par_iter_mut` bound error.
-fn _assert_send<T: Send>() {}
-fn _assert_sync<T: Sync>() {}
-const _: [fn(); 6] = [
-    _assert_send::<ResourceDb>,
-    _assert_sync::<ResourceDb>,
-    _assert_send::<OarServer>,
-    _assert_sync::<OarServer>,
-    _assert_send::<Federation>,
-    _assert_sync::<Federation>,
-];
 
 #[cfg(test)]
 mod tests {

@@ -73,10 +73,11 @@ enum OarEvent {
 /// *description* drifts, the DB does not — that inconsistency is the
 /// paper's subject), so a federation shares one `Arc<ResourceDb>` across
 /// every site's server instead of cloning 894 property maps per domain.
-/// `Arc` (not `Rc`) because the parallel-site engine advances domains on
-/// pool workers; the match cache sits behind an `RwLock`, which keeps the
-/// type `Sync` — concurrent fills compute the same value for the same
-/// filter, so a racing double-insert is harmless and value-deterministic.
+/// `Arc` (not `Rc`) and an `RwLock` around the match cache keep every
+/// server, and so a whole campaign, `Send`: seed sweeps and the scenario
+/// swarm build and run campaigns on pool workers. One campaign drives its
+/// servers from a single thread, so the lock is never contended; a fill
+/// computes the same value for the same filter whoever inserts it.
 /// Liveness and reservations are per-server state, filtered per query.
 pub struct ResourceDb {
     /// Host-name-keyed properties from the Reference API.

@@ -134,9 +134,9 @@ impl TestbedBuilder {
 
     /// A grid-of-grids testbed: `sites` sites of `clusters_per_site`
     /// clusters of `nodes_per_cluster` nodes each, pushing past the
-    /// paper's 8 sites toward the hundreds-of-sites regime the sharded
-    /// engine targets. Names are collision-free by construction — site
-    /// `g{s}`, cluster `g{s}c{c}`, node `g{s}c{c}-{n}` — and the hardware
+    /// paper's 8 sites toward the hundreds-of-sites regime. Names are
+    /// collision-free by construction — site `g{s}`, cluster `g{s}c{c}`,
+    /// node `g{s}c{c}-{n}` — and the hardware
     /// mix cycles through the paper's heterogeneity axes (vendor, core
     /// count, Infiniband, introspectable disks, one GPU cluster per site)
     /// so every test family finds targets at any scale.

@@ -1,11 +1,14 @@
 //! Ad-hoc profiling driver for the paper-scale one-day workload (the
 //! `campaign/paper_scale/one_day` bench body, runnable under a profiler).
 //!
-//! Pass a repeat count, e.g. `cargo run --release --example engine_profile 20`.
+//! Pass a repeat count and optionally an engine name (`next-event`, the
+//! default, or `lockstep`), e.g.
+//! `cargo run --release --example engine_profile 20 lockstep`.
 
 use std::time::Instant;
 use throughout::core::scenario::scheduling_scenario;
 use throughout::core::{Campaign, Engine, SchedulingMode};
+use throughout::scengen::parse_engine;
 use throughout::sim::SimDuration;
 
 fn main() {
@@ -13,9 +16,12 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
-    let engine = match std::env::args().nth(2).as_deref() {
-        Some("lockstep") => Engine::Lockstep,
-        _ => Engine::NextEvent,
+    let engine = match std::env::args().nth(2) {
+        None => Engine::NextEvent,
+        Some(name) => parse_engine(&name).unwrap_or_else(|| {
+            eprintln!("unknown engine {name:?} (next-event | lockstep)");
+            std::process::exit(2);
+        }),
     };
     let mut total = 0u64;
     // detlint: allow(no-wall-clock) -- operator-facing timing, not simulation state
