@@ -6,26 +6,20 @@
 //! the search walks outward from behaviorally distinct points instead of
 //! resampling the dense center of the seed distribution.
 //!
-//! Corpora persist as version-tagged JSON (the same discipline as
-//! reproducer dumps): a corpus written by an incompatible grammar loads as
-//! a reported error, never a panic, so CI can carry a corpus across
-//! revisions and fall back to a fresh one when the format moves.
+//! Corpora persist as one version-tagged JSON file whose entries each
+//! embed a `scenario.v1` document beside the signature it reached. A
+//! corpus of any other version loads as a reported error, never a panic
+//! and never a partial load, so CI falls back to a fresh one.
 
 use crate::coverage::CoverageSignature;
-use crate::grammar::{ensure_spec_defaults, ScenarioSpec};
+use crate::grammar::ScenarioSpec;
+use crate::scenario_file::envelope_version;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Format version of serialized corpora. Bump when [`ScenarioSpec`] or
-/// [`CoverageSignature`] change incompatibly. Older versions whose only
-/// spec change is an appended field stay loadable — [`Corpus::from_json`]
-/// injects the implicit defaults, so CI corpora survive grammar growth.
-///
-/// v2: specs carry `link_model`, and the signature's site axis widened
-/// from u8 to u16 (both migrate losslessly from v1).
-/// v3: specs carry `queries_per_day`/`query_users` (the read plane;
-/// migrates losslessly from v1/v2 — older specs ran with it disarmed).
-pub const CORPUS_VERSION: u32 = 3;
+/// Format version of serialized corpora — the only one this build reads.
+/// Bump when the envelope or [`CoverageSignature`] change shape.
+pub const CORPUS_VERSION: u32 = 4;
 
 /// One coverage-novel scenario: the first spec observed to produce its
 /// signature.
@@ -93,65 +87,32 @@ impl Corpus {
     }
 
     /// Serialize to the version-tagged JSON envelope.
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string(&CorpusFile {
             version: CORPUS_VERSION,
             entries: self.entries.clone(),
         })
-        .expect("corpus serializes")
     }
 
     /// Parse a corpus from its JSON envelope. A version mismatch or parse
     /// failure is an error message, not a panic — callers (the CLI, CI)
-    /// report it and start from an empty corpus.
-    ///
-    /// The version is probed before the entries are parsed, so a corpus
-    /// written by a *future* grammar reports "incompatible version", not
-    /// whatever field its entries happen to fail on. Corpora from `1` up
-    /// to [`CORPUS_VERSION`] all load: older entry specs are migrated in
-    /// place by injecting the implicit defaults of the fields appended
-    /// since (chaos off, ideal backbone).
+    /// report it and start from an empty corpus. The version is probed
+    /// before the entries are parsed, so a corpus from another revision
+    /// reports its version, not whatever field its entries fail on.
     pub fn from_json(json: &str) -> Result<Corpus, String> {
-        let mut value = match serde_json::parse(json) {
-            Ok(v) => v,
-            Err(e) => {
+        let unreadable = |e: serde_json::Error| {
+            format!("unreadable corpus (not a v{CORPUS_VERSION} envelope): {e}")
+        };
+        let value = serde_json::parse(json).map_err(unreadable)?;
+        match envelope_version(&value) {
+            Some(CORPUS_VERSION) | None => {}
+            Some(found) => {
                 return Err(format!(
-                    "unreadable corpus (not a v{CORPUS_VERSION} envelope): {e}"
+                    "corpus version {found} incompatible with this build (reads v{CORPUS_VERSION})"
                 ))
             }
-        };
-        if let Some(obj) = value.as_object() {
-            if let Some((_, v)) = obj.iter().find(|(k, _)| k == "version") {
-                let found = match v {
-                    serde::Value::I64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                    serde::Value::U64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                    _ => u32::MAX,
-                };
-                if !(1..=CORPUS_VERSION).contains(&found) {
-                    return Err(format!(
-                        "corpus version {found} incompatible with this build (reads v{CORPUS_VERSION})"
-                    ));
-                }
-            }
         }
-        // Migrate pre-current entry specs before the strict parse.
-        if let serde::Value::Object(fields) = &mut value {
-            if let Some((_, serde::Value::Array(entries))) =
-                fields.iter_mut().find(|(k, _)| k == "entries")
-            {
-                for entry in entries {
-                    if let serde::Value::Object(entry_fields) = entry {
-                        if let Some((_, spec)) =
-                            entry_fields.iter_mut().find(|(k, _)| k == "spec")
-                        {
-                            ensure_spec_defaults(spec);
-                        }
-                    }
-                }
-            }
-        }
-        let file: CorpusFile = Deserialize::from_value(&value)
-            .map_err(|e| format!("unreadable corpus (not a v{CORPUS_VERSION} envelope): {e}"))?;
+        let file: CorpusFile = Deserialize::from_value(&value).map_err(unreadable)?;
         let mut corpus = Corpus::new();
         for entry in file.entries {
             corpus.add(entry.spec, entry.signature);
@@ -191,70 +152,11 @@ mod tests {
             let (spec, sig) = entry_for(seed);
             corpus.add(spec, sig);
         }
-        let json = corpus.to_json();
+        let json = corpus.to_json().unwrap();
         let back = Corpus::from_json(&json).unwrap();
         assert_eq!(back.entries(), corpus.entries());
-    }
-
-    /// A v1 corpus — written before `link_model` joined the spec and the
-    /// signature's site axis widened — must keep loading: CI carries its
-    /// corpus across revisions and a format bump must not silently reset
-    /// the fuzzer's memory.
-    #[test]
-    fn v1_corpus_still_loads_with_migrated_specs() {
-        let (mut expected_spec, sig) = entry_for(4);
-        expected_spec.buggify_rate = 0.0;
-        expected_spec.link_model = ttt_testbed::LinkModelSpec::Ideal;
-        expected_spec.queries_per_day = 0.0;
-        expected_spec.query_users = 0;
-        let mut spec_value = expected_spec.to_value();
-        if let serde::Value::Object(fields) = &mut spec_value {
-            fields.retain(|(k, _)| {
-                k != "link_model"
-                    && k != "buggify_rate"
-                    && k != "queries_per_day"
-                    && k != "query_users"
-            });
-        }
-        let entry = serde::Value::Object(vec![
-            ("spec".to_string(), spec_value),
-            ("signature".to_string(), sig.to_value()),
-        ]);
-        let v1 = serde_json::to_string(&serde::Value::Object(vec![
-            ("version".to_string(), serde::Value::U64(1)),
-            ("entries".to_string(), serde::Value::Array(vec![entry])),
-        ]))
-        .unwrap();
-        let corpus = Corpus::from_json(&v1).expect("v1 corpus must load");
-        assert_eq!(corpus.len(), 1);
-        assert_eq!(corpus.entry(0).spec, expected_spec);
-        assert_eq!(corpus.entry(0).signature, sig);
-    }
-
-    /// A v2 corpus predates only the query-plane fields; it must migrate
-    /// to the disarmed read plane it actually ran with.
-    #[test]
-    fn v2_corpus_still_loads_with_migrated_specs() {
-        let (mut expected_spec, sig) = entry_for(5);
-        expected_spec.queries_per_day = 0.0;
-        expected_spec.query_users = 0;
-        let mut spec_value = expected_spec.to_value();
-        if let serde::Value::Object(fields) = &mut spec_value {
-            fields.retain(|(k, _)| k != "queries_per_day" && k != "query_users");
-        }
-        let entry = serde::Value::Object(vec![
-            ("spec".to_string(), spec_value),
-            ("signature".to_string(), sig.to_value()),
-        ]);
-        let v2 = serde_json::to_string(&serde::Value::Object(vec![
-            ("version".to_string(), serde::Value::U64(2)),
-            ("entries".to_string(), serde::Value::Array(vec![entry])),
-        ]))
-        .unwrap();
-        let corpus = Corpus::from_json(&v2).expect("v2 corpus must load");
-        assert_eq!(corpus.len(), 1);
-        assert_eq!(corpus.entry(0).spec, expected_spec);
-        assert_eq!(corpus.entry(0).signature, sig);
+        // Every entry embeds the one scenario format.
+        assert_eq!(json.matches("\"format\":\"scenario.v1\"").count(), corpus.len());
     }
 
     #[test]
@@ -270,5 +172,10 @@ mod tests {
         let future_shape = "{\"version\": 99, \"entries\": [{\"bogus\": 1}]}";
         let err = Corpus::from_json(future_shape).unwrap_err();
         assert!(err.contains("version 99"), "probe ran after parse: {err}");
+        // So does the previous revision's envelope (derived-struct specs):
+        // reported with its version, never migrated, never half-loaded.
+        let older = "{\"version\": 3, \"entries\": [{\"spec\": {\"seed\": 1}}]}";
+        let err = Corpus::from_json(older).unwrap_err();
+        assert!(err.contains("version 3"), "older corpus not reported: {err}");
     }
 }

@@ -4,17 +4,18 @@
 //! testbed topology (cluster count, size, heterogeneity), fault mix over
 //! every [`FaultKind`], user-load and rollout patterns, scheduling mode,
 //! tick grid and horizon — and a spec lowers into a runnable
-//! [`CampaignConfig`] for either engine. Specs serialize to JSON so a
-//! failing swarm seed can be dumped, shrunk and replayed as a one-line
-//! test (see [`crate::shrink`]).
+//! [`CampaignConfig`] for either engine. On disk a spec is a `scenario.v1`
+//! document and nothing else (see [`crate::scenario_file`]).
 //!
 //! The dimension bounds are deliberately small: the swarm re-runs every
 //! scenario under both engines, so a scenario must stay in the
 //! "lockstep is affordable" regime (≤ 48 nodes, ≤ 10 days, tick ≥ 10 min).
+//! Every bound and file default is declared once, here: the scalar axes in
+//! [`SCALAR_AXES`], the structural ones as constants beside it.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::RangeInclusive;
 use ttt_core::{CampaignConfig, Engine, Rollout, SchedulingMode, TestbedScale};
 use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
@@ -34,6 +35,133 @@ pub(crate) const VENDOR_MENU: [Vendor; 4] = [Vendor::Dell, Vendor::Hp, Vendor::B
 pub(crate) const TICK_MENU: [u64; 5] = [10, 15, 20, 30, 60];
 pub(crate) const CADENCE_MENU: [u64; 3] = [1, 2, 4];
 
+/// One uniform draw from a non-empty static menu — draw-for-draw what the
+/// vendored `SliceRandom::choose` does, so every historical seed expands
+/// unchanged.
+pub(crate) fn pick<T: Copy, R: Rng>(menu: &[T], rng: &mut R) -> T {
+    menu[(rng.next_u64() % menu.len() as u64) as usize]
+}
+
+/// Limits of the structural axes (topology, arrivals, mode, link model,
+/// horizon × tick), read by the file validator and by
+/// [`crate::mutate::sanitize`] alike.
+pub(crate) const MAX_CLUSTERS: usize = 8;
+pub(crate) const MAX_NODES_PER_CLUSTER: u32 = 8;
+pub(crate) const MAX_NODES: u32 = 48;
+pub(crate) const MAX_CORES_PER_NODE: u32 = 64;
+/// Grid-instant ceiling (the lockstep-affordability bound).
+pub(crate) const MAX_TICKS: u64 = 1440;
+pub(crate) const MAX_DURATION_HOURS: u64 = 240;
+pub(crate) const MIN_FAULT_RATE: f64 = 0.05;
+pub(crate) const MAX_FAULT_RATE: f64 = 6.0;
+pub(crate) const MAX_CRON_PERIOD_HOURS: u64 = 48;
+pub(crate) const MAX_ROLLOUT_PHASES: usize = Family::ALL.len();
+/// Latency beyond 30 s is a dead backbone pretending to be slow; loss
+/// beyond 0.5 is the placement layer's unreachability cutoff.
+pub(crate) const MAX_LINK_LATENCY_S: f64 = 30.0;
+pub(crate) const MAX_LINK_LOSS: f64 = 0.5;
+/// User-load ceiling — beyond the 100/day bare seeds draw so the fuzzer
+/// can reach saturation regimes, but bounded so a campaign stays
+/// differential-testable.
+pub(crate) const MAX_PEAK_JOBS: f64 = 300.0;
+
+/// The horizons a `tick_mins` grid admits, in hours: at least one tick, at
+/// most [`MAX_TICKS`] grid instants.
+pub(crate) fn horizon_hours(tick_mins: u64) -> RangeInclusive<u64> {
+    (tick_mins / 60).max(1)..=(MAX_TICKS.saturating_mul(tick_mins) / 60).min(MAX_DURATION_HOURS)
+}
+
+/// The cluster a scenario file gets when it names one and says nothing
+/// else — also what [`crate::mutate::sanitize`] restores an empty
+/// topology to.
+pub(crate) fn default_cluster(name: &str) -> ClusterSpec {
+    ClusterSpec::new(name, &site_name(0), 2, 8, Vendor::Dell, false, true)
+}
+
+/// The values a scalar axis may take.
+pub(crate) enum Domain {
+    /// Any float in `lo..=hi`.
+    Float(f64, f64),
+    /// Any integer in `lo..=hi`.
+    Integer(u64, u64),
+    /// One of the listed integers.
+    Menu(&'static [u64]),
+}
+
+impl fmt::Display for Domain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Domain::Float(lo, hi) => write!(f, "between {lo} and {hi}"),
+            Domain::Integer(lo, hi) => write!(f, "between {lo} and {hi}"),
+            Domain::Menu(menu) => write!(f, "one of {menu:?}"),
+        }
+    }
+}
+
+/// One scalar axis of a [`ScenarioSpec`]: where it sits in a scenario
+/// file, what an omitted key means, what values are legal, and how to
+/// reach the field. The file parser, the emitter, the unknown-key lists
+/// and [`crate::mutate::sanitize`] all iterate [`SCALAR_AXES`], so a bound
+/// lives in exactly one row. Values travel as `f64`: integer axes stay far
+/// below 2⁵³, so the trip is exact.
+pub(crate) struct ScalarAxis {
+    /// Scenario-file section (`"faults"`, `"users"`, …).
+    pub section: &'static str,
+    /// Key within the section.
+    pub key: &'static str,
+    /// Value of an omitted key.
+    pub default: f64,
+    pub domain: Domain,
+    pub get: fn(&ScenarioSpec) -> f64,
+    pub set: fn(&mut ScenarioSpec, f64),
+}
+
+impl ScalarAxis {
+    /// The in-domain value nearest `v`: clamped into the range, or the
+    /// default when off a menu. `v` is legal iff this returns it unchanged
+    /// — the validator's definition, so it cannot disagree with `sanitize`.
+    pub(crate) fn sanitized(&self, v: f64) -> f64 {
+        match self.domain {
+            Domain::Float(lo, hi) => v.clamp(lo, hi),
+            Domain::Integer(lo, hi) => v.clamp(lo as f64, hi as f64),
+            Domain::Menu(menu) if menu.iter().any(|&m| m as f64 == v) => v,
+            Domain::Menu(_) => self.default,
+        }
+    }
+}
+
+macro_rules! axis {
+    ($section:literal, $key:literal, $field:ident, $default:expr, $domain:expr) => {
+        ScalarAxis {
+            section: $section,
+            key: $key,
+            default: $default,
+            domain: $domain,
+            get: |s| s.$field as f64,
+            set: |s, v| s.$field = v as _,
+        }
+    };
+}
+
+/// Every scalar axis: section, key, field, file default, legal values.
+#[rustfmt::skip] // one row per axis
+pub(crate) const SCALAR_AXES: [ScalarAxis; 14] = [
+    axis!("faults", "maintenance_per_day", maintenance_per_day, 0.0, Domain::Float(0.0, 1.0)),
+    axis!("faults", "maintenance_spread", maintenance_spread, 1.0, Domain::Integer(1, 4)),
+    axis!("faults", "initial_burden", initial_fault_burden, 0.0, Domain::Integer(0, 8)),
+    axis!("users", "peak_jobs_per_day", peak_jobs_per_day, 0.0, Domain::Float(0.0, MAX_PEAK_JOBS)),
+    axis!("users", "cluster_affinity", cluster_affinity, 0.5, Domain::Float(0.0, 1.0)),
+    axis!("users", "whole_cluster_prob", whole_cluster_prob, 0.1, Domain::Float(0.0, 0.5)),
+    axis!("scheduling", "executors", executors, 4.0, Domain::Integer(1, 8)),
+    axis!("operators", "capacity_per_week", operator_capacity_per_week, 5.0, Domain::Float(0.5, 20.0)),
+    axis!("operators", "triage_hours", operator_triage_hours, 24.0, Domain::Integer(1, 96)),
+    axis!("operators", "cadence_hours", operator_cadence_hours, 1.0, Domain::Menu(&CADENCE_MENU)),
+    axis!("sampling", "cadence_hours", sample_cadence_hours, 1.0, Domain::Menu(&CADENCE_MENU)),
+    axis!("chaos", "buggify_rate", buggify_rate, 0.0, Domain::Float(0.0, 0.25)),
+    axis!("queries", "per_day", queries_per_day, 0.0, Domain::Float(0.0, 10_000_000.0)),
+    axis!("queries", "users", query_users, 0.0, Domain::Integer(0, 10_000_000)),
+];
+
 /// Canonical name of the i-th generated site (clusters reference sites by
 /// name; the shrinker's single-site collapse and the mutators' site
 /// re-spread must agree with the generator on this scheme).
@@ -42,7 +170,7 @@ pub(crate) fn site_name(i: usize) -> String {
 }
 
 /// Scheduling-mode dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModeDim {
     /// The paper's external scheduler.
     External,
@@ -54,7 +182,7 @@ pub enum ModeDim {
 }
 
 /// Rollout dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RolloutDim {
     /// Every family active from t=0.
     AllAtStart,
@@ -70,10 +198,12 @@ pub enum RolloutDim {
 
 /// A fully-expanded scenario: every campaign dimension pinned.
 ///
-/// The spec is the replayable artifact — it serializes to JSON, lowers to a
-/// [`CampaignConfig`] via [`ScenarioSpec::campaign_config`], and is what
-/// the shrinker mutates when minimizing a failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The spec is the replayable artifact — it serializes as a `scenario.v1`
+/// document (the hand-written `Serialize`/`Deserialize` impls live in
+/// [`crate::scenario_file`]), lowers to a [`CampaignConfig`] via
+/// [`ScenarioSpec::campaign_config`], and is what the shrinker mutates
+/// when minimizing a failure.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Master seed (drives both the expansion and the campaign's streams).
     pub seed: u64,
@@ -149,8 +279,8 @@ impl ScenarioSpec {
                     &format!("swarm-c{i}"),
                     &site_name(rng.gen_range(0..n_sites)),
                     rng.gen_range(2..=8u32),
-                    *CORE_MENU.choose(&mut rng).unwrap(),
-                    *VENDOR_MENU.choose(&mut rng).unwrap(),
+                    pick(&CORE_MENU, &mut rng),
+                    pick(&VENDOR_MENU, &mut rng),
                     rng.gen_bool(0.35),
                     rng.gen_bool(0.40),
                 );
@@ -163,7 +293,7 @@ impl ScenarioSpec {
 
         // Time dimensions.
         let duration_hours = rng.gen_range(36..=240u64);
-        let tick_mins = *TICK_MENU.choose(&mut rng).unwrap();
+        let tick_mins = pick(&TICK_MENU, &mut rng);
 
         // Fault mix: each catalogue entry joins with p=½; rates are high
         // relative to the paper (tiny testbed, short horizon) so scenarios
@@ -220,8 +350,8 @@ impl ScenarioSpec {
             per_node_hardware: rng.gen_bool(0.25),
             operator_capacity_per_week: rng.gen_range(1.0..12.0),
             operator_triage_hours: rng.gen_range(4..=72),
-            operator_cadence_hours: *CADENCE_MENU.choose(&mut rng).unwrap(),
-            sample_cadence_hours: *CADENCE_MENU.choose(&mut rng).unwrap(),
+            operator_cadence_hours: pick(&CADENCE_MENU, &mut rng),
+            sample_cadence_hours: pick(&CADENCE_MENU, &mut rng),
             // No draw: arming buggify here would shift every later stream
             // and break the append-only seed discipline.
             buggify_rate: 0.0,
@@ -337,33 +467,6 @@ impl ScenarioSpec {
     }
 }
 
-/// Inject the implicit defaults of fields appended to [`ScenarioSpec`]
-/// after an artifact was written: specs dumped before `buggify_rate`
-/// existed ran with chaos off, and specs dumped before `link_model`
-/// existed ran on the ideal backbone. Mutating the parsed JSON value
-/// keeps old reproducer dumps and corpora loadable while the strict
-/// missing-field errors stay in force for current-version files.
-pub(crate) fn ensure_spec_defaults(spec: &mut serde::Value) {
-    if let serde::Value::Object(fields) = spec {
-        if !fields.iter().any(|(k, _)| k == "buggify_rate") {
-            fields.push(("buggify_rate".to_string(), serde::Value::F64(0.0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "link_model") {
-            fields.push((
-                "link_model".to_string(),
-                serde::Value::String("Ideal".to_string()),
-            ));
-        }
-        // Specs dumped before the read plane existed ran without it.
-        if !fields.iter().any(|(k, _)| k == "queries_per_day") {
-            fields.push(("queries_per_day".to_string(), serde::Value::F64(0.0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "query_users") {
-            fields.push(("query_users".to_string(), serde::Value::U64(0)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,6 +503,10 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
+        // The serde form IS the scenario file, compactly printed.
+        let file = serde_json::to_string(&crate::to_scenario_value(&spec)).unwrap();
+        assert_eq!(json, file);
+        assert!(json.starts_with("{\"format\":\"scenario.v1\""));
     }
 
     #[test]

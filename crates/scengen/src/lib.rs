@@ -9,8 +9,11 @@
 //! * [`grammar`] — any `u64` seed expands deterministically into a
 //!   [`ScenarioSpec`]: testbed topology, fault mix over the whole
 //!   catalogue, user load, rollout pattern, scheduling mode, tick grid and
-//!   horizon. Specs serialize to JSON and lower to [`ttt_core`] campaign
-//!   configurations for either engine.
+//!   horizon. Specs lower to [`ttt_core`] campaign configurations for
+//!   either engine.
+//! * [`scenario_file`] — the `scenario.v1` format, the only on-disk
+//!   encoding of a spec: hand-written files, reproducers, and the spec
+//!   embedded in every corpus entry and run log.
 //! * [`oracle`] — differential checks every generated scenario must pass:
 //!   NextEvent ≡ Lockstep bit-identity, detection soundness (injected
 //!   faults resolve back through `find_fault`; every mixed-in kind is
@@ -20,8 +23,7 @@
 //!   a panicking scenario is caught per seed, never costing the sweep.
 //! * [`shrink`] — failing scenarios are minimized (horizon bisection,
 //!   fault-mix pruning, noise zeroing, looped to a fixpoint) into a
-//!   [`Reproducer`] whose version-tagged JSON dump replays as a one-line
-//!   test.
+//!   [`Reproducer`] whose scenario file replays as a one-line test.
 //! * [`coverage`] / [`corpus`] / [`mutate`] — the coverage-guided layer:
 //!   campaigns are fingerprinted into behavioral signatures, signature-
 //!   novel specs are kept in a corpus, and structural mutators evolve the
@@ -53,17 +55,14 @@ pub use grammar::{ModeDim, RolloutDim, ScenarioSpec};
 pub use mutate::{mutate, pin_to_cell, sanitize, Mutator};
 pub use oracle::{CampaignDigest, OracleKind, Violation, KNOWN_COVERAGE_GAPS};
 pub use runlog::{
-    engine_name, parse_engine, replay_run_log, replay_run_log_file, run_logged, RunLogArtifact,
-    RunLogReplay, RUN_LOG_VERSION,
+    engine_name, parse_engine, replay_run_log, replay_run_log_file, run_logged, ReplayError,
+    ReplayErrorKind, RunLogArtifact, RunLogReplay, RUN_LOG_VERSION,
 };
 pub use scenario_file::{
     load_scenario_file, parse_scenario, to_scenario_json, to_scenario_value, ScenarioFileError,
     SCENARIO_FORMAT,
 };
-pub use shrink::{
-    dump_spec, parse_dump, replay, replay_file, shrink, ReplayError, ReplayErrorKind, Reproducer,
-    DUMP_VERSION,
-};
+pub use shrink::{replay, shrink, Reproducer};
 pub use swarm::{
     random_coverage, run_fuzz, run_scenario, run_seed, run_seed_service_chaos, run_swarm,
     run_swarm_service_chaos, seed_block, FuzzConfig, FuzzReport, Oracles, ScenarioOutcome,

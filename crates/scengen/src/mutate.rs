@@ -12,27 +12,21 @@
 //! Every mutant is passed through [`sanitize`], which re-imposes the
 //! grammar's "lockstep is affordable" envelope (≤ 48 nodes, ≤ 1440 grid
 //! instants, bounded load) — the swarm re-runs scenarios under both
-//! engines, so a mutant must stay cheap enough to differential-test.
+//! engines, so a mutant must stay cheap enough to differential-test. The
+//! envelope is the one the scenario-file validator enforces, read from
+//! the same table and constants in [`crate::grammar`].
 
 use crate::coverage::StructuralCell;
 use crate::grammar::{
-    site_name, ModeDim, RolloutDim, ScenarioSpec, CADENCE_MENU, CORE_MENU, TICK_MENU, VENDOR_MENU,
+    default_cluster, horizon_hours, pick, site_name, ModeDim, RolloutDim, ScenarioSpec,
+    CADENCE_MENU, CORE_MENU, MAX_CLUSTERS, MAX_CRON_PERIOD_HOURS, MAX_FAULT_RATE,
+    MAX_LINK_LATENCY_S, MAX_LINK_LOSS, MAX_NODES, MAX_NODES_PER_CLUSTER, MAX_PEAK_JOBS,
+    MAX_ROLLOUT_PHASES, MIN_FAULT_RATE, SCALAR_AXES, TICK_MENU, VENDOR_MENU,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
-use ttt_suite::Family;
 use ttt_testbed::gen::ClusterSpec;
-use ttt_testbed::hardware::Vendor;
 use ttt_testbed::{FaultKind, LinkModelSpec};
-
-/// Hard ceiling on user load a mutant may carry — beyond the grammar's
-/// 100/day so the fuzzer can reach saturation regimes, but bounded so a
-/// campaign stays differential-testable.
-const MAX_PEAK_JOBS: f64 = 300.0;
-/// Grid-instant ceiling (the grammar's lockstep-affordability bound).
-const MAX_TICKS: u64 = 1440;
-/// Node-count ceiling.
-const MAX_NODES: u32 = 48;
 
 /// The structural moves, named so tests can assert the move set stays
 /// complete and the fuzz report can say which move found a signature.
@@ -139,8 +133,9 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
         Mutator::WarpFaultRate => {
             if !spec.fault_mix.is_empty() {
                 let i = rng.gen_range(0..spec.fault_mix.len());
-                let factor = *[0.25, 0.5, 2.0, 4.0].choose(rng).unwrap();
-                spec.fault_mix[i].1 = (spec.fault_mix[i].1 * factor).clamp(0.05, 6.0);
+                let factor = pick(&[0.25, 0.5, 2.0, 4.0], rng);
+                spec.fault_mix[i].1 =
+                    (spec.fault_mix[i].1 * factor).clamp(MIN_FAULT_RATE, MAX_FAULT_RATE);
             }
         }
         Mutator::AddCluster => {
@@ -167,7 +162,7 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
             };
         }
         Mutator::WarpTick => {
-            spec.tick_mins = *TICK_MENU.choose(rng).unwrap();
+            spec.tick_mins = pick(&TICK_MENU, rng);
         }
         Mutator::WarpLoad => {
             spec.peak_jobs_per_day = match rng.gen_range(0..4u32) {
@@ -220,8 +215,8 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
         Mutator::WarpOperator => {
             spec.operator_capacity_per_week = rng.gen_range(1.0..12.0);
             spec.operator_triage_hours = rng.gen_range(4..=72);
-            spec.operator_cadence_hours = *CADENCE_MENU.choose(rng).unwrap();
-            spec.sample_cadence_hours = *CADENCE_MENU.choose(rng).unwrap();
+            spec.operator_cadence_hours = pick(&CADENCE_MENU, rng);
+            spec.sample_cadence_hours = pick(&CADENCE_MENU, rng);
         }
         Mutator::Reseed => {
             spec.seed = rng.gen();
@@ -230,7 +225,7 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
             spec.buggify_rate = if spec.buggify_rate > 0.0 {
                 0.0
             } else {
-                *[0.02, 0.05, 0.10].choose(rng).unwrap()
+                pick(&[0.02, 0.05, 0.10], rng)
             };
         }
         Mutator::WarpLinkModel => {
@@ -270,8 +265,8 @@ fn random_cluster<R: Rng>(existing: &[ClusterSpec], site: usize, rng: &mut R) ->
         &name,
         &site_name(site),
         rng.gen_range(2..=8u32),
-        *CORE_MENU.choose(rng).unwrap(),
-        *VENDOR_MENU.choose(rng).unwrap(),
+        pick(&CORE_MENU, rng),
+        pick(&VENDOR_MENU, rng),
         rng.gen_bool(0.35),
         rng.gen_bool(0.40),
     );
@@ -311,7 +306,7 @@ pub fn pin_to_cell<R: Rng>(spec: &mut ScenarioSpec, cell: StructuralCell, rng: &
         },
         _ => RolloutDim::NoTesting,
     };
-    let sites = cell.sites.clamp(1, 8) as usize;
+    let sites = (cell.sites as usize).clamp(1, MAX_CLUSTERS);
     while spec.clusters.len() < sites {
         let c = random_cluster(&spec.clusters, 0, rng);
         spec.clusters.push(c);
@@ -364,24 +359,17 @@ pub fn pin_to_cell<R: Rng>(spec: &mut ScenarioSpec, cell: StructuralCell, rng: &
 }
 
 /// Re-impose the grammar's envelope on a mutant so it stays in the
-/// differential-testable regime: ≥ 1 cluster, ≤ 48 nodes, a horizon of at
-/// least one tick and at most [`MAX_TICKS`] grid instants, bounded load
-/// and operator dimensions.
+/// differential-testable regime: ≥ 1 cluster, ≤ [`MAX_NODES`] nodes, a
+/// horizon of at least one tick and at most `MAX_TICKS` grid instants,
+/// every scalar axis inside its [`SCALAR_AXES`] domain. What comes out is
+/// exactly what the scenario-file validator accepts.
 pub fn sanitize(spec: &mut ScenarioSpec) {
     if spec.clusters.is_empty() {
-        spec.clusters.push(ClusterSpec::new(
-            "swarm-m0",
-            &site_name(0),
-            2,
-            8,
-            Vendor::Dell,
-            false,
-            true,
-        ));
+        spec.clusters.push(default_cluster("swarm-m0"));
     }
-    spec.clusters.truncate(8);
+    spec.clusters.truncate(MAX_CLUSTERS);
     for c in &mut spec.clusters {
-        c.nodes = c.nodes.clamp(1, 8);
+        c.nodes = c.nodes.clamp(1, MAX_NODES_PER_CLUSTER);
     }
     // Trim the widest clusters until the arena fits.
     while spec.node_count() > MAX_NODES {
@@ -399,48 +387,30 @@ pub fn sanitize(spec: &mut ScenarioSpec) {
         }
     }
     if !TICK_MENU.contains(&spec.tick_mins) {
-        spec.tick_mins = 10;
+        spec.tick_mins = TICK_MENU[0];
     }
-    let floor_hours = (spec.tick_mins / 60).max(1);
-    let max_hours = (MAX_TICKS * spec.tick_mins / 60).min(240);
-    spec.duration_hours = spec.duration_hours.clamp(floor_hours, max_hours);
-    spec.executors = spec.executors.clamp(1, 8);
+    let horizon = horizon_hours(spec.tick_mins);
+    spec.duration_hours = spec.duration_hours.clamp(*horizon.start(), *horizon.end());
     spec.fault_mix.truncate(FaultKind::ALL.len());
     for (_, rate) in &mut spec.fault_mix {
-        *rate = rate.clamp(0.05, 6.0);
+        *rate = rate.clamp(MIN_FAULT_RATE, MAX_FAULT_RATE);
     }
-    spec.maintenance_per_day = spec.maintenance_per_day.clamp(0.0, 1.0);
-    spec.maintenance_spread = spec.maintenance_spread.clamp(1, 4);
-    spec.initial_fault_burden = spec.initial_fault_burden.min(8);
-    spec.peak_jobs_per_day = spec.peak_jobs_per_day.clamp(0.0, MAX_PEAK_JOBS);
-    spec.cluster_affinity = spec.cluster_affinity.clamp(0.0, 1.0);
-    spec.whole_cluster_prob = spec.whole_cluster_prob.clamp(0.0, 0.5);
     if let ModeDim::NaiveCron { period_hours } = &mut spec.mode {
-        *period_hours = (*period_hours).clamp(1, 48);
+        *period_hours = (*period_hours).clamp(1, MAX_CRON_PERIOD_HOURS);
     }
     if let RolloutDim::Staged { phases } = &mut spec.rollout {
-        *phases = (*phases).clamp(1, Family::ALL.len());
+        *phases = (*phases).clamp(1, MAX_ROLLOUT_PHASES);
     }
-    spec.buggify_rate = spec.buggify_rate.clamp(0.0, 0.25);
-    spec.queries_per_day = spec.queries_per_day.clamp(0.0, 10_000_000.0);
-    spec.query_users = spec.query_users.min(10_000_000);
     if let LinkModelSpec::Uniform {
         latency_s,
         loss_prob,
     } = &mut spec.link_model
     {
-        // Latency beyond 30 s is a dead backbone pretending to be slow;
-        // loss beyond 0.5 is the placement layer's unreachability cutoff.
-        *latency_s = latency_s.clamp(0.0, 30.0);
-        *loss_prob = loss_prob.clamp(0.0, 0.5);
+        *latency_s = latency_s.clamp(0.0, MAX_LINK_LATENCY_S);
+        *loss_prob = loss_prob.clamp(0.0, MAX_LINK_LOSS);
     }
-    spec.operator_capacity_per_week = spec.operator_capacity_per_week.clamp(0.5, 20.0);
-    spec.operator_triage_hours = spec.operator_triage_hours.clamp(1, 96);
-    if !CADENCE_MENU.contains(&spec.operator_cadence_hours) {
-        spec.operator_cadence_hours = 1;
-    }
-    if !CADENCE_MENU.contains(&spec.sample_cadence_hours) {
-        spec.sample_cadence_hours = 1;
+    for axis in &SCALAR_AXES {
+        (axis.set)(spec, axis.sanitized((axis.get)(spec)));
     }
 }
 
@@ -449,10 +419,10 @@ pub fn sanitize(spec: &mut ScenarioSpec) {
 /// result. Deterministic given the RNG state.
 pub fn mutate<R: Rng>(parent: &ScenarioSpec, donor: &ScenarioSpec, rng: &mut R) -> ScenarioSpec {
     let mut spec = parent.clone();
-    let first = *Mutator::ALL.choose(rng).unwrap();
+    let first = pick(&Mutator::ALL, rng);
     apply(first, &mut spec, donor, rng);
     if rng.gen_bool(0.3) {
-        let second = *Mutator::ALL.choose(rng).unwrap();
+        let second = pick(&Mutator::ALL, rng);
         apply(second, &mut spec, donor, rng);
     }
     sanitize(&mut spec);
@@ -475,7 +445,7 @@ mod tests {
             assert!(spec.node_count() <= MAX_NODES, "step {step}: {} nodes", spec.node_count());
             let ticks = spec.duration_hours * 60 / spec.tick_mins;
             assert!(
-                (1..=MAX_TICKS).contains(&ticks),
+                (1..=crate::grammar::MAX_TICKS).contains(&ticks),
                 "step {step}: {ticks} grid instants"
             );
             assert!((1..=8).contains(&spec.executors), "step {step}");

@@ -17,13 +17,69 @@
 
 use crate::grammar::ScenarioSpec;
 use crate::oracle::CampaignDigest;
-use crate::shrink::ReplayError;
-use serde::{Deserialize, Serialize, Value};
+use crate::scenario_file::envelope_version;
+use serde::{Deserialize, Serialize};
+use std::fmt;
 use ttt_core::{Campaign, Engine};
 use ttt_sim::EventLog;
 
-/// Format version of run-log artifacts.
-pub const RUN_LOG_VERSION: u32 = 1;
+/// Format version of run-log artifacts — the only one this build reads.
+pub const RUN_LOG_VERSION: u32 = 2;
+
+/// Why a run log could not be replayed — and, when it came off disk,
+/// *which file* it was.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplayError {
+    /// The file the artifact was read from, when known.
+    /// [`replay_run_log_file`] fills it in.
+    pub path: Option<String>,
+    /// What actually went wrong.
+    pub kind: ReplayErrorKind,
+}
+
+/// The failure itself, independent of where the artifact came from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayErrorKind {
+    /// The artifact was written by an incompatible revision.
+    Version {
+        /// The version the artifact declares.
+        found: u32,
+    },
+    /// The artifact is not valid JSON, or its contents (the embedded
+    /// scenario included) do not validate under this build.
+    Parse(String),
+}
+
+impl ReplayError {
+    fn parse(message: impl Into<String>) -> Self {
+        ReplayError {
+            path: None,
+            kind: ReplayErrorKind::Parse(message.into()),
+        }
+    }
+
+    fn with_path(mut self, path: &str) -> Self {
+        self.path = Some(path.to_string());
+        self
+    }
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(path) = &self.path {
+            write!(f, "{path}: ")?;
+        }
+        match &self.kind {
+            ReplayErrorKind::Version { found } => write!(
+                f,
+                "run log version {found} incompatible with this build (reads v{RUN_LOG_VERSION})"
+            ),
+            ReplayErrorKind::Parse(e) => write!(f, "unreadable run log: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
 
 /// Stable on-disk name of each engine (the `Engine` enum is not part of
 /// any serialization surface, so the artifact carries a string).
@@ -60,26 +116,23 @@ pub struct RunLogArtifact {
 
 impl RunLogArtifact {
     /// Serialize to the version-tagged JSON envelope.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("run log serializes")
+    pub fn to_json(&self) -> serde_json::Result<String> {
+        serde_json::to_string(self)
     }
 
-    /// Parse an artifact. Shares [`ReplayError`] with reproducer dumps:
-    /// version mismatches and parse failures are reported (with the file
-    /// path when the caller attaches one), never panics.
+    /// Parse an artifact: version mismatches and parse failures are
+    /// reported (with the file path when the caller attaches one), never
+    /// panics.
     pub fn from_json(json: &str) -> Result<RunLogArtifact, ReplayError> {
-        let value =
-            serde_json::parse(json).map_err(|e| ReplayError::parse(e.to_string()))?;
-        let version = value.as_object().and_then(|obj| {
-            obj.iter().find(|(k, _)| k == "version").map(|(_, v)| match v {
-                Value::I64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                Value::U64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                _ => u32::MAX,
-            })
-        });
-        match version {
+        let value = serde_json::parse(json).map_err(|e| ReplayError::parse(e.to_string()))?;
+        match envelope_version(&value) {
             Some(RUN_LOG_VERSION) => {}
-            Some(found) => return Err(ReplayError::version(found)),
+            Some(found) => {
+                return Err(ReplayError {
+                    path: None,
+                    kind: ReplayErrorKind::Version { found },
+                })
+            }
             None => return Err(ReplayError::parse("run log has no \"version\" field")),
         }
         Deserialize::from_value(&value).map_err(|e| ReplayError::parse(e.to_string()))
@@ -159,7 +212,6 @@ pub fn replay_run_log_file(path: &std::path::Path) -> Result<RunLogReplay, Repla
 mod tests {
     use super::*;
     use crate::oracle::run_campaign;
-    use crate::shrink::ReplayErrorKind;
 
     #[test]
     fn recording_does_not_change_the_campaign() {
@@ -176,7 +228,7 @@ mod tests {
     fn run_log_roundtrips_and_replays_identically() {
         let spec = ScenarioSpec::from_seed(8);
         let artifact = run_logged(&spec, Engine::NextEvent);
-        let json = artifact.to_json();
+        let json = artifact.to_json().unwrap();
         let back = RunLogArtifact::from_json(&json).unwrap();
         assert_eq!(back, artifact);
         let replay = replay_run_log(&back).unwrap();
@@ -218,6 +270,14 @@ mod tests {
                 kind: ReplayErrorKind::Version { found: 99 },
                 ..
             }) => {}
+            other => panic!("expected version error, got {other:?}"),
+        }
+        // The previous revision's envelope (derived-struct spec) is
+        // reported with its version, never parsed.
+        match RunLogArtifact::from_json("{\"version\": 1, \"spec\": {\"seed\": 1}}") {
+            Err(e) if e.kind == (ReplayErrorKind::Version { found: 1 }) => {
+                assert!(e.to_string().contains("version 1"));
+            }
             other => panic!("expected version error, got {other:?}"),
         }
         assert!(RunLogArtifact::from_json("not json").is_err());

@@ -1,15 +1,15 @@
-//! The `scenario.v1` file format: hand-authorable campaign scenarios.
+//! The `scenario.v1` file format — the only way a [`ScenarioSpec`] is
+//! written to or read from disk.
 //!
-//! [`ScenarioSpec`] is the fuzzer's internal artifact — its JSON shape
-//! mirrors Rust struct layout (externally-tagged enums, flat field soup)
-//! and changes whenever the grammar grows. This module defines the
-//! *stable, documented* on-disk format an operator writes by hand and the
-//! swarm CLI loads with `--scenario`: sectioned, human-named fields with
+//! An operator writes one by hand and the swarm CLI loads it with
+//! `--scenario`; a shrunken reproducer *is* one (the violated oracle goes
+//! in its `notes`); corpus entries and run logs embed one, because
+//! `ScenarioSpec`'s `Serialize`/`Deserialize` impls below delegate to
+//! this module. The format is sectioned, with human-named fields and
 //! defaults for everything but the topology, a `"format": "scenario.v1"`
-//! tag so future revisions can migrate, and a validator that reports
-//! **every** problem in one pass with a JSON path per error
-//! (`clusters[2].nodes: must be between 1 and 8`) instead of dying on the
-//! first.
+//! tag, and a validator that reports **every** problem in one pass with a
+//! JSON path per error (`clusters[2].nodes: must be between 1 and 8`)
+//! instead of dying on the first.
 //!
 //! Every grammar-generated spec round-trips: `parse_scenario(
 //! to_scenario_json(&spec))` returns the spec bit-for-bit (floats are
@@ -17,12 +17,20 @@
 //! to the same [`CampaignDigest`](crate::oracle::CampaignDigest) as the
 //! spec it was written from, on every engine.
 //!
+//! The scalar axes are parsed, bounded and emitted by iterating
+//! [`SCALAR_AXES`]; the structural ones (topology, arrivals, mode,
+//! rollout, link model, horizon × tick) are hand-written here and read
+//! their limits from the constants beside that table.
+//!
 //! An annotated example lives in `examples/scenarios/` at the repo root.
 
-use crate::grammar::{site_name, ModeDim, RolloutDim, ScenarioSpec, CADENCE_MENU, TICK_MENU};
+use crate::grammar::{
+    default_cluster, horizon_hours, Domain, ModeDim, RolloutDim, ScenarioSpec, MAX_CLUSTERS,
+    MAX_CORES_PER_NODE, MAX_CRON_PERIOD_HOURS, MAX_FAULT_RATE, MAX_LINK_LATENCY_S, MAX_LINK_LOSS,
+    MAX_NODES, MAX_NODES_PER_CLUSTER, MAX_ROLLOUT_PHASES, MIN_FAULT_RATE, SCALAR_AXES, TICK_MENU,
+};
 use serde::Value;
 use std::fmt;
-use ttt_suite::Family;
 use ttt_testbed::gen::ClusterSpec;
 use ttt_testbed::hardware::Vendor;
 use ttt_testbed::{FaultKind, LinkModelSpec};
@@ -30,17 +38,31 @@ use ttt_testbed::{FaultKind, LinkModelSpec};
 /// The format tag every scenario file must carry.
 pub const SCENARIO_FORMAT: &str = "scenario.v1";
 
-/// Envelope bounds shared with [`crate::mutate::sanitize`]: scenarios are
-/// differential-tested under every engine, so hand-written files obey the
-/// same "lockstep is affordable" ceiling as fuzzer mutants.
-const MAX_CLUSTERS: usize = 8;
-const MAX_NODES_PER_CLUSTER: u64 = 8;
-const MAX_TOTAL_NODES: u64 = 48;
-const MAX_TICKS: u64 = 1440;
-const MAX_DURATION_HOURS: u64 = 240;
-const MAX_PEAK_JOBS: f64 = 300.0;
-const MAX_QUERIES_PER_DAY: f64 = 10_000_000.0;
-const MAX_QUERY_USERS: u64 = 10_000_000;
+/// Top-level keys that are not sections.
+const TOP_LEVEL_KEYS: [&str; 8] = [
+    "format",
+    "name",
+    "notes",
+    "seed",
+    "duration_hours",
+    "tick_mins",
+    "clusters",
+    "per_node_hardware",
+];
+
+/// The sections, in emission order, each with the keys its hand-written
+/// code owns; a section's remaining keys are its [`SCALAR_AXES`] rows.
+const SECTIONS: [(&str, &[&str]); 9] = [
+    ("faults", &["arrivals"]),
+    ("users", &[]),
+    ("scheduling", &["mode", "period_hours"]),
+    ("rollout", &["pattern", "phases"]),
+    ("operators", &[]),
+    ("sampling", &[]),
+    ("network", &["link_model", "latency_s", "loss_prob"]),
+    ("chaos", &[]),
+    ("queries", &[]),
+];
 
 /// One validation problem: where in the file, and what is wrong. The
 /// validator collects every issue before returning, so an operator fixes
@@ -101,22 +123,24 @@ fn join(path: &str, key: &str) -> String {
     }
 }
 
-/// An object-valued section, defaulting to empty (all defaults) when the
-/// section is omitted entirely.
-fn section<'a>(
-    ctx: &mut Ctx,
-    fields: &'a [(String, Value)],
-    path: &str,
-    key: &str,
-) -> &'a [(String, Value)] {
-    match get(fields, key) {
+/// The fields of an object-valued section — empty (all defaults) when the
+/// section is omitted or, as [`check_section`] reports, not an object.
+fn section<'a>(doc: &'a [(String, Value)], name: &str) -> &'a [(String, Value)] {
+    match get(doc, name) {
         Some(Value::Object(inner)) => inner,
-        Some(v) => {
-            ctx.err(join(path, key), format!("must be an object, got {}", v.kind()));
-            &[]
-        }
-        None => &[],
+        _ => &[],
     }
+}
+
+/// A section must be an object whose keys are `structural` or one of its
+/// [`SCALAR_AXES`] rows.
+fn check_section(ctx: &mut Ctx, doc: &[(String, Value)], name: &str, structural: &[&str]) {
+    if let Some(v) = get(doc, name).filter(|v| v.as_object().is_none()) {
+        ctx.err(name, format!("must be an object, got {}", v.kind()));
+    }
+    let axes = SCALAR_AXES.iter().filter(|a| a.section == name);
+    let known: Vec<&str> = structural.iter().copied().chain(axes.map(|a| a.key)).collect();
+    check_keys(ctx, section(doc, name), name, &known);
 }
 
 fn f64_field(ctx: &mut Ctx, fields: &[(String, Value)], path: &str, key: &str, default: f64) -> f64 {
@@ -216,15 +240,20 @@ fn parse_vendor(s: &str) -> Option<Vendor> {
 /// failure, *every* problem found is returned, each with the JSON path of
 /// the offending value. Never panics on any input.
 pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>> {
+    match serde_json::parse(json) {
+        Ok(value) => parse_scenario_value(&value),
+        Err(e) => Err(vec![ScenarioFileError {
+            path: String::new(),
+            message: format!("not valid JSON: {e}"),
+        }]),
+    }
+}
+
+/// [`parse_scenario`] on an already-parsed document — what an envelope
+/// that embeds a spec (corpus entry, run log) deserializes through.
+fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileError>> {
     let mut ctx = Ctx { errors: Vec::new() };
-    let value = match serde_json::parse(json) {
-        Ok(v) => v,
-        Err(e) => {
-            ctx.err("", format!("not valid JSON: {e}"));
-            return Err(ctx.errors);
-        }
-    };
-    let Value::Object(doc) = &value else {
+    let Value::Object(doc) = value else {
         ctx.err("", format!("a scenario file is a JSON object, got {}", value.kind()));
         return Err(ctx.errors);
     };
@@ -247,92 +276,43 @@ pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>
         }
     }
 
-    check_keys(
-        &mut ctx,
-        doc,
-        "",
-        &[
-            "format",
-            "name",
-            "notes",
-            "seed",
-            "duration_hours",
-            "tick_mins",
-            "clusters",
-            "faults",
-            "users",
-            "scheduling",
-            "rollout",
-            "operators",
-            "sampling",
-            "network",
-            "chaos",
-            "queries",
-            "per_node_hardware",
-        ],
-    );
+    let known: Vec<&str> = TOP_LEVEL_KEYS
+        .iter()
+        .copied()
+        .chain(SECTIONS.iter().map(|&(name, _)| name))
+        .collect();
+    check_keys(&mut ctx, doc, "", &known);
     // `name` and `notes` are annotation: validated as strings, ignored by
     // the lowering (JSON has no comments, so the format carries them).
     str_field(&mut ctx, doc, "", "name", "");
     str_field(&mut ctx, doc, "", "notes", "");
 
-    let seed = u64_field(&mut ctx, doc, "", "seed", 1);
+    for (name, structural) in SECTIONS {
+        check_section(&mut ctx, doc, name, structural);
+    }
+
     let tick_mins = u64_field(&mut ctx, doc, "", "tick_mins", 15);
+    let duration_hours = u64_field(&mut ctx, doc, "", "duration_hours", 96);
+    // The horizon bound is a function of the tick, so it is only derived
+    // from a tick that is on the menu.
     if !TICK_MENU.contains(&tick_mins) {
         ctx.err("tick_mins", format!("must be one of {TICK_MENU:?}, got {tick_mins}"));
+    } else {
+        let bounds = horizon_hours(tick_mins);
+        if !bounds.contains(&duration_hours) {
+            ctx.err(
+                "duration_hours",
+                format!(
+                    "must be between {} and {} at a {tick_mins}-minute tick (campaigns are \
+                     differential-tested under the lockstep engine), got {duration_hours}",
+                    bounds.start(),
+                    bounds.end()
+                ),
+            );
+        }
     }
-    let duration_hours = u64_field(&mut ctx, doc, "", "duration_hours", 96);
-    let floor_hours = (tick_mins / 60).max(1);
-    let max_hours = (MAX_TICKS * tick_mins.max(1) / 60).min(MAX_DURATION_HOURS);
-    if !(floor_hours..=max_hours).contains(&duration_hours) {
-        ctx.err(
-            "duration_hours",
-            format!(
-                "must be between {floor_hours} and {max_hours} at a {tick_mins}-minute tick \
-                 (campaigns are differential-tested under the lockstep engine), got {duration_hours}"
-            ),
-        );
-    }
 
-    // --- clusters ----------------------------------------------------
-    let clusters = parse_clusters(&mut ctx, doc);
-
-    // --- faults ------------------------------------------------------
-    let faults = section(&mut ctx, doc, "", "faults");
-    check_keys(
-        &mut ctx,
-        faults,
-        "faults",
-        &["arrivals", "maintenance_per_day", "maintenance_spread", "initial_burden"],
-    );
-    let fault_mix = parse_arrivals(&mut ctx, faults);
-    let maintenance_per_day = f64_field(&mut ctx, faults, "faults", "maintenance_per_day", 0.0);
-    check_f64_range(&mut ctx, "faults.maintenance_per_day".into(), maintenance_per_day, 0.0, 1.0);
-    let maintenance_spread = u64_field(&mut ctx, faults, "faults", "maintenance_spread", 1);
-    check_u64_range(&mut ctx, "faults.maintenance_spread".into(), maintenance_spread, 1, 4);
-    let initial_fault_burden = u64_field(&mut ctx, faults, "faults", "initial_burden", 0);
-    check_u64_range(&mut ctx, "faults.initial_burden".into(), initial_fault_burden, 0, 8);
-
-    // --- users -------------------------------------------------------
-    let users = section(&mut ctx, doc, "", "users");
-    check_keys(
-        &mut ctx,
-        users,
-        "users",
-        &["peak_jobs_per_day", "cluster_affinity", "whole_cluster_prob"],
-    );
-    let peak_jobs_per_day = f64_field(&mut ctx, users, "users", "peak_jobs_per_day", 0.0);
-    check_f64_range(&mut ctx, "users.peak_jobs_per_day".into(), peak_jobs_per_day, 0.0, MAX_PEAK_JOBS);
-    let cluster_affinity = f64_field(&mut ctx, users, "users", "cluster_affinity", 0.5);
-    check_f64_range(&mut ctx, "users.cluster_affinity".into(), cluster_affinity, 0.0, 1.0);
-    let whole_cluster_prob = f64_field(&mut ctx, users, "users", "whole_cluster_prob", 0.1);
-    check_f64_range(&mut ctx, "users.whole_cluster_prob".into(), whole_cluster_prob, 0.0, 0.5);
-
-    // --- scheduling --------------------------------------------------
-    let scheduling = section(&mut ctx, doc, "", "scheduling");
-    check_keys(&mut ctx, scheduling, "scheduling", &["mode", "executors", "period_hours"]);
-    let executors = u64_field(&mut ctx, scheduling, "scheduling", "executors", 4);
-    check_u64_range(&mut ctx, "scheduling.executors".into(), executors, 1, 8);
+    let scheduling = section(doc, "scheduling");
     let mode = match str_field(&mut ctx, scheduling, "scheduling", "mode", "external") {
         "external" => {
             if get(scheduling, "period_hours").is_some() {
@@ -345,7 +325,13 @@ pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>
         }
         "naive-cron" => {
             let period_hours = u64_field(&mut ctx, scheduling, "scheduling", "period_hours", 6);
-            check_u64_range(&mut ctx, "scheduling.period_hours".into(), period_hours, 1, 48);
+            check_u64_range(
+                &mut ctx,
+                "scheduling.period_hours".into(),
+                period_hours,
+                1,
+                MAX_CRON_PERIOD_HOURS,
+            );
             ModeDim::NaiveCron { period_hours }
         }
         other => {
@@ -357,9 +343,7 @@ pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>
         }
     };
 
-    // --- rollout -----------------------------------------------------
-    let rollout_obj = section(&mut ctx, doc, "", "rollout");
-    check_keys(&mut ctx, rollout_obj, "rollout", &["pattern", "phases"]);
+    let rollout_obj = section(doc, "rollout");
     let rollout = match str_field(&mut ctx, rollout_obj, "rollout", "pattern", "all-at-start") {
         "all-at-start" | "no-testing" if get(rollout_obj, "phases").is_some() => {
             ctx.err("rollout.phases", "only meaningful when pattern is \"staged\"");
@@ -369,7 +353,8 @@ pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>
         "no-testing" => RolloutDim::NoTesting,
         "staged" => {
             let phases = u64_field(&mut ctx, rollout_obj, "rollout", "phases", 3);
-            check_u64_range(&mut ctx, "rollout.phases".into(), phases, 1, Family::ALL.len() as u64);
+            let max = MAX_ROLLOUT_PHASES as u64;
+            check_u64_range(&mut ctx, "rollout.phases".into(), phases, 1, max);
             RolloutDim::Staged {
                 phases: phases as usize,
             }
@@ -383,47 +368,7 @@ pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>
         }
     };
 
-    // --- operators ---------------------------------------------------
-    let operators = section(&mut ctx, doc, "", "operators");
-    check_keys(
-        &mut ctx,
-        operators,
-        "operators",
-        &["capacity_per_week", "triage_hours", "cadence_hours"],
-    );
-    let operator_capacity_per_week =
-        f64_field(&mut ctx, operators, "operators", "capacity_per_week", 5.0);
-    check_f64_range(
-        &mut ctx,
-        "operators.capacity_per_week".into(),
-        operator_capacity_per_week,
-        0.5,
-        20.0,
-    );
-    let operator_triage_hours = u64_field(&mut ctx, operators, "operators", "triage_hours", 24);
-    check_u64_range(&mut ctx, "operators.triage_hours".into(), operator_triage_hours, 1, 96);
-    let operator_cadence_hours = u64_field(&mut ctx, operators, "operators", "cadence_hours", 1);
-    if !CADENCE_MENU.contains(&operator_cadence_hours) {
-        ctx.err(
-            "operators.cadence_hours",
-            format!("must be one of {CADENCE_MENU:?}, got {operator_cadence_hours}"),
-        );
-    }
-
-    // --- sampling ----------------------------------------------------
-    let sampling = section(&mut ctx, doc, "", "sampling");
-    check_keys(&mut ctx, sampling, "sampling", &["cadence_hours"]);
-    let sample_cadence_hours = u64_field(&mut ctx, sampling, "sampling", "cadence_hours", 1);
-    if !CADENCE_MENU.contains(&sample_cadence_hours) {
-        ctx.err(
-            "sampling.cadence_hours",
-            format!("must be one of {CADENCE_MENU:?}, got {sample_cadence_hours}"),
-        );
-    }
-
-    // --- network -----------------------------------------------------
-    let network = section(&mut ctx, doc, "", "network");
-    check_keys(&mut ctx, network, "network", &["link_model", "latency_s", "loss_prob"]);
+    let network = section(doc, "network");
     let link_model = match str_field(&mut ctx, network, "network", "link_model", "ideal") {
         "ideal" | "distance-tiered"
             if get(network, "latency_s").is_some() || get(network, "loss_prob").is_some() =>
@@ -438,9 +383,10 @@ pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>
         "distance-tiered" => LinkModelSpec::DistanceTiered,
         "uniform" => {
             let latency_s = f64_field(&mut ctx, network, "network", "latency_s", 0.01);
-            check_f64_range(&mut ctx, "network.latency_s".into(), latency_s, 0.0, 30.0);
+            let max = MAX_LINK_LATENCY_S;
+            check_f64_range(&mut ctx, "network.latency_s".into(), latency_s, 0.0, max);
             let loss_prob = f64_field(&mut ctx, network, "network", "loss_prob", 0.0);
-            check_f64_range(&mut ctx, "network.loss_prob".into(), loss_prob, 0.0, 0.5);
+            check_f64_range(&mut ctx, "network.loss_prob".into(), loss_prob, 0.0, MAX_LINK_LOSS);
             LinkModelSpec::Uniform {
                 latency_s,
                 loss_prob,
@@ -455,56 +401,55 @@ pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>
         }
     };
 
-    // --- chaos -------------------------------------------------------
-    let chaos = section(&mut ctx, doc, "", "chaos");
-    check_keys(&mut ctx, chaos, "chaos", &["buggify_rate"]);
-    let buggify_rate = f64_field(&mut ctx, chaos, "chaos", "buggify_rate", 0.0);
-    check_f64_range(&mut ctx, "chaos.buggify_rate".into(), buggify_rate, 0.0, 0.25);
-
-    // --- queries -----------------------------------------------------
-    let queries = section(&mut ctx, doc, "", "queries");
-    check_keys(&mut ctx, queries, "queries", &["per_day", "users"]);
-    let queries_per_day = f64_field(&mut ctx, queries, "queries", "per_day", 0.0);
-    check_f64_range(
-        &mut ctx,
-        "queries.per_day".into(),
-        queries_per_day,
-        0.0,
-        MAX_QUERIES_PER_DAY,
-    );
-    let query_users = u64_field(&mut ctx, queries, "queries", "users", 0);
-    check_u64_range(&mut ctx, "queries.users".into(), query_users, 0, MAX_QUERY_USERS);
-
-    let per_node_hardware = bool_field(&mut ctx, doc, "", "per_node_hardware", false);
-
-    if !ctx.errors.is_empty() {
-        return Err(ctx.errors);
-    }
-    Ok(ScenarioSpec {
-        seed,
-        clusters,
+    // The structural axes are in place; every scalar axis starts as a
+    // placeholder and is filled from its table row below.
+    let mut spec = ScenarioSpec {
+        seed: u64_field(&mut ctx, doc, "", "seed", 1),
+        clusters: parse_clusters(&mut ctx, doc),
         duration_hours,
         tick_mins,
-        executors: executors as usize,
-        fault_mix,
-        maintenance_per_day,
-        maintenance_spread: maintenance_spread as usize,
-        initial_fault_burden: initial_fault_burden as usize,
-        peak_jobs_per_day,
-        cluster_affinity,
-        whole_cluster_prob,
+        fault_mix: parse_arrivals(&mut ctx, section(doc, "faults")),
         mode,
         rollout,
-        per_node_hardware,
-        operator_capacity_per_week,
-        operator_triage_hours,
-        operator_cadence_hours,
-        sample_cadence_hours,
-        buggify_rate,
+        per_node_hardware: bool_field(&mut ctx, doc, "", "per_node_hardware", false),
         link_model,
-        queries_per_day,
-        query_users,
-    })
+        executors: 0,
+        maintenance_per_day: 0.0,
+        maintenance_spread: 0,
+        initial_fault_burden: 0,
+        peak_jobs_per_day: 0.0,
+        cluster_affinity: 0.0,
+        whole_cluster_prob: 0.0,
+        operator_capacity_per_week: 0.0,
+        operator_triage_hours: 0,
+        operator_cadence_hours: 0,
+        sample_cadence_hours: 0,
+        buggify_rate: 0.0,
+        queries_per_day: 0.0,
+        query_users: 0,
+    };
+    for axis in &SCALAR_AXES {
+        let fields = section(doc, axis.section);
+        let value = match axis.domain {
+            Domain::Float(..) => f64_field(&mut ctx, fields, axis.section, axis.key, axis.default),
+            Domain::Integer(..) | Domain::Menu(_) => {
+                u64_field(&mut ctx, fields, axis.section, axis.key, axis.default as u64) as f64
+            }
+        };
+        if axis.sanitized(value) != value {
+            ctx.err(
+                join(axis.section, axis.key),
+                format!("must be {}, got {value}", axis.domain),
+            );
+        }
+        (axis.set)(&mut spec, value);
+    }
+
+    if ctx.errors.is_empty() {
+        Ok(spec)
+    } else {
+        Err(ctx.errors)
+    }
 }
 
 fn parse_clusters(ctx: &mut Ctx, doc: &[(String, Value)]) -> Vec<ClusterSpec> {
@@ -528,6 +473,7 @@ fn parse_clusters(ctx: &mut Ctx, doc: &[(String, Value)]) -> Vec<ClusterSpec> {
             format!("at most {MAX_CLUSTERS} clusters, got {}", entries.len()),
         );
     }
+    let defaults = default_cluster("");
     let mut out = Vec::new();
     for (i, entry) in entries.iter().enumerate() {
         let path = format!("clusters[{i}]");
@@ -541,26 +487,27 @@ fn parse_clusters(ctx: &mut Ctx, doc: &[(String, Value)]) -> Vec<ClusterSpec> {
             &path,
             &["name", "site", "nodes", "cores_per_node", "vendor", "infiniband", "disk_checkable", "gpu"],
         );
-        let name = str_field(ctx, fields, &path, "name", "").to_string();
+        let name = str_field(ctx, fields, &path, "name", &defaults.name).to_string();
         if name.is_empty() {
             ctx.err(join(&path, "name"), "missing or empty (clusters are named)");
         }
-        let site = str_field(ctx, fields, &path, "site", &site_name(0)).to_string();
+        let site = str_field(ctx, fields, &path, "site", &defaults.site).to_string();
         if site.is_empty() {
             ctx.err(join(&path, "site"), "must not be empty");
         }
-        let nodes = u64_field(ctx, fields, &path, "nodes", 2);
-        check_u64_range(ctx, join(&path, "nodes"), nodes, 1, MAX_NODES_PER_CLUSTER);
-        let cores = u64_field(ctx, fields, &path, "cores_per_node", 8);
-        check_u64_range(ctx, join(&path, "cores_per_node"), cores, 1, 64);
-        let vendor = match parse_vendor(str_field(ctx, fields, &path, "vendor", "dell")) {
+        let nodes = u64_field(ctx, fields, &path, "nodes", defaults.nodes as u64);
+        check_u64_range(ctx, join(&path, "nodes"), nodes, 1, MAX_NODES_PER_CLUSTER as u64);
+        let cores = u64_field(ctx, fields, &path, "cores_per_node", defaults.cores_per_node as u64);
+        check_u64_range(ctx, join(&path, "cores_per_node"), cores, 1, MAX_CORES_PER_NODE as u64);
+        let vendor = str_field(ctx, fields, &path, "vendor", vendor_name(defaults.vendor));
+        let vendor = match parse_vendor(vendor) {
             Some(v) => v,
             None => {
                 ctx.err(
                     join(&path, "vendor"),
                     "must be one of: dell, hp, bull, ibm (case-insensitive)",
                 );
-                Vendor::Dell
+                defaults.vendor
             }
         };
         let mut cluster = ClusterSpec::new(
@@ -569,10 +516,10 @@ fn parse_clusters(ctx: &mut Ctx, doc: &[(String, Value)]) -> Vec<ClusterSpec> {
             nodes as u32,
             cores as u32,
             vendor,
-            bool_field(ctx, fields, &path, "infiniband", false),
-            bool_field(ctx, fields, &path, "disk_checkable", true),
+            bool_field(ctx, fields, &path, "infiniband", defaults.has_ib),
+            bool_field(ctx, fields, &path, "disk_checkable", defaults.disk_checkable),
         );
-        if bool_field(ctx, fields, &path, "gpu", false) {
+        if bool_field(ctx, fields, &path, "gpu", defaults.has_gpu) {
             cluster = cluster.with_gpu();
         }
         out.push(cluster);
@@ -582,10 +529,10 @@ fn parse_clusters(ctx: &mut Ctx, doc: &[(String, Value)]) -> Vec<ClusterSpec> {
         ctx.err("clusters", "cluster names must be unique");
     }
     let total: u64 = out.iter().map(|c| c.nodes as u64).sum();
-    if total > MAX_TOTAL_NODES {
+    if total > MAX_NODES as u64 {
         ctx.err(
             "clusters",
-            format!("total node count {total} exceeds the differential-testable ceiling of {MAX_TOTAL_NODES}"),
+            format!("total node count {total} exceeds the differential-testable ceiling of {MAX_NODES}"),
         );
     }
     out
@@ -621,7 +568,7 @@ fn parse_arrivals(ctx: &mut Ctx, faults: &[(String, Value)]) -> Vec<(FaultKind, 
             ctx.err(join(&path, "kind"), format!("duplicate fault kind {kind_name:?}"));
         }
         let per_day = f64_field(ctx, fields, &path, "per_day", 0.5);
-        check_f64_range(ctx, join(&path, "per_day"), per_day, 0.05, 6.0);
+        check_f64_range(ctx, join(&path, "per_day"), per_day, MIN_FAULT_RATE, MAX_FAULT_RATE);
         out.push((kind, per_day));
     }
     out
@@ -646,108 +593,119 @@ pub fn to_scenario_value(spec: &ScenarioSpec) -> Value {
             ])
         })
         .collect();
-    let arrivals: Vec<Value> = spec
-        .fault_mix
-        .iter()
-        .map(|&(kind, per_day)| {
-            Value::Object(vec![
-                ("kind".into(), Value::String(kind.name().into())),
-                ("per_day".into(), Value::F64(per_day)),
-            ])
-        })
-        .collect();
-    let scheduling = match spec.mode {
-        ModeDim::External => vec![
-            ("mode".into(), Value::String("external".into())),
-            ("executors".into(), Value::U64(spec.executors as u64)),
-        ],
-        ModeDim::NaiveCron { period_hours } => vec![
-            ("mode".into(), Value::String("naive-cron".into())),
-            ("executors".into(), Value::U64(spec.executors as u64)),
-            ("period_hours".into(), Value::U64(period_hours)),
-        ],
-    };
-    let rollout = match spec.rollout {
-        RolloutDim::AllAtStart => vec![("pattern".into(), Value::String("all-at-start".into()))],
-        RolloutDim::NoTesting => vec![("pattern".into(), Value::String("no-testing".into()))],
-        RolloutDim::Staged { phases } => vec![
-            ("pattern".into(), Value::String("staged".into())),
-            ("phases".into(), Value::U64(phases as u64)),
-        ],
-    };
-    let network = match spec.link_model {
-        LinkModelSpec::Ideal => vec![("link_model".into(), Value::String("ideal".into()))],
-        LinkModelSpec::DistanceTiered => {
-            vec![("link_model".into(), Value::String("distance-tiered".into()))]
-        }
-        LinkModelSpec::Uniform {
-            latency_s,
-            loss_prob,
-        } => vec![
-            ("link_model".into(), Value::String("uniform".into())),
-            ("latency_s".into(), Value::F64(latency_s)),
-            ("loss_prob".into(), Value::F64(loss_prob)),
-        ],
-    };
-    Value::Object(vec![
+    let mut doc = vec![
         ("format".into(), Value::String(SCENARIO_FORMAT.into())),
         ("seed".into(), Value::U64(spec.seed)),
         ("duration_hours".into(), Value::U64(spec.duration_hours)),
         ("tick_mins".into(), Value::U64(spec.tick_mins)),
         ("clusters".into(), Value::Array(clusters)),
-        (
-            "faults".into(),
-            Value::Object(vec![
-                ("arrivals".into(), Value::Array(arrivals)),
-                ("maintenance_per_day".into(), Value::F64(spec.maintenance_per_day)),
-                ("maintenance_spread".into(), Value::U64(spec.maintenance_spread as u64)),
-                ("initial_burden".into(), Value::U64(spec.initial_fault_burden as u64)),
-            ]),
-        ),
-        (
-            "users".into(),
-            Value::Object(vec![
-                ("peak_jobs_per_day".into(), Value::F64(spec.peak_jobs_per_day)),
-                ("cluster_affinity".into(), Value::F64(spec.cluster_affinity)),
-                ("whole_cluster_prob".into(), Value::F64(spec.whole_cluster_prob)),
-            ]),
-        ),
-        ("scheduling".into(), Value::Object(scheduling)),
-        ("rollout".into(), Value::Object(rollout)),
-        (
-            "operators".into(),
-            Value::Object(vec![
-                ("capacity_per_week".into(), Value::F64(spec.operator_capacity_per_week)),
-                ("triage_hours".into(), Value::U64(spec.operator_triage_hours)),
-                ("cadence_hours".into(), Value::U64(spec.operator_cadence_hours)),
-            ]),
-        ),
-        (
-            "sampling".into(),
-            Value::Object(vec![(
-                "cadence_hours".into(),
-                Value::U64(spec.sample_cadence_hours),
-            )]),
-        ),
-        ("network".into(), Value::Object(network)),
-        (
-            "chaos".into(),
-            Value::Object(vec![("buggify_rate".into(), Value::F64(spec.buggify_rate))]),
-        ),
-        (
-            "queries".into(),
-            Value::Object(vec![
-                ("per_day".into(), Value::F64(spec.queries_per_day)),
-                ("users".into(), Value::U64(spec.query_users)),
-            ]),
-        ),
-        ("per_node_hardware".into(), Value::Bool(spec.per_node_hardware)),
-    ])
+    ];
+    // Each section: its structural keys, then its scalar-axis rows.
+    for (name, _) in SECTIONS {
+        let mut fields: Vec<(String, Value)> = match name {
+            "faults" => {
+                let arrivals = spec.fault_mix.iter().map(|&(kind, per_day)| {
+                    Value::Object(vec![
+                        ("kind".into(), Value::String(kind.name().into())),
+                        ("per_day".into(), Value::F64(per_day)),
+                    ])
+                });
+                vec![("arrivals".into(), Value::Array(arrivals.collect()))]
+            }
+            "scheduling" => match spec.mode {
+                ModeDim::External => vec![("mode".into(), Value::String("external".into()))],
+                ModeDim::NaiveCron { period_hours } => vec![
+                    ("mode".into(), Value::String("naive-cron".into())),
+                    ("period_hours".into(), Value::U64(period_hours)),
+                ],
+            },
+            "rollout" => match spec.rollout {
+                RolloutDim::AllAtStart => {
+                    vec![("pattern".into(), Value::String("all-at-start".into()))]
+                }
+                RolloutDim::NoTesting => {
+                    vec![("pattern".into(), Value::String("no-testing".into()))]
+                }
+                RolloutDim::Staged { phases } => vec![
+                    ("pattern".into(), Value::String("staged".into())),
+                    ("phases".into(), Value::U64(phases as u64)),
+                ],
+            },
+            "network" => match spec.link_model {
+                LinkModelSpec::Ideal => {
+                    vec![("link_model".into(), Value::String("ideal".into()))]
+                }
+                LinkModelSpec::DistanceTiered => {
+                    vec![("link_model".into(), Value::String("distance-tiered".into()))]
+                }
+                LinkModelSpec::Uniform {
+                    latency_s,
+                    loss_prob,
+                } => vec![
+                    ("link_model".into(), Value::String("uniform".into())),
+                    ("latency_s".into(), Value::F64(latency_s)),
+                    ("loss_prob".into(), Value::F64(loss_prob)),
+                ],
+            },
+            _ => Vec::new(),
+        };
+        for axis in SCALAR_AXES.iter().filter(|a| a.section == name) {
+            let value = (axis.get)(spec);
+            let value = match axis.domain {
+                Domain::Float(..) => Value::F64(value),
+                Domain::Integer(..) | Domain::Menu(_) => Value::U64(value as u64),
+            };
+            fields.push((axis.key.into(), value));
+        }
+        doc.push((name.into(), Value::Object(fields)));
+    }
+    doc.push(("per_node_hardware".into(), Value::Bool(spec.per_node_hardware)));
+    Value::Object(doc)
 }
 
 /// [`to_scenario_value`] pretty-printed, ready to write to disk.
 pub fn to_scenario_json(spec: &ScenarioSpec) -> String {
-    serde_json::to_string_pretty(&to_scenario_value(spec)).expect("scenario value serializes")
+    serde_json::to_string_pretty(spec).expect("scenario value serializes")
+}
+
+/// [`to_scenario_json`] with a `notes` annotation after the format tag —
+/// the shape of a reproducer, whose notes name the violated oracle.
+pub(crate) fn to_annotated_json(spec: &ScenarioSpec, notes: &str) -> String {
+    let mut doc = to_scenario_value(spec);
+    if let Value::Object(fields) = &mut doc {
+        fields.insert(1, ("notes".into(), Value::String(notes.into())));
+    }
+    serde_json::to_string_pretty(&doc).expect("scenario value serializes")
+}
+
+/// A spec serializes as its `scenario.v1` document, so every envelope
+/// that embeds one (corpus entry, run log) carries the one format.
+impl serde::Serialize for ScenarioSpec {
+    fn to_value(&self) -> Value {
+        to_scenario_value(self)
+    }
+}
+
+/// …and deserializes through the validator: an embedded spec is checked
+/// exactly like a hand-written file.
+impl serde::Deserialize for ScenarioSpec {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        parse_scenario_value(v).map_err(|errors| {
+            let all: Vec<String> = errors.iter().map(ToString::to_string).collect();
+            serde::Error::new(all.join("; "))
+        })
+    }
+}
+
+/// The format version an envelope declares, if it declares one — probed
+/// before the envelope's contents are parsed, so an artifact from another
+/// revision reports its version instead of whatever field it fails on.
+pub(crate) fn envelope_version(envelope: &Value) -> Option<u32> {
+    match get(envelope.as_object()?, "version")? {
+        Value::I64(n) => Some(u32::try_from(*n).unwrap_or(u32::MAX)),
+        Value::U64(n) => Some(u32::try_from(*n).unwrap_or(u32::MAX)),
+        _ => Some(u32::MAX),
+    }
 }
 
 /// Load and validate a scenario file. I/O failures come back in the same
@@ -880,6 +838,10 @@ mod tests {
             "{\"format\": \"scenario.v1\", \"clusters\": {\"a\": 1}}",
             "{\"format\": \"scenario.v1\", \"clusters\": [], \"faults\": 9}",
             "{\"format\": 1}",
+            // An off-menu tick must not reach the horizon arithmetic
+            // (`MAX_TICKS * tick_mins` used to overflow here).
+            "{\"format\":\"scenario.v1\",\"tick_mins\":18446744073709551615,\
+             \"clusters\":[{\"name\":\"a\",\"site\":\"s\",\"nodes\":2}]}",
         ] {
             let result = parse_scenario(junk);
             assert!(result.is_err(), "junk accepted: {junk}");

@@ -7,100 +7,14 @@
 //! a fixpoint: pruning a fault or zeroing the user load often *re-enables*
 //! further horizon halving (less contention → the failure reproduces
 //! sooner), so a single pass over the phases is not minimal. The result is
-//! a [`Reproducer`]: the minimal spec, its version-tagged JSON dump, and
-//! the violation it still produces, replayable via [`replay`].
+//! a [`Reproducer`]: the minimal spec, the violation it still produces, and
+//! its on-disk form — a `scenario.v1` file with the violation in `notes`,
+//! which `--scenario` (or [`replay`]) re-runs like any other scenario.
 
-use crate::grammar::{ensure_spec_defaults, ScenarioSpec};
+use crate::grammar::{horizon_hours, ScenarioSpec};
 use crate::oracle::{OracleKind, Violation};
+use crate::scenario_file::{parse_scenario, to_annotated_json, ScenarioFileError};
 use crate::swarm::{run_scenario, Oracles};
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Format version of reproducer dumps. Bump when [`ScenarioSpec`] changes
-/// incompatibly; [`replay`] then reports the mismatch instead of dying on
-/// a field error deep inside the parse. Older versions whose only change
-/// is an *appended* field stay loadable: [`parse_dump`] injects the
-/// field's implicit default (see
-/// [`ensure_spec_defaults`](crate::grammar::ensure_spec_defaults)).
-///
-/// v2: `buggify_rate` joined the spec (killable service processes).
-/// v3: `link_model` joined the spec (pluggable backbone link models).
-/// v4: `queries_per_day`/`query_users` joined the spec (the read plane).
-pub const DUMP_VERSION: u32 = 4;
-
-/// The serialized envelope of a reproducer dump.
-#[derive(Serialize, Deserialize)]
-struct VersionedDump {
-    version: u32,
-    spec: ScenarioSpec,
-}
-
-/// Why a dump could not be replayed — and, when the dump came off disk,
-/// *which file* it was. A sweep over a `--replay-dir` of mixed-vintage
-/// dumps reports `repro-seed-41.json: dump version 9 incompatible…`, not
-/// an anonymous error the operator has to bisect the directory for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayError {
-    /// The file the dump was read from, when known. [`parse_dump`] and
-    /// [`replay`] leave it `None`; [`replay_file`] fills it in.
-    pub path: Option<String>,
-    /// What actually went wrong.
-    pub kind: ReplayErrorKind,
-}
-
-/// The failure itself, independent of where the dump came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayErrorKind {
-    /// The dump was written by an incompatible grammar version.
-    Version {
-        /// The version the dump declares.
-        found: u32,
-    },
-    /// The dump is not valid JSON, or its spec does not parse under this
-    /// build's grammar.
-    Parse(String),
-}
-
-impl ReplayError {
-    /// A version-mismatch error with no file attached.
-    pub fn version(found: u32) -> Self {
-        ReplayError {
-            path: None,
-            kind: ReplayErrorKind::Version { found },
-        }
-    }
-
-    /// A parse error with no file attached.
-    pub fn parse(message: impl Into<String>) -> Self {
-        ReplayError {
-            path: None,
-            kind: ReplayErrorKind::Parse(message.into()),
-        }
-    }
-
-    /// The same error, attributed to the file it came from.
-    pub fn with_path(mut self, path: impl Into<String>) -> Self {
-        self.path = Some(path.into());
-        self
-    }
-}
-
-impl fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Some(path) = &self.path {
-            write!(f, "{path}: ")?;
-        }
-        match &self.kind {
-            ReplayErrorKind::Version { found } => write!(
-                f,
-                "dump version {found} incompatible with this build (reads v{DUMP_VERSION})"
-            ),
-            ReplayErrorKind::Parse(e) => write!(f, "unreadable reproducer dump: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
 
 /// A minimal failing scenario, ready to paste into a regression test.
 #[derive(Debug, Clone)]
@@ -111,60 +25,12 @@ pub struct Reproducer {
     pub spec: ScenarioSpec,
     /// The violation the minimized spec still produces.
     pub violation: Violation,
-    /// Version-tagged JSON dump of the minimized spec (feed to [`replay`]).
+    /// The minimized spec as a scenario file, the violation in its
+    /// `notes` (feed to [`replay`] or `--scenario`).
     pub dump: String,
     /// Fixpoint passes that made progress (≥ 2 means a later phase
     /// re-enabled an earlier one — the reason the loop exists).
     pub passes: usize,
-}
-
-/// Serialize a spec into the version-tagged dump format.
-pub fn dump_spec(spec: &ScenarioSpec) -> String {
-    serde_json::to_string(&VersionedDump {
-        version: DUMP_VERSION,
-        spec: spec.clone(),
-    })
-    .expect("spec serializes")
-}
-
-/// Parse a reproducer dump: version-tagged envelopes from v1 up to
-/// [`DUMP_VERSION`], or legacy bare-spec dumps (pre-tagging) that still
-/// parse under this grammar. Dumps older than the current version are
-/// migrated in place — each appended field gets its implicit default, so
-/// a v1 trophy replays exactly as it originally ran (chaos off, ideal
-/// backbone). Anything else is a [`ReplayError`], never a panic — a stale
-/// `--dump-dir` must not kill the sweep that reads it.
-pub fn parse_dump(dump: &str) -> Result<ScenarioSpec, ReplayError> {
-    let mut value =
-        serde_json::parse(dump).map_err(|e| ReplayError::parse(e.to_string()))?;
-    // Probe the envelope version first, so a future-versioned dump reports
-    // "incompatible version" instead of whatever field its spec fails on.
-    let version = value.as_object().and_then(|obj| {
-        obj.iter().find(|(k, _)| k == "version").map(|(_, v)| match v {
-            serde::Value::I64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-            serde::Value::U64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-            _ => u32::MAX,
-        })
-    });
-    let spec_value = match version {
-        Some(found) if !(1..=DUMP_VERSION).contains(&found) => {
-            return Err(ReplayError::version(found));
-        }
-        Some(_) => {
-            let serde::Value::Object(fields) = &mut value else {
-                unreachable!("version probe only matches objects");
-            };
-            fields
-                .iter_mut()
-                .find(|(k, _)| k == "spec")
-                .map(|(_, v)| v)
-                .ok_or_else(|| ReplayError::parse("versioned dump has no \"spec\" field"))?
-        }
-        // Legacy bare-spec dump (written before version tagging).
-        None => &mut value,
-    };
-    ensure_spec_defaults(spec_value);
-    ScenarioSpec::from_value(spec_value).map_err(|e| ReplayError::parse(e.to_string()))
 }
 
 /// First violation of `spec` under `oracles`, if any. Panics inside the
@@ -201,7 +67,7 @@ fn shrink_pass(best: &mut ScenarioSpec, violation: &mut Violation, oracles: &Ora
     // 1. Bisect the horizon: keep halving while the failure persists. The
     //    floor is one tick (a campaign must advance at least one grid
     //    instant to mean anything).
-    let floor_hours = (best.tick_mins / 60).max(1);
+    let floor_hours = *horizon_hours(best.tick_mins).start();
     while best.duration_hours / 2 >= floor_hours {
         let mut candidate = best.clone();
         candidate.duration_hours /= 2;
@@ -288,35 +154,19 @@ pub fn shrink(spec: &ScenarioSpec, oracles: &Oracles) -> Option<Reproducer> {
 
     Some(Reproducer {
         seed: spec.seed,
-        dump: dump_spec(&best),
+        dump: to_annotated_json(&best, &format!("minimal reproducer of {violation}")),
         spec: best,
         violation,
         passes,
     })
 }
 
-/// Replay a reproducer dump: parse the spec and re-run the oracle suite.
-/// The one-line regression test is
+/// Replay a reproducer: validate the scenario file and re-run the oracle
+/// suite. The one-line regression test is
 /// `assert!(!replay(DUMP, &oracles).unwrap().is_empty())` — or, once
-/// fixed, `assert!(replay(DUMP, &oracles).unwrap().is_empty())`. A dump
-/// written by an incompatible grammar returns `Err` so a sweep over a
-/// dump directory reports it and moves on.
-pub fn replay(dump: &str, oracles: &Oracles) -> Result<Vec<Violation>, ReplayError> {
-    let spec = parse_dump(dump)?;
-    Ok(run_scenario(&spec, oracles).violations)
-}
-
-/// [`replay`], but from a file on disk: every failure — unreadable file,
-/// bad version, parse error — comes back attributed to `path`, so sweeps
-/// over dump directories report which artifact is at fault.
-pub fn replay_file(
-    path: &std::path::Path,
-    oracles: &Oracles,
-) -> Result<Vec<Violation>, ReplayError> {
-    let shown = path.display().to_string();
-    let dump = std::fs::read_to_string(path)
-        .map_err(|e| ReplayError::parse(format!("cannot read file: {e}")).with_path(&shown))?;
-    replay(&dump, oracles).map_err(|e| e.with_path(&shown))
+/// fixed, `assert!(replay(DUMP, &oracles).unwrap().is_empty())`.
+pub fn replay(dump: &str, oracles: &Oracles) -> Result<Vec<Violation>, Vec<ScenarioFileError>> {
+    Ok(run_scenario(&parse_scenario(dump)?, oracles).violations)
 }
 
 #[cfg(test)]
@@ -365,114 +215,23 @@ mod tests {
     }
 
     #[test]
-    fn versioned_dump_roundtrips() {
-        let spec = ScenarioSpec::from_seed(9);
-        let dump = dump_spec(&spec);
-        assert!(dump.contains("\"version\""));
-        assert_eq!(parse_dump(&dump).unwrap(), spec);
-    }
-
-    #[test]
-    fn legacy_bare_spec_dump_still_parses() {
-        let spec = ScenarioSpec::from_seed(10);
-        let bare = serde_json::to_string(&spec).unwrap();
-        assert_eq!(parse_dump(&bare).unwrap(), spec);
+    fn reproducer_dump_names_the_violation_it_reproduces() {
+        let (spec, oracles) = second_pass_case();
+        let repro = shrink(&spec, &oracles).expect("case must shrink");
+        let notes = format!("\"notes\": \"minimal reproducer of {}\"", repro.violation);
+        assert!(repro.dump.contains(&notes), "{}", repro.dump);
     }
 
     #[test]
     fn incompatible_dumps_error_instead_of_panicking() {
-        match parse_dump("{\"version\": 99, \"spec\": {}}") {
-            Err(ReplayError {
-                kind: ReplayErrorKind::Version { found: 99 },
-                path: None,
-            }) => {}
-            other => panic!("expected version error, got {other:?}"),
-        }
-        assert!(matches!(
-            parse_dump("not json at all"),
-            Err(ReplayError { kind: ReplayErrorKind::Parse(_), .. })
-        ));
-        // An old-grammar dump: spec-shaped but missing fields.
-        assert!(matches!(
-            parse_dump("{\"seed\": 1, \"duration_hours\": 4}"),
-            Err(ReplayError { kind: ReplayErrorKind::Parse(_), .. })
-        ));
-        let err = replay("{\"version\": 99, \"spec\": {}}", &Oracles::default()).unwrap_err();
-        assert!(err.to_string().contains("version 99"));
-    }
-
-    /// Build a dump of an *older* envelope version by stripping the fields
-    /// that had not been appended to the spec yet.
-    fn downgraded_dump(spec: &ScenarioSpec, version: u32, strip: &[&str]) -> String {
-        let mut value = spec.to_value();
-        if let serde::Value::Object(fields) = &mut value {
-            fields.retain(|(k, _)| !strip.contains(&k.as_str()));
-        }
-        serde_json::to_string(&serde::Value::Object(vec![
-            ("version".to_string(), serde::Value::U64(version as u64)),
-            ("spec".to_string(), value),
-        ]))
-        .unwrap()
-    }
-
-    /// The satellite bugfix pinned: bumping [`DUMP_VERSION`] for appended
-    /// fields must not orphan the trophies already on disk. v1 dumps (no
-    /// `buggify_rate`, no `link_model`), v2 dumps (no `link_model`) and
-    /// v3 dumps (no query-plane fields) migrate to the implicit defaults
-    /// they ran with.
-    #[test]
-    fn older_dump_versions_migrate_to_their_implicit_defaults() {
-        const QUERY_FIELDS: [&str; 2] = ["queries_per_day", "query_users"];
-        let mut expected = ScenarioSpec::from_seed(12);
-        expected.buggify_rate = 0.0;
-        expected.link_model = ttt_testbed::LinkModelSpec::Ideal;
-        expected.queries_per_day = 0.0;
-        expected.query_users = 0;
-
-        let v3 = downgraded_dump(&expected, 3, &QUERY_FIELDS);
-        assert_eq!(parse_dump(&v3).unwrap(), expected, "v3 dump must migrate");
-
-        let v2 = downgraded_dump(
-            &expected,
-            2,
-            &["link_model", QUERY_FIELDS[0], QUERY_FIELDS[1]],
-        );
-        assert_eq!(parse_dump(&v2).unwrap(), expected, "v2 dump must migrate");
-
-        let v1 = downgraded_dump(
-            &expected,
-            1,
-            &["link_model", "buggify_rate", QUERY_FIELDS[0], QUERY_FIELDS[1]],
-        );
-        assert_eq!(parse_dump(&v1).unwrap(), expected, "v1 dump must migrate");
-
-        // Pre-tagging bare dumps predate every appended field.
-        let bare = {
-            let mut value = expected.to_value();
-            if let serde::Value::Object(fields) = &mut value {
-                fields.retain(|(k, _)| {
-                    k != "link_model" && k != "buggify_rate" && !QUERY_FIELDS.contains(&k.as_str())
-                });
-            }
-            serde_json::to_string(&value).unwrap()
-        };
-        assert_eq!(parse_dump(&bare).unwrap(), expected, "bare dump must migrate");
-    }
-
-    #[test]
-    fn replay_file_attributes_errors_to_the_file() {
-        let dir = std::env::temp_dir().join("ttt-shrink-replay-file-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stale.json");
-        std::fs::write(&path, "{\"version\": 99, \"spec\": {}}").unwrap();
-        let err = replay_file(&path, &Oracles::none()).unwrap_err();
-        assert_eq!(err.path.as_deref(), Some(path.display().to_string().as_str()));
-        let shown = err.to_string();
-        assert!(shown.contains("stale.json"), "path missing from: {shown}");
-        assert!(shown.contains("version 99"), "cause missing from: {shown}");
-
-        let missing = replay_file(&dir.join("absent.json"), &Oracles::none()).unwrap_err();
-        assert!(missing.to_string().contains("absent.json"));
-        std::fs::remove_dir_all(&dir).ok();
+        // The envelope older builds wrote is not a scenario file: it is
+        // reported at the missing format tag, never parsed.
+        let old = "{\"version\": 4, \"spec\": {\"seed\": 1}}";
+        let errs = replay(old, &Oracles::none()).unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert_eq!(errs[0].path, "format");
+        assert!(replay("not json at all", &Oracles::none()).is_err());
+        // A bare derived-struct spec, the shape before any envelope.
+        assert!(replay("{\"seed\": 1, \"duration_hours\": 4}", &Oracles::none()).is_err());
     }
 }

@@ -1,8 +1,9 @@
 //! On-disk artifacts reproduce campaigns bit-for-bit.
 //!
 //! The acceptance spine of the scenario pipeline: a hand-written
-//! `scenario.v1` file and a fuzzer reproducer dump must both re-run from
-//! their on-disk form to the same [`CampaignDigest`] on every engine, and
+//! `scenario.v1` file and a shrunken reproducer (which is one too) must
+//! both re-run from their on-disk form to the same [`CampaignDigest`] on
+//! every engine, and
 //! the scenario-file layer must never panic or lose precision — checked
 //! here both on the checked-in examples and property-style across the
 //! grammar.
@@ -11,9 +12,10 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use ttt_core::Engine;
 use ttt_scengen::{
-    dump_spec, load_scenario_file, parse_dump, parse_scenario, run_logged, to_scenario_json,
-    CampaignDigest, ScenarioSpec,
+    load_scenario_file, parse_scenario, pin_to_cell, run_logged, sanitize, shrink,
+    to_scenario_json, CampaignDigest, Oracles, ScenarioSpec, StructuralCell,
 };
+use ttt_sim::rng::stream_rng;
 
 fn digest(spec: &ScenarioSpec, engine: Engine) -> CampaignDigest {
     CampaignDigest::capture(&ttt_scengen::oracle::run_campaign(spec, engine))
@@ -62,21 +64,26 @@ fn example_scenario_files_reproduce_identically_on_every_engine() {
     }
 }
 
-/// A fuzzer reproducer dump re-runs from disk to the identical digest on
+/// A shrunken reproducer re-runs from disk to the identical digest on
 /// every engine — the artifact loop an operator actually uses: shrink
-/// writes the dump, a later build reads it back and reproduces.
+/// writes the dump, a later build loads it like any scenario file and
+/// reproduces.
 #[test]
 fn reproducer_dumps_reproduce_identically_on_every_engine() {
-    let spec = ScenarioSpec::from_seed(17);
-    let original = digest_all_engines(&spec);
+    let oracles = Oracles {
+        tests_run_limit: Some(5),
+        ..Oracles::none()
+    };
+    let repro = shrink(&ScenarioSpec::from_seed(17), &oracles).expect("seed 17 runs > 5 tests");
+    let original = digest_all_engines(&repro.spec);
 
     let dir = std::env::temp_dir().join("ttt-scenario-artifacts-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("repro.json");
-    std::fs::write(&path, dump_spec(&spec)).unwrap();
+    std::fs::write(&path, &repro.dump).unwrap();
 
-    let loaded = parse_dump(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert_eq!(loaded, spec, "dump round-trip changed the spec");
+    let loaded = load_scenario_file(&path).expect("a reproducer dump is a scenario file");
+    assert_eq!(loaded, repro.spec, "dump round-trip changed the spec");
     let replayed = digest_all_engines(&loaded);
     assert_eq!(replayed.diff(&original), Vec::<&str>::new());
     std::fs::remove_dir_all(&dir).ok();
@@ -92,7 +99,7 @@ fn run_log_artifacts_reproduce_from_disk() {
     let dir = std::env::temp_dir().join("ttt-runlog-artifacts-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("run.json");
-    std::fs::write(&path, artifact.to_json()).unwrap();
+    std::fs::write(&path, artifact.to_json().unwrap()).unwrap();
 
     let replay = ttt_scengen::replay_run_log_file(&path).unwrap();
     assert!(
@@ -107,15 +114,85 @@ fn run_log_artifacts_reproduce_from_disk() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Grammar spec → scenario file → parse → bit-identical spec. Spec
-    /// equality is digest equality: lowering is a pure function of the
-    /// spec, so the file format never perturbs a campaign.
+    /// Spec → scenario file → parse → bit-identical spec, for everything
+    /// that writes one: bare grammar seeds, the seed pinned onto each of
+    /// the structural cells (the dimensions bare seeds never set), and a
+    /// shrunken reproducer. Spec equality is digest equality: lowering is
+    /// a pure function of the spec, so the file format never perturbs a
+    /// campaign.
     #[test]
-    fn any_grammar_spec_roundtrips_through_the_file_format(seed in 0u64..u64::MAX) {
+    fn any_grammar_spec_roundtrips_through_the_file_format(
+        seed in 0u64..u64::MAX,
+        limit in 0usize..3,
+    ) {
+        let roundtrip = |spec: &ScenarioSpec, json: &str| {
+            let back = parse_scenario(json)
+                .unwrap_or_else(|errs| panic!("seed {seed} does not validate: {errs:?}\n{json}"));
+            assert_eq!(&back, spec, "seed {seed} round-trip is not bit-identical");
+        };
         let spec = ScenarioSpec::from_seed(seed);
+        roundtrip(&spec, &to_scenario_json(&spec));
+
+        let cells = StructuralCell::all();
+        prop_assert_eq!(cells.len(), 102);
+        let mut rng = stream_rng(seed, "artifact-roundtrip");
+        for cell in cells {
+            let mut pinned = spec.clone();
+            pin_to_cell(&mut pinned, cell, &mut rng);
+            roundtrip(&pinned, &to_scenario_json(&pinned));
+        }
+
+        let oracles = Oracles {
+            tests_run_limit: Some([1, 5, 22][limit]),
+            ..Oracles::none()
+        };
+        if let Some(repro) = shrink(&ScenarioSpec::from_seed(seed % 40), &oracles) {
+            roundtrip(&repro.spec, &repro.dump);
+        }
+    }
+
+    /// The one guarantee of the shared bounds table: whatever scalars a
+    /// spec arrives with, `sanitize` lands it inside the envelope the
+    /// scenario-file validator accepts, and the file returns it
+    /// bit-identically.
+    #[test]
+    fn sanitize_always_yields_a_valid_scenario_file(
+        seed in 0u64..u64::MAX,
+        ints in prop::collection::vec(0u64..u64::MAX, 9),
+        floats in prop::collection::vec(-2.0e7f64..2.0e7, 8),
+    ) {
+        // Even draws are folded near the legal ranges (so in-range values
+        // and near misses occur); odd draws stay anywhere in the domain.
+        let near = |i: usize| ints[i] % 2 == 0;
+        let int = |i: usize| if near(i) { ints[i] % 300 } else { ints[i] };
+        let float = |i: usize| if near(i) { floats[i] / 1.0e7 } else { floats[i] };
+        let mut spec = ScenarioSpec::from_seed(seed);
+        spec.tick_mins = int(0);
+        spec.duration_hours = int(1);
+        spec.executors = int(2) as usize;
+        spec.maintenance_spread = int(3) as usize;
+        spec.initial_fault_burden = int(4) as usize;
+        spec.operator_triage_hours = int(5);
+        spec.operator_cadence_hours = int(6);
+        spec.sample_cadence_hours = int(7);
+        spec.query_users = int(8);
+        spec.maintenance_per_day = float(0);
+        spec.peak_jobs_per_day = float(1) * 100.0;
+        spec.cluster_affinity = float(2);
+        spec.whole_cluster_prob = float(3);
+        spec.operator_capacity_per_week = float(4) * 10.0;
+        spec.buggify_rate = float(5);
+        spec.queries_per_day = float(6);
+        for (_, rate) in &mut spec.fault_mix {
+            *rate = float(7) * 4.0;
+        }
+        for c in &mut spec.clusters {
+            c.nodes = int(2) as u32;
+        }
+        sanitize(&mut spec);
         let json = to_scenario_json(&spec);
         let back = parse_scenario(&json)
-            .unwrap_or_else(|errs| panic!("seed {seed} does not re-validate: {errs:?}"));
+            .unwrap_or_else(|errs| panic!("sanitized spec does not validate: {errs:?}\n{json}"));
         prop_assert_eq!(back, spec);
     }
 

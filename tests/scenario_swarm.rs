@@ -131,12 +131,11 @@ fn injected_violation_shrinks_to_minimal_reproducer() {
     );
 
     // The dump replays as a one-line regression test and still violates.
-    let violations = replay(&repro.dump, &oracles).expect("dump is current-version");
+    let violations = replay(&repro.dump, &oracles).expect("dump is a valid scenario file");
     assert_eq!(violations, vec![repro.violation.clone()]);
 
-    // And the dump parses back to the spec, exactly (version-tagged
-    // round-trip).
-    assert_eq!(throughout::scengen::parse_dump(&repro.dump).unwrap(), repro.spec);
+    // And the dump — a scenario file — parses back to the spec, exactly.
+    assert_eq!(throughout::scengen::parse_scenario(&repro.dump).unwrap(), repro.spec);
 }
 
 /// Regression, found by the swarm itself (seed 117, NaiveCron mode): when
@@ -341,9 +340,9 @@ fn service_chaos_violation_shrinks_to_minimal_reproducer() {
     assert!(repro.spec.duration_hours < outcome.spec.duration_hours);
 
     // The dump replays as a one-liner and still violates.
-    let violations = replay(&repro.dump, &oracles).expect("dump is current-version");
+    let violations = replay(&repro.dump, &oracles).expect("dump is a valid scenario file");
     assert_eq!(violations, vec![repro.violation.clone()]);
-    assert_eq!(throughout::scengen::parse_dump(&repro.dump).unwrap(), repro.spec);
+    assert_eq!(throughout::scengen::parse_scenario(&repro.dump).unwrap(), repro.spec);
 }
 
 /// A spec that violates nothing does not shrink into a reproducer.
