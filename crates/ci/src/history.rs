@@ -22,11 +22,14 @@
 //!
 //! Cloning a [`JobHistory`] is how a reader freezes it: the sealed
 //! segments are shared (`Arc` clones), the tail is copied. There is no
-//! other copy of history anywhere; [`crate::JobView`] is a rendering
-//! derived on demand.
+//! other copy of history anywhere, and no second shape of it: the status
+//! page, the query engine and the digests all read a `JobHistory`, live
+//! or frozen, through the two folds defined here — [`JobHistory::finished`]
+//! and [`success_series`].
 
-use crate::model::{Build, BuildRef};
+use crate::model::{Build, BuildRef, BuildResult};
 use std::sync::Arc;
+use ttt_sim::{PeriodSeries, SimDuration, SimTime};
 
 /// Builds per sealed segment.
 const SEGMENT_LEN: usize = 8;
@@ -70,6 +73,16 @@ impl JobHistory {
             .iter()
             .flat_map(|segment| segment.iter())
             .chain(&self.open)
+    }
+
+    /// The finished builds as `(cell, result, finished_at)`, in creation
+    /// order. [`crate::CiServer::finish`] sets result and finish time
+    /// together; a queued or running build has neither and is skipped.
+    /// Drive it with `for_each` / `fold`: the segment chain underneath
+    /// iterates internally a good deal faster than `next()` by `next()`.
+    pub fn finished(&self) -> impl Iterator<Item = (Option<&str>, BuildResult, SimTime)> + '_ {
+        self.iter()
+            .filter_map(|b| Some((b.r#ref.cell.as_deref(), b.result?, b.finished_at?)))
     }
 
     /// The sealed segments, oldest first. Two histories frozen from the
@@ -117,8 +130,46 @@ impl JobHistory {
     }
 }
 
-/// One job as a read-plane epoch holds it: its name and its history,
-/// frozen by [`crate::CiServer::freeze_history`].
+/// The success series of `histories`: every finished build, job by job in
+/// creation order, as 1.0 (success) or 0.0 at its finish time, bucketed by
+/// `period`. A period shorter than a minute is taken as a minute — a zero
+/// period has no buckets, and a nanosecond one would allocate a bucket per
+/// nanosecond of history. No upper bound is needed: a period longer than
+/// the history is one bucket.
+pub fn success_series<'a>(
+    histories: impl IntoIterator<Item = &'a JobHistory>,
+    period: SimDuration,
+) -> PeriodSeries {
+    let mut series = PeriodSeries::new(period.max(SimDuration::from_mins(1)));
+    for history in histories {
+        history.finished().for_each(|(_, result, at)| {
+            series.push(at, if result.is_success() { 1.0 } else { 0.0 });
+        });
+    }
+    series
+}
+
+/// The status-page target a matrix cell belongs to: the cluster or site
+/// axis value (images group under their cluster), `"global"` for cell-less
+/// builds. The one bucketing rule of the status grid and the query engine,
+/// borrowed from the cell so bucketing a history allocates nothing.
+pub fn cell_target(cell: Option<&str>) -> &str {
+    let Some(cell) = cell else {
+        return "global";
+    };
+    for part in cell.split(',') {
+        for axis in ["cluster=", "site=", "scope="] {
+            if let Some(v) = part.strip_prefix(axis) {
+                return v;
+            }
+        }
+    }
+    cell
+}
+
+/// One job as a reader holds it — a read-plane epoch or a live status
+/// page alike: its name and its history, frozen by
+/// [`crate::CiServer::freeze_history`].
 #[derive(Debug, Clone)]
 pub struct FrozenJob {
     /// Job name, shared with the server and every other epoch.
@@ -180,6 +231,42 @@ mod tests {
         assert!(h.open().is_empty());
         assert_eq!(numbers(&h), (1..=n).collect::<Vec<_>>());
         assert!(h.iter().all(|b| b.result.is_some()));
+    }
+
+    #[test]
+    fn folds_walk_finished_builds_only_and_bound_the_period() {
+        let mut h = JobHistory::new();
+        for (i, cell) in [(1, "cluster=a,image=x"), (2, "site=s"), (3, "cluster=a")] {
+            let mut b = build(i);
+            b.r#ref.cell = Some(cell.into());
+            if i < 3 {
+                b.result = Some([BuildResult::Failure, BuildResult::Success][i as usize - 1]);
+                b.finished_at = Some(SimTime::from_hours(u64::from(i)));
+            }
+            h.push(b);
+        }
+        let finished: Vec<_> = h.finished().collect();
+        assert_eq!(
+            finished,
+            vec![
+                (Some("cluster=a,image=x"), BuildResult::Failure, SimTime::from_hours(1)),
+                (Some("site=s"), BuildResult::Success, SimTime::from_hours(2)),
+            ]
+        );
+        assert_eq!(cell_target(finished[0].0), "a");
+        assert_eq!(cell_target(finished[1].0), "s");
+        assert_eq!(cell_target(None), "global");
+        // One bucket per hour; two histories pour into one series.
+        let hourly = success_series([&h, &h], SimDuration::from_hours(1));
+        assert_eq!(hourly.means(), vec![(1, 0.0), (2, 1.0)]);
+        assert_eq!(hourly.periods()[1].count(), 2);
+        // No period is too short or too long: zero is taken as a minute,
+        // and the longest one there is puts everything in one bucket.
+        let finest = success_series([&h], SimDuration::ZERO);
+        assert_eq!(finest.period(), SimDuration::from_mins(1));
+        assert_eq!(finest.means(), vec![(60, 0.0), (120, 1.0)]);
+        let coarsest = success_series([&h], SimDuration::from_mins(u64::MAX));
+        assert_eq!(coarsest.means(), vec![(0, 0.5)]);
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub struct WorkItem {
 /// The automation server.
 pub struct CiServer {
     jobs: BTreeMap<String, JobSpec>,
-    /// Job names in registration order — the stable order REST views and
-    /// the status page present jobs in.
+    /// Job names in registration order — the stable order every reader
+    /// (status page, epochs) presents jobs in.
     registration_order: Vec<Arc<str>>,
     queue: VecDeque<(BuildRef, Cause)>,
     executors: Vec<Option<BuildRef>>,
@@ -92,7 +92,7 @@ impl CiServer {
     }
 
     /// Registered job names in registration order — the stable presentation
-    /// order for REST views and the status page.
+    /// order for the status page and the read plane's epochs.
     pub fn job_names_in_order(&self) -> &[Arc<str>] {
         &self.registration_order
     }
@@ -465,6 +465,29 @@ mod tests {
             cell: None,
         };
         assert!(!s.finish(&r, BuildResult::Success, vec![]));
+    }
+
+    #[test]
+    fn readers_see_jobs_in_registration_order() {
+        // Regression: row order used to depend on map iteration; it must
+        // be the registration order, identically across runs.
+        let build = || {
+            let mut s = CiServer::new(1);
+            for name in ["zeta", "alpha", "mid"] {
+                s.register(freestyle(name));
+            }
+            s
+        };
+        let names = |s: &CiServer| -> Vec<String> {
+            s.freeze_history().iter().map(|j| j.name.to_string()).collect()
+        };
+        assert_eq!(names(&build()), vec!["zeta", "alpha", "mid"]);
+        assert_eq!(names(&build()), names(&build()));
+        assert!(build().freeze_history().iter().all(|j| j.history.is_empty()));
+        // Re-registering keeps the original position.
+        let mut c = build();
+        c.register(freestyle("alpha"));
+        assert_eq!(names(&c), vec!["zeta", "alpha", "mid"]);
     }
 
     #[test]

@@ -15,13 +15,9 @@
 use crate::config::{CampaignConfig, Engine, SchedulingMode, TestbedScale};
 use crate::matching::find_fault;
 use crate::metrics::CampaignMetrics;
-use crate::snapshot::{
-    fold_answer, fold_snapshot, random_query, refreshed_services, site_names, CampaignSnapshot,
-    QueryEngine, QueryStats, ServiceLiveness, SiteQueueView, SnapshotHub, QUERY_SAMPLE_PER_EPOCH,
-};
+use crate::snapshot::{Publisher, QueryStats, SnapshotHub};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttt_bugs::{BugTracker, OperatorModel};
@@ -31,10 +27,10 @@ use ttt_kadeploy::{standard_images, Deployer, Environment};
 use ttt_kavlan::KavlanManager;
 use ttt_kwapi::MetricStore;
 use ttt_oar::{
-    FedJob, FedJobState, Federation, JobKind as OarJobKind, Queue, QueryLoad, ResourceRequest,
+    FedJob, FedJobState, Federation, JobKind as OarJobKind, Queue, ResourceRequest,
     UserLoadGenerator,
 };
-use ttt_refapi::{all_properties, PropertyDb, RefApi};
+use ttt_refapi::RefApi;
 use ttt_sim::{Event, EventLog, EventQueue, RngFactory, SimDuration, SimTime};
 use ttt_suite::{build_suite, run_test, TestConfig, TestCtx, TestReport};
 use ttt_testbed::fault::inject_random;
@@ -148,34 +144,10 @@ pub struct Campaign {
     /// the timeline, and a recording campaign is bit-identical to a silent
     /// one (guarded by the replay suite).
     events: Option<EventLog>,
-    /// The read plane's snapshot exchange. Armed at construction when
+    /// The read plane's publisher. Armed at construction when
     /// `cfg.queries_per_day > 0`, or on demand via
-    /// [`Campaign::arm_snapshots`]; `None` means no epochs publish.
-    hub: Option<Arc<SnapshotHub>>,
-    /// Epochs published so far (the next snapshot's epoch − 1).
-    epoch: u64,
-    /// Deterministic read-traffic shaper (exact daily arrival totals).
-    query_load: QueryLoad,
-    /// The read plane's dedicated RNG stream. Drawn only while armed with
-    /// a non-zero query volume, and independent of every write-plane
-    /// stream by construction, so arming never shifts the campaign.
-    rng_queries: SmallRng,
-    /// Read-plane traffic counters (engine-equivalence observables when
-    /// the plane is armed identically across engines).
-    query_stats: QueryStats,
-    /// Running fold over every published snapshot — the "both engines
-    /// publish identical snapshot sequences" observable.
-    snapshot_fold: u64,
-    /// Property database (maps and node index) derived from the last
-    /// successfully described testbed version (recomputed only on version
-    /// changes; carried stale over chaos-refused describe reads).
-    props_cache: Option<(u64, Arc<PropertyDb>)>,
-    /// Site names in site (= scheduling-domain) order, shared by every
-    /// service and queue row of every epoch. Filled at the first publish.
-    site_names: Vec<Arc<str>>,
-    /// The service rows last published; the next epoch shares them while
-    /// every row still renders its process.
-    service_rows: Arc<[ServiceLiveness]>,
+    /// [`Campaign::arm_snapshots`]; unarmed, no epochs publish.
+    publisher: Publisher,
 }
 
 impl Campaign {
@@ -311,15 +283,11 @@ impl Campaign {
             in_saturation: false,
             in_blackout: false,
             events: None,
-            hub: (cfg.queries_per_day > 0.0).then(|| Arc::new(SnapshotHub::new(16))),
-            epoch: 0,
-            query_load: QueryLoad::new(cfg.queries_per_day),
-            rng_queries: rngs.stream("queries"),
-            query_stats: QueryStats::default(),
-            snapshot_fold: 0,
-            props_cache: None,
-            site_names: Vec::new(),
-            service_rows: Arc::default(),
+            publisher: Publisher::new(
+                cfg.queries_per_day,
+                cfg.query_users,
+                rngs.stream("queries"),
+            ),
             cfg,
         }
     }
@@ -403,14 +371,9 @@ impl Campaign {
             .collect()
     }
 
-    /// CI REST views (for `ttt-status` consumers).
-    pub fn ci_views(&self) -> Vec<ttt_ci::JobView> {
-        ttt_ci::JobView::all_from_server(&self.ci)
-    }
-
     /// The read-plane snapshot hub, if armed.
     pub fn snapshot_hub(&self) -> Option<Arc<SnapshotHub>> {
-        self.hub.clone()
+        self.publisher.hub.clone()
     }
 
     /// Arm the read plane (idempotent) and return its hub. Epochs start
@@ -418,21 +381,18 @@ impl Campaign {
     /// perturbs the campaign digest — the read path draws only from its
     /// own `"queries"` stream (and not at all without query volume).
     pub fn arm_snapshots(&mut self) -> Arc<SnapshotHub> {
-        Arc::clone(
-            self.hub
-                .get_or_insert_with(|| Arc::new(SnapshotHub::new(16))),
-        )
+        self.publisher.arm()
     }
 
     /// Read-plane traffic counters.
     pub fn query_stats(&self) -> QueryStats {
-        self.query_stats
+        self.publisher.query_stats
     }
 
     /// Running fold over every published snapshot — bit-identical across
     /// engines publishing the same epochs (an equivalence observable).
     pub fn snapshot_fold(&self) -> u64 {
-        self.snapshot_fold
+        self.publisher.snapshot_fold
     }
 
     /// The power metric store (read-only inspection).
@@ -701,9 +661,14 @@ impl Campaign {
             // 10b. The write plane hands the read plane its epoch: every
             //      sample instant (identical across engines) freezes a
             //      snapshot, so this changes nothing unless armed.
-            if let Some(hub) = self.hub.clone() {
-                self.publish_snapshot(&hub, window_from, t);
-            }
+            self.publisher.publish(
+                &self.tb,
+                &mut self.refapi,
+                &mut self.kwapi,
+                &self.fed,
+                &self.ci,
+                window_from..t,
+            );
         }
         if t.since(self.last_snapshot) >= SimDuration::from_days(1) {
             self.last_snapshot = t;
@@ -731,83 +696,6 @@ impl Campaign {
                     outcome: entry.outcome,
                 });
             }
-        }
-    }
-
-    /// Publish one read-plane epoch: freeze every consumer view at `t`
-    /// into an immutable [`CampaignSnapshot`], fold it into the engine
-    /// equivalence digest, hand it to `hub`, then serve this epoch's
-    /// inline query sample. Sections that did not move since the last
-    /// epoch are shared with it, not rebuilt (the snapshot module's
-    /// sharing contract). An unarmed campaign never gets here and is
-    /// bit-identical (guarded by the query-plane suite).
-    fn publish_snapshot(&mut self, hub: &SnapshotHub, from: SimTime, t: SimTime) {
-        // Description version + property database, re-derived only when
-        // the version moved. A chaos-refused describe carries the stale
-        // epoch — exactly what a cached reference-API mirror would serve.
-        if let Ok(d) = self.refapi.describe_latest() {
-            let version = d.version;
-            if self.props_cache.as_ref().map(|(v, _)| *v) != Some(version) {
-                let db = PropertyDb::new(all_properties(d));
-                self.props_cache = Some((version, Arc::new(db)));
-            }
-        }
-        // Per-node power windows over [from, t): nodes that never sampled
-        // have no row; a chaos-refused window read drops its row.
-        let mut windows = Vec::new();
-        for node in self.tb.nodes() {
-            if self.kwapi.power(node.id).raw_len() == 0 {
-                continue;
-            }
-            if let Ok(Some(agg)) = self.kwapi.window(node.id, from, t) {
-                windows.push((node.id.0, agg));
-            }
-        }
-        if self.site_names.is_empty() {
-            self.site_names = site_names(&self.tb);
-        }
-        let depths = self.fed.queue_depths();
-        let spill = self.fed.spillovers_by_domain();
-        let queues = self
-            .site_names
-            .iter()
-            .enumerate()
-            .map(|(i, site)| SiteQueueView {
-                site: Arc::clone(site),
-                waiting: depths.get(i).copied().unwrap_or(0) as u64,
-                spillovers: spill.get(i).copied().unwrap_or(0),
-            })
-            .collect();
-        self.service_rows = refreshed_services(&self.service_rows, &self.tb, &self.site_names);
-        self.epoch += 1;
-        let snap = CampaignSnapshot {
-            epoch: self.epoch,
-            at: t,
-            jobs: self.ci.freeze_history(),
-            queues,
-            services: Arc::clone(&self.service_rows),
-            description_version: self.props_cache.as_ref().map(|(v, _)| *v),
-            properties: self
-                .props_cache
-                .as_ref()
-                .map(|(_, p)| Arc::clone(p))
-                .unwrap_or_default(),
-            windows,
-            window_from: from,
-            window_to: t,
-        };
-        self.snapshot_fold = fold_snapshot(self.snapshot_fold, &snap);
-        let snap = hub.publish(snap);
-        // This epoch's query traffic: count the full arrival volume,
-        // answer a bounded representative sample inline, fold the answers.
-        let arrivals = self.query_load.arrivals(t.since(from));
-        self.query_stats.issued += arrivals;
-        for _ in 0..arrivals.min(QUERY_SAMPLE_PER_EPOCH) {
-            let user = self.rng_queries.gen_range(0..self.cfg.query_users.max(1));
-            let q = random_query(&mut self.rng_queries, &snap);
-            let a = QueryEngine::answer(&snap, &q);
-            self.query_stats.executed += 1;
-            self.query_stats.answer_fold = fold_answer(self.query_stats.answer_fold ^ user, &a);
         }
     }
 
@@ -1176,7 +1064,7 @@ mod tests {
         // And the query engine answers off it: some job finished builds
         // against the global target or a concrete site by now.
         let grid_like = snap.jobs.iter().any(|j| {
-            QueryEngine::answer(
+            crate::snapshot::QueryEngine::answer(
                 &snap,
                 &crate::snapshot::Query::StatusCell {
                     job: j.name.to_string(),
@@ -1184,7 +1072,7 @@ mod tests {
                 },
             ) != crate::snapshot::QueryAnswer::NotFound
         });
-        let census = QueryEngine::answer(&snap, &crate::snapshot::Query::ServiceCensus);
+        let census = crate::snapshot::QueryEngine::answer(&snap, &crate::snapshot::Query::ServiceCensus);
         assert!(matches!(
             census,
             crate::snapshot::QueryAnswer::Census { up, down } if up + down > 0

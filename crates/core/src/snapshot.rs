@@ -4,12 +4,14 @@
 //! The paper's testbed exists to *serve researchers*: the reference API,
 //! status pages and metrics series are the product. This module separates
 //! that read side from the mutable write plane. At every sample-cadence
-//! instant the campaign publishes an immutable, `Arc`-shared
+//! instant the campaign's [`Publisher`] freezes an immutable, `Arc`-shared
 //! [`CampaignSnapshot`] — job histories, per-site queue depths, service
 //! liveness, the testbed description version with its property database,
 //! and per-node power windows — into a [`SnapshotHub`]. Any number of
 //! concurrent readers then answer typed [`Query`]s against any held epoch
 //! through [`QueryEngine`], without ever touching live campaign state.
+//! What an epoch contains and what is sampled against it is decided here,
+//! in [`Publisher::publish`]; the campaign only says when.
 //!
 //! ## Determinism contract
 //!
@@ -33,8 +35,10 @@
 //!   [`ttt_ci::history`]); the [`PropertyDb`] of the served description
 //!   version, maps and node index both, built at the first publish of a
 //!   version; the service rows, for as long as every row still renders
-//!   its process (`refreshed_services`); site names, in service rows
-//!   and queue rows alike.
+//!   its process; site names, in service rows and queue rows alike. The
+//!   [`Publisher`] owns the caches that make this so (the property
+//!   database by version, the site names, the rows last published) — no
+//!   other code can hand an epoch a second copy.
 //! * **Copied every epoch** — each job's open tail (builds that may still
 //!   change, at most a segment plus what is in flight); one queue row per
 //!   site; one power window per sampled node. These are the facts that
@@ -44,11 +48,11 @@
 //!   have a result. A build stuck unfinished only delays sealing: builds
 //!   behind it stay in the (copied) tail, in order.
 //!
-//! Nothing else holds history: [`ttt_ci::JobView`] is the serde REST
-//! rendering, derived on demand ([`CampaignSnapshot::job_views`]). A
-//! [`QueryAnswer::Nodes`] answer is the index's own list, not a copy.
-//! Status-cell, job-trend and fold reads still walk a job's history; they
-//! allocate nothing per build.
+//! Nothing else holds history, and no reader needs another shape of it:
+//! the status page renders `&snap.jobs` and `snap.services` as they are.
+//! A [`QueryAnswer::Nodes`] answer is the index's own list, not a copy.
+//! Status-cell, job-trend and fold reads walk a job's history through the
+//! two folds of [`ttt_ci::history`]; they allocate nothing per build.
 //!
 //! ## Locking honesty
 //!
@@ -61,19 +65,22 @@
 //! snapshot alive after eviction, so the writer never waits for readers
 //! to finish with their data.
 
+use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use ttt_ci::{FrozenJob, JobView};
-use ttt_kwapi::WindowAgg;
-use ttt_refapi::PropertyDb;
+use ttt_ci::{cell_target, success_series, BuildResult, CiServer, FrozenJob};
+use ttt_kwapi::{MetricStore, WindowAgg};
+use ttt_oar::Federation;
+use ttt_refapi::{all_properties, PropertyDb, RefApi};
 // Re-exported so read-plane consumers get the full typed query surface
 // from one module.
 pub use ttt_refapi::{Query, QueryAnswer};
 use ttt_sim::rpc::Liveness;
-use ttt_sim::{PeriodSeries, SimDuration, SimTime};
+use ttt_sim::{SimDuration, SimTime};
 use ttt_testbed::{ProcessEntry, Testbed};
 
 /// One site's OAR queue, as captured at the publish instant.
@@ -87,9 +94,9 @@ pub struct SiteQueueView {
     pub spillovers: u64,
 }
 
-/// One service process, flattened exactly like the status page's
-/// `ServiceRow` — `ttt_status` builds its panel straight from these rows,
-/// so the two views can never drift.
+/// One service process, flattened for presentation. The only rendering
+/// of a registry entry: an epoch holds these rows and the status page's
+/// panel shows the same `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceLiveness {
     /// Service name (e.g. `oar-server`).
@@ -122,19 +129,16 @@ fn state_label(state: Liveness) -> String {
 
 /// Every site's name in site order — which is also scheduling-domain
 /// order, the federation building one domain per site.
-pub(crate) fn site_names(tb: &Testbed) -> Vec<Arc<str>> {
+fn site_names(tb: &Testbed) -> Vec<Arc<str>> {
     tb.sites().iter().map(|s| s.name.as_str().into()).collect()
 }
 
 impl ServiceLiveness {
     fn of(e: &ProcessEntry, sites: &[Arc<str>]) -> ServiceLiveness {
-        let idx = e.id.site.index();
         ServiceLiveness {
             service: e.id.kind.name(),
-            site: sites
-                .get(idx)
-                .cloned()
-                .unwrap_or_else(|| format!("site-{idx}").into()),
+            // The registry holds one entry per service of each site.
+            site: Arc::clone(&sites[e.id.site.index()]),
             host: e.host.map(|n| n.0),
             state: state_label(e.state),
             up: e.state.is_up(),
@@ -158,13 +162,16 @@ impl ServiceLiveness {
             }
     }
 
-    /// Flatten every registered service process, with the same rendering
-    /// the status page uses.
-    pub fn rows_from_testbed(tb: &Testbed) -> Vec<ServiceLiveness> {
-        let sites = site_names(tb);
+    /// Every registered service process of a live testbed, as an epoch
+    /// would hold them.
+    pub fn rows_from_testbed(tb: &Testbed) -> Arc<[ServiceLiveness]> {
+        Self::rows(tb, &site_names(tb))
+    }
+
+    fn rows(tb: &Testbed, sites: &[Arc<str>]) -> Arc<[ServiceLiveness]> {
         tb.processes()
             .iter()
-            .map(|e| ServiceLiveness::of(e, &sites))
+            .map(|e| ServiceLiveness::of(e, sites))
             .collect()
     }
 }
@@ -172,7 +179,7 @@ impl ServiceLiveness {
 /// The service rows of `tb` as it stands: `cached` itself while every row
 /// still renders its process, a fresh rendering (naming sites by `sites`)
 /// once any differs.
-pub(crate) fn refreshed_services(
+fn refreshed_services(
     cached: &Arc<[ServiceLiveness]>,
     tb: &Testbed,
     sites: &[Arc<str>],
@@ -185,10 +192,7 @@ pub(crate) fn refreshed_services(
     if unchanged {
         Arc::clone(cached)
     } else {
-        tb.processes()
-            .iter()
-            .map(|e| ServiceLiveness::of(e, sites))
-            .collect()
+        ServiceLiveness::rows(tb, sites)
     }
 }
 
@@ -224,17 +228,6 @@ pub struct CampaignSnapshot {
     pub window_from: SimTime,
     /// End of the power window (the publish instant, exclusive).
     pub window_to: SimTime,
-}
-
-impl CampaignSnapshot {
-    /// The CI REST views of this epoch, rendered on demand — a deep copy
-    /// for a consumer that wants serde views, never held by the epoch.
-    pub fn job_views(&self) -> Vec<JobView> {
-        self.jobs
-            .iter()
-            .map(|j| JobView::from_history(&j.name, &j.history))
-            .collect()
-    }
 }
 
 /// The epoch-tagged snapshot exchange between the write plane and its
@@ -332,6 +325,16 @@ pub struct QueryStats {
 /// representative answered sample, not millions of inline evaluations.
 pub const QUERY_SAMPLE_PER_EPOCH: u64 = 32;
 
+/// An item of [`ttt_ci::JobHistory::finished`].
+type Finished<'a> = (Option<&'a str>, BuildResult, SimTime);
+
+/// How many of `finished` builds there are, and how many succeeded.
+fn tally<'a>(finished: impl Iterator<Item = Finished<'a>>) -> (u64, u64) {
+    finished.fold((0, 0), |(total, ok), (_, result, _)| {
+        (total + 1, ok + u64::from(result.is_success()))
+    })
+}
+
 /// The multi-tenant query engine: answers any typed [`Query`] against any
 /// held epoch. Stateless — concurrency is the caller sharing snapshots
 /// across threads, which is safe because snapshots are immutable.
@@ -348,17 +351,8 @@ impl QueryEngine {
                 let Some(frozen) = snap.jobs.iter().find(|j| *j.name == **job) else {
                     return QueryAnswer::NotFound;
                 };
-                let (mut total, mut pass) = (0u64, 0u64);
-                for b in frozen.history.iter() {
-                    let Some(result) = b.result else { continue };
-                    if ttt_ci::cell_target(b.r#ref.cell.as_deref()) != *target {
-                        continue;
-                    }
-                    total += 1;
-                    if result.is_success() {
-                        pass += 1;
-                    }
-                }
+                let in_cell = |(cell, ..): &Finished<'_>| cell_target(*cell) == *target;
+                let (total, pass) = tally(frozen.history.finished().filter(in_cell));
                 if total == 0 {
                     QueryAnswer::NotFound
                 } else {
@@ -369,16 +363,12 @@ impl QueryEngine {
                 let Some(frozen) = snap.jobs.iter().find(|j| *j.name == **job) else {
                     return QueryAnswer::NotFound;
                 };
-                // Same accumulator as the status page's HistoryReport, so
-                // the two planes agree to the last bit.
-                let mut series =
-                    PeriodSeries::new(SimDuration::from_mins((*period_mins).max(1)));
-                for b in frozen.history.iter() {
-                    if let (Some(result), Some(t)) = (b.result, b.finished_at) {
-                        series.push(t, if result.is_success() { 1.0 } else { 0.0 });
-                    }
-                }
-                let means = series.means();
+                // The status page's HistoryReport runs the same fold, so
+                // the two planes agree to the last bit. `period_mins` is
+                // outside input: the conversion saturates and the fold
+                // takes no period shorter than a minute.
+                let period = SimDuration::from_mins(*period_mins);
+                let means = success_series([&frozen.history], period).means();
                 match (means.first(), means.last()) {
                     (Some((_, first)), Some((_, last))) => QueryAnswer::Trend {
                         first: *first,
@@ -541,15 +531,7 @@ pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
     for job in &s.jobs {
         h = mix_str(h, &job.name);
         h = mix(h, job.history.len() as u64);
-        let (mut finished, mut ok) = (0u64, 0u64);
-        for b in job.history.iter() {
-            if let Some(r) = b.result {
-                finished += 1;
-                if r.is_success() {
-                    ok += 1;
-                }
-            }
-        }
+        let (finished, ok) = tally(job.history.finished());
         h = mix(mix(h, finished), ok);
     }
     for q in &s.queues {
@@ -566,6 +548,180 @@ pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
         h = mix(mix(mix(h, w.min.to_bits()), w.mean.to_bits()), w.max.to_bits());
     }
     h
+}
+
+/// Queries that have arrived `elapsed_nanos` into a load of `per_day`
+/// queries per simulated day (none for a rate that is not positive).
+///
+/// Query traffic never touches the scheduler, so it needs no Poisson
+/// machinery — the volume is what matters. A publish window gets this
+/// *cumulative* floor target minus what was already issued, so there is
+/// no per-window float accumulation to drift: the total after any whole
+/// number of days is exactly `per_day × days`, and the count sequence is
+/// a pure function of the window sequence (identical across engines, no
+/// RNG involved).
+fn arrived_by(per_day: f64, elapsed_nanos: u64) -> u64 {
+    (per_day * (elapsed_nanos as f64 / 86_400e9)).floor() as u64
+}
+
+/// The write plane's end of the read plane: what a published epoch
+/// contains and what is sampled against it, with the state that serves
+/// only that. A plain struct — the campaign holds one, reads the hub, the
+/// counters and the fold off it, and calls [`Publisher::publish`] at
+/// every sample instant.
+pub struct Publisher {
+    /// The snapshot exchange. `None` until armed: no epochs publish.
+    pub(crate) hub: Option<Arc<SnapshotHub>>,
+    /// Epochs published so far (the next snapshot's epoch − 1).
+    epoch: u64,
+    /// Configured read traffic, and the time it has been arriving for
+    /// (the sum of the publish windows): see [`arrived_by`].
+    queries_per_day: f64,
+    elapsed_nanos: u64,
+    /// Size of the user population sampled queries are attributed to.
+    query_users: u64,
+    /// The read plane's dedicated RNG stream. Drawn only while armed with
+    /// a non-zero query volume, and independent of every write-plane
+    /// stream by construction, so arming never shifts the campaign.
+    rng_queries: SmallRng,
+    /// Read-plane traffic counters (engine-equivalence observables when
+    /// the plane is armed identically across engines).
+    pub(crate) query_stats: QueryStats,
+    /// Running fold over every published snapshot — the "both engines
+    /// publish identical snapshot sequences" observable.
+    pub(crate) snapshot_fold: u64,
+    /// Property database (maps and node index) derived from the last
+    /// successfully described testbed version (recomputed only on version
+    /// changes; carried stale over chaos-refused describe reads).
+    props_cache: Option<(u64, Arc<PropertyDb>)>,
+    /// Site names in site (= scheduling-domain) order, shared by every
+    /// service and queue row of every epoch. Filled at the first publish.
+    site_names: Vec<Arc<str>>,
+    /// The service rows last published; the next epoch shares them while
+    /// every row still renders its process.
+    service_rows: Arc<[ServiceLiveness]>,
+}
+
+impl Publisher {
+    /// A publisher of `queries_per_day` queries from `query_users` users,
+    /// armed from the start when there is query volume.
+    pub fn new(queries_per_day: f64, query_users: u64, rng_queries: SmallRng) -> Self {
+        let mut publisher = Publisher {
+            hub: None,
+            epoch: 0,
+            queries_per_day,
+            elapsed_nanos: 0,
+            query_users,
+            rng_queries,
+            query_stats: QueryStats::default(),
+            snapshot_fold: 0,
+            props_cache: None,
+            site_names: Vec::new(),
+            service_rows: Arc::default(),
+        };
+        if queries_per_day > 0.0 {
+            publisher.arm();
+        }
+        publisher
+    }
+
+    /// Arm publishing (idempotent) and return the hub.
+    pub fn arm(&mut self) -> Arc<SnapshotHub> {
+        Arc::clone(
+            self.hub
+                .get_or_insert_with(|| Arc::new(SnapshotHub::new(16))),
+        )
+    }
+
+    /// Publish one epoch, if armed: freeze every consumer view at
+    /// `window.end` into an immutable [`CampaignSnapshot`] (power windows
+    /// span `window`, the time since the previous sample), fold it into
+    /// the engine-equivalence digest, hand it to the hub, then serve this
+    /// epoch's inline query sample. Sections that did not move since the
+    /// last epoch are shared with it, not rebuilt (the module's sharing
+    /// contract). Only the read counters of `refapi` and `kwapi` are
+    /// written, so arming is digest-neutral (the query-plane suite).
+    pub fn publish(
+        &mut self,
+        tb: &Testbed,
+        refapi: &mut RefApi,
+        kwapi: &mut MetricStore,
+        fed: &Federation,
+        ci: &CiServer,
+        window: Range<SimTime>,
+    ) {
+        let Some(hub) = &self.hub else { return };
+        let (from, t) = (window.start, window.end);
+        // Description version + property database, re-derived only when
+        // the version moved. A chaos-refused describe carries the stale
+        // epoch — exactly what a cached reference-API mirror would serve.
+        if let Ok(d) = refapi.describe_latest() {
+            let version = d.version;
+            if self.props_cache.as_ref().map(|(v, _)| *v) != Some(version) {
+                let db = PropertyDb::new(all_properties(d));
+                self.props_cache = Some((version, Arc::new(db)));
+            }
+        }
+        // Per-node power windows over [from, t): nodes that never sampled
+        // have no row; a chaos-refused window read drops its row.
+        let mut windows = Vec::new();
+        for node in tb.nodes() {
+            if kwapi.power(node.id).raw_len() == 0 {
+                continue;
+            }
+            if let Ok(Some(agg)) = kwapi.window(node.id, from, t) {
+                windows.push((node.id.0, agg));
+            }
+        }
+        if self.site_names.is_empty() {
+            self.site_names = site_names(tb);
+        }
+        let depths = fed.queue_depths();
+        let spill = fed.spillovers_by_domain();
+        let queues = self
+            .site_names
+            .iter()
+            .enumerate()
+            .map(|(i, site)| SiteQueueView {
+                site: Arc::clone(site),
+                waiting: depths.get(i).copied().unwrap_or(0) as u64,
+                spillovers: spill.get(i).copied().unwrap_or(0),
+            })
+            .collect();
+        self.service_rows = refreshed_services(&self.service_rows, tb, &self.site_names);
+        self.epoch += 1;
+        let snap = CampaignSnapshot {
+            epoch: self.epoch,
+            at: t,
+            jobs: ci.freeze_history(),
+            queues,
+            services: Arc::clone(&self.service_rows),
+            description_version: self.props_cache.as_ref().map(|(v, _)| *v),
+            properties: self
+                .props_cache
+                .as_ref()
+                .map(|(_, p)| Arc::clone(p))
+                .unwrap_or_default(),
+            windows,
+            window_from: from,
+            window_to: t,
+        };
+        self.snapshot_fold = fold_snapshot(self.snapshot_fold, &snap);
+        let snap = hub.publish(snap);
+        // This epoch's query traffic: count the full arrival volume,
+        // answer a bounded representative sample inline, fold the answers.
+        self.elapsed_nanos = self.elapsed_nanos.saturating_add(t.since(from).as_nanos());
+        let arrivals = arrived_by(self.queries_per_day, self.elapsed_nanos)
+            .saturating_sub(self.query_stats.issued);
+        self.query_stats.issued += arrivals;
+        for _ in 0..arrivals.min(QUERY_SAMPLE_PER_EPOCH) {
+            let user = self.rng_queries.gen_range(0..self.query_users.max(1));
+            let q = random_query(&mut self.rng_queries, &snap);
+            let a = QueryEngine::answer(&snap, &q);
+            self.query_stats.executed += 1;
+            self.query_stats.answer_fold = fold_answer(self.query_stats.answer_fold ^ user, &a);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -640,6 +796,63 @@ mod tests {
             )],
             window_from: SimTime::ZERO,
             window_to: SimTime::from_days(epoch),
+        }
+    }
+
+    #[test]
+    fn service_rows_render_each_liveness_and_are_shared_while_unchanged() {
+        use ttt_testbed::{FaultKind, FaultTarget, ServiceKind, SiteId, TestbedBuilder};
+        let mut tb = TestbedBuilder::small().build();
+        let sites = site_names(&tb);
+        let crash = tb
+            .apply_fault(
+                FaultKind::ServiceCrash,
+                FaultTarget::Service(SiteId(0), ServiceKind::OarServer),
+                SimTime::ZERO,
+            )
+            .expect("a live process can crash");
+        tb.apply_fault(
+            FaultKind::ServiceRestart,
+            FaultTarget::Service(SiteId(1), ServiceKind::KwapiServer),
+            SimTime::ZERO,
+        )
+        .expect("a live process can restart");
+        let rows = ServiceLiveness::rows_from_testbed(&tb);
+        let down: Vec<&ServiceLiveness> = rows.iter().filter(|r| !r.up).collect();
+        assert_eq!(down.len(), 2);
+        assert_eq!((down[0].service, &*down[0].site), ("oar-server", &*sites[0]));
+        assert_eq!(down[0].state, "CRASHED");
+        assert_eq!((down[1].service, &*down[1].site), ("kwapi-server", &*sites[1]));
+        assert_eq!(down[1].state, "restarting@30m");
+        assert!(rows.iter().filter(|r| r.up).all(|r| r.state == "up"));
+        // Nothing moved: the next epoch holds the very same rows.
+        assert!(Arc::ptr_eq(&refreshed_services(&rows, &tb, &sites), &rows));
+        // Recovery clears the pager but keeps the ledger, in fresh rows.
+        assert!(tb.repair(crash.id));
+        let after = refreshed_services(&rows, &tb, &sites);
+        assert!(!Arc::ptr_eq(&after, &rows));
+        let oar = after.iter().find(|r| r.service == "oar-server").expect("row");
+        assert!(oar.up);
+        assert_eq!((oar.crashes, oar.restarts), (1, 1));
+    }
+
+    #[test]
+    fn query_arrivals_total_exactly_per_day() {
+        // 1M/day sliced into 5-minute windows: each window gets the
+        // cumulative target minus what was issued, so the daily total is
+        // exact although each window's rate is fractional.
+        let window = SimDuration::from_mins(5).as_nanos();
+        let (mut issued, mut counts) = (0u64, Vec::new());
+        for k in 1..=288 {
+            let n = arrived_by(1_000_000.0, k * window) - issued;
+            issued += n;
+            counts.push(n);
+        }
+        assert_eq!(issued, 1_000_000);
+        assert!(counts.iter().all(|n| (3_472..=3_473).contains(n)), "{counts:?}");
+        // No rate, no traffic — and a nonsensical rate is no rate.
+        for silent in [0.0, -5.0, f64::NAN] {
+            assert_eq!(arrived_by(silent, SimDuration::from_days(10).as_nanos()), 0);
         }
     }
 

@@ -282,7 +282,8 @@ fn surface_fns(view: &str) -> Vec<SurfaceFn> {
         }
         let Some(open) = body_open else { continue };
         let ret = &view[args_end..open];
-        if !(ret.contains("->") && ret.contains("Result")) {
+        // `Result` as a whole identifier: a `BuildResult` is plain data.
+        if !ret.contains("->") || find_pattern(ret, "Result").is_empty() {
             continue;
         }
         // Display/Debug impls return `fmt::Result`; formatting is not

@@ -109,6 +109,17 @@ impl fmt::Display for E {
 }
 
 #[test]
+fn a_type_merely_named_like_result_is_not_surface() {
+    let text = r#"
+pub fn finished(&self) -> impl Iterator<Item = (BuildResult, SimTime)> + '_ {
+    self.iter().filter_map(|b| Some((b.result?, b.finished_at?)))
+}
+"#;
+    let report = lint(&[oar_file(text)], &[]);
+    assert!(report.audit.uncovered.is_empty());
+}
+
+#[test]
 fn non_service_crates_are_reconciled_but_not_surfaced() {
     let testbed = SourceFile {
         path: "crates/testbed/src/testbed.rs".into(),

@@ -38,4 +38,4 @@ pub use job::{Job, JobId, JobKind, JobState, Queue};
 pub use cli::{oarnodes, oarstat, oarsub, CliError};
 pub use parser::{parse_request, ParseError};
 pub use server::{NodeState, OarServer, SubmitError};
-pub use userload::{QueryLoad, UserLoadError, UserLoadGenerator};
+pub use userload::{UserLoadError, UserLoadGenerator};

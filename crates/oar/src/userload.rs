@@ -262,58 +262,6 @@ impl UserLoadGenerator {
     }
 }
 
-/// The read half of the mixed workload: millions of simulated users
-/// issuing queries per day against the snapshot hub.
-///
-/// Query traffic never touches the scheduler, so it needs no Poisson
-/// machinery — the volume is what matters. The generator derives each
-/// window's arrival count from the *cumulative* elapsed time — this
-/// window's count is the cumulative floor target minus what was already
-/// issued — so there is no per-window float accumulation to drift: the
-/// total after any whole number of days is exactly `per_day × days`, and
-/// the count sequence is a pure function of the window sequence
-/// (identical across engines, no RNG involved).
-#[derive(Debug, Clone)]
-pub struct QueryLoad {
-    per_day: f64,
-    elapsed_nanos: u64,
-    issued: u64,
-}
-
-impl QueryLoad {
-    /// A load of `per_day` queries per simulated day. Zero is valid and
-    /// produces no traffic.
-    pub fn new(per_day: f64) -> Self {
-        QueryLoad {
-            per_day: per_day.max(0.0),
-            elapsed_nanos: 0,
-            issued: 0,
-        }
-    }
-
-    /// Number of queries arriving in a window of `dt`: the cumulative
-    /// target advances to `floor(per_day × elapsed_days)` and the window
-    /// gets the difference.
-    pub fn arrivals(&mut self, dt: SimDuration) -> u64 {
-        self.elapsed_nanos = self.elapsed_nanos.saturating_add(dt.as_nanos());
-        let days = self.elapsed_nanos as f64 / 86_400e9;
-        let target = (self.per_day * days).floor() as u64;
-        let n = target.saturating_sub(self.issued);
-        self.issued = target;
-        n
-    }
-
-    /// Total queries issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// The configured daily rate.
-    pub fn per_day(&self) -> f64 {
-        self.per_day
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,33 +355,6 @@ mod tests {
         let (_, n2, j2) = run(false);
         assert_eq!((n1, j1), (n2, j2));
         assert!(peeked.unwrap() > SimTime::ZERO);
-    }
-
-    #[test]
-    fn query_load_daily_total_is_exact() {
-        // 1M/day sliced into 5-minute windows: the cumulative-target
-        // scheme must reconstruct the exact daily total despite each
-        // window's rate being fractional.
-        let mut load = QueryLoad::new(1_000_000.0);
-        let mut total = 0u64;
-        for _ in 0..288 {
-            total += load.arrivals(SimDuration::from_mins(5));
-        }
-        assert_eq!(total, 1_000_000);
-        assert_eq!(load.issued(), total);
-        // Identical window sequences give identical count sequences.
-        let counts = |windows: &[u64]| {
-            let mut l = QueryLoad::new(123_457.0);
-            windows
-                .iter()
-                .map(|m| l.arrivals(SimDuration::from_mins(*m)))
-                .collect::<Vec<_>>()
-        };
-        let w = [5u64, 5, 10, 30, 5, 1440, 7];
-        assert_eq!(counts(&w), counts(&w));
-        // Zero rate is silent.
-        let mut z = QueryLoad::new(0.0);
-        assert_eq!(z.arrivals(SimDuration::from_days(10)), 0);
     }
 
     #[test]

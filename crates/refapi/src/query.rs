@@ -210,7 +210,8 @@ pub enum Query {
     JobTrend {
         /// CI job name.
         job: String,
-        /// Bucket width, minutes (must be positive).
+        /// Bucket width, minutes. Any value is answered: zero is taken as
+        /// one, and a width longer than the epoch's age is one bucket.
         period_mins: u64,
     },
     /// Names of described nodes whose property `key` matches `value` the

@@ -201,14 +201,14 @@ impl CampaignDigest {
                 // Sorted job names with ≥1 finished build — value-identical
                 // to the status grid's row labels, without pulling the
                 // render plane into the oracle.
-                let mut rows: Vec<String> = c
-                    .ci_views()
+                let ci = c.ci();
+                let mut rows: Vec<String> = ci
+                    .job_names_in_order()
                     .iter()
-                    .filter(|v| v.builds.iter().any(|b| b.result.is_some()))
-                    .map(|v| v.name.clone())
+                    .filter(|job| ci.history(job).finished().next().is_some())
+                    .map(|job| job.to_string())
                     .collect();
                 rows.sort();
-                rows.dedup();
                 rows
             },
             per_site_jobs: c

@@ -44,19 +44,20 @@ impl SimTime {
         SimTime(secs * NANOS_PER_SEC)
     }
 
-    /// Construct from whole minutes since campaign start.
+    /// Construct from whole minutes since campaign start. Like `from_hours`
+    /// and `from_days`, saturates at [`SimTime::MAX`] instead of wrapping.
     pub const fn from_mins(mins: u64) -> Self {
-        SimTime(mins * SECS_PER_MIN * NANOS_PER_SEC)
+        SimTime(mins.saturating_mul(SECS_PER_MIN * NANOS_PER_SEC))
     }
 
     /// Construct from whole hours since campaign start.
     pub const fn from_hours(hours: u64) -> Self {
-        SimTime(hours * SECS_PER_HOUR * NANOS_PER_SEC)
+        SimTime(hours.saturating_mul(SECS_PER_HOUR * NANOS_PER_SEC))
     }
 
     /// Construct from whole days since campaign start.
     pub const fn from_days(days: u64) -> Self {
-        SimTime(days * SECS_PER_DAY * NANOS_PER_SEC)
+        SimTime(days.saturating_mul(SECS_PER_DAY * NANOS_PER_SEC))
     }
 
     /// Raw nanoseconds since campaign start.
@@ -125,19 +126,20 @@ impl SimDuration {
         }
     }
 
-    /// Construct from whole minutes.
+    /// Construct from whole minutes. Like `from_hours` and `from_days`,
+    /// saturates at the longest representable span instead of wrapping.
     pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * SECS_PER_MIN * NANOS_PER_SEC)
+        SimDuration(mins.saturating_mul(SECS_PER_MIN * NANOS_PER_SEC))
     }
 
     /// Construct from whole hours.
     pub const fn from_hours(hours: u64) -> Self {
-        SimDuration(hours * SECS_PER_HOUR * NANOS_PER_SEC)
+        SimDuration(hours.saturating_mul(SECS_PER_HOUR * NANOS_PER_SEC))
     }
 
     /// Construct from whole days.
     pub const fn from_days(days: u64) -> Self {
-        SimDuration(days * SECS_PER_DAY * NANOS_PER_SEC)
+        SimDuration(days.saturating_mul(SECS_PER_DAY * NANOS_PER_SEC))
     }
 
     /// Raw nanoseconds.
@@ -303,6 +305,21 @@ mod tests {
         assert_eq!(SimTime::from_days(2).as_days(), 2);
         assert_eq!(SimDuration::from_millis(1500).as_secs(), 1);
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
+    }
+
+    #[test]
+    fn coarse_units_saturate_instead_of_wrapping() {
+        // 1 << 54 minutes wraps to exactly zero nanoseconds in a u64.
+        for big in [1 << 54, u64::MAX / 60, u64::MAX] {
+            assert_eq!(SimDuration::from_mins(big).as_nanos(), u64::MAX);
+            assert_eq!(SimDuration::from_hours(big).as_nanos(), u64::MAX);
+            assert_eq!(SimDuration::from_days(big).as_nanos(), u64::MAX);
+            assert_eq!(SimTime::from_mins(big), SimTime::MAX);
+            assert_eq!(SimTime::from_hours(big), SimTime::MAX);
+            assert_eq!(SimTime::from_days(big), SimTime::MAX);
+        }
+        // Below the overflow point nothing changes.
+        assert_eq!(SimDuration::from_mins(307_445_734).as_nanos(), 307_445_734 * 60_000_000_000);
     }
 
     #[test]

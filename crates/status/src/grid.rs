@@ -2,8 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use ttt_ci::{BuildResult, JobView};
-use ttt_core::snapshot::CampaignSnapshot;
+use ttt_ci::{cell_target, BuildResult, FrozenJob};
 use ttt_sim::{PeriodSeries, SimDuration};
 
 /// Aggregated status of one (test, target) cell.
@@ -39,13 +38,6 @@ impl CellStatus {
     }
 }
 
-/// Extract the grid's target key from a matrix cell string — delegates to
-/// [`ttt_ci::cell_target`], the one shared bucketing rule for both the
-/// render plane and the snapshot query engine.
-fn target_of(cell: Option<&str>) -> String {
-    ttt_ci::cell_target(cell).to_string()
-}
-
 /// The status grid: tests on rows, targets (clusters/sites) on columns.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatusGrid {
@@ -58,43 +50,28 @@ pub struct StatusGrid {
 }
 
 impl StatusGrid {
-    /// Build the grid from CI views (finished builds only).
-    pub fn from_views(views: &[JobView]) -> StatusGrid {
-        Self::tally(views.iter().flat_map(|v| {
-            v.builds
-                .iter()
-                .filter_map(|b| Some((v.name.as_str(), b.cell.as_deref(), b.result?)))
-        }))
-    }
-
-    /// Build the grid from a published read-plane epoch. Walks the
-    /// epoch's shared history in place — no per-render copy of the job
-    /// histories — and agrees bit-for-bit with
+    /// Build the grid from the CI server's read API — every job's history,
+    /// frozen live (`CiServer::freeze_history`) or held by a read-plane
+    /// epoch (`&snap.jobs`); finished builds only. Walks the shared
+    /// history in place, and agrees bit-for-bit with
     /// `ttt_core::snapshot::QueryEngine` status-cell answers against the
-    /// same epoch (both share [`ttt_ci::cell_target`]).
-    pub fn from_snapshot(snap: &CampaignSnapshot) -> StatusGrid {
-        Self::tally(snap.jobs.iter().flat_map(|j| {
-            j.history
-                .iter()
-                .filter_map(|b| Some((&*j.name, b.r#ref.cell.as_deref(), b.result?)))
-        }))
-    }
-
-    /// Tally finished builds, given as `(job, cell, result)` in creation
-    /// order per job.
-    fn tally<'a>(
-        finished: impl Iterator<Item = (&'a str, Option<&'a str>, BuildResult)>,
-    ) -> StatusGrid {
+    /// same jobs (both run [`ttt_ci::JobHistory::finished`] and bucket by
+    /// [`ttt_ci::cell_target`]).
+    pub fn from_jobs(jobs: &[FrozenJob]) -> StatusGrid {
         let mut cells: BTreeMap<(String, String), CellStatus> = BTreeMap::new();
-        for (job, cell, result) in finished {
-            let cell = cells
-                .entry((job.to_string(), target_of(cell)))
-                .or_default();
-            cell.total += 1;
-            if result.is_success() {
-                cell.successes += 1;
+        for job in jobs {
+            // Tally under the borrowed target first, so the owned keys are
+            // allocated per distinct cell, not per finished build.
+            let mut by_target: BTreeMap<&str, CellStatus> = BTreeMap::new();
+            job.history.finished().for_each(|(cell, result, _)| {
+                let status = by_target.entry(cell_target(cell)).or_default();
+                status.total += 1;
+                status.successes += u64::from(result.is_success());
+                status.latest = Some(result);
+            });
+            for (target, status) in by_target {
+                cells.insert((job.name.to_string(), target.to_string()), status);
             }
-            cell.latest = Some(result);
         }
         let mut jobs: Vec<String> = cells.keys().map(|(j, _)| j.clone()).collect();
         jobs.sort();
@@ -184,60 +161,40 @@ impl StatusGrid {
 }
 
 /// Success-rate history: fraction of successful builds per period, over
-/// every finished build in the views (experiment E9's monthly series).
-pub fn success_series(views: &[JobView], period: SimDuration) -> PeriodSeries {
-    let mut series = PeriodSeries::new(period);
-    for view in views {
-        for b in &view.builds {
-            if let (Some(result), Some(t)) = (b.result, b.finished_at) {
-                series.push(t, if result.is_success() { 1.0 } else { 0.0 });
-            }
-        }
-    }
-    series
+/// every finished build of every job (experiment E9's monthly series).
+pub fn success_series(jobs: &[FrozenJob], period: SimDuration) -> PeriodSeries {
+    ttt_ci::success_series(jobs.iter().map(|j| &j.history), period)
 }
 
 #[cfg(test)]
 mod tests {
-    use ttt_sim::SimTime;
     use super::*;
-    use ttt_ci::{BuildView, Cause};
+    use crate::fixtures::job;
 
-    fn bv(cell: Option<&str>, result: BuildResult, day: u64) -> BuildView {
-        BuildView {
-            number: 1,
-            cell: cell.map(String::from),
-            cause: Cause::Cron,
-            result: Some(result),
-            queued_at: SimTime::from_days(day),
-            finished_at: Some(SimTime::from_days(day)),
-            log: vec![],
-        }
-    }
-
-    fn views() -> Vec<JobView> {
+    fn jobs() -> Vec<FrozenJob> {
+        use BuildResult::{Failure, Success, Unstable};
         vec![
-            JobView {
-                name: "disk".into(),
-                builds: vec![
-                    bv(Some("cluster=grisou"), BuildResult::Success, 1),
-                    bv(Some("cluster=grisou"), BuildResult::Failure, 2),
-                    bv(Some("cluster=nova"), BuildResult::Success, 2),
+            job(
+                "disk",
+                &[
+                    (Some("cluster=grisou"), Some(Success), 1),
+                    (Some("cluster=grisou"), Some(Failure), 2),
+                    (Some("cluster=nova"), Some(Success), 2),
                 ],
-            },
-            JobView {
-                name: "kavlan".into(),
-                builds: vec![
-                    bv(Some("site=nancy"), BuildResult::Unstable, 1),
-                    bv(None, BuildResult::Success, 40),
+            ),
+            job(
+                "kavlan",
+                &[
+                    (Some("site=nancy"), Some(Unstable), 1),
+                    (None, Some(Success), 40),
                 ],
-            },
+            ),
         ]
     }
 
     #[test]
     fn grid_shape_and_cells() {
-        let g = StatusGrid::from_views(&views());
+        let g = StatusGrid::from_jobs(&jobs());
         assert_eq!(g.jobs, vec!["disk".to_string(), "kavlan".to_string()]);
         assert!(g.targets.contains(&"grisou".to_string()));
         assert!(g.targets.contains(&"nancy".to_string()));
@@ -251,7 +208,7 @@ mod tests {
 
     #[test]
     fn ratios_per_job_target_and_overall() {
-        let g = StatusGrid::from_views(&views());
+        let g = StatusGrid::from_jobs(&jobs());
         assert!((g.job_ratio("disk") - 2.0 / 3.0).abs() < 1e-12);
         assert!((g.target_ratio("grisou") - 0.5).abs() < 1e-12);
         assert!((g.overall_ratio() - 3.0 / 5.0).abs() < 1e-12);
@@ -260,7 +217,7 @@ mod tests {
 
     #[test]
     fn unstable_counts_as_not_success() {
-        let g = StatusGrid::from_views(&views());
+        let g = StatusGrid::from_jobs(&jobs());
         let cell = g.cell("kavlan", "nancy").unwrap();
         assert_eq!(cell.successes, 0);
         assert_eq!(cell.symbol(), '~');
@@ -268,7 +225,7 @@ mod tests {
 
     #[test]
     fn render_contains_rows_and_ratio() {
-        let g = StatusGrid::from_views(&views());
+        let g = StatusGrid::from_jobs(&jobs());
         let s = g.render();
         assert!(s.contains("disk"), "{s}");
         assert!(s.contains("kavlan"));
@@ -278,7 +235,7 @@ mod tests {
 
     #[test]
     fn success_series_buckets_by_period() {
-        let series = success_series(&views(), SimDuration::from_days(30));
+        let series = success_series(&jobs(), SimDuration::from_days(30));
         // Period 0: 4 builds (days 1-2), 2 successes → 0.5.
         let p = series.periods();
         assert_eq!(p[0].count(), 4);
@@ -290,17 +247,17 @@ mod tests {
 
     #[test]
     fn running_builds_are_ignored() {
-        let mut v = views();
-        v[0].builds.push(BuildView {
-            number: 9,
-            cell: Some("cluster=grisou".into()),
-            cause: Cause::Manual,
-            result: None,
-            queued_at: SimTime::from_days(3),
-            finished_at: None,
-            log: vec![],
-        });
-        let g = StatusGrid::from_views(&v);
+        use BuildResult::{Failure, Success};
+        let disk = job(
+            "disk",
+            &[
+                (Some("cluster=grisou"), Some(Success), 1),
+                (Some("cluster=grisou"), Some(Failure), 2),
+                (Some("cluster=grisou"), None, 3),
+            ],
+        );
+        assert_eq!(disk.history.len(), 3);
+        let g = StatusGrid::from_jobs(&[disk]);
         assert_eq!(g.cell("disk", "grisou").unwrap().total, 2);
     }
 }

@@ -7,66 +7,29 @@
 use crate::grid::StatusGrid;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use ttt_ci::JobView;
-use ttt_core::snapshot::CampaignSnapshot;
-use ttt_sim::{PeriodSeries, SimDuration, SimTime};
+use ttt_ci::{success_series, FrozenJob};
+use ttt_sim::SimDuration;
 
 /// Per-job success-rate history.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HistoryReport {
-    /// Period length used for bucketing.
+    /// Period length asked for (buckets are never shorter than a minute).
     pub period: SimDuration,
     /// Per-job series of `(period index, success fraction)`.
     pub per_job: BTreeMap<String, Vec<(usize, f64)>>,
 }
 
 impl HistoryReport {
-    /// Build per-job histories from CI views.
-    pub fn from_views(views: &[JobView], period: SimDuration) -> Self {
-        Self::bucket(
-            period,
-            views.iter().map(|v| {
-                let finished = v
-                    .builds
-                    .iter()
-                    .filter_map(|b| Some((b.result?.is_success(), b.finished_at?)));
-                (v.name.as_str(), finished)
-            }),
-        )
-    }
-
-    /// Build per-job histories from a published read-plane epoch, walking
-    /// its shared history in place. Bit-identical with
-    /// `ttt_core::snapshot::QueryEngine` job-trend answers against the
-    /// same epoch (both bucket through [`ttt_sim::PeriodSeries`]).
-    pub fn from_snapshot(snap: &CampaignSnapshot, period: SimDuration) -> Self {
-        Self::bucket(
-            period,
-            snap.jobs.iter().map(|j| {
-                let finished = j
-                    .history
-                    .iter()
-                    .filter_map(|b| Some((b.result?.is_success(), b.finished_at?)));
-                (&*j.name, finished)
-            }),
-        )
-    }
-
-    /// Bucket each job's finished builds, given as `(passed, finished_at)`
-    /// in creation order.
-    fn bucket<'a, B>(period: SimDuration, jobs: impl Iterator<Item = (&'a str, B)>) -> Self
-    where
-        B: Iterator<Item = (bool, SimTime)>,
-    {
+    /// Build per-job histories from the CI server's read API — every
+    /// job's history, frozen live or held by a read-plane epoch.
+    /// Bit-identical with `ttt_core::snapshot::QueryEngine` job-trend
+    /// answers against the same jobs (both run [`ttt_ci::success_series`]).
+    pub fn from_jobs(jobs: &[FrozenJob], period: SimDuration) -> Self {
         let mut per_job = BTreeMap::new();
-        for (name, finished) in jobs {
-            let mut series = PeriodSeries::new(period);
-            for (passed, t) in finished {
-                series.push(t, if passed { 1.0 } else { 0.0 });
-            }
-            let means = series.means();
+        for job in jobs {
+            let means = success_series([&job.history], period).means();
             if !means.is_empty() {
-                per_job.insert(name.to_string(), means);
+                per_job.insert(job.name.to_string(), means);
             }
         }
         HistoryReport { period, per_job }
@@ -142,37 +105,25 @@ pub fn worst_targets(grid: &StatusGrid, n: usize, min_builds: u64) -> Vec<(Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttt_ci::{BuildResult, BuildView, Cause};
-    use ttt_sim::SimTime;
+    use crate::fixtures::job;
+    use ttt_ci::BuildResult::{Failure, Success};
 
-    fn bv(cell: &str, result: BuildResult, day: u64) -> BuildView {
-        BuildView {
-            number: 1,
-            cell: Some(cell.into()),
-            cause: Cause::Cron,
-            result: Some(result),
-            queued_at: SimTime::from_days(day),
-            finished_at: Some(SimTime::from_days(day)),
-            log: vec![],
-        }
-    }
-
-    fn views() -> Vec<JobView> {
-        vec![JobView {
-            name: "disk".into(),
-            builds: vec![
+    fn jobs() -> Vec<FrozenJob> {
+        vec![job(
+            "disk",
+            &[
                 // Week 0: 1/2 success; week 1: 2/2.
-                bv("cluster=a", BuildResult::Failure, 1),
-                bv("cluster=a", BuildResult::Success, 2),
-                bv("cluster=a", BuildResult::Success, 8),
-                bv("cluster=b", BuildResult::Success, 9),
+                (Some("cluster=a"), Some(Failure), 1),
+                (Some("cluster=a"), Some(Success), 2),
+                (Some("cluster=a"), Some(Success), 8),
+                (Some("cluster=b"), Some(Success), 9),
             ],
-        }]
+        )]
     }
 
     #[test]
     fn history_buckets_and_trend() {
-        let h = HistoryReport::from_views(&views(), SimDuration::from_days(7));
+        let h = HistoryReport::from_jobs(&jobs(), SimDuration::from_days(7));
         let series = &h.per_job["disk"];
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 0.5).abs() < 1e-12);
@@ -184,13 +135,13 @@ mod tests {
     #[test]
     fn sparkline_shape() {
         assert_eq!(sparkline([0.0, 0.5, 1.0].into_iter()), "▁▅█");
-        let h = HistoryReport::from_views(&views(), SimDuration::from_days(7));
+        let h = HistoryReport::from_jobs(&jobs(), SimDuration::from_days(7));
         assert_eq!(h.sparkline("disk").unwrap().chars().count(), 2);
     }
 
     #[test]
     fn render_contains_all_jobs() {
-        let h = HistoryReport::from_views(&views(), SimDuration::from_days(7));
+        let h = HistoryReport::from_jobs(&jobs(), SimDuration::from_days(7));
         let s = h.render();
         assert!(s.contains("disk"));
         assert!(s.contains('→'));
@@ -198,7 +149,7 @@ mod tests {
 
     #[test]
     fn worst_targets_orders_ascending() {
-        let grid = StatusGrid::from_views(&views());
+        let grid = StatusGrid::from_jobs(&jobs());
         let worst = worst_targets(&grid, 5, 1);
         assert_eq!(worst[0].0, "a"); // 2/3 success
         assert!((worst[0].1 - 2.0 / 3.0).abs() < 1e-12);

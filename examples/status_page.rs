@@ -1,8 +1,9 @@
 //! Experiment E6 (slides 18–19): the status page.
 //!
 //! Runs a short campaign on the paper-scale testbed and renders the
-//! external status page from the CI server's REST views: per-test ×
-//! per-target weather grid, per-site rollups, and the success-rate series.
+//! external status page from the CI server's read API (the job histories
+//! a published epoch holds): per-test × per-target weather grid, per-site
+//! rollups, and the success-rate series.
 //!
 //! Run with: `cargo run --release --example status_page [seed]`
 
@@ -26,7 +27,7 @@ fn main() {
     campaign.run_until(SimTime::from_days(10));
 
     let snap = hub.latest().expect("campaign published snapshots");
-    let grid = StatusGrid::from_snapshot(&snap);
+    let grid = StatusGrid::from_jobs(&snap.jobs);
     println!("== weather grid (tests × targets), slide 19 ==\n");
     println!("{}", grid.render());
 
@@ -41,17 +42,17 @@ fn main() {
         .iter()
         .map(|t| (t, grid.target_ratio(t)))
         .collect();
-    targets.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+    targets.sort_by(|a, b| a.1.total_cmp(&b.1));
     for (target, ratio) in targets.iter().take(12) {
         println!("  {:<15} {:>5.1}%", target, ratio * 100.0);
     }
 
     println!("\n== historical perspective (slide 18 requirement 3) ==");
-    let series = success_series(&snap.job_views(), SimDuration::from_days(1));
+    let series = success_series(&snap.jobs, SimDuration::from_days(1));
     for (day, mean) in series.means() {
         println!("  day {:>2}: {:>5.1}%", day + 1, mean * 100.0);
     }
 
     println!("\n== service processes (daemon liveness + chaos ledger) ==");
-    println!("{}", ServicesPanel::from_snapshot(&snap).render());
+    println!("{}", ServicesPanel::new(snap.services.clone()).render());
 }

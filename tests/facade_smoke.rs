@@ -75,8 +75,8 @@ fn every_reexport_is_reachable() {
     // bugs: an empty tracker has filed nothing.
     assert_eq!(throughout::bugs::BugTracker::new().filed(), 0);
 
-    // status: a grid over no job views holds no cells.
-    let grid = throughout::status::StatusGrid::from_views(&[]);
+    // status: a grid over no jobs holds no cells.
+    let grid = throughout::status::StatusGrid::from_jobs(&[]);
     assert!(grid.cell("environments", "grisou").is_none());
 
     // core: the paper scenario config targets the paper testbed.

@@ -18,12 +18,12 @@ fn campaign_preserves_testbed_invariants() {
 fn ci_history_agrees_with_campaign_metrics() {
     let mut c = Campaign::new(CampaignConfig::small(101));
     c.run();
-    let views = c.ci_views();
-    let finished: u64 = views
-        .iter()
-        .flat_map(|v| &v.builds)
-        .filter(|b| b.result.is_some())
-        .count() as u64;
+    let finished: u64 = c
+        .ci()
+        .all_history()
+        .values()
+        .map(|history| history.finished().count() as u64)
+        .sum();
     let m = c.metrics();
     // Every completed test and every unstable build is a finished CI build.
     assert_eq!(finished, m.tests_run + m.unstable_builds);
@@ -37,7 +37,7 @@ fn status_grid_matches_success_ratio() {
     // The grid is a read-plane consumer now: render from the final
     // published epoch, which samples exactly at the campaign's end.
     let snap = hub.latest().expect("armed campaign publishes snapshots");
-    let grid = StatusGrid::from_snapshot(&snap);
+    let grid = StatusGrid::from_jobs(&snap.jobs);
     let m = c.metrics();
     // The grid counts unstable builds too; both ratios must land in the
     // same ballpark and the grid can never exceed the test-only ratio.
@@ -127,10 +127,10 @@ fn naive_mode_holds_executors_longer() {
 }
 
 #[test]
-fn success_series_from_views_is_populated() {
+fn success_series_from_live_histories_is_populated() {
     let mut c = Campaign::new(CampaignConfig::small(107));
     c.run_until(SimTime::from_days(7));
-    let series = success_series(&c.ci_views(), SimDuration::from_days(1));
+    let series = success_series(&c.ci().freeze_history(), SimDuration::from_days(1));
     assert!(!series.means().is_empty());
     for (_, mean) in series.means() {
         assert!((0.0..=1.0).contains(&mean));

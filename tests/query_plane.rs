@@ -18,12 +18,16 @@
 //!    write plane's business; what it *says* is not. The snapshot fold
 //!    and the inline query statistics of three campaigns are constants
 //!    recorded before epochs started sharing their sections.
+//! 4. **No query panics** — `Query` is outside input (it deserialises):
+//!    whatever strings and integers it carries, answering it against any
+//!    epoch returns, and returns the same answer twice.
 
 use proptest::prelude::*;
-use throughout::core::snapshot::{Query, QueryAnswer, QueryEngine, ServiceLiveness};
-use throughout::ci::JobView;
+use std::sync::{Arc, OnceLock};
 use throughout::core::scenario::{grid_of_grids_scenario, multi_site_scenario};
-use throughout::core::snapshot::QueryStats;
+use throughout::core::snapshot::{
+    CampaignSnapshot, Query, QueryAnswer, QueryEngine, QueryStats, ServiceLiveness,
+};
 use throughout::core::{Campaign, CampaignConfig, Engine};
 use throughout::scengen::CampaignDigest;
 use throughout::sim::{SimDuration, SimTime};
@@ -131,12 +135,87 @@ fn snapshot_and_answer_folds_are_pinned() {
     );
 }
 
+/// The first and the last epoch of one armed `small` campaign.
+fn first_and_last_epoch() -> &'static [Arc<CampaignSnapshot>; 2] {
+    static EPOCHS: OnceLock<[Arc<CampaignSnapshot>; 2]> = OnceLock::new();
+    EPOCHS.get_or_init(|| {
+        let mut c = Campaign::new(armed(2017));
+        let hub = c.snapshot_hub().expect("armed config builds a hub");
+        c.run_until(SimTime::from_hours(1));
+        let first = hub.latest().expect("an epoch per hour");
+        c.run();
+        [first, hub.latest().expect("an epoch per hour")]
+    })
+}
+
+/// A string an outside caller might send: empty, one the epoch knows
+/// (a job, site, target, property key or value), or arbitrary text.
+fn text(draw: u64, snap: &CampaignSnapshot) -> String {
+    let known = || {
+        let jobs = snap.jobs.iter().map(|j| j.name.to_string());
+        let sites = snap.queues.iter().map(|q| q.site.to_string());
+        let words = ["global", "gpu", "site", "cluster", "YES", "NO"].map(String::from);
+        jobs.chain(sites).chain(words).collect::<Vec<_>>()
+    };
+    match draw % 4 {
+        0 => String::new(),
+        1 | 2 => {
+            let known = known();
+            known[(draw / 4) as usize % known.len()].clone()
+        }
+        _ => draw
+            .to_le_bytes()
+            .iter()
+            .map(|&b| char::from_u32(u32::from(b) * 257).unwrap_or('\u{fffd}'))
+            .collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// `Query` derives `Deserialize`, so every field is outside input: all
+    /// six variants, with empty, known and unknown strings and full-range
+    /// integers (a zero period, one whose nanoseconds wrap to zero in a
+    /// `u64`, `u64::MAX`), against a nearly empty and a full epoch, must
+    /// return — and return the same answer when asked again.
+    #[test]
+    fn no_query_panics_and_answers_are_pure(
+        draws in prop::collection::vec(
+            (0u8..6, 0u64..=u64::MAX, 0u64..=u64::MAX, 0u32..=u32::MAX),
+            32,
+        ),
+    ) {
+        for snap in first_and_last_epoch() {
+            for &(kind, a, b, node) in &draws {
+                let q = match kind {
+                    0 => Query::StatusCell { job: text(a, snap), target: text(b, snap) },
+                    1 => Query::JobTrend {
+                        job: text(a, snap),
+                        period_mins: [0, 1 << 54, u64::MAX, 307_445_735, b][(b % 5) as usize],
+                    },
+                    2 => Query::NodeFilter { key: text(a, snap), value: text(b, snap) },
+                    3 => Query::MetricsWindow { node },
+                    4 => Query::QueueDepth { site: text(a, snap) },
+                    _ => Query::ServiceCensus,
+                };
+                let answer = QueryEngine::answer(snap, &q);
+                prop_assert_eq!(&answer, &QueryEngine::answer(snap, &q), "{:?}", q);
+                // Any period longer than the epoch's age is one bucket.
+                if let (Query::JobTrend { period_mins, .. }, QueryAnswer::Trend { first, last }) =
+                    (&q, &answer)
+                {
+                    if *period_mins > snap.at.as_secs() / 60 {
+                        prop_assert_eq!(first, last, "{:?}", q);
+                    }
+                }
+            }
+        }
+    }
+
     /// Stop an armed campaign at an arbitrary sample instant and compare
     /// the last published epoch against the live campaign, field by
-    /// field: CI histories and views, status grid, queue depths and spillovers,
+    /// field: CI histories, status grid, queue depths and spillovers,
     /// service liveness rows, description version, and every per-node
     /// power window. Then cross-check the query engine: answers against
     /// the snapshot must equal the live state the snapshot mirrors.
@@ -156,21 +235,18 @@ proptest! {
         prop_assert_eq!(snap.epoch, hub.published());
 
         // CI histories build by build (every field of every build, in
-        // registration and creation order), the REST views rendered from
-        // them, and the grid.
-        let live_views = c.ci_views();
-        prop_assert_eq!(snap.jobs.len(), live_views.len());
-        for (frozen, view) in snap.jobs.iter().zip(&live_views) {
-            prop_assert_eq!(&*frozen.name, view.name.as_str());
-            let live = c.ci().history(&frozen.name);
+        // registration and creation order), and the grid over them.
+        let live_names = c.ci().job_names_in_order();
+        prop_assert_eq!(snap.jobs.len(), live_names.len());
+        for (frozen, name) in snap.jobs.iter().zip(live_names) {
+            prop_assert_eq!(&frozen.name, name);
+            let live = c.ci().history(name);
             prop_assert_eq!(frozen.history.len(), live.len());
-            prop_assert!(frozen.history.iter().eq(live.iter()), "job {}", &frozen.name);
-            prop_assert_eq!(&JobView::from_history(&frozen.name, &frozen.history), view);
+            prop_assert!(frozen.history.iter().eq(live.iter()), "job {}", name);
         }
-        prop_assert_eq!(&snap.job_views(), &live_views);
         prop_assert_eq!(
-            StatusGrid::from_snapshot(&snap),
-            StatusGrid::from_views(&live_views)
+            StatusGrid::from_jobs(&snap.jobs),
+            StatusGrid::from_jobs(&c.ci().freeze_history())
         );
 
         // Queues: depth and spillovers per site, in domain order.
@@ -183,7 +259,7 @@ proptest! {
         }
 
         // Service liveness rows.
-        prop_assert_eq!(&snap.services[..], &ServiceLiveness::rows_from_testbed(c.testbed())[..]);
+        prop_assert_eq!(&snap.services, &ServiceLiveness::rows_from_testbed(c.testbed()));
 
         // Reference API: version via the immutable accessor.
         prop_assert_eq!(snap.description_version, c.refapi().latest().map(|d| d.version));
