@@ -1,18 +1,18 @@
 //! The campaign orchestrator: everything wired together over virtual time.
 //!
-//! Two drivers advance the campaign (see [`Engine`]): the default
-//! next-event engine computes the earliest due instant across every
-//! subsystem — test completions, naive-cron due dates, rollout phases,
-//! scheduler re-examination times, fault/user-load arrivals, operator and
-//! metric cadences, OAR job starts/ends and planning-horizon entries — and
-//! jumps straight to it (snapped to the decision grid), while the legacy
-//! lockstep engine processes every grid tick. Both run the same per-instant
-//! step in the same phase order, every stochastic stream draws at the same
+//! [`Campaign::run`] is a next-event driver: it computes the earliest due
+//! instant across every subsystem — test completions, naive-cron due
+//! dates, rollout phases, scheduler re-examination times, fault/user-load
+//! arrivals, operator and metric cadences, OAR job starts/ends and
+//! planning-horizon entries — and jumps straight to it, snapped to the
+//! decision grid. The lockstep reference driver in [`crate::reference`]
+//! visits every grid tick instead. Both run the same per-instant step in
+//! the same phase order, every stochastic stream draws at the same
 //! instants, and all suite-wide work is gated on due events, so the two
-//! engines produce bit-identical campaigns (guarded by the
-//! `engine_equivalence` integration suite).
+//! produce bit-identical campaigns (guarded by the `engine_equivalence`
+//! integration suite).
 
-use crate::config::{CampaignConfig, Engine, SchedulingMode, TestbedScale};
+use crate::config::{CampaignConfig, SchedulingMode, TestbedScale};
 use crate::matching::find_fault;
 use crate::metrics::CampaignMetrics;
 use crate::snapshot::{Publisher, QueryStats, SnapshotHub};
@@ -57,7 +57,7 @@ struct BlockedWork {
 /// plus the quiet jump-to-horizon case. The mix of winning reasons is a
 /// behavioral fingerprint of a campaign (which subsystems actually drove
 /// its timeline), read by the coverage-guided fuzzer. Only the next-event
-/// engine populates it; lockstep never computes wakes.
+/// driver populates it; the lockstep reference never computes wakes.
 pub const WAKE_REASONS: [&str; 15] = [
     "dirty-nodes",
     "free-executor",
@@ -78,7 +78,7 @@ pub const WAKE_REASONS: [&str; 15] = [
 
 /// The whole system, advancing in lockstep over virtual time.
 pub struct Campaign {
-    cfg: CampaignConfig,
+    pub(crate) cfg: CampaignConfig,
     tb: Testbed,
     refapi: RefApi,
     /// Per-site scheduling domains: each site runs its own OAR server and
@@ -359,9 +359,10 @@ impl Campaign {
     }
 
     /// Winning wake-reason counts, `(label, count)` with zero entries
-    /// skipped. Empty for lockstep runs (that engine never computes
-    /// wakes), so this is *not* an engine-equivalence observable — it is
-    /// the coverage fuzzer's view of which subsystems drove the timeline.
+    /// skipped. Empty for lockstep reference runs (that driver never
+    /// computes wakes), so this is *not* an engine-equivalence observable —
+    /// it is the coverage fuzzer's view of which subsystems drove the
+    /// timeline.
     pub fn wake_reasons(&self) -> Vec<(&'static str, u64)> {
         WAKE_REASONS
             .iter()
@@ -414,47 +415,37 @@ impl Campaign {
 
     /// Advance the campaign to `until` (idempotent if already past).
     ///
-    /// The lockstep engine walks the decision grid one tick at a time; the
-    /// next-event engine asks every subsystem for its earliest due instant
-    /// and jumps to it (snapped up to the same grid), skipping the quiet
-    /// ticks entirely. Both process identical instants whenever anything is
-    /// due, so campaigns are bit-identical across engines.
+    /// Asks every subsystem for its earliest due instant and jumps to it
+    /// (snapped up to the decision grid), skipping the quiet ticks the
+    /// lockstep reference walks one by one. Both process identical
+    /// instants whenever anything is due, so the campaigns are
+    /// bit-identical.
     pub fn run_until(&mut self, until: SimTime) {
-        match self.cfg.engine {
-            Engine::Lockstep => {
-                while self.now < until {
-                    let t = (self.now + self.cfg.tick).min(until);
-                    self.step_to(t);
+        // The grid is anchored where this call starts, exactly like the
+        // lockstep `now + k*tick` sequence.
+        let anchor = self.now;
+        let tick = self.cfg.tick.as_nanos().max(1);
+        while self.now < until {
+            // The smallest grid instant > now: any wake at or before it
+            // snaps there, so `next_wake` may stop scanning subsystems as
+            // soon as one is due that soon.
+            let next_grid = {
+                let off = (self.now.as_nanos() + 1).saturating_sub(anchor.as_nanos());
+                let k = off.div_ceil(tick);
+                anchor + SimDuration::from_nanos(k.saturating_mul(tick))
+            };
+            let t = match self.next_wake(next_grid) {
+                Some(wake) => {
+                    // Smallest grid instant that is > now and ≥ wake.
+                    let wake = wake.max(self.now + SimDuration::from_nanos(1));
+                    let off = wake.as_nanos().saturating_sub(anchor.as_nanos());
+                    let k = off.div_ceil(tick);
+                    (anchor + SimDuration::from_nanos(k.saturating_mul(tick))).min(until)
                 }
-            }
-            Engine::NextEvent => {
-                // The grid is anchored where this call starts, exactly like
-                // the lockstep `now + k*tick` sequence.
-                let anchor = self.now;
-                let tick = self.cfg.tick.as_nanos().max(1);
-                while self.now < until {
-                    // The smallest grid instant > now: any wake at or
-                    // before it snaps there, so `next_wake` may stop
-                    // scanning subsystems as soon as one is due that soon.
-                    let next_grid = {
-                        let off = (self.now.as_nanos() + 1).saturating_sub(anchor.as_nanos());
-                        let k = off.div_ceil(tick);
-                        anchor + SimDuration::from_nanos(k.saturating_mul(tick))
-                    };
-                    let t = match self.next_wake(next_grid) {
-                        Some(wake) => {
-                            // Smallest grid instant that is > now and ≥ wake.
-                            let wake = wake.max(self.now + SimDuration::from_nanos(1));
-                            let off = wake.as_nanos().saturating_sub(anchor.as_nanos());
-                            let k = off.div_ceil(tick);
-                            (anchor + SimDuration::from_nanos(k.saturating_mul(tick))).min(until)
-                        }
-                        // Nothing pending anywhere: jump to the end.
-                        None => until,
-                    };
-                    self.step_to(t);
-                }
-            }
+                // Nothing pending anywhere: jump to the end.
+                None => until,
+            };
+            self.step_to(t);
         }
     }
 
@@ -514,14 +505,14 @@ impl Campaign {
         //
         // Testbed alive-state changed since the last sync (operator
         // repairs land between syncs): reconcile on the very next grid
-        // instant, exactly when the lockstep engine would.
+        // instant, exactly when the lockstep reference would.
         merge!((!self.tb.alive_dirty().is_empty())
             .then(|| self.now + SimDuration::from_nanos(1)));
         // A free executor with builds still queued: `start_work` can finish
         // a build immediately (unstable — no testbed resources), freeing
         // its executor after the step's assignment pass already ran. The
-        // lockstep engine picks the next queued build up on the very next
-        // grid instant; wake then so this engine does too.
+        // lockstep reference picks the next queued build up on the very
+        // next grid instant; wake then so this driver does too.
         merge!((self.ci.queue_len() > 0
             && self.ci.busy_executors() < self.ci.executor_count())
             .then(|| self.now + SimDuration::from_nanos(1)));
@@ -560,7 +551,9 @@ impl Campaign {
         wake
     }
 
-    fn step_to(&mut self, t: SimTime) {
+    /// Process the grid instant `t`: the one per-instant step both drivers
+    /// share.
+    pub(crate) fn step_to(&mut self, t: SimTime) {
         self.now = t;
         // 1. Users compete for the testbed, across all sites.
         self.userload
@@ -1012,7 +1005,7 @@ impl Campaign {
     }
 
     /// Final pass: derive latency statistics from OAR and CI histories.
-    fn finalize(&mut self) {
+    pub(crate) fn finalize(&mut self) {
         for (_, job) in self.fed.all_jobs() {
             if job.kind == OarJobKind::User {
                 if let Some(w) = job.waiting_time() {

@@ -19,23 +19,6 @@ pub enum TestbedScale {
     Custom(Vec<ClusterSpec>),
 }
 
-/// How the campaign advances over virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Next-event time advance (the default): the driver computes the
-    /// earliest due instant across test completions, scheduler due dates,
-    /// arrival processes, rollout phases and metric deadlines, and jumps
-    /// straight to it — quiet hours cost O(log n), not thousands of full
-    /// scans. Decisions still happen on the `tick` grid, so results are
-    /// identical to lockstep.
-    #[default]
-    NextEvent,
-    /// Legacy fixed-tick lockstep: process every tick whether or not
-    /// anything is due. Kept for the tick-vs-event equivalence suite and
-    /// as a benchmark baseline.
-    Lockstep,
-}
-
 /// How test launches are decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingMode {
@@ -117,11 +100,10 @@ pub struct CampaignConfig {
     /// Virtual duration of the campaign.
     pub duration: SimDuration,
     /// Decision-loop cadence: the time grid on which decisions are made.
-    /// The lockstep engine processes every grid instant; the next-event
-    /// engine only the grid instants where something is due.
+    /// [`Campaign::run`](crate::Campaign::run) visits only the grid
+    /// instants where something is due; the lockstep reference driver
+    /// visits every one.
     pub tick: SimDuration,
-    /// Which time-advance engine drives the campaign.
-    pub engine: Engine,
     /// How often the operator model runs (bug fixing happens at these
     /// instants, aligned to the decision grid).
     pub operator_cadence: SimDuration,
@@ -182,7 +164,6 @@ impl CampaignConfig {
             scale: TestbedScale::Small,
             duration: SimDuration::from_days(10),
             tick: SimDuration::from_mins(15),
-            engine: Engine::NextEvent,
             operator_cadence: SimDuration::from_hours(1),
             sample_cadence: SimDuration::from_hours(1),
             executors: 4,

@@ -31,11 +31,12 @@ pub mod campaign;
 pub mod config;
 pub mod matching;
 pub mod metrics;
+pub mod reference;
 pub mod scenario;
 pub mod snapshot;
 
 pub use campaign::Campaign;
-pub use config::{CampaignConfig, Engine, Rollout, SchedulingMode, TestbedScale};
+pub use config::{CampaignConfig, Rollout, SchedulingMode, TestbedScale};
 pub use metrics::CampaignMetrics;
 pub use snapshot::{
     fold_answer, fold_snapshot, random_query, CampaignSnapshot, Query, QueryAnswer, QueryEngine,

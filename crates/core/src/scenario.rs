@@ -1,6 +1,6 @@
 //! Scenario presets for the paper's experiments.
 
-use crate::config::{CampaignConfig, Engine, Rollout, SchedulingMode, TestbedScale};
+use crate::config::{CampaignConfig, Rollout, SchedulingMode, TestbedScale};
 use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
 use ttt_sim::SimDuration;
@@ -17,7 +17,6 @@ pub fn paper_scenario(seed: u64) -> CampaignConfig {
         scale: TestbedScale::Paper,
         duration: SimDuration::from_days(180),
         tick: SimDuration::from_mins(15),
-        engine: Engine::NextEvent,
         operator_cadence: SimDuration::from_hours(1),
         sample_cadence: SimDuration::from_hours(1),
         executors: 16,
@@ -51,7 +50,6 @@ pub fn scheduling_scenario(seed: u64, mode: SchedulingMode) -> CampaignConfig {
         scale: TestbedScale::Paper,
         duration: SimDuration::from_days(30),
         tick: SimDuration::from_mins(15),
-        engine: Engine::NextEvent,
         operator_cadence: SimDuration::from_hours(1),
         sample_cadence: SimDuration::from_hours(1),
         executors: 16,

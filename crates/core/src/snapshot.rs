@@ -312,8 +312,8 @@ impl SnapshotHub {
 pub struct QueryStats {
     /// Total simulated query arrivals (the full daily volume).
     pub issued: u64,
-    /// Queries concretely answered inline (bounded per epoch; the rayon
-    /// reader bench is where full volumes run).
+    /// Queries concretely answered inline (bounded per epoch; the
+    /// ledger's `read_plane` reader is where full volumes run).
     pub executed: u64,
     /// Running fold of every executed answer, bit-exact across engines.
     pub answer_fold: u64,

@@ -47,8 +47,6 @@ pub enum FileKind {
     Test,
     /// Under `examples/`.
     Example,
-    /// Under `benches/`.
-    Bench,
 }
 
 /// One source file to lint.
@@ -58,7 +56,7 @@ pub struct SourceFile {
     pub path: String,
     /// Cargo package name (`ttt_oar`).
     pub crate_name: String,
-    /// Library, test, example or bench code.
+    /// Library, test or example code.
     pub kind: FileKind,
     /// File contents.
     pub text: String,
@@ -118,14 +116,13 @@ impl Workspace {
     }
 }
 
-/// Load one Cargo package's `src/`, `tests/`, `examples/`, `benches/`.
+/// Load one Cargo package's `src/`, `tests/`, `examples/`.
 fn load_package(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> io::Result<()> {
     let crate_name = package_name(&dir.join("Cargo.toml"))?;
     for (sub, kind) in [
         ("src", FileKind::Lib),
         ("tests", FileKind::Test),
         ("examples", FileKind::Example),
-        ("benches", FileKind::Bench),
     ] {
         let sub_dir = dir.join(sub);
         if !sub_dir.is_dir() {

@@ -3,7 +3,7 @@
 //! Rules never see raw source: every pattern match runs against the
 //! blanked [`code view`](crate::lexer::code_view), so text inside
 //! comments and string literals can never fire a rule. Each rule is
-//! scoped — by file kind (library, test, example, bench), by crate
+//! scoped — by file kind (library, test, example), by crate
 //! tier (digest-adjacent or not) and by `#[cfg(test)]` span — and each
 //! firing can be silenced in place with
 //!
@@ -290,10 +290,9 @@ pub fn find_pattern(view: &str, pat: &str) -> Vec<usize> {
 }
 
 /// The digest-adjacent tier: every crate whose behavior feeds the
-/// campaign digests. Only the bench harness and detlint itself are
-/// outside it.
+/// campaign digests. Only detlint itself is outside it.
 pub fn digest_adjacent(crate_name: &str) -> bool {
-    crate_name != "ttt_bench" && crate_name != "ttt_detlint"
+    crate_name != "ttt_detlint"
 }
 
 struct PatternRule {

@@ -98,10 +98,10 @@ fn unordered_iteration_fires_in_digest_adjacent_lib() {
 }
 
 #[test]
-fn unordered_iteration_exempt_in_bench_crate_and_tests() {
-    let bench = file(
-        "crates/bench/src/lib.rs",
-        "ttt_bench",
+fn unordered_iteration_exempt_in_detlint_and_tests() {
+    let detlint = file(
+        "crates/detlint/src/lib.rs",
+        "ttt_detlint",
         FileKind::Lib,
         "use std::collections::HashMap;\n#![forbid(unsafe_code)]\n",
     );
@@ -111,7 +111,7 @@ fn unordered_iteration_exempt_in_bench_crate_and_tests() {
         FileKind::Test,
         "use std::collections::HashSet;\n",
     );
-    assert_eq!(rules_fired(&[bench, test]), vec![]);
+    assert_eq!(rules_fired(&[detlint, test]), vec![]);
 }
 
 #[test]

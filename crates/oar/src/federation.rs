@@ -435,7 +435,7 @@ impl Federation {
     /// keeping the booking path identical to a direct `OarServer::submit`
     /// is what the engine-equivalence and conservation oracles lean on.
     /// The duplicated planning pass is the accepted price of placement
-    /// (gated by the `campaign/multi_site/one_day` bench criterion).
+    /// (it shows in the ledger's `oar.federation.submit.us.*` rows).
     pub fn submit(
         &mut self,
         user: &str,

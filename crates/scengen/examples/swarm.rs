@@ -1,5 +1,5 @@
 //! Swarm CLI: sweep a block of seeds through the scenario grammar and the
-//! differential oracles, rayon-parallel — run the coverage-guided fuzzer
+//! differential oracles, in parallel — run the coverage-guided fuzzer
 //! over an evolving corpus — or run hand-written `scenario.v1` files.
 //!
 //! ```text
@@ -42,7 +42,7 @@
 //! Scenario-file mode validates each file (every problem reported with
 //! its JSON path) and runs the valid ones through the same oracles as the
 //! sweep (`--max-tests` and the `--no-*` switches apply). `--log-dir DIR`
-//! writes a replayable run-log artifact — the scenario, engine, digest,
+//! writes a replayable run-log artifact — the scenario, digest,
 //! structured event log — per scenario run and per
 //! shrunken reproducer (`trophy-seed-<N>-runlog.json`); `--replay-log`
 //! re-drives such an artifact and fails unless the digest and observable
@@ -52,8 +52,15 @@ use std::path::PathBuf;
 use std::time::Instant;
 use ttt_scengen::{
     load_scenario_file, replay_run_log_file, run_fuzz, run_logged, run_scenario, run_swarm,
-    run_swarm_service_chaos, seed_block, Corpus, FuzzConfig, Oracles, ScenarioOutcome,
+    run_swarm_service_chaos, seed_block, worker_count, Corpus, FuzzConfig, Oracles,
+    ScenarioOutcome,
 };
+
+/// A command-line usage error: one line on stderr, exit 2.
+fn usage_error(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
 
 /// Write a serialized artifact; a serialization failure and an I/O
 /// failure both come back as the message to print.
@@ -102,7 +109,7 @@ fn write_reproducers(outcomes: &[&ScenarioOutcome], dump_dir: Option<&str>, log_
             if let Some(dir) = log_dir {
                 // The replayable record of the minimized scenario: CI
                 // re-drives it with --replay-log and diffs bitwise.
-                let artifact = run_logged(&r.spec, ttt_core::Engine::NextEvent);
+                let artifact = run_logged(&r.spec);
                 write_run_log(dir, &format!("trophy-seed-{}", o.seed), &artifact);
             }
         }
@@ -146,7 +153,7 @@ fn run_scenario_files(files: &[PathBuf], oracles: &Oracles, log_dir: Option<&str
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "scenario".to_string());
-            let artifact = run_logged(&spec, ttt_core::Engine::NextEvent);
+            let artifact = run_logged(&spec);
             write_run_log(dir, &stem, &artifact);
         }
     }
@@ -230,10 +237,13 @@ fn main() {
     while let Some(arg) = args.next() {
         let mut raw = |name: &str| {
             args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .unwrap_or_else(|| usage_error(format!("{name} needs a value")))
         };
-        let mut value =
-            |name: &str| raw(name).parse::<u64>().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut value = |name: &str| {
+            let v = raw(name);
+            v.parse::<u64>()
+                .unwrap_or_else(|e| usage_error(format!("{name} {v}: {e}")))
+        };
         match arg.as_str() {
             "--seeds" => n = value("--seeds") as usize,
             "--base" => base = value("--base"),
@@ -254,10 +264,7 @@ fn main() {
             "--root-seed" => fuzz_cfg.root_seed = value("--root-seed"),
             "--oracles" => fuzz_oracles = true,
             "--corpus" => corpus_path = Some(raw("--corpus")),
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown argument {other}")),
         }
     }
 
@@ -332,13 +339,13 @@ fn main() {
     let seeds = seed_block(base, n);
     println!(
         "swarm: {n} scenarios (seeds {base}..{}){}, {} workers",
-        base + n as u64,
+        base.wrapping_add(n as u64),
         if service_chaos {
             " [service chaos: process kills + degraded RPC + buggify]"
         } else {
             ""
         },
-        rayon::current_num_threads()
+        worker_count()
     );
     // detlint: allow(no-wall-clock) -- operator-facing timing, not simulation state
     let started = Instant::now();

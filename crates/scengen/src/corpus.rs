@@ -126,11 +126,10 @@ mod tests {
     use super::*;
     use crate::coverage::CoverageSignature;
     use crate::oracle::{run_campaign, CampaignDigest};
-    use ttt_core::Engine;
 
     fn entry_for(seed: u64) -> (ScenarioSpec, CoverageSignature) {
         let spec = ScenarioSpec::from_seed(seed);
-        let digest = CampaignDigest::capture(&run_campaign(&spec, Engine::NextEvent));
+        let digest = CampaignDigest::capture(&run_campaign(&spec));
         let sig = CoverageSignature::capture(&spec, &digest);
         (spec, sig)
     }

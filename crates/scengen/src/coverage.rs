@@ -230,11 +230,10 @@ impl StructuralCell {
 mod tests {
     use super::*;
     use crate::oracle::run_campaign;
-    use ttt_core::Engine;
 
     fn signature_of_seed(seed: u64) -> CoverageSignature {
         let spec = ScenarioSpec::from_seed(seed);
-        let digest = CampaignDigest::capture(&run_campaign(&spec, Engine::NextEvent));
+        let digest = CampaignDigest::capture(&run_campaign(&spec));
         CoverageSignature::capture(&spec, &digest)
     }
 
@@ -305,7 +304,7 @@ mod tests {
         assert_eq!(wide.site_count(), 300);
         // The site axis comes from the spec alone, so one cheap digest
         // (from the small base scenario) serves both signatures.
-        let digest = CampaignDigest::capture(&run_campaign(&ScenarioSpec::from_seed(1), Engine::NextEvent));
+        let digest = CampaignDigest::capture(&run_campaign(&ScenarioSpec::from_seed(1)));
         let sig_300 = CoverageSignature::capture(&wide, &digest);
         let sig_256 = CoverageSignature::capture(&mk(256), &digest);
         assert_eq!(sig_300.sites, 300);
@@ -317,7 +316,7 @@ mod tests {
     #[test]
     fn structural_axes_come_from_the_spec() {
         let spec = ScenarioSpec::from_seed(6);
-        let digest = CampaignDigest::capture(&run_campaign(&spec, Engine::NextEvent));
+        let digest = CampaignDigest::capture(&run_campaign(&spec));
         let sig = CoverageSignature::capture(&spec, &digest);
         assert_eq!(sig.sites as usize, spec.site_count());
         let mode = match spec.mode {

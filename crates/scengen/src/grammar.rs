@@ -4,11 +4,11 @@
 //! testbed topology (cluster count, size, heterogeneity), fault mix over
 //! every [`FaultKind`], user-load and rollout patterns, scheduling mode,
 //! tick grid and horizon — and a spec lowers into a runnable
-//! [`CampaignConfig`] for either engine. On disk a spec is a `scenario.v1`
-//! document and nothing else (see [`crate::scenario_file`]).
+//! [`CampaignConfig`]. On disk a spec is a `scenario.v1` document and
+//! nothing else (see [`crate::scenario_file`]).
 //!
 //! The dimension bounds are deliberately small: the swarm re-runs every
-//! scenario under both engines, so a scenario must stay in the
+//! scenario under the lockstep reference, so a scenario must stay in the
 //! "lockstep is affordable" regime (≤ 48 nodes, ≤ 10 days, tick ≥ 10 min).
 //! Every bound and file default is declared once, here: the scalar axes in
 //! [`SCALAR_AXES`], the structural ones as constants beside it.
@@ -16,7 +16,7 @@
 use rand::Rng;
 use std::fmt;
 use std::ops::RangeInclusive;
-use ttt_core::{CampaignConfig, Engine, Rollout, SchedulingMode, TestbedScale};
+use ttt_core::{CampaignConfig, Rollout, SchedulingMode, TestbedScale};
 use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
 use ttt_sim::rng::stream_rng;
@@ -426,14 +426,13 @@ impl ScenarioSpec {
         }
     }
 
-    /// Lower the spec into a runnable campaign configuration for `engine`.
-    pub fn campaign_config(&self, engine: Engine) -> CampaignConfig {
+    /// Lower the spec into a runnable campaign configuration.
+    pub fn campaign_config(&self) -> CampaignConfig {
         CampaignConfig {
             seed: self.seed,
             scale: TestbedScale::Custom(self.clusters.clone()),
             duration: self.duration(),
             tick: SimDuration::from_mins(self.tick_mins),
-            engine,
             operator_cadence: SimDuration::from_hours(self.operator_cadence_hours),
             sample_cadence: SimDuration::from_hours(self.sample_cadence_hours),
             executors: self.executors,
@@ -512,7 +511,7 @@ mod tests {
     #[test]
     fn lowering_honours_the_spec() {
         let spec = ScenarioSpec::from_seed(11);
-        let cfg = spec.campaign_config(Engine::NextEvent);
+        let cfg = spec.campaign_config();
         assert_eq!(cfg.seed, 11);
         assert_eq!(cfg.duration, spec.duration());
         assert_eq!(cfg.executors, spec.executors);

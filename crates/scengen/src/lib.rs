@@ -9,8 +9,7 @@
 //! * [`grammar`] — any `u64` seed expands deterministically into a
 //!   [`ScenarioSpec`]: testbed topology, fault mix over the whole
 //!   catalogue, user load, rollout pattern, scheduling mode, tick grid and
-//!   horizon. Specs lower to [`ttt_core`] campaign configurations for
-//!   either engine.
+//!   horizon. Specs lower to [`ttt_core`] campaign configurations.
 //! * [`scenario_file`] — the `scenario.v1` format, the only on-disk
 //!   encoding of a spec: hand-written files, reproducers, and the spec
 //!   embedded in every corpus entry and run log.
@@ -19,7 +18,7 @@
 //!   faults resolve back through `find_fault`; every mixed-in kind is
 //!   detectable by its owning family), and conservation (node, reservation
 //!   and metric accounting).
-//! * [`swarm`] — executes N seeds rayon-parallel and aggregates outcomes;
+//! * [`swarm`] — executes N seeds in parallel and aggregates outcomes;
 //!   a panicking scenario is caught per seed, never costing the sweep.
 //! * [`shrink`] — failing scenarios are minimized (horizon bisection,
 //!   fault-mix pruning, noise zeroing, looped to a fixpoint) into a
@@ -55,8 +54,8 @@ pub use grammar::{ModeDim, RolloutDim, ScenarioSpec};
 pub use mutate::{mutate, pin_to_cell, sanitize, Mutator};
 pub use oracle::{CampaignDigest, OracleKind, Violation, KNOWN_COVERAGE_GAPS};
 pub use runlog::{
-    engine_name, parse_engine, replay_run_log, replay_run_log_file, run_logged, ReplayError,
-    ReplayErrorKind, RunLogArtifact, RunLogReplay, RUN_LOG_VERSION,
+    replay_run_log, replay_run_log_file, run_logged, ReplayError, ReplayErrorKind, RunLogArtifact,
+    RunLogReplay, RUN_LOG_VERSION,
 };
 pub use scenario_file::{
     load_scenario_file, parse_scenario, to_scenario_json, to_scenario_value, ScenarioFileError,
@@ -64,7 +63,7 @@ pub use scenario_file::{
 };
 pub use shrink::{replay, shrink, Reproducer};
 pub use swarm::{
-    random_coverage, run_fuzz, run_scenario, run_seed, run_seed_service_chaos, run_swarm,
-    run_swarm_service_chaos, seed_block, FuzzConfig, FuzzReport, Oracles, ScenarioOutcome,
-    ScenarioRun, SwarmReport,
+    par_map, random_coverage, run_fuzz, run_scenario, run_seed, run_seed_service_chaos, run_swarm,
+    run_swarm_service_chaos, seed_block, worker_count, FuzzConfig, FuzzReport, Oracles,
+    ScenarioOutcome, ScenarioRun, SwarmReport,
 };

@@ -2,10 +2,11 @@
 //!
 //! Three properties must hold for any point of the scenario grammar:
 //!
-//! 1. **Engine equivalence** — the next-event and lockstep engines produce
-//!    bit-identical campaigns ([`CampaignDigest`] captures every observable
-//!    with floats taken bitwise). This generalises the hand-written
-//!    `engine_equivalence` suite from three scenarios to the whole grammar.
+//! 1. **Engine equivalence** — the next-event driver and the lockstep
+//!    reference produce bit-identical campaigns ([`CampaignDigest`]
+//!    captures every observable with floats taken bitwise). This
+//!    generalises the hand-written `engine_equivalence` suite from three
+//!    scenarios to the whole grammar.
 //! 2. **Detection soundness** — every fault still active when the campaign
 //!    ends resolves back through [`find_fault`] from its canonical
 //!    diagnostic signature, and every fault kind in the scenario's mix is
@@ -20,7 +21,7 @@ use crate::grammar::ScenarioSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use ttt_core::matching::find_fault;
-use ttt_core::{Campaign, Engine};
+use ttt_core::Campaign;
 use ttt_sim::SimTime;
 use ttt_suite::testutil::Harness;
 use ttt_suite::{Family, Target, TestConfig};
@@ -287,19 +288,26 @@ impl CampaignDigest {
     }
 }
 
-/// Run one engine over a spec to completion.
-pub fn run_campaign(spec: &ScenarioSpec, engine: Engine) -> Campaign {
-    let mut c = Campaign::new(spec.campaign_config(engine));
+/// Run a spec to completion.
+pub fn run_campaign(spec: &ScenarioSpec) -> Campaign {
+    let mut c = Campaign::new(spec.campaign_config());
     c.run();
     c
 }
 
-/// Oracle 1: both engines must agree bit-for-bit on `spec` — compared
+/// Run a spec to completion under the lockstep reference driver.
+pub fn run_reference(spec: &ScenarioSpec) -> Campaign {
+    let mut c = Campaign::new(spec.campaign_config());
+    c.run_lockstep();
+    c
+}
+
+/// Oracle 1: both drivers must agree bit-for-bit on `spec` — compared
 /// via [`CampaignDigest::diff`], which covers every observable except the
-/// engine-private wake-reason mix. The caller supplies the next-event
+/// driver-private wake-reason mix. The caller supplies the next-event
 /// digest; this runs the Lockstep reference and diffs it against that.
 pub fn check_engine_equivalence(spec: &ScenarioSpec, next_event: &CampaignDigest) -> Option<Violation> {
-    let lockstep = CampaignDigest::capture(&run_campaign(spec, Engine::Lockstep));
+    let lockstep = CampaignDigest::capture(&run_reference(spec));
     let diverging = lockstep.diff(next_event);
     (!diverging.is_empty()).then(|| Violation {
         oracle: OracleKind::EngineEquivalence,

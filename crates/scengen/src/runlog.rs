@@ -1,8 +1,8 @@
-//! Replayable per-run artifacts: scenario, engine, digest, event log.
+//! Replayable per-run artifacts: scenario, digest, event log.
 //!
 //! A run log is everything one campaign run leaves behind — the exact
-//! [`ScenarioSpec`] it lowered, which engine drove it, the bitwise
-//! [`CampaignDigest`] it produced, and the structured
+//! [`ScenarioSpec`] it lowered, the bitwise [`CampaignDigest`] it
+//! produced, and the structured
 //! [`EventLog`](ttt_sim::EventLog) of what happened along the way (fault
 //! arrivals and repairs, RPC outcomes, job lifecycle, wake reasons,
 //! digest checkpoints). [`run_logged`] produces one; [`replay_run_log`]
@@ -20,11 +20,11 @@ use crate::oracle::CampaignDigest;
 use crate::scenario_file::envelope_version;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use ttt_core::{Campaign, Engine};
+use ttt_core::Campaign;
 use ttt_sim::EventLog;
 
 /// Format version of run-log artifacts — the only one this build reads.
-pub const RUN_LOG_VERSION: u32 = 2;
+pub const RUN_LOG_VERSION: u32 = 3;
 
 /// Why a run log could not be replayed — and, when it came off disk,
 /// *which file* it was.
@@ -81,31 +81,11 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Stable on-disk name of each engine (the `Engine` enum is not part of
-/// any serialization surface, so the artifact carries a string).
-pub fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::NextEvent => "next-event",
-        Engine::Lockstep => "lockstep",
-    }
-}
-
-/// Inverse of [`engine_name`].
-pub fn parse_engine(name: &str) -> Option<Engine> {
-    match name {
-        "next-event" => Some(Engine::NextEvent),
-        "lockstep" => Some(Engine::Lockstep),
-        _ => None,
-    }
-}
-
 /// One run's replayable record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunLogArtifact {
     /// Artifact format version ([`RUN_LOG_VERSION`]).
     pub version: u32,
-    /// Which engine drove the run (see [`engine_name`]).
-    pub engine: String,
     /// The exact spec the run lowered.
     pub spec: ScenarioSpec,
     /// The digest the run produced, floats bitwise.
@@ -139,10 +119,10 @@ impl RunLogArtifact {
     }
 }
 
-/// Run `spec` under `engine` with event recording on, and package the
-/// result as a replayable artifact.
-pub fn run_logged(spec: &ScenarioSpec, engine: Engine) -> RunLogArtifact {
-    let mut campaign = Campaign::new(spec.campaign_config(engine));
+/// Run `spec` with event recording on, and package the result as a
+/// replayable artifact.
+pub fn run_logged(spec: &ScenarioSpec) -> RunLogArtifact {
+    let mut campaign = Campaign::new(spec.campaign_config());
     campaign.record_events();
     campaign.run();
     let events = campaign
@@ -150,7 +130,6 @@ pub fn run_logged(spec: &ScenarioSpec, engine: Engine) -> RunLogArtifact {
         .expect("recording was enabled before the run");
     RunLogArtifact {
         version: RUN_LOG_VERSION,
-        engine: engine_name(engine).to_string(),
         spec: spec.clone(),
         digest: CampaignDigest::capture(&campaign),
         events,
@@ -163,10 +142,10 @@ pub fn run_logged(spec: &ScenarioSpec, engine: Engine) -> RunLogArtifact {
 pub struct RunLogReplay {
     /// Digest fields that diverged (empty on a faithful replay; the
     /// field names come from [`CampaignDigest::diff`], which excludes the
-    /// engine-private wake-reason mix).
+    /// driver-private wake-reason mix).
     pub digest_diff: Vec<&'static str>,
     /// Whether the observable event streams (everything but `Wake`, which
-    /// only the next-event engine emits) match exactly.
+    /// the lockstep reference never emits) match exactly.
     pub events_match: bool,
     /// The digest the replay produced.
     pub digest: CampaignDigest,
@@ -182,20 +161,15 @@ impl RunLogReplay {
 }
 
 /// Re-drive the campaign recorded in `artifact` and bitwise-diff the
-/// result against it. An unknown engine name is a [`ReplayError`] — it
-/// means the artifact came from a build with another engine set (a newer
-/// one, or one that still had `parallel-site`), not that the run diverged.
-pub fn replay_run_log(artifact: &RunLogArtifact) -> Result<RunLogReplay, ReplayError> {
-    let engine = parse_engine(&artifact.engine).ok_or_else(|| {
-        ReplayError::parse(format!("unknown engine {:?} in run log", artifact.engine))
-    })?;
-    let fresh = run_logged(&artifact.spec, engine);
-    Ok(RunLogReplay {
+/// result against it.
+pub fn replay_run_log(artifact: &RunLogArtifact) -> RunLogReplay {
+    let fresh = run_logged(&artifact.spec);
+    RunLogReplay {
         digest_diff: fresh.digest.diff(&artifact.digest),
         events_match: fresh.events.observably_equal(&artifact.events),
         digest: fresh.digest,
         events: fresh.events,
-    })
+    }
 }
 
 /// [`replay_run_log`] from a file on disk, every failure attributed to
@@ -205,7 +179,7 @@ pub fn replay_run_log_file(path: &std::path::Path) -> Result<RunLogReplay, Repla
     let json = std::fs::read_to_string(path)
         .map_err(|e| ReplayError::parse(format!("cannot read file: {e}")).with_path(&shown))?;
     let artifact = RunLogArtifact::from_json(&json).map_err(|e| e.with_path(&shown))?;
-    replay_run_log(&artifact).map_err(|e| e.with_path(&shown))
+    Ok(replay_run_log(&artifact))
 }
 
 #[cfg(test)]
@@ -218,8 +192,8 @@ mod tests {
         // The event log is observational: a recorded run must produce the
         // same digest, bit for bit, as a silent run of the same spec.
         let spec = ScenarioSpec::from_seed(5);
-        let silent = CampaignDigest::capture(&run_campaign(&spec, Engine::NextEvent));
-        let logged = run_logged(&spec, Engine::NextEvent);
+        let silent = CampaignDigest::capture(&run_campaign(&spec));
+        let logged = run_logged(&spec);
         assert_eq!(logged.digest.diff(&silent), Vec::<&str>::new());
         assert!(!logged.events.is_empty(), "a campaign run must leave events");
     }
@@ -227,11 +201,11 @@ mod tests {
     #[test]
     fn run_log_roundtrips_and_replays_identically() {
         let spec = ScenarioSpec::from_seed(8);
-        let artifact = run_logged(&spec, Engine::NextEvent);
+        let artifact = run_logged(&spec);
         let json = artifact.to_json().unwrap();
         let back = RunLogArtifact::from_json(&json).unwrap();
         assert_eq!(back, artifact);
-        let replay = replay_run_log(&back).unwrap();
+        let replay = replay_run_log(&back);
         assert!(
             replay.is_identical(),
             "replay diverged: digest fields {:?}, events_match {}",
@@ -241,24 +215,18 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_replays_its_own_log() {
-        let spec = ScenarioSpec::from_seed(2);
-        for engine in [Engine::NextEvent, Engine::Lockstep] {
-            let artifact = run_logged(&spec, engine);
-            let replay = replay_run_log(&artifact).unwrap();
-            assert!(replay.is_identical(), "{} replay diverged", artifact.engine);
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_the_observable_event_stream() {
-        // Wake events are engine-private; everything else is part of the
-        // campaign's observable behaviour and must match across engines.
+    fn reference_driver_agrees_on_the_observable_event_stream() {
+        // Wake events are private to the next-event driver; everything
+        // else is the campaign's observable behaviour and must match the
+        // lockstep reference.
         let spec = ScenarioSpec::from_seed(4);
-        let next_event = run_logged(&spec, Engine::NextEvent);
-        let lockstep = run_logged(&spec, Engine::Lockstep);
+        let next_event = run_logged(&spec);
+        let mut reference = Campaign::new(spec.campaign_config());
+        reference.record_events();
+        reference.run_lockstep();
+        let lockstep = reference.take_event_log().expect("recording was enabled");
         assert!(
-            next_event.events.observably_equal(&lockstep.events),
+            next_event.events.observably_equal(&lockstep),
             "lockstep event stream diverges from next-event"
         );
     }
@@ -272,22 +240,18 @@ mod tests {
             }) => {}
             other => panic!("expected version error, got {other:?}"),
         }
-        // The previous revision's envelope (derived-struct spec) is
+        // The previous revision's envelope (it named an engine) is
         // reported with its version, never parsed.
-        match RunLogArtifact::from_json("{\"version\": 1, \"spec\": {\"seed\": 1}}") {
-            Err(e) if e.kind == (ReplayErrorKind::Version { found: 1 }) => {
-                assert!(e.to_string().contains("version 1"));
+        match RunLogArtifact::from_json("{\"version\": 2, \"engine\": \"lockstep\"}") {
+            Err(e) if e.kind == (ReplayErrorKind::Version { found: 2 }) => {
+                assert_eq!(
+                    e.to_string(),
+                    "run log version 2 incompatible with this build (reads v3)"
+                );
             }
             other => panic!("expected version error, got {other:?}"),
         }
         assert!(RunLogArtifact::from_json("not json").is_err());
-        assert!(RunLogArtifact::from_json("{\"engine\": \"next-event\"}").is_err());
-
-        let mut artifact = run_logged(&ScenarioSpec::from_seed(3), Engine::NextEvent);
-        // A typo, and the name of an engine this crate no longer has.
-        for unknown in ["quantum", "parallel-site"] {
-            artifact.engine = unknown.to_string();
-            assert!(replay_run_log(&artifact).is_err(), "{unknown} replayed");
-        }
+        assert!(RunLogArtifact::from_json("{\"spec\": {}}").is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! The swarm runner and the coverage-guided fuzz driver.
 //!
-//! [`run_swarm`] sweeps a fixed seed block rayon-parallel through the
+//! [`run_swarm`] sweeps a fixed seed block in parallel through the
 //! differential oracles; failures are shrunk to minimal reproducers. A
 //! panicking scenario is caught per seed and reported as a
 //! [`OracleKind::Panicked`] violation — one poisoned campaign never costs
@@ -10,9 +10,9 @@
 //! block, it evolves a [`Corpus`] of coverage-novel specs. Each round it
 //! sequentially derives a batch of mutants from corpus parents (one RNG,
 //! one order — fully deterministic from the root seed), evaluates the
-//! batch rayon-parallel, then merges results back in batch order. The
-//! merge being sequential and order-preserving makes the whole loop
-//! reproducible across runs *and* across worker counts.
+//! batch in parallel ([`par_map`]), then merges results back in batch
+//! order. The merge being sequential and order-preserving makes the whole
+//! loop reproducible across runs *and* across worker counts.
 
 use crate::corpus::Corpus;
 use crate::coverage::{CoverageSignature, StructuralCell};
@@ -25,10 +25,58 @@ use crate::oracle::{
 };
 use crate::shrink::{shrink, Reproducer};
 use rand::Rng;
-use rayon::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use ttt_core::Engine;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use ttt_sim::rng::stream_rng;
+
+/// How many workers [`par_map`] fans out to: `TTT_WORKERS` when it parses
+/// to a positive count, otherwise the host's available parallelism. Read
+/// per call, so a test can vary it at run time.
+pub fn worker_count() -> usize {
+    std::env::var("TTT_WORKERS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Map `f` over `items` on [`worker_count`] scoped threads and return the
+/// results in input order. A panic in `f` is re-raised on the caller once
+/// every worker has stopped.
+pub fn par_map<I: Sync, O: Send>(items: &[I], f: impl Fn(&I) -> O + Sync) -> Vec<O> {
+    par_map_width(worker_count(), items, f)
+}
+
+fn par_map_width<I: Sync, O: Send>(
+    width: usize,
+    items: &[I],
+    f: impl Fn(&I) -> O + Sync,
+) -> Vec<O> {
+    // Relaxed: the counter only hands out indices; `items` was fully
+    // written before the scope spawned and results come back through join.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break done };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done: Vec<(usize, O)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..width.clamp(1, items.len().max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        // On a panic the scope joins the remaining workers before this
+        // unwinds out.
+        workers
+            .into_iter()
+            .flat_map(|handle| handle.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
 
 /// Which oracles a swarm (or a shrink probe) checks.
 #[derive(Debug, Clone)]
@@ -147,7 +195,7 @@ fn run_scenario_unguarded(spec: &ScenarioSpec, oracles: &Oracles) -> ScenarioRun
     if oracles.panic_on_seed == Some(spec.seed) {
         panic!("deliberate swarm self-test panic (campaign seed {})", spec.seed);
     }
-    let campaign = run_campaign(spec, Engine::NextEvent);
+    let campaign = run_campaign(spec);
     let digest = CampaignDigest::capture(&campaign);
     let mut violations = Vec::new();
     if oracles.equivalence {
@@ -220,13 +268,11 @@ pub fn run_seed(seed: u64, oracles: &Oracles, shrink_failures: bool) -> Scenario
     }
 }
 
-/// Run `seeds` rayon-parallel through the oracle suite.
+/// Run `seeds` in parallel through the oracle suite.
 pub fn run_swarm(seeds: &[u64], oracles: &Oracles, shrink_failures: bool) -> SwarmReport {
-    let outcomes: Vec<ScenarioOutcome> = seeds
-        .par_iter()
-        .map(|&seed| run_seed(seed, oracles, shrink_failures))
-        .collect();
-    SwarmReport { outcomes }
+    SwarmReport {
+        outcomes: par_map(seeds, |&seed| run_seed(seed, oracles, shrink_failures)),
+    }
 }
 
 /// Expand one seed and pin it into a service-chaos cell (round-robin over
@@ -269,16 +315,18 @@ pub fn run_swarm_service_chaos(
     oracles: &Oracles,
     shrink_failures: bool,
 ) -> SwarmReport {
-    let outcomes: Vec<ScenarioOutcome> = seeds
-        .par_iter()
-        .map(|&seed| run_seed_service_chaos(seed, oracles, shrink_failures))
-        .collect();
-    SwarmReport { outcomes }
+    SwarmReport {
+        outcomes: par_map(seeds, |&seed| {
+            run_seed_service_chaos(seed, oracles, shrink_failures)
+        }),
+    }
 }
 
-/// The conventional seed block `base..base+n` a swarm sweeps.
+/// The conventional seed block a swarm sweeps: `n` consecutive seeds from
+/// `base`. Seeds are a ring, so a block that reaches `u64::MAX` continues
+/// at 0.
 pub fn seed_block(base: u64, n: usize) -> Vec<u64> {
-    (0..n as u64).map(|i| base + i).collect()
+    (0..n as u64).map(|i| base.wrapping_add(i)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -352,7 +400,7 @@ impl FuzzReport {
 /// Evolve `corpus` under `cfg`: derive mutants from coverage-novel
 /// parents, evaluate them in parallel batches, keep whatever reaches a new
 /// signature. Deterministic from `cfg.root_seed` and the starting corpus —
-/// across runs and across rayon worker counts (candidate derivation and
+/// across runs and across worker counts (candidate derivation and
 /// corpus merging are sequential; the parallel evaluation preserves batch
 /// order and touches no shared state).
 pub fn run_fuzz(cfg: &FuzzConfig, mut corpus: Corpus) -> FuzzReport {
@@ -403,10 +451,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut corpus: Corpus) -> FuzzReport {
             .collect();
 
         // Parallel evaluation (order-preserving, no shared state).
-        let runs: Vec<ScenarioRun> = candidates
-            .par_iter()
-            .map(|spec| run_scenario(spec, &cfg.oracles))
-            .collect();
+        let runs = par_map(&candidates, |spec| run_scenario(spec, &cfg.oracles));
 
         // Sequential merge, in batch order.
         for (spec, run) in candidates.into_iter().zip(runs) {
@@ -447,16 +492,13 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut corpus: Corpus) -> FuzzReport {
 /// The random baseline the fuzzer is judged against: sweep `seeds` through
 /// coverage capture only (no oracles) and return the corpus a pure-random
 /// search of that budget reaches, plus its coverage curve. Evaluations run
-/// rayon-parallel; the curve is folded in seed order.
+/// in parallel; the curve is folded in seed order.
 pub fn random_coverage(seeds: &[u64]) -> (Corpus, Vec<usize>) {
-    let runs: Vec<(ScenarioSpec, ScenarioRun)> = seeds
-        .par_iter()
-        .map(|&seed| {
-            let spec = ScenarioSpec::from_seed(seed);
-            let run = run_scenario(&spec, &Oracles::none());
-            (spec, run)
-        })
-        .collect();
+    let runs = par_map(seeds, |&seed| {
+        let spec = ScenarioSpec::from_seed(seed);
+        let run = run_scenario(&spec, &Oracles::none());
+        (spec, run)
+    });
     let mut corpus = Corpus::new();
     let mut curve = Vec::with_capacity(seeds.len());
     for (spec, run) in runs {
@@ -467,4 +509,47 @@ pub fn random_coverage(seeds: &[u64]) -> (Corpus, Vec<usize>) {
         curve.push(corpus.len());
     }
     (corpus, curve)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn par_map_equals_the_sequential_map_at_any_width() {
+        for len in [0usize, 1, 7, 100] {
+            let items: Vec<u64> = (0..len as u64).collect();
+            let expected: Vec<u64> = items.iter().map(|x| x * 7 + 1).collect();
+            for width in [1, 3, 16, len + 5] {
+                assert_eq!(
+                    par_map_width(width, &items, |x| x * 7 + 1),
+                    expected,
+                    "len {len}, width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_propagates_a_panicking_item() {
+        let items: Vec<u64> = (0..100).collect();
+        for width in [1, 3, 16] {
+            let caught = catch_unwind(|| {
+                par_map_width(width, &items, |&x| {
+                    if x == 41 {
+                        panic!("item {x} failed");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("the item's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), "item 41 failed");
+        }
+    }
+
+    #[test]
+    fn seed_block_wraps_at_the_end_of_the_ring() {
+        assert_eq!(seed_block(u64::MAX, 2), [u64::MAX, 0]);
+        assert_eq!(seed_block(5, 3), [5, 6, 7]);
+    }
 }

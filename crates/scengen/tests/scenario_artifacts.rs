@@ -2,29 +2,25 @@
 //!
 //! The acceptance spine of the scenario pipeline: a hand-written
 //! `scenario.v1` file and a shrunken reproducer (which is one too) must
-//! both re-run from their on-disk form to the same [`CampaignDigest`] on
-//! every engine, and
-//! the scenario-file layer must never panic or lose precision — checked
+//! both re-run from their on-disk form to the same [`CampaignDigest`]
+//! under the next-event driver and the lockstep reference, and the
+//! scenario-file layer must never panic or lose precision — checked
 //! here both on the checked-in examples and property-style across the
 //! grammar.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use ttt_core::Engine;
+use ttt_scengen::oracle::{run_campaign, run_reference};
 use ttt_scengen::{
     load_scenario_file, parse_scenario, pin_to_cell, run_logged, sanitize, shrink,
     to_scenario_json, CampaignDigest, Oracles, ScenarioSpec, StructuralCell,
 };
 use ttt_sim::rng::stream_rng;
 
-fn digest(spec: &ScenarioSpec, engine: Engine) -> CampaignDigest {
-    CampaignDigest::capture(&ttt_scengen::oracle::run_campaign(spec, engine))
-}
-
-/// Both engines agree on `spec`, and return the shared digest.
+/// The lockstep reference agrees on `spec`; return the shared digest.
 fn digest_all_engines(spec: &ScenarioSpec) -> CampaignDigest {
-    let next_event = digest(spec, Engine::NextEvent);
-    let lockstep = digest(spec, Engine::Lockstep);
+    let next_event = CampaignDigest::capture(&run_campaign(spec));
+    let lockstep = CampaignDigest::capture(&run_reference(spec));
     assert_eq!(
         lockstep.diff(&next_event),
         Vec::<&str>::new(),
@@ -90,11 +86,11 @@ fn reproducer_dumps_reproduce_identically_on_every_engine() {
 }
 
 /// Run-log artifacts close the loop too: the embedded spec re-drives to
-/// the embedded digest on the embedded engine.
+/// the embedded digest.
 #[test]
 fn run_log_artifacts_reproduce_from_disk() {
     let spec = ScenarioSpec::from_seed(23);
-    let artifact = run_logged(&spec, Engine::NextEvent);
+    let artifact = run_logged(&spec);
 
     let dir = std::env::temp_dir().join("ttt-runlog-artifacts-test");
     std::fs::create_dir_all(&dir).unwrap();

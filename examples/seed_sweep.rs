@@ -1,15 +1,16 @@
 //! Monte-Carlo sweep of the longitudinal scenario across seeds, run in
-//! parallel with Rayon (campaigns are fully independent by construction —
-//! every stochastic stream derives from the campaign seed).
+//! parallel (campaigns are fully independent by construction — every
+//! stochastic stream derives from the campaign seed). `TTT_WORKERS` sets
+//! the width.
 //!
 //! Quantifies the run-to-run variability behind EXPERIMENTS.md's E8/E9
 //! claims: bugs filed/fixed and the final success rate.
 //!
 //! Run with: `cargo run --release --example seed_sweep [n_seeds] [days]`
 
-use rayon::prelude::*;
 use throughout::core::scenario::paper_scenario;
 use throughout::core::Campaign;
+use throughout::scengen::{par_map, seed_block, worker_count};
 use throughout::sim::{OnlineStats, SimDuration};
 
 struct Outcome {
@@ -21,7 +22,7 @@ struct Outcome {
 }
 
 fn main() {
-    let n_seeds: u64 = std::env::args()
+    let n_seeds: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(8);
@@ -30,29 +31,25 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(180);
 
-    println!("sweeping {n_seeds} seeds × {days} days in parallel on {} threads...", rayon::current_num_threads());
-    let outcomes: Vec<Outcome> = (0..n_seeds)
-        .into_par_iter()
-        .map(|i| {
-            let seed = 2017 + i;
-            let mut cfg = paper_scenario(seed);
-            cfg.duration = SimDuration::from_days(days);
-            let mut c = Campaign::new(cfg);
-            c.run();
-            let months = c.metrics().monthly_success_percent();
-            let full: Vec<&(usize, f64)> = months
-                .iter()
-                .filter(|(m, _)| c.metrics().monthly_success.periods()[*m].count() >= 100)
-                .collect();
-            Outcome {
-                seed,
-                filed: c.tracker().filed(),
-                fixed: c.tracker().fixed(),
-                first_month_pct: full.first().map(|(_, p)| *p).unwrap_or(0.0),
-                final_month_pct: full.last().map(|(_, p)| *p).unwrap_or(0.0),
-            }
-        })
-        .collect();
+    println!("sweeping {n_seeds} seeds × {days} days in parallel on {} threads...", worker_count());
+    let outcomes = par_map(&seed_block(2017, n_seeds), |&seed| {
+        let mut cfg = paper_scenario(seed);
+        cfg.duration = SimDuration::from_days(days);
+        let mut c = Campaign::new(cfg);
+        c.run();
+        let months = c.metrics().monthly_success_percent();
+        let full: Vec<&(usize, f64)> = months
+            .iter()
+            .filter(|(m, _)| c.metrics().monthly_success.periods()[*m].count() >= 100)
+            .collect();
+        Outcome {
+            seed,
+            filed: c.tracker().filed(),
+            fixed: c.tracker().fixed(),
+            first_month_pct: full.first().map(|(_, p)| *p).unwrap_or(0.0),
+            final_month_pct: full.last().map(|(_, p)| *p).unwrap_or(0.0),
+        }
+    });
 
     println!("\n{:>6} {:>7} {:>7} {:>12} {:>12}", "seed", "filed", "fixed", "month-1", "final month");
     let mut filed = OnlineStats::new();

@@ -1,38 +1,38 @@
-//! Engine equivalence: the next-event engine must produce bit-identical
-//! campaigns to the reference lockstep engine — same seeds, same metrics,
-//! same tracker counts, same scheduler decisions. NextEvent earns this by
-//! processing exactly the grid instants where something is due.
+//! Engine equivalence: the next-event driver (`Campaign::run`) must
+//! produce bit-identical campaigns to the lockstep reference
+//! (`Campaign::run_lockstep`) — same seeds, same metrics, same tracker
+//! counts, same scheduler decisions. It earns this by processing exactly
+//! the grid instants where something is due.
 //!
 //! The observable state is captured by `scengen`'s [`CampaignDigest`]
 //! (floats taken bitwise, so "identical" means identical); the scenario
 //! swarm (`tests/scenario_swarm.rs`) extends the same check from these
 //! hand-written scenarios to the whole generated grammar.
 
-use throughout::core::{Campaign, CampaignConfig, Engine, Rollout, SchedulingMode};
+use throughout::core::{Campaign, CampaignConfig, Rollout, SchedulingMode};
 use throughout::scengen::CampaignDigest;
 use throughout::sim::{SimDuration, SimTime};
 use throughout::suite::Family;
 
-fn run(mut cfg: CampaignConfig, engine: Engine) -> CampaignDigest {
-    cfg.engine = engine;
+fn run(cfg: CampaignConfig, drive: fn(&mut Campaign)) -> CampaignDigest {
     let mut c = Campaign::new(cfg);
-    c.run();
+    drive(&mut c);
     CampaignDigest::capture(&c)
 }
 
 /// Equivalence is judged by [`CampaignDigest::diff`]: every observable
-/// except the wake-reason mix, which only the event-driven engine
+/// except the wake-reason mix, which only the next-event driver
 /// produces.
 fn assert_equivalent(reference: &CampaignDigest, other: &CampaignDigest, label: &str) {
     let diverging = other.diff(reference);
     assert!(diverging.is_empty(), "{label} diverged on {diverging:?}");
 }
 
-/// Run both engines on `cfg` and require bit-identity. Returns the
+/// Run both drivers on `cfg` and require bit-identity. Returns the
 /// next-event digest for extra scenario-specific assertions.
 fn assert_engines_agree(cfg: CampaignConfig, label: &str) -> CampaignDigest {
-    let event = run(cfg.clone(), Engine::NextEvent);
-    let lockstep = run(cfg, Engine::Lockstep);
+    let event = run(cfg.clone(), Campaign::run);
+    let lockstep = run(cfg, Campaign::run_lockstep);
     assert_equivalent(&event, &lockstep, &format!("{label}: Lockstep"));
     event
 }
@@ -60,7 +60,7 @@ fn small_naive_mode_identical_across_engines() {
 
 #[test]
 fn paper_scale_scheduling_scenario_identical_across_engines() {
-    // The bench workload, shortened: paper-scale 8-site testbed, external
+    // The scheduling scenario, shortened: paper-scale 8-site testbed, external
     // scheduler, heavy user load.
     for seed in [7, 42] {
         let mut cfg =
@@ -137,11 +137,10 @@ fn armed_query_plane_identical_across_engines() {
         cfg.queries_per_day = 50_000.0;
         cfg.query_users = 100_000;
         let mut folds = Vec::new();
-        for engine in [Engine::NextEvent, Engine::Lockstep] {
-            let mut c = cfg.clone();
-            c.engine = engine;
-            let mut campaign = Campaign::new(c);
-            campaign.run();
+        let drivers: [fn(&mut Campaign); 2] = [Campaign::run, Campaign::run_lockstep];
+        for drive in drivers {
+            let mut campaign = Campaign::new(cfg.clone());
+            drive(&mut campaign);
             let hub = campaign
                 .snapshot_hub()
                 .expect("armed campaign has a snapshot hub");
@@ -159,7 +158,7 @@ fn armed_query_plane_identical_across_engines() {
 
 #[test]
 fn digest_diff_names_the_diverging_fields() {
-    let a = run(CampaignConfig::small(7), Engine::NextEvent);
+    let a = run(CampaignConfig::small(7), Campaign::run);
     let mut b = a.clone();
     assert!(a.diff(&b).is_empty());
     b.tests_run += 1;
@@ -169,17 +168,22 @@ fn digest_diff_names_the_diverging_fields() {
 
 #[test]
 fn partial_advance_matches_single_run() {
-    // Driving the event engine in several run_until legs lands on the same
-    // grid and the same outcome as one shot.
+    // Driving either driver in several legs lands on the same grid and
+    // the same outcome as one shot.
     let cfg = CampaignConfig::small(5);
     let mut a = Campaign::new(cfg.clone());
     a.run();
-    let mut b = Campaign::new(cfg);
+    let mut b = Campaign::new(cfg.clone());
+    let mut c = Campaign::new(cfg);
     for day in [2u64, 5, 7] {
         b.run_until(SimTime::from_days(day));
+        c.run_lockstep_until(SimTime::from_days(day));
     }
     b.run();
-    assert_eq!(a.metrics().tests_run, b.metrics().tests_run);
-    assert_eq!(a.tracker().filed(), b.tracker().filed());
-    assert_eq!(a.tracker().fixed(), b.tracker().fixed());
+    c.run_lockstep();
+    for legs in [&b, &c] {
+        assert_eq!(a.metrics().tests_run, legs.metrics().tests_run);
+        assert_eq!(a.tracker().filed(), legs.tracker().filed());
+        assert_eq!(a.tracker().fixed(), legs.tracker().fixed());
+    }
 }

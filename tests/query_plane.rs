@@ -28,16 +28,15 @@ use throughout::core::scenario::{grid_of_grids_scenario, multi_site_scenario};
 use throughout::core::snapshot::{
     CampaignSnapshot, Query, QueryAnswer, QueryEngine, QueryStats, ServiceLiveness,
 };
-use throughout::core::{Campaign, CampaignConfig, Engine};
+use throughout::core::{Campaign, CampaignConfig};
 use throughout::scengen::CampaignDigest;
 use throughout::sim::{SimDuration, SimTime};
 use throughout::status::StatusGrid;
 use throughout::testbed::NodeId;
 
-fn digest(mut cfg: CampaignConfig, engine: Engine) -> CampaignDigest {
-    cfg.engine = engine;
+fn digest(cfg: CampaignConfig, drive: fn(&mut Campaign)) -> CampaignDigest {
     let mut c = Campaign::new(cfg);
-    c.run();
+    drive(&mut c);
     CampaignDigest::capture(&c)
 }
 
@@ -56,8 +55,8 @@ fn armed(seed: u64) -> CampaignConfig {
 #[test]
 fn query_plane_on_off_is_digest_neutral_across_32_seeds() {
     for seed in 1..=32 {
-        let reference = digest(CampaignConfig::small(seed), Engine::NextEvent);
-        let on = digest(armed(seed), Engine::NextEvent);
+        let reference = digest(CampaignConfig::small(seed), Campaign::run);
+        let on = digest(armed(seed), Campaign::run);
         let diverging = on.diff(&reference);
         assert!(
             diverging.is_empty(),
@@ -76,16 +75,17 @@ fn query_plane_is_digest_neutral_under_chaos() {
     for seed in [5, 77] {
         let mut off = CampaignConfig::small(seed);
         off.buggify_rate = 0.10;
-        let reference = digest(off.clone(), Engine::NextEvent);
+        let reference = digest(off.clone(), Campaign::run);
         let mut on = off;
         on.queries_per_day = 50_000.0;
         on.query_users = 1_000_000;
-        for engine in [Engine::NextEvent, Engine::Lockstep] {
-            let armed = digest(on.clone(), engine);
+        let next_event = digest(on.clone(), Campaign::run);
+        let lockstep = digest(on.clone(), Campaign::run_lockstep);
+        for (driver, armed) in [("next-event", next_event), ("lockstep", lockstep)] {
             let diverging = armed.diff(&reference);
             assert!(
                 diverging.is_empty(),
-                "seed {seed} {engine:?}: armed chaos run moved {diverging:?}"
+                "seed {seed} {driver}: armed chaos run moved {diverging:?}"
             );
         }
         // And the armed run really served traffic under that chaos.

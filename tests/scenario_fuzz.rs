@@ -7,7 +7,7 @@
 //!    the random budget). This is the whole point of coverage guidance:
 //!    scenario diversity per CPU-second.
 //! 2. **Determinism** — the same root seed and starting corpus produce an
-//!    identical corpus and trophy list, across runs and across rayon
+//!    identical corpus and trophy list, across runs and across
 //!    worker counts (candidate derivation and corpus merging are
 //!    sequential; parallel evaluation is order-preserving).
 //! 3. **Isolation** — a panicking scenario costs its own outcome, never
@@ -41,7 +41,7 @@ fn fuzzer_reaches_the_random_plateau_in_a_quarter_budget() {
 }
 
 /// Determinism: identical corpus and trophies across runs and across
-/// rayon worker counts (the vendored pool honours RAYON_NUM_THREADS).
+/// worker counts (`par_map` honours TTT_WORKERS).
 #[test]
 fn fuzz_loop_is_deterministic_across_runs_and_worker_counts() {
     let cfg = FuzzConfig {
@@ -90,9 +90,9 @@ fn fuzz_loop_is_deterministic_across_runs_and_worker_counts() {
     assert_eq!(baseline, rerun, "same-process rerun diverged");
 
     for workers in ["1", "3", "16"] {
-        std::env::set_var("RAYON_NUM_THREADS", workers);
+        std::env::set_var("TTT_WORKERS", workers);
         let narrow = fingerprint(&run_fuzz(&cfg, start.clone()));
-        std::env::remove_var("RAYON_NUM_THREADS");
+        std::env::remove_var("TTT_WORKERS");
         assert_eq!(baseline, narrow, "{workers} workers diverged");
     }
 }

@@ -29,7 +29,7 @@ fn swarm_of_32_seeds_passes_every_oracle() {
         "swarm only ran {} tests",
         report.total_tests_run()
     );
-    // Outcomes come back in seed order (rayon map preserves input order).
+    // Outcomes come back in seed order (`par_map` preserves input order).
     let seeds: Vec<u64> = report.outcomes.iter().map(|o| o.seed).collect();
     assert_eq!(seeds, seed_block(1, 32));
 }
@@ -183,7 +183,7 @@ fn multi_site_scenario_with_site_faults_passes_every_oracle() {
 
     // The dimension was genuinely exercised: the campaign's testing
     // pipeline filed at least one site-scoped bug.
-    let campaign = throughout::scengen::oracle::run_campaign(&spec, throughout::core::Engine::NextEvent);
+    let campaign = throughout::scengen::oracle::run_campaign(&spec);
     let site_bugs = campaign
         .tracker()
         .bugs()
@@ -285,8 +285,7 @@ fn service_chaos_scenario_on_multi_site_grid_passes_every_oracle() {
     assert!(run.violations.is_empty(), "service-chaos scenario failed: {:?}", run.violations);
     assert!(run.tests_run() > 0, "scenario ran no tests");
 
-    let campaign =
-        throughout::scengen::oracle::run_campaign(&spec, throughout::core::Engine::NextEvent);
+    let campaign = throughout::scengen::oracle::run_campaign(&spec);
     let service_bugs = campaign
         .tracker()
         .bugs()
