@@ -53,11 +53,10 @@ pub struct Bug {
 ///
 /// A signature that recurs *after* its bug was fixed opens a fresh bug (a
 /// regression), matching how real trackers count.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BugTracker {
     bugs: Vec<Bug>,
     /// Signature → index of the currently-open bug for it, if any.
-    #[serde(skip)]
     open_by_signature: BTreeMap<String, usize>,
 }
 
@@ -65,18 +64,6 @@ impl BugTracker {
     /// An empty tracker.
     pub fn new() -> Self {
         BugTracker::default()
-    }
-
-    /// Rebuild the signature index after deserialization (the index is
-    /// `#[serde(skip)]`-ped because it is derivable from the bug list).
-    pub fn rebuild_index(&mut self) {
-        self.open_by_signature = self
-            .bugs
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.state == BugState::Open)
-            .map(|(i, b)| (b.signature.clone(), i))
-            .collect();
     }
 
     /// File a diagnostic. Returns the bug id and whether a new bug was

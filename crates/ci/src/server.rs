@@ -86,11 +86,6 @@ impl CiServer {
         self.jobs.insert(spec.name.clone(), spec);
     }
 
-    /// Registered job names (alphabetical).
-    pub fn job_names(&self) -> Vec<&str> {
-        self.jobs.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Registered job names in registration order — the stable presentation
     /// order for the status page and the read plane's epochs.
     pub fn job_names_in_order(&self) -> &[Arc<str>] {

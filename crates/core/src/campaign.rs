@@ -6,23 +6,25 @@
 //! arrivals, operator and metric cadences, OAR job starts/ends and
 //! planning-horizon entries — and jumps straight to it, snapped to the
 //! decision grid. The lockstep reference driver in [`crate::reference`]
-//! visits every grid tick instead. Both run the same per-instant step in
-//! the same phase order, every stochastic stream draws at the same
+//! visits every grid tick instead. Both run the same per-instant
+//! step — [`PHASES`], in order — every stochastic stream draws at the same
 //! instants, and all suite-wide work is gated on due events, so the two
 //! produce bit-identical campaigns (guarded by the `engine_equivalence`
-//! integration suite).
+//! integration suite). Launch policy lives behind one
+//! [`Trigger`](ttt_jobsched::Trigger); everything a run records about
+//! itself goes through one crate-private observer.
 
 use crate::config::{CampaignConfig, SchedulingMode, TestbedScale};
 use crate::matching::find_fault;
-use crate::metrics::CampaignMetrics;
+use crate::observe::Observer;
 use crate::snapshot::{Publisher, QueryStats, SnapshotHub};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttt_bugs::{BugTracker, OperatorModel};
-use ttt_ci::{BuildRef, BuildResult, Cause, CiServer, JobKind as CiJobKind, JobSpec, WorkItem};
-use ttt_jobsched::{ExternalScheduler, TestEntry};
+use ttt_ci::{BuildRef, BuildResult, CiServer, JobKind as CiJobKind, JobSpec, WorkItem};
+use ttt_jobsched::{TestEntry, Trigger};
 use ttt_kadeploy::{standard_images, Deployer, Environment};
 use ttt_kavlan::KavlanManager;
 use ttt_kwapi::MetricStore;
@@ -31,7 +33,7 @@ use ttt_oar::{
     UserLoadGenerator,
 };
 use ttt_refapi::RefApi;
-use ttt_sim::{Event, EventLog, EventQueue, RngFactory, SimDuration, SimTime};
+use ttt_sim::{EventLog, EventQueue, RngFactory, SimDuration, SimTime};
 use ttt_suite::{build_suite, run_test, TestConfig, TestCtx, TestReport};
 use ttt_testbed::fault::inject_random;
 use ttt_testbed::{FaultInjector, FaultKind, Testbed, TestbedBuilder};
@@ -52,7 +54,7 @@ struct BlockedWork {
     oar_job: FedJob,
 }
 
-/// The wake-reason labels, indexed by the counter slots of
+/// The wake-reason labels, indexed by the counter slots behind
 /// [`Campaign::wake_reasons`] — one per `next_wake` term, in scan order,
 /// plus the quiet jump-to-horizon case. The mix of winning reasons is a
 /// behavioral fingerprint of a campaign (which subsystems actually drove
@@ -76,6 +78,26 @@ pub const WAKE_REASONS: [&str; 15] = [
     "quiet",
 ];
 
+/// One phase of the per-instant step: its name and what it runs.
+pub type Phase = (&'static str, fn(&mut Campaign, SimTime));
+
+/// The per-instant step as named phases, in execution order. Both drivers
+/// reach them only through `Campaign::step_to`; a per-phase clock or
+/// counter keys on the names.
+pub const PHASES: [Phase; 11] = [
+    ("user-load", Campaign::user_load),
+    ("federation-advance", Campaign::federation_advance),
+    ("fault-arrival", Campaign::fault_arrival),
+    ("dirty-sync", Campaign::dirty_sync),
+    ("rollout", Campaign::rollout),
+    ("completions", Campaign::completions),
+    ("blocked-builds", Campaign::blocked_builds),
+    ("scheduling", Campaign::scheduling),
+    ("executor-assignment", Campaign::executor_assignment),
+    ("operators", Campaign::operators),
+    ("sampling-publish", Campaign::sampling_publish),
+];
+
 /// The whole system, advancing in lockstep over virtual time.
 pub struct Campaign {
     pub(crate) cfg: CampaignConfig,
@@ -85,7 +107,8 @@ pub struct Campaign {
     /// the driver places work across them.
     fed: Federation,
     ci: CiServer,
-    sched: ExternalScheduler,
+    /// Launch policy: the external scheduler or the cron baseline.
+    trigger: Trigger,
     kavlan: KavlanManager,
     kwapi: MetricStore,
     deployer: Deployer,
@@ -94,7 +117,8 @@ pub struct Campaign {
     userload: UserLoadGenerator,
     tracker: BugTracker,
     operators: OperatorModel,
-    metrics: CampaignMetrics,
+    /// Everything the run records about itself.
+    pub(crate) observer: Observer,
     suite: Vec<TestConfig>,
     /// Precomputed `suite[i].id()` strings (scheduler callback keys).
     suite_ids: Vec<String>,
@@ -103,22 +127,13 @@ pub struct Campaign {
     suite_home: Vec<Option<usize>>,
     /// ci job → cell → suite index (nested so lookups borrow, not clone).
     by_key: BTreeMap<String, BTreeMap<Option<String>, usize>>,
+    /// Which configurations rollout has switched on so far.
     enabled: Vec<bool>,
-    /// Naive mode: per-configuration next-due times.
-    naive_due: Vec<SimTime>,
-    /// Naive mode: suite indices keyed by due instant (superseded entries
-    /// skipped lazily), so a trigger pass costs O(due), not O(suite).
-    naive_queue: EventQueue<usize>,
-    /// Scratch buffer of due suite indices reused across trigger passes.
-    naive_scratch: Vec<usize>,
+    /// The next entry of `cfg.rollout.phases` to apply.
     next_phase: usize,
     /// In-flight tests keyed by `finish_at`; completions pop in
     /// `(finish_at, submission order)`.
     running: EventQueue<RunningTest>,
-    /// Tests completed per site (the domain whose resources the test
-    /// held), counted as completions pop — an engine-equivalence
-    /// observable.
-    site_completions: Vec<u64>,
     blocked: Vec<BlockedWork>,
     rng_inject: SmallRng,
     rng_user: SmallRng,
@@ -130,20 +145,6 @@ pub struct Campaign {
     last_op_step: SimTime,
     /// Last utilization sample (taken on `sample_cadence`).
     last_sample: SimTime,
-    /// Winning `next_wake` term counts, indexed like [`WAKE_REASONS`].
-    wake_reasons: [u64; WAKE_REASONS.len()],
-    /// Whether the last sample saw the federation saturated (edge detector
-    /// for `metrics.saturation_episodes`).
-    in_saturation: bool,
-    /// Whether the last sample saw a blacked-out site (edge detector for
-    /// `metrics.blackout_episodes`).
-    in_blackout: bool,
-    /// The structured per-run event log, populated only when
-    /// [`Campaign::record_events`] armed it before the first step.
-    /// Recording is strictly observational: it never draws, never branches
-    /// the timeline, and a recording campaign is bit-identical to a silent
-    /// one (guarded by the replay suite).
-    events: Option<EventLog>,
     /// The read plane's publisher. Armed at construction when
     /// `cfg.queries_per_day > 0`, or on demand via
     /// [`Campaign::arm_snapshots`]; unarmed, no epochs publish.
@@ -206,7 +207,10 @@ impl Campaign {
         // Same seed/rate; the submit path only uses the rng-free hashed
         // variant, so arming it never shifts a stream.
         fed.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
-        let sched = ExternalScheduler::new(cfg.policy.clone(), Vec::new());
+        let trigger = match cfg.mode {
+            SchedulingMode::External => Trigger::external(cfg.policy.clone()),
+            SchedulingMode::NaiveCron { period } => Trigger::cron(period, cfg.tick),
+        };
         let mut ci = CiServer::new(cfg.executors);
         // Same seed and rate as the testbed's hook: the CI side only uses
         // the rng-free hashed variant, so arming it never shifts a stream.
@@ -245,7 +249,7 @@ impl Campaign {
             .expect("a built testbed always has at least one cluster");
         userload.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
         Campaign {
-            sched,
+            trigger,
             userload,
             injector: FaultInjector::new(cfg.injector.clone()),
             operators: OperatorModel::new(cfg.operator_capacity_per_week, cfg.operator_triage),
@@ -262,27 +266,19 @@ impl Campaign {
             deployer: Deployer::default(),
             images,
             tracker: BugTracker::new(),
-            metrics: CampaignMetrics::default(),
+            observer: Observer::new(sites),
             suite,
             suite_ids,
             suite_home,
             by_key,
             enabled: vec![false; n],
-            naive_due: vec![SimTime::ZERO; n],
-            naive_queue: EventQueue::new(),
-            naive_scratch: Vec::new(),
             next_phase: 0,
             running: EventQueue::new(),
-            site_completions: vec![0; sites],
             blocked: Vec::new(),
             now: SimTime::ZERO,
             last_snapshot: SimTime::ZERO,
             last_op_step: SimTime::ZERO,
             last_sample: SimTime::ZERO,
-            wake_reasons: [0; WAKE_REASONS.len()],
-            in_saturation: false,
-            in_blackout: false,
-            events: None,
             publisher: Publisher::new(
                 cfg.queries_per_day,
                 cfg.query_users,
@@ -297,23 +293,14 @@ impl Campaign {
     /// transitions, wake reasons and daily digest checkpoints. Recording
     /// never perturbs the campaign — no draws, no behavioral branches.
     pub fn record_events(&mut self) {
-        self.events = Some(EventLog::new());
+        self.observer.arm_events();
         self.tb.set_rpc_trace(true);
     }
 
     /// Take the recorded event log (None when recording was never armed).
     pub fn take_event_log(&mut self) -> Option<EventLog> {
         self.tb.set_rpc_trace(false);
-        self.events.take()
-    }
-
-    /// Append one event when recording is armed; a silent campaign never
-    /// builds it. Takes the log field, not `self`, so `event` may borrow
-    /// the campaign's other fields.
-    fn log_event(events: &mut Option<EventLog>, event: impl FnOnce() -> Event) {
-        if let Some(log) = events {
-            log.push(event());
-        }
+        self.observer.take_events()
     }
 
     /// The testbed (inspection from examples/benches).
@@ -326,14 +313,9 @@ impl Campaign {
         &self.tracker
     }
 
-    /// The campaign metrics gathered so far.
-    pub fn metrics(&self) -> &CampaignMetrics {
-        &self.metrics
-    }
-
-    /// The external scheduler (decision counters live here).
-    pub fn scheduler(&self) -> &ExternalScheduler {
-        &self.sched
+    /// The launch policy (decision counters live here).
+    pub fn trigger(&self) -> &Trigger {
+        &self.trigger
     }
 
     /// The federated resource layer (inspection from examples/benches and
@@ -347,29 +329,9 @@ impl Campaign {
         &self.ci
     }
 
-    /// Tests completed per site, in domain order — populated identically
-    /// by both engines (an engine-equivalence observable).
-    pub fn site_completions(&self) -> &[u64] {
-        &self.site_completions
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Winning wake-reason counts, `(label, count)` with zero entries
-    /// skipped. Empty for lockstep reference runs (that driver never
-    /// computes wakes), so this is *not* an engine-equivalence observable —
-    /// it is the coverage fuzzer's view of which subsystems drove the
-    /// timeline.
-    pub fn wake_reasons(&self) -> Vec<(&'static str, u64)> {
-        WAKE_REASONS
-            .iter()
-            .zip(self.wake_reasons)
-            .filter(|&(_, n)| n > 0)
-            .map(|(&r, n)| (r, n))
-            .collect()
     }
 
     /// The read-plane snapshot hub, if armed.
@@ -434,8 +396,10 @@ impl Campaign {
                 let k = off.div_ceil(tick);
                 anchor + SimDuration::from_nanos(k.saturating_mul(tick))
             };
-            let t = match self.next_wake(next_grid) {
-                Some(wake) => {
+            let wake = self.next_wake(next_grid);
+            self.observer.woke(wake);
+            let t = match wake {
+                Some((wake, _)) => {
                     // Smallest grid instant that is > now and ≥ wake.
                     let wake = wake.max(self.now + SimDuration::from_nanos(1));
                     let off = wake.as_nanos().saturating_sub(anchor.as_nanos());
@@ -450,8 +414,9 @@ impl Campaign {
     }
 
     /// The earliest instant at which any subsystem has work to do, from
-    /// the campaign's current instant. `None` means the world is quiet
-    /// until the horizon.
+    /// the campaign's current instant, as `(instant, WAKE_REASONS index of
+    /// the winning term)`. `None` means the world is quiet until the
+    /// horizon.
     ///
     /// `next_grid` is the smallest grid instant after `now`: every wake at
     /// or before it snaps there anyway, so the scan stops as soon as one
@@ -461,28 +426,7 @@ impl Campaign {
     /// a full wake computation per tick. Peeks are idempotent (arrival
     /// streams cache their primed draw), so skipping the later terms on
     /// one wake never perturbs any stochastic stream.
-    fn next_wake(&mut self, next_grid: SimTime) -> Option<SimTime> {
-        match self.next_wake_scan(next_grid) {
-            Some((t, reason)) => {
-                self.wake_reasons[reason] += 1;
-                Self::log_event(&mut self.events, || Event::Wake {
-                    at: t,
-                    reason: WAKE_REASONS[reason].to_string(),
-                });
-                Some(t)
-            }
-            None => {
-                // "quiet" is the last slot: nothing pending anywhere.
-                self.wake_reasons[WAKE_REASONS.len() - 1] += 1;
-                None
-            }
-        }
-    }
-
-    /// The scan behind [`Campaign::next_wake`], returning the winning term
-    /// as `(instant, WAKE_REASONS index)` so the wake-reason mix can be
-    /// counted without perturbing the timing logic.
-    fn next_wake_scan(&mut self, next_grid: SimTime) -> Option<(SimTime, usize)> {
+    fn next_wake(&mut self, next_grid: SimTime) -> Option<(SimTime, usize)> {
         let mut wake: Option<(SimTime, usize)> = None;
         let mut reason = 0usize;
         macro_rules! merge {
@@ -518,16 +462,9 @@ impl Campaign {
             .then(|| self.now + SimDuration::from_nanos(1)));
         // Test completions.
         merge!(self.running.peek_time());
-        // Scheduling decisions (two reason slots, one per mode).
-        match self.cfg.mode {
-            SchedulingMode::External => {
-                merge!(self.sched.next_due_time());
-                reason += 1;
-            }
-            SchedulingMode::NaiveCron { .. } => {
-                reason += 1;
-                merge!(self.peek_naive_due());
-            }
+        // Launch decisions (two reason slots, one per `Trigger` arm).
+        for due in self.trigger.wake_terms() {
+            merge!(due);
         }
         // User-load candidate arrivals (primed with advance's own draw).
         merge!(self.userload.next_event(self.fed.now(), &mut self.rng_user));
@@ -555,144 +492,49 @@ impl Campaign {
     /// share.
     pub(crate) fn step_to(&mut self, t: SimTime) {
         self.now = t;
-        // 1. Users compete for the testbed, across all sites.
+        for (_, phase) in PHASES {
+            phase(self, t);
+        }
+    }
+
+    /// Users compete for the testbed, across all sites.
+    fn user_load(&mut self, t: SimTime) {
         self.userload
             .advance_fed(t, &mut self.fed, &mut self.rng_user);
+    }
+
+    fn federation_advance(&mut self, t: SimTime) {
         self.fed.advance(t);
-        // 2. Faults arrive.
+    }
+
+    /// Faults arrive, and bounded service-restart windows that elapsed
+    /// complete on their own: the restart *is* the repair (fault-id order
+    /// keeps this deterministic across engines).
+    fn fault_arrival(&mut self, t: SimTime) {
         let arrived = self.injector.advance(t, &mut self.tb, &mut self.rng_inject);
-        if self.events.is_some() {
-            for f in &arrived {
-                let sig = f.signature();
-                let target = sig.split_once('@').map_or(sig.as_str(), |(_, t)| t);
-                Self::log_event(&mut self.events, || Event::FaultArrival {
-                    at: f.injected_at,
-                    fault_id: f.id.0,
-                    kind: f.kind.name().to_string(),
-                    target: target.to_string(),
-                });
-            }
-        }
-        // 2b. Bounded service-restart windows that elapsed complete on
-        //     their own: the restart *is* the repair (fault-id order keeps
-        //     this deterministic across engines).
+        self.observer.faults_arrived(arrived);
         for id in self.tb.due_service_restarts(t) {
             if self.tb.repair(id) {
-                Self::log_event(&mut self.events, || Event::FaultRepair { at: t, fault_id: id.0 });
-            }
-        }
-        // 3. Every site's OAR notices dead/repaired hardware (diff of
-        //    flipped nodes only — no full testbed rescan), learns whether
-        //    its own server process is up (a dead OAR process stops
-        //    placement on that domain — without looking anything like a
-        //    site blackout), and refreshes the backbone reachability view
-        //    (a no-op clear under the ideal link model).
-        let dirty = self.tb.take_alive_dirty();
-        self.fed.sync_dirty_nodes(&self.tb, &dirty);
-        self.fed.sync_process_liveness(&self.tb);
-        self.fed.sync_backbone(&self.tb);
-        // 4. New test families roll out.
-        self.apply_rollout(t);
-        // 5. Finish tests whose virtual duration elapsed.
-        self.complete_due(t);
-        // 6. Naive baseline: blocked builds whose OAR job finally started.
-        if !self.blocked.is_empty() {
-            self.poll_blocked(t);
-        }
-        // 7. Scheduling decisions (due entries only).
-        self.ci.advance(t);
-        match self.cfg.mode {
-            SchedulingMode::External => {
-                self.sched
-                    .run_due(t, &mut self.ci, &self.fed, &mut self.rng_sched);
-            }
-            SchedulingMode::NaiveCron { period } => self.naive_trigger(t, period),
-        }
-        // 8. Executors pick work up.
-        let work = self.ci.assign();
-        for item in work {
-            self.start_work(item, t);
-        }
-        // 9. Operators fix bugs on their cadence, repairing faults.
-        if t.since(self.last_op_step) >= self.cfg.operator_cadence {
-            self.last_op_step = t;
-            let fixed = self.operators.step(&mut self.tracker, t);
-            for bug_id in fixed {
-                if let Some(bug) = self.tracker.bug(bug_id) {
-                    if let Some(fault) = find_fault(&self.tb, &bug.signature.clone()) {
-                        if self.tb.repair(fault.id) {
-                            Self::log_event(&mut self.events, || Event::FaultRepair {
-                                at: t,
-                                fault_id: fault.id.0,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // 10. Metrics sampling on a bounded cadence. Saturation/blackout
-        //     episodes are edges observed at the same instants under both
-        //     engines, so they stay engine-equivalence observables.
-        if t.since(self.last_sample) >= self.cfg.sample_cadence {
-            let window_from = self.last_sample;
-            self.last_sample = t;
-            self.metrics
-                .executor_busy
-                .push(self.ci.busy_executors() as f64 / self.ci.executor_count() as f64);
-            let util = self.fed.utilization();
-            self.metrics.oar_utilization.push(util);
-            let saturated = util >= 1.0;
-            if saturated && !self.in_saturation {
-                self.metrics.saturation_episodes += 1;
-            }
-            self.in_saturation = saturated;
-            let blackout = self.fed.dead_domains() > 0;
-            if blackout && !self.in_blackout {
-                self.metrics.blackout_episodes += 1;
-            }
-            self.in_blackout = blackout;
-            // 10b. The write plane hands the read plane its epoch: every
-            //      sample instant (identical across engines) freezes a
-            //      snapshot, so this changes nothing unless armed.
-            self.publisher.publish(
-                &self.tb,
-                &mut self.refapi,
-                &mut self.kwapi,
-                &self.fed,
-                &self.ci,
-                window_from..t,
-            );
-        }
-        if t.since(self.last_snapshot) >= SimDuration::from_days(1) {
-            self.last_snapshot = t;
-            self.metrics
-                .bug_snapshots
-                .push((t, self.tracker.filed(), self.tracker.fixed()));
-            Self::log_event(&mut self.events, || Event::Checkpoint {
-                at: t,
-                tests_run: self.metrics.tests_run,
-                tests_failed: self.metrics.tests_failed,
-                filed: self.tracker.filed() as u64,
-                fixed: self.tracker.fixed() as u64,
-                active_faults: self.tb.active_faults().len() as u64,
-            });
-        }
-        // Drain the testbed's RPC envelope trace into the log. The trace
-        // is only collected while recording is armed, so a silent campaign
-        // pays nothing here.
-        if self.events.is_some() {
-            for entry in self.tb.take_rpc_trace() {
-                Self::log_event(&mut self.events, || Event::RpcOutcome {
-                    at: t,
-                    site: entry.site.0,
-                    service: entry.kind.to_string(),
-                    outcome: entry.outcome,
-                });
+                self.observer.fault_repaired(t, id.0);
             }
         }
     }
 
-    fn apply_rollout(&mut self, t: SimTime) {
+    /// Every site's OAR notices dead/repaired hardware (diff of flipped
+    /// nodes only — no full testbed rescan), learns whether its own server
+    /// process is up (a dead OAR process stops placement on that domain —
+    /// without looking anything like a site blackout), and refreshes the
+    /// backbone reachability view (a no-op clear under the ideal link
+    /// model).
+    fn dirty_sync(&mut self, _t: SimTime) {
+        let dirty = self.tb.take_alive_dirty();
+        self.fed.sync_dirty_nodes(&self.tb, &dirty);
+        self.fed.sync_process_liveness(&self.tb);
+        self.fed.sync_backbone(&self.tb);
+    }
+
+    /// New test families roll out.
+    fn rollout(&mut self, t: SimTime) {
         while self.next_phase < self.cfg.rollout.phases.len() {
             let (at, families) = &self.cfg.rollout.phases[self.next_phase];
             if *at > t {
@@ -705,13 +547,8 @@ impl Campaign {
                     continue;
                 }
                 self.enabled[idx] = true;
-                match self.cfg.mode {
-                    SchedulingMode::External => {
-                        let entry = self.make_entry(idx);
-                        self.sched.add_entry(entry, t);
-                    }
-                    SchedulingMode::NaiveCron { .. } => self.set_naive_due(idx, t),
-                }
+                let entry = self.make_entry(idx);
+                self.trigger.enroll(idx, entry, t);
             }
         }
     }
@@ -747,141 +584,49 @@ impl Campaign {
         request
     }
 
-    /// Record a new naive-cron due date for a configuration and index it.
-    fn set_naive_due(&mut self, idx: usize, at: SimTime) {
-        self.naive_due[idx] = at;
-        self.naive_queue.push(at, idx);
-    }
-
-    /// The earliest live naive-cron due instant (skipping superseded
-    /// queue entries).
-    fn peek_naive_due(&mut self) -> Option<SimTime> {
-        while let Some((at, &idx)) = self.naive_queue.peek() {
-            if self.enabled[idx] && self.naive_due[idx] == at {
-                return Some(at);
-            }
-            self.naive_queue.pop();
-        }
-        None
-    }
-
-    /// Naive baseline: trigger every due configuration on a fixed cron
-    /// period, with no availability checks. Due configurations come off
-    /// the due-date index in suite order (the order the old full scan
-    /// used); nothing else is touched.
-    fn naive_trigger(&mut self, t: SimTime, period: SimDuration) {
-        let mut due = std::mem::take(&mut self.naive_scratch);
-        due.clear();
-        {
-            let naive_due = &self.naive_due;
-            let enabled = &self.enabled;
-            due.extend(
-                self.naive_queue
-                    .drain_due_iter(t)
-                    .filter(|&(at, idx)| enabled[idx] && naive_due[idx] == at)
-                    .map(|(_, idx)| idx),
-            );
-        }
-        due.sort_unstable();
-        due.dedup();
-        for &idx in &due {
-            let job = self.suite[idx].family.job_name().to_string();
-            let cell = self.suite[idx].cell();
-            let cells: Vec<String> = cell.into_iter().collect();
-            let triggered = self.ci.trigger_cells(&job, Cause::Cron, &cells);
-            if !triggered.is_empty() {
-                self.set_naive_due(idx, t + period);
+    /// Complete every test whose `finish_at` elapsed, earliest first (FIFO
+    /// among ties) — popped straight off the completion queue.
+    fn completions(&mut self, t: SimTime) {
+        while let Some((finish_at, r)) = self.running.pop_due(t) {
+            // The site whose resources the test held (primary part for
+            // cross-site co-allocations).
+            let site = r.oar_job.primary_domain();
+            let passed = r.report.passed();
+            self.observer
+                .job_completed(finish_at, &self.suite_ids[r.suite_idx], site, passed);
+            self.fed.complete_early(&r.oar_job);
+            let result = if passed {
+                BuildResult::Success
             } else {
-                // Still pending in CI: check again next tick.
-                self.set_naive_due(idx, t + self.cfg.tick);
-            }
-        }
-        self.naive_scratch = due;
-    }
-
-    /// An executor picked a build up: create the testbed job and either run
-    /// the test (started immediately) or handle the miss per mode.
-    fn start_work(&mut self, item: WorkItem, t: SimTime) {
-        let Some(&idx) = self
-            .by_key
-            .get(item.build.job.as_str())
-            .and_then(|cells| cells.get(&item.build.cell))
-        else {
-            self.ci
-                .finish(&item.build, BuildResult::Aborted, vec!["unknown cell".into()]);
-            return;
-        };
-        let request = self.request_for(idx);
-        let submitted = self.fed.submit(
-            "ci",
-            Queue::Admin,
-            OarJobKind::Test,
-            request,
-            self.suite_home[idx],
-        );
-        let oar_job = match submitted {
-            Ok(id) => id,
-            Err(_) => {
-                // Whole target unavailable (e.g. cluster dead): unstable,
-                // retry later with backoff.
-                self.ci.finish(
-                    &item.build,
-                    BuildResult::Unstable,
-                    vec!["no eligible resources on the testbed".into()],
-                );
-                self.metrics.unstable_builds += 1;
-                Self::log_event(&mut self.events, || Event::JobUnstable {
-                    at: t,
-                    test: self.suite_ids[idx].clone(),
-                });
-                match self.cfg.mode {
-                    SchedulingMode::External => {
-                        let id = &self.suite_ids[idx];
-                        self.sched.on_not_immediate(id, t, &mut self.rng_sched)
-                    }
-                    SchedulingMode::NaiveCron { period } => {
-                        self.set_naive_due(idx, t + period);
-                    }
+                BuildResult::Failure
+            };
+            self.ci.finish(&r.build, result, r.report.log_lines());
+            let family = self.suite[r.suite_idx].family.job_name();
+            for d in &r.report.diagnostics {
+                self.tracker.file(&d.signature, family, &d.message, t);
+                // Attribute the detection to the fault kind behind the
+                // diagnostic. Unattributable diagnostics (fault already
+                // repaired, stale symptom) stay unclassified.
+                if let Some(fault) = find_fault(&self.tb, &d.signature) {
+                    self.observer.detected(fault.kind.name());
                 }
-                return;
             }
-        };
-        let started = self.fed.job_state(&oar_job) == FedJobState::Running;
-        if started {
-            self.execute_test(item.build, idx, oar_job, t);
-            return;
-        }
-        match self.cfg.mode {
-            SchedulingMode::External => {
-                // The paper's rule: cancel + mark unstable + backoff.
-                self.fed.cancel(&oar_job);
-                self.ci.finish(
-                    &item.build,
-                    BuildResult::Unstable,
-                    vec!["testbed job could not be scheduled immediately".into()],
-                );
-                self.metrics.unstable_builds += 1;
-                Self::log_event(&mut self.events, || Event::JobUnstable {
-                    at: t,
-                    test: self.suite_ids[idx].clone(),
-                });
-                let id = &self.suite_ids[idx];
-                self.sched.on_not_immediate(id, t, &mut self.rng_sched);
-            }
-            SchedulingMode::NaiveCron { .. } => {
-                // Submit and wait, holding the executor.
-                self.blocked.push(BlockedWork {
-                    build: item.build,
-                    suite_idx: idx,
-                    oar_job,
-                });
-            }
+            self.record_result(r.suite_idx, passed, t);
         }
     }
 
-    /// Naive baseline: release blocked builds whose OAR job started (or
+    fn record_result(&mut self, idx: usize, passed: bool, t: SimTime) {
+        self.observer
+            .test_result(t, self.suite[idx].family.job_name(), passed);
+        self.trigger.on_finished(&self.suite_ids[idx], t);
+    }
+
+    /// Cron baseline: release blocked builds whose OAR job started (or
     /// died waiting).
-    fn poll_blocked(&mut self, t: SimTime) {
+    fn blocked_builds(&mut self, t: SimTime) {
+        if self.blocked.is_empty() {
+            return;
+        }
         let mut still = Vec::new();
         let blocked = std::mem::take(&mut self.blocked);
         for work in blocked {
@@ -901,6 +646,73 @@ impl Campaign {
             }
         }
         self.blocked = still;
+    }
+
+    /// Launch decisions, over the due configurations only.
+    fn scheduling(&mut self, t: SimTime) {
+        self.ci.advance(t);
+        self.trigger
+            .run_due(t, &mut self.ci, &self.fed, &mut self.rng_sched);
+    }
+
+    /// Executors pick work up.
+    fn executor_assignment(&mut self, t: SimTime) {
+        for item in self.ci.assign() {
+            self.start_work(item, t);
+        }
+    }
+
+    /// An executor picked a build up: create the testbed job and either run
+    /// the test (started immediately) or handle the miss as the launch
+    /// policy says.
+    fn start_work(&mut self, item: WorkItem, t: SimTime) {
+        let Some(&idx) = self
+            .by_key
+            .get(item.build.job.as_str())
+            .and_then(|cells| cells.get(&item.build.cell))
+        else {
+            self.ci
+                .finish(&item.build, BuildResult::Aborted, vec!["unknown cell".into()]);
+            return;
+        };
+        let request = self.request_for(idx);
+        let submitted = self.fed.submit(
+            "ci",
+            Queue::Admin,
+            OarJobKind::Test,
+            request,
+            self.suite_home[idx],
+        );
+        let Ok(oar_job) = submitted else {
+            // Whole target unavailable (e.g. cluster dead).
+            self.mark_unstable(&item.build, idx, "no eligible resources on the testbed", t);
+            return;
+        };
+        if self.fed.job_state(&oar_job) == FedJobState::Running {
+            self.execute_test(item.build, idx, oar_job, t);
+        } else if self.trigger.waits_for_resources() {
+            // Submit and wait, holding the executor.
+            self.blocked.push(BlockedWork {
+                build: item.build,
+                suite_idx: idx,
+                oar_job,
+            });
+        } else {
+            // The paper's rule: cancel + mark unstable + backoff.
+            self.fed.cancel(&oar_job);
+            let why = "testbed job could not be scheduled immediately";
+            self.mark_unstable(&item.build, idx, why, t);
+        }
+    }
+
+    /// The build got no testbed resources: unstable, and the launch policy
+    /// decides when the configuration is tried again.
+    fn mark_unstable(&mut self, build: &BuildRef, idx: usize, why: &str, t: SimTime) {
+        self.ci
+            .finish(build, BuildResult::Unstable, vec![why.to_string()]);
+        let id = &self.suite_ids[idx];
+        self.observer.build_unstable(t, id);
+        self.trigger.on_not_immediate(id, t, &mut self.rng_sched);
     }
 
     /// Run the test script now; bookkeeping happens when its virtual
@@ -927,11 +739,8 @@ impl Campaign {
         };
         let walltime = self.suite[idx].family.walltime();
         let finish_at = t + report.duration.min(walltime);
-        Self::log_event(&mut self.events, || Event::JobStarted {
-            at: t,
-            test: self.suite_ids[idx].clone(),
-            site: oar_job.primary_domain() as u16,
-        });
+        self.observer
+            .job_started(t, &self.suite_ids[idx], oar_job.primary_domain());
         self.running.push(
             finish_at,
             RunningTest {
@@ -943,65 +752,62 @@ impl Campaign {
         );
     }
 
-    /// Complete every test whose `finish_at` elapsed, earliest first (FIFO
-    /// among ties) — popped straight off the completion queue.
-    fn complete_due(&mut self, t: SimTime) {
-        while let Some((finish_at, r)) = self.running.pop_due(t) {
-            // The site whose resources the test held (primary part for
-            // cross-site co-allocations).
-            let site = r.oar_job.primary_domain();
-            self.site_completions[site] += 1;
-            Self::log_event(&mut self.events, || Event::JobCompleted {
-                at: finish_at,
-                test: self.suite_ids[r.suite_idx].clone(),
-                site: site as u16,
-                passed: r.report.passed(),
-            });
-            self.fed.complete_early(&r.oar_job);
-            let result = if r.report.passed() {
-                BuildResult::Success
-            } else {
-                BuildResult::Failure
+    /// Operators fix bugs on their cadence, repairing faults.
+    fn operators(&mut self, t: SimTime) {
+        if t.since(self.last_op_step) < self.cfg.operator_cadence {
+            return;
+        }
+        self.last_op_step = t;
+        for bug_id in self.operators.step(&mut self.tracker, t) {
+            let Some(bug) = self.tracker.bug(bug_id) else {
+                continue;
             };
-            self.ci.finish(&r.build, result, r.report.log_lines());
-            let family = self.suite[r.suite_idx].family.job_name();
-            for d in &r.report.diagnostics {
-                self.tracker.file(&d.signature, family, &d.message, t);
-                // Attribute the detection to the fault kind behind the
-                // diagnostic — the detected half of the injected × detected
-                // coverage feature. Unattributable diagnostics (fault
-                // already repaired, stale symptom) stay unclassified.
-                if let Some(kind) = find_fault(&self.tb, &d.signature).map(|f| f.kind) {
-                    *self
-                        .metrics
-                        .detected_by_kind
-                        .entry(kind.name().to_string())
-                        .or_insert(0) += 1;
-                }
+            let Some(fault) = find_fault(&self.tb, &bug.signature).map(|f| f.id) else {
+                continue;
+            };
+            if self.tb.repair(fault) {
+                self.observer.fault_repaired(t, fault.0);
             }
-            self.record_result(r.suite_idx, r.report.passed(), t);
         }
     }
 
-    fn record_result(&mut self, idx: usize, passed: bool, t: SimTime) {
-        self.metrics.tests_run += 1;
-        if !passed {
-            self.metrics.tests_failed += 1;
+    /// Metrics sampling on a bounded cadence, the read plane's epoch, the
+    /// daily checkpoint, and the step's RPC trace. Every cadence instant is
+    /// visited by both engines, so the saturation/blackout edges stay
+    /// engine-equivalence observables.
+    fn sampling_publish(&mut self, t: SimTime) {
+        if t.since(self.last_sample) >= self.cfg.sample_cadence {
+            let window_from = self.last_sample;
+            self.last_sample = t;
+            self.observer.sampled(
+                self.ci.busy_executors() as f64 / self.ci.executor_count() as f64,
+                self.fed.utilization(),
+                self.fed.dead_domains() > 0,
+            );
+            // The write plane hands the read plane its epoch: every
+            // sample instant (identical across engines) freezes a
+            // snapshot, so this changes nothing unless armed.
+            self.publisher.publish(
+                &self.tb,
+                &mut self.refapi,
+                &mut self.kwapi,
+                &self.fed,
+                &self.ci,
+                window_from..t,
+            );
         }
-        let v = if passed { 1.0 } else { 0.0 };
-        self.metrics.monthly_success.push(t, v);
-        self.metrics.weekly_success.push(t, v);
-        *self
-            .metrics
-            .completions_per_family
-            .entry(self.suite[idx].family.job_name().to_string())
-            .or_insert(0) += 1;
-        match self.cfg.mode {
-            SchedulingMode::External => self.sched.on_finished(&self.suite_ids[idx], t),
-            SchedulingMode::NaiveCron { period } => {
-                self.set_naive_due(idx, t + period);
-            }
+        if t.since(self.last_snapshot) >= SimDuration::from_days(1) {
+            self.last_snapshot = t;
+            self.observer.checkpoint(
+                t,
+                self.tracker.filed(),
+                self.tracker.fixed(),
+                self.tb.active_faults().len(),
+            );
         }
+        // Only collected while recording is armed, so a silent campaign
+        // hands over an empty trace.
+        self.observer.rpc_outcomes(t, self.tb.take_rpc_trace());
     }
 
     /// Final pass: derive latency statistics from OAR and CI histories.
@@ -1009,24 +815,19 @@ impl Campaign {
         for (_, job) in self.fed.all_jobs() {
             if job.kind == OarJobKind::User {
                 if let Some(w) = job.waiting_time() {
-                    self.metrics
-                        .user_wait_hours
-                        .push(w.as_secs_f64() / 3600.0);
+                    self.observer.user_waited(w);
                 }
             }
         }
         for builds in self.ci.all_history().values() {
             for b in builds.iter() {
                 if let Some(f) = b.finished_at {
-                    self.metrics
-                        .test_latency_hours
-                        .push(f.since(b.queued_at).as_secs_f64() / 3600.0);
+                    self.observer.build_latency(f.since(b.queued_at));
                 }
             }
         }
-        self.metrics
-            .bug_snapshots
-            .push((self.now, self.tracker.filed(), self.tracker.fixed()));
+        self.observer
+            .bug_snapshot(self.now, self.tracker.filed(), self.tracker.fixed());
     }
 }
 
@@ -1034,6 +835,14 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
+
+    #[test]
+    fn phase_names_are_unique_kebab_case() {
+        let names: std::collections::BTreeSet<&str> = PHASES.iter().map(|p| p.0).collect();
+        assert_eq!(names.len(), PHASES.len(), "duplicate phase name");
+        let kebab = |n: &str| n.split('-').all(|w| !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase()));
+        assert!(names.iter().all(|n| kebab(n)), "{names:?}");
+    }
 
     #[test]
     fn small_campaign_runs_and_finds_bugs() {
@@ -1127,7 +936,7 @@ mod tests {
     }
 
     #[test]
-    fn naive_mode_runs() {
+    fn cron_baseline_runs() {
         let mut cfg = CampaignConfig::small(11);
         cfg.mode = SchedulingMode::NaiveCron {
             period: SimDuration::from_days(1),
@@ -1149,7 +958,7 @@ mod tests {
         c.run();
         // Deferrals definitely happened; builds were triggered only when
         // resources looked free, so unstable stays low but present-or-zero.
-        let stats = &c.scheduler().stats;
+        let stats = c.trigger().stats();
         assert!(
             stats.deferred_resources > 0,
             "heavy load should defer launches: {stats:?}"

@@ -31,6 +31,7 @@ pub mod campaign;
 pub mod config;
 pub mod matching;
 pub mod metrics;
+mod observe;
 pub mod reference;
 pub mod scenario;
 pub mod snapshot;

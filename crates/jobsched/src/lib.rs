@@ -15,12 +15,17 @@
 //!
 //! * [`entry`] — one schedulable test configuration (CI job + cell +
 //!   resource request + cadence);
-//! * [`scheduler`] — the decision loop and per-configuration retry state.
+//! * [`scheduler`] — the decision loop and per-configuration retry state;
+//! * [`trigger`] — the launch policy a campaign runs: that scheduler, or
+//!   the Jenkins cron baseline it is measured against.
 
 #![forbid(unsafe_code)]
 
+mod due;
 pub mod entry;
 pub mod scheduler;
+pub mod trigger;
 
 pub use entry::TestEntry;
-pub use scheduler::{Decision, ExternalScheduler, PolicyConfig};
+pub use scheduler::{Decision, ExternalScheduler, PolicyConfig, SchedulerStats};
+pub use trigger::Trigger;

@@ -1,12 +1,13 @@
 //! The decision loop.
 
+use crate::due::DueIndex;
 use crate::entry::TestEntry;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ttt_ci::{Cause, CiServer};
 use ttt_oar::AvailabilityProbe;
-use ttt_sim::{Calendar, EventQueue, ExponentialBackoff, HourRange, SimDuration, SimTime};
+use ttt_sim::{Calendar, ExponentialBackoff, HourRange, SimDuration, SimTime};
 
 /// Scheduling policies (slide 17).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -61,6 +62,14 @@ struct EntryState {
     active: bool,
 }
 
+impl EntryState {
+    /// Whether an indexed due date still describes a decision to make (it
+    /// is superseded once the entry re-armed or went in flight).
+    fn is_live(&self, at: SimTime) -> bool {
+        !self.active && self.next_due == at
+    }
+}
+
 /// The external scheduler.
 #[derive(Debug)]
 pub struct ExternalScheduler {
@@ -69,14 +78,9 @@ pub struct ExternalScheduler {
     states: Vec<EntryState>,
     /// Entry id → index (O(1) completion callbacks).
     by_id: BTreeMap<String, usize>,
-    /// Entry indices keyed by their `next_due` instant. Every due-date
-    /// assignment pushes here; superseded entries are skipped lazily (an
-    /// entry is live only while its popped time equals the entry's current
-    /// `next_due` and it is not in flight). This makes a decision pass cost
-    /// O(due) instead of O(entries).
-    due_queue: EventQueue<usize>,
-    /// Scratch buffer of due indices reused across decision passes.
-    due_scratch: Vec<usize>,
+    /// Entry indices keyed by their `next_due` instant; every due-date
+    /// assignment pushes here.
+    due: DueIndex,
     /// Interned site per entry (index into `site_names`), so the per-site
     /// concurrency cap needs no string hashing on the decision path.
     site_of: Vec<usize>,
@@ -115,9 +119,9 @@ impl ExternalScheduler {
                 active: false,
             })
             .collect();
-        let mut due_queue = EventQueue::new();
+        let mut due = DueIndex::default();
         for i in 0..entries.len() {
-            due_queue.push(SimTime::ZERO, i);
+            due.push(SimTime::ZERO, i);
         }
         let by_id = entries
             .iter()
@@ -129,8 +133,7 @@ impl ExternalScheduler {
             entries: Vec::new(),
             states,
             by_id,
-            due_queue,
-            due_scratch: Vec::new(),
+            due,
             site_of: Vec::new(),
             site_names: Vec::new(),
             site_ids: BTreeMap::new(),
@@ -178,33 +181,22 @@ impl ExternalScheduler {
             active: false,
         });
         let i = self.entries.len() - 1;
-        self.due_queue.push(now, i);
+        self.due.push(now, i);
         self.by_id.insert(self.entries[i].id.clone(), i);
     }
 
     /// Record a new due date for entry `i` and index it for pickup.
     fn set_due(&mut self, i: usize, at: SimTime) {
         self.states[i].next_due = at;
-        self.due_queue.push(at, i);
-    }
-
-    /// Whether a queued `(time, index)` pair still describes a decision to
-    /// make (it is superseded once the entry re-armed or went in flight).
-    fn is_live(&self, at: SimTime, i: usize) -> bool {
-        !self.states[i].active && self.states[i].next_due == at
+        self.due.push(at, i);
     }
 
     /// When the earliest entry becomes due, skipping superseded queue
     /// entries. O(log n) amortized — this is what the event-driven campaign
     /// engine polls instead of scanning every entry.
     pub fn next_due_time(&mut self) -> Option<SimTime> {
-        while let Some((at, &i)) = self.due_queue.peek() {
-            if self.is_live(at, i) {
-                return Some(at);
-            }
-            self.due_queue.pop();
-        }
-        None
+        let states = &self.states;
+        self.due.next_time(|at, i| states[i].is_live(at))
     }
 
     /// Look an entry index up by id.
@@ -232,20 +224,9 @@ impl ExternalScheduler {
         out
     }
 
-    /// [`ExternalScheduler::tick`] without materializing the per-entry
-    /// decision list — the campaign hot path (decisions are still counted
-    /// in [`SchedulerStats`]).
-    pub fn run_due<R: Rng>(
-        &mut self,
-        now: SimTime,
-        ci: &mut CiServer,
-        oar: &impl AvailabilityProbe,
-        rng: &mut R,
-    ) {
-        self.pass(now, ci, oar, rng, &mut |_, _| {});
-    }
-
-    fn pass<R: Rng>(
+    /// The decision pass behind [`ExternalScheduler::tick`]; `record` sees
+    /// each due entry's decision (all are counted in [`SchedulerStats`]).
+    pub(crate) fn pass<R: Rng>(
         &mut self,
         now: SimTime,
         ci: &mut CiServer,
@@ -253,22 +234,13 @@ impl ExternalScheduler {
         rng: &mut R,
         record: &mut dyn FnMut(&str, Decision),
     ) {
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
         let states = &self.states;
-        due.extend(
-            self.due_queue
-                .drain_due_iter(now)
-                .filter(|&(at, i)| states[i].next_due == at && !states[i].active)
-                .map(|(_, i)| i),
-        );
-        due.sort_unstable();
-        due.dedup();
+        let due = self.due.take_due(now, |at, i| states[i].is_live(at));
         for &i in &due {
             let decision = self.decide(i, now, ci, oar, rng);
             record(&self.entries[i].id, decision);
         }
-        self.due_scratch = due;
+        self.due.recycle(due);
     }
 
     fn decide<R: Rng>(

@@ -283,11 +283,6 @@ impl OarServer {
         &self.db.props[node.index()]
     }
 
-    /// Cluster names in the dense index order used by the planner caches.
-    pub fn cluster_names(&self) -> &[String] {
-        &self.db.cluster_names
-    }
-
     /// Per-node state.
     pub fn node_state(&self, node: NodeId) -> NodeState {
         self.node_states[node.index()]
@@ -406,15 +401,6 @@ impl OarServer {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Jobs currently running.
-    pub fn running_jobs(&self) -> Vec<JobId> {
-        self.jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .map(|j| j.id)
-            .collect()
     }
 
     /// Submit a job. It will be planned at the next scheduling pass (which
@@ -608,7 +594,7 @@ impl OarServer {
     }
 
     fn start_job(&mut self, id: JobId) {
-        let Some(job) = self.jobs.get(&id) else { return };
+        let Some(job) = self.jobs.get_mut(&id) else { return };
         if job.state != JobState::Scheduled {
             return;
         }
@@ -623,11 +609,10 @@ impl OarServer {
             return;
         }
         let now = self.now;
-        let walltime = job.request.walltime;
-        let job = self.jobs.get_mut(&id).unwrap();
         job.state = JobState::Running;
         job.started_at = Some(now);
-        self.events.push(now + walltime, OarEvent::JobShouldEnd(id));
+        let ends_at = now + job.request.walltime;
+        self.events.push(ends_at, OarEvent::JobShouldEnd(id));
     }
 
     /// Plan every waiting job (FCFS, conservative backfilling).
@@ -648,6 +633,7 @@ impl OarServer {
             }
             let request = self.jobs[&id].request.clone();
             if let Some((start, assignment)) = self.earliest_assignment(&request) {
+                let Some(job) = self.jobs.get_mut(&id) else { continue };
                 self.waiting_set.remove(&id);
                 let walltime = request.walltime;
                 for &n in &assignment {
@@ -655,7 +641,6 @@ impl OarServer {
                     self.ends
                         .add(self.db.cluster_of_node[n.index()].index(), start + walltime);
                 }
-                let job = self.jobs.get_mut(&id).unwrap();
                 job.assigned = assignment;
                 job.scheduled_start = Some(start);
                 job.state = JobState::Scheduled;

@@ -11,7 +11,6 @@
 use crate::ast::{Expr, ResourceRequest};
 use crate::federation::Federation;
 use crate::job::{JobKind, Queue};
-use crate::server::OarServer;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::fmt;
@@ -66,43 +65,6 @@ impl Default for UserLoadConfig {
     }
 }
 
-/// Where user jobs land: a single OAR server or a whole federation.
-trait SubmitTarget {
-    fn now(&self) -> SimTime;
-    fn advance(&mut self, t: SimTime);
-    /// Submit one user job; false when the draw was unsatisfiable.
-    fn submit_user(&mut self, user: &str, request: ResourceRequest) -> bool;
-}
-
-impl SubmitTarget for OarServer {
-    fn now(&self) -> SimTime {
-        OarServer::now(self)
-    }
-
-    fn advance(&mut self, t: SimTime) {
-        OarServer::advance(self, t);
-    }
-
-    fn submit_user(&mut self, user: &str, request: ResourceRequest) -> bool {
-        self.submit(user, Queue::Default, JobKind::User, request).is_ok()
-    }
-}
-
-impl SubmitTarget for Federation {
-    fn now(&self) -> SimTime {
-        Federation::now(self)
-    }
-
-    fn advance(&mut self, t: SimTime) {
-        Federation::advance(self, t);
-    }
-
-    fn submit_user(&mut self, user: &str, request: ResourceRequest) -> bool {
-        self.submit(user, Queue::Default, JobKind::User, request, None)
-            .is_ok()
-    }
-}
-
 /// Generates and submits user jobs as virtual time advances.
 #[derive(Debug)]
 pub struct UserLoadGenerator {
@@ -152,7 +114,7 @@ impl UserLoadGenerator {
     /// The next candidate arrival instant, if the process can fire.
     ///
     /// Primes the pending candidate on first use with the exact draw
-    /// [`UserLoadGenerator::advance`] would have made, so peeking does not
+    /// [`UserLoadGenerator::advance_fed`] would have made, so peeking does not
     /// perturb the arrival stream. Candidates may still be thinned away by
     /// the diurnal intensity when they are reached — the caller only needs
     /// an instant before which nothing can happen.
@@ -164,41 +126,27 @@ impl UserLoadGenerator {
         self.next_candidate
     }
 
-    /// Advance to `until`, submitting user jobs into `server`.
-    ///
-    /// Uses Poisson thinning: candidates arrive at the peak rate and are
-    /// kept with probability equal to the diurnal intensity.
-    pub fn advance<R: Rng>(&mut self, until: SimTime, server: &mut OarServer, rng: &mut R) {
-        self.advance_into(until, server, rng);
-    }
-
     /// Advance to `until`, submitting user jobs across the federation.
     ///
-    /// Cluster-affine jobs land on their cluster's site (the federation
-    /// derives the home domain from the request); site-agnostic jobs take
-    /// the first domain with room, spilling over when the front of the
-    /// federation is saturated. Same thinned-Poisson stream as
-    /// [`UserLoadGenerator::advance`].
+    /// Uses Poisson thinning: candidates arrive at the peak rate and are
+    /// kept with probability equal to the diurnal intensity. Cluster-affine
+    /// jobs land on their cluster's site (the federation derives the home
+    /// domain from the request); site-agnostic jobs take the first domain
+    /// with room, spilling over when the front of the federation is
+    /// saturated. The draw order here is determinism-load-bearing (the
+    /// engine-equivalence oracle compares campaigns bitwise).
     pub fn advance_fed<R: Rng>(&mut self, until: SimTime, fed: &mut Federation, rng: &mut R) {
-        self.advance_into(until, fed, rng);
-    }
-
-    /// The shared thinned-Poisson loop. The draw order here is
-    /// determinism-load-bearing (the engine-equivalence oracle compares
-    /// campaigns bitwise), which is exactly why the single-server and
-    /// federated paths must run one copy of it.
-    fn advance_into<R: Rng>(&mut self, until: SimTime, target: &mut impl SubmitTarget, rng: &mut R) {
         let process = PoissonProcess::per_day(self.config.peak_jobs_per_day);
         let mut t = match self.next_candidate {
             Some(t) => t,
-            None => match process.next_after(target.now(), rng) {
+            None => match process.next_after(fed.now(), rng) {
                 Some(t) => t,
                 None => return,
             },
         };
         while t < until {
             if rng.gen_bool(Calendar::diurnal_intensity(t).clamp(0.0, 1.0)) {
-                target.advance(t);
+                fed.advance(t);
                 let request = self.draw_request(rng);
                 let user = format!("user{}", rng.gen_range(0..50));
                 // Buggify: the submission RPC is lost on the wire. The
@@ -211,7 +159,11 @@ impl UserLoadGenerator {
                 // Unsatisfiable draws (e.g. a whole dead cluster or site)
                 // are simply dropped — real users would see the error and
                 // move on.
-                if !dropped && target.submit_user(&user, request) {
+                if !dropped
+                    && fed
+                        .submit(&user, Queue::Default, JobKind::User, request, None)
+                        .is_ok()
+                {
                     self.submitted += 1;
                 }
             }
@@ -221,12 +173,6 @@ impl UserLoadGenerator {
             };
         }
         self.next_candidate = Some(t);
-    }
-
-    /// Total kept arrivals so far (submitted or dropped) — the monotone
-    /// counter the buggify salt hashes.
-    pub fn arrivals(&self) -> u64 {
-        self.arrivals
     }
 
     fn draw_request<R: Rng>(&self, rng: &mut R) -> ResourceRequest {
@@ -269,14 +215,14 @@ mod tests {
     use ttt_sim::rng::stream_rng;
     use ttt_testbed::TestbedBuilder;
 
-    fn setup() -> (UserLoadGenerator, OarServer) {
+    fn setup() -> (UserLoadGenerator, Federation) {
         let tb = TestbedBuilder::small().build();
         let desc = describe(&tb, 1, SimTime::ZERO);
-        let server = OarServer::new(&tb, &desc);
+        let fed = Federation::new(&tb, &desc);
         let clusters = tb.clusters().iter().map(|c| c.name.clone()).collect();
         let gen = UserLoadGenerator::new(UserLoadConfig::default(), clusters)
             .expect("testbed has clusters");
-        (gen, server)
+        (gen, fed)
     }
 
     #[test]
@@ -294,46 +240,43 @@ mod tests {
             ..UserLoadConfig::default()
         };
         let mut gen = UserLoadGenerator::new(cfg, Vec::new()).unwrap();
-        let tb = TestbedBuilder::small().build();
-        let desc = describe(&tb, 1, SimTime::ZERO);
-        let mut server = OarServer::new(&tb, &desc);
+        let (_, mut fed) = setup();
         let mut rng = stream_rng(21, "userload");
-        gen.advance(SimTime::from_days(2), &mut server, &mut rng);
+        gen.advance_fed(SimTime::from_days(2), &mut fed, &mut rng);
         assert!(gen.submitted() > 0);
     }
 
     #[test]
     fn generates_plausible_volume() {
-        let (mut gen, mut server) = setup();
+        let (mut gen, mut fed) = setup();
         let mut rng = stream_rng(9, "userload");
-        gen.advance(SimTime::from_days(7), &mut server, &mut rng);
+        gen.advance_fed(SimTime::from_days(7), &mut fed, &mut rng);
         // Peak 120/day thinned by the diurnal curve (weekdays ~0.3 mean,
         // weekends 0.15) over a week: somewhere well above zero and below
         // the un-thinned 840. Most submissions succeed.
         let n = gen.submitted();
         assert!(n > 80, "submitted {n}");
         assert!(n < 500, "submitted {n}");
-        assert!(!server.jobs().is_empty());
+        assert!(fed.all_jobs().next().is_some());
     }
 
     #[test]
     fn submissions_are_user_kind() {
-        let (mut gen, mut server) = setup();
+        let (mut gen, mut fed) = setup();
         let mut rng = stream_rng(10, "userload");
-        gen.advance(SimTime::from_days(2), &mut server, &mut rng);
-        assert!(server
-            .jobs()
-            .values()
-            .all(|j| j.kind == JobKind::User && j.queue == Queue::Default));
+        gen.advance_fed(SimTime::from_days(2), &mut fed, &mut rng);
+        assert!(fed
+            .all_jobs()
+            .all(|(_, j)| j.kind == JobKind::User && j.queue == Queue::Default));
     }
 
     #[test]
     fn deterministic_for_fixed_seed() {
         let run = |seed| {
-            let (mut gen, mut server) = setup();
+            let (mut gen, mut fed) = setup();
             let mut rng = stream_rng(seed, "userload");
-            gen.advance(SimTime::from_days(3), &mut server, &mut rng);
-            (gen.submitted(), server.jobs().len())
+            gen.advance_fed(SimTime::from_days(3), &mut fed, &mut rng);
+            (gen.submitted(), fed.all_jobs().count())
         };
         assert_eq!(run(1), run(1));
     }
@@ -341,15 +284,15 @@ mod tests {
     #[test]
     fn next_event_peek_does_not_perturb_stream() {
         let run = |peek: bool| {
-            let (mut gen, mut server) = setup();
+            let (mut gen, mut fed) = setup();
             let mut rng = stream_rng(5, "userload");
             let peeked = if peek {
                 gen.next_event(SimTime::ZERO, &mut rng)
             } else {
                 None
             };
-            gen.advance(SimTime::from_days(3), &mut server, &mut rng);
-            (peeked, gen.submitted(), server.jobs().len())
+            gen.advance_fed(SimTime::from_days(3), &mut fed, &mut rng);
+            (peeked, gen.submitted(), fed.all_jobs().count())
         };
         let (peeked, n1, j1) = run(true);
         let (_, n2, j2) = run(false);
@@ -359,11 +302,11 @@ mod tests {
 
     #[test]
     fn server_time_advances_with_load() {
-        let (mut gen, mut server) = setup();
+        let (mut gen, mut fed) = setup();
         let mut rng = stream_rng(11, "userload");
-        gen.advance(SimTime::from_days(1), &mut server, &mut rng);
-        // Server time has moved to the last submission's instant (≤ 1 day).
-        assert!(server.now() <= SimTime::from_days(1));
-        assert!(server.now() > SimTime::ZERO);
+        gen.advance_fed(SimTime::from_days(1), &mut fed, &mut rng);
+        // Federation time has moved to the last submission's instant (≤ 1 day).
+        assert!(fed.now() <= SimTime::from_days(1));
+        assert!(fed.now() > SimTime::ZERO);
     }
 }

@@ -158,7 +158,7 @@ impl CampaignDigest {
     /// Capture a finished campaign's observable state.
     pub fn capture(c: &Campaign) -> Self {
         let m = c.metrics();
-        let stats = &c.scheduler().stats;
+        let stats = c.trigger().stats();
         CampaignDigest {
             tests_run: m.tests_run,
             tests_failed: m.tests_failed,

@@ -169,22 +169,6 @@ impl FaultKind {
         }
     }
 
-    /// Whether this fault targets a single node.
-    pub fn is_node_fault(self) -> bool {
-        !matches!(
-            self,
-            FaultKind::CablingSwap
-                | FaultKind::ServiceFlaky
-                | FaultKind::ServiceDown
-                | FaultKind::SitePowerOutage
-                | FaultKind::SiteLinkPartition
-                | FaultKind::ClockSkew
-                | FaultKind::ServiceCrash
-                | FaultKind::ServiceRestart
-                | FaultKind::RpcDegraded
-        )
-    }
-
     /// Whether this fault targets a site or an inter-site link.
     pub fn is_site_fault(self) -> bool {
         Self::SITE_SCOPED.contains(&self)

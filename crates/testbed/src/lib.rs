@@ -36,7 +36,7 @@ pub use hardware::{
     NodeHardware, Vendor,
 };
 pub use ids::{ClusterId, NodeId, PduId, SiteId, SwitchId};
-pub use link::{DistanceTiered, Ideal, LinkModel, LinkModelSpec, Uniform};
+pub use link::LinkModelSpec;
 pub use node::{Node, NodeCondition};
 pub use process::{ProcessEntry, ProcessRegistry, ServiceId};
 pub use services::{Service, ServiceError, ServiceKind};

@@ -1,144 +1,84 @@
-//! Pluggable backbone link models.
+//! Backbone link models.
 //!
 //! The generator wires every site pair with a full-mesh [`crate::topology::SiteLink`]
-//! backbone, but until now the links were binary: up (free, instant,
-//! lossless) or partitioned. A [`LinkModel`] attaches *degree* to the
-//! backbone — per-pair latency and loss that every enveloped service call
-//! and every federation placement probe sees — so partitions and skew
-//! become the far end of a continuum instead of a separate kind.
+//! backbone, but links alone are binary: up (free, instant, lossless) or
+//! partitioned. A [`LinkModelSpec`] attaches *degree* to the backbone —
+//! per-pair latency and loss that every enveloped service call and every
+//! federation placement probe sees — so partitions and skew become the
+//! far end of a continuum instead of a separate kind.
 //!
-//! Three models ship:
-//!
-//! * [`Ideal`] — the historical behavior: no added latency, no loss, **no
-//!   RNG draws**. This is the default, and campaigns running it are
-//!   byte-identical to campaigns built before link models existed.
-//! * [`Uniform`] — every distinct-site pair shares one latency/loss
-//!   figure (a flat WAN).
-//! * [`DistanceTiered`] — latency and loss grow with site-index distance
-//!   (sites are laid out along the backbone in id order, like the
-//!   dark-fibre ring of the real federation): near pairs are cheap and
-//!   lossless, far pairs are slow and lossy.
-//!
-//! Determinism contract: a model's [`LinkModel::quality`] is a pure
-//! function of the site pair. The *caller* decides whether a loss draw
-//! happens (only when `loss_prob > 0`), so arming a latency-only model
-//! never shifts an RNG stream, and the Ideal model never draws at all.
+//! Determinism contract: [`LinkModelSpec::quality`] is a pure function of
+//! the site pair. The *caller* decides whether a loss draw happens (only
+//! when `loss_prob > 0`), so arming a latency-only model never shifts an
+//! RNG stream, and the ideal model never draws at all.
 
 use crate::ids::SiteId;
 use serde::{Deserialize, Serialize};
 use ttt_sim::LinkQuality;
 
-/// A model assigning link quality to backbone site pairs.
-pub trait LinkModel {
-    /// Quality of the path `from → to`. `None` means an ideal hop: zero
-    /// added latency, no loss, and — by the determinism contract — no RNG
-    /// draw at the callsite. Same-site paths are always ideal.
-    fn quality(&self, from: SiteId, to: SiteId) -> Option<LinkQuality>;
-}
-
-/// The historical free backbone: every path ideal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Ideal;
-
-impl LinkModel for Ideal {
-    fn quality(&self, _from: SiteId, _to: SiteId) -> Option<LinkQuality> {
-        None
-    }
-}
-
-/// One flat latency/loss figure for every distinct-site pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Uniform {
-    /// Added one-way latency per enveloped call, seconds.
-    pub latency_s: f64,
-    /// Probability an enveloped call is dropped in flight.
-    pub loss_prob: f64,
-}
-
-impl LinkModel for Uniform {
-    fn quality(&self, from: SiteId, to: SiteId) -> Option<LinkQuality> {
-        if from == to {
-            return None;
-        }
-        Some(LinkQuality {
-            latency_s: self.latency_s,
-            loss_prob: self.loss_prob,
-        })
-    }
-}
-
-/// Latency/loss tiers by site-index distance: neighbours are near-ideal,
-/// far pairs cross several backbone segments and pay for each.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DistanceTiered;
-
-impl DistanceTiered {
-    /// The tier boundaries, `(max_distance, latency_s, loss_prob)` — public
-    /// so docs and tests agree with the implementation.
-    pub const TIERS: [(u16, f64, f64); 3] = [
-        (1, 0.002, 0.0),
-        (4, 0.010, 0.01),
-        (u16::MAX, 0.030, 0.05),
-    ];
-}
-
-impl LinkModel for DistanceTiered {
-    fn quality(&self, from: SiteId, to: SiteId) -> Option<LinkQuality> {
-        if from == to {
-            return None;
-        }
-        let d = from.0.abs_diff(to.0);
-        let &(_, latency_s, loss_prob) = Self::TIERS
-            .iter()
-            .find(|&&(max, _, _)| d <= max)
-            .expect("last tier is unbounded");
-        Some(LinkQuality {
-            latency_s,
-            loss_prob,
-        })
-    }
-}
-
-/// The serializable per-scenario selection of a link model. This is what
-/// scenario files carry and what the campaign config stores; it dispatches
-/// to the three concrete models.
+/// The backbone link model a scenario selects: what scenario files carry
+/// and what the campaign config stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum LinkModelSpec {
-    /// [`Ideal`]: the historical free backbone (the default).
+    /// The historical free backbone (the default): no added latency, no
+    /// loss, **no RNG draws** — campaigns running it are byte-identical to
+    /// campaigns built before link models existed.
     #[default]
     Ideal,
-    /// [`Uniform`]: one latency/loss figure for every distinct-site pair.
+    /// One latency/loss figure for every distinct-site pair (a flat WAN).
     Uniform {
         /// Added one-way latency per enveloped call, seconds.
         latency_s: f64,
         /// Probability an enveloped call is dropped in flight.
         loss_prob: f64,
     },
-    /// [`DistanceTiered`]: quality degrades with site-index distance.
+    /// Latency and loss grow with site-index distance (sites are laid out
+    /// along the backbone in id order, like the dark-fibre ring of the real
+    /// federation): neighbours are near-ideal, far pairs cross several
+    /// backbone segments and pay for each.
     DistanceTiered,
 }
 
 impl LinkModelSpec {
+    /// The distance tiers, `(max_distance, latency_s, loss_prob)` — public
+    /// so docs and tests agree with the implementation.
+    pub const TIERS: [(u16, f64, f64); 3] = [
+        (1, 0.002, 0.0),
+        (4, 0.010, 0.01),
+        (u16::MAX, 0.030, 0.05),
+    ];
+
     /// Whether this is the ideal (no-op, draw-free) model.
     pub fn is_ideal(&self) -> bool {
         matches!(self, LinkModelSpec::Ideal)
     }
-}
 
-impl LinkModel for LinkModelSpec {
-    fn quality(&self, from: SiteId, to: SiteId) -> Option<LinkQuality> {
-        match *self {
-            LinkModelSpec::Ideal => Ideal.quality(from, to),
+    /// Quality of the path `from → to`. `None` means an ideal hop: zero
+    /// added latency, no loss, and — by the determinism contract — no RNG
+    /// draw at the callsite. Same-site paths are always ideal.
+    pub fn quality(&self, from: SiteId, to: SiteId) -> Option<LinkQuality> {
+        if from == to {
+            return None;
+        }
+        let (latency_s, loss_prob) = match *self {
+            LinkModelSpec::Ideal => return None,
             LinkModelSpec::Uniform {
                 latency_s,
                 loss_prob,
-            } => Uniform {
-                latency_s,
-                loss_prob,
+            } => (latency_s, loss_prob),
+            LinkModelSpec::DistanceTiered => {
+                let d = from.0.abs_diff(to.0);
+                let &(_, latency_s, loss_prob) = Self::TIERS
+                    .iter()
+                    .find(|&&(max, _, _)| d <= max)
+                    .expect("last tier is unbounded");
+                (latency_s, loss_prob)
             }
-            .quality(from, to),
-            LinkModelSpec::DistanceTiered => DistanceTiered.quality(from, to),
-        }
+        };
+        Some(LinkQuality {
+            latency_s,
+            loss_prob,
+        })
     }
 }
 
@@ -150,7 +90,7 @@ mod tests {
     fn ideal_is_always_free() {
         for a in 0..4u16 {
             for b in 0..4u16 {
-                assert_eq!(Ideal.quality(SiteId(a), SiteId(b)), None);
+                assert_eq!(LinkModelSpec::Ideal.quality(SiteId(a), SiteId(b)), None);
             }
         }
         assert!(LinkModelSpec::default().is_ideal());
@@ -158,7 +98,7 @@ mod tests {
 
     #[test]
     fn uniform_spares_same_site_paths() {
-        let m = Uniform {
+        let m = LinkModelSpec::Uniform {
             latency_s: 0.02,
             loss_prob: 0.1,
         };
@@ -170,7 +110,7 @@ mod tests {
 
     #[test]
     fn distance_tiers_are_monotone() {
-        let m = DistanceTiered;
+        let m = LinkModelSpec::DistanceTiered;
         assert_eq!(m.quality(SiteId(5), SiteId(5)), None);
         let near = m.quality(SiteId(0), SiteId(1)).unwrap();
         let mid = m.quality(SiteId(0), SiteId(3)).unwrap();
@@ -181,27 +121,6 @@ mod tests {
         assert!(mid.loss_prob < far.loss_prob);
         // Symmetric in the pair.
         assert_eq!(m.quality(SiteId(7), SiteId(0)), Some(far));
-    }
-
-    #[test]
-    fn spec_dispatches_to_the_models() {
-        let pair = (SiteId(0), SiteId(2));
-        assert_eq!(LinkModelSpec::Ideal.quality(pair.0, pair.1), None);
-        assert_eq!(
-            LinkModelSpec::Uniform {
-                latency_s: 0.005,
-                loss_prob: 0.0
-            }
-            .quality(pair.0, pair.1),
-            Some(LinkQuality {
-                latency_s: 0.005,
-                loss_prob: 0.0
-            })
-        );
-        assert_eq!(
-            LinkModelSpec::DistanceTiered.quality(pair.0, pair.1),
-            DistanceTiered.quality(pair.0, pair.1)
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::cluster::Cluster;
 use crate::fault::{Fault, FaultId, FaultKind, FaultTarget};
 use crate::hardware::NodeHardware;
 use crate::ids::{ClusterId, NodeId, SiteId};
-use crate::link::{LinkModel, LinkModelSpec};
+use crate::link::LinkModelSpec;
 use crate::node::Node;
 use crate::process::ProcessRegistry;
 use crate::services::{Service, ServiceError, ServiceHealth, ServiceKind};
@@ -304,14 +304,6 @@ impl Testbed {
             Some(trace) => std::mem::take(trace),
             None => Vec::new(),
         }
-    }
-
-    /// Effective quality of the backbone path `from → to`: the link
-    /// model's figure for the pair, `None` for same-site hops or under the
-    /// ideal model. Partition state is separate — see
-    /// [`Testbed::backbone_reachable`].
-    pub fn path_quality(&self, from: SiteId, to: SiteId) -> Option<LinkQuality> {
-        self.link_model.quality(from, to)
     }
 
     /// Whether the backbone path between two sites is usable for placement

@@ -53,7 +53,7 @@ fn main() {
     println!("  open : {}", campaign.tracker().open().len());
 
     println!("\n== scheduler decisions ==");
-    let s = &campaign.scheduler().stats;
+    let s = campaign.trigger().stats();
     println!("  triggered            : {}", s.triggered);
     println!("  deferred (resources) : {}", s.deferred_resources);
     println!("  deferred (peak hours): {}", s.deferred_peak);

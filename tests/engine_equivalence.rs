@@ -187,3 +187,62 @@ fn partial_advance_matches_single_run() {
         assert_eq!(a.tracker().fixed(), legs.tracker().fixed());
     }
 }
+
+/// The event stream and digest, pinned across commits (engine equivalence
+/// above only compares two drivers within one). Three small worlds: the
+/// `chaos_week` recipe cut to two days (External), and the cron baseline
+/// under a staged rollout (a 12 h period, so configurations of different
+/// phases come due in one pass: cron fires them in suite order, the
+/// external scheduler in rollout-add order, and the order is
+/// digest-visible) and under an all-at-start rollout with enough user load
+/// that builds block on their testbed job.
+/// To regenerate after an intended behaviour change, run with
+/// `-- --nocapture` and copy the three printed folds.
+#[test]
+fn golden_event_stream_is_pinned_across_commits() {
+    use throughout::testbed::LinkModelSpec;
+    let naive = |period_hours: u64, rollout: Rollout| {
+        let mut cfg = CampaignConfig::small(21);
+        cfg.mode = SchedulingMode::NaiveCron {
+            period: SimDuration::from_hours(period_hours),
+        };
+        cfg.duration = SimDuration::from_days(6);
+        cfg.rollout = rollout;
+        cfg
+    };
+    let mut chaos = throughout::core::scenario::multi_site_scenario(2017);
+    chaos.duration = SimDuration::from_days(2);
+    chaos.tick = SimDuration::from_mins(1);
+    chaos.buggify_rate = 0.10;
+    chaos.link_model = LinkModelSpec::DistanceTiered;
+    let mut staged = Rollout::staged();
+    for (day, phase) in (0u64..).zip(&mut staged.phases) {
+        phase.0 = SimTime::from_days(day);
+    }
+    let mut contended = naive(24, Rollout::all_at_start());
+    contended.user_load.peak_jobs_per_day = 80.0;
+    contended.user_load.whole_cluster_prob = 0.2;
+    contended.initial_fault_burden = 12;
+    let worlds = [
+        ("chaos-2d", chaos),
+        ("naive-staged", naive(12, staged)),
+        ("naive-all-at-start", contended),
+    ];
+    let folds = worlds.map(|(label, cfg)| {
+        let mut c = Campaign::new(cfg);
+        c.record_events();
+        c.run();
+        let log = c.take_event_log().expect("recording was armed");
+        let text = format!("{:?}", (CampaignDigest::capture(&c), log));
+        let fold = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        }) & 0xffff_ffff_ffff;
+        println!("{label}: {fold:#x}");
+        fold
+    });
+    assert_eq!(
+        folds,
+        [0x5efa_df57_5d03, 0x53b2_d849_adfb, 0xb4fb_0d30_e0bd],
+        "a digest or an event log moved"
+    );
+}
