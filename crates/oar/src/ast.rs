@@ -201,6 +201,15 @@ impl RequestGroup {
         }
         Some(total)
     }
+
+    /// Whether some level asks for exactly zero resources. Such a group
+    /// requests nothing: the parser refuses it and the server neither
+    /// accepts nor places it.
+    pub fn has_zero_count(&self) -> bool {
+        self.hierarchy
+            .iter()
+            .any(|(_, count)| matches!(count, Count::Exact(0)))
+    }
 }
 
 impl fmt::Display for RequestGroup {
@@ -245,14 +254,12 @@ impl ResourceRequest {
         }
     }
 
-    /// The clusters this request can ever touch, if every group statically
-    /// implies one (see [`Expr::implied_cluster`]). `None` means the
-    /// request may span arbitrary clusters.
-    pub fn implied_clusters(&self) -> Option<Vec<&str>> {
-        self.groups
-            .iter()
-            .map(|g| g.filter.implied_cluster())
-            .collect()
+    /// The clusters this request can ever touch, one per group, if every
+    /// group statically implies one (see [`Expr::implied_cluster`]). `None`
+    /// means the request may span arbitrary clusters.
+    pub fn implied_clusters(&self) -> Option<impl Iterator<Item = &str>> {
+        let implied = || self.groups.iter().map(|g| g.filter.implied_cluster());
+        implied().all(|c| c.is_some()).then(|| implied().flatten())
     }
 }
 
@@ -312,9 +319,12 @@ mod tests {
             ],
             walltime: SimDuration::from_hours(1),
         };
-        assert_eq!(req.implied_clusters(), Some(vec!["a", "b"]));
+        fn clusters(r: &ResourceRequest) -> Option<Vec<&str>> {
+            r.implied_clusters().map(Iterator::collect)
+        }
+        assert_eq!(clusters(&req), Some(vec!["a", "b"]));
         let open = ResourceRequest::nodes(Expr::True, 1, SimDuration::from_hours(1));
-        assert_eq!(open.implied_clusters(), None);
+        assert_eq!(clusters(&open), None);
     }
 
     #[test]

@@ -136,6 +136,11 @@ mod tests {
         let err = oarsub(&mut s, "alice", "nodes=").unwrap_err();
         assert!(matches!(err, CliError::BadRequest(_)));
         assert!(err.to_string().contains("parse error"));
+        // Regression: `nodes=0` used to print an OAR_JOB_ID for a job
+        // running on no node.
+        let err = oarsub(&mut s, "alice", "nodes=0").unwrap_err();
+        assert!(matches!(err, CliError::BadRequest(_)), "{err}");
+        assert!(s.jobs().is_empty());
     }
 
     #[test]

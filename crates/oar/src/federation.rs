@@ -6,12 +6,18 @@
 //! external scheduler) shards work across them. This module makes that
 //! structure first-class:
 //!
-//! * each [`SiteDomain`] wraps an [`OarServer`] scoped to one site (remote
-//!   nodes are administratively `Absent`, so they are never eligible);
+//! * each [`SiteDomain`] wraps an [`OarServer`] that *is* its site: the
+//!   shared resource database is partitioned by site, and a domain keeps
+//!   state for, and plans over, its own part only — a remote node is not
+//!   a disabled candidate, it is not a candidate;
 //! * [`Federation::submit`] places a request on its *home* domain (derived
 //!   from the request's implied cluster/site, or passed explicitly), and
 //!   spills over to a remote domain when the home site cannot start it
 //!   immediately but a remote one can;
+//! * placement asks only the sites that can answer: a request's filters
+//!   are resolved once per placement, and only domains where every group
+//!   has a matching node are probed, so a cluster- or site-pinned request
+//!   costs one probe however wide the federation is;
 //! * requests whose groups statically span several sites (the global
 //!   kavlan configuration) are *co-allocated*: split into per-site parts
 //!   that must all start at the same instant, mirroring `oargridsub`;
@@ -21,7 +27,7 @@
 
 use crate::ast::ResourceRequest;
 use crate::job::{Job, JobId, JobKind, JobState, Queue};
-use crate::server::{NodeState, OarServer, ResourceDb, SubmitError};
+use crate::server::{MatchSet, OarServer, ResourceDb, SubmitError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttt_refapi::TestbedDescription;
@@ -34,7 +40,7 @@ pub struct SiteDomain {
     pub site: SiteId,
     /// Site name (home-affinity keys are names).
     pub name: String,
-    /// The site's own OAR server. Remote nodes are `Absent` here.
+    /// The site's own OAR server, scheduling this site's nodes only.
     pub oar: OarServer,
 }
 
@@ -97,12 +103,16 @@ impl AvailabilityProbe for OarServer {
 impl AvailabilityProbe for Federation {
     fn can_start_now(&self, home_site: &str, request: &ResourceRequest) -> bool {
         let home = self.domain_by_name(home_site);
-        self.place_now(home, request).is_some()
+        let sets = self.db.resolve(request);
+        self.place_now(home, request, sets.as_slice()).is_some()
     }
 }
 
 /// The federated resource layer: every site's OAR server plus placement.
 pub struct Federation {
+    /// The resource database every domain plans against, partitioned by
+    /// site: part `i` is domain `i`.
+    db: Arc<ResourceDb>,
     domains: Vec<SiteDomain>,
     /// Cluster name → owning domain index.
     domain_of_cluster: BTreeMap<String, usize>,
@@ -131,23 +141,17 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Build one scheduling domain per site of the testbed. Every domain
-    /// sees the full node arena (ids stay global) but only its own site's
-    /// nodes are schedulable; the rest are `Absent`.
+    /// Build one scheduling domain per site of the testbed. Node ids stay
+    /// global, but each domain holds state for its own site's nodes only.
     pub fn new(tb: &Testbed, desc: &TestbedDescription) -> Self {
-        // One shared resource database: per-site servers differ only in
-        // node state and reservations, never in properties.
-        let db = Arc::new(ResourceDb::load(tb, desc));
+        // One shared resource database, one part per site: per-site
+        // servers differ only in which part they schedule.
+        let db = Arc::new(ResourceDb::load_by_site(tb, desc));
         let mut domains = Vec::with_capacity(tb.sites().len());
         let mut domain_of_site = BTreeMap::new();
         let mut domain_of_cluster = BTreeMap::new();
         for (i, site) in tb.sites().iter().enumerate() {
-            let mut oar = OarServer::with_db(Arc::clone(&db));
-            for node in tb.nodes() {
-                if node.site != site.id {
-                    oar.set_node_state(node.id, NodeState::Absent);
-                }
-            }
+            let oar = OarServer::over_part(Arc::clone(&db), i);
             domain_of_site.insert(site.name.clone(), i);
             for &cid in &site.clusters {
                 domain_of_cluster.insert(tb.cluster(cid).name.clone(), i);
@@ -160,6 +164,7 @@ impl Federation {
         }
         let n = domains.len();
         Federation {
+            db,
             domains,
             domain_of_cluster,
             domain_of_site,
@@ -354,7 +359,11 @@ impl Federation {
     /// spanning several sites are co-allocated and only place when every
     /// part can start at this instant.
     pub fn place(&self, home: Option<usize>, request: &ResourceRequest) -> Placement {
-        if let Some(now) = self.place_now(home, request) {
+        // A home that names no domain is no home.
+        let home = home.filter(|&h| h < self.domains.len());
+        let sets = self.db.resolve(request);
+        let sets = sets.as_slice();
+        if let Some(now) = self.place_now(home, request, sets) {
             return now;
         }
         if request.groups.len() > 1 && self.split_by_site(request).is_some() {
@@ -362,20 +371,25 @@ impl Federation {
             // all parts or nothing, now).
             return Placement::Nowhere;
         }
-        for &d in &self.candidate_order(home) {
-            if self.domains[d].oar.process_up() && self.domains[d].oar.can_satisfy(request) {
-                return Placement::Queued(d);
-            }
-        }
-        Placement::Nowhere
+        let queued = self.candidates(home, sets).find(|&d| {
+            let oar = &self.domains[d].oar;
+            oar.process_up() && oar.can_queue(request, sets)
+        });
+        queued.map_or(Placement::Nowhere, Placement::Queued)
     }
 
     /// The immediate-start part of [`Federation::place`]: `Some` iff the
     /// request (or every part of a cross-site split) can start at this
     /// instant. The external scheduler's availability probe only needs
     /// this answer, so it skips the queued-fallback validation sweep that
-    /// `place` would run across every domain on a saturated testbed.
-    fn place_now(&self, home: Option<usize>, request: &ResourceRequest) -> Option<Placement> {
+    /// `place` would run on a saturated testbed. `sets` is the request
+    /// resolved against the database, once for the whole placement.
+    fn place_now(
+        &self,
+        home: Option<usize>,
+        request: &ResourceRequest,
+        sets: &[Arc<MatchSet>],
+    ) -> Option<Placement> {
         if request.groups.len() > 1 {
             if let Some(parts) = self.split_by_site(request) {
                 // Every part's scheduling process must be reachable; a
@@ -399,32 +413,39 @@ impl Federation {
             }
         }
         // Domains whose OAR process is down refuse probes outright.
-        self.candidate_order(home)
-            .into_iter()
+        self.candidates(home, sets)
             .find(|&d| {
                 let oar = &self.domains[d].oar;
-                oar.process_up() && oar.immediate_assignment(request).is_some()
+                oar.process_up() && oar.can_start(request, sets)
             })
             .map(Placement::Immediate)
     }
 
-    /// Home-first, then every other domain in ascending site order. With a
+    /// The domains worth asking about a request, in placement order: home
+    /// first, then every other domain in ascending site order — restricted
+    /// to the domains that host the request, i.e. where every group has a
+    /// matching node. Any other domain answers "no" to both questions
+    /// placement asks (a group with no matching node is neither startable
+    /// nor satisfiable), so skipping it changes no decision. With a
     /// backbone reachability view installed and a known home, remote
-    /// domains the home site cannot reach are not candidates — a job
-    /// cannot spill over (or queue remotely) across a dead backbone path.
-    fn candidate_order(&self, home: Option<usize>) -> Vec<usize> {
-        let mut order: Vec<usize> = Vec::with_capacity(self.domains.len());
-        if let Some(h) = home {
-            if h < self.domains.len() {
-                order.push(h);
-            }
-        }
-        for d in 0..self.domains.len() {
-            if Some(d) != home && home.is_none_or(|h| self.backbone_ok(h, d)) {
-                order.push(d);
-            }
-        }
-        order
+    /// domains the home site cannot reach are not candidates either — a
+    /// job cannot spill over (or queue remotely) across a dead backbone
+    /// path.
+    fn candidates<'a>(
+        &'a self,
+        home: Option<usize>,
+        sets: &'a [Arc<MatchSet>],
+    ) -> impl Iterator<Item = usize> + 'a {
+        let hosts = move |d: usize| sets.iter().all(|set| set.hosts(d));
+        // Any group's hosting parts would do to enumerate from: ascending,
+        // and sparse for a pinned filter.
+        let remote = sets
+            .first()
+            .into_iter()
+            .flat_map(|set| set.parts())
+            .filter(move |&d| Some(d) != home && hosts(d))
+            .filter(move |&d| home.is_none_or(|h| self.backbone_ok(h, d)));
+        home.into_iter().filter(move |&h| hosts(h)).chain(remote)
     }
 
     /// Submit a request: place it (home affinity + spillover), then book
@@ -452,7 +473,9 @@ impl Federation {
         if self.buggify.fire_hashed("fed-submit", self.submit_attempts) {
             return Err(SubmitError::TransientlyRefused);
         }
-        let home = home.or_else(|| self.home_of_request(&request));
+        let home = home
+            .filter(|&h| h < self.domains.len())
+            .or_else(|| self.home_of_request(&request));
         match self.place(home, &request) {
             Placement::Immediate(d) | Placement::Queued(d) => {
                 if home.is_some_and(|h| h != d) {
@@ -557,23 +580,14 @@ impl Federation {
             .min()
     }
 
-    /// Reconcile node liveness, handing each domain only its own site's
-    /// flipped nodes (a remote flip never concerns a domain — its remote
-    /// nodes are `Absent` and must stay so).
+    /// Reconcile node liveness. Each domain picks its own site's flipped
+    /// nodes out of `dirty`; a remote flip never concerns it.
     pub fn sync_dirty_nodes(&mut self, tb: &Testbed, dirty: &[NodeId]) {
         if dirty.is_empty() {
             return;
         }
-        let mut scratch: Vec<NodeId> = Vec::with_capacity(dirty.len());
         for domain in &mut self.domains {
-            scratch.clear();
-            scratch.extend(
-                dirty
-                    .iter()
-                    .copied()
-                    .filter(|&n| tb.node(n).site == domain.site),
-            );
-            domain.oar.sync_dirty_nodes(tb, &scratch);
+            domain.oar.sync_dirty_nodes(tb, dirty);
         }
     }
 
@@ -605,6 +619,7 @@ impl Federation {
 mod tests {
     use super::*;
     use crate::ast::Expr;
+    use crate::server::NodeState;
     use ttt_refapi::describe;
     use ttt_sim::SimDuration;
     use ttt_testbed::{FaultKind, FaultTarget, TestbedBuilder};
@@ -1000,6 +1015,43 @@ mod tests {
             .submit("ci", Queue::Admin, JobKind::Test, req(), None)
             .unwrap();
         assert_eq!(job.parts.len(), 2);
+    }
+
+    #[test]
+    fn zero_node_request_places_nowhere() {
+        // Regression: `place(None, cluster='gamma'/nodes=0)` answered
+        // `Immediate(0)` — on east, which does not own gamma — and the job
+        // ran there holding no node.
+        let (_tb, mut fed) = setup();
+        let req = nodes_req(Expr::eq("cluster", "gamma"), 0, 1);
+        assert_eq!(fed.place(None, &req), Placement::Nowhere);
+        assert!(!fed.can_start_now("west", &req));
+        let err = fed
+            .submit("x", Queue::Default, JobKind::User, req, None)
+            .unwrap_err();
+        assert_eq!(err, SubmitError::Unsatisfiable);
+        assert_eq!(fed.all_jobs().count(), 0);
+    }
+
+    #[test]
+    fn out_of_range_home_means_no_home_under_a_real_model() {
+        // Regression: with a backbone view installed, `place(Some(999), …)`
+        // indexed the reachability matrix out of bounds.
+        let (mut tb, mut fed) = setup();
+        tb.set_link_model(ttt_testbed::LinkModelSpec::Uniform {
+            latency_s: 0.01,
+            loss_prob: 0.0,
+        });
+        fed.sync_backbone(&tb);
+        let req = nodes_req(Expr::True, 2, 1);
+        assert_eq!(fed.place(Some(999), &req), fed.place(None, &req));
+        assert_eq!(fed.place(Some(999), &req), Placement::Immediate(0));
+        let job = fed
+            .submit("x", Queue::Default, JobKind::User, req, Some(999))
+            .unwrap();
+        assert_eq!(job.primary_domain(), 0);
+        // No home, so nothing was placed *off* its home.
+        assert_eq!(fed.spillovers(), 0);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Each node carries a sorted list of non-overlapping reservations. The
 //! scheduler asks two questions: "is this node free over `[t, t+d)`?" and
 //! "what is the earliest instant ≥ `t` where a window of length `d` is
-//! free?". Both are O(#reservations) per node, which is plenty at testbed
-//! scale (hundreds of nodes, thousands of jobs).
+//! free?". Both are O(#reservations) on one node's timeline; the daily GC
+//! keeps a timeline to the reservations still ahead. What is *not* cheap is
+//! asking many nodes: [`crate::server`] keeps that to the nodes of one
+//! scheduling part that match the request's filter.
 
 use crate::job::JobId;
 use std::collections::BTreeMap;

@@ -205,16 +205,15 @@ impl Parser {
                 }
             };
             self.expect(&TokenKind::Eq)?;
-            let count = match self.next() {
-                Some(Token { kind: TokenKind::Int(n), .. }) => Count::Exact(n as u32),
-                Some(Token { kind: TokenKind::Ident(kw), .. }) if kw == "ALL" || kw == "all" => {
-                    Count::All
+            let (count, pos) = match self.next() {
+                Some(Token { kind: TokenKind::Int(n), pos }) => {
+                    (u32::try_from(n).ok().map(Count::Exact), pos)
+                }
+                Some(Token { kind: TokenKind::Ident(kw), pos }) if kw == "ALL" || kw == "all" => {
+                    (Some(Count::All), pos)
                 }
                 Some(Token { kind: TokenKind::Str(s), pos }) => {
-                    s.parse::<u32>().map(Count::Exact).map_err(|_| ParseError {
-                        message: format!("expected count, found string '{s}'"),
-                        pos: Some(pos),
-                    })?
+                    (s.parse().ok().map(Count::Exact), pos)
                 }
                 other => {
                     return Err(ParseError {
@@ -223,6 +222,14 @@ impl Parser {
                     })
                 }
             };
+            // Zero asks for nothing, and a wider integer must not wrap
+            // into range.
+            let count = count
+                .filter(|c| *c != Count::Exact(0))
+                .ok_or_else(|| ParseError {
+                    message: "expected a count of at least 1 (a `u32`) or `ALL`".into(),
+                    pos: Some(pos),
+                })?;
             hierarchy.push((level, count));
         }
         if hierarchy.is_empty() {
@@ -395,6 +402,25 @@ mod tests {
         assert!(parse_request("cluster='a'", HOUR).is_err()); // no hierarchy
         let err = parse_request("nodes=2,deadline=5", HOUR).unwrap_err();
         assert!(err.message.contains("walltime"));
+    }
+
+    #[test]
+    fn rejects_a_zero_or_out_of_range_count() {
+        // Regression: `nodes=0` parsed, was accepted and ran holding no
+        // node; 2^32 wrapped to the same zero.
+        for input in [
+            "nodes=0",
+            "/nodes='0'",
+            "{cluster='a'}/cluster=0/nodes=2",
+            "nodes=2/core=0",
+            "nodes=1+{cluster='b'}/nodes=0",
+            "nodes=4294967296",
+        ] {
+            let err = parse_request(input, HOUR).unwrap_err();
+            assert!(err.message.contains("at least 1"), "{input}: {err}");
+            assert!(err.pos.is_some(), "{input}");
+        }
+        assert!(parse_request("nodes=4294967295", HOUR).is_ok());
     }
 
     #[test]

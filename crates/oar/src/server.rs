@@ -6,6 +6,11 @@
 //! reservations, and the reservation is kept (never re-planned) so later
 //! jobs can backfill around it.
 //!
+//! A server schedules one *part* of its [`ResourceDb`]: the whole testbed
+//! when it stands alone, one site when it is a federation's domain. Node
+//! states and timelines exist for that part only, and every planner scan
+//! walks the part's run of a cached match-set — never the node arena.
+//!
 //! Two queries matter to the paper's external test scheduler (slide 17):
 //! "are this request's resources available *right now*?" and "did the job I
 //! just submitted actually start immediately?" — both are first-class here.
@@ -19,7 +24,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, RwLock};
 use ttt_refapi::{all_properties, PropertyMap, TestbedDescription};
 use ttt_sim::{Buggify, EventQueue, SimDuration, SimTime};
-use ttt_testbed::{ClusterId, NodeId, Testbed};
+use ttt_testbed::{ClusterId, Node, NodeId, Testbed};
 
 /// OAR node states (slide 21's `oarstate` family checks these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,7 +72,14 @@ enum OarEvent {
 
 /// The immutable resource database a server (or a whole federation of
 /// per-site servers) plans against: node properties from the Reference
-/// API, the `ClusterId` index space, and the per-filter match-set cache.
+/// API, the `ClusterId` index space, the partition of the node arena into
+/// scheduling *parts*, and the per-filter match-set cache.
+///
+/// A part is the set of nodes one [`OarServer`] schedules. A stand-alone
+/// server's database has a single part holding every node
+/// ([`ResourceDb::load`]); a federation's has one part per site, and each
+/// site's server keeps state for, and plans over, its own part only. Both
+/// are the same code: nothing below asks how many parts there are.
 ///
 /// The database is loaded once and never mutated afterwards (the
 /// *description* drifts, the DB does not — that inconsistency is the
@@ -95,22 +107,104 @@ pub struct ResourceDb {
     nodes_of_cluster: Vec<Vec<NodeId>>,
     /// All node ids (scan fallback for cluster-agnostic filters).
     all_nodes: Vec<NodeId>,
+    /// Node ids per part, in node order: a server's slot → node table.
+    nodes_of_part: Vec<Vec<NodeId>>,
+    /// Per node, its part and its slot in that part's
+    /// [`ResourceDb::nodes_of_part`] row — the one node → slot table every
+    /// server indexes its own state through. A site's node ids need not be
+    /// contiguous (sites may interleave in the arena).
+    slot_of_node: Vec<(u32, u32)>,
     /// Cached match-sets: filter → nodes whose properties satisfy it.
     /// Property-only (state filtered per query), hence valid across every
     /// domain sharing the database.
     // detlint: allow(no-unordered-iteration) -- lookup-only cache on the placement hot path (Expr is not Ord); never iterated, so its order cannot leak
-    match_cache: RwLock<HashMap<Expr, Arc<Vec<NodeId>>>>,
+    match_cache: RwLock<HashMap<Expr, Arc<MatchSet>>>,
+}
+
+/// The nodes whose properties satisfy one filter, grouped by part.
+///
+/// A server reads its own part's run; a federation reads the list of parts
+/// that match at all, which is every site worth asking about the filter.
+pub(crate) struct MatchSet {
+    /// Matching nodes: parts ascending, node order within a part.
+    nodes: Vec<NodeId>,
+    /// `(part, end of its run in nodes)` for each part with at least one
+    /// match, ascending. Sparse: a cluster filter has one entry however
+    /// wide the federation is.
+    runs: Vec<(u32, u32)>,
+}
+
+impl MatchSet {
+    /// The matching nodes of `part`, in node order; empty when none match.
+    fn of_part(&self, part: usize) -> &[NodeId] {
+        match self.runs.binary_search_by_key(&(part as u32), |&(p, _)| p) {
+            Ok(i) => {
+                let start = i.checked_sub(1).map_or(0, |prev| self.runs[prev].1);
+                &self.nodes[start as usize..self.runs[i].1 as usize]
+            }
+            Err(_) => &[],
+        }
+    }
+
+    /// The parts with at least one matching node, ascending.
+    pub(crate) fn parts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs.iter().map(|&(p, _)| p as usize)
+    }
+
+    /// Whether any node of `part` matches.
+    pub(crate) fn hosts(&self, part: usize) -> bool {
+        !self.of_part(part).is_empty()
+    }
+}
+
+/// The match-sets of a request's groups, in group order. A single group —
+/// every user job and every single-cluster test — is held inline, so
+/// resolving a request allocates only when it has several groups.
+pub(crate) enum GroupSets {
+    One(Arc<MatchSet>),
+    Many(Vec<Arc<MatchSet>>),
+}
+
+impl GroupSets {
+    /// One match-set per group of the resolved request.
+    pub(crate) fn as_slice(&self) -> &[Arc<MatchSet>] {
+        match self {
+            GroupSets::One(set) => std::slice::from_ref(set),
+            GroupSets::Many(sets) => sets,
+        }
+    }
 }
 
 impl ResourceDb {
-    /// Load the database from a testbed and its published description.
+    /// Load the database from a testbed and its published description, as
+    /// a single part: what a stand-alone server plans over.
     pub fn load(tb: &Testbed, desc: &TestbedDescription) -> Self {
+        Self::load_parts(tb, desc, 1, |_| 0)
+    }
+
+    /// Load the database with one part per site, in site order: what a
+    /// federation's per-site servers share.
+    pub(crate) fn load_by_site(tb: &Testbed, desc: &TestbedDescription) -> Self {
+        Self::load_parts(tb, desc, tb.sites().len(), |node| node.site.index())
+    }
+
+    fn load_parts(
+        tb: &Testbed,
+        desc: &TestbedDescription,
+        parts: usize,
+        part_of: impl Fn(&Node) -> usize,
+    ) -> Self {
         let by_name = all_properties(desc);
         let mut props = Vec::with_capacity(tb.nodes().len());
         let mut cluster_of_node = Vec::with_capacity(tb.nodes().len());
+        let mut nodes_of_part: Vec<Vec<NodeId>> = vec![Vec::new(); parts];
+        let mut slot_of_node = Vec::with_capacity(tb.nodes().len());
         for node in tb.nodes() {
             props.push(by_name.get(&node.name).cloned().unwrap_or_default());
             cluster_of_node.push(node.cluster);
+            let part = part_of(node);
+            slot_of_node.push((part as u32, nodes_of_part[part].len() as u32));
+            nodes_of_part[part].push(node.id);
         }
         // The testbed's ClusterIds are dense, so they ARE the cache index
         // space — no separate interning pass.
@@ -125,30 +219,68 @@ impl ResourceDb {
                 .collect(),
             nodes_of_cluster: tb.clusters().iter().map(|c| c.nodes.clone()).collect(),
             all_nodes: (0..tb.nodes().len()).map(NodeId::from).collect(),
+            nodes_of_part,
+            slot_of_node,
             // detlint: allow(no-unordered-iteration) -- see the field: lookup-only cache, never iterated
             match_cache: RwLock::new(HashMap::new()),
         }
     }
 
-    /// Number of nodes in the database.
-    pub fn node_count(&self) -> usize {
-        self.all_nodes.len()
+    /// The slot of `node` in the state arrays of `part`'s server, for a
+    /// node the caller knows to be that part's: it came out of the part's
+    /// run of a match-set, or off one of its jobs.
+    fn slot(&self, part: usize, node: NodeId) -> usize {
+        let (p, slot) = self.slot_of_node[node.index()];
+        debug_assert_eq!(p as usize, part, "{node} is not scheduled by part {part}");
+        slot as usize
+    }
+
+    /// The slot of `node` if it belongs to `part` (and to the database at
+    /// all): the checked form for node ids that arrive from outside.
+    fn slot_in(&self, part: usize, node: NodeId) -> Option<usize> {
+        let &(p, slot) = self.slot_of_node.get(node.index())?;
+        (p as usize == part).then_some(slot as usize)
+    }
+
+    /// The match-set of every group of `request`, in group order.
+    pub(crate) fn resolve(&self, request: &ResourceRequest) -> GroupSets {
+        match request.groups.as_slice() {
+            [group] => GroupSets::One(self.matching_nodes(&group.filter)),
+            groups => GroupSets::Many(
+                groups
+                    .iter()
+                    .map(|g| self.matching_nodes(&g.filter))
+                    .collect(),
+            ),
+        }
     }
 
     /// The nodes whose (immutable) properties satisfy `filter`, cached
     /// per distinct filter: the first query pays one scan + eval pass,
-    /// every later query is a hash lookup. Node order is preserved.
-    fn matching_nodes(&self, filter: &Expr) -> Arc<Vec<NodeId>> {
+    /// every later query is a hash lookup.
+    fn matching_nodes(&self, filter: &Expr) -> Arc<MatchSet> {
         if let Some(hit) = self.match_cache.read().expect("match cache").get(filter) {
             return Arc::clone(hit);
         }
-        let set: Arc<Vec<NodeId>> = Arc::new(
-            self.scan_range(filter)
-                .iter()
-                .copied()
-                .filter(|n| eval(filter, &self.props[n.index()]))
-                .collect(),
-        );
+        let mut nodes: Vec<NodeId> = self
+            .scan_range(filter)
+            .iter()
+            .copied()
+            .filter(|n| eval(filter, &self.props[n.index()]))
+            .collect();
+        let part_of = |n: &NodeId| self.slot_of_node[n.index()].0;
+        // Stable, so node order survives inside each part even when the
+        // arena interleaves sites.
+        nodes.sort_by_key(part_of);
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for (i, n) in nodes.iter().enumerate() {
+            let end = i as u32 + 1;
+            match runs.last_mut() {
+                Some(run) if run.0 == part_of(n) => run.1 = end,
+                _ => runs.push((part_of(n), end)),
+            }
+        }
+        let set = Arc::new(MatchSet { nodes, runs });
         self.match_cache
             .write()
             .expect("match cache")
@@ -173,6 +305,11 @@ impl ResourceDb {
 pub struct OarServer {
     /// The shared immutable resource database.
     db: Arc<ResourceDb>,
+    /// The part of the database this server schedules. Nodes of any other
+    /// part do not exist for it: no state, no timeline, never a candidate.
+    part: usize,
+    /// State and reservations of this part's nodes, indexed by slot (see
+    /// `ResourceDb::slot_of_node`).
     node_states: Vec<NodeState>,
     timelines: Vec<NodeTimeline>,
     /// Per-cluster cache of upcoming reservation ends — the planner's
@@ -217,13 +354,21 @@ impl OarServer {
         Self::with_db(Arc::new(ResourceDb::load(tb, desc)))
     }
 
-    /// Build a server over an already-loaded (possibly shared) resource
-    /// database — what a federation does once per site.
+    /// Build a server over an already-loaded resource database: it
+    /// schedules the database's first part, which for a database from
+    /// [`ResourceDb::load`] is the whole testbed.
     pub fn with_db(db: Arc<ResourceDb>) -> Self {
-        let n = db.node_count();
+        Self::over_part(db, 0)
+    }
+
+    /// Build the server of one part of a shared resource database — what
+    /// a federation does once per site.
+    pub(crate) fn over_part(db: Arc<ResourceDb>, part: usize) -> Self {
+        let n = db.nodes_of_part[part].len();
         OarServer {
             ends: EndIndex::new(db.cluster_names.len()),
             db,
+            part,
             node_states: vec![NodeState::Alive; n],
             timelines: (0..n).map(|_| NodeTimeline::new()).collect(),
             jobs: BTreeMap::new(),
@@ -283,62 +428,73 @@ impl OarServer {
         &self.db.props[node.index()]
     }
 
-    /// Per-node state.
+    /// Per-node state. A node this server does not schedule (another
+    /// site's, in a federation) is `Absent` by definition.
     pub fn node_state(&self, node: NodeId) -> NodeState {
-        self.node_states[node.index()]
+        match self.db.slot_in(self.part, node) {
+            Some(slot) => self.node_states[slot],
+            None => NodeState::Absent,
+        }
     }
 
     /// Set a node's administrative state (Absent/Suspected handling).
+    /// No-op for a node this server does not schedule.
     pub fn set_node_state(&mut self, node: NodeId, state: NodeState) {
-        self.node_states[node.index()] = state;
+        if let Some(slot) = self.db.slot_in(self.part, node) {
+            self.node_states[slot] = state;
+        }
     }
 
     /// Synchronize node states with testbed reality: dead hardware becomes
     /// `Dead`, previously-dead-now-repaired hardware returns to `Alive`.
     /// Running jobs on newly dead nodes fail.
     ///
-    /// Full-testbed scan; orchestrators that track which nodes flipped
-    /// should call [`OarServer::sync_dirty_nodes`] with the testbed's
-    /// alive-dirty set instead.
+    /// Scans every node this server schedules; orchestrators that track
+    /// which nodes flipped should call [`OarServer::sync_dirty_nodes`] with
+    /// the testbed's alive-dirty set instead.
     pub fn sync_node_states(&mut self, tb: &Testbed) {
-        let all: Vec<NodeId> = tb.nodes().iter().map(|n| n.id).collect();
-        self.sync_nodes_inner(tb, &all);
+        let db = Arc::clone(&self.db);
+        self.sync_nodes_inner(tb, &db.nodes_of_part[self.part]);
         self.schedule();
     }
 
     /// Diff-based sync: reconcile only `dirty` (nodes whose alive flag
     /// flipped since the last sync, from [`Testbed::take_alive_dirty`]).
-    /// No-op — not even a scheduling pass — when `dirty` is empty.
+    /// Nodes this server does not schedule are skipped, and with none of
+    /// its own in `dirty` the call is a no-op — not even a scheduling pass.
     pub fn sync_dirty_nodes(&mut self, tb: &Testbed, dirty: &[NodeId]) {
-        if dirty.is_empty() {
-            return;
+        if self.sync_nodes_inner(tb, dirty) {
+            self.schedule();
         }
-        self.sync_nodes_inner(tb, dirty);
-        self.schedule();
     }
 
-    fn sync_nodes_inner(&mut self, tb: &Testbed, nodes: &[NodeId]) {
+    /// Reconcile the nodes of `nodes` that are this server's; returns
+    /// whether there were any.
+    fn sync_nodes_inner(&mut self, tb: &Testbed, nodes: &[NodeId]) -> bool {
+        let mut any = false;
         let mut to_fail = Vec::new();
         for &id in nodes {
-            let idx = id.index();
+            let Some(slot) = self.db.slot_in(self.part, id) else { continue };
+            any = true;
             // Effective reachability: hardware death and site power
             // outages are indistinguishable from the server's viewpoint.
             let alive = tb.node_alive(id);
-            match (alive, self.node_states[idx]) {
+            match (alive, self.node_states[slot]) {
                 (false, NodeState::Dead) => {}
                 (false, _) => {
-                    self.node_states[idx] = NodeState::Dead;
-                    if let Some(r) = self.timelines[idx].active_at(self.now) {
+                    self.node_states[slot] = NodeState::Dead;
+                    if let Some(r) = self.timelines[slot].active_at(self.now) {
                         to_fail.push(r.job);
                     }
                 }
-                (true, NodeState::Dead) => self.node_states[idx] = NodeState::Alive,
+                (true, NodeState::Dead) => self.node_states[slot] = NodeState::Alive,
                 (true, _) => {}
             }
         }
         for job in to_fail {
             self.fail_job(job);
         }
+        any
     }
 
     /// Number of nodes busy (running a job) right now.
@@ -421,7 +577,7 @@ impl OarServer {
         if self.buggify.fire_hashed("oar-submit", self.submit_attempts) {
             return Err(SubmitError::TransientlyRefused);
         }
-        self.validate(&request)?;
+        self.validate(&request, self.db.resolve(&request).as_slice())?;
         let id = JobId(self.next_job);
         self.next_job += 1;
         self.jobs.insert(
@@ -450,14 +606,26 @@ impl OarServer {
     /// assignment without booking anything. This is the availability check
     /// the external test scheduler polls before triggering a build.
     pub fn immediate_assignment(&self, request: &ResourceRequest) -> Option<Vec<NodeId>> {
-        self.find_assignment(request, self.now)
+        self.find_assignment(request, self.db.resolve(request).as_slice(), self.now)
     }
 
     /// Whether this server's resources can *ever* satisfy `request`
-    /// (ignoring current reservations). A federation uses this to decide
-    /// which scheduling domain a request may queue on.
+    /// (ignoring current reservations).
     pub fn can_satisfy(&self, request: &ResourceRequest) -> bool {
-        self.validate(request).is_ok()
+        self.can_queue(request, self.db.resolve(request).as_slice())
+    }
+
+    /// [`OarServer::immediate_assignment`]`.is_some()` over match-sets the
+    /// caller already resolved: a federation resolves a request once and
+    /// asks several domains.
+    pub(crate) fn can_start(&self, request: &ResourceRequest, sets: &[Arc<MatchSet>]) -> bool {
+        self.find_assignment(request, sets, self.now).is_some()
+    }
+
+    /// [`OarServer::can_satisfy`] over already-resolved match-sets; decides
+    /// which scheduling domain a request may queue on.
+    pub(crate) fn can_queue(&self, request: &ResourceRequest, sets: &[Arc<MatchSet>]) -> bool {
+        self.validate(request, sets).is_ok()
     }
 
     /// Cancel a job (waiting, scheduled or running).
@@ -478,10 +646,11 @@ impl OarServer {
         let assigned = job.assigned.clone();
         if was_active {
             for n in assigned {
-                if let Some(end) = self.timelines[n.index()].end_of(id) {
+                let slot = self.db.slot(self.part, n);
+                if let Some(end) = self.timelines[slot].end_of(id) {
                     self.ends.remove(self.db.cluster_of_node[n.index()].index(), end);
                 }
-                self.timelines[n.index()].release(id);
+                self.timelines[slot].release(id);
             }
         }
         self.schedule();
@@ -502,9 +671,10 @@ impl OarServer {
         let assigned = job.assigned.clone();
         for n in assigned {
             let cluster = self.db.cluster_of_node[n.index()].index();
-            let old = self.timelines[n.index()].end_of(id);
-            self.timelines[n.index()].truncate(id, now);
-            match (old, self.timelines[n.index()].end_of(id)) {
+            let slot = self.db.slot(self.part, n);
+            let old = self.timelines[slot].end_of(id);
+            self.timelines[slot].truncate(id, now);
+            match (old, self.timelines[slot].end_of(id)) {
                 (Some(from), Some(to)) if from != to => self.ends.move_end(cluster, from, to),
                 (Some(from), None) => self.ends.remove(cluster, from),
                 _ => {}
@@ -527,11 +697,12 @@ impl OarServer {
             job.ended_at = Some(now);
             let assigned = job.assigned.clone();
             for n in assigned {
-                if let Some(end) = self.timelines[n.index()].end_of(id) {
+                let slot = self.db.slot(self.part, n);
+                if let Some(end) = self.timelines[slot].end_of(id) {
                     self.ends.remove(self.db.cluster_of_node[n.index()].index(), end);
                 }
-                self.timelines[n.index()].release(id);
-                self.timelines[n.index()].truncate(id, now);
+                self.timelines[slot].release(id);
+                self.timelines[slot].truncate(id, now);
             }
         }
     }
@@ -599,10 +770,10 @@ impl OarServer {
             return;
         }
         // If an assigned node died since planning, the job errors out.
-        let dead = job
-            .assigned
-            .iter()
-            .any(|n| !matches!(self.node_states[n.index()], NodeState::Alive));
+        let dead = job.assigned.iter().any(|&n| {
+            let state = self.node_states[self.db.slot(self.part, n)];
+            !matches!(state, NodeState::Alive)
+        });
         if dead {
             self.fail_job(id);
             self.schedule();
@@ -631,13 +802,15 @@ impl OarServer {
                 // Cancelled while queued: stale entry.
                 continue;
             }
-            let request = self.jobs[&id].request.clone();
-            if let Some((start, assignment)) = self.earliest_assignment(&request) {
+            // Plan from the stored request in place: only what booking
+            // needs outlives the borrow.
+            let Some(job) = self.jobs.get(&id) else { continue };
+            let walltime = job.request.walltime;
+            if let Some((start, assignment)) = self.earliest_assignment(&job.request) {
                 let Some(job) = self.jobs.get_mut(&id) else { continue };
                 self.waiting_set.remove(&id);
-                let walltime = request.walltime;
                 for &n in &assignment {
-                    self.timelines[n.index()].reserve(start, walltime, id);
+                    self.timelines[self.db.slot(self.part, n)].reserve(start, walltime, id);
                     self.ends
                         .add(self.db.cluster_of_node[n.index()].index(), start + walltime);
                 }
@@ -693,80 +866,92 @@ impl OarServer {
             // Global keys are already ascending and unique, and all > now.
             None => self.ends.global_candidates_into(self.now, limit, &mut candidates),
         }
-        for t in candidates {
-            if let Some(assignment) = self.find_assignment(request, t) {
-                return Some((t, assignment));
-            }
-        }
-        None
+        let sets = self.db.resolve(request);
+        candidates.into_iter().find_map(|t| {
+            self.find_assignment(request, sets.as_slice(), t)
+                .map(|assignment| (t, assignment))
+        })
     }
 
     /// Find a full assignment for `request` starting exactly at `start`.
-    fn find_assignment(&self, request: &ResourceRequest, start: SimTime) -> Option<Vec<NodeId>> {
+    /// `sets` holds the match-set of each group, in group order. A request
+    /// for nothing (no group, or a zero count) has no assignment.
+    fn find_assignment(
+        &self,
+        request: &ResourceRequest,
+        sets: &[Arc<MatchSet>],
+        start: SimTime,
+    ) -> Option<Vec<NodeId>> {
+        debug_assert_eq!(request.groups.len(), sets.len());
+        if request.groups.is_empty() {
+            return None;
+        }
         let mut taken: Vec<NodeId> = Vec::new();
-        for group in &request.groups {
-            let picked = self.find_group(group, start, request.walltime, &taken)?;
+        for (group, set) in request.groups.iter().zip(sets) {
+            let picked = self.find_group(group, set, start, request.walltime, &taken)?;
             taken.extend(picked);
         }
         Some(taken)
     }
 
-    /// Nodes eligible for a group at `start` for `duration`: alive, match
-    /// the filter, free on their timeline, not already taken.
-    fn eligible(
-        &self,
-        filter: &Expr,
-        start: SimTime,
-        duration: SimDuration,
-        taken: &[NodeId],
-    ) -> Vec<NodeId> {
-        self.db.matching_nodes(filter)
+    /// This server's alive nodes in `set` that are not already taken,
+    /// regardless of reservations, in node order.
+    fn matching_alive<'a>(
+        &'a self,
+        set: &'a MatchSet,
+        taken: &'a [NodeId],
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        set.of_part(self.part)
             .iter()
             .copied()
-            .filter(|n| matches!(self.node_states[n.index()], NodeState::Alive))
+            .filter(|&n| {
+                let state = self.node_states[self.db.slot(self.part, n)];
+                matches!(state, NodeState::Alive)
+            })
             .filter(|n| !taken.contains(n))
-            .filter(|n| self.timelines[n.index()].is_free(start, duration))
-            .collect()
     }
 
-    /// All alive nodes matching the filter, regardless of reservations
-    /// (used for `ALL` semantics and satisfiability checks).
-    fn matching_alive(&self, filter: &Expr, taken: &[NodeId]) -> Vec<NodeId> {
-        self.db.matching_nodes(filter)
-            .iter()
-            .copied()
-            .filter(|n| matches!(self.node_states[n.index()], NodeState::Alive))
-            .filter(|n| !taken.contains(n))
-            .collect()
+    /// Whether `node` (one of this server's) is free over the window.
+    fn is_free(&self, node: NodeId, start: SimTime, duration: SimDuration) -> bool {
+        self.timelines[self.db.slot(self.part, node)].is_free(start, duration)
     }
 
     fn find_group(
         &self,
         group: &RequestGroup,
+        set: &MatchSet,
         start: SimTime,
         duration: SimDuration,
         taken: &[NodeId],
     ) -> Option<Vec<NodeId>> {
-        let eligible = self.eligible(&group.filter, start, duration, taken);
+        if group.has_zero_count() {
+            return None;
+        }
+        // Eligible at `start` for `duration`: alive, matching, not already
+        // taken, free on their timeline. Built by the arms that read it
+        // (`nodes=ALL` does not).
+        let eligible = || -> Vec<NodeId> {
+            self.matching_alive(set, taken)
+                .filter(|&n| self.is_free(n, start, duration))
+                .collect()
+        };
         match group.hierarchy.as_slice() {
             [(Level::Nodes, Count::Exact(n))] => {
-                let n = *n as usize;
+                let (n, eligible) = (*n as usize, eligible());
                 (eligible.len() >= n).then(|| eligible[..n].to_vec())
             }
             [(Level::Nodes, Count::All)] => {
                 // ALL = every alive node matching the filter must be free.
-                let all = self.matching_alive(&group.filter, taken);
+                let all: Vec<NodeId> = self.matching_alive(set, taken).collect();
                 if all.is_empty() {
                     return None;
                 }
-                let free = all
-                    .iter()
-                    .all(|n| self.timelines[n.index()].is_free(start, duration));
+                let free = all.iter().all(|&n| self.is_free(n, start, duration));
                 free.then_some(all)
             }
             [(Level::Cluster, Count::Exact(c)), (Level::Nodes, count)] => {
                 let mut by_cluster: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
-                for n in &eligible {
+                for n in &eligible() {
                     by_cluster
                         .entry(self.db.cluster_names[self.db.cluster_of_node[n.index()].index()].as_str())
                         .or_default()
@@ -790,23 +975,14 @@ impl OarServer {
                             // free (intersection computed on the cached
                             // match-set — no ad-hoc filter expression).
                             let members: Vec<NodeId> = self
-                                .db
-                                .matching_nodes(&group.filter)
-                                .iter()
-                                .copied()
+                                .matching_alive(set, taken)
                                 .filter(|n| {
                                     self.db.cluster_names[self.db.cluster_of_node[n.index()].index()]
                                         == *cluster
                                 })
-                                .filter(|n| {
-                                    matches!(self.node_states[n.index()], NodeState::Alive)
-                                })
-                                .filter(|n| !taken.contains(n))
                                 .collect();
                             if !members.is_empty()
-                                && members
-                                    .iter()
-                                    .all(|n| self.timelines[n.index()].is_free(start, duration))
+                                && members.iter().all(|&n| self.is_free(n, start, duration))
                             {
                                 picked.extend(members);
                                 clusters_done += 1;
@@ -821,6 +997,7 @@ impl OarServer {
             other => {
                 let needed = group.node_count().unwrap_or(1).max(1) as usize;
                 let _ = other;
+                let eligible = eligible();
                 (eligible.len() >= needed).then(|| eligible[..needed].to_vec())
             }
         }
@@ -833,10 +1010,10 @@ impl OarServer {
         let mut want_global: BTreeMap<SimTime, u32> = BTreeMap::new();
         let mut want_cluster: Vec<BTreeMap<SimTime, u32>> =
             vec![BTreeMap::new(); self.db.cluster_names.len()];
-        for (i, tl) in self.timelines.iter().enumerate() {
+        for (tl, node) in self.timelines.iter().zip(&self.db.nodes_of_part[self.part]) {
             for r in tl.reservations() {
                 *want_global.entry(r.end).or_insert(0) += 1;
-                *want_cluster[self.db.cluster_of_node[i].index()]
+                *want_cluster[self.db.cluster_of_node[node.index()].index()]
                     .entry(r.end)
                     .or_insert(0) += 1;
             }
@@ -862,22 +1039,29 @@ impl OarServer {
         Ok(())
     }
 
-    fn validate(&self, request: &ResourceRequest) -> Result<(), SubmitError> {
+    fn validate(
+        &self,
+        request: &ResourceRequest,
+        sets: &[Arc<MatchSet>],
+    ) -> Result<(), SubmitError> {
         if request.groups.is_empty() {
             return Err(SubmitError::InvalidRequest("no resource groups".into()));
+        }
+        if request.groups.iter().any(RequestGroup::has_zero_count) {
+            return Err(SubmitError::InvalidRequest("zero count".into()));
         }
         if request.walltime.is_zero() {
             return Err(SubmitError::InvalidRequest("zero walltime".into()));
         }
-        // Satisfiability against the full (unreserved) testbed.
+        // Satisfiability against this server's full (unreserved) part.
         let mut taken: Vec<NodeId> = Vec::new();
-        for group in &request.groups {
-            let all = self.matching_alive(&group.filter, &taken);
+        for (group, set) in request.groups.iter().zip(sets) {
             let needed = group.node_count().map(|n| n as usize).unwrap_or(1).max(1);
-            if all.len() < needed {
+            let picked: Vec<NodeId> = self.matching_alive(set, &taken).take(needed).collect();
+            if picked.len() < needed {
                 return Err(SubmitError::Unsatisfiable);
             }
-            taken.extend(all.into_iter().take(needed));
+            taken.extend(picked);
         }
         Ok(())
     }
@@ -1092,6 +1276,46 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SubmitError::InvalidRequest(_)));
+    }
+
+    #[test]
+    fn zero_count_requests_nothing_and_is_refused() {
+        // Regression: a `nodes=0` job was accepted and went Running
+        // holding no node, and the availability probe said it could start.
+        let (_tb, mut s) = setup();
+        let zero_clusters = ResourceRequest {
+            groups: vec![RequestGroup {
+                filter: Expr::True,
+                hierarchy: vec![(Level::Cluster, Count::Exact(0)), (Level::Nodes, Count::Exact(2))],
+            }],
+            walltime: SimDuration::from_hours(1),
+        };
+        for req in [nodes_req(Expr::True, 0, 1), zero_clusters] {
+            assert_eq!(s.immediate_assignment(&req), None);
+            assert!(!s.can_satisfy(&req));
+            let err = s
+                .submit("x", Queue::Default, JobKind::User, req)
+                .unwrap_err();
+            assert!(matches!(err, SubmitError::InvalidRequest(_)), "{err}");
+        }
+        assert!(s.jobs().is_empty());
+    }
+
+    #[test]
+    fn absent_node_is_never_a_candidate() {
+        let (tb, mut s) = setup();
+        let alpha = &tb.cluster_by_name("alpha").unwrap().nodes;
+        s.set_node_state(alpha[0], NodeState::Absent);
+        assert_eq!(s.alive_nodes(), tb.nodes().len() - 1);
+        let got = s
+            .immediate_assignment(&nodes_req(Expr::eq("cluster", "alpha"), 3, 1))
+            .unwrap();
+        assert_eq!(got, alpha[1..]);
+        assert!(!s.can_satisfy(&nodes_req(Expr::eq("cluster", "alpha"), 4, 1)));
+        // Maintenance outlives a liveness sync; only `Dead` follows the
+        // hardware.
+        s.sync_node_states(&tb);
+        assert_eq!(s.node_state(alpha[0]), NodeState::Absent);
     }
 
     #[test]

@@ -136,3 +136,248 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Federation placement: the pruned walk against an exhaustive reference.
+// ---------------------------------------------------------------------
+
+use rand::Rng;
+use throughout::oar::{
+    Count, Federation, Level, NodeState, Placement, RequestGroup,
+};
+use throughout::sim::stream_rng;
+use throughout::testbed::gen::ClusterSpec;
+use throughout::testbed::hardware::Vendor;
+use throughout::testbed::{FaultKind, FaultTarget, LinkModelSpec, ServiceKind, Testbed};
+
+/// The domain a request group is statically pinned to (its implied
+/// cluster's site, else its implied site), as the federation defines it.
+fn pinned_domain(tb: &Testbed, group: &RequestGroup) -> Option<usize> {
+    if let Some(cluster) = group.filter.implied_cluster() {
+        return tb.cluster_by_name(cluster).map(|c| c.site.index());
+    }
+    let site = group.filter.implied_eq("site")?;
+    tb.site_by_name(site).map(|s| s.id.index())
+}
+
+/// `Federation::place` as specified, with no pruning: every decision is
+/// taken by asking every domain, home first, then ascending site order.
+fn exhaustive_place(
+    tb: &Testbed,
+    fed: &Federation,
+    home: Option<usize>,
+    request: &ResourceRequest,
+) -> Placement {
+    let home = home.filter(|&h| h < fed.len());
+    let oar = |d: usize| &fed.domain(d).oar;
+    let linked = |a: usize, b: usize| tb.backbone_reachable(fed.domain(a).site, fed.domain(b).site);
+
+    // Cross-site co-allocation: every group pinned, at least two domains.
+    let mut parts: Vec<(usize, ResourceRequest)> = Vec::new();
+    let pinned = request.groups.iter().all(|group| {
+        let Some(d) = pinned_domain(tb, group) else { return false };
+        match parts.iter_mut().find(|(pd, _)| *pd == d) {
+            Some((_, part)) => part.groups.push(group.clone()),
+            None => parts.push((
+                d,
+                ResourceRequest { groups: vec![group.clone()], walltime: request.walltime },
+            )),
+        }
+        true
+    });
+    if pinned && parts.len() >= 2 {
+        let all_now = parts.iter().enumerate().all(|(i, (a, part))| {
+            oar(*a).process_up()
+                && parts[i + 1..].iter().all(|(b, _)| linked(*a, *b))
+                && oar(*a).immediate_assignment(part).is_some()
+        });
+        return if all_now { Placement::Split(parts) } else { Placement::Nowhere };
+    }
+
+    let order: Vec<usize> = home
+        .into_iter()
+        .chain((0..fed.len()).filter(|&d| Some(d) != home && home.is_none_or(|h| linked(h, d))))
+        .filter(|&d| oar(d).process_up())
+        .collect();
+    if let Some(&d) = order.iter().find(|&&d| oar(d).immediate_assignment(request).is_some()) {
+        return Placement::Immediate(d);
+    }
+    match order.iter().find(|&&d| oar(d).can_satisfy(request)) {
+        Some(&d) => Placement::Queued(d),
+        None => Placement::Nowhere,
+    }
+}
+
+/// A random world: 2–5 sites whose clusters interleave in spec order (so a
+/// site's node ids are not contiguous), one GPU cluster in three.
+fn random_world(rng: &mut impl Rng) -> Testbed {
+    let sites = rng.gen_range(2..=5usize);
+    let clusters = rng.gen_range(sites..=3 * sites);
+    let specs = (0..clusters)
+        .map(|c| {
+            // Round-robin first so every site exists, then anywhere.
+            let site = if c < sites { c } else { rng.gen_range(0..sites) };
+            let spec = ClusterSpec::new(
+                &format!("c{c}"),
+                &format!("s{site}"),
+                rng.gen_range(1..=5),
+                8,
+                Vendor::Dell,
+                false,
+                false,
+            );
+            if rng.gen_range(0..3) == 0 { spec.with_gpu() } else { spec }
+        })
+        .collect();
+    TestbedBuilder::from_specs(specs).build()
+}
+
+/// A random filter: `True`, a cluster, a site, `gpu`, or a conjunction.
+fn random_filter(tb: &Testbed, rng: &mut impl Rng) -> Expr {
+    // One index past the end: a name nothing answers to.
+    let cluster = Expr::eq("cluster", &format!("c{}", rng.gen_range(0..=tb.clusters().len())));
+    let site = Expr::eq("site", &format!("s{}", rng.gen_range(0..=tb.sites().len())));
+    let gpu = Expr::eq("gpu", "YES");
+    match rng.gen_range(0..8) {
+        0 | 1 => Expr::True,
+        2 | 3 => cluster,
+        4 => site,
+        5 => gpu,
+        6 => site.and(gpu),
+        _ => gpu.and(cluster),
+    }
+}
+
+fn random_group(tb: &Testbed, rng: &mut impl Rng) -> RequestGroup {
+    let count = match rng.gen_range(0..6) {
+        0 => Count::All,
+        _ => Count::Exact(rng.gen_range(1..=4)),
+    };
+    RequestGroup { filter: random_filter(tb, rng), hierarchy: vec![(Level::Nodes, count)] }
+}
+
+/// Mostly one group; sometimes two unrelated ones (which walk the
+/// candidates unless both happen to be pinned), sometimes two pinned to
+/// different sites (a cross-site co-allocation).
+fn random_request(tb: &Testbed, rng: &mut impl Rng) -> ResourceRequest {
+    let mut groups = vec![random_group(tb, rng)];
+    match rng.gen_range(0..8) {
+        0 => groups.push(random_group(tb, rng)),
+        1 => {
+            let a = rng.gen_range(0..tb.sites().len());
+            let b = (a + rng.gen_range(1..tb.sites().len())) % tb.sites().len();
+            groups[0].filter = Expr::eq("site", &format!("s{a}"));
+            let mut other = random_group(tb, rng);
+            other.filter = Expr::eq("site", &format!("s{b}"));
+            groups.push(other);
+        }
+        _ => {}
+    }
+    ResourceRequest { groups, walltime: SimDuration::from_mins(rng.gen_range(20..400)) }
+}
+
+/// `None`, a real domain, or (rarely) an index past the last one.
+fn random_home(fed: &Federation, rng: &mut impl Rng) -> Option<usize> {
+    match rng.gen_range(0..8) {
+        0..=2 => None,
+        3 => Some(fed.len() + rng.gen_range(0..1000usize)),
+        _ => Some(rng.gen_range(0..fed.len())),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Placement asks only the sites that host a request, and each domain
+    /// keeps only its own site's state. Neither may be observable: on
+    /// random interleaved worlds under load, with dead nodes, a crashed OAR
+    /// process and a partitioned backbone, `place` equals the exhaustive
+    /// walk and every domain's counters equal a scan of the whole arena.
+    #[test]
+    fn placement_and_domain_counters_match_exhaustive_scans(seed in 0u64..u64::MAX) {
+        let mut rng = stream_rng(seed, "federation-props");
+        let mut tb = random_world(&mut rng);
+        let desc = describe(&tb, 1, SimTime::ZERO);
+        let mut fed = Federation::new(&tb, &desc);
+        let mut now = SimTime::ZERO;
+
+        for round in 0..4 {
+            // Load: whatever `place` decides is booked, so later rounds
+            // see running, scheduled and waiting jobs.
+            for _ in 0..rng.gen_range(0..12) {
+                now += SimDuration::from_mins(rng.gen_range(0..90));
+                fed.advance(now);
+                let (home, request) = (random_home(&fed, &mut rng), random_request(&tb, &mut rng));
+                let _ = fed.submit("prop", Queue::Default, JobKind::User, request, home);
+            }
+            // Chaos, one kind per round, each synced the way the campaign
+            // engine does.
+            match round {
+                1 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let victim = tb.nodes()[rng.gen_range(0..tb.nodes().len())].id;
+                        let _ = tb.apply_fault(FaultKind::NodeDead, FaultTarget::Node(victim), now);
+                    }
+                    let dirty = tb.take_alive_dirty();
+                    fed.sync_dirty_nodes(&tb, &dirty);
+                }
+                2 => {
+                    let site = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
+                    let target = FaultTarget::Service(site, ServiceKind::OarServer);
+                    let _ = tb.apply_fault(FaultKind::ServiceCrash, target, now);
+                    fed.sync_process_liveness(&tb);
+                }
+                3 => {
+                    let model = if rng.gen_bool(0.5) {
+                        LinkModelSpec::DistanceTiered
+                    } else {
+                        LinkModelSpec::Uniform { latency_s: 0.01, loss_prob: 0.0 }
+                    };
+                    tb.set_link_model(model);
+                    let (a, b) = (rng.gen_range(0..fed.len()), rng.gen_range(0..fed.len()));
+                    if a != b {
+                        tb.topology_mut().set_site_link(fed.domain(a).site, fed.domain(b).site, false);
+                    }
+                    fed.sync_backbone(&tb);
+                }
+                _ => {}
+            }
+
+            for _ in 0..24 {
+                let (home, request) = (random_home(&fed, &mut rng), random_request(&tb, &mut rng));
+                prop_assert_eq!(
+                    fed.place(home, &request),
+                    exhaustive_place(&tb, &fed, home, &request),
+                    "round {}, home {:?}, request {}", round, home, request
+                );
+            }
+
+            for domain in fed.domains() {
+                let mut alive = 0;
+                for node in tb.nodes() {
+                    let mine = node.site == domain.site;
+                    let want = match (mine, tb.node_alive(node.id)) {
+                        (false, _) => NodeState::Absent,
+                        (true, true) => NodeState::Alive,
+                        (true, false) => NodeState::Dead,
+                    };
+                    prop_assert_eq!(domain.oar.node_state(node.id), want, "{} on {}", node.name, domain.name);
+                    alive += usize::from(want == NodeState::Alive);
+                }
+                let busy: Vec<_> = domain
+                    .oar
+                    .jobs()
+                    .values()
+                    .filter(|j| j.state == JobState::Running)
+                    .flat_map(|j| j.assigned.iter().copied())
+                    .collect();
+                prop_assert!(busy.iter().all(|&n| tb.node(n).site == domain.site));
+                prop_assert_eq!(domain.oar.alive_nodes(), alive);
+                prop_assert_eq!(domain.oar.busy_nodes(), busy.len());
+                let utilization = if alive == 0 { 0.0 } else { busy.len() as f64 / alive as f64 };
+                prop_assert_eq!(domain.oar.utilization(), utilization);
+                prop_assert!(domain.oar.check_end_index_consistency().is_ok());
+            }
+        }
+    }
+}
