@@ -115,11 +115,14 @@ impl CiServer {
     /// Advance time, firing cron triggers in `(last_scan, to]`.
     pub fn advance(&mut self, to: SimTime) {
         assert!(to >= self.now, "time cannot go backwards");
-        let names: Vec<String> = self.jobs.keys().cloned().collect();
-        for name in names {
-            let Some(trigger) = self.jobs[&name].trigger else {
-                continue;
-            };
+        // Only the jobs that have a trigger: with none — every campaign —
+        // the list is empty and costs no allocation.
+        let timed: Vec<_> = self
+            .jobs
+            .iter()
+            .filter_map(|(name, spec)| spec.trigger.map(|trigger| (name.clone(), trigger)))
+            .collect();
+        for (name, trigger) in timed {
             for at in trigger.firings(self.last_trigger_scan, to) {
                 self.now = at;
                 self.trigger(&name, Cause::Cron);

@@ -148,6 +148,11 @@ mod tests {
         let (_tb, mut s) = server();
         let err = oarsub(&mut s, "alice", "nodes=4000").unwrap_err();
         assert!(matches!(err, CliError::Rejected(_)));
+        // Regression: no two clusters have five nodes; this used to print
+        // OAR_JOB_ID=1 for a job that could never start.
+        let err = oarsub(&mut s, "alice", "cluster=2/nodes=5,walltime=1").unwrap_err();
+        assert!(matches!(err, CliError::Rejected(_)), "{err}");
+        assert!(s.jobs().is_empty());
     }
 
     #[test]

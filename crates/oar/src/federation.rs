@@ -77,7 +77,8 @@ pub enum FedJobState {
 pub enum Placement {
     /// Starts immediately on this domain.
     Immediate(usize),
-    /// Satisfiable on this domain, but must queue.
+    /// Cannot start now, but this domain could start it on an idle part:
+    /// it queues there.
     Queued(usize),
     /// Cross-site co-allocation: every `(domain, part)` starts immediately.
     Split(Vec<(usize, ResourceRequest)>),
@@ -355,9 +356,12 @@ impl Federation {
     /// request immediately; otherwise the first remote domain (ascending
     /// site order) that can start it now takes it (spillover); otherwise
     /// the request queues on its home domain when satisfiable there, else
-    /// on the first domain that could ever satisfy it. Requests statically
-    /// spanning several sites are co-allocated and only place when every
-    /// part can start at this instant.
+    /// on the first domain that could ever satisfy it. Satisfiable is the
+    /// planner's word ([`OarServer::can_satisfy`]): a queued placement is
+    /// one the domain could start if its part were idle, so it does start
+    /// once enough of it is — never a request no instant can place.
+    /// Requests statically spanning several sites are co-allocated and only
+    /// place when every part can start at this instant.
     pub fn place(&self, home: Option<usize>, request: &ResourceRequest) -> Placement {
         // A home that names no domain is no home.
         let home = home.filter(|&h| h < self.domains.len());
@@ -1026,6 +1030,30 @@ mod tests {
         let req = nodes_req(Expr::eq("cluster", "gamma"), 0, 1);
         assert_eq!(fed.place(None, &req), Placement::Nowhere);
         assert!(!fed.can_start_now("west", &req));
+        let err = fed
+            .submit("x", Queue::Default, JobKind::User, req, None)
+            .unwrap_err();
+        assert_eq!(err, SubmitError::Unsatisfiable);
+        assert_eq!(fed.all_jobs().count(), 0);
+    }
+
+    #[test]
+    fn unplaceable_hierarchy_places_nowhere() {
+        // Regression: each site has two clusters, so `cluster=3/…` can start
+        // at no instant on either — yet it answered `Queued(0)` and booked
+        // a job that waited forever.
+        let (_tb, mut fed) = setup();
+        let req = ResourceRequest {
+            groups: vec![crate::ast::RequestGroup {
+                filter: Expr::True,
+                hierarchy: vec![
+                    (crate::ast::Level::Cluster, crate::ast::Count::Exact(3)),
+                    (crate::ast::Level::Nodes, crate::ast::Count::Exact(2)),
+                ],
+            }],
+            walltime: SimDuration::from_hours(1),
+        };
+        assert_eq!(fed.place(None, &req), Placement::Nowhere);
         let err = fed
             .submit("x", Queue::Default, JobKind::User, req, None)
             .unwrap_err();

@@ -1,12 +1,16 @@
-//! Per-node reservation timelines (the Gantt chart).
+//! A scheduling part's Gantt chart: per-node reservation timelines and the
+//! index of the instants at which they end.
 //!
-//! Each node carries a sorted list of non-overlapping reservations. The
-//! scheduler asks two questions: "is this node free over `[t, t+d)`?" and
-//! "what is the earliest instant ≥ `t` where a window of length `d` is
-//! free?". Both are O(#reservations) on one node's timeline; the daily GC
-//! keeps a timeline to the reservations still ahead. What is *not* cheap is
-//! asking many nodes: [`crate::server`] keeps that to the nodes of one
-//! scheduling part that match the request's filter.
+//! A [`NodeTimeline`] is one node's sorted list of non-overlapping
+//! reservations; "is this node free over `[t, t+d)`?" is O(#reservations)
+//! on it, and the daily GC keeps it to the reservations still ahead. An
+//! [`EndIndex`] holds the planner's candidate start instants. A [`Gantt`]
+//! owns both for the nodes of one part and is the only code that writes
+//! either, so booking, releasing, truncating and collecting a reservation
+//! each update timeline and index in one call and the two cannot drift
+//! apart; [`Gantt::divergence`] is the scan that says so. What is *not*
+//! cheap is asking many nodes: [`crate::server`] keeps that to the nodes of
+//! its part that match the request's filter.
 
 use crate::job::JobId;
 use std::collections::BTreeMap;
@@ -45,22 +49,6 @@ impl NodeTimeline {
     pub fn is_free(&self, start: SimTime, d: SimDuration) -> bool {
         let end = start + d;
         self.slots.iter().all(|r| r.end <= start || r.start >= end)
-    }
-
-    /// Earliest instant ≥ `from` at which a window of length `d` is free.
-    pub fn earliest_free(&self, from: SimTime, d: SimDuration) -> SimTime {
-        let mut t = from;
-        for r in &self.slots {
-            if r.end <= t {
-                continue;
-            }
-            if r.start >= t + d {
-                break;
-            }
-            // Overlap: jump past this reservation.
-            t = r.end;
-        }
-        t
     }
 
     /// Insert a reservation.
@@ -127,42 +115,34 @@ impl NodeTimeline {
 /// Per-cluster index of upcoming reservation *end* instants.
 ///
 /// Conservative backfilling only ever starts a job "now" or at an instant
-/// where some reservation ends — a free window cannot open anywhere else.
-/// The planner used to rediscover those instants by scanning every node
-/// timeline on every pass; this index caches them, keyed by cluster, and is
-/// invalidated incrementally on reserve/release/truncate. Multiset
-/// semantics (`end → count`) because many reservations share an end.
-#[derive(Debug, Clone, Default)]
+/// where some reservation ends — a free window cannot open anywhere else —
+/// so these are the planner's candidate instants, kept per cluster so that
+/// a request reads only the ends that can concern it. Multiset semantics
+/// (`end → count`) because many reservations share an end. Read-only
+/// outside this module: the owning [`Gantt`] writes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndIndex {
     per_cluster: Vec<BTreeMap<SimTime, u32>>,
     global: BTreeMap<SimTime, u32>,
 }
 
 impl EndIndex {
-    /// An index over `clusters` cluster slots.
-    pub fn new(clusters: usize) -> Self {
+    fn new(clusters: usize) -> Self {
         EndIndex {
             per_cluster: vec![BTreeMap::new(); clusters],
             global: BTreeMap::new(),
         }
     }
 
-    /// Record a reservation ending at `end` on a node of `cluster`.
-    pub fn add(&mut self, cluster: usize, end: SimTime) {
+    fn add(&mut self, cluster: usize, end: SimTime) {
         *self.per_cluster[cluster].entry(end).or_insert(0) += 1;
         *self.global.entry(end).or_insert(0) += 1;
     }
 
-    /// Remove one reservation end previously recorded with [`EndIndex::add`].
-    pub fn remove(&mut self, cluster: usize, end: SimTime) {
+    /// Remove one end previously recorded with `add`.
+    fn remove(&mut self, cluster: usize, end: SimTime) {
         Self::dec(&mut self.per_cluster[cluster], end);
         Self::dec(&mut self.global, end);
-    }
-
-    /// A reservation's end moved (truncation on early completion).
-    pub fn move_end(&mut self, cluster: usize, from: SimTime, to: SimTime) {
-        self.remove(cluster, from);
-        self.add(cluster, to);
     }
 
     fn dec(map: &mut BTreeMap<SimTime, u32>, end: SimTime) {
@@ -207,15 +187,6 @@ impl EndIndex {
         );
     }
 
-    /// The earliest tracked end strictly after `t` on `cluster` — i.e. the
-    /// next instant a node of that cluster can free up.
-    pub fn earliest_end_after(&self, cluster: usize, t: SimTime) -> Option<SimTime> {
-        self.per_cluster[cluster]
-            .range((std::ops::Bound::Excluded(t), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(&e, _)| e)
-    }
-
     /// The earliest tracked end strictly after `t` across all clusters
     /// (drives the planning-horizon re-plan wakeup).
     pub fn first_beyond(&self, t: SimTime) -> Option<SimTime> {
@@ -225,22 +196,122 @@ impl EndIndex {
             .map(|(&e, _)| e)
     }
 
-    /// Multiset view for one cluster (testing/diagnostics).
-    pub fn cluster_counts(&self, cluster: usize) -> &BTreeMap<SimTime, u32> {
-        &self.per_cluster[cluster]
-    }
-
-    /// Multiset view across all clusters (testing/diagnostics).
-    pub fn global_counts(&self) -> &BTreeMap<SimTime, u32> {
-        &self.global
-    }
-
     /// Drop ends at or before `horizon` (mirrors [`NodeTimeline::gc`]).
-    pub fn gc(&mut self, horizon: SimTime) {
+    fn gc(&mut self, horizon: SimTime) {
         for m in &mut self.per_cluster {
             *m = m.split_off(&next_instant(horizon));
         }
         self.global = self.global.split_off(&next_instant(horizon));
+    }
+}
+
+/// The reservations of one scheduling part: a [`NodeTimeline`] per node,
+/// addressed by the node's slot in the part, and the [`EndIndex`] over them.
+/// Every write goes through here and updates both.
+#[derive(Debug, Clone)]
+pub struct Gantt {
+    timelines: Vec<NodeTimeline>,
+    /// The cluster (an index below the `clusters` of [`Gantt::new`]) each
+    /// slot's ends are filed under.
+    cluster_of_slot: Vec<u32>,
+    ends: EndIndex,
+}
+
+impl Gantt {
+    /// An empty chart with one node per entry of `cluster_of_slot`, each
+    /// naming its node's cluster as an index below `clusters`.
+    pub fn new(cluster_of_slot: Vec<u32>, clusters: usize) -> Self {
+        assert!(cluster_of_slot.iter().all(|&c| (c as usize) < clusters));
+        Gantt {
+            timelines: vec![NodeTimeline::new(); cluster_of_slot.len()],
+            cluster_of_slot,
+            ends: EndIndex::new(clusters),
+        }
+    }
+
+    /// The timeline of the node in `slot`.
+    pub fn timeline(&self, slot: usize) -> &NodeTimeline {
+        &self.timelines[slot]
+    }
+
+    /// The end instants of every reservation on the chart.
+    pub fn ends(&self) -> &EndIndex {
+        &self.ends
+    }
+
+    /// Number of nodes carrying a reservation at instant `t`.
+    pub fn busy_count(&self, t: SimTime) -> usize {
+        self.timelines.iter().filter(|tl| tl.busy_at(t)).count()
+    }
+
+    /// Reserve `[start, start+d)` for `job` on every node of `slots`.
+    ///
+    /// # Panics
+    /// Panics if a window is not free (see [`NodeTimeline::reserve`]).
+    pub fn book(
+        &mut self,
+        job: JobId,
+        slots: impl IntoIterator<Item = usize>,
+        start: SimTime,
+        d: SimDuration,
+    ) {
+        for slot in slots {
+            self.timelines[slot].reserve(start, d, job);
+            self.ends.add(self.cluster_of_slot[slot] as usize, start + d);
+        }
+    }
+
+    /// Drop `job`'s reservation, past and future, on every node of `slots`.
+    pub fn release(&mut self, job: JobId, slots: impl IntoIterator<Item = usize>) {
+        for slot in slots {
+            if let Some(end) = self.timelines[slot].end_of(job) {
+                self.ends.remove(self.cluster_of_slot[slot] as usize, end);
+            }
+            self.timelines[slot].release(job);
+        }
+    }
+
+    /// End `job`'s running reservation at `at` on every node of `slots`
+    /// (see [`NodeTimeline::truncate`]).
+    pub fn truncate(&mut self, job: JobId, slots: impl IntoIterator<Item = usize>, at: SimTime) {
+        for slot in slots {
+            let cluster = self.cluster_of_slot[slot] as usize;
+            let old = self.timelines[slot].end_of(job);
+            self.timelines[slot].truncate(job, at);
+            let new = self.timelines[slot].end_of(job);
+            if old != new {
+                if let Some(end) = old {
+                    self.ends.remove(cluster, end);
+                }
+                if let Some(end) = new {
+                    self.ends.add(cluster, end);
+                }
+            }
+        }
+    }
+
+    /// Drop reservations that ended at or before `horizon` (history GC).
+    pub fn gc(&mut self, horizon: SimTime) {
+        for tl in &mut self.timelines {
+            tl.gc(horizon);
+        }
+        self.ends.gc(horizon);
+    }
+
+    /// The consistency check, for property tests and oracles: how the end
+    /// index differs from the one a scan over every timeline builds — the
+    /// same multiset of reservation ends, globally and per cluster. `None`
+    /// always, unless this module has a bug.
+    pub fn divergence(&self) -> Option<String> {
+        let mut scanned = EndIndex::new(self.ends.per_cluster.len());
+        for (tl, &cluster) in self.timelines.iter().zip(&self.cluster_of_slot) {
+            for r in tl.reservations() {
+                scanned.add(cluster as usize, r.end);
+            }
+        }
+        (self.ends != scanned).then(|| {
+            format!("end index diverged: cached {:?}, scanned {:?}", self.ends, scanned)
+        })
     }
 }
 
@@ -263,7 +334,6 @@ mod tests {
     fn empty_timeline_is_free() {
         let tl = NodeTimeline::new();
         assert!(tl.is_free(t(0), H * 100));
-        assert_eq!(tl.earliest_free(t(5), H), t(5));
         assert!(!tl.busy_at(t(3)));
     }
 
@@ -277,20 +347,6 @@ mod tests {
         assert!(!tl.is_free(t(3), H)); // [3, 4) overlaps
         assert!(tl.busy_at(t(2)));
         assert!(!tl.busy_at(t(4))); // end exclusive
-    }
-
-    #[test]
-    fn earliest_free_skips_reservations() {
-        let mut tl = NodeTimeline::new();
-        tl.reserve(t(2), H * 2, JobId(1)); // [2, 4)
-        tl.reserve(t(5), H, JobId(2)); // [5, 6)
-        // Window of 1h starting from 0 fits at 0.
-        assert_eq!(tl.earliest_free(t(0), H), t(0));
-        // Window of 3h from 0 cannot fit before [2,4): next candidate 4,
-        // but [4,7) overlaps [5,6), so 6.
-        assert_eq!(tl.earliest_free(t(0), H * 3), t(6));
-        // Window of 1h from 2 → 4.
-        assert_eq!(tl.earliest_free(t(2), H), t(4));
     }
 
     #[test]
@@ -369,23 +425,41 @@ mod tests {
 
     #[test]
     fn end_index_ranges_and_moves() {
-        let mut idx = EndIndex::new(1);
-        idx.add(0, t(2));
-        idx.add(0, t(6));
+        // Two nodes of cluster 0, one of cluster 1.
+        let mut g = Gantt::new(vec![0, 0, 1], 2);
+        g.book(JobId(1), [0, 1], t(0), H * 2); // ends at 2 on cluster 0
+        g.book(JobId(2), [2], t(0), H * 6); // ends at 6 on cluster 1
+        assert_eq!(g.busy_count(t(1)), 3);
+        assert!(!g.timeline(0).is_free(t(1), H));
         // Range bounds: after exclusive, upto inclusive.
-        let mut out = Vec::new();
-        idx.candidates_into(0, t(2), t(6), &mut out);
-        assert_eq!(out, vec![t(6)]);
-        assert_eq!(idx.earliest_end_after(0, t(2)), Some(t(6)));
-        assert_eq!(idx.first_beyond(t(6)), None);
-        // Truncation moves an end earlier.
-        idx.move_end(0, t(6), t(4));
-        assert_eq!(idx.earliest_end_after(0, t(2)), Some(t(4)));
+        let ends = |g: &Gantt, after, upto| {
+            let mut out = Vec::new();
+            g.ends().global_candidates_into(t(after), t(upto), &mut out);
+            out
+        };
+        assert_eq!(ends(&g, 2, 6), vec![t(6)]);
+        assert_eq!(ends(&g, 0, 2), vec![t(2)]);
+        assert_eq!(g.ends().first_beyond(t(6)), None);
+        // Truncation moves an end earlier; a second one at the same
+        // instant changes nothing.
+        g.truncate(JobId(2), [2], t(4));
+        g.truncate(JobId(2), [2], t(4));
+        assert_eq!(ends(&g, 0, 10), vec![t(2), t(4)]);
+        let mut on_c1 = Vec::new();
+        g.ends().candidates_into(1, t(0), t(10), &mut on_c1);
+        assert_eq!(on_c1, vec![t(4)]);
+        // Releasing one of two nodes keeps their shared end; releasing a
+        // job that holds nothing is a no-op.
+        g.release(JobId(1), [0]);
+        g.release(JobId(9), [0, 1, 2]);
+        assert_eq!(ends(&g, 0, 10), vec![t(2), t(4)]);
+        assert_eq!(g.busy_count(t(1)), 2);
+        assert_eq!(g.divergence(), None);
         // GC drops history, keeping ends strictly after the horizon.
-        idx.gc(t(2));
-        let mut out = Vec::new();
-        idx.global_candidates_into(t(0), t(10), &mut out);
-        assert_eq!(out, vec![t(4)]);
+        g.gc(t(2));
+        assert_eq!(ends(&g, 0, 10), vec![t(4)]);
+        assert!(g.timeline(1).reservations().is_empty());
+        assert_eq!(g.divergence(), None);
     }
 
     #[test]

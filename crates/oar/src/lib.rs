@@ -8,7 +8,8 @@
 //!   `cluster='a' and gpu='YES'/nodes=1+cluster='b' and eth10g='Y'/nodes=2,walltime=2`;
 //! * [`eval`] — property-expression evaluation against the resource
 //!   database filled from the Reference API;
-//! * [`gantt`] — per-node reservation timelines;
+//! * [`gantt`] — per-node reservation timelines and the index of their
+//!   ends, kept together by one `Gantt` per server;
 //! * [`job`] — job lifecycle (Waiting → Scheduled → Running → Terminated);
 //! * [`server`] — the OAR server: submission, FCFS + conservative
 //!   backfilling, immediate-start queries (what the external test scheduler

@@ -8,16 +8,24 @@
 //!
 //! A server schedules one *part* of its [`ResourceDb`]: the whole testbed
 //! when it stands alone, one site when it is a federation's domain. Node
-//! states and timelines exist for that part only, and every planner scan
-//! walks the part's run of a cached match-set — never the node arena.
+//! states and reservations exist for that part only — the latter in one
+//! [`Gantt`], the sole writer of timelines and end index alike — and every
+//! planner scan walks the part's run of a cached match-set, never the node
+//! arena.
 //!
 //! Two queries matter to the paper's external test scheduler (slide 17):
-//! "are this request's resources available *right now*?" and "did the job I
-//! just submitted actually start immediately?" — both are first-class here.
+//! "are this request's resources available *right now*?" and "can this
+//! request *ever* run here?" — one cannot just submit a job and wait. Both
+//! are the same planner, `find_assignment`: asked about this instant, and
+//! asked with reservations ignored. So a request the server accepts is one
+//! it can start on an idle part, and one it refuses as
+//! [`SubmitError::Unsatisfiable`] is one no instant could ever start.
+//! However a job ends — walltime, early completion, cancellation, failure —
+//! it ends in `end_job`.
 
 use crate::ast::{Count, Expr, Level, RequestGroup, ResourceRequest};
 use crate::eval::eval;
-use crate::gantt::{EndIndex, NodeTimeline};
+use crate::gantt::Gantt;
 use crate::job::{Job, JobId, JobKind, JobState, Queue};
 // detlint: allow(no-unordered-iteration) -- HashMap/HashSet here back the match cache and waiting-set membership test only; neither is ever iterated
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -68,6 +76,17 @@ impl std::error::Error for SubmitError {}
 enum OarEvent {
     JobShouldStart(JobId),
     JobShouldEnd(JobId),
+}
+
+/// What ending a job does to the reservation it holds.
+#[derive(Debug, Clone, Copy)]
+enum Release {
+    /// Nothing: the reservation ends at this very instant by itself.
+    Keep,
+    /// All of it goes, the part already elapsed included.
+    Whole,
+    /// It is cut short at this instant; the elapsed part stays.
+    FromNow,
 }
 
 /// The immutable resource database a server (or a whole federation of
@@ -311,10 +330,7 @@ pub struct OarServer {
     /// State and reservations of this part's nodes, indexed by slot (see
     /// `ResourceDb::slot_of_node`).
     node_states: Vec<NodeState>,
-    timelines: Vec<NodeTimeline>,
-    /// Per-cluster cache of upcoming reservation ends — the planner's
-    /// candidate instants — invalidated on reserve/release/truncate.
-    ends: EndIndex,
+    gantt: Gantt,
     jobs: BTreeMap<JobId, Job>,
     /// Jobs currently in `Waiting` state, FCFS order. Cancellation removes
     /// from `waiting_set` only; stale deque entries are skipped lazily, so
@@ -364,13 +380,16 @@ impl OarServer {
     /// Build the server of one part of a shared resource database — what
     /// a federation does once per site.
     pub(crate) fn over_part(db: Arc<ResourceDb>, part: usize) -> Self {
-        let n = db.nodes_of_part[part].len();
+        let nodes = &db.nodes_of_part[part];
+        let cluster_of_slot = nodes
+            .iter()
+            .map(|n| db.cluster_of_node[n.index()].index() as u32)
+            .collect();
         OarServer {
-            ends: EndIndex::new(db.cluster_names.len()),
+            node_states: vec![NodeState::Alive; nodes.len()],
+            gantt: Gantt::new(cluster_of_slot, db.cluster_names.len()),
             db,
             part,
-            node_states: vec![NodeState::Alive; n],
-            timelines: (0..n).map(|_| NodeTimeline::new()).collect(),
             jobs: BTreeMap::new(),
             waiting: VecDeque::new(),
             // detlint: allow(no-unordered-iteration) -- see the field: membership only
@@ -483,7 +502,7 @@ impl OarServer {
                 (false, NodeState::Dead) => {}
                 (false, _) => {
                     self.node_states[slot] = NodeState::Dead;
-                    if let Some(r) = self.timelines[slot].active_at(self.now) {
+                    if let Some(r) = self.gantt.timeline(slot).active_at(self.now) {
                         to_fail.push(r.job);
                     }
                 }
@@ -491,18 +510,16 @@ impl OarServer {
                 (true, _) => {}
             }
         }
+        // No pass in between: the caller plans once, over everything freed.
         for job in to_fail {
-            self.fail_job(job);
+            self.end_job(job, JobState::Error, Release::Whole);
         }
         any
     }
 
     /// Number of nodes busy (running a job) right now.
     pub fn busy_nodes(&self) -> usize {
-        self.timelines
-            .iter()
-            .filter(|tl| tl.busy_at(self.now))
-            .count()
+        self.gantt.busy_count(self.now)
     }
 
     /// Number of nodes currently in the `Alive` state.
@@ -549,7 +566,8 @@ impl OarServer {
             None
         } else {
             // End `e` enters the horizon at `e - horizon`.
-            self.ends
+            self.gantt
+                .ends()
                 .first_beyond(self.last_replan_check + self.horizon)
                 .map(|e| e - self.horizon)
         };
@@ -606,11 +624,12 @@ impl OarServer {
     /// assignment without booking anything. This is the availability check
     /// the external test scheduler polls before triggering a build.
     pub fn immediate_assignment(&self, request: &ResourceRequest) -> Option<Vec<NodeId>> {
-        self.find_assignment(request, self.db.resolve(request).as_slice(), self.now)
+        self.find_assignment(request, self.db.resolve(request).as_slice(), Some(self.now))
     }
 
-    /// Whether this server's resources can *ever* satisfy `request`
-    /// (ignoring current reservations).
+    /// Whether this server's resources can *ever* satisfy `request`: whether
+    /// [`OarServer::immediate_assignment`] would find room for it on this
+    /// server's alive nodes if none of them were reserved.
     pub fn can_satisfy(&self, request: &ResourceRequest) -> bool {
         self.can_queue(request, self.db.resolve(request).as_slice())
     }
@@ -619,7 +638,7 @@ impl OarServer {
     /// caller already resolved: a federation resolves a request once and
     /// asks several domains.
     pub(crate) fn can_start(&self, request: &ResourceRequest, sets: &[Arc<MatchSet>]) -> bool {
-        self.find_assignment(request, sets, self.now).is_some()
+        self.find_assignment(request, sets, Some(self.now)).is_some()
     }
 
     /// [`OarServer::can_satisfy`] over already-resolved match-sets; decides
@@ -630,81 +649,53 @@ impl OarServer {
 
     /// Cancel a job (waiting, scheduled or running).
     pub fn cancel(&mut self, id: JobId) -> bool {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return false;
-        };
-        if job.state.is_final() {
-            return false;
-        }
-        let was_active = matches!(job.state, JobState::Running | JobState::Scheduled);
-        if job.state == JobState::Waiting {
-            // The deque entry goes stale and is skipped lazily.
-            self.waiting_set.remove(&id);
-        }
-        job.state = JobState::Canceled;
-        job.ended_at = Some(self.now);
-        let assigned = job.assigned.clone();
-        if was_active {
-            for n in assigned {
-                let slot = self.db.slot(self.part, n);
-                if let Some(end) = self.timelines[slot].end_of(id) {
-                    self.ends.remove(self.db.cluster_of_node[n.index()].index(), end);
-                }
-                self.timelines[slot].release(id);
-            }
-        }
-        self.schedule();
-        true
+        self.end_and_replan(id, JobState::Canceled, Release::Whole)
     }
 
     /// A running job finished early (tests usually do).
     pub fn complete_early(&mut self, id: JobId) -> bool {
-        let now = self.now;
+        self.end_and_replan(id, JobState::Terminated, Release::FromNow)
+    }
+
+    /// [`OarServer::end_job`], then a scheduling pass over what that freed.
+    fn end_and_replan(&mut self, id: JobId, state: JobState, release: Release) -> bool {
+        let ended = self.end_job(id, state, release);
+        if ended {
+            self.schedule();
+        }
+        ended
+    }
+
+    /// The one way a job ends: `id` enters the final `state` at this
+    /// instant and its reservation is treated as `release` says. Only a
+    /// running job terminates; any job not yet final can be cancelled or
+    /// fail. Returns whether the job ended — `false` for an unknown id or
+    /// a transition that rule forbids, and then nothing changed.
+    fn end_job(&mut self, id: JobId, state: JobState, release: Release) -> bool {
+        debug_assert!(state.is_final());
         let Some(job) = self.jobs.get_mut(&id) else {
             return false;
         };
-        if job.state != JobState::Running {
+        let may_end = match state {
+            JobState::Terminated => job.state == JobState::Running,
+            _ => !job.state.is_final(),
+        };
+        if !may_end {
             return false;
         }
-        job.state = JobState::Terminated;
-        job.ended_at = Some(now);
-        let assigned = job.assigned.clone();
-        for n in assigned {
-            let cluster = self.db.cluster_of_node[n.index()].index();
-            let slot = self.db.slot(self.part, n);
-            let old = self.timelines[slot].end_of(id);
-            self.timelines[slot].truncate(id, now);
-            match (old, self.timelines[slot].end_of(id)) {
-                (Some(from), Some(to)) if from != to => self.ends.move_end(cluster, from, to),
-                (Some(from), None) => self.ends.remove(cluster, from),
-                _ => {}
-            }
+        if job.state == JobState::Waiting {
+            // The deque entry goes stale and is skipped lazily.
+            self.waiting_set.remove(&id);
         }
-        self.schedule();
+        job.state = state;
+        job.ended_at = Some(self.now);
+        let slots = job.assigned.iter().map(|&n| self.db.slot(self.part, n));
+        match release {
+            Release::Keep => {}
+            Release::Whole => self.gantt.release(id, slots),
+            Release::FromNow => self.gantt.truncate(id, slots, self.now),
+        }
         true
-    }
-
-    fn fail_job(&mut self, id: JobId) {
-        let now = self.now;
-        if let Some(job) = self.jobs.get_mut(&id) {
-            if job.state.is_final() {
-                return;
-            }
-            if job.state == JobState::Waiting {
-                self.waiting_set.remove(&id);
-            }
-            job.state = JobState::Error;
-            job.ended_at = Some(now);
-            let assigned = job.assigned.clone();
-            for n in assigned {
-                let slot = self.db.slot(self.part, n);
-                if let Some(end) = self.timelines[slot].end_of(id) {
-                    self.ends.remove(self.db.cluster_of_node[n.index()].index(), end);
-                }
-                self.timelines[slot].release(id);
-                self.timelines[slot].truncate(id, now);
-            }
-        }
     }
 
     /// Advance virtual time to `to`, firing job starts/ends on the way.
@@ -714,20 +705,10 @@ impl OarServer {
             self.now = t;
             match ev {
                 OarEvent::JobShouldStart(id) => self.start_job(id),
+                // Stale when the job already ended (early, cancelled,
+                // failed); its reservation ends here by itself.
                 OarEvent::JobShouldEnd(id) => {
-                    let running = self
-                        .jobs
-                        .get(&id)
-                        .map(|j| j.state == JobState::Running)
-                        .unwrap_or(false);
-                    if running {
-                        let now = self.now;
-                        if let Some(job) = self.jobs.get_mut(&id) {
-                            job.state = JobState::Terminated;
-                            job.ended_at = Some(now);
-                        }
-                        self.schedule();
-                    }
+                    self.end_and_replan(id, JobState::Terminated, Release::Keep);
                 }
             }
         }
@@ -738,7 +719,8 @@ impl OarServer {
         if !self.waiting_set.is_empty() {
             let prev = self.last_replan_check;
             if self
-                .ends
+                .gantt
+                .ends()
                 .first_beyond(prev + self.horizon)
                 .is_some_and(|e| e <= to + self.horizon)
             {
@@ -757,10 +739,7 @@ impl OarServer {
             } else {
                 SimTime::ZERO
             };
-            for tl in &mut self.timelines {
-                tl.gc(horizon);
-            }
-            self.ends.gc(horizon);
+            self.gantt.gc(horizon);
         }
     }
 
@@ -775,8 +754,7 @@ impl OarServer {
             !matches!(state, NodeState::Alive)
         });
         if dead {
-            self.fail_job(id);
-            self.schedule();
+            self.end_and_replan(id, JobState::Error, Release::Whole);
             return;
         }
         let now = self.now;
@@ -809,18 +787,15 @@ impl OarServer {
             if let Some((start, assignment)) = self.earliest_assignment(&job.request) {
                 let Some(job) = self.jobs.get_mut(&id) else { continue };
                 self.waiting_set.remove(&id);
-                for &n in &assignment {
-                    self.timelines[self.db.slot(self.part, n)].reserve(start, walltime, id);
-                    self.ends
-                        .add(self.db.cluster_of_node[n.index()].index(), start + walltime);
-                }
+                let slots = assignment.iter().map(|&n| self.db.slot(self.part, n));
+                self.gantt.book(id, slots, start, walltime);
                 job.assigned = assignment;
                 job.scheduled_start = Some(start);
                 job.state = JobState::Scheduled;
                 if start == self.now {
                     // Start immediately (same instant) — no event needed,
                     // which keeps `next_event_time` free of stale entries.
-                    self.start_job_now(id);
+                    self.start_job(id);
                 } else {
                     self.events.push(start, OarEvent::JobShouldStart(id));
                 }
@@ -832,23 +807,18 @@ impl OarServer {
         self.waiting_scratch = std::mem::replace(&mut self.waiting, still);
     }
 
-    /// Immediate start path for jobs planned at `now` (avoids waiting for
-    /// the event loop when submit+start happen at the same instant).
-    fn start_job_now(&mut self, id: JobId) {
-        self.start_job(id);
-    }
-
     /// Earliest `(start, assignment)` for a request within the horizon.
     ///
     /// Candidate start instants: now plus every reservation end within the
-    /// horizon (a free window can only open when something ends). The ends
-    /// come from the [`EndIndex`] cache instead of a scan over every node
-    /// timeline, narrowed to the clusters the request can touch: an end on
-    /// an unrelated cluster never changes this request's feasibility, and
-    /// feasibility between two relevant ends is monotone non-increasing, so
-    /// dropping irrelevant instants cannot change the answer.
+    /// horizon (a free window can only open when something ends), read off
+    /// the Gantt's end index and narrowed to the clusters the request can
+    /// touch: an end on an unrelated cluster never changes this request's
+    /// feasibility, and feasibility between two relevant ends is monotone
+    /// non-increasing, so dropping irrelevant instants cannot change the
+    /// answer.
     fn earliest_assignment(&self, request: &ResourceRequest) -> Option<(SimTime, Vec<NodeId>)> {
         let limit = self.now + self.horizon;
+        let ends = self.gantt.ends();
         let mut candidates: Vec<SimTime> = vec![self.now];
         match request.implied_clusters() {
             Some(names) => {
@@ -856,39 +826,41 @@ impl OarServer {
                     // Unknown cluster names contribute no nodes, hence no
                     // candidate instants either.
                     if let Some(&c) = self.db.cluster_ids.get(name) {
-                        self.ends
-                            .candidates_into(c.index(), self.now, limit, &mut candidates);
+                        ends.candidates_into(c.index(), self.now, limit, &mut candidates);
                     }
                 }
                 candidates.sort_unstable();
                 candidates.dedup();
             }
             // Global keys are already ascending and unique, and all > now.
-            None => self.ends.global_candidates_into(self.now, limit, &mut candidates),
+            None => ends.global_candidates_into(self.now, limit, &mut candidates),
         }
         let sets = self.db.resolve(request);
         candidates.into_iter().find_map(|t| {
-            self.find_assignment(request, sets.as_slice(), t)
+            self.find_assignment(request, sets.as_slice(), Some(t))
                 .map(|assignment| (t, assignment))
         })
     }
 
-    /// Find a full assignment for `request` starting exactly at `start`.
-    /// `sets` holds the match-set of each group, in group order. A request
-    /// for nothing (no group, or a zero count) has no assignment.
+    /// The planner: a full assignment for `request` starting exactly at
+    /// `start`, or — with no `start` — on this part with nothing reserved,
+    /// which is what "can ever be satisfied here" means. `sets` holds the
+    /// match-set of each group, in group order. A request for nothing (no
+    /// group, or a zero count) has no assignment.
     fn find_assignment(
         &self,
         request: &ResourceRequest,
         sets: &[Arc<MatchSet>],
-        start: SimTime,
+        start: Option<SimTime>,
     ) -> Option<Vec<NodeId>> {
         debug_assert_eq!(request.groups.len(), sets.len());
         if request.groups.is_empty() {
             return None;
         }
+        let window = start.map(|t| (t, request.walltime));
         let mut taken: Vec<NodeId> = Vec::new();
         for (group, set) in request.groups.iter().zip(sets) {
-            let picked = self.find_group(group, set, start, request.walltime, &taken)?;
+            let picked = self.find_group(group, set, window, &taken)?;
             taken.extend(picked);
         }
         Some(taken)
@@ -911,132 +883,85 @@ impl OarServer {
             .filter(|n| !taken.contains(n))
     }
 
-    /// Whether `node` (one of this server's) is free over the window.
-    fn is_free(&self, node: NodeId, start: SimTime, duration: SimDuration) -> bool {
-        self.timelines[self.db.slot(self.part, node)].is_free(start, duration)
+    /// Whether `node` (one of this server's) is free over `window`, a
+    /// `(start, duration)`; with no window, reservations are not looked at.
+    fn is_free(&self, node: NodeId, window: Option<(SimTime, SimDuration)>) -> bool {
+        window.is_none_or(|(start, duration)| {
+            let timeline = self.gantt.timeline(self.db.slot(self.part, node));
+            timeline.is_free(start, duration)
+        })
     }
 
     fn find_group(
         &self,
         group: &RequestGroup,
         set: &MatchSet,
-        start: SimTime,
-        duration: SimDuration,
+        window: Option<(SimTime, SimDuration)>,
         taken: &[NodeId],
     ) -> Option<Vec<NodeId>> {
         if group.has_zero_count() {
             return None;
         }
-        // Eligible at `start` for `duration`: alive, matching, not already
-        // taken, free on their timeline. Built by the arms that read it
-        // (`nodes=ALL` does not).
-        let eligible = || -> Vec<NodeId> {
-            self.matching_alive(set, taken)
-                .filter(|&n| self.is_free(n, start, duration))
-                .collect()
-        };
         match group.hierarchy.as_slice() {
-            [(Level::Nodes, Count::Exact(n))] => {
-                let (n, eligible) = (*n as usize, eligible());
-                (eligible.len() >= n).then(|| eligible[..n].to_vec())
-            }
             [(Level::Nodes, Count::All)] => {
                 // ALL = every alive node matching the filter must be free.
                 let all: Vec<NodeId> = self.matching_alive(set, taken).collect();
                 if all.is_empty() {
                     return None;
                 }
-                let free = all.iter().all(|&n| self.is_free(n, start, duration));
+                let free = all.iter().all(|&n| self.is_free(n, window));
                 free.then_some(all)
             }
             [(Level::Cluster, Count::Exact(c)), (Level::Nodes, count)] => {
+                // The first `c` clusters, in name order, that can give
+                // `count` of their alive matching nodes.
                 let mut by_cluster: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
-                for n in &eligible() {
+                for n in self.matching_alive(set, taken) {
+                    let cluster = self.db.cluster_of_node[n.index()].index();
                     by_cluster
-                        .entry(self.db.cluster_names[self.db.cluster_of_node[n.index()].index()].as_str())
+                        .entry(self.db.cluster_names[cluster].as_str())
                         .or_default()
-                        .push(*n);
+                        .push(n);
                 }
                 let mut picked = Vec::new();
-                let mut clusters_done = 0usize;
-                for (cluster, free_nodes) in &by_cluster {
-                    if clusters_done == *c as usize {
+                let mut clusters_left = *c;
+                for members in by_cluster.values() {
+                    if clusters_left == 0 {
                         break;
                     }
-                    match count {
-                        Count::Exact(n) => {
-                            if free_nodes.len() >= *n as usize {
-                                picked.extend(&free_nodes[..*n as usize]);
-                                clusters_done += 1;
-                            }
-                        }
-                        Count::All => {
-                            // Every alive member of this cluster must be
-                            // free (intersection computed on the cached
-                            // match-set — no ad-hoc filter expression).
-                            let members: Vec<NodeId> = self
-                                .matching_alive(set, taken)
-                                .filter(|n| {
-                                    self.db.cluster_names[self.db.cluster_of_node[n.index()].index()]
-                                        == *cluster
-                                })
-                                .collect();
-                            if !members.is_empty()
-                                && members.iter().all(|&n| self.is_free(n, start, duration))
-                            {
-                                picked.extend(members);
-                                clusters_done += 1;
-                            }
-                        }
+                    // ALL = every alive member of the cluster must be free.
+                    let wanted = match count {
+                        Count::Exact(n) => *n as usize,
+                        Count::All => members.len(),
+                    };
+                    let free = members.iter().filter(|&&n| self.is_free(n, window));
+                    let given: Vec<NodeId> = free.take(wanted).copied().collect();
+                    if given.len() == wanted {
+                        picked.extend(given);
+                        clusters_left -= 1;
                     }
                 }
-                (clusters_done == *c as usize).then_some(picked)
+                (clusters_left == 0).then_some(picked)
             }
-            // Core/CPU-level or exotic hierarchies: allocate whole nodes
-            // for the equivalent node count (at least one).
-            other => {
+            // `nodes=N` and, allocating whole nodes for the equivalent
+            // node count (at least one), core/CPU-level or exotic
+            // hierarchies: the first `needed` eligible nodes, in node order.
+            _ => {
                 let needed = group.node_count().unwrap_or(1).max(1) as usize;
-                let _ = other;
-                let eligible = eligible();
-                (eligible.len() >= needed).then(|| eligible[..needed].to_vec())
+                let eligible = self
+                    .matching_alive(set, taken)
+                    .filter(|&n| self.is_free(n, window));
+                let picked: Vec<NodeId> = eligible.take(needed).collect();
+                (picked.len() == needed).then_some(picked)
             }
         }
     }
 
-    /// Debug/property-test validation: the end-index cache must exactly
-    /// mirror a linear scan over every node timeline — same multiset of
-    /// reservation ends, globally and per cluster.
+    /// Debug/property-test validation: the Gantt's end index must exactly
+    /// mirror a linear scan over every node timeline (see
+    /// [`Gantt::divergence`]).
     pub fn check_end_index_consistency(&self) -> Result<(), String> {
-        let mut want_global: BTreeMap<SimTime, u32> = BTreeMap::new();
-        let mut want_cluster: Vec<BTreeMap<SimTime, u32>> =
-            vec![BTreeMap::new(); self.db.cluster_names.len()];
-        for (tl, node) in self.timelines.iter().zip(&self.db.nodes_of_part[self.part]) {
-            for r in tl.reservations() {
-                *want_global.entry(r.end).or_insert(0) += 1;
-                *want_cluster[self.db.cluster_of_node[node.index()].index()]
-                    .entry(r.end)
-                    .or_insert(0) += 1;
-            }
-        }
-        if self.ends.global_counts() != &want_global {
-            return Err(format!(
-                "global end-index diverged: cached {:?}, scanned {:?}",
-                self.ends.global_counts(),
-                want_global
-            ));
-        }
-        for (c, want) in want_cluster.iter().enumerate() {
-            if self.ends.cluster_counts(c) != want {
-                return Err(format!(
-                    "cluster {} ({}) end-index diverged: cached {:?}, scanned {:?}",
-                    c,
-                    self.db.cluster_names[c],
-                    self.ends.cluster_counts(c),
-                    want
-                ));
-            }
-        }
-        Ok(())
+        self.gantt.divergence().map_or(Ok(()), Err)
     }
 
     fn validate(
@@ -1053,17 +978,11 @@ impl OarServer {
         if request.walltime.is_zero() {
             return Err(SubmitError::InvalidRequest("zero walltime".into()));
         }
-        // Satisfiability against this server's full (unreserved) part.
-        let mut taken: Vec<NodeId> = Vec::new();
-        for (group, set) in request.groups.iter().zip(sets) {
-            let needed = group.node_count().map(|n| n as usize).unwrap_or(1).max(1);
-            let picked: Vec<NodeId> = self.matching_alive(set, &taken).take(needed).collect();
-            if picked.len() < needed {
-                return Err(SubmitError::Unsatisfiable);
-            }
-            taken.extend(picked);
+        // Satisfiable: what the planner can place here with nothing reserved.
+        match self.find_assignment(request, sets, None) {
+            Some(_) => Ok(()),
+            None => Err(SubmitError::Unsatisfiable),
         }
-        Ok(())
     }
 }
 
@@ -1262,6 +1181,36 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, SubmitError::Unsatisfiable);
+    }
+
+    #[test]
+    fn unplaceable_hierarchy_is_refused_not_queued() {
+        // Regression: satisfiability counted matching nodes instead of
+        // asking the planner, so these were accepted and waited forever.
+        // Clusters are 4/4/3/3 nodes: no two give five each, and alpha has
+        // no node left beside all of alpha.
+        let (tb, mut s) = setup();
+        for text in [
+            "cluster=2/nodes=5,walltime=1",
+            "{cluster='alpha'}/nodes=ALL+{cluster='alpha'}/nodes=1",
+        ] {
+            let req = crate::parse_request(text, SimDuration::from_hours(1)).unwrap();
+            assert!(!s.can_satisfy(&req), "{text}");
+            assert_eq!(s.immediate_assignment(&req), None, "{text}");
+            let err = s.submit("x", Queue::Default, JobKind::User, req).unwrap_err();
+            assert_eq!(err, SubmitError::Unsatisfiable, "{text}");
+        }
+        assert!(s.jobs().is_empty());
+        assert_eq!(s.next_event_time(), None);
+        // One node fewer per cluster is placeable, and runs.
+        let req = crate::parse_request("cluster=2/nodes=4,walltime=1", SimDuration::from_hours(1))
+            .unwrap();
+        assert!(s.can_satisfy(&req));
+        let id = s.submit("x", Queue::Default, JobKind::User, req).unwrap();
+        let job = s.job(id).unwrap();
+        assert_eq!(job.state, JobState::Running);
+        let hosts = |name: &str| tb.cluster_by_name(name).unwrap().nodes.clone();
+        assert_eq!(job.assigned, [hosts("alpha"), hosts("beta")].concat());
     }
 
     #[test]

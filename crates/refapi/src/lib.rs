@@ -7,7 +7,6 @@
 //!
 //! * [`description`] — serde data model of the testbed description;
 //! * [`archive`] — versioned snapshot store with JSON round-tripping;
-//! * [`diff`] — structural comparison between two descriptions;
 //! * [`query`] — property extraction feeding the OAR resource database.
 //!
 //! The description is generated from each cluster's *reference* hardware —
@@ -19,12 +18,10 @@
 
 pub mod archive;
 pub mod description;
-pub mod diff;
 pub mod query;
 
 pub use archive::RefApi;
 pub use description::{describe, ClusterDescription, NodeDescription, SiteDescription, TestbedDescription};
-pub use diff::{diff_descriptions, DiffEntry};
 pub use query::{
     all_properties, node_properties, PropValue, PropertyDb, PropertyMap, Query, QueryAnswer,
 };

@@ -1,33 +1,36 @@
-//! Property tests for the planner's earliest-free / candidate-instant
-//! cache (`EndIndex`): every cached answer must equal an uncached linear
+//! Property tests for the Gantt's end index, the planner's cache of
+//! candidate instants: every cached answer must equal an uncached linear
 //! scan over the node timelines, under arbitrary op sequences.
 
 use proptest::prelude::*;
-use throughout::oar::gantt::{EndIndex, NodeTimeline};
+use throughout::oar::gantt::Gantt;
 use throughout::oar::{Expr, JobId, JobKind, JobState, OarServer, Queue, ResourceRequest};
 use throughout::refapi::describe;
 use throughout::sim::{SimDuration, SimTime};
 use throughout::testbed::TestbedBuilder;
 
-/// One randomized op against a small two-cluster timeline world.
+/// One randomized op against a small two-cluster Gantt.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Reserve on node `node` at hour `start` for `hours`.
-    Reserve { node: usize, start: u64, hours: u64 },
-    /// Release the job created by reserve #`k` (modulo issued).
+    /// Book a job on the nodes of `mask` at hour `start` for `hours`.
+    Book { mask: u8, start: u64, hours: u64 },
+    /// Release the job created by book #`k` (modulo issued).
     Release { k: usize },
-    /// Truncate the job created by reserve #`k` at `fraction`% of its span.
+    /// Truncate the job created by book #`k` at `percent`% of its span.
     Truncate { k: usize, percent: u64 },
+    /// Collect everything that ended by `hour`.
+    Gc { hour: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Tagged-tuple encoding (the vendored proptest has no `prop_oneof`):
-    // half the ops reserve, the rest split release/truncate.
-    (0u8..4, 0usize..6, 0u64..200, 1u64..30, 0usize..40, 0u64..101).prop_map(
-        |(tag, node, start, hours, k, percent)| match tag {
-            0 | 1 => Op::Reserve { node, start, hours },
-            2 => Op::Release { k },
-            _ => Op::Truncate { k, percent },
+    // half the ops book, the rest split release/truncate/gc.
+    (0u8..6, 1u8..64, 0u64..200, 1u64..30, 0usize..40, 0u64..101).prop_map(
+        |(tag, mask, start, hours, k, percent)| match tag {
+            0..=2 => Op::Book { mask, start, hours },
+            3 => Op::Release { k },
+            4 => Op::Truncate { k, percent },
+            _ => Op::Gc { hour: start },
         },
     )
 }
@@ -35,94 +38,79 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// After any op sequence, the index's candidate instants, per-cluster
-    /// earliest ends and global counts all equal a brute-force scan of the
-    /// timelines.
+    /// After any sequence of the Gantt's own operations, its consistency
+    /// check finds nothing and the index's candidate instants and first end beyond
+    /// an instant equal a brute-force scan of the timelines.
     #[test]
     fn end_index_matches_linear_scan(ops in prop::collection::vec(op_strategy(), 1..60)) {
         // Six nodes, two "clusters": nodes 0-2 → cluster 0, 3-5 → cluster 1.
-        let cluster_of = |node: usize| usize::from(node >= 3);
-        let mut timelines: Vec<NodeTimeline> = (0..6).map(|_| NodeTimeline::new()).collect();
-        let mut index = EndIndex::new(2);
-        let mut issued: Vec<(usize, JobId)> = Vec::new(); // (node, job)
-        let mut next_job = 1u64;
+        let cluster_of: Vec<u32> = vec![0, 0, 0, 1, 1, 1];
+        let mut gantt = Gantt::new(cluster_of.clone(), 2);
+        // (job, its nodes, booked start, booked end)
+        let mut issued: Vec<(JobId, Vec<usize>, SimTime, SimTime)> = Vec::new();
 
         for op in &ops {
             match *op {
-                Op::Reserve { node, start, hours } => {
+                Op::Book { mask, start, hours } => {
                     let start = SimTime::from_hours(start);
                     let d = SimDuration::from_hours(hours);
-                    if timelines[node].is_free(start, d) {
-                        let job = JobId(next_job);
-                        next_job += 1;
-                        timelines[node].reserve(start, d, job);
-                        index.add(cluster_of(node), start + d);
-                        issued.push((node, job));
+                    let nodes: Vec<usize> = (0..6).filter(|n| mask & (1 << n) != 0).collect();
+                    if nodes.iter().all(|&n| gantt.timeline(n).is_free(start, d)) {
+                        let job = JobId(issued.len() as u64 + 1);
+                        gantt.book(job, nodes.iter().copied(), start, d);
+                        issued.push((job, nodes, start, start + d));
                     }
                 }
                 Op::Release { k } => {
                     if issued.is_empty() { continue; }
-                    let (node, job) = issued[k % issued.len()];
-                    if let Some(end) = timelines[node].end_of(job) {
-                        timelines[node].release(job);
-                        index.remove(cluster_of(node), end);
-                    }
+                    let (job, nodes, ..) = &issued[k % issued.len()];
+                    gantt.release(*job, nodes.iter().copied());
+                    prop_assert!(nodes.iter().all(|&n| gantt.timeline(n).end_of(*job).is_none()));
                 }
                 Op::Truncate { k, percent } => {
                     if issued.is_empty() { continue; }
-                    let (node, job) = issued[k % issued.len()];
-                    let Some(r) = timelines[node]
-                        .reservations()
-                        .iter()
-                        .find(|r| r.job == job)
-                        .copied()
-                    else { continue };
-                    let at = r.start + (r.end - r.start) * (percent as f64 / 100.0);
-                    if at < r.start || at >= r.end { continue; }
-                    let old = r.end;
-                    timelines[node].truncate(job, at);
-                    match timelines[node].end_of(job) {
-                        Some(new) if new != old => index.move_end(cluster_of(node), old, new),
-                        Some(_) => {}
-                        None => index.remove(cluster_of(node), old),
-                    }
+                    let (job, nodes, start, end) = &issued[k % issued.len()];
+                    // Inside the booked span; a no-op where the job no
+                    // longer holds a reservation covering it.
+                    let at = *start + (*end - *start) * (percent as f64 / 100.0);
+                    gantt.truncate(*job, nodes.iter().copied(), at);
+                    prop_assert!(nodes.iter().all(|&n| gantt.timeline(n).end_of(*job).is_none_or(|e| e <= at)));
                 }
+                Op::Gc { hour } => gantt.gc(SimTime::from_hours(hour)),
             }
+            prop_assert_eq!(gantt.divergence(), None);
 
-            // Uncached linear scan over every timeline.
-            let mut scan_ends: Vec<Vec<SimTime>> = vec![Vec::new(), Vec::new()];
-            for (node, tl) in timelines.iter().enumerate() {
-                for r in tl.reservations() {
-                    scan_ends[cluster_of(node)].push(r.end);
+            // Uncached linear scan over every timeline; the last entry is
+            // every cluster together.
+            let mut scan_ends: Vec<Vec<SimTime>> = vec![Vec::new(); 3];
+            for (node, &cluster) in cluster_of.iter().enumerate() {
+                for r in gantt.timeline(node).reservations() {
+                    scan_ends[cluster as usize].push(r.end);
+                    scan_ends[2].push(r.end);
                 }
             }
-            #[allow(clippy::needless_range_loop)] // `c` also names the cluster for the index
-            for c in 0..2 {
-                scan_ends[c].sort_unstable();
+            for (c, ends) in scan_ends.iter_mut().enumerate() {
+                ends.sort_unstable();
+                ends.dedup();
                 // Cached candidate instants == scanned distinct ends, over
                 // several probe windows.
                 for (after, upto) in [(0u64, 400u64), (10, 50), (30, 31), (100, 150)] {
                     let (after, upto) = (SimTime::from_hours(after), SimTime::from_hours(upto));
                     let mut cached = Vec::new();
-                    index.candidates_into(c, after, upto, &mut cached);
-                    let mut scanned: Vec<SimTime> = scan_ends[c]
-                        .iter()
-                        .copied()
-                        .filter(|&e| e > after && e <= upto)
-                        .collect();
-                    scanned.dedup();
+                    match c {
+                        2 => gantt.ends().global_candidates_into(after, upto, &mut cached),
+                        _ => gantt.ends().candidates_into(c, after, upto, &mut cached),
+                    }
+                    let scanned: Vec<SimTime> =
+                        ends.iter().copied().filter(|&e| e > after && e <= upto).collect();
                     prop_assert_eq!(&cached, &scanned, "cluster {} window {}..{}", c, after, upto);
                 }
-                // Cached earliest-free answer == scanned minimum.
-                for probe in [0u64, 5, 25, 75, 150] {
-                    let probe = SimTime::from_hours(probe);
-                    let scanned_min = scan_ends[c].iter().copied().find(|&e| e > probe);
-                    prop_assert_eq!(
-                        index.earliest_end_after(c, probe),
-                        scanned_min,
-                        "cluster {} probe {}", c, probe
-                    );
-                }
+            }
+            // Cached first end beyond an instant == scanned minimum.
+            for probe in [0u64, 5, 25, 75, 150] {
+                let probe = SimTime::from_hours(probe);
+                let scanned_min = scan_ends[2].iter().copied().find(|&e| e > probe);
+                prop_assert_eq!(gantt.ends().first_beyond(probe), scanned_min, "probe {}", probe);
             }
         }
     }

@@ -248,12 +248,20 @@ fn random_filter(tb: &Testbed, rng: &mut impl Rng) -> Expr {
     }
 }
 
+/// Mostly `nodes=N` or `nodes=ALL`; sometimes the same under `cluster=C/`
+/// (several clusters, each giving that many), sometimes `core=K` (whole
+/// nodes for the equivalent node count).
 fn random_group(tb: &Testbed, rng: &mut impl Rng) -> RequestGroup {
     let count = match rng.gen_range(0..6) {
         0 => Count::All,
         _ => Count::Exact(rng.gen_range(1..=4)),
     };
-    RequestGroup { filter: random_filter(tb, rng), hierarchy: vec![(Level::Nodes, count)] }
+    let hierarchy = match rng.gen_range(0..8) {
+        0 | 1 => vec![(Level::Cluster, Count::Exact(rng.gen_range(1..=3))), (Level::Nodes, count)],
+        2 => vec![(Level::Core, Count::Exact(rng.gen_range(1..=8)))],
+        _ => vec![(Level::Nodes, count)],
+    };
+    RequestGroup { filter: random_filter(tb, rng), hierarchy }
 }
 
 /// Mostly one group; sometimes two unrelated ones (which walk the
@@ -377,6 +385,39 @@ proptest! {
                 let utilization = if alive == 0 { 0.0 } else { busy.len() as f64 / alive as f64 };
                 prop_assert_eq!(domain.oar.utilization(), utilization);
                 prop_assert!(domain.oar.check_end_index_consistency().is_ok());
+            }
+        }
+    }
+
+    /// "Can this ever run here?" and "could this start right now?" are one
+    /// planner: with nothing reserved they are the same question, whatever
+    /// the request's shape and whichever nodes are dead — per domain and
+    /// for a stand-alone server. A request accepted on the first answer
+    /// that the second can never confirm would wait forever.
+    #[test]
+    fn satisfiable_means_startable_when_nothing_is_reserved(seed in 0u64..u64::MAX) {
+        let mut rng = stream_rng(seed, "satisfiable-props");
+        let mut tb = random_world(&mut rng);
+        let desc = describe(&tb, 1, SimTime::ZERO);
+        let mut fed = Federation::new(&tb, &desc);
+        let mut alone = OarServer::new(&tb, &desc);
+        for _ in 0..rng.gen_range(0..tb.nodes().len()) {
+            let victim = tb.nodes()[rng.gen_range(0..tb.nodes().len())].id;
+            let _ = tb.apply_fault(FaultKind::NodeDead, FaultTarget::Node(victim), SimTime::ZERO);
+        }
+        let dirty = tb.take_alive_dirty();
+        fed.sync_dirty_nodes(&tb, &dirty);
+        alone.sync_dirty_nodes(&tb, &dirty);
+
+        for _ in 0..32 {
+            let request = random_request(&tb, &mut rng);
+            let servers = fed.domains().iter().map(|d| (d.name.as_str(), &d.oar));
+            for (name, oar) in servers.chain([("stand-alone", &alone)]) {
+                prop_assert_eq!(
+                    oar.can_satisfy(&request),
+                    oar.immediate_assignment(&request).is_some(),
+                    "{} on {}", request, name
+                );
             }
         }
     }

@@ -48,32 +48,6 @@ proptest! {
         }
     }
 
-    /// `earliest_free` returns a window that is actually free and is not
-    /// later than any free instant found by brute force.
-    #[test]
-    fn gantt_earliest_free_is_sound(
-        offsets in prop::collection::vec((0u64..100, 1u64..10), 0..20),
-        ask_h in 1u64..12,
-    ) {
-        let mut tl = NodeTimeline::new();
-        for (i, &(start_h, len_h)) in offsets.iter().enumerate() {
-            let start = SimTime::from_hours(start_h);
-            let d = SimDuration::from_hours(len_h);
-            if tl.is_free(start, d) {
-                tl.reserve(start, d, JobId(i as u64));
-            }
-        }
-        let ask = SimDuration::from_hours(ask_h);
-        let t = tl.earliest_free(SimTime::ZERO, ask);
-        prop_assert!(tl.is_free(t, ask));
-        // Brute-force check on hour boundaries before t.
-        let mut h = 0;
-        while SimTime::from_hours(h) < t {
-            prop_assert!(!tl.is_free(SimTime::from_hours(h), ask));
-            h += 1;
-        }
-    }
-
     /// Rendering a parsed request and re-parsing it yields the same AST
     /// (display/parse round-trip on the subset Display emits).
     #[test]
