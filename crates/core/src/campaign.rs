@@ -15,7 +15,6 @@
 //! itself goes through one crate-private observer.
 
 use crate::config::{CampaignConfig, SchedulingMode, TestbedScale};
-use crate::matching::find_fault;
 use crate::observe::Observer;
 use crate::snapshot::{Publisher, QueryStats, SnapshotHub};
 use rand::rngs::SmallRng;
@@ -35,8 +34,8 @@ use ttt_oar::{
 use ttt_refapi::RefApi;
 use ttt_sim::{EventLog, EventQueue, RngFactory, SimDuration, SimTime};
 use ttt_suite::{build_suite, run_test, TestConfig, TestCtx, TestReport};
-use ttt_testbed::fault::inject_random;
-use ttt_testbed::{FaultInjector, FaultKind, Testbed, TestbedBuilder};
+use ttt_testbed::fault::{find_fault, inject_random};
+use ttt_testbed::{FaultInjector, FaultKind, Layer, Testbed, TestbedBuilder};
 
 /// A test currently executing on the testbed (completion time is the
 /// event-queue key).
@@ -189,7 +188,7 @@ impl Campaign {
         };
         let kinds: Vec<FaultKind> = kinds
             .into_iter()
-            .filter(|k| !FaultKind::SERVICE_PROCESS.contains(k))
+            .filter(|k| k.spec().layer != Layer::Process)
             .collect();
         let mut applied = 0;
         let mut attempts = 0;

@@ -29,7 +29,6 @@
 
 pub mod campaign;
 pub mod config;
-pub mod matching;
 pub mod metrics;
 mod observe;
 pub mod reference;

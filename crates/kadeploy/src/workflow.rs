@@ -507,4 +507,35 @@ mod tests {
         assert_eq!(report.success_ratio(), 0.0);
         assert_eq!(report.rounds, 0, "no round runs for an empty node list");
     }
+
+    /// With the process down, the workflow layer fails cleanly: every node
+    /// reports unreachable, nothing on the testbed changes, zero rounds.
+    #[test]
+    fn deploy_against_down_process_fails_cleanly() {
+        use ttt_testbed::ServiceKind;
+        let mut tb = TestbedBuilder::small().build();
+        let nodes = tb.cluster_by_name("alpha").unwrap().nodes.clone();
+        let site = tb.node(nodes[0]).site;
+        tb.apply_fault(
+            FaultKind::ServiceCrash,
+            FaultTarget::Service(site, ServiceKind::KadeployServer),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        let mut rng = stream_rng(10, "kadeploy-server");
+        let report = Deployer::default().deploy(&mut tb, &base_env(), &nodes, &mut rng);
+        assert_eq!(report.success_ratio(), 0.0);
+        assert_eq!(report.rounds, 0);
+        for (_, outcome) in &report.outcomes {
+            match outcome {
+                NodeOutcome::Failed { reason, .. } => {
+                    assert_eq!(reason, "kadeploy server unreachable");
+                }
+                other => panic!("expected clean failure, got {other:?}"),
+            }
+        }
+        for &n in &nodes {
+            assert_eq!(tb.node(n).condition.deployments, 0);
+        }
+    }
 }

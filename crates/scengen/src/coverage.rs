@@ -40,11 +40,11 @@ use crate::grammar::{ModeDim, RolloutDim, ScenarioSpec};
 use crate::oracle::CampaignDigest;
 use serde::{Deserialize, Serialize};
 use ttt_core::campaign::WAKE_REASONS;
-use ttt_testbed::FaultKind;
+use ttt_testbed::{FaultKind, Layer};
 
 /// Whether a fault-kind name (a digest ledger key) is site-scoped.
 fn is_site_kind(kind_name: &str) -> bool {
-    FaultKind::SITE_SCOPED.iter().any(|k| k.name() == kind_name)
+    FaultKind::in_layer(Layer::Site).any(|k| k.name() == kind_name)
 }
 
 /// Index of a wake-reason label in [`WAKE_REASONS`].
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn every_site_kind_classifies() {
-        for kind in FaultKind::SITE_SCOPED {
+        for kind in FaultKind::in_layer(Layer::Site) {
             assert!(is_site_kind(kind.name()));
         }
         assert!(!is_site_kind(FaultKind::ConsoleDead.name()));

@@ -19,12 +19,12 @@ use std::ops::RangeInclusive;
 use ttt_core::{CampaignConfig, Rollout, SchedulingMode, TestbedScale};
 use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
-use ttt_sim::rng::stream_rng;
+use ttt_sim::rng::{pick, stream_rng};
 use ttt_sim::{SimDuration, SimTime};
 use ttt_suite::Family;
 use ttt_testbed::gen::ClusterSpec;
 use ttt_testbed::hardware::Vendor;
-use ttt_testbed::{FaultKind, InjectorConfig, LinkModelSpec};
+use ttt_testbed::{FaultKind, InjectorConfig, Layer, LinkModelSpec};
 
 /// Hardware and time menus shared by the seed expansion ([`ScenarioSpec::
 /// from_seed`]) and the structural mutators ([`crate::mutate`]) — one
@@ -35,12 +35,6 @@ pub(crate) const VENDOR_MENU: [Vendor; 4] = [Vendor::Dell, Vendor::Hp, Vendor::B
 pub(crate) const TICK_MENU: [u64; 5] = [10, 15, 20, 30, 60];
 pub(crate) const CADENCE_MENU: [u64; 3] = [1, 2, 4];
 
-/// One uniform draw from a non-empty static menu — draw-for-draw what the
-/// vendored `SliceRandom::choose` does, so every historical seed expands
-/// unchanged.
-pub(crate) fn pick<T: Copy, R: Rng>(menu: &[T], rng: &mut R) -> T {
-    menu[(rng.next_u64() % menu.len() as u64) as usize]
-}
 
 /// Limits of the structural axes (topology, arrivals, mode, link model,
 /// horizon × tick), read by the file validator and by
@@ -302,9 +296,8 @@ impl ScenarioSpec {
         // every historical seed keeps its spec byte-for-byte. The
         // service-process kinds enter scenarios through the structural
         // cells and the `ToggleFaultKind` mutator instead.
-        let fault_mix: Vec<(FaultKind, f64)> = FaultKind::ALL[..FaultKind::LEGACY]
-            .iter()
-            .filter_map(|&kind| {
+        let fault_mix: Vec<(FaultKind, f64)> = FaultKind::legacy()
+            .filter_map(|kind| {
                 // Draw the rate unconditionally so inclusion of one kind
                 // never shifts another kind's draw.
                 let rate = rng.gen_range(0.2..1.5);
@@ -373,7 +366,7 @@ impl ScenarioSpec {
             || self
                 .fault_mix
                 .iter()
-                .any(|&(k, _)| FaultKind::SERVICE_PROCESS.contains(&k))
+                .any(|&(k, _)| k.spec().layer == Layer::Process)
     }
 
     /// Total node count of the generated topology.

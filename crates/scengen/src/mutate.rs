@@ -18,7 +18,7 @@
 
 use crate::coverage::StructuralCell;
 use crate::grammar::{
-    default_cluster, horizon_hours, pick, site_name, ModeDim, RolloutDim, ScenarioSpec,
+    default_cluster, horizon_hours, site_name, ModeDim, RolloutDim, ScenarioSpec,
     CADENCE_MENU, CORE_MENU, MAX_CLUSTERS, MAX_CRON_PERIOD_HOURS, MAX_FAULT_RATE,
     MAX_LINK_LATENCY_S, MAX_LINK_LOSS, MAX_NODES, MAX_NODES_PER_CLUSTER, MAX_PEAK_JOBS,
     MAX_ROLLOUT_PHASES, MIN_FAULT_RATE, SCALAR_AXES, TICK_MENU, VENDOR_MENU,
@@ -26,7 +26,8 @@ use crate::grammar::{
 use rand::seq::SliceRandom;
 use rand::Rng;
 use ttt_testbed::gen::ClusterSpec;
-use ttt_testbed::{FaultKind, LinkModelSpec};
+use ttt_sim::rng::pick;
+use ttt_testbed::{FaultKind, Layer, LinkModelSpec};
 
 /// The structural moves, named so tests can assert the move set stays
 /// complete and the fuzz report can say which move found a signature.
@@ -321,7 +322,7 @@ pub fn pin_to_cell<R: Rng>(spec: &mut ScenarioSpec, cell: StructuralCell, rng: &
         spec.peak_jobs_per_day = 0.0;
     } else if cell.site_faults {
         spec.fault_mix.retain(|(k, _)| !k.is_site_fault());
-        for kind in FaultKind::SITE_SCOPED {
+        for kind in FaultKind::in_layer(Layer::Site) {
             spec.fault_mix.push((kind, 2.0));
         }
         spec.duration_hours = spec.duration_hours.max(48);
@@ -341,15 +342,15 @@ pub fn pin_to_cell<R: Rng>(spec: &mut ScenarioSpec, cell: StructuralCell, rng: &
     // pre-existing cells must pin byte-identically.
     if cell.service_faults {
         spec.fault_mix
-            .retain(|(k, _)| !FaultKind::SERVICE_PROCESS.contains(k));
-        for kind in FaultKind::SERVICE_PROCESS {
+            .retain(|(k, _)| k.spec().layer != Layer::Process);
+        for kind in FaultKind::in_layer(Layer::Process) {
             spec.fault_mix.push((kind, 2.0));
         }
         spec.buggify_rate = 0.05;
         spec.duration_hours = spec.duration_hours.max(48);
     } else {
         spec.fault_mix
-            .retain(|(k, _)| !FaultKind::SERVICE_PROCESS.contains(k));
+            .retain(|(k, _)| k.spec().layer != Layer::Process);
         spec.buggify_rate = 0.0;
         if !cell.calm && spec.fault_mix.is_empty() {
             spec.fault_mix.push((FaultKind::ConsoleDead, 1.0));

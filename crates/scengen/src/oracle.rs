@@ -10,9 +10,9 @@
 //! 2. **Detection soundness** — every fault still active when the campaign
 //!    ends resolves back through [`find_fault`] from its canonical
 //!    diagnostic signature, and every fault kind in the scenario's mix is
-//!    detectable by its owning test family on the shared
-//!    [`ttt_suite::testutil::Harness`] — unless the kind is explicitly
-//!    classified in [`KNOWN_COVERAGE_GAPS`].
+//!    detected by the family [`ttt_suite::coverage_for`] declares for it,
+//!    through the shared [`ttt_suite::detection_failure`] loop — unless
+//!    the kind is explicitly classified in [`KNOWN_COVERAGE_GAPS`].
 //! 3. **Conservation** — node/reservation/metric accounting: structural
 //!    testbed invariants, OAR reservation exclusivity and index
 //!    consistency, executor accounting, and metric bookkeeping identities.
@@ -20,12 +20,9 @@
 use crate::grammar::ScenarioSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use ttt_core::matching::find_fault;
 use ttt_core::Campaign;
-use ttt_sim::SimTime;
-use ttt_suite::testutil::Harness;
-use ttt_suite::{Family, Target, TestConfig};
-use ttt_testbed::{Fault, FaultKind, FaultTarget, NodeId, ServiceKind, Testbed};
+use ttt_suite::{coverage_for, detection_failure};
+use ttt_testbed::{find_fault, Fault, FaultKind, FaultTarget, NodeId, Testbed};
 
 /// Which oracle a violation came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,30 +315,17 @@ pub fn check_engine_equivalence(spec: &ScenarioSpec, next_event: &CampaignDigest
     })
 }
 
-/// The canonical diagnostic-signature prefix a fault kind surfaces as.
-/// Most kinds diagnose under their own name; the boot-behaviour kinds
-/// surface as the symptom the deploy/reboot families report.
-fn canonical_prefix(kind: FaultKind) -> &'static str {
-    match kind {
-        FaultKind::KernelBootRace => "boot-delay",
-        FaultKind::RandomReboots => "boot-failure",
-        k => k.name(),
-    }
-}
-
-/// The diagnostic signature a test family would file for `fault` — fault
-/// signatures use node ids, diagnostics use node names, so this is *not*
-/// `Fault::signature` for node faults.
+/// The diagnostic signature a test family would file for `fault`: its
+/// kind's canonical symptom (the first of the catalogue's symptom column)
+/// on the node's *name* — fault signatures use node ids — or, for service
+/// and site-scoped faults, on the target as the fault signature spells it.
 fn canonical_signature(fault: &Fault, tb: &Testbed) -> String {
+    let symptom = fault.kind.spec().symptoms[0];
     match fault.target {
-        // Service and site-scoped diagnostics carry the fault signature
-        // verbatim (site ids, not node names).
-        FaultTarget::Service(..) | FaultTarget::Site(..) | FaultTarget::SiteLink(..) => {
-            fault.signature()
-        }
         FaultTarget::Node(n) | FaultTarget::NodePair(n, _) => {
-            format!("{}@{}", canonical_prefix(fault.kind), tb.node(n).name)
+            format!("{symptom}@{}", tb.node(n).name)
         }
+        target => format!("{symptom}@{target}"),
     }
 }
 
@@ -399,44 +383,6 @@ pub fn check_fault_resolution(tb: &Testbed) -> Vec<Violation> {
     out
 }
 
-/// Where a fault kind is detected on the shared small-testbed harness:
-/// `(family, target, max retry budget, cluster to inject on)`. Exhaustive
-/// match — adding a [`FaultKind`] variant without declaring coverage here
-/// (or in [`KNOWN_COVERAGE_GAPS`]) is a compile error.
-pub fn coverage_for(kind: FaultKind) -> (Family, Target, usize, &'static str) {
-    let cluster = || Target::Cluster("alpha".into());
-    let site = || Target::Site("east".into());
-    match kind {
-        FaultKind::DiskWriteCacheDrift => (Family::Disk, cluster(), 1, "alpha"),
-        FaultKind::DiskFirmwareDrift => (Family::Disk, cluster(), 1, "alpha"),
-        FaultKind::CpuCStatesDrift => (Family::Refapi, cluster(), 1, "alpha"),
-        FaultKind::HyperthreadingDrift => (Family::Refapi, cluster(), 1, "alpha"),
-        FaultKind::TurboDrift => (Family::StdEnv, cluster(), 40, "alpha"),
-        FaultKind::BiosVersionDrift => (Family::DellBios, cluster(), 1, "alpha"),
-        FaultKind::DimmFailure => (Family::OarProperties, cluster(), 1, "alpha"),
-        FaultKind::NicDowngrade => {
-            (Family::OarProperties, Target::Cluster("beta".into()), 1, "beta")
-        }
-        FaultKind::CablingSwap => (Family::Kwapi, site(), 1, "alpha"),
-        FaultKind::KernelBootRace => (Family::MultiReboot, cluster(), 40, "alpha"),
-        FaultKind::RandomReboots => (Family::MultiReboot, cluster(), 600, "alpha"),
-        FaultKind::OfedFlaky => (Family::MpiGraph, cluster(), 150, "alpha"),
-        FaultKind::ConsoleDead => (Family::Console, cluster(), 1, "alpha"),
-        FaultKind::VlanPortStuck => (Family::Kavlan, site(), 1, "alpha"),
-        FaultKind::ServiceFlaky => (Family::Cmdline, site(), 150, "alpha"),
-        FaultKind::ServiceDown => (Family::Cmdline, site(), 1, "alpha"),
-        FaultKind::NodeDead => (Family::OarState, site(), 1, "alpha"),
-        FaultKind::SitePowerOutage => (Family::OarState, site(), 1, "alpha"),
-        FaultKind::SiteLinkPartition => (Family::Kavlan, Target::Global, 1, "alpha"),
-        FaultKind::ClockSkew => (Family::Cmdline, site(), 1, "alpha"),
-        // A dead process refuses deterministically — one probe suffices.
-        FaultKind::ServiceCrash => (Family::Cmdline, site(), 1, "alpha"),
-        FaultKind::ServiceRestart => (Family::Cmdline, site(), 1, "alpha"),
-        // Loss is probabilistic (0.25/call), so allow a few probe rounds.
-        FaultKind::RpcDegraded => (Family::Cmdline, site(), 30, "alpha"),
-    }
-}
-
 /// Oracle 2b: every fault kind in the scenario's mix must be detectable by
 /// its owning family on the shared harness — the slide-21 coverage keeps
 /// up with the slide-22 catalogue for whatever mix the grammar composed.
@@ -446,7 +392,8 @@ pub fn check_kind_detectability(spec: &ScenarioSpec) -> Vec<Violation> {
         if KNOWN_COVERAGE_GAPS.contains(&kind) {
             continue;
         }
-        if let Some(detail) = kind_detectability_failure(kind, spec.seed) {
+        let seed = spec.seed ^ (kind as u64) << 32;
+        if let Some(detail) = detection_failure(&coverage_for(kind), seed, "swarm-detect") {
             out.push(Violation {
                 oracle: OracleKind::DetectionSoundness,
                 detail,
@@ -454,91 +401,6 @@ pub fn check_kind_detectability(spec: &ScenarioSpec) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Run `kind`'s owning family on a fresh harness until the injected fault
-/// is detected and attributed; `Some(detail)` if the retry budget runs dry.
-fn kind_detectability_failure(kind: FaultKind, seed: u64) -> Option<String> {
-    let (family, target, max_runs, cluster) = coverage_for(kind);
-    let seed = seed ^ (kind as u64) << 32;
-    detection_failure(kind, family, target, max_runs, cluster, seed, "swarm-detect")
-}
-
-/// The inject → assign → run → attribute loop shared by the swarm's
-/// detection-soundness oracle and the end-to-end detection matrix
-/// (`tests/detection_matrix.rs`): inject `kind` on `cluster_name` of the
-/// shared small-testbed harness, run `family` up to `max_runs` times, and
-/// require a diagnostic that [`find_fault`] resolves back to the injected
-/// fault. `Some(detail)` describes the failure; `None` means detected.
-#[allow(clippy::too_many_arguments)]
-pub fn detection_failure(
-    kind: FaultKind,
-    family: Family,
-    target: Target,
-    max_runs: usize,
-    cluster_name: &str,
-    seed: u64,
-    stream: &str,
-) -> Option<String> {
-    let mut h = Harness::with_stream(seed, stream);
-    let nodes = h.tb.cluster_by_name(cluster_name).unwrap().nodes.clone();
-    let fault_target = match kind {
-        FaultKind::CablingSwap => FaultTarget::NodePair(nodes[0], nodes[1]),
-        FaultKind::ServiceFlaky
-        | FaultKind::ServiceDown
-        | FaultKind::ServiceCrash
-        | FaultKind::ServiceRestart => {
-            FaultTarget::Service(h.tb.sites()[0].id, ServiceKind::KadeployServer)
-        }
-        FaultKind::SitePowerOutage | FaultKind::ClockSkew | FaultKind::RpcDegraded => {
-            // The site owning the declared cluster.
-            FaultTarget::Site(h.tb.cluster_by_name(cluster_name).unwrap().site)
-        }
-        FaultKind::SiteLinkPartition => {
-            if h.tb.sites().len() < 2 {
-                return Some(format!(
-                    "{kind} needs two sites; the shared harness has {}",
-                    h.tb.sites().len()
-                ));
-            }
-            FaultTarget::SiteLink(h.tb.sites()[0].id, h.tb.sites()[1].id)
-        }
-        _ => FaultTarget::Node(nodes[0]),
-    };
-    // A failed injection is a broken coverage entry (e.g. a drift that
-    // cannot apply on the declared cluster), not a pass.
-    let Some(fault) = h.tb.apply_fault(kind, fault_target, SimTime::ZERO) else {
-        return Some(format!(
-            "{kind} cannot be injected on {cluster_name} — coverage entry is miswired"
-        ));
-    };
-    let cfg = TestConfig { family, target };
-    // Assignments: hardware-centric take the cluster; site tests take two
-    // nodes; the global configuration takes one node on each of two
-    // sites; everything else takes the faulty node.
-    h.assigned = if cfg.family.hardware_centric() {
-        nodes.clone()
-    } else if matches!(cfg.target, Target::Global) {
-        let remote_cluster = h.tb.sites()[1].clusters[0];
-        vec![nodes[0], h.tb.cluster(remote_cluster).nodes[0]]
-    } else if matches!(cfg.target, Target::Site(_)) {
-        vec![nodes[0], nodes[2]]
-    } else {
-        vec![nodes[0]]
-    };
-    for _ in 0..max_runs {
-        let report = h.run_static(&cfg);
-        for d in &report.diagnostics {
-            if let Some(found) = find_fault(&h.tb, &d.signature) {
-                if found.id == fault.id {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(format!(
-        "{kind} not detected by {family} within {max_runs} runs (seed {seed})"
-    ))
 }
 
 /// Oracle 3: conservation — node, reservation and metric accounting.

@@ -9,7 +9,7 @@
 //! sharing would not give us).
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// FNV-1a 64-bit hash of a byte string; stable across platforms and builds.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -37,6 +37,13 @@ pub fn stream_seed(seed: u64, label: &str) -> u64 {
 /// Create a small, fast RNG for the stream `(seed, label)`.
 pub fn stream_rng(seed: u64, label: &str) -> SmallRng {
     SmallRng::seed_from_u64(stream_seed(seed, label))
+}
+
+/// One uniform draw from a non-empty static menu — draw-for-draw what the
+/// vendored `SliceRandom::choose` does (one `next_u64`, modulo the length),
+/// without the `Option` an empty slice would need.
+pub fn pick<T: Copy, R: RngCore>(menu: &[T], rng: &mut R) -> T {
+    menu[(rng.next_u64() % menu.len() as u64) as usize]
 }
 
 /// A factory carrying a campaign seed, handing out named streams.

@@ -72,11 +72,6 @@ pub const BUGGIFY_CALLSITES: &[BuggifyCallsite] = &[
         what: "a deployment round loses the PXE handshake on one node (retry round rescues it)",
     },
     BuggifyCallsite {
-        name: "kadeploy-admission",
-        crate_name: "ttt_kadeploy",
-        what: "a queued deployment's slot admission hiccups for one pass (delay, never starvation)",
-    },
-    BuggifyCallsite {
         name: "testbed-service-call",
         crate_name: "ttt_testbed",
         what: "an enveloped service call surfaces a transient service error",

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod coverage;
 pub mod ctx;
 pub mod dispatch;
 pub mod families;
@@ -32,6 +33,7 @@ pub mod report;
 pub mod testutil;
 
 pub use config::{build_suite, family_counts, Family, Target, TestConfig};
+pub use coverage::{coverage_for, detection_failure, Coverage};
 pub use ctx::TestCtx;
 pub use dispatch::run_test;
 pub use regression::{Metric, RegressionExperiment};

@@ -2,9 +2,11 @@
 //! (testbed + refapi + oar + kavlan + kwapi + deployer), plus automatic
 //! node assignment per configuration.
 //!
-//! Family unit tests, the end-to-end detection matrix and the scenario
-//! swarm's detection-soundness oracle all run test configurations through
-//! this one [`Harness`] instead of each wiring their own copy of the world.
+//! Family unit tests, the end-to-end detection matrix, the coverage
+//! ablation and the scenario swarm's detection-soundness oracle all run
+//! test configurations through this one [`Harness`] instead of each wiring
+//! their own copy of the world; [`crate::coverage`] drives it through the
+//! inject → run → attribute loop.
 
 use crate::config::{Target, TestConfig};
 use crate::ctx::TestCtx;
@@ -15,7 +17,7 @@ use ttt_kadeploy::{standard_images, Deployer, Environment};
 use ttt_kavlan::KavlanManager;
 use ttt_kwapi::MetricStore;
 use ttt_oar::OarServer;
-use ttt_refapi::RefApi;
+use ttt_refapi::{describe, RefApi};
 use ttt_sim::rng::stream_rng;
 use ttt_sim::{SimDuration, SimTime};
 use ttt_testbed::{NodeId, Testbed, TestbedBuilder};
@@ -51,9 +53,10 @@ impl Harness {
 
     /// Stand every service up around an already-built testbed.
     pub fn from_testbed(tb: Testbed, seed: u64, stream: &str) -> Self {
+        let description = describe(&tb, 1, SimTime::ZERO);
+        let oar = OarServer::new(&tb, &description);
         let mut refapi = RefApi::new();
-        refapi.publish_from(&tb, SimTime::ZERO);
-        let oar = OarServer::new(&tb, refapi.latest().unwrap());
+        refapi.publish(description);
         let kwapi = MetricStore::new(tb.nodes().len(), 600, SimDuration::from_mins(1));
         Harness {
             tb,

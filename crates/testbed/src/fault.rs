@@ -7,18 +7,39 @@
 //! broken hardware" from slide 7). A fault mutates the testbed's actual
 //! state; the description in the Reference API is *not* updated, which is
 //! precisely the inconsistency the testing framework must detect.
+//!
+//! # The catalogue
+//!
+//! What a kind *is* is written once, as its row of
+//! [`FaultKind::CATALOGUE`] (emitted with the enum from the one list
+//! below): its catalogue name, its default arrivals per day, the
+//! [`TargetShape`] it lands on, the [`Layer`] it joined the catalogue with,
+//! and the symptom prefixes a test files it under (canonical one first).
+//! Names, default rates, random and canonical targets, the layer sets and
+//! the bug→fault matcher [`find_fault`] — which inverts the symptom column
+//! — are all read off that table. What a kind *does* to the testbed is
+//! code, not data: the two matches `apply_effect` / `revert_effect` in
+//! `testbed.rs` (23 distinct effects would gain nothing as fn pointers).
+//!
+//! Adding a kind takes three steps, and a missing one is a compile error
+//! or a failing detection matrix:
+//! 1. a variant + row in the `catalogue!` list (bump the `23`s);
+//! 2. its `apply_effect` / `revert_effect` arms in `testbed.rs`;
+//! 3. its row in `ttt_suite::coverage::coverage_for` (the family that
+//!    detects it, which `tests/detection_matrix.rs` then holds it to).
 
-use crate::ids::{ClusterId, NodeId, SiteId};
+use crate::cluster::Cluster;
+use crate::ids::{NodeId, SiteId};
 use crate::services::ServiceKind;
 use crate::testbed::Testbed;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use ttt_sim::rng::pick;
 use ttt_sim::{PoissonProcess, SimTime};
 
 /// Unique identifier of an injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FaultId(pub u64);
 
 impl fmt::Display for FaultId {
@@ -27,151 +48,186 @@ impl fmt::Display for FaultId {
     }
 }
 
-/// The classes of problems the paper reports (slides 13 & 22).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum FaultKind {
+/// What a fault of some kind lands on — the shape of its [`FaultTarget`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetShape {
+    /// Any one node.
+    Node,
+    /// One node of an Infiniband cluster.
+    IbNode,
+    /// Two distinct nodes of one cluster (real swaps happen within a rack).
+    NodePair,
+    /// One service of one site.
+    Service,
+    /// A whole site.
+    Site,
+    /// The backbone link between two distinct sites.
+    SiteLink,
+}
+
+/// The layer of the catalogue a kind belongs to, in the order the layers
+/// were added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// The single-domain catalogue: nodes, cabling, service health.
+    Base,
+    /// Whole sites and inter-site links (the multi-site federation).
+    Site,
+    /// Killable service processes and degraded service links.
+    Process,
+}
+
+/// One row of [`FaultKind::CATALOGUE`]: everything a fault kind *is*.
+#[derive(Debug)]
+pub struct KindSpec {
+    /// The kind this row describes (`CATALOGUE[k as usize].kind == k`).
+    pub kind: FaultKind,
+    /// Short stable catalogue name, used in bug signatures and scenario
+    /// files.
+    pub name: &'static str,
+    /// Default arrivals per day across the whole testbed, tuned so a
+    /// paper-scale campaign accumulates roughly the paper's bug volume
+    /// over several months (experiment E8).
+    pub per_day: f64,
+    /// What it lands on.
+    pub shape: TargetShape,
+    /// Which layer of the catalogue it belongs to.
+    pub layer: Layer,
+    /// The diagnostic-signature prefixes a test files it under, canonical
+    /// one first. Several kinds can share a behavioural symptom
+    /// (`deploy-failure`), and look-alike pairs name each other.
+    pub symptoms: &'static [&'static str],
+}
+
+/// Emits [`FaultKind`], [`FaultKind::ALL`] and [`FaultKind::CATALOGUE`]
+/// from one list, so declaration order, discriminants and rows cannot
+/// disagree.
+macro_rules! catalogue {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident = $name:literal, $per_day:literal, $shape:ident, $layer:ident, [$($symptom:literal),+];
+    )+) => {
+        /// The classes of problems the paper reports (slides 13 & 22).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub enum FaultKind {
+            $($(#[$doc])* $kind,)+
+        }
+
+        impl FaultKind {
+            /// All kinds, in declaration order.
+            pub const ALL: [FaultKind; 23] = [$(FaultKind::$kind,)+];
+
+            /// One row per kind, in declaration order.
+            pub const CATALOGUE: [KindSpec; 23] = [$(KindSpec {
+                kind: FaultKind::$kind,
+                name: $name,
+                per_day: $per_day,
+                shape: TargetShape::$shape,
+                layer: Layer::$layer,
+                symptoms: &[$($symptom),+],
+            },)+];
+        }
+    };
+}
+
+// One row per kind: name, arrivals/day, target shape, layer, symptoms.
+catalogue! {
     /// Disk volatile write cache toggled away from the reference setting.
-    DiskWriteCacheDrift,
+    DiskWriteCacheDrift = "disk-write-cache", 0.10, Node, Base, ["disk-write-cache"];
     /// Disk firmware downgraded to a known-bad revision.
-    DiskFirmwareDrift,
+    DiskFirmwareDrift = "disk-firmware", 0.06, Node, Base, ["disk-firmware"];
     /// Deep C-states enabled while the reference disables them.
-    CpuCStatesDrift,
+    CpuCStatesDrift = "cpu-cstates", 0.10, Node, Base, ["cpu-cstates"];
     /// Hyperthreading toggled away from the reference setting.
-    HyperthreadingDrift,
+    HyperthreadingDrift = "cpu-ht", 0.05, Node, Base, ["cpu-ht"];
     /// Turbo boost toggled away from the reference setting.
-    TurboDrift,
+    TurboDrift = "cpu-turbo", 0.05, Node, Base, ["cpu-turbo"];
     /// BIOS downgraded/not upgraded relative to the cluster reference.
-    BiosVersionDrift,
+    BiosVersionDrift = "bios-version", 0.08, Node, Base, ["bios-version"];
     /// A DIMM failed; the BIOS masks it and the node loses memory.
-    DimmFailure,
+    DimmFailure = "dimm-failure", 0.08, Node, Base, ["dimm-failure"];
     /// NIC negotiated a lower link rate (bad cable/port).
-    NicDowngrade,
+    NicDowngrade = "nic-downgrade", 0.05, Node, Base, ["nic-downgrade"];
     /// Power-monitoring wiring swapped between two nodes.
-    CablingSwap,
-    /// Kernel race condition delaying boots.
-    KernelBootRace,
+    CablingSwap = "cabling-swap", 0.03, NodePair, Base, ["cabling-swap"];
+    /// Kernel race condition delaying boots. Surfaces as the symptom the
+    /// deploy/reboot families report, not under its own name.
+    KernelBootRace = "kernel-boot-race", 0.04, Node, Base, ["boot-delay", "deploy-failure"];
     /// Node reboots spontaneously (the decommissioned-cluster bug).
-    RandomReboots,
+    RandomReboots = "random-reboots", 0.02, Node, Base, ["boot-failure", "deploy-failure"];
     /// OFED stack randomly fails to start Infiniband applications.
-    OfedFlaky,
+    OfedFlaky = "ofed-flaky", 0.04, IbNode, Base, ["ofed-flaky"];
     /// Serial console unreachable.
-    ConsoleDead,
+    ConsoleDead = "console-dead", 0.05, Node, Base, ["console-dead"];
     /// Switch port refuses VLAN reconfiguration.
-    VlanPortStuck,
-    /// A site service became flaky.
-    ServiceFlaky,
+    VlanPortStuck = "vlan-port-stuck", 0.03, Node, Base, ["vlan-port-stuck"];
+    /// A site service became flaky. A flaky service can fail every probe
+    /// of one run (looks down) and a down service is a special case of
+    /// flaky, so the pair name each other: an unlucky sample still
+    /// repairs the right fault.
+    ServiceFlaky = "service-flaky", 0.08, Service, Base, ["service-flaky", "service-down"];
     /// A site service went down entirely.
-    ServiceDown,
-    /// Node hardware died outright.
-    NodeDead,
+    ServiceDown = "service-down", 0.03, Service, Base, ["service-down", "service-flaky"];
+    /// Node hardware died outright (a deployment onto it fails too).
+    NodeDead = "node-dead", 0.04, Node, Base, ["node-dead", "deploy-failure"];
     /// A whole site lost power: every node of the site is unreachable
     /// until the outage is repaired (the multi-site failure class the
     /// single-domain model could never express).
-    SitePowerOutage,
+    SitePowerOutage = "site-power-outage", 0.01, Site, Site, ["site-power-outage"];
     /// The backbone link between two sites is partitioned.
-    SiteLinkPartition,
+    SiteLinkPartition = "site-link-partition", 0.02, SiteLink, Site, ["site-link-partition"];
     /// A site's clock drifted away from the federation's NTP reference.
-    ClockSkew,
+    ClockSkew = "clock-skew", 0.03, Site, Site, ["clock-skew"];
     /// A service *process* halted outright: calls are refused (connection
     /// refused, not an unhealthy reply) until an operator repair restarts
     /// it. Distinct from [`FaultKind::ServiceDown`], which models broken
-    /// service logic on a running process.
-    ServiceCrash,
+    /// service logic on a running process. A refused probe cannot tell a
+    /// crash from a bounded restart, so that pair name each other too.
+    ServiceCrash = "service-crash", 0.02, Service, Process, ["service-crash", "service-restart"];
     /// A service process went down for a bounded restart window; the
     /// campaign driver completes the restart on its own (the restart
     /// instant is a wake term).
-    ServiceRestart,
+    ServiceRestart = "service-restart", 0.04, Service, Process, ["service-restart", "service-crash"];
     /// A site's service links degraded: every enveloped call into the site
-    /// gains latency and may be dropped.
-    RpcDegraded,
+    /// gains latency and may be dropped. Site-shaped, but it joined the
+    /// catalogue with the process layer and is pinned by its cells.
+    RpcDegraded = "rpc-degraded", 0.03, Site, Process, ["rpc-degraded"];
 }
 
 impl FaultKind {
-    /// All kinds, in a stable order. The first [`FaultKind::LEGACY`] are
-    /// the pre-process-layer catalogue; scenario expansion from a bare seed
-    /// draws only from that prefix (appending kinds must never shift an
-    /// existing seed's draws), so the service-process kinds enter scenarios
-    /// via frontier cells and mutation only.
-    pub const ALL: [FaultKind; 23] = [
-        FaultKind::DiskWriteCacheDrift,
-        FaultKind::DiskFirmwareDrift,
-        FaultKind::CpuCStatesDrift,
-        FaultKind::HyperthreadingDrift,
-        FaultKind::TurboDrift,
-        FaultKind::BiosVersionDrift,
-        FaultKind::DimmFailure,
-        FaultKind::NicDowngrade,
-        FaultKind::CablingSwap,
-        FaultKind::KernelBootRace,
-        FaultKind::RandomReboots,
-        FaultKind::OfedFlaky,
-        FaultKind::ConsoleDead,
-        FaultKind::VlanPortStuck,
-        FaultKind::ServiceFlaky,
-        FaultKind::ServiceDown,
-        FaultKind::NodeDead,
-        FaultKind::SitePowerOutage,
-        FaultKind::SiteLinkPartition,
-        FaultKind::ClockSkew,
-        FaultKind::ServiceCrash,
-        FaultKind::ServiceRestart,
-        FaultKind::RpcDegraded,
-    ];
-
-    /// How many kinds predate the service-process layer (the prefix of
-    /// [`FaultKind::ALL`] that bare-seed scenario expansion draws from).
-    pub const LEGACY: usize = 20;
-
-    /// The site-scoped kinds (target whole sites or inter-site links, not
-    /// individual nodes or services). Deliberately excludes
-    /// [`FaultKind::RpcDegraded`]: growing this list would change how
-    /// existing fuzzer cells pin site faults.
-    pub const SITE_SCOPED: [FaultKind; 3] = [
-        FaultKind::SitePowerOutage,
-        FaultKind::SiteLinkPartition,
-        FaultKind::ClockSkew,
-    ];
-
-    /// The service-process kinds introduced with the simulated process
-    /// layer (killable processes + degraded service links).
-    pub const SERVICE_PROCESS: [FaultKind; 3] = [
-        FaultKind::ServiceCrash,
-        FaultKind::ServiceRestart,
-        FaultKind::RpcDegraded,
-    ];
+    /// This kind's row of the catalogue.
+    pub fn spec(self) -> &'static KindSpec {
+        &Self::CATALOGUE[self as usize]
+    }
 
     /// Short stable name used in bug signatures.
     pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::DiskWriteCacheDrift => "disk-write-cache",
-            FaultKind::DiskFirmwareDrift => "disk-firmware",
-            FaultKind::CpuCStatesDrift => "cpu-cstates",
-            FaultKind::HyperthreadingDrift => "cpu-ht",
-            FaultKind::TurboDrift => "cpu-turbo",
-            FaultKind::BiosVersionDrift => "bios-version",
-            FaultKind::DimmFailure => "dimm-failure",
-            FaultKind::NicDowngrade => "nic-downgrade",
-            FaultKind::CablingSwap => "cabling-swap",
-            FaultKind::KernelBootRace => "kernel-boot-race",
-            FaultKind::RandomReboots => "random-reboots",
-            FaultKind::OfedFlaky => "ofed-flaky",
-            FaultKind::ConsoleDead => "console-dead",
-            FaultKind::VlanPortStuck => "vlan-port-stuck",
-            FaultKind::ServiceFlaky => "service-flaky",
-            FaultKind::ServiceDown => "service-down",
-            FaultKind::NodeDead => "node-dead",
-            FaultKind::SitePowerOutage => "site-power-outage",
-            FaultKind::SiteLinkPartition => "site-link-partition",
-            FaultKind::ClockSkew => "clock-skew",
-            FaultKind::ServiceCrash => "service-crash",
-            FaultKind::ServiceRestart => "service-restart",
-            FaultKind::RpcDegraded => "rpc-degraded",
-        }
+        self.spec().name
+    }
+
+    /// The kinds of one layer, in declaration order.
+    pub fn in_layer(layer: Layer) -> impl Iterator<Item = FaultKind> {
+        Self::ALL
+            .into_iter()
+            .filter(move |k| k.spec().layer == layer)
+    }
+
+    /// The kinds that predate the process layer — what scenario expansion
+    /// from a bare seed draws from, one rate and one coin per kind in this
+    /// order. Only [`Layer::Process`] kinds (and whole layers added after
+    /// it) can join the catalogue without shifting an existing seed's
+    /// draws; they enter scenarios via frontier cells and mutation only.
+    pub fn legacy() -> impl Iterator<Item = FaultKind> {
+        Self::ALL
+            .into_iter()
+            .filter(|k| k.spec().layer != Layer::Process)
     }
 
     /// Whether this fault targets a site or an inter-site link.
+    /// Deliberately false for [`FaultKind::RpcDegraded`]: it would change
+    /// how existing fuzzer cells pin site faults.
     pub fn is_site_fault(self) -> bool {
-        Self::SITE_SCOPED.contains(&self)
+        self.spec().layer == Layer::Site
     }
 }
 
@@ -182,7 +238,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// What a fault applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// A single node.
     Node(NodeId),
@@ -197,8 +253,22 @@ pub enum FaultTarget {
     SiteLink(SiteId, SiteId),
 }
 
+/// The target half of a fault signature: `node-17`, `node-1+node-2`,
+/// `site-0/oar-server`, `site-0`, `site-0~site-1`.
+impl fmt::Display for FaultTarget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaultTarget::Node(n) => write!(f, "{n}"),
+            FaultTarget::NodePair(a, b) => write!(f, "{a}+{b}"),
+            FaultTarget::Service(s, k) => write!(f, "{s}/{k}"),
+            FaultTarget::Site(s) => write!(f, "{s}"),
+            FaultTarget::SiteLink(a, b) => write!(f, "{a}~{b}"),
+        }
+    }
+}
+
 /// An injected, currently-active fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fault {
     /// Unique id.
     pub id: FaultId,
@@ -214,28 +284,69 @@ impl Fault {
     /// Stable signature used for bug deduplication, e.g.
     /// `"disk-write-cache@node-17"`.
     pub fn signature(&self) -> String {
-        match self.target {
-            FaultTarget::Node(n) => format!("{}@{}", self.kind, n),
-            FaultTarget::NodePair(a, b) => format!("{}@{}+{}", self.kind, a, b),
-            FaultTarget::Service(s, k) => format!("{}@{}/{}", self.kind, s, k),
-            FaultTarget::Site(s) => format!("{}@{}", self.kind, s),
-            FaultTarget::SiteLink(a, b) => format!("{}@{}~{}", self.kind, a, b),
-        }
-    }
-
-    /// The cluster a node-fault belongs to, looked up through the testbed.
-    pub fn cluster_of(&self, tb: &Testbed) -> Option<ClusterId> {
-        match self.target {
-            FaultTarget::Node(n) | FaultTarget::NodePair(n, _) => Some(tb.node(n).cluster),
-            FaultTarget::Service(..) | FaultTarget::Site(..) | FaultTarget::SiteLink(..) => None,
-        }
+        format!("{}@{}", self.kind, self.target)
     }
 }
 
+/// Whether `value` renders as exactly `expected`, decided piece by piece as
+/// `Display` writes them: nothing is formatted into a string.
+fn renders_as(value: impl fmt::Display, expected: &str) -> bool {
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, piece: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    use fmt::Write as _;
+    let mut rest = Rest(expected);
+    write!(rest, "{value}").is_ok() && rest.0.is_empty()
+}
+
+/// Bug → fault matching: find the active fault a diagnostic or bug
+/// signature points at, so that an operator fixing a filed bug repairs the
+/// fault behind it.
+///
+/// Signatures are `prefix@subject`. A signature that is exactly a fault's
+/// own ([`Fault::signature`]: configuration drift, services, sites) wins;
+/// otherwise the prefix is read as a behavioural symptom
+/// (`deploy-failure@grisou-3`) and matched against the active faults whose
+/// kind lists it in the symptom column of [`FaultKind::CATALOGUE`] and
+/// whose target is the named node, service or site.
+pub fn find_fault<'a>(tb: &'a Testbed, bug_signature: &str) -> Option<&'a Fault> {
+    // No catalogue name contains '@', so a fault's signature splits here too.
+    let (prefix, subject) = bug_signature.split_once('@')?;
+    let active = tb.active_faults();
+    if let Some(exact) = active
+        .iter()
+        .find(|f| f.kind.name() == prefix && renders_as(f.target, subject))
+    {
+        return Some(exact);
+    }
+    let mut showing = active
+        .iter()
+        .filter(|f| f.kind.spec().symptoms.contains(&prefix))
+        .peekable();
+    showing.peek()?;
+    // Diagnostics name nodes by host name, fault targets by id.
+    let node = tb.node_by_name(subject).map(|n| n.id);
+    showing.find(|f| match (f.target, node) {
+        (FaultTarget::Node(n), Some(id)) => n == id,
+        (FaultTarget::NodePair(a, b), Some(id)) => a == id || b == id,
+        (FaultTarget::Node(_) | FaultTarget::NodePair(..), None) => false,
+        // Identical for the flaky/down and crash/restart pairs on the
+        // same service.
+        (FaultTarget::Service(..) | FaultTarget::Site(..), _) => renders_as(f.target, subject),
+        // A partition diagnostic may name the pair or a single endpoint.
+        (FaultTarget::SiteLink(a, b), _) => {
+            renders_as(f.target, subject) || renders_as(a, subject) || renders_as(b, subject)
+        }
+    })
+}
+
 /// Per-kind arrival rates, in expected events per day across the whole
-/// testbed. The defaults are tuned so a paper-scale campaign accumulates
-/// roughly the paper's bug volume over several months (experiment E8).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// testbed. The defaults are the catalogue's `per_day` column.
+#[derive(Debug, Clone)]
 pub struct InjectorConfig {
     /// `(kind, events/day)` pairs; kinds not listed never fire.
     pub rates_per_day: Vec<(FaultKind, f64)>,
@@ -249,31 +360,10 @@ pub struct InjectorConfig {
 impl Default for InjectorConfig {
     fn default() -> Self {
         InjectorConfig {
-            rates_per_day: vec![
-                (FaultKind::DiskWriteCacheDrift, 0.10),
-                (FaultKind::DiskFirmwareDrift, 0.06),
-                (FaultKind::CpuCStatesDrift, 0.10),
-                (FaultKind::HyperthreadingDrift, 0.05),
-                (FaultKind::TurboDrift, 0.05),
-                (FaultKind::BiosVersionDrift, 0.08),
-                (FaultKind::DimmFailure, 0.08),
-                (FaultKind::NicDowngrade, 0.05),
-                (FaultKind::CablingSwap, 0.03),
-                (FaultKind::KernelBootRace, 0.04),
-                (FaultKind::RandomReboots, 0.02),
-                (FaultKind::OfedFlaky, 0.04),
-                (FaultKind::ConsoleDead, 0.05),
-                (FaultKind::VlanPortStuck, 0.03),
-                (FaultKind::ServiceFlaky, 0.08),
-                (FaultKind::ServiceDown, 0.03),
-                (FaultKind::NodeDead, 0.04),
-                (FaultKind::SitePowerOutage, 0.01),
-                (FaultKind::SiteLinkPartition, 0.02),
-                (FaultKind::ClockSkew, 0.03),
-                (FaultKind::ServiceCrash, 0.02),
-                (FaultKind::ServiceRestart, 0.04),
-                (FaultKind::RpcDegraded, 0.03),
-            ],
+            rates_per_day: FaultKind::CATALOGUE
+                .iter()
+                .map(|row| (row.kind, row.per_day))
+                .collect(),
             maintenance_per_day: 0.10,
             maintenance_spread: 6,
         }
@@ -381,13 +471,10 @@ impl FaultInjector {
                     }
                 }
             }
-            let maint_first = match (self.next_maintenance, best) {
-                (Some(mt), Some((_, bt))) => mt <= until && mt < bt,
-                (Some(mt), None) => mt <= until,
-                _ => false,
-            };
-            if maint_first {
-                let at = self.next_maintenance.unwrap();
+            let maintenance = self
+                .next_maintenance
+                .filter(|&mt| mt <= until && best.is_none_or(|(_, bt)| mt < bt));
+            if let Some(at) = maintenance {
                 injected.extend(self.run_maintenance(at, tb, rng));
                 self.next_maintenance = PoissonProcess::per_day(self.config.maintenance_per_day)
                     .next_after(at, rng);
@@ -422,7 +509,7 @@ impl FaultInjector {
         let Some(cluster) = tb.clusters().choose(rng).map(|c| c.id) else {
             return Vec::new();
         };
-        let kind = *DRIFT_KINDS.choose(rng).unwrap();
+        let kind = pick(&DRIFT_KINDS, rng);
         let mut nodes: Vec<NodeId> = tb.cluster(cluster).nodes.clone();
         nodes.shuffle(rng);
         let spread = rng.gen_range(1..=self.config.maintenance_spread.max(1));
@@ -434,64 +521,78 @@ impl FaultInjector {
     }
 }
 
+impl TargetShape {
+    /// Draw a random target of this shape, or `None` — drawing nothing —
+    /// when the testbed has no candidate (no node, no site, a lone site,
+    /// no Infiniband). A pair draws its cluster first and comes back empty
+    /// if that cluster has a single node.
+    fn random_target<R: Rng>(self, tb: &Testbed, rng: &mut R) -> Option<FaultTarget> {
+        let sites = tb.sites().len();
+        let site = |rng: &mut R| SiteId(rng.gen_range(0..sites) as u16);
+        match self {
+            TargetShape::Node => {
+                let n = tb.nodes().len();
+                (n > 0).then(|| FaultTarget::Node(NodeId(rng.gen_range(0..n) as u32)))
+            }
+            TargetShape::IbNode => {
+                let ib_nodes: Vec<NodeId> = tb
+                    .clusters()
+                    .iter()
+                    .filter(|c| c.has_ib)
+                    .flat_map(|c| c.nodes.iter().copied())
+                    .collect();
+                ib_nodes.choose(rng).map(|&n| FaultTarget::Node(n))
+            }
+            TargetShape::NodePair => {
+                let nodes = &tb.clusters().choose(rng)?.nodes;
+                if nodes.len() < 2 {
+                    return None;
+                }
+                let mut pair = nodes.clone();
+                pair.shuffle(rng);
+                Some(FaultTarget::NodePair(pair[0], pair[1]))
+            }
+            TargetShape::Service => (sites > 0).then(|| {
+                let site = site(rng);
+                FaultTarget::Service(site, pick(&ServiceKind::ALL, rng))
+            }),
+            TargetShape::Site => (sites > 0).then(|| FaultTarget::Site(site(rng))),
+            TargetShape::SiteLink => (sites > 1).then(|| {
+                let a = rng.gen_range(0..sites);
+                let b = (a + 1 + rng.gen_range(0..sites - 1)) % sites;
+                FaultTarget::SiteLink(SiteId(a as u16), SiteId(b as u16))
+            }),
+        }
+    }
+
+    /// The canonical target of this shape for an injection declared on
+    /// `cluster` — what the detection harness and the ablation inject:
+    /// the cluster's first node (or first two), its site, the first
+    /// site's kadeploy service, the link between the first two sites.
+    /// `None` when the testbed is too small for the shape.
+    pub fn canonical_target(self, tb: &Testbed, cluster: &Cluster) -> Option<FaultTarget> {
+        let site = |i: usize| tb.sites().get(i).map(|s| s.id);
+        let node = |i: usize| cluster.nodes.get(i).copied();
+        Some(match self {
+            TargetShape::Node | TargetShape::IbNode => FaultTarget::Node(node(0)?),
+            TargetShape::NodePair => FaultTarget::NodePair(node(0)?, node(1)?),
+            TargetShape::Service => FaultTarget::Service(site(0)?, ServiceKind::KadeployServer),
+            TargetShape::Site => FaultTarget::Site(cluster.site),
+            TargetShape::SiteLink => FaultTarget::SiteLink(site(0)?, site(1)?),
+        })
+    }
+}
+
 /// Draw a random valid target for `kind` and apply it to the testbed.
-/// Returns `None` when the fault would be a no-op (already present).
+/// Returns `None` when the testbed offers no target of the kind's shape or
+/// the fault would be a no-op (already present).
 pub fn inject_random<R: Rng>(
     kind: FaultKind,
     at: SimTime,
     tb: &mut Testbed,
     rng: &mut R,
 ) -> Option<Fault> {
-    let target = match kind {
-        FaultKind::CablingSwap => {
-            // Two distinct nodes of the same cluster (real swaps happen
-            // within a rack).
-            let cluster = tb.clusters().choose(rng)?.id;
-            let nodes = &tb.cluster(cluster).nodes;
-            if nodes.len() < 2 {
-                return None;
-            }
-            let mut pick = nodes.clone();
-            pick.shuffle(rng);
-            FaultTarget::NodePair(pick[0], pick[1])
-        }
-        FaultKind::ServiceFlaky
-        | FaultKind::ServiceDown
-        | FaultKind::ServiceCrash
-        | FaultKind::ServiceRestart => {
-            let site = SiteId((rng.gen_range(0..tb.sites().len())) as u16);
-            let svc = *ServiceKind::ALL.choose(rng).unwrap();
-            FaultTarget::Service(site, svc)
-        }
-        FaultKind::SitePowerOutage | FaultKind::ClockSkew | FaultKind::RpcDegraded => {
-            let site = SiteId((rng.gen_range(0..tb.sites().len())) as u16);
-            FaultTarget::Site(site)
-        }
-        FaultKind::SiteLinkPartition => {
-            // Two distinct sites; single-site testbeds have no links.
-            let n = tb.sites().len();
-            if n < 2 {
-                return None;
-            }
-            let a = rng.gen_range(0..n);
-            let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-            FaultTarget::SiteLink(SiteId(a as u16), SiteId(b as u16))
-        }
-        FaultKind::OfedFlaky => {
-            // Only meaningful on Infiniband nodes.
-            let ib_nodes: Vec<NodeId> = tb
-                .clusters()
-                .iter()
-                .filter(|c| c.has_ib)
-                .flat_map(|c| c.nodes.iter().copied())
-                .collect();
-            FaultTarget::Node(*ib_nodes.choose(rng)?)
-        }
-        _ => {
-            let n = tb.nodes().len();
-            FaultTarget::Node(NodeId(rng.gen_range(0..n) as u32))
-        }
-    };
+    let target = kind.spec().shape.random_target(tb, rng)?;
     tb.apply_fault(kind, target, at)
 }
 
@@ -499,6 +600,7 @@ pub fn inject_random<R: Rng>(
 mod tests {
     use super::*;
     use crate::gen::TestbedBuilder;
+    use rand::RngCore;
     use ttt_sim::rng::stream_rng;
 
     #[test]
@@ -524,6 +626,94 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             FaultKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), FaultKind::ALL.len());
+        // A canonical symptom names one kind too, and `find_fault` splits a
+        // signature at its first '@': no name or symptom may contain one.
+        let canonical: std::collections::HashSet<&str> =
+            FaultKind::CATALOGUE.iter().map(|row| row.symptoms[0]).collect();
+        assert_eq!(canonical.len(), FaultKind::ALL.len());
+        for row in &FaultKind::CATALOGUE {
+            assert!(!row.name.contains('@'));
+            assert!(row.symptoms.iter().all(|s| !s.contains('@')));
+        }
+    }
+
+    #[test]
+    fn catalogue_rows_follow_the_discriminants() {
+        for (i, row) in FaultKind::CATALOGUE.iter().enumerate() {
+            assert_eq!(row.kind as usize, i);
+            assert_eq!(FaultKind::ALL[i], row.kind);
+            assert_eq!(row.kind.spec().name, row.name);
+        }
+    }
+
+    #[test]
+    fn layers_partition_the_catalogue_in_the_order_they_were_added() {
+        use FaultKind::*;
+        // Bare-seed scenario expansion is frozen on exactly this prefix.
+        assert!(FaultKind::legacy().eq(FaultKind::ALL[..20].iter().copied()));
+        let site = [SitePowerOutage, SiteLinkPartition, ClockSkew];
+        let process = [ServiceCrash, ServiceRestart, RpcDegraded];
+        assert!(FaultKind::in_layer(Layer::Site).eq(site));
+        assert!(FaultKind::in_layer(Layer::Process).eq(process));
+        assert_eq!(FaultKind::in_layer(Layer::Base).count(), 17);
+        assert!(ClockSkew.is_site_fault() && !RpcDegraded.is_site_fault());
+        assert_eq!(RpcDegraded.spec().shape, TargetShape::Site);
+    }
+
+    /// Apply `kind` on its canonical target, on the first cluster of the
+    /// small testbed that takes it (alpha is 1G: no NIC downgrade there).
+    fn apply_canonical(tb: &mut Testbed, kind: FaultKind) -> Fault {
+        let clusters = tb.clusters().to_vec();
+        clusters
+            .iter()
+            .find_map(|c| {
+                let target = kind.spec().shape.canonical_target(tb, c)?;
+                tb.apply_fault(kind, target, SimTime::ZERO)
+            })
+            .unwrap_or_else(|| panic!("{kind} applies nowhere on the small testbed"))
+    }
+
+    #[test]
+    fn every_symptom_resolves_to_its_kind() {
+        for row in &FaultKind::CATALOGUE {
+            for symptom in row.symptoms {
+                let mut tb = TestbedBuilder::small().build();
+                let fault = apply_canonical(&mut tb, row.kind);
+                // Diagnostics name a node by host name, anything else the
+                // way the fault signature does.
+                let subject = match fault.target {
+                    FaultTarget::Node(n) | FaultTarget::NodePair(n, _) => tb.node(n).name.clone(),
+                    other => other.to_string(),
+                };
+                let found = find_fault(&tb, &format!("{symptom}@{subject}"));
+                assert_eq!(found, Some(&fault), "{symptom}@{subject}");
+            }
+        }
+    }
+
+    #[test]
+    fn inject_random_finds_no_target_on_a_testbed_it_cannot_hit() {
+        use crate::gen::ClusterSpec;
+        use crate::hardware::Vendor;
+        let lone = ClusterSpec::new("solo", "only", 1, 4, Vendor::Dell, false, true);
+        for kind in FaultKind::ALL {
+            // Nothing to hit: no target, and not one draw spent looking.
+            let mut empty = TestbedBuilder::from_specs(vec![]).build();
+            let mut rng = stream_rng(3, "inject");
+            assert_eq!(inject_random(kind, SimTime::ZERO, &mut empty, &mut rng), None);
+            assert_eq!(rng.next_u64(), stream_rng(3, "inject").next_u64(), "{kind} drew");
+            // One node on one site: the node, service and site shapes land;
+            // a pair, a link and Infiniband have no candidate.
+            let mut tb = TestbedBuilder::from_specs(vec![lone.clone()]).build();
+            let landed = inject_random(kind, SimTime::ZERO, &mut tb, &mut rng).is_some();
+            let shape = kind.spec().shape;
+            let hittable = !matches!(
+                shape,
+                TargetShape::IbNode | TargetShape::NodePair | TargetShape::SiteLink
+            );
+            // A 1G NIC cannot downgrade: that one is a no-op, not a miss.
+            assert_eq!(landed, hittable && kind != FaultKind::NicDowngrade, "{kind}");
+        }
     }
 
     #[test]
@@ -629,5 +819,73 @@ mod tests {
         for ((_, a), (_, b)) in base.rates_per_day.iter().zip(&double.rates_per_day) {
             assert!((b / a - 2.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn exact_signature_match() {
+        let mut tb = TestbedBuilder::small().build();
+        let n = tb.clusters()[0].nodes[0];
+        let f = tb
+            .apply_fault(FaultKind::CpuCStatesDrift, FaultTarget::Node(n), SimTime::ZERO)
+            .unwrap();
+        let name = tb.node(n).name.clone();
+        let found = find_fault(&tb, &format!("cpu-cstates@{name}")).unwrap();
+        assert_eq!(found.id, f.id);
+        // The fault's own signature (node id, not host name) is the exact
+        // pass; a signature that only starts like it is not.
+        assert_eq!(find_fault(&tb, &f.signature()), Some(&f));
+        assert_eq!(find_fault(&tb, &format!("{}0", f.signature())), None);
+    }
+
+    #[test]
+    fn behavioural_signature_matches_by_node() {
+        let mut tb = TestbedBuilder::small().build();
+        let n = tb.clusters()[0].nodes[1];
+        let f = tb
+            .apply_fault(FaultKind::RandomReboots, FaultTarget::Node(n), SimTime::ZERO)
+            .unwrap();
+        let name = tb.node(n).name.clone();
+        let found = find_fault(&tb, &format!("deploy-failure@{name}")).unwrap();
+        assert_eq!(found.id, f.id);
+        let found = find_fault(&tb, &format!("boot-failure@{name}")).unwrap();
+        assert_eq!(found.id, f.id);
+    }
+
+    #[test]
+    fn cabling_swap_matches_either_node() {
+        let mut tb = TestbedBuilder::small().build();
+        let c = &tb.clusters()[0];
+        let (a, b) = (c.nodes[0], c.nodes[1]);
+        let f = tb
+            .apply_fault(FaultKind::CablingSwap, FaultTarget::NodePair(a, b), SimTime::ZERO)
+            .unwrap();
+        for n in [a, b] {
+            let name = tb.node(n).name.clone();
+            let found = find_fault(&tb, &format!("cabling-swap@{name}")).unwrap();
+            assert_eq!(found.id, f.id);
+        }
+    }
+
+    #[test]
+    fn service_signature_exact_match() {
+        let mut tb = TestbedBuilder::small().build();
+        let site = tb.sites()[0].id;
+        let f = tb
+            .apply_fault(
+                FaultKind::ServiceFlaky,
+                FaultTarget::Service(site, ServiceKind::OarServer),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        let found = find_fault(&tb, &f.signature()).unwrap();
+        assert_eq!(found.id, f.id);
+    }
+
+    #[test]
+    fn unknown_signatures_match_nothing() {
+        let tb = TestbedBuilder::small().build();
+        assert!(find_fault(&tb, "nonsense").is_none());
+        assert!(find_fault(&tb, "cpu-cstates@alpha-1").is_none());
+        assert!(find_fault(&tb, "boot-delay@unknown-node").is_none());
     }
 }

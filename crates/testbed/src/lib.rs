@@ -29,7 +29,10 @@ pub mod topology;
 pub mod validate;
 
 pub use cluster::Cluster;
-pub use fault::{Fault, FaultId, FaultInjector, FaultKind, FaultTarget, InjectorConfig};
+pub use fault::{
+    find_fault, Fault, FaultId, FaultInjector, FaultKind, FaultTarget, InjectorConfig, KindSpec,
+    Layer, TargetShape,
+};
 pub use gen::TestbedBuilder;
 pub use hardware::{
     BiosSpec, CpuSpec, DiskInterface, DiskKind, DiskSpec, GpuSpec, IbSpec, MemSpec, NicSpec,

@@ -54,10 +54,6 @@ pub struct ProcessRegistry {
     entries: Vec<Vec<ProcessEntry>>,
 }
 
-fn kind_index(kind: ServiceKind) -> usize {
-    ServiceKind::ALL.iter().position(|&k| k == kind).unwrap()
-}
-
 impl ProcessRegistry {
     /// Build the registry for `n_sites` sites, pinning each process to the
     /// host node picked by the caller (`host_of(site)`).
@@ -85,11 +81,11 @@ impl ProcessRegistry {
 
     /// One process entry.
     pub fn entry(&self, site: SiteId, kind: ServiceKind) -> &ProcessEntry {
-        &self.entries[site.index()][kind_index(kind)]
+        &self.entries[site.index()][kind.index()]
     }
 
     fn entry_mut(&mut self, site: SiteId, kind: ServiceKind) -> &mut ProcessEntry {
-        &mut self.entries[site.index()][kind_index(kind)]
+        &mut self.entries[site.index()][kind.index()]
     }
 
     /// Whether the process is listening.

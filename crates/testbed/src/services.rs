@@ -42,6 +42,12 @@ impl ServiceKind {
         ServiceKind::SshGateway,
     ];
 
+    /// This kind's position in [`ServiceKind::ALL`] — its discriminant —
+    /// which is how the per-site service and process arenas are indexed.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// The daemon's name, as `Display` renders it.
     pub fn name(self) -> &'static str {
         match self {
@@ -157,6 +163,13 @@ impl Service {
 mod tests {
     use super::*;
     use ttt_sim::rng::stream_rng;
+
+    #[test]
+    fn kinds_index_their_own_position() {
+        for (i, kind) in ServiceKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
+    }
 
     #[test]
     fn healthy_service_always_succeeds() {

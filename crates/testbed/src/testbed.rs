@@ -242,14 +242,12 @@ impl Testbed {
 
     /// One site service.
     pub fn service(&self, site: SiteId, kind: ServiceKind) -> &Service {
-        let idx = ServiceKind::ALL.iter().position(|&k| k == kind).unwrap();
-        &self.services[site.index()][idx]
+        &self.services[site.index()][kind.index()]
     }
 
     /// Mutable service access.
     pub fn service_mut(&mut self, site: SiteId, kind: ServiceKind) -> &mut Service {
-        let idx = ServiceKind::ALL.iter().position(|&k| k == kind).unwrap();
-        &mut self.services[site.index()][idx]
+        &mut self.services[site.index()][kind.index()]
     }
 
     /// The service-process registry (read-only view).
@@ -466,8 +464,22 @@ impl Testbed {
             .collect()
     }
 
-    /// Apply a fault. Returns `None` when it would be a no-op (target
-    /// already carries an equivalent fault), in which case nothing changes.
+    /// Whether every node and site `target` names exists in this testbed.
+    fn target_exists(&self, target: FaultTarget) -> bool {
+        let node = |n: NodeId| n.index() < self.nodes.len();
+        let site = |s: SiteId| s.index() < self.sites.len();
+        match target {
+            FaultTarget::Node(n) => node(n),
+            FaultTarget::NodePair(a, b) => node(a) && node(b),
+            FaultTarget::Service(s, _) | FaultTarget::Site(s) => site(s),
+            FaultTarget::SiteLink(a, b) => site(a) && site(b),
+        }
+    }
+
+    /// Apply a fault. Returns `None`, and changes nothing, when the target
+    /// names a node or site this testbed does not have, when its shape is
+    /// not the kind's, or when the fault would be a no-op (the target
+    /// already carries an equivalent fault).
     pub fn apply_fault(
         &mut self,
         kind: FaultKind,
@@ -480,7 +492,9 @@ impl Testbed {
             FaultTarget::SiteLink(a, b) if a > b => FaultTarget::SiteLink(b, a),
             other => other,
         };
-        if !self.apply_effect(kind, target, at) {
+        // The one range check: every arm of `apply_effect`, and later
+        // `revert_effect`, indexes the arenas with ids that passed it.
+        if !self.target_exists(target) || !self.apply_effect(kind, target, at) {
             return None;
         }
         let fault = Fault {
@@ -511,7 +525,8 @@ impl Testbed {
     }
 
     /// Mutate the testbed according to `kind`; returns false for no-ops.
-    /// `at` is the injection instant (only the restart window reads it).
+    /// `target` exists ([`Testbed::target_exists`]); `at` is the injection
+    /// instant (only the restart window reads it).
     fn apply_effect(&mut self, kind: FaultKind, target: FaultTarget, at: SimTime) -> bool {
         match (kind, target) {
             (FaultKind::DiskWriteCacheDrift, FaultTarget::Node(n)) => {
@@ -682,16 +697,13 @@ impl Testbed {
                 }
             }
             (FaultKind::ServiceCrash, FaultTarget::Service(site, svc)) => {
-                site.index() < self.sites.len() && self.processes.crash(site, svc)
+                self.processes.crash(site, svc)
             }
-            (FaultKind::ServiceRestart, FaultTarget::Service(site, svc)) => {
-                site.index() < self.sites.len()
-                    && self
-                        .processes
-                        .schedule_restart(site, svc, at + SERVICE_RESTART_WINDOW)
-            }
+            (FaultKind::ServiceRestart, FaultTarget::Service(site, svc)) => self
+                .processes
+                .schedule_restart(site, svc, at + SERVICE_RESTART_WINDOW),
             (FaultKind::RpcDegraded, FaultTarget::Site(s)) => {
-                if s.index() >= self.sites.len() || self.rpc_degrade[s.index()].is_some() {
+                if self.rpc_degrade[s.index()].is_some() {
                     return false;
                 }
                 self.rpc_degrade[s.index()] = Some(LinkQuality::degraded());
@@ -708,7 +720,7 @@ impl Testbed {
                 }
             }
             (FaultKind::SitePowerOutage, FaultTarget::Site(s)) => {
-                if s.index() >= self.sites.len() || !self.site_power[s.index()] {
+                if !self.site_power[s.index()] {
                     return false;
                 }
                 self.site_power[s.index()] = false;
@@ -727,7 +739,7 @@ impl Testbed {
                     && self.topology.set_site_link(a, b, false)
             }
             (FaultKind::ClockSkew, FaultTarget::Site(s)) => {
-                if s.index() >= self.sites.len() || self.clock_skew_s[s.index()] != 0.0 {
+                if self.clock_skew_s[s.index()] != 0.0 {
                     return false;
                 }
                 // Deterministic per-site drift, well past any sane NTP
@@ -1241,6 +1253,34 @@ mod tests {
                 SimTime::ZERO
             )
             .is_none());
+    }
+
+    #[test]
+    fn out_of_range_targets_are_rejected_not_indexed() {
+        use crate::fault::TargetShape;
+        let (node, site) = (NodeId(9999), SiteId(99));
+        for kind in FaultKind::ALL {
+            let mut tb = tb();
+            let phantom = match kind.spec().shape {
+                TargetShape::Node | TargetShape::IbNode => FaultTarget::Node(node),
+                TargetShape::NodePair => FaultTarget::NodePair(node, NodeId(9998)),
+                TargetShape::Service => FaultTarget::Service(site, ServiceKind::OarServer),
+                TargetShape::Site => FaultTarget::Site(site),
+                TargetShape::SiteLink => FaultTarget::SiteLink(site, SiteId(98)),
+            };
+            assert_eq!(tb.apply_fault(kind, phantom, SimTime::ZERO), None, "{kind}");
+            assert!(tb.active_faults().is_empty(), "{kind}");
+            assert!(tb.injection_counts().is_empty(), "{kind}");
+        }
+        // One real endpoint does not make a pair or a link exist.
+        let mut tb = tb();
+        let (n, s) = (tb.nodes()[0].id, tb.sites()[0].id);
+        for (kind, half) in [
+            (FaultKind::CablingSwap, FaultTarget::NodePair(n, node)),
+            (FaultKind::SiteLinkPartition, FaultTarget::SiteLink(site, s)),
+        ] {
+            assert_eq!(tb.apply_fault(kind, half, SimTime::ZERO), None, "{kind}");
+        }
     }
 
     #[test]

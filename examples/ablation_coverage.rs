@@ -5,154 +5,34 @@
 //! checker: many real bug classes are behavioural — dead consoles, stuck
 //! VLAN ports, mis-wired wattmeters, flaky services, spontaneous reboots —
 //! and invisible to hardware probes. This example injects one fault of
-//! every class and reports which detector sees it.
+//! every class, on the rows of `ttt_suite`'s coverage table and through
+//! the harness loop the swarm and `tests/detection_matrix.rs` use, and
+//! reports which detector sees it.
 //!
 //! Run with: `cargo run --release --example ablation_coverage`
 
-use rand::rngs::SmallRng;
-use throughout::kadeploy::{standard_images, Deployer};
-use throughout::kavlan::KavlanManager;
-use throughout::kwapi::MetricStore;
-use throughout::nodecheck::check_node;
-use throughout::oar::OarServer;
-use throughout::refapi::RefApi;
-use throughout::sim::rng::stream_rng;
-use throughout::sim::{SimDuration, SimTime};
-use throughout::suite::{run_test, Family, Target, TestConfig, TestCtx};
-use throughout::testbed::{FaultKind, FaultTarget, NodeId, ServiceKind, Testbed, TestbedBuilder};
-
-/// The family that owns detection of each class, per DESIGN.md.
-fn owning_family(kind: FaultKind) -> (Family, Target) {
-    use FaultKind::*;
-    let cluster = |f| (f, Target::Cluster("alpha".into()));
-    let beta = |f| (f, Target::Cluster("beta".into()));
-    let site = |f| (f, Target::Site("east".into()));
-    match kind {
-        DiskWriteCacheDrift | DiskFirmwareDrift => cluster(Family::Disk),
-        CpuCStatesDrift | HyperthreadingDrift | TurboDrift => cluster(Family::Refapi),
-        BiosVersionDrift => cluster(Family::DellBios),
-        DimmFailure => cluster(Family::OarProperties),
-        NicDowngrade => beta(Family::OarProperties),
-        CablingSwap => site(Family::Kwapi),
-        KernelBootRace | RandomReboots => cluster(Family::MultiReboot),
-        OfedFlaky => cluster(Family::MpiGraph),
-        ConsoleDead => cluster(Family::Console),
-        VlanPortStuck => site(Family::Kavlan),
-        ServiceFlaky | ServiceDown => site(Family::Cmdline),
-        // Killed processes and degraded RPC links surface on the same
-        // command-line probes as flaky services do.
-        ServiceCrash | ServiceRestart | RpcDegraded => site(Family::Cmdline),
-        NodeDead | SitePowerOutage => site(Family::OarState),
-        ClockSkew => site(Family::Cmdline),
-        SiteLinkPartition => (Family::Kavlan, Target::Global),
-    }
-}
-
-struct World {
-    tb: Testbed,
-    refapi: RefApi,
-    oar: OarServer,
-    kavlan: KavlanManager,
-    kwapi: MetricStore,
-    deployer: Deployer,
-    images: Vec<throughout::kadeploy::Environment>,
-    rng: SmallRng,
-}
-
-fn world(seed: u64) -> World {
-    let tb = TestbedBuilder::small().build();
-    let mut refapi = RefApi::new();
-    refapi.publish_from(&tb, SimTime::ZERO);
-    let oar = OarServer::new(&tb, refapi.latest().unwrap());
-    let kwapi = MetricStore::new(tb.nodes().len(), 600, SimDuration::from_mins(1));
-    World {
-        oar,
-        kwapi,
-        tb,
-        refapi,
-        kavlan: KavlanManager::new(),
-        deployer: Deployer::default(),
-        images: standard_images(),
-        rng: stream_rng(seed, "ablation"),
-    }
-}
+use throughout::suite::coverage_for;
+use throughout::suite::testutil::Harness;
+use throughout::testbed::FaultKind;
 
 fn main() {
-    println!("{:<20} {:>16} {:>22}", "fault class", "g5k-checks only", "owning test family");
+    println!(
+        "{:<20} {:>16} {:>22}",
+        "fault class", "g5k-checks only", "owning test family"
+    );
     println!("{}", "-".repeat(60));
-    let mut checks_only = 0;
-    let mut full = 0;
+    let (mut checks_only, mut full) = (0, 0);
     for kind in FaultKind::ALL {
-        let mut w = world(kind as u64 + 100);
-        let (family, target) = owning_family(kind);
-        let cluster_name = match &target {
-            Target::Cluster(c) => c.clone(),
-            _ => "alpha".into(),
-        };
-        let nodes = w.tb.cluster_by_name(&cluster_name).unwrap().nodes.clone();
-        let fault_target = match kind {
-            FaultKind::CablingSwap => FaultTarget::NodePair(nodes[0], nodes[1]),
-            FaultKind::ServiceFlaky
-            | FaultKind::ServiceDown
-            | FaultKind::ServiceCrash
-            | FaultKind::ServiceRestart => {
-                FaultTarget::Service(w.tb.sites()[0].id, ServiceKind::KadeployServer)
-            }
-            FaultKind::SitePowerOutage | FaultKind::ClockSkew | FaultKind::RpcDegraded => {
-                FaultTarget::Site(w.tb.sites()[0].id)
-            }
-            FaultKind::SiteLinkPartition => {
-                FaultTarget::SiteLink(w.tb.sites()[0].id, w.tb.sites()[1].id)
-            }
-            _ => FaultTarget::Node(nodes[0]),
-        };
-        if w.tb.apply_fault(kind, fault_target, SimTime::ZERO).is_none() {
+        let row = coverage_for(kind);
+        let mut h = Harness::with_stream(kind as u64 + 100, "ablation");
+        let Ok(fault) = h.inject(&row) else {
             println!("{:<20} {:>16} {:>22}", kind.to_string(), "n/a", "n/a");
             continue;
-        }
-
-        // Detector 1: g5k-checks sweep over the cluster.
-        let desc = w.refapi.latest().unwrap().clone();
-        let by_checks = nodes
-            .iter()
-            .any(|&n| !check_node(&w.tb, &desc, n).passed());
-
-        // Detector 2: the owning family, up to 50 runs for the
-        // probabilistic ones.
-        let cfg = TestConfig { family, target };
-        let assigned: Vec<NodeId> = if cfg.family.hardware_centric() {
-            nodes.clone()
-        } else if matches!(cfg.target, Target::Global) {
-            let remote = w.tb.sites()[1].clusters[0];
-            vec![nodes[0], w.tb.cluster(remote).nodes[0]]
-        } else if matches!(cfg.target, Target::Site(_)) {
-            vec![nodes[0], nodes[2 % nodes.len()]]
-        } else {
-            vec![nodes[0]]
         };
-        let mut by_family = false;
-        for _ in 0..50 {
-            let report = {
-                let mut ctx = TestCtx {
-                    tb: &mut w.tb,
-                    refapi: &w.refapi,
-                    oar: &w.oar,
-                    kavlan: &mut w.kavlan,
-                    kwapi: &mut w.kwapi,
-                    deployer: &w.deployer,
-                    images: &w.images,
-                    assigned: &assigned,
-                    now: SimTime::from_hours(3),
-                    rng: &mut w.rng,
-                };
-                run_test(&cfg, &mut ctx)
-            };
-            if !report.passed() {
-                by_family = true;
-                break;
-            }
-        }
-
+        // Detector 1: a g5k-checks sweep over the cluster. Detector 2: the
+        // owning family, within the row's retry budget.
+        let by_checks = h.node_checks_flag(row.cluster);
+        let by_family = h.detects(&row, &fault);
         checks_only += by_checks as u32;
         full += (by_checks || by_family) as u32;
         println!(
@@ -160,19 +40,14 @@ fn main() {
             kind.to_string(),
             if by_checks { "detected" } else { "silent" },
             if by_family {
-                format!("detected ({family})")
+                format!("detected ({})", row.family)
             } else {
                 "missed".to_string()
             }
         );
     }
     println!("{}", "-".repeat(60));
-    println!(
-        "coverage: g5k-checks alone {}/{}  |  full framework {}/{}",
-        checks_only,
-        FaultKind::ALL.len(),
-        full,
-        FaultKind::ALL.len()
-    );
+    let n = FaultKind::ALL.len();
+    println!("coverage: g5k-checks alone {checks_only}/{n}  |  full framework {full}/{n}");
     println!("\nthe gap is the paper's thesis: behavioural bugs need behavioural tests.");
 }

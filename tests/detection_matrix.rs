@@ -3,45 +3,38 @@
 //! bug→fault matcher resolves back to the injected fault.
 //!
 //! This is the core soundness property of the reproduction: the paper's
-//! bug catalogue (slide 22) is detectable by the coverage of slide 21.
-//! `throughout::scengen::oracle::coverage_for` encodes the whole matrix as
-//! an exhaustive match (shared with the swarm's detection-soundness
-//! oracle), so adding a `FaultKind` variant without declaring its
-//! detecting family is a compile error, and
+//! bug catalogue (slide 22) is detectable by the coverage of slide 21 —
+//! and mostly *not* by per-node checks alone (slide 13).
+//! `throughout::suite::coverage_for` encodes the whole matrix as an
+//! exhaustive match (shared with the swarm's detection-soundness oracle
+//! and `examples/ablation_coverage.rs`), so adding a `FaultKind` variant
+//! without declaring its detecting family is a compile error;
 //! `every_fault_kind_detected_across_seeds` runs the complete matrix over
-//! eight seeds.
+//! eight seeds, and `node_checks_alone_see_nine_of_twenty_three` pins the
+//! ablation.
 
-use throughout::scengen::oracle::{coverage_for, detection_failure};
-use throughout::suite::{Family, Target};
+use throughout::suite::testutil::Harness;
+use throughout::suite::{coverage_for, detection_failure, Coverage, Family, Target};
 use throughout::testbed::FaultKind;
 
 /// Inject `kind` on alpha-1 (or the alpha service), run `family`, and
 /// require a diagnostic that maps back to the injected fault. Families with
 /// probabilistic detection retry up to `max_runs`. The inject → run →
-/// attribute loop is `scengen`'s, shared with the swarm's
+/// attribute loop is `ttt_suite`'s, shared with the swarm's
 /// detection-soundness oracle.
 fn assert_detected(kind: FaultKind, family: Family, target: Target, max_runs: usize) {
-    assert_detected_seeded(kind, family, target, max_runs, "alpha", kind as u64 + 1)
-}
-
-fn assert_detected_seeded(
-    kind: FaultKind,
-    family: Family,
-    target: Target,
-    max_runs: usize,
-    cluster_name: &str,
-    seed: u64,
-) {
-    let failure = detection_failure(
+    let row = Coverage {
         kind,
         family,
         target,
         max_runs,
-        cluster_name,
-        seed,
-        "detection-matrix",
-    );
-    if let Some(detail) = failure {
+        cluster: "alpha",
+    };
+    assert_detected_seeded(&row, kind as u64 + 1)
+}
+
+fn assert_detected_seeded(row: &Coverage, seed: u64) {
+    if let Some(detail) = detection_failure(row, seed, "detection-matrix") {
         panic!("{detail}");
     }
 }
@@ -67,18 +60,43 @@ fn site() -> Target {
 #[test]
 fn every_fault_kind_detected_across_seeds() {
     for kind in FaultKind::ALL {
-        let (family, target, max_runs, cluster) = coverage_for(kind);
+        let row = coverage_for(kind);
         for seed in 1..=8u64 {
-            assert_detected_seeded(
-                kind,
-                family,
-                target.clone(),
-                max_runs,
-                cluster,
-                seed * 1000 + kind as u64,
-            );
+            assert_detected_seeded(&row, seed * 1000 + kind as u64);
         }
     }
+}
+
+/// The ablation the paper argues from: inject each class on its canonical
+/// target and sweep g5k-checks over the cluster. Per-node conformity
+/// checks see configuration drift and dead hardware — nine classes — and
+/// none of the fourteen behavioural ones the matrix above covers.
+#[test]
+fn node_checks_alone_see_nine_of_twenty_three() {
+    let seen: Vec<&str> = FaultKind::ALL
+        .into_iter()
+        .filter(|&kind| {
+            let row = coverage_for(kind);
+            let mut h = Harness::new(kind as u64);
+            h.inject(&row).unwrap_or_else(|detail| panic!("{detail}"));
+            h.node_checks_flag(row.cluster)
+        })
+        .map(FaultKind::name)
+        .collect();
+    assert_eq!(
+        seen,
+        [
+            "disk-write-cache",
+            "disk-firmware",
+            "cpu-cstates",
+            "cpu-ht",
+            "cpu-turbo",
+            "bios-version",
+            "dimm-failure",
+            "nic-downgrade",
+            "node-dead"
+        ]
+    );
 }
 
 #[test]
@@ -125,14 +143,14 @@ fn dimm_failure_detected_by_oarproperties() {
 fn nic_downgrade_detected_by_oarproperties() {
     // alpha is an old 1G cluster where a downgrade cannot apply; beta is
     // the 10G cluster.
-    assert_detected_seeded(
-        FaultKind::NicDowngrade,
-        Family::OarProperties,
-        Target::Cluster("beta".into()),
-        1,
-        "beta",
-        FaultKind::NicDowngrade as u64 + 1,
-    );
+    let row = Coverage {
+        kind: FaultKind::NicDowngrade,
+        family: Family::OarProperties,
+        target: Target::Cluster("beta".into()),
+        max_runs: 1,
+        cluster: "beta",
+    };
+    assert_detected_seeded(&row, FaultKind::NicDowngrade as u64 + 1);
 }
 
 #[test]

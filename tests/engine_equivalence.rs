@@ -105,13 +105,13 @@ fn forced_co_allocation_identical_across_engines() {
 /// call fails the diff.
 #[test]
 fn service_chaos_identical_across_engines() {
-    use throughout::testbed::FaultKind;
+    use throughout::testbed::Layer;
     for seed in [5, 77] {
         let mut cfg = throughout::core::scenario::grid_of_grids_scenario(seed, 3);
         cfg.duration = SimDuration::from_days(3);
         cfg.buggify_rate = 0.10;
         for (kind, rate) in &mut cfg.injector.rates_per_day {
-            if FaultKind::SERVICE_PROCESS.contains(kind) {
+            if kind.spec().layer == Layer::Process {
                 *rate = 3.0;
             }
         }

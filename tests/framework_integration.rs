@@ -74,7 +74,7 @@ fn fixed_bugs_faults_are_gone() {
     for bug in c.tracker().bugs() {
         if bug.state == throughout::bugs::BugState::Fixed {
             assert!(
-                throughout::core::matching::find_fault(c.testbed(), &bug.signature).is_none(),
+                throughout::testbed::find_fault(c.testbed(), &bug.signature).is_none(),
                 "fixed bug {} still has an active fault",
                 bug.signature
             );

@@ -63,16 +63,16 @@ fn grammar_covers_its_dimensions() {
     // expansion is append-frozen, so the service-process kinds must NOT
     // appear here — they are reachable only through the service-chaos
     // cells and the ToggleFaultKind mutator.
-    use throughout::testbed::FaultKind;
-    for kind in &FaultKind::ALL[..FaultKind::LEGACY] {
+    use throughout::testbed::{FaultKind, Layer};
+    for kind in FaultKind::legacy() {
         assert!(
             specs
                 .iter()
-                .any(|s| s.fault_mix.iter().any(|&(k, _)| k == *kind)),
+                .any(|s| s.fault_mix.iter().any(|&(k, _)| k == kind)),
             "{kind} never generated"
         );
     }
-    for kind in FaultKind::SERVICE_PROCESS {
+    for kind in FaultKind::in_layer(Layer::Process) {
         assert!(
             !specs
                 .iter()
@@ -92,7 +92,7 @@ fn grammar_covers_its_dimensions() {
     pin_to_cell(&mut spec, cell, &mut stream_rng(23, "swarm-service-cell"));
     assert!(spec.has_service_faults());
     assert!(spec.buggify_rate > 0.0);
-    for kind in FaultKind::SERVICE_PROCESS {
+    for kind in FaultKind::in_layer(Layer::Process) {
         assert!(spec.fault_mix.iter().any(|&(k, _)| k == kind), "{kind} not pinned");
     }
 }
@@ -266,7 +266,7 @@ fn eight_site_scenario_passes_every_oracle() {
 fn service_chaos_scenario_on_multi_site_grid_passes_every_oracle() {
     use throughout::scengen::{pin_to_cell, StructuralCell};
     use throughout::sim::rng::stream_rng;
-    use throughout::testbed::FaultKind;
+    use throughout::testbed::{FaultKind, Layer};
     let cell = StructuralCell::all()
         .into_iter()
         .find(|c| c.service_faults && c.sites == 8 && c.mode == 0 && c.rollout == 0)
@@ -276,7 +276,7 @@ fn service_chaos_scenario_on_multi_site_grid_passes_every_oracle() {
     assert!(spec.site_count() >= 3, "the acceptance grid spans ≥3 sites");
     assert!(spec.has_service_faults());
     assert!(spec.buggify_rate > 0.0, "buggify must be armed");
-    for kind in FaultKind::SERVICE_PROCESS {
+    for kind in FaultKind::in_layer(Layer::Process) {
         assert!(spec.fault_mix.iter().any(|&(k, _)| k == kind));
     }
     spec.duration_hours = spec.duration_hours.min(48);
