@@ -6,11 +6,10 @@
 //! per week, oldest open bug first, with fractional budget carried over.
 
 use crate::tracker::{BugId, BugTracker};
-use serde::{Deserialize, Serialize};
 use ttt_sim::{SimDuration, SimTime};
 
 /// Operators fixing bugs at a bounded rate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OperatorModel {
     /// Bugs fixed per week of virtual time.
     pub capacity_per_week: f64,

@@ -1,14 +1,11 @@
 //! The bug tracker.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use ttt_sim::SimTime;
 
 /// Unique bug identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BugId(pub u64);
 
 impl fmt::Display for BugId {
@@ -18,7 +15,7 @@ impl fmt::Display for BugId {
 }
 
 /// Bug lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BugState {
     /// Filed, not yet fixed.
     Open,
@@ -27,7 +24,7 @@ pub enum BugState {
 }
 
 /// One filed bug.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bug {
     /// Identifier.
     pub id: BugId,
@@ -142,19 +139,6 @@ impl BugTracker {
             .filter(|b| b.state == BugState::Open)
             .collect()
     }
-
-    /// Bugs filed at or before `t` (for longitudinal reporting).
-    pub fn filed_by(&self, t: SimTime) -> usize {
-        self.bugs.iter().filter(|b| b.first_seen <= t).count()
-    }
-
-    /// Bugs fixed at or before `t`.
-    pub fn fixed_by(&self, t: SimTime) -> usize {
-        self.bugs
-            .iter()
-            .filter(|b| b.fixed_at.map(|f| f <= t).unwrap_or(false))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -195,18 +179,6 @@ mod tests {
         assert_ne!(id, id2);
         assert_eq!(t.filed(), 2);
         assert_eq!(t.open().len(), 1);
-    }
-
-    #[test]
-    fn longitudinal_counters() {
-        let mut t = BugTracker::new();
-        let (a, _) = t.file("a", "x", "m", SimTime::from_days(1));
-        t.file("b", "x", "m", SimTime::from_days(5));
-        t.fix(a, SimTime::from_days(8));
-        assert_eq!(t.filed_by(SimTime::from_days(2)), 1);
-        assert_eq!(t.filed_by(SimTime::from_days(6)), 2);
-        assert_eq!(t.fixed_by(SimTime::from_days(7)), 0);
-        assert_eq!(t.fixed_by(SimTime::from_days(9)), 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Core CI data model: jobs, builds, results, causes, triggers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use ttt_sim::{SimDuration, SimTime};
 
 /// Result of a build, mirroring Jenkins' weather.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BuildResult {
     /// Everything passed.
     Success,
@@ -39,7 +38,7 @@ impl fmt::Display for BuildResult {
 }
 
 /// Why a build was started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cause {
     /// Fired by the job's cron trigger.
     Cron,
@@ -52,7 +51,7 @@ pub enum Cause {
 }
 
 /// One axis of a matrix job, e.g. `image ∈ {debian8-min, …}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Axis {
     /// Axis name.
     pub name: String,
@@ -71,7 +70,7 @@ impl Axis {
 }
 
 /// Job flavour.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobKind {
     /// Single-configuration job.
     Freestyle,
@@ -83,7 +82,7 @@ pub enum JobKind {
 }
 
 /// Time-based trigger: fire every `period`, phase-shifted by `offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CronTrigger {
     /// Interval between firings.
     pub period: SimDuration,
@@ -127,7 +126,7 @@ impl CronTrigger {
 }
 
 /// A job definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Unique job name, e.g. `"test_environments"`.
     pub name: String,
@@ -138,7 +137,7 @@ pub struct JobSpec {
 }
 
 /// Reference to a concrete build (one cell of a matrix counts as a build).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BuildRef {
     /// Job name.
     pub job: String,
@@ -158,7 +157,7 @@ impl fmt::Display for BuildRef {
 }
 
 /// A finished (or running) build record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Build {
     /// Identity.
     pub r#ref: BuildRef,

@@ -81,14 +81,6 @@ impl CampaignMetrics {
             .map(|(i, m)| (i, m * 100.0))
             .collect()
     }
-
-    /// Latest bug snapshot, `(filed, fixed)`.
-    pub fn final_bug_counts(&self) -> (usize, usize) {
-        self.bug_snapshots
-            .last()
-            .map(|(_, filed, fixed)| (*filed, *fixed))
-            .unwrap_or((0, 0))
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +92,6 @@ mod tests {
     fn success_ratio_handles_empty() {
         let m = CampaignMetrics::default();
         assert_eq!(m.success_ratio(), 0.0);
-        assert_eq!(m.final_bug_counts(), (0, 0));
     }
 
     #[test]

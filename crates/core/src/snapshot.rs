@@ -282,16 +282,6 @@ impl SnapshotHub {
             .cloned()
     }
 
-    /// A specific held epoch (`None` once it aged out of the ring).
-    pub fn at_epoch(&self, epoch: u64) -> Option<Arc<CampaignSnapshot>> {
-        self.ring
-            .read()
-            .expect("snapshot ring poisoned")
-            .iter()
-            .find(|s| s.epoch == epoch)
-            .cloned()
-    }
-
     /// Epoch number of the newest published snapshot (0 before the
     /// first). Lock-free — a reader polling for a fresh epoch never
     /// touches the ring.
@@ -867,9 +857,6 @@ mod tests {
         assert_eq!(hub.published(), 3);
         assert_eq!(hub.held(), 2);
         assert_eq!(hub.latest().map(|s| s.epoch), Some(3));
-        // Epoch 1 aged out; a reader that still holds its Arc keeps it.
-        assert!(hub.at_epoch(1).is_none());
-        assert_eq!(hub.at_epoch(2).map(|s| s.epoch), Some(2));
     }
 
     #[test]

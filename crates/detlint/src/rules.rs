@@ -54,6 +54,10 @@ pub const RULES: &[RuleSpec] = &[
         desc: "library code must surface errors, not unwrap them",
     },
     RuleSpec {
+        name: "no-serde-derive-off-boundary",
+        desc: "only the on-disk boundary modules may derive Serialize/Deserialize",
+    },
+    RuleSpec {
         name: "require-forbid-unsafe",
         desc: "every crate root must carry #![forbid(unsafe_code)]",
     },
@@ -337,6 +341,22 @@ const PATTERN_RULES: &[PatternRule] = &[
     },
 ];
 
+/// The input boundary: the only files whose types reach an encoder or a
+/// decoder (run log, corpus, detlint baseline/report). A derive anywhere
+/// else is a public, unvalidated constructor nothing is pointed at.
+/// `scenario.v1` is hand-written in `scenario_file.rs` and derives nothing.
+const BOUNDARY: [&str; 9] = [
+    "crates/detlint/src/audit.rs",
+    "crates/detlint/src/report.rs",
+    "crates/detlint/src/rules.rs",
+    "crates/scengen/src/corpus.rs",
+    "crates/scengen/src/coverage.rs",
+    "crates/scengen/src/oracle.rs",
+    "crates/scengen/src/runlog.rs",
+    "crates/sim/src/eventlog.rs",
+    "crates/sim/src/time.rs",
+];
+
 /// Run every file-local rule over `ctx`.
 pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -383,6 +403,27 @@ pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
                     file: path.clone(),
                     line,
                     message: format!("`{pat}` in non-exempt code"),
+                });
+            }
+        }
+    }
+
+    // Serde derives stay on the boundary. A derive list may wrap over
+    // several lines, so the span runs to its closing parenthesis.
+    if !BOUNDARY.contains(&path.as_str()) {
+        for at in find_pattern(&ctx.view, "#[derive(") {
+            let list = &ctx.view[at..];
+            let list = &list[..list.find(')').unwrap_or(list.len())];
+            let line = ctx.line_of(at);
+            let derives_serde = ["Serialize", "Deserialize"]
+                .iter()
+                .any(|name| !find_pattern(list, name).is_empty());
+            if derives_serde && !ctx.allowed("no-serde-derive-off-boundary", line) {
+                out.push(Violation {
+                    rule: "no-serde-derive-off-boundary".into(),
+                    file: path.clone(),
+                    line,
+                    message: "serde derive outside the BOUNDARY files".into(),
                 });
             }
         }

@@ -169,3 +169,30 @@ fn hashmap_in_doc_comment_is_fine() {
     let f = lib("//! Uses a `HashMap`-free design.\nfn f() {}\n");
     assert_eq!(rules_fired(&[f]), vec![]);
 }
+
+#[test]
+fn serde_derive_fires_off_the_boundary_even_when_wrapped() {
+    let f = lib(
+        "#[derive(Debug, Clone)]\nstruct A;\n#[derive(\n    Debug, Clone, Serialize, Deserialize,\n)]\nstruct B(u64);\n#[derive(Deserialize)]\nstruct C;\n",
+    );
+    assert_eq!(
+        rules_fired(&[f]),
+        vec![
+            ("no-serde-derive-off-boundary".into(), 3),
+            ("no-serde-derive-off-boundary".into(), 7)
+        ]
+    );
+}
+
+#[test]
+fn serde_derive_silent_on_the_boundary_and_outside_derive_lists() {
+    let derive = "#[derive(\n    Debug, Serialize, Deserialize,\n)]\nstruct B(u64);\n";
+    let boundary = file("crates/sim/src/time.rs", "ttt_sim", FileKind::Lib, derive);
+    assert_eq!(rules_fired(&[boundary]), vec![]);
+    // Hand-written impls, imports, look-alike names, comments and strings
+    // are not derives.
+    let f = lib(
+        "use serde::{Deserialize, Serialize};\n// #[derive(Serialize)]\n#[derive(Debug, SerializeLike)]\nstruct S;\nimpl Serialize for S {}\nconst T: &str = \"#[derive(Deserialize)]\";\n",
+    );
+    assert_eq!(rules_fired(&[f]), vec![]);
+}

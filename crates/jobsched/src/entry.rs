@@ -1,12 +1,11 @@
 //! Schedulable test configurations.
 
-use serde::{Deserialize, Serialize};
 use ttt_oar::ResourceRequest;
 use ttt_sim::SimDuration;
 
 /// One test configuration the external scheduler keeps on its list —
 /// corresponds to one cell of a CI job (or the whole job for freestyle).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestEntry {
     /// Stable identifier, e.g. `"environments/grisou/debian9-min"`.
     pub id: String,
@@ -24,29 +23,4 @@ pub struct TestEntry {
     pub hardware_centric: bool,
     /// Desired cadence between successful runs.
     pub period: SimDuration,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ttt_oar::Expr;
-
-    #[test]
-    fn entry_roundtrips_serde() {
-        let e = TestEntry {
-            id: "disk/grisou".into(),
-            ci_job: "disk".into(),
-            cell: Some("cluster=grisou".into()),
-            site: "nancy".into(),
-            request: ResourceRequest::all_nodes(
-                Expr::eq("cluster", "grisou"),
-                SimDuration::from_hours(1),
-            ),
-            hardware_centric: true,
-            period: SimDuration::from_days(7),
-        };
-        let json = serde_json::to_string(&e).unwrap();
-        let back: TestEntry = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
-    }
 }

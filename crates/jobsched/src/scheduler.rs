@@ -3,14 +3,13 @@
 use crate::due::DueIndex;
 use crate::entry::TestEntry;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ttt_ci::{Cause, CiServer};
 use ttt_oar::AvailabilityProbe;
 use ttt_sim::{Calendar, ExponentialBackoff, HourRange, SimDuration, SimTime};
 
 /// Scheduling policies (slide 17).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyConfig {
     /// Hours during which hardware-centric tests are not launched.
     pub peak_hours: HourRange,
@@ -93,7 +92,7 @@ pub struct ExternalScheduler {
 }
 
 /// Aggregate decision counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Builds triggered.
     pub triggered: u64,

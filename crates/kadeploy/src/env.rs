@@ -1,10 +1,9 @@
 //! System environments (deployable images).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Flavour of a system image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnvKind {
     /// Minimal installation.
     Min,
@@ -32,7 +31,7 @@ impl fmt::Display for EnvKind {
 }
 
 /// A deployable system environment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Environment {
     /// Image name, e.g. `"debian9-base"`.
     pub name: String,

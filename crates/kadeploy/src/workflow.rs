@@ -16,13 +16,12 @@
 
 use crate::env::{EnvKind, Environment};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use ttt_sim::process::truncated_normal;
 use ttt_sim::SimDuration;
 use ttt_testbed::{perf, NodeId, Testbed};
 
 /// The three macro-steps of a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacroStep {
     /// Reboot into the deployment environment.
     SetDeploymentEnv,
@@ -44,7 +43,7 @@ impl std::fmt::Display for MacroStep {
 }
 
 /// Outcome for one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeOutcome {
     /// Deployment succeeded after the given per-node time.
     Deployed {
@@ -68,7 +67,7 @@ impl NodeOutcome {
 }
 
 /// Tunables of the deployment engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeployConfig {
     /// Extra rounds for failed nodes (Kadeploy default behaviour).
     pub retries: u32,
@@ -92,7 +91,7 @@ impl Default for DeployConfig {
 }
 
 /// Report of one deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeployReport {
     /// Image that was deployed.
     pub env_name: String,

@@ -1,19 +1,18 @@
 //! VLAN state and reachability model.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ttt_sim::SimDuration;
 use ttt_testbed::{NodeId, SiteId, Testbed};
 
 /// VLAN identifier. VLAN 0 is the default VLAN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VlanId(pub u16);
 
 /// The default VLAN every node starts in.
 pub const DEFAULT_VLAN: VlanId = VlanId(0);
 
 /// The four VLAN types of the paper's figure (slide 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VlanKind {
     /// Routed between sites; the normal testbed network.
     Default,
@@ -26,7 +25,7 @@ pub enum VlanKind {
 }
 
 /// One VLAN.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vlan {
     /// Identifier.
     pub id: VlanId,
@@ -148,18 +147,6 @@ impl KavlanManager {
                 | (VlanKind::Routed, VlanKind::Routed)
         )
     }
-
-    /// Whether an SSH gateway can reach `node` (gateways bridge the default
-    /// network and local VLANs).
-    pub fn gateway_can_reach(&self, node: NodeId) -> bool {
-        let v = self.vlan_of(node);
-        match self.vlan(v).map(|v| v.kind) {
-            Some(VlanKind::Local) | Some(VlanKind::Default) => true,
-            Some(VlanKind::Routed) => true,
-            Some(VlanKind::Global) => false,
-            None => true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -193,8 +180,6 @@ mod tests {
         // Island ↔ default: isolated both ways.
         assert!(!mgr.can_reach(nodes[0], nodes[2]));
         assert!(!mgr.can_reach(nodes[2], nodes[0]));
-        // SSH gateway still reaches in.
-        assert!(mgr.gateway_can_reach(nodes[0]));
     }
 
     #[test]
@@ -219,7 +204,6 @@ mod tests {
         assert!(mgr.can_reach(east, west), "global VLAN is one L2 domain");
         let other = tb.cluster_by_name("beta").unwrap().nodes[0];
         assert!(!mgr.can_reach(east, other), "global is isolated from default");
-        assert!(!mgr.gateway_can_reach(east));
     }
 
     #[test]

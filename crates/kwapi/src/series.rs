@@ -1,11 +1,10 @@
 //! Ring-buffer time series with consolidation.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{vec_deque, VecDeque};
 use ttt_sim::{SimDuration, SimTime};
 
 /// A consolidated (downsampled) point: statistics over one period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsolidatedPoint {
     /// Start of the period.
     pub period_start: SimTime,
@@ -21,7 +20,7 @@ pub struct ConsolidatedPoint {
 
 /// Aggregate statistics over one raw window — what a snapshot of the
 /// read plane captures per node instead of the samples themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowAgg {
     /// Number of raw samples in the window.
     pub count: u32,
@@ -38,7 +37,7 @@ pub struct WindowAgg {
 /// Raw samples older than the ring capacity are folded into per-period
 /// min/mean/max points — the "live view + long-term storage" split of the
 /// paper's monitoring stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RingSeries {
     /// Raw `(time, value)` samples, oldest first.
     raw: VecDeque<(SimTime, f64)>,

@@ -1,12 +1,11 @@
 //! Comparison of probed reality against the Reference API description.
 
 use crate::probe::{expected_report, probe_node, ProbeReport};
-use serde::{Deserialize, Serialize};
 use ttt_refapi::TestbedDescription;
 use ttt_testbed::{NodeId, Testbed};
 
 /// One disagreement between description and reality.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mismatch {
     /// Probe key, e.g. `"cpu/cstates"`.
     pub key: String,
@@ -27,7 +26,7 @@ impl std::fmt::Display for Mismatch {
 }
 
 /// Result of checking one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckReport {
     /// Host name of the checked node.
     pub node: String,
@@ -261,14 +260,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].key, "b");
         assert_eq!(d[0].expected, "<absent>");
-    }
-
-    #[test]
-    fn reports_serialize() {
-        let (tb, desc) = setup();
-        let r = check_node(&tb, &desc, tb.nodes()[0].id);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: CheckReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -1,11 +1,10 @@
 //! AST of the resource-request language.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use ttt_sim::SimDuration;
 
 /// Comparison operators in property expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -36,7 +35,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A property-filter expression.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Always true (empty filter).
     True,
@@ -112,7 +111,7 @@ impl fmt::Display for Expr {
 }
 
 /// Resource hierarchy levels, outermost first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// A whole cluster.
     Cluster,
@@ -154,7 +153,7 @@ impl fmt::Display for Level {
 }
 
 /// A requested count at a hierarchy level: a number or `ALL`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Count {
     /// Exactly this many.
     Exact(u32),
@@ -173,7 +172,7 @@ impl fmt::Display for Count {
 }
 
 /// One resource group: a filter plus a hierarchy of counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestGroup {
     /// Property filter restricting candidate nodes.
     pub filter: Expr,
@@ -223,7 +222,7 @@ impl fmt::Display for RequestGroup {
 }
 
 /// A full resource request: one or more groups plus a walltime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceRequest {
     /// Requested groups (joined with `+` in the source syntax).
     pub groups: Vec<RequestGroup>,

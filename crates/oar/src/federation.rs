@@ -244,11 +244,6 @@ impl Federation {
         self.domains.iter().filter(|d| d.oar.alive_nodes() == 0).count()
     }
 
-    /// Number of domains whose OAR server process is down right now.
-    pub fn down_processes(&self) -> usize {
-        self.domains.iter().filter(|d| !d.oar.process_up()).count()
-    }
-
     /// Reconcile per-domain OAR process liveness from the testbed's
     /// process registry. A domain whose `oar-server` process is down stops
     /// taking placements and submissions while its nodes stay alive and
@@ -857,7 +852,7 @@ mod tests {
         fed.sync_process_liveness(&tb);
         // Nodes are still powered: this is NOT a dead domain.
         assert_eq!(fed.dead_domains(), 0);
-        assert_eq!(fed.down_processes(), 1);
+        assert!(!fed.domain(0).oar.process_up());
         assert!(fed.domain(0).oar.alive_nodes() > 0);
         assert_eq!(fed.job_state(&resident), FedJobState::Running);
         // New site-agnostic work homed on east spills to west instead.
@@ -888,7 +883,7 @@ mod tests {
         let f = tb.active_faults()[0].clone();
         tb.repair(f.id);
         fed.sync_process_liveness(&tb);
-        assert_eq!(fed.down_processes(), 0);
+        assert!(fed.domain(0).oar.process_up());
         let job = fed
             .submit(
                 "ci",

@@ -1,15 +1,12 @@
 //! Job model and lifecycle.
 
 use crate::ast::ResourceRequest;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use ttt_sim::SimTime;
 use ttt_testbed::NodeId;
 
 /// Unique job identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -19,7 +16,7 @@ impl fmt::Display for JobId {
 }
 
 /// Submission queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Queue {
     /// Normal user queue.
     Default,
@@ -30,7 +27,7 @@ pub enum Queue {
 }
 
 /// Who the job belongs to, for accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// A real (synthetic) user experiment.
     User,
@@ -39,7 +36,7 @@ pub enum JobKind {
 }
 
 /// Lifecycle states, mirroring OAR's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobState {
     /// Submitted, not yet planned.
     Waiting,
@@ -67,7 +64,7 @@ impl JobState {
 }
 
 /// A job known to the OAR server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Job {
     /// Unique id.
     pub id: JobId,

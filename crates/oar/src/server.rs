@@ -456,14 +456,6 @@ impl OarServer {
         }
     }
 
-    /// Set a node's administrative state (Absent/Suspected handling).
-    /// No-op for a node this server does not schedule.
-    pub fn set_node_state(&mut self, node: NodeId, state: NodeState) {
-        if let Some(slot) = self.db.slot_in(self.part, node) {
-            self.node_states[slot] = state;
-        }
-    }
-
     /// Synchronize node states with testbed reality: dead hardware becomes
     /// `Dead`, previously-dead-now-repaired hardware returns to `Alive`.
     /// Running jobs on newly dead nodes fail.
@@ -545,15 +537,6 @@ impl OarServer {
     /// waiting ids, while the deque may carry stale entries.
     pub fn waiting_count(&self) -> usize {
         self.waiting_set.len()
-    }
-
-    /// Jobs currently waiting (unplanned), FCFS order.
-    pub fn waiting_jobs(&self) -> Vec<JobId> {
-        self.waiting
-            .iter()
-            .filter(|id| self.waiting_set.contains(id))
-            .copied()
-            .collect()
     }
 
     /// The next instant at which this server's state can change on its own:
@@ -1251,23 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn absent_node_is_never_a_candidate() {
-        let (tb, mut s) = setup();
-        let alpha = &tb.cluster_by_name("alpha").unwrap().nodes;
-        s.set_node_state(alpha[0], NodeState::Absent);
-        assert_eq!(s.alive_nodes(), tb.nodes().len() - 1);
-        let got = s
-            .immediate_assignment(&nodes_req(Expr::eq("cluster", "alpha"), 3, 1))
-            .unwrap();
-        assert_eq!(got, alpha[1..]);
-        assert!(!s.can_satisfy(&nodes_req(Expr::eq("cluster", "alpha"), 4, 1)));
-        // Maintenance outlives a liveness sync; only `Dead` follows the
-        // hardware.
-        s.sync_node_states(&tb);
-        assert_eq!(s.node_state(alpha[0]), NodeState::Absent);
-    }
-
-    #[test]
     fn cancel_releases_resources() {
         let (_tb, mut s) = setup();
         let id = s
@@ -1338,10 +1304,11 @@ mod tests {
         let c = s
             .submit("c", Queue::Default, JobKind::User, nodes_req(Expr::True, 1, 1))
             .unwrap();
-        assert_eq!(s.waiting_jobs(), vec![b, c]);
+        assert_eq!(s.waiting_count(), 2);
         assert!(s.cancel(b));
-        assert_eq!(s.waiting_jobs(), vec![c]);
+        assert_eq!(s.waiting_count(), 1);
         assert_eq!(s.job(b).unwrap().state, JobState::Canceled);
+        assert_eq!(s.job(c).unwrap().state, JobState::Waiting);
     }
 
     #[test]

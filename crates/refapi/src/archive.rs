@@ -6,21 +6,16 @@
 //! number or by time.
 
 use crate::description::{describe, TestbedDescription};
-use serde::{Deserialize, Serialize};
 use ttt_sim::{Buggify, RpcError, SimTime};
 use ttt_testbed::Testbed;
 
 /// The Reference API service: an append-only archive of descriptions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RefApi {
     snapshots: Vec<TestbedDescription>,
-    /// Chaos hook: when armed, a describe read can be refused. Runtime
-    /// wiring, not archive content — skipped by serde (a restored archive
-    /// comes back unarmed, like every other service after a restart).
-    #[serde(skip)]
+    /// Chaos hook: when armed, a describe read can be refused.
     buggify: Buggify,
     /// Monotone count of describe reads — the rng-free buggify salt.
-    #[serde(skip)]
     reads: u64,
 }
 
@@ -93,16 +88,6 @@ impl RefApi {
     pub fn is_empty(&self) -> bool {
         self.snapshots.is_empty()
     }
-
-    /// Serialize the whole archive to JSON.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Restore an archive from JSON.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
-    }
 }
 
 #[cfg(test)]
@@ -146,17 +131,5 @@ mod tests {
         api.publish_from(&tb, SimTime::ZERO);
         let stale = crate::description::describe(&tb, 1, SimTime::from_days(1));
         api.publish(stale);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_archive() {
-        let tb = TestbedBuilder::small().build();
-        let mut api = RefApi::new();
-        api.publish_from(&tb, SimTime::ZERO);
-        api.publish_from(&tb, SimTime::from_days(30));
-        let json = api.to_json().unwrap();
-        let back = RefApi::from_json(&json).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.latest().unwrap(), api.latest().unwrap());
     }
 }

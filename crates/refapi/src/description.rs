@@ -1,11 +1,10 @@
 //! The testbed description data model.
 
-use serde::{Deserialize, Serialize};
 use ttt_sim::SimTime;
 use ttt_testbed::{NodeHardware, Testbed, Vendor};
 
 /// Description of one node as published by the Reference API.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeDescription {
     /// Host name, e.g. `"graphene-12"`.
     pub name: String,
@@ -14,7 +13,7 @@ pub struct NodeDescription {
 }
 
 /// Description of one cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterDescription {
     /// Cluster name.
     pub name: String,
@@ -27,7 +26,7 @@ pub struct ClusterDescription {
 }
 
 /// Description of one site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteDescription {
     /// Site name.
     pub name: String,
@@ -36,7 +35,7 @@ pub struct SiteDescription {
 }
 
 /// A full, versioned testbed description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestbedDescription {
     /// Monotonically increasing version number.
     pub version: u64,
@@ -171,14 +170,5 @@ mod tests {
         assert_eq!(pairs.len(), 4);
         assert!(pairs.contains(&("east".into(), "alpha".into())));
         assert!(pairs.contains(&("west".into(), "gamma".into())));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let tb = TestbedBuilder::small().build();
-        let d = describe(&tb, 3, SimTime::from_days(2));
-        let json = serde_json::to_string(&d).unwrap();
-        let back: TestbedDescription = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
     }
 }

@@ -5,8 +5,8 @@
 //! descriptions ("State of testbed 6 months ago?", slide 7). This crate
 //! reproduces that service:
 //!
-//! * [`description`] — serde data model of the testbed description;
-//! * [`archive`] — versioned snapshot store with JSON round-tripping;
+//! * [`description`] — data model of the testbed description;
+//! * [`archive`] — versioned snapshot store;
 //! * [`query`] — property extraction feeding the OAR resource database.
 //!
 //! The description is generated from each cluster's *reference* hardware —

@@ -5,13 +5,12 @@
 //! like `cluster='a' and gpu='YES'`.
 
 use crate::description::{NodeDescription, TestbedDescription};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// A property value in the resource database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PropValue {
     /// String-valued property.
     Str(String),
@@ -196,7 +195,7 @@ impl PropertyDb {
 /// serves. Answers are pure functions of `(snapshot epoch, query)`: the
 /// query carries only plain data, never references into live state, so
 /// the same query against the same epoch always yields the same answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// Pass ratio of one status-grid cell (job × target).
     StatusCell {
@@ -237,7 +236,7 @@ pub enum Query {
 }
 
 /// The answer to a [`Query`], as plain data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryAnswer {
     /// Status cell: passing and total finished runs in the cell.
     Ratio {

@@ -10,10 +10,12 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use ttt_scengen::oracle::{run_campaign, run_reference};
 use ttt_scengen::{
     load_scenario_file, parse_scenario, pin_to_cell, run_logged, sanitize, shrink,
-    to_scenario_json, CampaignDigest, Oracles, ScenarioSpec, StructuralCell,
+    to_scenario_json, CampaignDigest, Corpus, CoverageSignature, Oracles, RunLogArtifact,
+    ScenarioSpec, StructuralCell,
 };
 use ttt_sim::rng::stream_rng;
 
@@ -107,6 +109,73 @@ fn run_log_artifacts_reproduce_from_disk() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Nesting past the JSON parser's bound is a reported parse error on
+/// every decoder that takes outside text — it used to overflow the stack,
+/// an abort no `catch_unwind` sees. One level inside the bound still
+/// reaches the schema check.
+#[test]
+fn deeply_nested_documents_are_parse_errors_not_aborts() {
+    let deep = "[".repeat(200_000);
+    let legal = "[".repeat(127) + &"]".repeat(127);
+    let limit = "recursion limit exceeded";
+
+    let errs = parse_scenario(&deep).unwrap_err();
+    assert!(errs[0].message.contains(limit), "{errs:?}");
+    let path = std::env::temp_dir().join("ttt-deep-scenario-test.json");
+    std::fs::write(&path, &deep).unwrap();
+    let errs = load_scenario_file(&path).unwrap_err();
+    assert!(errs[0].message.contains(limit), "{errs:?}");
+    std::fs::remove_file(&path).ok();
+    let errs = parse_scenario(&legal).unwrap_err();
+    assert!(errs[0].message.contains("a scenario file is a JSON object"), "{errs:?}");
+
+    let err = RunLogArtifact::from_json(&deep).unwrap_err().to_string();
+    assert!(err.contains(limit), "{err}");
+    let err = RunLogArtifact::from_json(&legal).unwrap_err().to_string();
+    assert!(!err.contains(limit), "{err}");
+
+    let err = Corpus::from_json(&deep).unwrap_err();
+    assert!(err.contains(limit), "{err}");
+    let err = Corpus::from_json(&legal).unwrap_err();
+    assert!(!err.contains(limit), "{err}");
+}
+
+/// A run log v3 and a corpus v4 envelope, minted once from three short
+/// campaigns. Each embeds `scenario.v1` documents, so corrupting them
+/// reaches the derived decoders and the hand-written one.
+fn envelopes() -> &'static [String; 2] {
+    static DOCS: OnceLock<[String; 2]> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let runs = [1, 2, 3].map(|seed| {
+            let mut spec = ScenarioSpec::from_seed(seed);
+            spec.duration_hours = 6;
+            run_logged(&spec)
+        });
+        let mut corpus = Corpus::new();
+        for run in &runs {
+            corpus.add(run.spec.clone(), CoverageSignature::capture(&run.spec, &run.digest));
+        }
+        let docs = [runs[2].to_json().unwrap(), corpus.to_json().unwrap()];
+        assert!(docs.iter().all(|d| d.is_ascii()), "byte indices must be char boundaries");
+        docs
+    })
+}
+
+/// Decode `text` as artifact kind `doc` (0 scenario file, 1 run log,
+/// 2 corpus) and re-encode it; a decode failure is its message.
+fn recode(doc: usize, text: &str) -> Result<String, String> {
+    match doc {
+        0 => parse_scenario(text).map(|spec| to_scenario_json(&spec)).map_err(|errors| {
+            assert!(errors.iter().all(|e| !e.message.is_empty()), "{errors:?}");
+            errors.iter().map(|e| format!("{e}\n")).collect()
+        }),
+        1 => RunLogArtifact::from_json(text)
+            .map(|artifact| artifact.to_json().unwrap())
+            .map_err(|e| e.to_string()),
+        _ => Corpus::from_json(text).map(|corpus| corpus.to_json().unwrap()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -192,28 +261,36 @@ proptest! {
         prop_assert_eq!(back, spec);
     }
 
-    /// Corrupting a valid scenario file never panics the parser: it
-    /// either still validates or reports non-empty, path-qualified errors.
+    /// Corrupting a valid artifact never panics its decoder: splice
+    /// printable junk mid-document, or cut the document off there, and
+    /// it either reports a non-empty error or still decodes — and what
+    /// decodes re-encodes to a fixed point.
     #[test]
-    fn corrupted_scenario_files_error_cleanly(
+    fn corrupted_artifacts_error_cleanly(
+        doc in 0usize..3,
         seed in 0u64..64,
         cut in 0usize..100_000,
         junk in prop::collection::vec(0x20u8..0x7f, 0..24),
+        truncate in 0u8..2,
     ) {
-        let json = to_scenario_json(&ScenarioSpec::from_seed(seed));
-        let at = cut % (json.len() + 1);
-        // Splice arbitrary printable bytes mid-document (pretty-printed
-        // JSON is ASCII, so any byte index is a char boundary).
-        let junk = String::from_utf8(junk).expect("printable ASCII");
-        let corrupted = format!("{}{}{}", &json[..at], junk, &json[at..]);
-        match parse_scenario(&corrupted) {
-            Ok(_) => {} // corruption happened to stay valid (e.g. whitespace)
-            Err(errors) => {
-                prop_assert!(!errors.is_empty());
-                for e in &errors {
-                    prop_assert!(!e.message.is_empty());
-                }
+        let scenario;
+        let json = match doc {
+            0 => {
+                scenario = to_scenario_json(&ScenarioSpec::from_seed(seed));
+                &scenario
             }
+            _ => &envelopes()[doc - 1],
+        };
+        let at = cut % (json.len() + 1);
+        // Every document here is ASCII, so any byte index is a char
+        // boundary.
+        let junk = String::from_utf8(junk).expect("printable ASCII");
+        let tail = if truncate == 1 { "" } else { &json[at..] };
+        let corrupted = format!("{}{}{}", &json[..at], junk, tail);
+        match recode(doc, &corrupted) {
+            Err(message) => prop_assert!(!message.is_empty()),
+            // Corruption happened to stay valid (e.g. whitespace, a digit).
+            Ok(once) => prop_assert_eq!(recode(doc, &once), Ok(once.clone())),
         }
     }
 }

@@ -3,11 +3,10 @@
 
 use crate::time::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential backoff policy: delay after the n-th consecutive failure is
 /// `base * factor^n`, capped at `max`, with optional ±`jitter` fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExponentialBackoff {
     /// Delay after the first failure.
     pub base: SimDuration,

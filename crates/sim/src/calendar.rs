@@ -6,10 +6,9 @@
 //! scheduler needs. Day 0 of the simulation is a Monday by convention.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Days of the (simulated) week. Day 0 of a campaign is a Monday.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Weekday {
     /// Monday
     Mon,
@@ -37,7 +36,7 @@ impl Weekday {
 /// An inclusive-exclusive range of hours within a day, e.g. `9..19`.
 ///
 /// Ranges may wrap midnight (`22..6` covers 22:00–24:00 and 00:00–06:00).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HourRange {
     /// First hour included (0–23).
     pub start: u8,
@@ -91,11 +90,6 @@ impl Calendar {
         ((t.as_secs() % 86_400) / 3_600) as u8
     }
 
-    /// Minute of hour (0–59) at instant `t`.
-    pub fn minute_of_hour(t: SimTime) -> u8 {
-        ((t.as_secs() % 3_600) / 60) as u8
-    }
-
     /// Day of week at instant `t` (day 0 is Monday).
     pub fn weekday(t: SimTime) -> Weekday {
         match t.as_days() % 7 {
@@ -136,10 +130,9 @@ mod tests {
     use crate::time::SimDuration;
 
     #[test]
-    fn hour_and_minute() {
+    fn hour_of_day_ignores_days_and_minutes() {
         let t = SimTime::from_secs(2 * 86_400 + 13 * 3_600 + 45 * 60 + 7);
         assert_eq!(Calendar::hour_of_day(t), 13);
-        assert_eq!(Calendar::minute_of_hour(t), 45);
     }
 
     #[test]

@@ -80,14 +80,6 @@ pub fn truncated_normal<R: Rng>(rng: &mut R, mean: f64, stddev: f64, lo: f64, hi
     mean.clamp(lo, hi)
 }
 
-/// Sample a log-normal with the given *underlying* normal parameters.
-pub fn log_normal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    (mu + sigma * z).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,13 +135,5 @@ mod tests {
             (0..5000).map(|_| truncated_normal(&mut rng, 60.0, 10.0, 0.0, 120.0)).sum::<f64>()
                 / 5000.0;
         assert!((mean - 60.0).abs() < 2.0, "mean {mean}");
-    }
-
-    #[test]
-    fn log_normal_is_positive() {
-        let mut rng = stream_rng(7, "lnorm");
-        for _ in 0..1000 {
-            assert!(log_normal(&mut rng, 0.0, 1.0) > 0.0);
-        }
     }
 }

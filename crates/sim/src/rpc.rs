@@ -39,7 +39,6 @@
 use crate::rng::stream_seed;
 use crate::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One registered buggify callsite: the runtime half of the workspace
@@ -119,7 +118,7 @@ pub fn buggify_callsite(name: &str) -> Option<&'static BuggifyCallsite> {
 }
 
 /// Liveness of one simulated service process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Liveness {
     /// Listening and serving calls.
     Up,
@@ -147,7 +146,7 @@ impl Liveness {
 }
 
 /// Latency and loss on a degraded service link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkQuality {
     /// Extra per-call latency, seconds.
     pub latency_s: f64,
@@ -166,7 +165,7 @@ impl LinkQuality {
 }
 
 /// How an RPC envelope fails before the service logic even runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
     /// The target process is not listening (crashed or restarting).
     Refused,

@@ -1,10 +1,9 @@
 //! Statistics helpers used by benches and experiment reports.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Online mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -126,7 +125,7 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
 }
 
 /// Fixed-width histogram over `[lo, hi)` with out-of-range buckets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -183,11 +182,6 @@ impl Histogram {
     /// Total observations, including out-of-range ones.
     pub fn total(&self) -> u64 {
         self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Lower edge of bucket `i`.
-    pub fn bucket_lo(&self, i: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * i as f64 / self.buckets.len() as f64
     }
 }
 
@@ -308,7 +302,6 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 13);
-        assert!((h.bucket_lo(3) - 3.0).abs() < 1e-12);
     }
 
     #[test]

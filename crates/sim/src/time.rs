@@ -23,9 +23,7 @@ const SECS_PER_DAY: u64 = 86_400;
 pub struct SimTime(u64);
 
 /// A span of virtual time (nanoseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

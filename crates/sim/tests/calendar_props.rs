@@ -90,7 +90,6 @@ proptest! {
             + SimDuration::from_mins(minute);
         let peak = HourRange::new(start, end);
         prop_assert_eq!(Calendar::hour_of_day(t) as u64, hour);
-        prop_assert_eq!(Calendar::minute_of_hour(t) as u64, minute);
         let expect = !Calendar::weekday(t).is_weekend() && peak.contains(hour as u8);
         prop_assert_eq!(Calendar::is_peak(t, peak), expect);
     }

@@ -1,12 +1,11 @@
 //! The test × target status grid.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ttt_ci::{cell_target, BuildResult, FrozenJob};
 use ttt_sim::{PeriodSeries, SimDuration};
 
 /// Aggregated status of one (test, target) cell.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellStatus {
     /// Result of the most recent finished build.
     pub latest: Option<BuildResult>,
@@ -39,7 +38,7 @@ impl CellStatus {
 }
 
 /// The status grid: tests on rows, targets (clusters/sites) on columns.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatusGrid {
     /// Row labels (job names), sorted.
     pub jobs: Vec<String>,

@@ -5,13 +5,12 @@
 //! not just its latest colour.
 
 use crate::grid::StatusGrid;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ttt_ci::{success_series, FrozenJob};
 use ttt_sim::SimDuration;
 
 /// Per-job success-rate history.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HistoryReport {
     /// Period length asked for (buckets are never shorter than a minute).
     pub period: SimDuration,

@@ -1,6 +1,5 @@
 //! Test families, targets and suite generation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use ttt_kadeploy::Environment;
 use ttt_oar::{Expr, ResourceRequest};
@@ -8,7 +7,7 @@ use ttt_sim::SimDuration;
 use ttt_testbed::{Testbed, Vendor};
 
 /// The sixteen test families of slide 21.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Family {
     /// Testbed description vs reality (g5k-checks sweep).
     Refapi,
@@ -132,7 +131,7 @@ impl fmt::Display for Family {
 }
 
 /// What one configuration targets.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Target {
     /// One cluster, by name.
     Cluster(String),
@@ -161,7 +160,7 @@ impl fmt::Display for Target {
 }
 
 /// One test configuration: a family applied to a target.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TestConfig {
     /// The family.
     pub family: Family,

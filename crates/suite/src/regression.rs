@@ -12,12 +12,11 @@
 
 use crate::ctx::TestCtx;
 use crate::report::{Diagnostic, TestReport};
-use serde::{Deserialize, Serialize};
 use ttt_sim::SimDuration;
 use ttt_testbed::perf;
 
 /// The measured quantity a captured experiment depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Aggregate CPU throughput of the assigned nodes (HPC kernels).
     CpuThroughput,
@@ -30,7 +29,7 @@ pub enum Metric {
 }
 
 /// A published experiment captured as a regression test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionExperiment {
     /// Identifier, e.g. `"europar15-fig4"`.
     pub id: String,

@@ -1,10 +1,9 @@
 //! Test outcome model.
 
-use serde::{Deserialize, Serialize};
 use ttt_sim::SimDuration;
 
 /// Outcome of one test run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TestStatus {
     /// Everything the test checks held.
     Ok,
@@ -18,7 +17,7 @@ pub enum TestStatus {
 /// formatted compatibly with `ttt_testbed::Fault::signature()` (e.g.
 /// `"cpu-cstates@grisou-3"`), so the bug tracker can deduplicate reports
 /// and the repair loop can locate the fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable dedup key.
     pub signature: String,
@@ -37,7 +36,7 @@ impl Diagnostic {
 }
 
 /// Result of one test-configuration run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestReport {
     /// Overall status.
     pub status: TestStatus,

@@ -2,7 +2,6 @@
 
 use crate::hardware::{NodeHardware, Vendor};
 use crate::ids::{ClusterId, NodeId, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// A cluster of (supposedly) identical nodes.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// ground truth the Reference API is generated from and the state repairs
 /// restore. Faults make individual nodes drift away from it; the `refapi`
 /// and `dellbios` test families detect that drift as loss of homogeneity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     /// Dense identifier.
     pub id: ClusterId,

@@ -6,8 +6,8 @@
 //! and vendors, some clusters with Infiniband, some with introspectable HDD
 //! arrays, one with GPUs. Counts of Dell (18), Infiniband (6) and
 //! disk-checkable (14) clusters are chosen so the default test suite
-//! reproduces the paper's 751 test configurations exactly (slide 21; see
-//! DESIGN.md §4).
+//! reproduces the paper's 751 test configurations exactly (slide 21; the
+//! per-family split is pinned by `tests/paper_numbers.rs::slide21_suite_is_751`).
 
 use crate::cluster::Cluster;
 use crate::hardware::*;
@@ -16,11 +16,10 @@ use crate::node::{Node, NodeCondition};
 use crate::site::Site;
 use crate::testbed::Testbed;
 use crate::topology::{Pdu, PortRef, Switch, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Specification of one cluster to generate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Cluster name.
     pub name: String,

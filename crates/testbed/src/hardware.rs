@@ -6,13 +6,12 @@
 //! reproduction (`ttt-nodecheck`) diffs one against the other, exactly like
 //! the real tool diffs OHAI/ethtool output against the Reference API.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Node/chassis manufacturer. The `dellbios` test family (slide 21) only
 /// applies to Dell clusters, whose BIOS requires manual configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vendor {
     /// Dell PowerEdge family.
     Dell,
@@ -37,7 +36,7 @@ impl fmt::Display for Vendor {
 }
 
 /// CPU frequency-scaling driver exposed by the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PstateDriver {
     /// Legacy ACPI driver.
     AcpiCpufreq,
@@ -47,7 +46,7 @@ pub enum PstateDriver {
 
 /// CPU package description, including the settings the paper lists as real
 /// bug sources (power management / hyperthreading / turbo boost, slide 13).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuSpec {
     /// Marketing model name, e.g. `"Intel Xeon E5-2630 v3"`.
     pub model: String,
@@ -84,7 +83,7 @@ impl CpuSpec {
 }
 
 /// One memory module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dimm {
     /// Capacity in GiB.
     pub size_gb: u32,
@@ -93,7 +92,7 @@ pub struct Dimm {
 }
 
 /// Memory configuration: an ordered bank of DIMMs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemSpec {
     /// Populated DIMMs in slot order.
     pub dimms: Vec<Dimm>,
@@ -114,7 +113,7 @@ impl MemSpec {
 }
 
 /// Rotational vs solid-state storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiskKind {
     /// Spinning disk.
     Hdd,
@@ -123,7 +122,7 @@ pub enum DiskKind {
 }
 
 /// Disk host interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiskInterface {
     /// SATA 3.
     Sata,
@@ -136,7 +135,7 @@ pub enum DiskInterface {
 /// One block device. Firmware version and cache toggles are first-class
 /// because both are real bugs from the paper ("Different disk performance
 /// due to different disk firmware versions", "disk cache settings").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskSpec {
     /// Kernel device name, e.g. `"sda"`.
     pub device: String,
@@ -159,7 +158,7 @@ pub struct DiskSpec {
 }
 
 /// One network interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NicSpec {
     /// Kernel interface name, e.g. `"eth0"`.
     pub name: String,
@@ -176,18 +175,18 @@ pub struct NicSpec {
 }
 
 /// BIOS/firmware description and settings, keyed by setting name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BiosSpec {
     /// Chassis vendor.
     pub vendor: Vendor,
     /// BIOS version string, e.g. `"2.4.3"`.
     pub version: String,
-    /// Named firmware settings (ordered map so serialization is stable).
+    /// Named firmware settings (ordered map so iteration is stable).
     pub settings: BTreeMap<String, String>,
 }
 
 /// Infiniband host channel adapter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IbSpec {
     /// HCA model, e.g. `"Mellanox ConnectX-3"`.
     pub hca: String,
@@ -196,7 +195,7 @@ pub struct IbSpec {
 }
 
 /// GPU accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GpuSpec {
     /// GPU model.
     pub model: String,
@@ -205,7 +204,7 @@ pub struct GpuSpec {
 }
 
 /// Full hardware description of one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeHardware {
     /// CPU package(s).
     pub cpu: CpuSpec,

@@ -9,7 +9,7 @@
 //!
 //! The framework under test only ever observes the testbed through probes
 //! and service calls, so this substrate exercises exactly the code paths
-//! the real framework exercises on real hardware (see DESIGN.md §2).
+//! the real framework exercises on real hardware.
 
 #![forbid(unsafe_code)]
 

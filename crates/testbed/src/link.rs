@@ -13,12 +13,11 @@
 //! RNG stream, and the ideal model never draws at all.
 
 use crate::ids::SiteId;
-use serde::{Deserialize, Serialize};
 use ttt_sim::LinkQuality;
 
 /// The backbone link model a scenario selects: what scenario files carry
 /// and what the campaign config stores.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum LinkModelSpec {
     /// The historical free backbone (the default): no added latency, no
     /// loss, **no RNG draws** — campaigns running it are byte-identical to
@@ -121,21 +120,5 @@ mod tests {
         assert!(mid.loss_prob < far.loss_prob);
         // Symmetric in the pair.
         assert_eq!(m.quality(SiteId(7), SiteId(0)), Some(far));
-    }
-
-    #[test]
-    fn spec_roundtrips_through_serde_value() {
-        use serde::{Deserialize as _, Serialize as _};
-        for spec in [
-            LinkModelSpec::Ideal,
-            LinkModelSpec::Uniform {
-                latency_s: 0.25,
-                loss_prob: 0.125,
-            },
-            LinkModelSpec::DistanceTiered,
-        ] {
-            let v = spec.to_value();
-            assert_eq!(LinkModelSpec::from_value(&v).unwrap(), spec);
-        }
     }
 }

@@ -2,12 +2,11 @@
 
 use crate::hardware::NodeHardware;
 use crate::ids::{ClusterId, NodeId, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// Runtime condition of a node — everything that is *not* static hardware
 /// description but affects how the node behaves under test. Faults mutate
 /// this (and [`NodeHardware`]); repairs reset it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeCondition {
     /// Whether the node responds at all (false = dead hardware).
     pub alive: bool,
@@ -64,7 +63,7 @@ impl NodeCondition {
 }
 
 /// One compute node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Dense identifier.
     pub id: NodeId,

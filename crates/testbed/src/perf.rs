@@ -41,16 +41,6 @@ pub fn disk_seq_write_mbps(disk: &DiskSpec) -> f64 {
     base * cache * firmware_perf_factor(&disk.firmware)
 }
 
-/// Nominal sequential-read bandwidth of a disk, MB/s.
-pub fn disk_seq_read_mbps(disk: &DiskSpec) -> f64 {
-    let base = match disk.kind {
-        DiskKind::Hdd => 155.0,
-        DiskKind::Ssd => 520.0,
-    };
-    let cache = if disk.read_cache { 1.0 } else { 0.8 };
-    base * cache * firmware_perf_factor(&disk.firmware)
-}
-
 /// Relative compute throughput of a CPU configuration (arbitrary units:
 /// cores × GHz × setting factors). Comparing two nodes' values yields the
 /// performance ratio an experimenter would observe.
@@ -129,10 +119,6 @@ mod tests {
         let good = disk_seq_write_mbps(&disk(DiskKind::Hdd, true, "GA67"));
         let bad = disk_seq_write_mbps(&disk(DiskKind::Hdd, true, "GA63"));
         assert!((bad / good - 0.82).abs() < 1e-9);
-        // Read path is affected too.
-        let rg = disk_seq_read_mbps(&disk(DiskKind::Hdd, true, "GA67"));
-        let rb = disk_seq_read_mbps(&disk(DiskKind::Hdd, true, "GA63"));
-        assert!(rb < rg);
     }
 
     #[test]

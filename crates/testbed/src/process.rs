@@ -148,14 +148,6 @@ impl ProcessRegistry {
         self.entries.iter().flatten()
     }
 
-    /// Processes currently down at `site`.
-    pub fn down_at(&self, site: SiteId) -> Vec<&ProcessEntry> {
-        self.entries[site.index()]
-            .iter()
-            .filter(|e| !e.state.is_up())
-            .collect()
-    }
-
     /// Per-kind lifetime counters `(kind name, crashes, restarts,
     /// dropped calls)`, in [`ServiceKind::ALL`] order, all-zero rows
     /// skipped — the digest's per-service observables.
@@ -229,6 +221,5 @@ mod tests {
         let rows = r.counters_by_kind();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0], ("oar-server".to_string(), 2, 0, 1));
-        assert_eq!(r.down_at(SiteId(0)).len(), 1);
     }
 }

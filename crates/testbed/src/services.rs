@@ -8,11 +8,10 @@
 //! services", slide 13).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kinds of per-site services the testbed runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ServiceKind {
     /// Site REST API frontend (the paper's "sid" API).
     ApiFrontend,
@@ -69,7 +68,7 @@ impl fmt::Display for ServiceKind {
 }
 
 /// Error returned by a service call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The service did not answer at all.
     Down,
@@ -89,7 +88,7 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Health of one service instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceHealth {
     /// Operating normally; every call succeeds.
     Healthy,
@@ -103,7 +102,7 @@ pub enum ServiceHealth {
 }
 
 /// One service instance at one site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Service {
     /// What this service is.
     pub kind: ServiceKind,
@@ -148,15 +147,6 @@ impl Service {
             }
         }
     }
-
-    /// Observed failure ratio over the service lifetime.
-    pub fn failure_ratio(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.failures as f64 / self.calls as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +178,6 @@ mod tests {
         s.health = ServiceHealth::Down;
         let mut rng = stream_rng(1, "svc");
         assert_eq!(s.call(&mut rng), Err(ServiceError::Down));
-        assert_eq!(s.failure_ratio(), 1.0);
     }
 
     #[test]

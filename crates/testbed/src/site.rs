@@ -1,10 +1,9 @@
 //! A site: a geographic location hosting clusters, switches and services.
 
 use crate::ids::{ClusterId, SiteId, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// A testbed site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Site {
     /// Dense identifier.
     pub id: SiteId,
@@ -14,28 +13,4 @@ pub struct Site {
     pub clusters: Vec<ClusterId>,
     /// Switches at this site.
     pub switches: Vec<SwitchId>,
-}
-
-impl Site {
-    /// Number of clusters at the site.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn basic_accessors() {
-        let s = Site {
-            id: SiteId(2),
-            name: "rennes".into(),
-            clusters: vec![ClusterId(5), ClusterId(6)],
-            switches: vec![SwitchId(3)],
-        };
-        assert_eq!(s.cluster_count(), 2);
-        assert_eq!(s.name, "rennes");
-    }
 }

@@ -260,11 +260,6 @@ impl Testbed {
         self.processes.is_up(site, kind)
     }
 
-    /// Link quality currently degrading calls into `site`, if any.
-    pub fn rpc_quality(&self, site: SiteId) -> Option<LinkQuality> {
-        self.rpc_degrade[site.index()]
-    }
-
     /// Arm (or disarm) the buggify switch. The campaign driver sets this
     /// once from its config before the first step.
     pub fn set_buggify(&mut self, buggify: Buggify) {
@@ -1034,7 +1029,7 @@ mod tests {
             .apply_fault(FaultKind::RpcDegraded, FaultTarget::Site(site), SimTime::ZERO)
             .unwrap();
         assert_eq!(f.signature(), format!("rpc-degraded@{site}"));
-        let q = tb.rpc_quality(site).unwrap();
+        let q = tb.rpc_degrade[site.index()].unwrap();
         let mut dropped = 0u32;
         for _ in 0..400 {
             match tb.service_call(site, ServiceKind::ApiFrontend, &mut rng) {
@@ -1054,7 +1049,7 @@ mod tests {
             .apply_fault(FaultKind::RpcDegraded, FaultTarget::Site(site), SimTime::ZERO)
             .is_none());
         assert!(tb.repair(f.id));
-        assert!(tb.rpc_quality(site).is_none());
+        assert!(tb.rpc_degrade[site.index()].is_none());
         assert_eq!(tb.service_call(site, ServiceKind::ApiFrontend, &mut rng), Ok(0.0));
     }
 

@@ -12,11 +12,10 @@
 //!   with measured power.
 
 use crate::ids::{NodeId, PduId, SiteId, SwitchId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A switch port location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PortRef {
     /// Owning switch.
     pub switch: SwitchId,
@@ -25,7 +24,7 @@ pub struct PortRef {
 }
 
 /// A network switch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Switch {
     /// Dense identifier.
     pub id: SwitchId,
@@ -38,7 +37,7 @@ pub struct Switch {
 }
 
 /// A PDU (power strip with per-port wattmeters).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Pdu {
     /// Dense identifier.
     pub id: PduId,
@@ -51,7 +50,7 @@ pub struct Pdu {
 /// A backbone link between two sites (the RENATER-style dark fibre of the
 /// real testbed). Links are stored with `a < b`; the generator creates a
 /// full mesh, and the `SiteLinkPartition` fault takes one down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteLink {
     /// Lower site endpoint.
     pub a: SiteId,
@@ -62,7 +61,7 @@ pub struct SiteLink {
 }
 
 /// The full cabling state of the testbed.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     /// All switches.
     pub switches: Vec<Switch>,

@@ -18,8 +18,8 @@
 //! assert_eq!(tb.nodes().len(), 894);
 //! ```
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every reproduced result.
+//! See `README.md` (*Workspace layout*) for the system inventory and
+//! `EXPERIMENTS.md` for the paper-vs-measured record of every reproduced result.
 
 #![forbid(unsafe_code)]
 

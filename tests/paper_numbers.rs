@@ -34,7 +34,7 @@ fn slide21_suite_is_751() {
     assert_eq!(suite.len(), 751);
     let counts: std::collections::BTreeMap<Family, usize> =
         family_counts(&suite).into_iter().collect();
-    // The DESIGN.md §4 table.
+    // Slide 21's per-family split.
     let expected = [
         (Family::Environments, 448),
         (Family::StdEnv, 32),
