@@ -1,6 +1,7 @@
 //! Core CI data model: jobs, builds, results, causes, triggers.
 
 use std::fmt;
+use std::sync::Arc;
 use ttt_sim::{SimDuration, SimTime};
 
 /// Result of a build, mirroring Jenkins' weather.
@@ -137,14 +138,15 @@ pub struct JobSpec {
 }
 
 /// Reference to a concrete build (one cell of a matrix counts as a build).
+/// Clones share the names: the text is written once per build.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BuildRef {
     /// Job name.
-    pub job: String,
+    pub job: Arc<str>,
     /// Build number within the job (1-based).
     pub number: u32,
     /// Rendered cell key for matrix builds (e.g. `"cluster=grisou,image=debian9-min"`).
-    pub cell: Option<String>,
+    pub cell: Option<Arc<str>>,
 }
 
 impl fmt::Display for BuildRef {

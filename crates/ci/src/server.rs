@@ -26,19 +26,31 @@ pub struct WorkItem {
     pub cause: Cause,
 }
 
+/// One registered job: everything the server keeps under its name.
+struct JobRow {
+    /// Shared with every build of the job and every frozen history.
+    name: Arc<str>,
+    spec: JobSpec,
+    /// Full build history, in creation order.
+    history: JobHistory,
+    next_number: u32,
+}
+
 /// The automation server.
 pub struct CiServer {
-    jobs: BTreeMap<String, JobSpec>,
-    /// Job names in registration order — the stable order every reader
-    /// (status page, epochs) presents jobs in.
-    registration_order: Vec<Arc<str>>,
+    /// The jobs in registration order — the stable order every reader
+    /// (status page, epochs) presents them in.
+    jobs: Vec<JobRow>,
+    /// Job name → row of `jobs`. Key order is the order same-instant cron
+    /// triggers fire in and [`CiServer::all_history`] walks.
+    by_name: BTreeMap<Arc<str>, usize>,
     queue: VecDeque<(BuildRef, Cause)>,
     executors: Vec<Option<BuildRef>>,
-    /// Full build history per job, in creation order.
-    history: BTreeMap<String, JobHistory>,
-    next_number: BTreeMap<String, u32>,
     now: SimTime,
     last_trigger_scan: SimTime,
+    /// The first cron firing after `last_trigger_scan`. Only `register` and
+    /// `advance` can move it, so the per-step callers scan no job.
+    next_cron: Option<SimTime>,
     /// Chaos hook: when armed, an assignment round can spuriously defer
     /// (executor hiccup). Off by default.
     buggify: Buggify,
@@ -48,21 +60,17 @@ pub struct CiServer {
 }
 
 impl CiServer {
-    /// Create a server with `executors` worker slots.
-    ///
-    /// # Panics
-    /// Panics if `executors` is zero.
+    /// Create a server with `executors` worker slots. With none, builds
+    /// queue and [`CiServer::assign`] never hands one out.
     pub fn new(executors: usize) -> Self {
-        assert!(executors > 0, "need at least one executor");
         CiServer {
-            jobs: BTreeMap::new(),
-            registration_order: Vec::new(),
+            jobs: Vec::new(),
+            by_name: BTreeMap::new(),
             queue: VecDeque::new(),
             executors: vec![None; executors],
-            history: BTreeMap::new(),
-            next_number: BTreeMap::new(),
             now: SimTime::ZERO,
             last_trigger_scan: SimTime::ZERO,
+            next_cron: None,
             buggify: Buggify::off(),
             assign_attempts: 0,
         }
@@ -76,25 +84,32 @@ impl CiServer {
     }
 
     /// Register (or replace) a job definition. Replacement keeps the
-    /// original registration position.
+    /// original registration position, the history and the build counter.
     pub fn register(&mut self, spec: JobSpec) {
-        self.history.entry(spec.name.clone()).or_default();
-        self.next_number.entry(spec.name.clone()).or_insert(1);
-        if !self.jobs.contains_key(&spec.name) {
-            self.registration_order.push(spec.name.as_str().into());
+        if let Some(&row) = self.by_name.get(spec.name.as_str()) {
+            self.jobs[row].spec = spec;
+        } else {
+            let name: Arc<str> = spec.name.as_str().into();
+            self.by_name.insert(Arc::clone(&name), self.jobs.len());
+            self.jobs.push(JobRow {
+                name,
+                spec,
+                history: JobHistory::new(),
+                next_number: 1,
+            });
         }
-        self.jobs.insert(spec.name.clone(), spec);
+        self.next_cron = self.scan_next_cron();
     }
 
     /// Registered job names in registration order — the stable presentation
     /// order for the status page and the read plane's epochs.
-    pub fn job_names_in_order(&self) -> &[Arc<str>] {
-        &self.registration_order
+    pub fn job_names_in_order(&self) -> impl ExactSizeIterator<Item = &Arc<str>> {
+        self.jobs.iter().map(|job| &job.name)
     }
 
     /// A job definition.
     pub fn job(&self, name: &str) -> Option<&JobSpec> {
-        self.jobs.get(name)
+        self.by_name.get(name).map(|&row| &self.jobs[row].spec)
     }
 
     /// Current virtual time.
@@ -106,29 +121,34 @@ impl CiServer {
     /// any job has a cron trigger. Event-driven orchestrators use this to
     /// know when [`CiServer::advance`] next has work to do.
     pub fn next_cron_firing(&self) -> Option<SimTime> {
+        self.next_cron
+    }
+
+    fn scan_next_cron(&self) -> Option<SimTime> {
         self.jobs
-            .values()
-            .filter_map(|spec| spec.trigger?.next_firing(self.last_trigger_scan))
+            .iter()
+            .filter_map(|job| job.spec.trigger?.next_firing(self.last_trigger_scan))
             .min()
     }
 
-    /// Advance time, firing cron triggers in `(last_scan, to]`.
+    /// Advance time, firing cron triggers in `(last_scan, to]` by job name.
     pub fn advance(&mut self, to: SimTime) {
         assert!(to >= self.now, "time cannot go backwards");
-        // Only the jobs that have a trigger: with none — every campaign —
-        // the list is empty and costs no allocation.
-        let timed: Vec<_> = self
-            .jobs
-            .iter()
-            .filter_map(|(name, spec)| spec.trigger.map(|trigger| (name.clone(), trigger)))
-            .collect();
-        for (name, trigger) in timed {
-            for at in trigger.firings(self.last_trigger_scan, to) {
-                self.now = at;
-                self.trigger(&name, Cause::Cron);
+        let after = std::mem::replace(&mut self.last_trigger_scan, to);
+        if self.next_cron.is_some_and(|at| at <= to) {
+            let timed: Vec<_> = self
+                .by_name
+                .iter()
+                .filter_map(|(name, &row)| Some((Arc::clone(name), self.jobs[row].spec.trigger?)))
+                .collect();
+            for (name, trigger) in timed {
+                for at in trigger.firings(after, to) {
+                    self.now = at;
+                    self.trigger(&name, Cause::Cron);
+                }
             }
+            self.next_cron = self.scan_next_cron();
         }
-        self.last_trigger_scan = to;
         self.now = to;
     }
 
@@ -137,46 +157,45 @@ impl CiServer {
     /// (Jenkins' behaviour under trigger pileup). Returns the enqueued
     /// build references.
     pub fn trigger(&mut self, name: &str, cause: Cause) -> Vec<BuildRef> {
-        let Some(spec) = self.jobs.get(name) else {
+        let Some(&row) = self.by_name.get(name) else {
             return Vec::new();
         };
-        let cells: Vec<Option<String>> = match &spec.kind {
-            JobKind::Freestyle => vec![None],
-            JobKind::Matrix { axes } => expand_axes(axes)
-                .iter()
-                .map(|c| Some(render_cell(c)))
-                .collect(),
-        };
-        self.enqueue_cells(name, cause, &cells)
+        match &self.jobs[row].spec.kind {
+            JobKind::Freestyle => self.enqueue(row, cause, &mut std::iter::once(None)),
+            JobKind::Matrix { axes } => {
+                let cells: Vec<String> = expand_axes(axes).iter().map(render_cell).collect();
+                self.enqueue(row, cause, &mut cells.iter().map(|c| Some(c.as_str())))
+            }
+        }
     }
 
     /// Trigger only specific cells of a matrix job (Matrix Reloaded).
     pub fn trigger_cells(&mut self, name: &str, cause: Cause, cells: &[String]) -> Vec<BuildRef> {
-        if !self.jobs.contains_key(name) {
-            return Vec::new();
+        match self.by_name.get(name) {
+            Some(&row) => self.enqueue(row, cause, &mut cells.iter().map(|c| Some(c.as_str()))),
+            None => Vec::new(),
         }
-        let cells: Vec<Option<String>> = cells.iter().map(|c| Some(c.clone())).collect();
-        self.enqueue_cells(name, cause, &cells)
     }
 
-    fn enqueue_cells(
+    /// One build per cell not already queued or running, under one number.
+    fn enqueue(
         &mut self,
-        name: &str,
+        row: usize,
         cause: Cause,
-        cells: &[Option<String>],
+        cells: &mut dyn Iterator<Item = Option<&str>>,
     ) -> Vec<BuildRef> {
-        let number = *self.next_number.get(name).unwrap_or(&1);
+        let number = self.jobs[row].next_number;
         let mut enqueued = Vec::new();
         for cell in cells {
-            if self.is_pending(name, cell.as_deref()) {
+            if self.is_pending(&self.jobs[row].name, cell) {
                 continue;
             }
             let r = BuildRef {
-                job: name.to_string(),
+                job: Arc::clone(&self.jobs[row].name),
                 number,
-                cell: cell.clone(),
+                cell: cell.map(Arc::from),
             };
-            self.history.entry(name.to_string()).or_default().push(Build {
+            self.jobs[row].history.push(Build {
                 r#ref: r.clone(),
                 cause,
                 queued_at: self.now,
@@ -189,21 +208,15 @@ impl CiServer {
             enqueued.push(r);
         }
         if !enqueued.is_empty() {
-            self.next_number.insert(name.to_string(), number + 1);
+            self.jobs[row].next_number = number + 1;
         }
         enqueued
     }
 
     /// Whether an identical job+cell is already queued or running.
     fn is_pending(&self, job: &str, cell: Option<&str>) -> bool {
-        self.queue
-            .iter()
-            .any(|(r, _)| r.job == job && r.cell.as_deref() == cell)
-            || self
-                .executors
-                .iter()
-                .flatten()
-                .any(|r| r.job == job && r.cell.as_deref() == cell)
+        let same = |r: &BuildRef| &*r.job == job && r.cell.as_deref() == cell;
+        self.queue.iter().any(|(r, _)| same(r)) || self.executors.iter().flatten().any(same)
     }
 
     /// Move queued builds onto free executors; returns the work to run.
@@ -228,7 +241,8 @@ impl CiServer {
                 self.queue.push_front((r, cause));
                 break;
             }
-            if let Some(b) = self.history.get_mut(&r.job).and_then(|h| h.pending_mut(&r)) {
+            let job = self.by_name.get(&*r.job).map(|&row| &mut self.jobs[row]);
+            if let Some(b) = job.and_then(|job| job.history.pending_mut(&r)) {
                 b.started_at = Some(self.now);
             }
             *slot = Some(r.clone());
@@ -247,7 +261,8 @@ impl CiServer {
             return false;
         };
         *slot = None;
-        if let Some(history) = self.history.get_mut(&r.job) {
+        if let Some(&row) = self.by_name.get(&*r.job) {
+            let history = &mut self.jobs[row].history;
             if let Some(b) = history.pending_mut(r) {
                 b.finished_at = Some(self.now);
                 b.result = Some(result);
@@ -261,7 +276,9 @@ impl CiServer {
     /// Builds of one job (all numbers, all cells), in creation order.
     /// Empty for a job nobody registered.
     pub fn history(&self, job: &str) -> &JobHistory {
-        self.history.get(job).unwrap_or(&EMPTY)
+        self.by_name
+            .get(job)
+            .map_or(&EMPTY, |&row| &self.jobs[row].history)
     }
 
     /// Every job's history in registration order, frozen for a reader:
@@ -269,11 +286,11 @@ impl CiServer {
     /// are copied. Costs the tails and one pointer per sealed segment,
     /// not the length of the histories.
     pub fn freeze_history(&self) -> Vec<FrozenJob> {
-        self.registration_order
+        self.jobs
             .iter()
-            .map(|name| FrozenJob {
-                name: Arc::clone(name),
-                history: self.history(name).clone(),
+            .map(|job| FrozenJob {
+                name: Arc::clone(&job.name),
+                history: job.history.clone(),
             })
             .collect()
     }
@@ -286,9 +303,9 @@ impl CiServer {
             .collect()
     }
 
-    /// Every job's history, for the status page.
-    pub fn all_history(&self) -> &BTreeMap<String, JobHistory> {
-        &self.history
+    /// Every job's history, in job-name order.
+    pub fn all_history(&self) -> impl Iterator<Item = &JobHistory> {
+        self.by_name.values().map(|&row| &self.jobs[row].history)
     }
 
     /// Number of builds waiting in the queue.
@@ -489,8 +506,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one executor")]
-    fn zero_executors_rejected() {
-        let _ = CiServer::new(0);
+    fn zero_executors_queue_and_never_assign() {
+        let mut s = CiServer::new(0);
+        s.register(freestyle("a"));
+        assert_eq!(s.trigger("a", Cause::Manual).len(), 1);
+        assert!(s.assign().is_empty());
+        assert_eq!((s.queue_len(), s.busy_executors(), s.executor_count()), (1, 0, 0));
+        // Still pending, so a second trigger coalesces.
+        assert!(s.trigger("a", Cause::Manual).is_empty());
     }
 }

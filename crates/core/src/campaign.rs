@@ -37,6 +37,16 @@ use ttt_suite::{build_suite, run_test, TestConfig, TestCtx, TestReport};
 use ttt_testbed::fault::{find_fault, inject_random};
 use ttt_testbed::{FaultInjector, FaultKind, Layer, Testbed, TestbedBuilder};
 
+/// One test configuration, referred to everywhere by its index in
+/// `Campaign::suite`; only `Campaign::by_key` turns a name back into one.
+struct SuiteRow {
+    config: TestConfig,
+    /// Home scheduling domain: the site whose resources the test consumes.
+    home: Option<usize>,
+    /// Launch-list slot from [`Trigger::enroll`]; `None` until rolled out.
+    slot: Option<usize>,
+}
+
 /// A test currently executing on the testbed (completion time is the
 /// event-queue key).
 struct RunningTest {
@@ -118,16 +128,10 @@ pub struct Campaign {
     operators: OperatorModel,
     /// Everything the run records about itself.
     pub(crate) observer: Observer,
-    suite: Vec<TestConfig>,
-    /// Precomputed `suite[i].id()` strings (scheduler callback keys).
-    suite_ids: Vec<String>,
-    /// Precomputed home scheduling domain per configuration (the site
-    /// whose resources the test consumes).
-    suite_home: Vec<Option<usize>>,
-    /// ci job → cell → suite index (nested so lookups borrow, not clone).
-    by_key: BTreeMap<String, BTreeMap<Option<String>, usize>>,
-    /// Which configurations rollout has switched on so far.
-    enabled: Vec<bool>,
+    suite: Vec<SuiteRow>,
+    /// ci job → cell → row of `suite`: the one place a CI build name is
+    /// turned back into a row.
+    by_key: BTreeMap<&'static str, BTreeMap<Option<Arc<str>>, usize>>,
     /// The next entry of `cfg.rollout.phases` to apply.
     next_phase: usize,
     /// In-flight tests keyed by `finish_at`; completions pop in
@@ -215,7 +219,14 @@ impl Campaign {
         // the rng-free hashed variant, so arming it never shifts a stream.
         ci.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
         let images = standard_images();
-        let suite = build_suite(&tb, &images);
+        let suite: Vec<SuiteRow> = build_suite(&tb, &images)
+            .into_iter()
+            .map(|config| SuiteRow {
+                home: fed.domain_by_name(&config.site(&tb)),
+                config,
+                slot: None,
+            })
+            .collect();
         for family in ttt_suite::Family::ALL {
             ci.register(JobSpec {
                 name: family.job_name().to_string(),
@@ -223,29 +234,29 @@ impl Campaign {
                 trigger: None,
             });
         }
-        let mut by_key: BTreeMap<String, BTreeMap<Option<String>, usize>> = BTreeMap::new();
-        for (i, c) in suite.iter().enumerate() {
+        let mut by_key: BTreeMap<_, BTreeMap<_, _>> = BTreeMap::new();
+        for (i, row) in suite.iter().enumerate() {
             by_key
-                .entry(c.family.job_name().to_string())
+                .entry(row.config.family.job_name())
                 .or_default()
-                .insert(c.cell(), i);
+                .insert(row.config.cell().map(Arc::from), i);
         }
-        let suite_ids: Vec<String> = suite.iter().map(|c| c.id()).collect();
-        let suite_home: Vec<Option<usize>> = suite
-            .iter()
-            .map(|c| fed.domain_by_name(&c.site(&tb)))
-            .collect();
-        let clusters = tb.clusters().iter().map(|c| c.name.clone()).collect();
+        let clusters: Vec<String> = tb.clusters().iter().map(|c| c.name.clone()).collect();
         let mut kwapi = MetricStore::new(tb.nodes().len(), 600, SimDuration::from_mins(5));
         // Read-plane chaos hooks: both sides only use the rng-free hashed
         // variant on monotone read counters, so arming them never shifts a
         // stream and fires identically across engines.
         refapi.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
         kwapi.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
-        let n = suite.len();
         let sites = fed.len();
-        let mut userload = UserLoadGenerator::new(cfg.user_load.clone(), clusters)
-            .expect("a built testbed always has at least one cluster");
+        // No cluster to be affine to: users ask for "any nodes", an empty
+        // topology never satisfies them, and the campaign idles.
+        let mut user_load = cfg.user_load.clone();
+        if clusters.is_empty() {
+            user_load.cluster_affinity = 0.0;
+        }
+        let mut userload = UserLoadGenerator::new(user_load, clusters)
+            .expect("cluster affinity is zero whenever there are no clusters");
         userload.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
         Campaign {
             trigger,
@@ -267,10 +278,7 @@ impl Campaign {
             tracker: BugTracker::new(),
             observer: Observer::new(sites),
             suite,
-            suite_ids,
-            suite_home,
             by_key,
-            enabled: vec![false; n],
             next_phase: 0,
             running: EventQueue::new(),
             blocked: Vec::new(),
@@ -542,18 +550,18 @@ impl Campaign {
             let families = families.clone();
             self.next_phase += 1;
             for idx in 0..self.suite.len() {
-                if self.enabled[idx] || !families.contains(&self.suite[idx].family) {
+                let row = &self.suite[idx];
+                if row.slot.is_some() || !families.contains(&row.config.family) {
                     continue;
                 }
-                self.enabled[idx] = true;
                 let entry = self.make_entry(idx);
-                self.trigger.enroll(idx, entry, t);
+                self.suite[idx].slot = Some(self.trigger.enroll(idx, entry, t));
             }
         }
     }
 
     fn make_entry(&self, idx: usize) -> TestEntry {
-        let cfg = &self.suite[idx];
+        let cfg = &self.suite[idx].config;
         TestEntry {
             id: cfg.id(),
             ci_job: cfg.family.job_name().to_string(),
@@ -567,7 +575,7 @@ impl Campaign {
 
     /// The OAR request for a configuration, honouring the per-node ablation.
     fn request_for(&self, idx: usize) -> ResourceRequest {
-        let cfg = &self.suite[idx];
+        let cfg = &self.suite[idx].config;
         let request = cfg.resource_request(&self.tb);
         if self.cfg.per_node_hardware && cfg.family.hardware_centric() {
             // Per-node mode: sample three nodes instead of the whole
@@ -591,8 +599,8 @@ impl Campaign {
             // cross-site co-allocations).
             let site = r.oar_job.primary_domain();
             let passed = r.report.passed();
-            self.observer
-                .job_completed(finish_at, &self.suite_ids[r.suite_idx], site, passed);
+            let config = &self.suite[r.suite_idx].config;
+            self.observer.job_completed(finish_at, config, site, passed);
             self.fed.complete_early(&r.oar_job);
             let result = if passed {
                 BuildResult::Success
@@ -600,7 +608,7 @@ impl Campaign {
                 BuildResult::Failure
             };
             self.ci.finish(&r.build, result, r.report.log_lines());
-            let family = self.suite[r.suite_idx].family.job_name();
+            let family = config.family.job_name();
             for d in &r.report.diagnostics {
                 self.tracker.file(&d.signature, family, &d.message, t);
                 // Attribute the detection to the fault kind behind the
@@ -615,9 +623,12 @@ impl Campaign {
     }
 
     fn record_result(&mut self, idx: usize, passed: bool, t: SimTime) {
+        let row = &self.suite[idx];
         self.observer
-            .test_result(t, self.suite[idx].family.job_name(), passed);
-        self.trigger.on_finished(&self.suite_ids[idx], t);
+            .test_result(t, row.config.family.job_name(), passed);
+        if let Some(slot) = row.slot {
+            self.trigger.on_finished(slot, t);
+        }
     }
 
     /// Cron baseline: release blocked builds whose OAR job started (or
@@ -667,7 +678,7 @@ impl Campaign {
     fn start_work(&mut self, item: WorkItem, t: SimTime) {
         let Some(&idx) = self
             .by_key
-            .get(item.build.job.as_str())
+            .get(&*item.build.job)
             .and_then(|cells| cells.get(&item.build.cell))
         else {
             self.ci
@@ -680,7 +691,7 @@ impl Campaign {
             Queue::Admin,
             OarJobKind::Test,
             request,
-            self.suite_home[idx],
+            self.suite[idx].home,
         );
         let Ok(oar_job) = submitted else {
             // Whole target unavailable (e.g. cluster dead).
@@ -709,9 +720,11 @@ impl Campaign {
     fn mark_unstable(&mut self, build: &BuildRef, idx: usize, why: &str, t: SimTime) {
         self.ci
             .finish(build, BuildResult::Unstable, vec![why.to_string()]);
-        let id = &self.suite_ids[idx];
-        self.observer.build_unstable(t, id);
-        self.trigger.on_not_immediate(id, t, &mut self.rng_sched);
+        let row = &self.suite[idx];
+        self.observer.build_unstable(t, &row.config);
+        if let Some(slot) = row.slot {
+            self.trigger.on_not_immediate(slot, t, &mut self.rng_sched);
+        }
     }
 
     /// Run the test script now; bookkeeping happens when its virtual
@@ -719,7 +732,7 @@ impl Campaign {
     fn execute_test(&mut self, build: BuildRef, idx: usize, oar_job: FedJob, t: SimTime) {
         let assigned = self.fed.assigned_nodes(&oar_job);
         let report = {
-            let cfg = &self.suite[idx];
+            let cfg = &self.suite[idx].config;
             // Scripts see the OAR server of the site they run on (the
             // primary part for cross-site co-allocations).
             let mut ctx = TestCtx {
@@ -736,10 +749,10 @@ impl Campaign {
             };
             run_test(cfg, &mut ctx)
         };
-        let walltime = self.suite[idx].family.walltime();
-        let finish_at = t + report.duration.min(walltime);
+        let config = &self.suite[idx].config;
+        let finish_at = t + report.duration.min(config.family.walltime());
         self.observer
-            .job_started(t, &self.suite_ids[idx], oar_job.primary_domain());
+            .job_started(t, config, oar_job.primary_domain());
         self.running.push(
             finish_at,
             RunningTest {
@@ -779,7 +792,8 @@ impl Campaign {
             let window_from = self.last_sample;
             self.last_sample = t;
             self.observer.sampled(
-                self.ci.busy_executors() as f64 / self.ci.executor_count() as f64,
+                // No executors: none busy, not 0/0.
+                self.ci.busy_executors() as f64 / self.ci.executor_count().max(1) as f64,
                 self.fed.utilization(),
                 self.fed.dead_domains() > 0,
             );
@@ -818,7 +832,7 @@ impl Campaign {
                 }
             }
         }
-        for builds in self.ci.all_history().values() {
+        for builds in self.ci.all_history() {
             for b in builds.iter() {
                 if let Some(f) = b.finished_at {
                     self.observer.build_latency(f.since(b.queued_at));

@@ -112,7 +112,8 @@ pub struct CampaignConfig {
     /// year-long runs cost a fixed number of samples per virtual hour
     /// regardless of tick length.
     pub sample_cadence: SimDuration,
-    /// CI executor pool size.
+    /// CI executor pool size. Zero means no build ever leaves the CI queue:
+    /// the campaign runs to its horizon with no test run.
     pub executors: usize,
     /// Fault arrival configuration.
     pub injector: InjectorConfig,

@@ -28,12 +28,12 @@ pub struct CampaignMetrics {
     /// Queue-to-finish latency of completed test builds, hours.
     pub test_latency_hours: OnlineStats,
     /// Completed runs per family.
-    pub completions_per_family: BTreeMap<String, u64>,
+    pub completions_per_family: BTreeMap<&'static str, u64>,
     /// Diagnostics filed per fault kind (keyed by the kind's stable name):
     /// how often the testing pipeline *detected* each kind. Together with
     /// the testbed's injection ledger this is the injected × detected
     /// feature the coverage-guided fuzzer fingerprints.
-    pub detected_by_kind: BTreeMap<String, u64>,
+    pub detected_by_kind: BTreeMap<&'static str, u64>,
     /// Rising edges of testbed saturation (every alive node busy) observed
     /// at the utilization-sampling cadence.
     pub saturation_episodes: u64,

@@ -8,6 +8,7 @@
 use crate::campaign::{Campaign, WAKE_REASONS};
 use crate::metrics::CampaignMetrics;
 use ttt_sim::{Event, EventLog, SimDuration, SimTime};
+use ttt_suite::TestConfig;
 use ttt_testbed::{Fault, RpcTraceEntry};
 
 pub(crate) struct Observer {
@@ -85,19 +86,25 @@ impl Observer {
         self.log(|| Event::FaultRepair { at, fault_id });
     }
 
-    pub(crate) fn job_started(&mut self, at: SimTime, test: &str, site: usize) {
+    pub(crate) fn job_started(&mut self, at: SimTime, test: &TestConfig, site: usize) {
         self.log(|| Event::JobStarted {
             at,
-            test: test.to_string(),
+            test: test.id(),
             site: site as u16,
         });
     }
 
-    pub(crate) fn job_completed(&mut self, at: SimTime, test: &str, site: usize, passed: bool) {
+    pub(crate) fn job_completed(
+        &mut self,
+        at: SimTime,
+        test: &TestConfig,
+        site: usize,
+        passed: bool,
+    ) {
         self.site_completions[site] += 1;
         self.log(|| Event::JobCompleted {
             at,
-            test: test.to_string(),
+            test: test.id(),
             site: site as u16,
             passed,
         });
@@ -105,17 +112,13 @@ impl Observer {
 
     /// A diagnostic was attributed to the fault kind behind it — the
     /// detected half of the injected × detected coverage feature.
-    pub(crate) fn detected(&mut self, kind: &str) {
-        *self
-            .metrics
-            .detected_by_kind
-            .entry(kind.to_string())
-            .or_insert(0) += 1;
+    pub(crate) fn detected(&mut self, kind: &'static str) {
+        *self.metrics.detected_by_kind.entry(kind).or_insert(0) += 1;
     }
 
     /// A test's result was accounted at `at` (its completion step, or the
     /// step that saw its testbed job die before start).
-    pub(crate) fn test_result(&mut self, at: SimTime, family: &str, passed: bool) {
+    pub(crate) fn test_result(&mut self, at: SimTime, family: &'static str, passed: bool) {
         self.metrics.tests_run += 1;
         if !passed {
             self.metrics.tests_failed += 1;
@@ -126,15 +129,15 @@ impl Observer {
         *self
             .metrics
             .completions_per_family
-            .entry(family.to_string())
+            .entry(family)
             .or_insert(0) += 1;
     }
 
-    pub(crate) fn build_unstable(&mut self, at: SimTime, test: &str) {
+    pub(crate) fn build_unstable(&mut self, at: SimTime, test: &TestConfig) {
         self.metrics.unstable_builds += 1;
         self.log(|| Event::JobUnstable {
             at,
-            test: test.to_string(),
+            test: test.id(),
         });
     }
 

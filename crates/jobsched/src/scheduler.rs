@@ -59,6 +59,9 @@ struct EntryState {
     failures: u32,
     /// Whether a build for this entry is currently in flight.
     active: bool,
+    /// Interned site (index into `active_per_site`), so the per-site
+    /// concurrency cap compares no strings on the decision path.
+    site: usize,
 }
 
 impl EntryState {
@@ -75,15 +78,9 @@ pub struct ExternalScheduler {
     policy: PolicyConfig,
     entries: Vec<TestEntry>,
     states: Vec<EntryState>,
-    /// Entry id → index (O(1) completion callbacks).
-    by_id: BTreeMap<String, usize>,
     /// Entry indices keyed by their `next_due` instant; every due-date
     /// assignment pushes here.
     due: DueIndex,
-    /// Interned site per entry (index into `site_names`), so the per-site
-    /// concurrency cap needs no string hashing on the decision path.
-    site_of: Vec<usize>,
-    site_names: Vec<String>,
     site_ids: BTreeMap<String, usize>,
     /// Count of in-flight entries per interned site.
     active_per_site: Vec<usize>,
@@ -110,57 +107,19 @@ impl ExternalScheduler {
     /// Create a scheduler over a fixed set of entries. All entries are due
     /// immediately.
     pub fn new(policy: PolicyConfig, entries: Vec<TestEntry>) -> Self {
-        let states = entries
-            .iter()
-            .map(|_| EntryState {
-                next_due: SimTime::ZERO,
-                failures: 0,
-                active: false,
-            })
-            .collect();
-        let mut due = DueIndex::default();
-        for i in 0..entries.len() {
-            due.push(SimTime::ZERO, i);
-        }
-        let by_id = entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.id.clone(), i))
-            .collect();
         let mut s = ExternalScheduler {
             policy,
             entries: Vec::new(),
-            states,
-            by_id,
-            due,
-            site_of: Vec::new(),
-            site_names: Vec::new(),
+            states: Vec::new(),
+            due: DueIndex::default(),
             site_ids: BTreeMap::new(),
             active_per_site: Vec::new(),
             stats: SchedulerStats::default(),
         };
-        for e in &entries {
-            let idx = s.intern_site(&e.site);
-            s.site_of.push(idx);
+        for entry in entries {
+            s.add_entry(entry, SimTime::ZERO);
         }
-        s.entries = entries;
         s
-    }
-
-    fn intern_site(&mut self, site: &str) -> usize {
-        if let Some(&i) = self.site_ids.get(site) {
-            return i;
-        }
-        let i = self.site_names.len();
-        self.site_names.push(site.to_string());
-        self.site_ids.insert(site.to_string(), i);
-        self.active_per_site.push(0);
-        i
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> &PolicyConfig {
-        &self.policy
     }
 
     /// The tracked entries.
@@ -168,20 +127,27 @@ impl ExternalScheduler {
         &self.entries
     }
 
-    /// Add an entry mid-campaign ("tests still being added", slide 23).
-    /// It becomes due at `now`.
-    pub fn add_entry(&mut self, entry: TestEntry, now: SimTime) {
-        let site = self.intern_site(&entry.site);
+    /// Add an entry mid-campaign ("tests still being added", slide 23), due
+    /// at `now`. Returns its slot: the index the completion callbacks take.
+    pub fn add_entry(&mut self, entry: TestEntry, now: SimTime) -> usize {
+        let slot = self.entries.len();
+        let site = match self.site_ids.get(&entry.site) {
+            Some(&site) => site,
+            None => {
+                self.site_ids.insert(entry.site.clone(), self.active_per_site.len());
+                self.active_per_site.push(0);
+                self.active_per_site.len() - 1
+            }
+        };
         self.entries.push(entry);
-        self.site_of.push(site);
         self.states.push(EntryState {
             next_due: now,
             failures: 0,
             active: false,
+            site,
         });
-        let i = self.entries.len() - 1;
-        self.due.push(now, i);
-        self.by_id.insert(self.entries[i].id.clone(), i);
+        self.due.push(now, slot);
+        slot
     }
 
     /// Record a new due date for entry `i` and index it for pickup.
@@ -196,11 +162,6 @@ impl ExternalScheduler {
     pub fn next_due_time(&mut self) -> Option<SimTime> {
         let states = &self.states;
         self.due.next_time(|at, i| states[i].is_live(at))
-    }
-
-    /// Look an entry index up by id.
-    fn index_of(&self, id: &str) -> Option<usize> {
-        self.by_id.get(id).copied()
     }
 
     /// One decision pass at instant `now`: examine every due entry,
@@ -264,7 +225,7 @@ impl ExternalScheduler {
         }
 
         // Policy 2: same-site concurrency cap.
-        let site_active = self.active_per_site[self.site_of[i]];
+        let site_active = self.active_per_site[self.states[i].site];
         if site_active >= self.policy.max_active_per_site {
             self.set_due(i, now + self.policy.reexamine);
             self.stats.deferred_site += 1;
@@ -298,17 +259,19 @@ impl ExternalScheduler {
             return Decision::DeferredPending;
         }
         self.states[i].active = true;
-        self.active_per_site[self.site_of[i]] += 1;
+        self.active_per_site[self.states[i].site] += 1;
         self.stats.triggered += 1;
         Decision::Triggered
     }
 
-    /// The orchestrator reports that the testbed job created by this
-    /// entry's build could not start immediately: per the paper, the job is
+    /// The orchestrator reports that the testbed job created by the build
+    /// of entry `i` could not start immediately: per the paper, the job is
     /// cancelled, the build marked unstable, and the entry retries with
-    /// exponential backoff.
-    pub fn on_not_immediate<R: Rng>(&mut self, id: &str, now: SimTime, rng: &mut R) {
-        let Some(i) = self.index_of(id) else { return };
+    /// exponential backoff. A slot nobody enrolled is ignored.
+    pub fn on_not_immediate<R: Rng>(&mut self, i: usize, now: SimTime, rng: &mut R) {
+        if i >= self.entries.len() {
+            return;
+        }
         self.clear_active(i);
         let delay = self
             .policy
@@ -319,10 +282,12 @@ impl ExternalScheduler {
         self.stats.cancelled_not_immediate += 1;
     }
 
-    /// The orchestrator reports the entry's test completed (any result):
-    /// backoff resets and the next run is due one period later.
-    pub fn on_finished(&mut self, id: &str, now: SimTime) {
-        let Some(i) = self.index_of(id) else { return };
+    /// The orchestrator reports the test of entry `i` completed (any result):
+    /// backoff resets, next run one period later. A slot nobody enrolled is ignored.
+    pub fn on_finished(&mut self, i: usize, now: SimTime) {
+        if i >= self.entries.len() {
+            return;
+        }
         self.clear_active(i);
         self.states[i].failures = 0;
         self.set_due(i, now + self.entries[i].period);
@@ -331,7 +296,7 @@ impl ExternalScheduler {
     fn clear_active(&mut self, i: usize) {
         if self.states[i].active {
             self.states[i].active = false;
-            let c = &mut self.active_per_site[self.site_of[i]];
+            let c = &mut self.active_per_site[self.states[i].site];
             *c = c.saturating_sub(1);
         }
     }
@@ -462,7 +427,7 @@ mod tests {
         let deferred = decisions.iter().filter(|(_, d)| *d == Decision::DeferredSite).count();
         assert_eq!((triggered, deferred), (1, 1));
         // After the first finishes, the second can go.
-        s.on_finished("disk/alpha", OFFPEAK + SimDuration::from_hours(1));
+        s.on_finished(0, OFFPEAK + SimDuration::from_hours(1));
         let t2 = OFFPEAK + SimDuration::from_hours(2);
         let decisions = s.tick(t2, &mut ci, &oar, &mut rng);
         assert_eq!(decisions, vec![("disk/gamma".to_string(), Decision::Triggered)]);
@@ -527,7 +492,7 @@ mod tests {
         }
         assert_eq!(delays, vec![1800, 3600, 7200], "exponential backoff");
         // A successful completion resets the backoff.
-        s.on_finished("disk/alpha", t);
+        s.on_finished(0, t);
         s.tick(t + SimDuration::from_days(7), &mut ci, &oar, &mut rng);
         // (resources still busy: 200h job) → deferral delay back to base.
         let due = s.next_due().unwrap();
@@ -544,7 +509,7 @@ mod tests {
         let mut rng = stream_rng(7, "sched");
         s.tick(OFFPEAK, &mut ci, &oar, &mut rng);
         assert_eq!(s.active_count(), 1);
-        s.on_not_immediate("disk/alpha", OFFPEAK + SimDuration::from_mins(5), &mut rng);
+        s.on_not_immediate(0, OFFPEAK + SimDuration::from_mins(5), &mut rng);
         assert_eq!(s.active_count(), 0);
         assert_eq!(s.stats.cancelled_not_immediate, 1);
         assert!(s.next_due().unwrap() > OFFPEAK + SimDuration::from_mins(5));
@@ -573,8 +538,8 @@ mod tests {
             };
             // Simulate completions so entries churn through states.
             if s.active_count() > 0 {
-                s.on_finished("disk/gamma", due);
-                s.on_not_immediate("disk/alpha", due, &mut rng);
+                s.on_finished(1, due);
+                s.on_not_immediate(0, due, &mut rng);
             }
             assert_eq!(s.next_due_time(), s.next_due());
             t = due;
@@ -587,9 +552,29 @@ mod tests {
         let mut s = ExternalScheduler::new(PolicyConfig::default(), vec![]);
         let mut rng = stream_rng(8, "sched");
         assert!(s.tick(OFFPEAK, &mut ci, &oar, &mut rng).is_empty());
-        s.add_entry(entry("disk/alpha", "alpha", false), OFFPEAK);
+        assert_eq!(s.add_entry(entry("disk/alpha", "alpha", false), OFFPEAK), 0);
         let d = s.tick(OFFPEAK, &mut ci, &oar, &mut rng);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].1, Decision::Triggered);
+    }
+
+    #[test]
+    fn callbacks_on_a_slot_nobody_enrolled_change_nothing() {
+        let (_tb, oar, mut ci) = setup();
+        let mut s = ExternalScheduler::new(
+            PolicyConfig::default(),
+            vec![entry("disk/alpha", "alpha", false)],
+        );
+        let mut rng = stream_rng(10, "sched");
+        s.tick(OFFPEAK, &mut ci, &oar, &mut rng);
+        let before = (s.active_count(), s.next_due_time(), s.stats.clone());
+        let mut untouched = rng.clone();
+        for slot in [1, 751, usize::MAX] {
+            s.on_finished(slot, PEAK);
+            s.on_not_immediate(slot, PEAK, &mut rng);
+        }
+        assert_eq!((s.active_count(), s.next_due_time(), s.stats.clone()), before);
+        // Not even a backoff-jitter draw.
+        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>());
     }
 }

@@ -5,7 +5,6 @@ use crate::due::DueIndex;
 use crate::entry::TestEntry;
 use crate::scheduler::{ExternalScheduler, PolicyConfig, SchedulerStats};
 use rand::Rng;
-use std::collections::BTreeMap;
 use ttt_ci::{Cause, CiServer};
 use ttt_oar::AvailabilityProbe;
 use ttt_sim::{SimDuration, SimTime};
@@ -31,8 +30,6 @@ pub struct NaiveCron {
     /// looked at again.
     retry: SimDuration,
     entries: Vec<CronEntry>,
-    /// Entry id → index.
-    by_id: BTreeMap<String, usize>,
     due: DueIndex,
 }
 
@@ -50,8 +47,8 @@ impl NaiveCron {
         self.due.push(at, i);
     }
 
-    fn rearm(&mut self, id: &str, now: SimTime) {
-        if let Some(&i) = self.by_id.get(id) {
+    fn rearm(&mut self, i: usize, now: SimTime) {
+        if i < self.entries.len() {
             self.set_due(i, now + self.period);
         }
     }
@@ -94,27 +91,28 @@ impl Trigger {
             period,
             retry,
             entries: Vec::new(),
-            by_id: BTreeMap::new(),
             due: DueIndex::default(),
         })
     }
 
-    /// Put a configuration on the launch list, due at `now`. `rank` is its
-    /// position in the suite: cron fires due configurations in suite
-    /// order, the external scheduler in the order they were enrolled.
-    pub fn enroll(&mut self, rank: usize, entry: TestEntry, now: SimTime) {
+    /// Put a configuration on the launch list, due at `now`; returns its
+    /// slot there, which the completion callbacks take (a slot nobody
+    /// enrolled is ignored). `rank` is its position in the suite: cron
+    /// fires due configurations in suite order, the external scheduler in
+    /// the order they were enrolled.
+    pub fn enroll(&mut self, rank: usize, entry: TestEntry, now: SimTime) -> usize {
         match self {
             Trigger::External(sched) => sched.add_entry(entry, now),
             Trigger::NaiveCron(cron) => {
-                let i = cron.entries.len();
-                cron.by_id.insert(entry.id, i);
+                let slot = cron.entries.len();
                 cron.entries.push(CronEntry {
                     rank,
                     ci_job: entry.ci_job,
                     cell: entry.cell,
                     next_due: now,
                 });
-                cron.due.push(now, i);
+                cron.due.push(now, slot);
+                slot
             }
         }
     }
@@ -150,21 +148,21 @@ impl Trigger {
         matches!(self, Trigger::NaiveCron(_))
     }
 
-    /// The build of configuration `id` was marked unstable because its
-    /// testbed job could not start: back off, or wait for the next period.
-    pub fn on_not_immediate<R: Rng>(&mut self, id: &str, now: SimTime, rng: &mut R) {
+    /// The build of the configuration in `slot` was marked unstable because
+    /// its testbed job could not start: back off, or wait for the next period.
+    pub fn on_not_immediate<R: Rng>(&mut self, slot: usize, now: SimTime, rng: &mut R) {
         match self {
-            Trigger::External(sched) => sched.on_not_immediate(id, now, rng),
-            Trigger::NaiveCron(cron) => cron.rearm(id, now),
+            Trigger::External(sched) => sched.on_not_immediate(slot, now, rng),
+            Trigger::NaiveCron(cron) => cron.rearm(slot, now),
         }
     }
 
-    /// The test of configuration `id` completed (any result): its next run
-    /// is due one period later.
-    pub fn on_finished(&mut self, id: &str, now: SimTime) {
+    /// The test of the configuration in `slot` completed (any result): its
+    /// next run is due one period later.
+    pub fn on_finished(&mut self, slot: usize, now: SimTime) {
         match self {
-            Trigger::External(sched) => sched.on_finished(id, now),
-            Trigger::NaiveCron(cron) => cron.rearm(id, now),
+            Trigger::External(sched) => sched.on_finished(slot, now),
+            Trigger::NaiveCron(cron) => cron.rearm(slot, now),
         }
     }
 
@@ -216,11 +214,13 @@ mod tests {
         assert!(t.waits_for_resources());
         assert_eq!(t.wake_terms(), [None, None]);
         // Enrolled against suite order: rank decides who fires first.
-        t.enroll(5, entry("refapi"), SimTime::ZERO);
-        t.enroll(2, entry("disk"), SimTime::ZERO);
+        let refapi = t.enroll(5, entry("refapi"), SimTime::ZERO);
+        let disk = t.enroll(2, entry("disk"), SimTime::ZERO);
+        assert_eq!((refapi, disk), (0, 1));
         assert_eq!(t.wake_terms(), [None, Some(SimTime::ZERO)]);
         t.run_due(SimTime::ZERO, &mut ci, &oar, &mut rng);
-        let fired: Vec<String> = ci.assign().into_iter().map(|w| w.build.job).collect();
+        let fired = ci.assign();
+        let fired: Vec<&str> = fired.iter().map(|w| &*w.build.job).collect();
         assert_eq!(fired, ["disk", "refapi"]);
         assert_eq!(t.wake_terms(), [None, Some(SimTime::ZERO + day)]);
         // Both still running a period later: looked at again one retry on.
@@ -229,8 +229,12 @@ mod tests {
         assert_eq!(t.wake_terms(), [None, Some(SimTime::ZERO + day + tick)]);
         // A completion supersedes the retry date.
         let done = SimTime::ZERO + day + tick;
-        t.on_finished("disk/alpha", done);
-        t.on_not_immediate("refapi/alpha", done, &mut rng);
+        t.on_finished(disk, done);
+        t.on_not_immediate(refapi, done, &mut rng);
+        assert_eq!(t.wake_terms(), [None, Some(done + day)]);
+        // A slot nobody enrolled has no date to move.
+        t.on_finished(2, done + day);
+        t.on_not_immediate(751, done + day, &mut rng);
         assert_eq!(t.wake_terms(), [None, Some(done + day)]);
         assert_eq!(t.stats(), SchedulerStats::default());
     }

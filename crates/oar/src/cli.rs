@@ -93,7 +93,6 @@ pub fn oarnodes(server: &OarServer, limit: usize) -> String {
         let state = match server.node_state(node) {
             NodeState::Alive => "Alive",
             NodeState::Absent => "Absent",
-            NodeState::Suspected => "Suspected",
             NodeState::Dead => "Dead",
         };
         let cluster = props.get("cluster").map(|v| v.render()).unwrap_or_default();

@@ -41,8 +41,6 @@ pub enum NodeState {
     Alive,
     /// Administratively removed (maintenance).
     Absent,
-    /// Failed a health check; excluded until re-verified.
-    Suspected,
     /// Hardware dead.
     Dead,
 }

@@ -170,7 +170,7 @@ impl CampaignDigest {
             completions: m
                 .completions_per_family
                 .iter()
-                .map(|(k, v)| (k.clone(), *v))
+                .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
             weekly_means: m
                 .weekly_success
@@ -202,7 +202,6 @@ impl CampaignDigest {
                 let ci = c.ci();
                 let mut rows: Vec<String> = ci
                     .job_names_in_order()
-                    .iter()
                     .filter(|job| ci.history(job).finished().next().is_some())
                     .map(|job| job.to_string())
                     .collect();
@@ -228,7 +227,7 @@ impl CampaignDigest {
             detected_by_kind: m
                 .detected_by_kind
                 .iter()
-                .map(|(k, v)| (k.clone(), *v))
+                .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
             service_processes: c.testbed().processes().counters_by_kind(),
             saturation_episodes: m.saturation_episodes,

@@ -249,10 +249,15 @@ pub fn run_scenario(spec: &ScenarioSpec, oracles: &Oracles) -> ScenarioRun {
     }
 }
 
-/// Expand and check one seed, shrinking on failure when `shrink_failures`.
-pub fn run_seed(seed: u64, oracles: &Oracles, shrink_failures: bool) -> ScenarioOutcome {
-    let spec = ScenarioSpec::from_seed(seed);
-    let run = run_scenario(&spec, oracles);
+/// The outcome of `seed`: its finished `run` of `spec`, shrunk to a
+/// reproducer if it violated an oracle and `shrink_failures`.
+fn outcome(
+    seed: u64,
+    spec: ScenarioSpec,
+    run: ScenarioRun,
+    oracles: &Oracles,
+    shrink_failures: bool,
+) -> ScenarioOutcome {
     let tests_run = run.tests_run();
     let reproducer = if !run.violations.is_empty() && shrink_failures {
         shrink(&spec, oracles)
@@ -266,6 +271,13 @@ pub fn run_seed(seed: u64, oracles: &Oracles, shrink_failures: bool) -> Scenario
         reproducer,
         tests_run,
     }
+}
+
+/// Expand and check one seed, shrinking on failure when `shrink_failures`.
+pub fn run_seed(seed: u64, oracles: &Oracles, shrink_failures: bool) -> ScenarioOutcome {
+    let spec = ScenarioSpec::from_seed(seed);
+    let run = run_scenario(&spec, oracles);
+    outcome(seed, spec, run, oracles, shrink_failures)
 }
 
 /// Run `seeds` in parallel through the oracle suite.
@@ -292,19 +304,7 @@ pub fn run_seed_service_chaos(
     let mut spec = ScenarioSpec::from_seed(seed);
     pin_to_cell(&mut spec, cell, &mut stream_rng(seed, "swarm-service-chaos"));
     let run = run_scenario(&spec, oracles);
-    let tests_run = run.tests_run();
-    let reproducer = if !run.violations.is_empty() && shrink_failures {
-        shrink(&spec, oracles)
-    } else {
-        None
-    };
-    ScenarioOutcome {
-        seed,
-        spec,
-        violations: run.violations,
-        reproducer,
-        tests_run,
-    }
+    outcome(seed, spec, run, oracles, shrink_failures)
 }
 
 /// The service-chaos counterpart of [`run_swarm`]: every seed runs with
@@ -462,19 +462,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut corpus: Corpus) -> FuzzReport {
             }
             coverage_curve.push(corpus.len());
             if !run.violations.is_empty() {
-                let tests_run = run.tests_run();
-                let reproducer = if cfg.shrink_failures {
-                    shrink(&spec, &cfg.oracles)
-                } else {
-                    None
-                };
-                trophies.push(ScenarioOutcome {
-                    seed: spec.seed,
-                    spec,
-                    violations: run.violations,
-                    reproducer,
-                    tests_run,
-                });
+                trophies.push(outcome(spec.seed, spec, run, &cfg.oracles, cfg.shrink_failures));
             }
         }
         rounds += 1;

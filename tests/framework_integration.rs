@@ -1,7 +1,7 @@
 //! Cross-crate integration: campaign-level invariants that no single crate
 //! can check alone.
 
-use throughout::core::{Campaign, CampaignConfig, SchedulingMode};
+use throughout::core::{Campaign, CampaignConfig, SchedulingMode, TestbedScale};
 use throughout::sim::{SimDuration, SimTime};
 use throughout::status::{success_series, StatusGrid};
 
@@ -21,7 +21,6 @@ fn ci_history_agrees_with_campaign_metrics() {
     let finished: u64 = c
         .ci()
         .all_history()
-        .values()
         .map(|history| history.finished().count() as u64)
         .sum();
     let m = c.metrics();
@@ -134,5 +133,37 @@ fn success_series_from_live_histories_is_populated() {
     assert!(!series.means().is_empty());
     for (_, mean) in series.means() {
         assert!((0.0..=1.0).contains(&mean));
+    }
+}
+
+#[test]
+fn degenerate_configurations_run_to_the_horizon() {
+    // Two public configurations with nothing to do: a topology with no
+    // cluster, and a CI server with no executor. Both are idle campaigns,
+    // under either launch policy.
+    let cron = SchedulingMode::NaiveCron {
+        period: SimDuration::from_days(1),
+    };
+    for mode in [SchedulingMode::External, cron] {
+        let mut empty = CampaignConfig::small(108);
+        empty.scale = TestbedScale::Custom(vec![]);
+        empty.mode = mode;
+        let mut starved = CampaignConfig::small(108);
+        starved.executors = 0;
+        starved.mode = mode;
+        for cfg in [empty, starved] {
+            let end = SimTime::ZERO + cfg.duration;
+            let mut c = Campaign::new(cfg);
+            c.record_events();
+            c.arm_snapshots();
+            c.run();
+            assert_eq!(c.now(), end);
+            // (Testbed-wide tests may still be launched on the empty
+            // topology; they find no resources and end unstable.)
+            let m = c.metrics();
+            assert_eq!(m.tests_run, 0);
+            assert_eq!(m.executor_busy.mean(), 0.0);
+            assert!(m.oar_utilization.mean().is_finite());
+        }
     }
 }

@@ -14,12 +14,16 @@
 //! * what arming the read plane adds to a campaign's allocator calls must
 //!   not grow with the campaign's length.
 //!
+//! The same allocator pins the write side's cost of one launched test: a
+//! CI build's names are written once, not once per holder.
+//!
 //! The allocator counts per thread, so the tests of this file can run in
 //! parallel without polluting each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use throughout::ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
 use throughout::core::snapshot::{CampaignSnapshot, Query, QueryAnswer, QueryEngine};
 use throughout::core::{Campaign, CampaignConfig};
 use throughout::sim::SimTime;
@@ -185,4 +189,35 @@ fn publishing_does_not_cost_more_as_history_grows() {
         late as f64 <= 1.25 * early as f64,
         "publishing cost {late} allocator calls over days 4-6 against {early} over days 1-3"
     );
+}
+
+#[test]
+fn a_launched_test_costs_ci_a_handful_of_allocations() {
+    let mut ci = CiServer::new(4);
+    ci.register(JobSpec {
+        name: "disk".into(),
+        kind: JobKind::Freestyle,
+        trigger: None,
+    });
+    let cell = ["cluster=grisou".to_string()];
+    let cycle = |ci: &mut CiServer| {
+        assert_eq!(ci.trigger_cells("disk", Cause::ExternalScheduler, &cell).len(), 1);
+        let work = ci.assign();
+        assert_eq!(work.len(), 1);
+        assert!(ci.finish(&work[0].build, BuildResult::Success, Vec::new()));
+    };
+    // Warm the queue and the history's buffers.
+    for _ in 0..64 {
+        cycle(&mut ci);
+    }
+    let ((), calls) = allocations_during(|| {
+        for _ in 0..64 {
+            cycle(&mut ci);
+        }
+    });
+    // Per cycle: the cell's name (shared by the history record, the queue
+    // entry, the executor slot and both returned references), the two
+    // returned vectors, and a history segment sealed every eighth build.
+    // A name copied per holder costs thirteen and more.
+    assert!(calls <= 64 * 4, "{calls} allocator calls for 64 launched tests");
 }
