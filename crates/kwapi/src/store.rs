@@ -11,6 +11,10 @@ use ttt_testbed::{perf, NodeId, SiteId, Testbed};
 #[derive(Debug)]
 pub struct MetricStore {
     power: Vec<RingSeries>,
+    /// Sampler scratch: `(label, watts before sensor noise)` for each
+    /// wattmeter of the sampling call in progress. Kept here so a sampling
+    /// run allocates nothing once it has seen its widest site.
+    readings: Vec<(NodeId, f64)>,
     /// Chaos hook: when armed, a window read over the REST API can be
     /// refused. Off by default.
     buggify: Buggify,
@@ -24,6 +28,7 @@ impl MetricStore {
     pub fn new(n: usize, capacity: usize, period: SimDuration) -> Self {
         MetricStore {
             power: (0..n).map(|_| RingSeries::new(capacity, period)).collect(),
+            readings: Vec::new(),
             buggify: Buggify::off(),
             window_reads: 0,
         }
@@ -78,9 +83,16 @@ impl MetricStore {
 /// Each tick reads every wattmeter. Crucially, the wattmeter labelled `n`
 /// measures `topology.measured_node(n)` — identity under correct cabling,
 /// some other node after a `CablingSwap` fault.
+///
+/// A sampling call holds `&Testbed`, so wiring, loads and hardware cannot
+/// change under it: what each wattmeter reads before noise is derived once
+/// per call, and a tick costs only the chaos check, the noise draw and the
+/// push.
 #[derive(Debug, Clone)]
 pub struct PowerSampler {
-    /// Sampling period (the paper: ≈1 Hz).
+    /// Sampling period (the paper: ≈1 Hz). A zero period is a sampler
+    /// with no clock: [`PowerSampler::run`] and
+    /// [`PowerSampler::run_site`] take no sample at all.
     pub period: SimDuration,
     /// Multiplicative Gaussian sensor noise (stddev as a fraction).
     pub noise: f64,
@@ -106,60 +118,14 @@ impl PowerSampler {
         store: &mut MetricStore,
         rng: &mut R,
     ) {
-        self.sample_filtered(tb, None, loads, t, store, rng);
-    }
-
-    /// Sample only the nodes of one site (the real service is per-site;
-    /// this also keeps per-label series time-ordered when several sites'
-    /// monitoring checks run in the same campaign tick).
-    pub fn sample_site<R: Rng>(
-        &self,
-        tb: &Testbed,
-        site: SiteId,
-        loads: &BTreeMap<NodeId, f64>,
-        t: SimTime,
-        store: &mut MetricStore,
-        rng: &mut R,
-    ) {
-        self.sample_filtered(tb, Some(site), loads, t, store, rng);
-    }
-
-    fn sample_filtered<R: Rng>(
-        &self,
-        tb: &Testbed,
-        site: Option<SiteId>,
-        loads: &BTreeMap<NodeId, f64>,
-        t: SimTime,
-        store: &mut MetricStore,
-        rng: &mut R,
-    ) {
-        for node in tb.nodes() {
-            if let Some(site) = site {
-                if node.site != site {
-                    continue;
-                }
-            }
-            // Buggify: a chaos-armed campaign occasionally loses a sample
-            // (flaky wattmeter read). Hashed from (node, instant) — no RNG
-            // draw, so the decision replays identically across engines.
-            // At the default chaos rates the loss stays far below the 20%
-            // per-label gap the kwapi family alarms on.
-            if tb
-                .buggify()
-                .fire_hashed("kwapi-sample", node.id.0 as u64 ^ t.as_nanos())
-            {
-                continue;
-            }
-            let measured = tb.topology().measured_node(node.id);
-            let load = loads.get(&measured).copied().unwrap_or(0.0);
-            let true_w = perf::power_draw_w(tb.node(measured), load);
-            let noisy = true_w * (1.0 + self.noise * gaussian(rng));
-            store.power_mut(node.id).push(t, noisy.max(0.0));
-        }
+        self.sample(tb, all_labels(tb), loads, std::iter::once(t), store, rng);
     }
 
     /// Sample one site continuously from `from` (exclusive) to `to`
-    /// (inclusive) at the configured period.
+    /// (inclusive) at the configured period. The real service is per-site;
+    /// this also keeps per-label series time-ordered when several sites'
+    /// monitoring checks run in the same campaign tick. Only the site's own
+    /// wattmeters are visited, in node order; an unknown site has none.
     #[allow(clippy::too_many_arguments)]
     pub fn run_site<R: Rng>(
         &self,
@@ -171,11 +137,15 @@ impl PowerSampler {
         store: &mut MetricStore,
         rng: &mut R,
     ) {
-        let mut t = from + self.period;
-        while t <= to {
-            self.sample_site(tb, site, loads, t, store, rng);
-            t += self.period;
-        }
+        // Site → clusters → member nodes is ascending node-id order, even
+        // when the cluster list interleaves sites.
+        let labels = tb
+            .sites()
+            .get(site.index())
+            .into_iter()
+            .flat_map(|s| &s.clusters)
+            .flat_map(|&c| tb.cluster(c).nodes.iter().copied());
+        self.sample(tb, labels, loads, self.ticks(from, to), store, rng);
     }
 
     /// Sample continuously from `from` (exclusive) to `to` (inclusive) at
@@ -189,12 +159,60 @@ impl PowerSampler {
         store: &mut MetricStore,
         rng: &mut R,
     ) {
-        let mut t = from + self.period;
-        while t <= to {
-            self.sample_all(tb, loads, t, store, rng);
-            t += self.period;
+        self.sample(tb, all_labels(tb), loads, self.ticks(from, to), store, rng);
+    }
+
+    /// The sampling instants in `(from, to]`; none when the period is zero.
+    fn ticks(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = SimTime> {
+        let period = self.period;
+        let count = match period.as_nanos() {
+            0 => 0,
+            p => to.as_nanos().saturating_sub(from.as_nanos()) / p,
+        };
+        (1..=count).map(move |k| from + period.saturating_mul(k))
+    }
+
+    /// Read the wattmeters `labels` at every instant of `ticks`, tick-major
+    /// and label-minor.
+    fn sample<R: Rng>(
+        &self,
+        tb: &Testbed,
+        labels: impl Iterator<Item = NodeId>,
+        loads: &BTreeMap<NodeId, f64>,
+        ticks: impl Iterator<Item = SimTime>,
+        store: &mut MetricStore,
+        rng: &mut R,
+    ) {
+        let MetricStore {
+            power, readings, ..
+        } = store;
+        readings.clear();
+        readings.extend(labels.map(|label| {
+            let measured = tb.topology().measured_node(label);
+            let load = loads.get(&measured).copied().unwrap_or(0.0);
+            (label, perf::power_draw_w(tb.node(measured), load))
+        }));
+        let buggify = tb.buggify();
+        for t in ticks {
+            for &(label, true_w) in readings.iter() {
+                // Buggify: a chaos-armed campaign occasionally loses a sample
+                // (flaky wattmeter read). Hashed from (node, instant) — no RNG
+                // draw, so the decision replays identically across engines.
+                // At the default chaos rates the loss stays far below the 20%
+                // per-label gap the kwapi family alarms on.
+                if buggify.fire_hashed("kwapi-sample", label.0 as u64 ^ t.as_nanos()) {
+                    continue;
+                }
+                let noisy = true_w * (1.0 + self.noise * gaussian(rng));
+                power[label.index()].push(t, noisy.max(0.0));
+            }
         }
     }
+}
+
+/// Every wattmeter label of the testbed, in node order.
+fn all_labels(tb: &Testbed) -> impl Iterator<Item = NodeId> + '_ {
+    tb.nodes().iter().map(|n| n.id)
 }
 
 fn gaussian<R: Rng>(rng: &mut R) -> f64 {

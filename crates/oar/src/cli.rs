@@ -52,10 +52,7 @@ pub fn oarsub(
 pub fn oarstat(server: &OarServer) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{:<8} {:<10} {:<10} {:<9} {:>6}", "Job id", "User", "State", "Queue", "Nodes");
-    for job in server.jobs().values() {
-        if job.state.is_final() {
-            continue;
-        }
+    for job in server.live_jobs() {
         let state = match job.state {
             JobState::Waiting => "Waiting",
             JobState::Scheduled => "Scheduled",
@@ -82,12 +79,12 @@ pub fn oarstat(server: &OarServer) -> String {
     out
 }
 
-/// `oarnodes` — per-node state and key properties.
+/// `oarnodes` — state and key properties of the first `limit` nodes the
+/// server schedules (all of them when it has fewer).
 pub fn oarnodes(server: &OarServer, limit: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{:<16} {:<10} {:<12} {:>6}", "Host", "State", "Cluster", "Cores");
-    for idx in 0..limit {
-        let node = ttt_testbed::NodeId(idx as u32);
+    for &node in server.own_nodes().iter().take(limit) {
         let props = server.properties(node);
         let Some(host) = props.get("host") else { break };
         let state = match server.node_state(node) {
@@ -107,7 +104,7 @@ mod tests {
     use super::*;
     use ttt_refapi::describe;
     use ttt_sim::SimTime;
-    use ttt_testbed::TestbedBuilder;
+    use ttt_testbed::{gen::ClusterSpec, TestbedBuilder, Vendor};
 
     fn server() -> (ttt_testbed::Testbed, OarServer) {
         let tb = TestbedBuilder::small().build();
@@ -183,5 +180,31 @@ mod tests {
         assert!(table.contains("Dead"));
         assert!(table.contains("Alive"));
         assert!(table.contains("alpha"));
+    }
+
+    /// The host column of an `oarnodes` table.
+    fn hosts(table: &str) -> Vec<&str> {
+        table.lines().skip(1).filter_map(|l| l.split_whitespace().next()).collect()
+    }
+
+    #[test]
+    fn oarnodes_stops_at_the_end_of_a_two_node_world() {
+        // Regression: `cmdline` asks for four rows; on a smaller testbed
+        // that indexed past the property table.
+        let spec = ClusterSpec::new("duo", "solo", 2, 4, Vendor::Dell, false, false);
+        let tb = TestbedBuilder::from_specs(vec![spec]).build();
+        let s = OarServer::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+        assert_eq!(hosts(&oarnodes(&s, 4)), ["duo-1", "duo-2"]);
+    }
+
+    #[test]
+    fn oarnodes_lists_the_servers_own_site() {
+        // Regression: every domain but the first listed the first site's
+        // hosts, all `Absent`, instead of its own.
+        let tb = TestbedBuilder::small().build();
+        let fed = crate::Federation::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+        let table = oarnodes(&fed.domain(1).oar, 4);
+        assert_eq!(hosts(&table), ["gamma-1", "gamma-2", "gamma-3", "delta-1"]);
+        assert!(!table.contains("Absent"), "{table}");
     }
 }

@@ -339,6 +339,10 @@ pub struct OarServer {
     /// Scratch deque reused by scheduling passes.
     waiting_scratch: VecDeque<JobId>,
     next_job: u64,
+    /// Low-water mark of [`OarServer::live_jobs`]: every job with a smaller
+    /// id is final. Ids are dense from 1 and only `end_job` makes a job
+    /// final, so it alone advances the mark, over each job at most once.
+    first_live: u64,
     events: EventQueue<OarEvent>,
     now: SimTime,
     /// Planning horizon: jobs not placeable within this window stay Waiting.
@@ -394,6 +398,7 @@ impl OarServer {
             waiting_set: HashSet::new(),
             waiting_scratch: VecDeque::new(),
             next_job: 1,
+            first_live: 1,
             events: EventQueue::new(),
             now: SimTime::ZERO,
             horizon: SimDuration::from_days(7),
@@ -434,9 +439,23 @@ impl OarServer {
         &self.jobs
     }
 
+    /// The jobs not yet in a final state, in id order, without walking the
+    /// finished past: what `oarstat` lists.
+    pub fn live_jobs(&self) -> impl Iterator<Item = &Job> {
+        self.jobs
+            .range(JobId(self.first_live)..)
+            .map(|(_, job)| job)
+            .filter(|job| !job.state.is_final())
+    }
+
     /// One job.
     pub fn job(&self, id: JobId) -> Option<&Job> {
         self.jobs.get(&id)
+    }
+
+    /// The nodes this server schedules, in node order.
+    pub(crate) fn own_nodes(&self) -> &[NodeId] {
+        &self.db.nodes_of_part[self.part]
     }
 
     /// The resource-database properties of one node (as loaded from the
@@ -675,6 +694,10 @@ impl OarServer {
             Release::Keep => {}
             Release::Whole => self.gantt.release(id, slots),
             Release::FromNow => self.gantt.truncate(id, slots, self.now),
+        }
+        if id.0 == self.first_live {
+            let finals = self.jobs.range(id..).take_while(|(_, j)| j.state.is_final());
+            self.first_live += finals.count() as u64;
         }
         true
     }

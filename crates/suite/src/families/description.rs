@@ -32,7 +32,7 @@ pub fn refapi(cluster: &str, ctx: &mut TestCtx) -> TestReport {
             duration,
         );
     };
-    for &node in &cl.nodes.clone() {
+    for &node in &cl.nodes {
         let report = check_node(ctx.tb, desc, node);
         diagnostics.extend(nodecheck_diagnostics(&report));
     }
@@ -111,7 +111,7 @@ pub fn dellbios(cluster: &str, ctx: &mut TestCtx) -> TestReport {
     let Some(cl) = ctx.tb.cluster_by_name(cluster) else {
         return TestReport::from_diagnostics(vec![], duration);
     };
-    for &node in &cl.nodes.clone() {
+    for &node in &cl.nodes {
         let n = ctx.tb.node(node);
         if !n.condition.alive {
             continue; // oarstate owns dead-node reporting

@@ -336,7 +336,11 @@ pub fn kwapi(site: &str, ctx: &mut TestCtx) -> TestReport {
     // Sampling-rate check on the control node, over THIS run's window
     // only (the ring buffer also holds samples from earlier runs).
     let expected = load_to.since(idle_from).as_secs_f64();
-    let got = ctx.kwapi.power(control).range(idle_from, load_to + SimDuration::from_secs(1)).len();
+    let got = ctx
+        .kwapi
+        .power(control)
+        .window(idle_from, load_to + SimDuration::from_secs(1))
+        .map_or(0, |w| w.count);
     if (got as f64) < expected * 0.8 {
         diagnostics.push(Diagnostic::new(
             format!("kwapi-rate@{site}"),
