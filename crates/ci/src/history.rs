@@ -43,6 +43,10 @@ pub struct JobHistory {
     /// [`SEGMENT_LEN`] between calls): where the next sealing check
     /// resumes, and the lower bound of every lookup.
     settled: usize,
+    /// [`tally`] of the sealed segments' finished builds, advanced where
+    /// a segment seals. `u32`s: every clone (each job of each epoch)
+    /// carries it, and a history too long for them does not fit in memory.
+    sealed_tally: (u32, u32),
 }
 
 /// The history of a job nobody registered.
@@ -54,6 +58,7 @@ impl JobHistory {
             sealed: Vec::new(),
             open: Vec::new(),
             settled: 0,
+            sealed_tally: (0, 0),
         }
     }
 
@@ -80,9 +85,18 @@ impl JobHistory {
     /// together; a queued or running build has neither and is skipped.
     /// Drive it with `for_each` / `fold`: the segment chain underneath
     /// iterates internally a good deal faster than `next()` by `next()`.
-    pub fn finished(&self) -> impl Iterator<Item = (Option<&str>, BuildResult, SimTime)> + '_ {
-        self.iter()
-            .filter_map(|b| Some((b.r#ref.cell.as_deref(), b.result?, b.finished_at?)))
+    pub fn finished(&self) -> impl Iterator<Item = Finished<'_>> + '_ {
+        finished(self.iter())
+    }
+
+    /// [`tally`] of [`JobHistory::finished`], at the cost of the open tail:
+    /// sealed segments never change, so their share is carried.
+    pub fn tally(&self) -> (u64, u64) {
+        let (finished, succeeded) = tally(finished(&self.open));
+        (
+            u64::from(self.sealed_tally.0) + finished,
+            u64::from(self.sealed_tally.1) + succeeded,
+        )
     }
 
     /// The sealed segments, oldest first. Two histories frozen from the
@@ -124,10 +138,30 @@ impl JobHistory {
             self.settled += 1;
         }
         while self.settled >= SEGMENT_LEN {
-            self.sealed.push(self.open.drain(..SEGMENT_LEN).collect());
+            let segment: Arc<[Build]> = self.open.drain(..SEGMENT_LEN).collect();
+            let (finished, succeeded) = tally(finished(segment.iter()));
+            self.sealed_tally.0 += finished as u32;
+            self.sealed_tally.1 += succeeded as u32;
+            self.sealed.push(segment);
             self.settled -= SEGMENT_LEN;
         }
     }
+}
+
+/// An item of [`JobHistory::finished`]: `(cell, result, finished_at)`.
+pub type Finished<'a> = (Option<&'a str>, BuildResult, SimTime);
+
+fn finished<'a>(builds: impl IntoIterator<Item = &'a Build>) -> impl Iterator<Item = Finished<'a>> {
+    builds
+        .into_iter()
+        .filter_map(|b| Some((b.r#ref.cell.as_deref(), b.result?, b.finished_at?)))
+}
+
+/// How many of `finished` builds there are, and how many succeeded.
+pub fn tally<'a>(finished: impl Iterator<Item = Finished<'a>>) -> (u64, u64) {
+    finished.fold((0, 0), |(total, ok), (_, result, _)| {
+        (total + 1, ok + u64::from(result.is_success()))
+    })
 }
 
 /// The success series of `histories`: every finished build, job by job in
@@ -200,10 +234,15 @@ mod tests {
         }
     }
 
+    /// Odd builds fail; whatever sealed, the carried tally is the fold.
     fn finish(h: &mut JobHistory, number: u32) {
         let r = build(number).r#ref;
-        h.pending_mut(&r).expect("pending build").result = Some(BuildResult::Success);
+        let b = h.pending_mut(&r).expect("pending build");
+        b.result = Some([BuildResult::Success, BuildResult::Failure][number as usize % 2]);
+        b.finished_at = Some(SimTime::from_secs(u64::from(number)));
         h.seal_settled();
+        assert_eq!(h.tally(), tally(h.finished()));
+        assert_eq!(h.clone().tally(), h.tally());
     }
 
     fn numbers(h: &JobHistory) -> Vec<u32> {
@@ -231,6 +270,7 @@ mod tests {
         assert!(h.open().is_empty());
         assert_eq!(numbers(&h), (1..=n).collect::<Vec<_>>());
         assert!(h.iter().all(|b| b.result.is_some()));
+        assert_eq!(h.tally(), (u64::from(n), u64::from(n / 2)));
     }
 
     #[test]
@@ -283,6 +323,8 @@ mod tests {
         // The live tail moves on; the frozen copy does not.
         finish(&mut h, SEGMENT_LEN as u32 + 1);
         assert_eq!(frozen.open()[0].result, None);
-        assert_eq!(h.open()[0].result, Some(BuildResult::Success));
+        assert_eq!(h.open()[0].result, Some(BuildResult::Failure));
+        let n = SEGMENT_LEN as u64;
+        assert_eq!((frozen.tally(), h.tally()), ((n, n / 2), (n + 1, n / 2)));
     }
 }

@@ -26,7 +26,7 @@ pub mod matrix;
 pub mod model;
 pub mod server;
 
-pub use history::{cell_target, success_series, FrozenJob, JobHistory};
+pub use history::{cell_target, success_series, tally, Finished, FrozenJob, JobHistory};
 pub use matrix::{expand_axes, failed_cells, render_cell, Cell};
 pub use model::{Axis, Build, BuildResult, BuildRef, Cause, CronTrigger, JobKind, JobSpec};
 pub use server::{CiServer, WorkItem};

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use ttt_ci::{
-    expand_axes, render_cell, Axis, Build, BuildRef, BuildResult, Cause, CiServer, CronTrigger,
-    JobKind, JobSpec, WorkItem,
+    expand_axes, render_cell, tally, Axis, Build, BuildRef, BuildResult, Cause, CiServer,
+    CronTrigger, JobKind, JobSpec, WorkItem,
 };
 use ttt_sim::{Buggify, SimDuration, SimTime};
 
@@ -321,6 +321,17 @@ fn assert_same_history(server: &CiServer, model: &Model) {
     assert_eq!(server.now(), model.now);
 }
 
+/// The tally each history carries for its sealed part, plus its open
+/// tail, is the fold over every finished build — live and frozen.
+fn assert_carried_tallies(server: &CiServer, step: usize) {
+    for job in NAMES {
+        let live = server.history(job);
+        let frozen = live.clone();
+        assert_eq!(live.tally(), tally(live.finished()), "step {step}: {job}");
+        assert_eq!(frozen.tally(), tally(frozen.finished()), "step {step}: {job}, frozen");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -379,9 +390,14 @@ proptest! {
                 }
                 // Finish whichever running build the draw lands on: the
                 // order of finishes is unrelated to the order of starts.
+                // The first executor's build is rarely the one, so it
+                // sticks at the head of its tail while builds behind it
+                // finish: sealing lags, then catches up all at once (two
+                // to four segments in one step, in a third of the cases).
                 6..=8 => {
+                    let stuck = usize::from(!pick.is_multiple_of(16));
                     let running: Vec<BuildRef> =
-                        model.executors.iter().flatten().cloned().collect();
+                        model.executors.iter().skip(stuck).flatten().cloned().collect();
                     if let Some(r) = running.get(pick % running.len().max(1)) {
                         let result = results[pick % results.len()];
                         let log = vec![format!("step {step}")];
@@ -418,6 +434,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(server.next_cron_firing(), model.next_cron_firing(), "step {}", step);
+            assert_carried_tallies(&server, step);
             if step % 64 == 0 {
                 assert_same_history(&server, &model);
             }

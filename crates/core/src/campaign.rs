@@ -21,6 +21,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use ttt_bugs::{BugTracker, OperatorModel};
 use ttt_ci::{BuildRef, BuildResult, CiServer, JobKind as CiJobKind, JobSpec, WorkItem};
 use ttt_jobsched::{TestEntry, Trigger};
@@ -152,6 +153,10 @@ pub struct Campaign {
     /// `cfg.queries_per_day > 0`, or on demand via
     /// [`Campaign::arm_snapshots`]; unarmed, no epochs publish.
     publisher: Publisher,
+    /// Wall time spent in each phase, indexed like [`PHASES`]; `None`
+    /// until [`Campaign::clock_phases`]. Host time only: no digest, metric
+    /// or event reads it.
+    phase_wall: Option<[Duration; PHASES.len()]>,
 }
 
 impl Campaign {
@@ -291,6 +296,7 @@ impl Campaign {
                 cfg.query_users,
                 rngs.stream("queries"),
             ),
+            phase_wall: None,
             cfg,
         }
     }
@@ -308,6 +314,19 @@ impl Campaign {
     pub fn take_event_log(&mut self) -> Option<EventLog> {
         self.tb.set_rpc_trace(false);
         self.observer.take_events()
+    }
+
+    /// Arm the per-phase wall clock (and reset it). Like recording, timing
+    /// never perturbs the campaign.
+    pub fn clock_phases(&mut self) {
+        self.phase_wall = Some([Duration::ZERO; PHASES.len()]);
+    }
+
+    /// Wall time spent in each phase since [`Campaign::clock_phases`], in
+    /// execution order; empty when the clock was never armed.
+    pub fn phase_wall(&self) -> impl Iterator<Item = (&'static str, Duration)> + '_ {
+        let names = PHASES.iter().map(|&(name, _)| name);
+        names.zip(self.phase_wall.into_iter().flatten())
     }
 
     /// The testbed (inspection from examples/benches).
@@ -499,8 +518,16 @@ impl Campaign {
     /// share.
     pub(crate) fn step_to(&mut self, t: SimTime) {
         self.now = t;
-        for (_, phase) in PHASES {
+        // Read once: no phase arms the clock, and a silent step then pays
+        // one load for all eleven phases.
+        let clocked = self.phase_wall.is_some();
+        for (slot, (_, phase)) in PHASES.iter().enumerate() {
+            // detlint: allow(no-wall-clock) -- operator-facing phase timing, read only by `phase_wall`; never simulation state
+            let started = clocked.then(Instant::now);
             phase(self, t);
+            if let (Some(wall), Some(started)) = (&mut self.phase_wall, started) {
+                wall[slot] += started.elapsed();
+            }
         }
     }
 

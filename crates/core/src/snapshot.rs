@@ -27,8 +27,9 @@
 //!
 //! ## Sharing contract
 //!
-//! An epoch costs what changed since the previous one, because every
-//! section that did not change is the *same allocation* as last epoch's:
+//! An epoch costs what was sampled and what finished since the previous
+//! one, because every section that did not change is the *same
+//! allocation* as last epoch's and no section is re-derived from its past:
 //!
 //! * **Shared across epochs** (and with the write plane) — each job's
 //!   name and its sealed history segments (`Arc<[Build]>`, see
@@ -41,8 +42,9 @@
 //!   other code can hand an epoch a second copy.
 //! * **Copied every epoch** — each job's open tail (builds that may still
 //!   change, at most a segment plus what is in flight); one queue row per
-//!   site; one power window per sampled node. These are the facts that
-//!   move between epochs.
+//!   site; one power window per label sampled since the previous epoch
+//!   ([`MetricStore::windows`] opens no other ring). These are the facts
+//!   that move between epochs.
 //! * **When a segment seals** — once the leading builds of a job's tail
 //!   fill a segment (a private constant of [`ttt_ci::history`]) and all
 //!   have a result. A build stuck unfinished only delays sealing: builds
@@ -51,8 +53,10 @@
 //! Nothing else holds history, and no reader needs another shape of it:
 //! the status page renders `&snap.jobs` and `snap.services` as they are.
 //! A [`QueryAnswer::Nodes`] answer is the index's own list, not a copy.
-//! Status-cell, job-trend and fold reads walk a job's history through the
-//! two folds of [`ttt_ci::history`]; they allocate nothing per build.
+//! The snapshot fold is a fold over open tails: each history carries the
+//! tally of its sealed part ([`ttt_ci::JobHistory::tally`]). Status-cell
+//! and job-trend reads walk a job's whole history through the two folds
+//! of [`ttt_ci::history`]; they allocate nothing per build.
 //!
 //! ## Locking honesty
 //!
@@ -71,8 +75,8 @@ use rand::Rng;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use ttt_ci::{cell_target, success_series, BuildResult, CiServer, FrozenJob};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use ttt_ci::{cell_target, success_series, tally, CiServer, Finished, FrozenJob};
 use ttt_kwapi::{MetricStore, WindowAgg};
 use ttt_oar::Federation;
 use ttt_refapi::{all_properties, PropertyDb, RefApi};
@@ -251,13 +255,21 @@ impl SnapshotHub {
         }
     }
 
+    /// The ring, for reading. A tenant that panicked holding the lock
+    /// poisons it, but every critical section is one push with at most
+    /// one pop, one `Arc` clone or one `len`: the ring is consistent at
+    /// every unlock, so the guard is recovered and the plane stays up.
+    fn read(&self) -> RwLockReadGuard<'_, VecDeque<Arc<CampaignSnapshot>>> {
+        self.ring.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publish the next epoch, evicting the oldest beyond capacity, and
     /// hand the caller its shared handle.
     pub fn publish(&self, snap: CampaignSnapshot) -> Arc<CampaignSnapshot> {
         let epoch = snap.epoch;
         let snap = Arc::new(snap);
         let evicted = {
-            let mut ring = self.ring.write().expect("snapshot ring poisoned");
+            let mut ring = self.ring.write().unwrap_or_else(PoisonError::into_inner);
             ring.push_back(Arc::clone(&snap));
             // One push per publish: at most one epoch is over capacity.
             if ring.len() > self.capacity {
@@ -275,11 +287,7 @@ impl SnapshotHub {
 
     /// The newest epoch, if anything has been published.
     pub fn latest(&self) -> Option<Arc<CampaignSnapshot>> {
-        self.ring
-            .read()
-            .expect("snapshot ring poisoned")
-            .back()
-            .cloned()
+        self.read().back().cloned()
     }
 
     /// Epoch number of the newest published snapshot (0 before the
@@ -291,7 +299,7 @@ impl SnapshotHub {
 
     /// Number of epochs currently held.
     pub fn held(&self) -> usize {
-        self.ring.read().expect("snapshot ring poisoned").len()
+        self.read().len()
     }
 }
 
@@ -314,16 +322,6 @@ pub struct QueryStats {
 /// simulating the *effect* of millions of users needs the volume and a
 /// representative answered sample, not millions of inline evaluations.
 pub const QUERY_SAMPLE_PER_EPOCH: u64 = 32;
-
-/// An item of [`ttt_ci::JobHistory::finished`].
-type Finished<'a> = (Option<&'a str>, BuildResult, SimTime);
-
-/// How many of `finished` builds there are, and how many succeeded.
-fn tally<'a>(finished: impl Iterator<Item = Finished<'a>>) -> (u64, u64) {
-    finished.fold((0, 0), |(total, ok), (_, result, _)| {
-        (total + 1, ok + u64::from(result.is_success()))
-    })
-}
 
 /// The multi-tenant query engine: answers any typed [`Query`] against any
 /// held epoch. Stateless — concurrency is the caller sharing snapshots
@@ -521,7 +519,7 @@ pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
     for job in &s.jobs {
         h = mix_str(h, &job.name);
         h = mix(h, job.history.len() as u64);
-        let (finished, ok) = tally(job.history.finished());
+        let (finished, ok) = job.history.tally();
         h = mix(mix(h, finished), ok);
     }
     for q in &s.queues {
@@ -590,6 +588,8 @@ pub struct Publisher {
     /// The service rows last published; the next epoch shares them while
     /// every row still renders its process.
     service_rows: Arc<[ServiceLiveness]>,
+    /// Power-window rows of the last epoch: the next one's size hint.
+    window_rows: usize,
 }
 
 impl Publisher {
@@ -608,6 +608,7 @@ impl Publisher {
             props_cache: None,
             site_names: Vec::new(),
             service_rows: Arc::default(),
+            window_rows: 0,
         };
         if queries_per_day > 0.0 {
             publisher.arm();
@@ -654,15 +655,9 @@ impl Publisher {
         }
         // Per-node power windows over [from, t): nodes that never sampled
         // have no row; a chaos-refused window read drops its row.
-        let mut windows = Vec::new();
-        for node in tb.nodes() {
-            if kwapi.power(node.id).raw_len() == 0 {
-                continue;
-            }
-            if let Ok(Some(agg)) = kwapi.window(node.id, from, t) {
-                windows.push((node.id.0, agg));
-            }
-        }
+        let mut windows = Vec::with_capacity(self.window_rows);
+        kwapi.windows(from, t, |node, agg| windows.push((node.0, agg)));
+        self.window_rows = windows.len();
         if self.site_names.is_empty() {
             self.site_names = site_names(tb);
         }
@@ -875,6 +870,27 @@ mod tests {
         // The writer moved on; the old reader's epoch is still intact.
         hub.publish(snap(2));
         assert_eq!(held.epoch, 1);
+    }
+
+    #[test]
+    fn a_tenant_that_panicked_holding_the_ring_does_not_take_the_plane_down() {
+        let hub = Arc::new(SnapshotHub::new(2));
+        hub.publish(snap(1));
+        let h2 = Arc::clone(&hub);
+        let died = std::thread::spawn(move || {
+            let _guard = h2.ring.write().unwrap_or_else(PoisonError::into_inner);
+            panic!("tenant bug, write guard held");
+        })
+        .join();
+        assert!(died.is_err() && hub.ring.is_poisoned());
+        // Readers and the writer carry on over the poisoned lock.
+        assert_eq!(hub.latest().map(|s| s.epoch), Some(1));
+        assert_eq!(hub.held(), 1);
+        for e in 2..=3 {
+            hub.publish(snap(e));
+        }
+        assert_eq!((hub.published(), hub.held()), (3, 2));
+        assert_eq!(hub.latest().map(|s| s.epoch), Some(3));
     }
 
     #[test]

@@ -51,6 +51,15 @@ pub struct RingSeries {
     acc: Option<ConsolidatedPoint>,
 }
 
+/// The series of a label nobody tracks: it never sampled.
+pub(crate) static UNTRACKED: RingSeries = RingSeries {
+    raw: VecDeque::new(),
+    capacity: 1,
+    period: SimDuration::from_mins(1),
+    consolidated: Vec::new(),
+    acc: None,
+};
+
 impl RingSeries {
     /// Create a series keeping `capacity` raw samples and consolidating
     /// evicted samples over `period`.

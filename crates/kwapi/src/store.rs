@@ -1,16 +1,26 @@
 //! The metric store and the ~1 Hz power sampler.
 
-use crate::series::{RingSeries, WindowAgg};
+use crate::series::{RingSeries, WindowAgg, UNTRACKED};
 use rand::Rng;
 use std::collections::BTreeMap;
 use ttt_sim::{Buggify, RpcError, SimDuration, SimTime};
 use ttt_testbed::{perf, NodeId, SiteId, Testbed};
 
 /// Per-node power series, keyed by *wattmeter label* (which equals the node
-/// id when the wiring is correct).
+/// id when the wiring is correct). A label at or past [`MetricStore::len`]
+/// is one the store does not track: it reads as never sampled and a push
+/// to it is dropped.
+///
+/// The store is the only writer of its rings — samples arrive through
+/// [`MetricStore::push`] alone — so what it keeps beside them stays true.
 #[derive(Debug)]
 pub struct MetricStore {
     power: Vec<RingSeries>,
+    /// Per label, the instant one nanosecond past its newest sample;
+    /// `SimTime::ZERO` while it never sampled. Dense, so a section read
+    /// ([`MetricStore::windows`]) learns which rings can hold a row
+    /// without opening any of them.
+    sampled_until: Vec<SimTime>,
     /// Sampler scratch: `(label, watts before sensor noise)` for each
     /// wattmeter of the sampling call in progress. Kept here so a sampling
     /// run allocates nothing once it has seen its widest site.
@@ -28,6 +38,7 @@ impl MetricStore {
     pub fn new(n: usize, capacity: usize, period: SimDuration) -> Self {
         MetricStore {
             power: (0..n).map(|_| RingSeries::new(capacity, period)).collect(),
+            sampled_until: vec![SimTime::ZERO; n],
             readings: Vec::new(),
             buggify: Buggify::off(),
             window_reads: 0,
@@ -38,6 +49,15 @@ impl MetricStore {
     /// every read identical to an unarmed store.
     pub fn set_buggify(&mut self, buggify: Buggify) {
         self.buggify = buggify;
+    }
+
+    /// Record one sample of the wattmeter labelled `node`. Samples of one
+    /// label must arrive in non-decreasing time order.
+    pub fn push(&mut self, node: NodeId, t: SimTime, watts: f64) {
+        if let Some(ring) = self.power.get_mut(node.index()) {
+            ring.push(t, watts);
+            self.sampled_until[node.index()] = t.saturating_add(SimDuration::from_nanos(1));
+        }
     }
 
     /// Serve one window read as the kwapi REST API would: aggregate the
@@ -54,17 +74,37 @@ impl MetricStore {
         if self.buggify.fire_hashed("kwapi-window", self.window_reads) {
             return Err(RpcError::Refused);
         }
-        Ok(self.power[node.index()].window(from, to))
+        Ok(self.power(node).window(from, to))
+    }
+
+    /// Serve one [`MetricStore::window`] read per label that ever sampled,
+    /// in ascending label order, and hand `row` each aggregate that was
+    /// served and is not empty. Labels that never sampled are not read,
+    /// so every other label's read has the number a label-by-label walk
+    /// gives it. A label whose newest sample is older than `from` has no
+    /// row whatever chaos decides: its read is counted and neither its
+    /// ring nor the hash is touched, so a call costs the labels sampled
+    /// since `from` plus eight bytes per label.
+    pub fn windows(&mut self, from: SimTime, to: SimTime, mut row: impl FnMut(NodeId, WindowAgg)) {
+        for i in 0..self.sampled_until.len() {
+            let until = self.sampled_until[i];
+            if until == SimTime::ZERO {
+                continue;
+            }
+            if until <= from {
+                self.window_reads += 1;
+                continue;
+            }
+            let label = NodeId(i as u32);
+            if let Ok(Some(agg)) = self.window(label, from, to) {
+                row(label, agg);
+            }
+        }
     }
 
     /// The power series reported for (the wattmeter labelled) `node`.
     pub fn power(&self, node: NodeId) -> &RingSeries {
-        &self.power[node.index()]
-    }
-
-    /// Mutable access for the sampler.
-    pub fn power_mut(&mut self, node: NodeId) -> &mut RingSeries {
-        &mut self.power[node.index()]
+        self.power.get(node.index()).unwrap_or(&UNTRACKED)
     }
 
     /// Number of nodes tracked.
@@ -173,7 +213,10 @@ impl PowerSampler {
     }
 
     /// Read the wattmeters `labels` at every instant of `ticks`, tick-major
-    /// and label-minor.
+    /// and label-minor. A wattmeter the store has no ring for is read like
+    /// any other — chaos check, one Box–Muller pair — and its sample
+    /// dropped, so the labels the store keeps draw exactly what they draw
+    /// beside a store that tracks everyone.
     fn sample<R: Rng>(
         &self,
         tb: &Testbed,
@@ -183,9 +226,7 @@ impl PowerSampler {
         store: &mut MetricStore,
         rng: &mut R,
     ) {
-        let MetricStore {
-            power, readings, ..
-        } = store;
+        let mut readings = std::mem::take(&mut store.readings);
         readings.clear();
         readings.extend(labels.map(|label| {
             let measured = tb.topology().measured_node(label);
@@ -204,9 +245,10 @@ impl PowerSampler {
                     continue;
                 }
                 let noisy = true_w * (1.0 + self.noise * gaussian(rng));
-                power[label.index()].push(t, noisy.max(0.0));
+                store.push(label, t, noisy.max(0.0));
             }
         }
+        store.readings = readings;
     }
 }
 
@@ -225,7 +267,7 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
 mod tests {
     use super::*;
     use ttt_sim::rng::stream_rng;
-    use ttt_testbed::{FaultKind, FaultTarget, TestbedBuilder};
+    use ttt_testbed::{FaultKind, FaultTarget, SiteId, TestbedBuilder};
 
     fn setup() -> (Testbed, MetricStore) {
         let tb = TestbedBuilder::small().build();
@@ -333,6 +375,53 @@ mod tests {
         );
         let (_, w) = store.power(n).latest().unwrap();
         assert_eq!(w, 0.0);
+    }
+
+    #[test]
+    fn a_label_the_store_does_not_track_reads_as_never_sampled() {
+        // Two rings on a testbed of many wattmeters, beside a store that
+        // tracks them all: same calls, same stream.
+        let (tb, mut full) = setup();
+        assert!(tb.nodes().len() > 2);
+        let mut store = MetricStore::new(2, 600, SimDuration::from_mins(1));
+        let mut rng = stream_rng(6, "kwapi");
+        let mut full_rng = rng.clone();
+        let sampler = PowerSampler::default();
+        let idle = BTreeMap::new();
+        let t = SimTime::from_secs;
+        for (store, rng) in [(&mut store, &mut rng), (&mut full, &mut full_rng)] {
+            sampler.run(&tb, &idle, t(0), t(30), store, rng);
+            sampler.run_site(&tb, SiteId(0), &idle, t(30), t(60), store, rng);
+            sampler.sample_all(&tb, &idle, t(61), store, rng);
+        }
+        // The two labels it keeps hold what the full store holds for them,
+        // and the stream stands where the full store left it.
+        let everything = (SimTime::ZERO, SimTime::MAX);
+        for label in [NodeId(0), NodeId(1)] {
+            assert_eq!(store.power(label).raw_len(), 61);
+            assert_eq!(
+                store.power(label).range(everything.0, everything.1),
+                full.power(label).range(everything.0, everything.1)
+            );
+        }
+        assert_eq!(rand::RngCore::next_u64(&mut rng), rand::RngCore::next_u64(&mut full_rng));
+        // Everyone else reads as never sampled: an empty series, and a
+        // window read that is counted like any other and serves nothing.
+        store.set_buggify(Buggify::new(99, 0.3));
+        for (read, label) in [NodeId(2), tb.nodes()[9].id, NodeId(9999), NodeId(u32::MAX)]
+            .into_iter()
+            .enumerate()
+        {
+            store.push(label, t(62), 100.0);
+            assert_eq!(store.power(label).raw_len(), 0);
+            assert_eq!(store.power(label).mean(everything.0, everything.1), None);
+            let refused = Buggify::new(99, 0.3).fire_hashed("kwapi-window", read as u64 + 1);
+            let expected = if refused { Err(RpcError::Refused) } else { Ok(None) };
+            assert_eq!(store.window(label, everything.0, everything.1), expected);
+        }
+        let mut rows = Vec::new();
+        store.windows(everything.0, everything.1, |label, agg| rows.push((label, agg.count)));
+        assert!(rows.iter().all(|&(label, count)| label.0 < 2 && count == 61), "{rows:?}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn reference_tick(
         let u2: f64 = rng.gen_range(0.0..1.0);
         let gaussian = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         let noisy = true_w * (1.0 + sampler.noise * gaussian);
-        store.power_mut(node.id).push(t, noisy.max(0.0));
+        store.push(node.id, t, noisy.max(0.0));
     }
 }
 

@@ -21,6 +21,10 @@
 //!
 //! # Replay a run-log artifact and bitwise-diff against the original:
 //! cargo run --release -p ttt_scengen --example swarm -- --replay-log FILE
+//!
+//! # Where one run's wall time goes, per `step_to` phase:
+//! cargo run --release -p ttt_scengen --example swarm -- --phases \
+//!     [--scenario FILE ... | --scenario-dir DIR | --seeds N --base B]
 //! ```
 //!
 //! Sweep mode prints one line per scenario, a throughput summary, and —
@@ -47,13 +51,19 @@
 //! shrunken reproducer (`trophy-seed-<N>-runlog.json`); `--replay-log`
 //! re-drives such an artifact and fails unless the digest and observable
 //! event stream match the original bit-for-bit.
+//!
+//! `--phases` runs each scenario file (or each seed of the block) once, on
+//! one thread and without oracles, with the campaign's phase clock armed,
+//! and prints the wall time of every phase — subtract a run without
+//! `queries.per_day` from one with it to read what publishing costs.
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use ttt_core::Campaign;
 use ttt_scengen::{
     load_scenario_file, replay_run_log_file, run_fuzz, run_logged, run_scenario, run_swarm,
     run_swarm_service_chaos, seed_block, worker_count, Corpus, FuzzConfig, Oracles,
-    ScenarioOutcome,
+    ScenarioOutcome, ScenarioSpec,
 };
 
 /// A command-line usage error: one line on stderr, exit 2.
@@ -116,9 +126,39 @@ fn write_reproducers(outcomes: &[&ScenarioOutcome], dump_dir: Option<&str>, log_
     }
 }
 
-/// Validate and run hand-written scenario files through the oracles.
-/// Returns whether anything failed (validation or oracle).
-fn run_scenario_files(files: &[PathBuf], oracles: &Oracles, log_dir: Option<&str>) -> bool {
+/// Run `spec` once with the phase clock armed and print where the wall
+/// time of its steps went.
+fn print_phases(label: &str, spec: &ScenarioSpec) {
+    let mut campaign = Campaign::new(spec.campaign_config());
+    campaign.clock_phases();
+    campaign.run();
+    let total: Duration = campaign.phase_wall().map(|(_, wall)| wall).sum();
+    println!(
+        "phases {label}: {} nodes  {} h  {} tests  {} epochs  {:.3} ms in steps",
+        spec.node_count(),
+        spec.duration_hours,
+        campaign.metrics().tests_run,
+        campaign.snapshot_hub().map_or(0, |hub| hub.published()),
+        total.as_secs_f64() * 1e3
+    );
+    for (name, wall) in campaign.phase_wall() {
+        println!(
+            "  {name:<20} {:>12.3} ms  {:>5.1} %",
+            wall.as_secs_f64() * 1e3,
+            100.0 * wall.as_secs_f64() / total.as_secs_f64().max(1e-12)
+        );
+    }
+}
+
+/// Validate and run hand-written scenario files through the oracles — or,
+/// with `phases`, under the phase clock instead. Returns whether anything
+/// failed (validation or oracle).
+fn run_scenario_files(
+    files: &[PathBuf],
+    oracles: &Oracles,
+    log_dir: Option<&str>,
+    phases: bool,
+) -> bool {
     let mut any_failure = false;
     for path in files {
         let name = path.display();
@@ -133,6 +173,10 @@ fn run_scenario_files(files: &[PathBuf], oracles: &Oracles, log_dir: Option<&str
                 continue;
             }
         };
+        if phases {
+            print_phases(&name.to_string(), &spec);
+            continue;
+        }
         let run = run_scenario(&spec, oracles);
         if run.violations.is_empty() {
             println!(
@@ -229,6 +273,7 @@ fn main() {
     let mut replay_logs: Vec<String> = Vec::new();
     let mut scenario_files: Vec<PathBuf> = Vec::new();
     let mut scenario_dirs: Vec<String> = Vec::new();
+    let mut phases = false;
     let mut fuzz = false;
     let mut fuzz_oracles = false;
     let mut fuzz_cfg = FuzzConfig::default();
@@ -258,6 +303,7 @@ fn main() {
             "--replay-log" => replay_logs.push(raw("--replay-log")),
             "--scenario" => scenario_files.push(PathBuf::from(raw("--scenario"))),
             "--scenario-dir" => scenario_dirs.push(raw("--scenario-dir")),
+            "--phases" => phases = true,
             "--fuzz" => fuzz = true,
             "--budget" => fuzz_cfg.budget = value("--budget") as usize,
             "--batch" => fuzz_cfg.batch = value("--batch") as usize,
@@ -311,8 +357,14 @@ fn main() {
         }
     }
     if !scenario_files.is_empty() {
-        let failed = run_scenario_files(&scenario_files, &oracles, log_dir.as_deref());
+        let failed = run_scenario_files(&scenario_files, &oracles, log_dir.as_deref(), phases);
         std::process::exit(if failed || replay_log_failure { 1 } else { 0 });
+    }
+    if phases {
+        for seed in seed_block(base, n) {
+            print_phases(&format!("seed {seed}"), &ScenarioSpec::from_seed(seed));
+        }
+        return;
     }
     if !replay_logs.is_empty() && !fuzz {
         // Pure replay invocation: don't fall through to a seed sweep.

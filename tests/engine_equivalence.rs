@@ -9,6 +9,7 @@
 //! swarm (`tests/scenario_swarm.rs`) extends the same check from these
 //! hand-written scenarios to the whole generated grammar.
 
+use throughout::core::campaign::PHASES;
 use throughout::core::{Campaign, CampaignConfig, Rollout, SchedulingMode};
 use throughout::scengen::CampaignDigest;
 use throughout::sim::{SimDuration, SimTime};
@@ -195,7 +196,8 @@ fn partial_advance_matches_single_run() {
 /// phases come due in one pass: cron fires them in suite order, the
 /// external scheduler in rollout-add order, and the order is
 /// digest-visible) and under an all-at-start rollout with enough user load
-/// that builds block on their testbed job.
+/// that builds block on their testbed job. Each runs silent and with the
+/// phase clock armed: host time must reach neither digest nor log.
 /// To regenerate after an intended behaviour change, run with
 /// `-- --nocapture` and copy the three printed folds.
 #[test]
@@ -228,21 +230,30 @@ fn golden_event_stream_is_pinned_across_commits() {
         ("naive-staged", naive(12, staged)),
         ("naive-all-at-start", contended),
     ];
-    let folds = worlds.map(|(label, cfg)| {
-        let mut c = Campaign::new(cfg);
-        c.record_events();
-        c.run();
-        let log = c.take_event_log().expect("recording was armed");
-        let text = format!("{:?}", (CampaignDigest::capture(&c), log));
-        let fold = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        }) & 0xffff_ffff_ffff;
-        println!("{label}: {fold:#x}");
-        fold
-    });
-    assert_eq!(
-        folds,
-        [0x5efa_df57_5d03, 0x53b2_d849_adfb, 0xb4fb_0d30_e0bd],
-        "a digest or an event log moved"
-    );
+    for clocked in [false, true] {
+        let folds = worlds.clone().map(|(label, cfg)| {
+            let mut c = Campaign::new(cfg);
+            c.record_events();
+            if clocked {
+                c.clock_phases();
+            }
+            c.run();
+            let phases: Vec<&str> = c.phase_wall().map(|(name, _)| name).collect();
+            let expected = if clocked { PHASES.map(|p| p.0).to_vec() } else { vec![] };
+            assert_eq!(phases, expected, "{label}");
+            assert_eq!(c.phase_wall().any(|(_, wall)| !wall.is_zero()), clocked, "{label}");
+            let log = c.take_event_log().expect("recording was armed");
+            let text = format!("{:?}", (CampaignDigest::capture(&c), log));
+            let fold = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            }) & 0xffff_ffff_ffff;
+            println!("{label}: {fold:#x}");
+            fold
+        });
+        assert_eq!(
+            folds,
+            [0x5efa_df57_5d03, 0x53b2_d849_adfb, 0xb4fb_0d30_e0bd],
+            "a digest or an event log moved (phase clock armed: {clocked})"
+        );
+    }
 }

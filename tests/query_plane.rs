@@ -9,8 +9,9 @@
 //!    stream, so arming it shifts no other stream.
 //! 2. **Snapshot = live** — a published epoch is a faithful copy of the
 //!    campaign's observable state at its sample instant: every view in
-//!    the snapshot equals the live accessor evaluated at that instant.
-//!    Checked with buggify off and via immutable accessors only
+//!    the snapshot equals the live accessor evaluated at that instant,
+//!    and every epoch's power windows are exactly the rows the live rings
+//!    hold. Checked with buggify off and via immutable accessors only
 //!    (`RefApi::latest`, `RingSeries::window`), so the comparison itself
 //!    cannot tick the chaos-audited read counters.
 //! 3. **Pinned folds** — how an epoch is *represented* (shared history
@@ -32,7 +33,6 @@ use throughout::core::{Campaign, CampaignConfig};
 use throughout::scengen::CampaignDigest;
 use throughout::sim::{SimDuration, SimTime};
 use throughout::status::StatusGrid;
-use throughout::testbed::NodeId;
 
 fn digest(cfg: CampaignConfig, drive: fn(&mut Campaign)) -> CampaignDigest {
     let mut c = Campaign::new(cfg);
@@ -148,6 +148,49 @@ fn first_and_last_epoch() -> &'static [Arc<CampaignSnapshot>; 2] {
     })
 }
 
+/// `snap.windows` must be, bit for bit and in both directions, the rows a
+/// node-by-node read of the live rings over the epoch's window gives: `c`
+/// stands at the publish instant, so its store is what the publisher read.
+/// Returns whether a ring already holds samples of the *next* window — a
+/// `kwapi` test launched at this very instant samples `t+1 s … t+60 s`
+/// before the step's publish runs.
+fn assert_windows_are_the_live_rings(c: &Campaign, snap: &CampaignSnapshot) -> bool {
+    let (from, to) = (snap.window_from, snap.window_to);
+    let rings = || c.testbed().nodes().iter().map(|n| (n.id.0, c.power_store().power(n.id)));
+    let bits = |w: &throughout::kwapi::WindowAgg| [w.min, w.mean, w.max].map(f64::to_bits);
+    let live: Vec<_> = rings()
+        .filter_map(|(node, ring)| Some((node, ring.window(from, to)?)))
+        .map(|(node, w)| (node, w.count, bits(&w)))
+        .collect();
+    let held: Vec<_> = snap.windows.iter().map(|(node, w)| (*node, w.count, bits(w))).collect();
+    assert_eq!(held, live, "epoch {} over [{from:?}, {to:?})", snap.epoch);
+    rings().any(|(_, ring)| ring.latest().is_some_and(|(newest, _)| newest >= to))
+}
+
+/// The trap a publish that reads only what moved must not fall into:
+/// samples pushed before an epoch's publish can belong to the next epoch.
+/// Hold every epoch of a block of campaigns as it publishes, as the
+/// ledger's readers do; the block must contain such epochs, and each one
+/// (and the one after it) must still hold exactly the live rows.
+#[test]
+fn every_epoch_holds_exactly_the_live_power_windows() {
+    let (mut epochs, mut early, mut rows) = (0u32, 0u32, 0usize);
+    for seed in 1..=6 {
+        let mut c = Campaign::new(armed(seed));
+        let hub = c.snapshot_hub().expect("armed config builds a hub");
+        for hour in 1..=72 {
+            c.run_until(SimTime::from_hours(hour));
+            let snap = hub.latest().expect("an epoch per hour");
+            assert_eq!(snap.at, SimTime::from_hours(hour));
+            epochs += 1;
+            early += u32::from(assert_windows_are_the_live_rings(&c, &snap));
+            rows += snap.windows.len();
+        }
+    }
+    assert!(early > 0, "no epoch of {epochs} published with next-window samples waiting");
+    assert!(rows > 0, "no power row in {epochs} epochs");
+}
+
 /// A string an outside caller might send: empty, one the epoch knows
 /// (a job, site, target, property key or value), or arbitrary text.
 fn text(draw: u64, snap: &CampaignSnapshot) -> String {
@@ -216,9 +259,10 @@ proptest! {
     /// Stop an armed campaign at an arbitrary sample instant and compare
     /// the last published epoch against the live campaign, field by
     /// field: CI histories, status grid, queue depths and spillovers,
-    /// service liveness rows, description version, and every per-node
-    /// power window. Then cross-check the query engine: answers against
-    /// the snapshot must equal the live state the snapshot mirrors.
+    /// service liveness rows, description version, and the power windows
+    /// (those of every epoch on the way, too). Then cross-check the query
+    /// engine: answers against the snapshot must equal the live state the
+    /// snapshot mirrors.
     #[test]
     fn published_epoch_matches_live_state(seed in 0u64..1_000_000, hours in 1u64..=48) {
         let mut cfg = CampaignConfig::small(seed);
@@ -226,7 +270,11 @@ proptest! {
         cfg.query_users = 1_000;
         let mut c = Campaign::new(cfg);
         let hub = c.snapshot_hub().expect("armed config builds a hub");
-        c.run_until(SimTime::from_hours(hours));
+        for hour in 1..=hours {
+            c.run_until(SimTime::from_hours(hour));
+            let snap = hub.latest().expect("an epoch per hour");
+            assert_windows_are_the_live_rings(&c, &snap);
+        }
         let snap = hub.latest().expect("at least one epoch published");
 
         // The snapshot is stamped at the exact sample instant we stopped
@@ -263,16 +311,6 @@ proptest! {
 
         // Reference API: version via the immutable accessor.
         prop_assert_eq!(snap.description_version, c.refapi().latest().map(|d| d.version));
-
-        // Power windows: every snapshot row equals the immutable ring
-        // read over the same [from, to) span.
-        for (node, agg) in &snap.windows {
-            let live = c
-                .power_store()
-                .power(NodeId(*node))
-                .window(snap.window_from, snap.window_to);
-            prop_assert_eq!(Some(*agg), live, "node {}", node);
-        }
 
         // The query engine answers from the snapshot alone; spot-check it
         // against the live state the snapshot mirrors.
