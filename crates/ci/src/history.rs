@@ -24,12 +24,13 @@
 //! segments are shared (`Arc` clones), the tail is copied. There is no
 //! other copy of history anywhere, and no second shape of it: the status
 //! page, the query engine and the digests all read a `JobHistory`, live
-//! or frozen, through the two folds defined here — [`JobHistory::finished`]
-//! and [`success_series`].
+//! or frozen, through the three folds defined here —
+//! [`JobHistory::finished`], [`success_series`] and [`trend_ends`], the
+//! series' first and last entries at the cost of two walks.
 
 use crate::model::{Build, BuildRef, BuildResult};
 use std::sync::Arc;
-use ttt_sim::{PeriodSeries, SimDuration, SimTime};
+use ttt_sim::{OnlineStats, PeriodSeries, SimDuration, SimTime};
 
 /// Builds per sealed segment.
 const SEGMENT_LEN: usize = 8;
@@ -164,41 +165,93 @@ pub fn tally<'a>(finished: impl Iterator<Item = Finished<'a>>) -> (u64, u64) {
     })
 }
 
+/// The bucket width of a success series asked for `period`: never shorter
+/// than a minute — a zero period has no buckets, and a nanosecond one would
+/// allocate a bucket per nanosecond of history. No upper bound is needed: a
+/// period longer than the history is one bucket.
+fn bucket_width(period: SimDuration) -> SimDuration {
+    period.max(SimDuration::from_mins(1))
+}
+
+/// 1.0 for a success, 0.0 otherwise: what a success series averages.
+fn score(result: BuildResult) -> f64 {
+    f64::from(u8::from(result.is_success()))
+}
+
 /// The success series of `histories`: every finished build, job by job in
-/// creation order, as 1.0 (success) or 0.0 at its finish time, bucketed by
-/// `period`. A period shorter than a minute is taken as a minute — a zero
-/// period has no buckets, and a nanosecond one would allocate a bucket per
-/// nanosecond of history. No upper bound is needed: a period longer than
-/// the history is one bucket.
+/// creation order, as its `score` at its finish time, bucketed by `period`
+/// (see `bucket_width`).
 pub fn success_series<'a>(
     histories: impl IntoIterator<Item = &'a JobHistory>,
     period: SimDuration,
 ) -> PeriodSeries {
-    let mut series = PeriodSeries::new(period.max(SimDuration::from_mins(1)));
+    let mut series = PeriodSeries::new(bucket_width(period));
     for history in histories {
         history.finished().for_each(|(_, result, at)| {
-            series.push(at, if result.is_success() { 1.0 } else { 0.0 });
+            series.push(at, score(result));
         });
     }
     series
 }
 
-/// The status-page target a matrix cell belongs to: the cluster or site
-/// axis value (images group under their cluster), `"global"` for cell-less
+/// The first and last entries of `success_series([history], period).means()`,
+/// bit for bit, without a bucket for every period in between; `None` when
+/// nothing finished. Pass one finds the earliest and latest finish, whose
+/// buckets are the series' first and last non-empty ones; pass two replays
+/// the finished builds of those two buckets in creation order, the order
+/// the series' Welford accumulators see them in. When the two buckets are
+/// one, every finished build is in it and one accumulator serves both ends.
+pub fn trend_ends(history: &JobHistory, period: SimDuration) -> Option<(f64, f64)> {
+    let width = bucket_width(period).as_nanos();
+    let (earliest, latest) = history
+        .finished()
+        .fold((u64::MAX, 0), |(lo, hi), (.., at)| {
+            (lo.min(at.as_nanos()), hi.max(at.as_nanos()))
+        });
+    if earliest > latest {
+        return None;
+    }
+    // Where the two buckets start. `at - first < width` is `at` before the
+    // first bucket's end, which may lie past the last representable instant.
+    let first = earliest / width * width;
+    let last = latest / width * width;
+    let (mut head, mut tail) = (OnlineStats::new(), OnlineStats::new());
+    history.finished().for_each(|(_, result, at)| {
+        let at = at.as_nanos();
+        if at - first < width {
+            head.push(score(result));
+        } else if at >= last {
+            tail.push(score(result));
+        }
+    });
+    let tail = if tail.count() == 0 { head } else { tail };
+    Some((head.mean(), tail.mean()))
+}
+
+/// The status-page target a matrix cell belongs to: the value of the first
+/// part naming the cluster, site or scope axis (images group under their
+/// cluster), the whole cell when no part does, `"global"` for cell-less
 /// builds. The one bucketing rule of the status grid and the query engine,
-/// borrowed from the cell so bucketing a history allocates nothing.
+/// borrowed from the cell so bucketing a history allocates nothing. One
+/// scan: every cell the suite renders names its axis in its first part.
 pub fn cell_target(cell: Option<&str>) -> &str {
     let Some(cell) = cell else {
         return "global";
     };
-    for part in cell.split(',') {
+    // `,` is ASCII, so every cut at one lands on a char boundary.
+    let comma = |s: &str| s.bytes().position(|b| b == b',');
+    let mut part = cell;
+    loop {
         for axis in ["cluster=", "site=", "scope="] {
-            if let Some(v) = part.strip_prefix(axis) {
-                return v;
+            if let Some(value) = part.strip_prefix(axis) {
+                return comma(value).map_or(value, |end| &value[..end]);
             }
         }
+        match comma(part) {
+            Some(end) => part = &part[end + 1..],
+            None => return cell,
+        }
     }
-    cell
 }
 
 /// One job as a reader holds it — a read-plane epoch or a live status

@@ -16,8 +16,8 @@
 //!   never runs test logic itself;
 //! * [`history`] — each job's builds as immutable sealed segments plus an
 //!   open tail, so a reader freezes the whole history for the cost of the
-//!   tail, with the two folds every reader shares (finished builds, and
-//!   their success series bucketed by a period).
+//!   tail, with the three folds every reader shares (finished builds,
+//!   their success series bucketed by a period, and its two ends).
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +26,9 @@ pub mod matrix;
 pub mod model;
 pub mod server;
 
-pub use history::{cell_target, success_series, tally, Finished, FrozenJob, JobHistory};
+pub use history::{
+    cell_target, success_series, tally, trend_ends, Finished, FrozenJob, JobHistory,
+};
 pub use matrix::{expand_axes, failed_cells, render_cell, Cell};
 pub use model::{Axis, Build, BuildResult, BuildRef, Cause, CronTrigger, JobKind, JobSpec};
 pub use server::{CiServer, WorkItem};

@@ -138,7 +138,8 @@ pub struct JobSpec {
 }
 
 /// Reference to a concrete build (one cell of a matrix counts as a build).
-/// Clones share the names: the text is written once per build.
+/// Clones share the names: a server writes each job's and each cell's text
+/// once, for all of their builds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BuildRef {
     /// Job name.

@@ -44,6 +44,10 @@ pub struct CiServer {
     /// Job name → row of `jobs`. Key order is the order same-instant cron
     /// triggers fire in and [`CiServer::all_history`] walks.
     by_name: BTreeMap<Arc<str>, usize>,
+    /// Every cell any job ever built: each is written once and shared by
+    /// all of its builds, so one cell is one `Arc`.
+    // detlint: allow(no-unordered-iteration) -- lookup-only interner on the enqueue path; never iterated, so its order cannot leak
+    cells: std::collections::HashSet<Arc<str>>,
     queue: VecDeque<(BuildRef, Cause)>,
     executors: Vec<Option<BuildRef>>,
     now: SimTime,
@@ -66,6 +70,7 @@ impl CiServer {
         CiServer {
             jobs: Vec::new(),
             by_name: BTreeMap::new(),
+            cells: Default::default(),
             queue: VecDeque::new(),
             executors: vec![None; executors],
             now: SimTime::ZERO,
@@ -187,13 +192,14 @@ impl CiServer {
         let number = self.jobs[row].next_number;
         let mut enqueued = Vec::new();
         for cell in cells {
-            if self.is_pending(&self.jobs[row].name, cell) {
+            let cell = cell.map(|cell| self.intern(cell));
+            if self.is_pending(&self.jobs[row].name, cell.as_ref()) {
                 continue;
             }
             let r = BuildRef {
                 job: Arc::clone(&self.jobs[row].name),
                 number,
-                cell: cell.map(Arc::from),
+                cell,
             };
             self.jobs[row].history.push(Build {
                 r#ref: r.clone(),
@@ -213,9 +219,28 @@ impl CiServer {
         enqueued
     }
 
-    /// Whether an identical job+cell is already queued or running.
-    fn is_pending(&self, job: &str, cell: Option<&str>) -> bool {
-        let same = |r: &BuildRef| &*r.job == job && r.cell.as_deref() == cell;
+    /// The server's one copy of `cell`, made on its first build.
+    fn intern(&mut self, cell: &str) -> Arc<str> {
+        if let Some(held) = self.cells.get(cell) {
+            return Arc::clone(held);
+        }
+        let held: Arc<str> = cell.into();
+        self.cells.insert(Arc::clone(&held));
+        held
+    }
+
+    /// Whether an identical job+cell is already queued or running. Every
+    /// queued or running reference was made by `enqueue` from its job's one
+    /// name and the one copy of its cell, so an identical one holds the same
+    /// `Arc`s.
+    fn is_pending(&self, job: &Arc<str>, cell: Option<&Arc<str>>) -> bool {
+        let same = |r: &BuildRef| {
+            Arc::ptr_eq(&r.job, job)
+                && match (&r.cell, cell) {
+                    (Some(held), Some(cell)) => Arc::ptr_eq(held, cell),
+                    (held, cell) => held.is_none() && cell.is_none(),
+                }
+        };
         self.queue.iter().any(|(r, _)| same(r)) || self.executors.iter().flatten().any(same)
     }
 

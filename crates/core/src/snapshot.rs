@@ -54,9 +54,11 @@
 //! the status page renders `&snap.jobs` and `snap.services` as they are.
 //! A [`QueryAnswer::Nodes`] answer is the index's own list, not a copy.
 //! The snapshot fold is a fold over open tails: each history carries the
-//! tally of its sealed part ([`ttt_ci::JobHistory::tally`]). Status-cell
-//! and job-trend reads walk a job's whole history through the two folds
-//! of [`ttt_ci::history`]; they allocate nothing per build.
+//! tally of its sealed part ([`ttt_ci::JobHistory::tally`]). A status-cell
+//! read walks the job's builds once, a prefix test and a short compare
+//! each; a job-trend read walks them twice and replays only its first and
+//! last buckets ([`ttt_ci::trend_ends`]), whatever the period. Neither
+//! allocates.
 //!
 //! ## Locking honesty
 //!
@@ -76,7 +78,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
-use ttt_ci::{cell_target, success_series, tally, CiServer, Finished, FrozenJob};
+use ttt_ci::{cell_target, tally, trend_ends, CiServer, Finished, FrozenJob};
 use ttt_kwapi::{MetricStore, WindowAgg};
 use ttt_oar::Federation;
 use ttt_refapi::{all_properties, PropertyDb, RefApi};
@@ -351,18 +353,14 @@ impl QueryEngine {
                 let Some(frozen) = snap.jobs.iter().find(|j| *j.name == **job) else {
                     return QueryAnswer::NotFound;
                 };
-                // The status page's HistoryReport runs the same fold, so
-                // the two planes agree to the last bit. `period_mins` is
+                // The two ends of the series the status page's
+                // HistoryReport renders, to the last bit. `period_mins` is
                 // outside input: the conversion saturates and the fold
                 // takes no period shorter than a minute.
                 let period = SimDuration::from_mins(*period_mins);
-                let means = success_series([&frozen.history], period).means();
-                match (means.first(), means.last()) {
-                    (Some((_, first)), Some((_, last))) => QueryAnswer::Trend {
-                        first: *first,
-                        last: *last,
-                    },
-                    _ => QueryAnswer::NotFound,
+                match trend_ends(&frozen.history, period) {
+                    Some((first, last)) => QueryAnswer::Trend { first, last },
+                    None => QueryAnswer::NotFound,
                 }
             }
             Query::NodeFilter { key, value } => {

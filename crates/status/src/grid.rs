@@ -52,10 +52,10 @@ impl StatusGrid {
     /// Build the grid from the CI server's read API — every job's history,
     /// frozen live (`CiServer::freeze_history`) or held by a read-plane
     /// epoch (`&snap.jobs`); finished builds only. Walks the shared
-    /// history in place, and agrees bit-for-bit with
-    /// `ttt_core::snapshot::QueryEngine` status-cell answers against the
-    /// same jobs (both run [`ttt_ci::JobHistory::finished`] and bucket by
-    /// [`ttt_ci::cell_target`]).
+    /// history in place, bucketing by [`ttt_ci::cell_target`]. Every cell
+    /// equals `ttt_core::snapshot::QueryEngine`'s status-cell answer
+    /// against the same jobs: `tests/query_plane.rs` checks it on every
+    /// epoch of two armed days.
     pub fn from_jobs(jobs: &[FrozenJob]) -> StatusGrid {
         let mut cells: BTreeMap<(String, String), CellStatus> = BTreeMap::new();
         for job in jobs {

@@ -20,9 +20,10 @@ pub struct HistoryReport {
 
 impl HistoryReport {
     /// Build per-job histories from the CI server's read API — every
-    /// job's history, frozen live or held by a read-plane epoch.
-    /// Bit-identical with `ttt_core::snapshot::QueryEngine` job-trend
-    /// answers against the same jobs (both run [`ttt_ci::success_series`]).
+    /// job's history, frozen live or held by a read-plane epoch. A row's
+    /// two ends are, bit for bit, `ttt_core::snapshot::QueryEngine`'s
+    /// job-trend answer against the same jobs ([`ttt_ci::trend_ends`]):
+    /// `tests/query_plane.rs` checks it on every epoch of two armed days.
     pub fn from_jobs(jobs: &[FrozenJob], period: SimDuration) -> Self {
         let mut per_job = BTreeMap::new();
         for job in jobs {

@@ -22,6 +22,8 @@
 //! 4. **No query panics** — `Query` is outside input (it deserialises):
 //!    whatever strings and integers it carries, answering it against any
 //!    epoch returns, and returns the same answer twice.
+//! 5. **One answer on both planes** — the status page's grid and history
+//!    report agree with the status-cell and job-trend answers, bit for bit.
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -32,7 +34,7 @@ use throughout::core::snapshot::{
 use throughout::core::{Campaign, CampaignConfig};
 use throughout::scengen::CampaignDigest;
 use throughout::sim::{SimDuration, SimTime};
-use throughout::status::StatusGrid;
+use throughout::status::{HistoryReport, StatusGrid};
 
 fn digest(cfg: CampaignConfig, drive: fn(&mut Campaign)) -> CampaignDigest {
     let mut c = Campaign::new(cfg);
@@ -189,6 +191,74 @@ fn every_epoch_holds_exactly_the_live_power_windows() {
     }
     assert!(early > 0, "no epoch of {epochs} published with next-window samples waiting");
     assert!(rows > 0, "no power row in {epochs} epochs");
+}
+
+/// The status page and the query engine read one history two ways: the
+/// grid and the report build every cell and every bucket, a `StatusCell` or
+/// `JobTrend` answer walks only what it answers about. Over every hourly
+/// epoch of two armed days they must agree — every `(job, target)` of the
+/// grid, `"global"` and a target no cell has, and every job's trend at six
+/// periods, floats by their bits — and answer `NotFound` exactly where the
+/// grid has no cell and the report no row.
+#[test]
+fn status_page_and_query_engine_agree_on_every_epoch() {
+    let mut c = Campaign::new(armed(2017));
+    let hub = c.snapshot_hub().expect("armed config builds a hub");
+    let (mut ratios, mut trends) = (0u32, 0u32);
+    for hour in 1..=48 {
+        c.run_until(SimTime::from_hours(hour));
+        let snap = hub.latest().expect("an epoch per hour");
+        let grid = StatusGrid::from_jobs(&snap.jobs);
+        let targets = grid
+            .targets
+            .iter()
+            .map(String::as_str)
+            .chain(["global", "nowhere"]);
+        for (job, target) in snap
+            .jobs
+            .iter()
+            .flat_map(|j| targets.clone().map(move |t| (j, t)))
+        {
+            let q = Query::StatusCell {
+                job: job.name.to_string(),
+                target: target.to_string(),
+            };
+            let expected = grid
+                .cell(&job.name, target)
+                .map_or(QueryAnswer::NotFound, |cell| QueryAnswer::Ratio {
+                    pass: cell.successes,
+                    total: cell.total,
+                });
+            assert_eq!(
+                QueryEngine::answer(&snap, &q),
+                expected,
+                "hour {hour}: {q:?}"
+            );
+            ratios += u32::from(expected != QueryAnswer::NotFound);
+        }
+        for period_mins in [1, 60, 360, 1_440, 10_080, u64::MAX] {
+            let report = HistoryReport::from_jobs(&snap.jobs, SimDuration::from_mins(period_mins));
+            for job in &snap.jobs {
+                let q = Query::JobTrend {
+                    job: job.name.to_string(),
+                    period_mins,
+                };
+                let bits = |first: f64, last: f64| Some((first.to_bits(), last.to_bits()));
+                let expected = report
+                    .per_job
+                    .get(&*job.name)
+                    .and_then(|series| bits(series.first()?.1, series.last()?.1));
+                let answered = match QueryEngine::answer(&snap, &q) {
+                    QueryAnswer::Trend { first, last } => bits(first, last),
+                    QueryAnswer::NotFound => None,
+                    other => panic!("hour {hour}: {q:?} answered {other:?}"),
+                };
+                assert_eq!(answered, expected, "hour {hour}: {q:?}");
+                trends += u32::from(expected.is_some());
+            }
+        }
+    }
+    assert!(ratios > 0 && trends > 0, "{ratios} ratios, {trends} trends");
 }
 
 /// A string an outside caller might send: empty, one the epoch knows
