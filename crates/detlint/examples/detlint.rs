@@ -81,7 +81,14 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         },
-        Err(_) => None,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => {
+            eprintln!(
+                "detlint: cannot read baseline {}: {e}",
+                baseline_path.display()
+            );
+            return ExitCode::from(2);
+        }
     };
 
     if do_write {

@@ -22,7 +22,6 @@
 
 use crate::rules::{brace_match, find_pattern, FileCtx, Violation};
 use crate::FileKind;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The service crates whose `Result`-returning functions form the
@@ -47,7 +46,7 @@ pub struct RegistryEntry {
 }
 
 /// One `.fire("…")` site found in code.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FireSite {
     /// Callsite name from the string literal.
     pub callsite: String,
@@ -56,9 +55,10 @@ pub struct FireSite {
     /// 1-based line.
     pub line: u32,
 }
+serde::record!(struct FireSite { callsite, file, line });
 
 /// Buggify density of one service crate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrateDensity {
     /// Crate name.
     pub crate_name: String,
@@ -67,9 +67,10 @@ pub struct CrateDensity {
     /// Total surface functions.
     pub total: usize,
 }
+serde::record!(struct CrateDensity { crate_name, covered, total });
 
 /// A surface function with no buggify arm in its body.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UncoveredFn {
     /// Crate name.
     pub crate_name: String,
@@ -80,9 +81,10 @@ pub struct UncoveredFn {
     /// 1-based line of the `fn` keyword.
     pub line: u32,
 }
+serde::record!(struct UncoveredFn { crate_name, file, fn_name, line });
 
 /// The audit half of a lint report.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Audit {
     /// Per-service-crate buggify density, sorted by crate name.
     pub crates: Vec<CrateDensity>,
@@ -91,6 +93,7 @@ pub struct Audit {
     /// Every fire site found in non-test library code.
     pub fires: Vec<FireSite>,
 }
+serde::record!(struct Audit { crates, uncovered, fires });
 
 /// Run the audit over all files. Returns the audit data plus the
 /// registry-reconciliation violations.

@@ -13,20 +13,20 @@
 
 use crate::audit::Audit;
 use crate::rules::Violation;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The full output of a lint run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LintReport {
     /// Every rule firing (escapes already applied).
     pub violations: Vec<Violation>,
     /// The buggify-surface audit.
     pub audit: Audit,
 }
+serde::record!(struct LintReport { violations, audit });
 
 /// A committed `(rule, file)` debt entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineRule {
     /// Catalogue rule name.
     pub rule: String,
@@ -37,9 +37,10 @@ pub struct BaselineRule {
     /// Why the debt is tolerated. Must be non-empty.
     pub reason: String,
 }
+serde::record!(struct BaselineRule { rule, file, count, reason });
 
 /// A committed buggify-coverage floor for one crate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineCrate {
     /// Crate name.
     pub crate_name: String,
@@ -49,9 +50,10 @@ pub struct BaselineCrate {
     /// Surface size when the baseline was written (informational).
     pub total: usize,
 }
+serde::record!(struct BaselineCrate { crate_name, covered, total });
 
 /// A committed exemption for one uncovered surface function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineUncovered {
     /// Crate name.
     pub crate_name: String,
@@ -62,18 +64,23 @@ pub struct BaselineUncovered {
     /// Why this function carries no buggify arm. Must be non-empty.
     pub reason: String,
 }
+serde::record!(struct BaselineUncovered { crate_name, file, fn_name, reason });
 
 /// The buggify half of a baseline.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BaselineBuggify {
     /// Per-crate coverage floors.
     pub crates: Vec<BaselineCrate>,
     /// Tolerated uncovered surface functions.
     pub uncovered: Vec<BaselineUncovered>,
 }
+serde::record!(struct BaselineBuggify { crates, uncovered });
+
+/// The `version` [`write_baseline`] stamps and [`ratchet`] accepts.
+pub const BASELINE_VERSION: u32 = 1;
 
 /// The committed ratchet state (`detlint-baseline.json`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Baseline {
     /// Format version (currently 1).
     pub version: u32,
@@ -82,6 +89,7 @@ pub struct Baseline {
     /// Buggify coverage floors and exemptions.
     pub buggify: BaselineBuggify,
 }
+serde::record!(struct Baseline { version, rules, buggify });
 
 /// The ratchet verdict: failures flunk the run, warnings invite a
 /// baseline tightening.
@@ -104,7 +112,13 @@ impl RatchetOutcome {
 pub fn ratchet(report: &LintReport, baseline: &Baseline) -> RatchetOutcome {
     let mut out = RatchetOutcome::default();
 
-    // The baseline itself must be fully justified.
+    // The baseline itself must be of this format and fully justified.
+    if baseline.version != BASELINE_VERSION {
+        out.failures.push(format!(
+            "baseline version {} is not {BASELINE_VERSION}",
+            baseline.version
+        ));
+    }
     for r in &baseline.rules {
         if r.reason.trim().is_empty() {
             out.failures.push(format!(
@@ -250,7 +264,7 @@ pub fn write_baseline(report: &LintReport, prev: Option<&Baseline>) -> Baseline 
             .or_default() += 1;
     }
     Baseline {
-        version: 1,
+        version: BASELINE_VERSION,
         rules: counts
             .into_iter()
             .map(|((rule, file), count)| BaselineRule {

@@ -19,7 +19,6 @@
 
 use crate::lexer::{self, TokKind, Token};
 use crate::{FileKind, SourceFile};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule of the catalogue.
@@ -54,8 +53,8 @@ pub const RULES: &[RuleSpec] = &[
         desc: "library code must surface errors, not unwrap them",
     },
     RuleSpec {
-        name: "no-serde-derive-off-boundary",
-        desc: "only the on-disk boundary modules may derive Serialize/Deserialize",
+        name: "no-serde-off-boundary",
+        desc: "only the on-disk boundary modules may implement Serialize/Deserialize",
     },
     RuleSpec {
         name: "require-forbid-unsafe",
@@ -85,7 +84,7 @@ pub fn is_rule(name: &str) -> bool {
 }
 
 /// One rule firing at a location.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Catalogue rule name.
     pub rule: String,
@@ -96,6 +95,7 @@ pub struct Violation {
     /// Human-readable detail.
     pub message: String,
 }
+serde::record!(struct Violation { rule, file, line, message });
 
 /// A parsed `// detlint: allow(rule) -- reason` comment.
 #[derive(Debug, Clone)]
@@ -339,13 +339,19 @@ const PATTERN_RULES: &[PatternRule] = &[
         in_scope: |f| f.kind == FileKind::Lib,
         skip_tests: true,
     },
+    PatternRule {
+        rule: "no-serde-off-boundary",
+        patterns: &["record!(", "impl serde::Serialize", "impl serde::Deserialize"],
+        in_scope: |f| !BOUNDARY.contains(&f.path.as_str()),
+        skip_tests: false,
+    },
 ];
 
 /// The input boundary: the only files whose types reach an encoder or a
-/// decoder (run log, corpus, detlint baseline/report). A derive anywhere
-/// else is a public, unvalidated constructor nothing is pointed at.
-/// `scenario.v1` is hand-written in `scenario_file.rs` and derives nothing.
-const BOUNDARY: [&str; 9] = [
+/// decoder (scenario file, run log, corpus, detlint baseline/report). A
+/// decoder anywhere else is a public, unvalidated constructor nothing is
+/// pointed at.
+const BOUNDARY: [&str; 10] = [
     "crates/detlint/src/audit.rs",
     "crates/detlint/src/report.rs",
     "crates/detlint/src/rules.rs",
@@ -353,6 +359,7 @@ const BOUNDARY: [&str; 9] = [
     "crates/scengen/src/coverage.rs",
     "crates/scengen/src/oracle.rs",
     "crates/scengen/src/runlog.rs",
+    "crates/scengen/src/scenario_file.rs",
     "crates/sim/src/eventlog.rs",
     "crates/sim/src/time.rs",
 ];
@@ -403,27 +410,6 @@ pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
                     file: path.clone(),
                     line,
                     message: format!("`{pat}` in non-exempt code"),
-                });
-            }
-        }
-    }
-
-    // Serde derives stay on the boundary. A derive list may wrap over
-    // several lines, so the span runs to its closing parenthesis.
-    if !BOUNDARY.contains(&path.as_str()) {
-        for at in find_pattern(&ctx.view, "#[derive(") {
-            let list = &ctx.view[at..];
-            let list = &list[..list.find(')').unwrap_or(list.len())];
-            let line = ctx.line_of(at);
-            let derives_serde = ["Serialize", "Deserialize"]
-                .iter()
-                .any(|name| !find_pattern(list, name).is_empty());
-            if derives_serde && !ctx.allowed("no-serde-derive-off-boundary", line) {
-                out.push(Violation {
-                    rule: "no-serde-derive-off-boundary".into(),
-                    file: path.clone(),
-                    line,
-                    message: "serde derive outside the BOUNDARY files".into(),
                 });
             }
         }

@@ -3,7 +3,7 @@
 
 use ttt_detlint::report::{
     ratchet, write_baseline, Baseline, BaselineBuggify, BaselineCrate, BaselineRule,
-    BaselineUncovered,
+    BaselineUncovered, BASELINE_VERSION,
 };
 use ttt_detlint::{lint, FileKind, LintReport, SourceFile};
 
@@ -60,7 +60,11 @@ fn shrunk_debt_warns() {
 
 #[test]
 fn unbaselined_violation_fails_with_lines() {
-    let out = ratchet(&report_with_unwraps(1), &Baseline::default());
+    let empty = Baseline {
+        version: BASELINE_VERSION,
+        ..Baseline::default()
+    };
+    let out = ratchet(&report_with_unwraps(1), &empty);
     assert!(!out.clean());
     assert!(out.failures[0].contains("unbaselined"));
     assert!(out.failures[0].contains("line(s) 2"));
@@ -71,6 +75,14 @@ fn empty_reason_is_a_failure_even_when_counts_match() {
     let out = ratchet(&report_with_unwraps(2), &baseline_unwraps(2, "  "));
     assert!(!out.clean());
     assert!(out.failures[0].contains("empty reason"));
+}
+
+#[test]
+fn foreign_version_fails_even_when_debt_matches() {
+    let mut baseline = baseline_unwraps(2, "grandfathered");
+    baseline.version = 99;
+    let out = ratchet(&report_with_unwraps(2), &baseline);
+    assert_eq!(out.failures, vec!["baseline version 99 is not 1".to_string()]);
 }
 
 #[test]

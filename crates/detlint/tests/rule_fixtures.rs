@@ -171,28 +171,28 @@ fn hashmap_in_doc_comment_is_fine() {
 }
 
 #[test]
-fn serde_derive_fires_off_the_boundary_even_when_wrapped() {
+fn serde_codec_fires_off_the_boundary() {
     let f = lib(
-        "#[derive(Debug, Clone)]\nstruct A;\n#[derive(\n    Debug, Clone, Serialize, Deserialize,\n)]\nstruct B(u64);\n#[derive(Deserialize)]\nstruct C;\n",
+        "struct A { a: u64 }\nserde::record!(struct A { a });\nimpl serde::Serialize for B {}\nimpl serde::Deserialize for B {}\n",
     );
     assert_eq!(
         rules_fired(&[f]),
         vec![
-            ("no-serde-derive-off-boundary".into(), 3),
-            ("no-serde-derive-off-boundary".into(), 7)
+            ("no-serde-off-boundary".into(), 2),
+            ("no-serde-off-boundary".into(), 3),
+            ("no-serde-off-boundary".into(), 4)
         ]
     );
 }
 
 #[test]
-fn serde_derive_silent_on_the_boundary_and_outside_derive_lists() {
-    let derive = "#[derive(\n    Debug, Serialize, Deserialize,\n)]\nstruct B(u64);\n";
-    let boundary = file("crates/sim/src/time.rs", "ttt_sim", FileKind::Lib, derive);
+fn serde_codec_silent_on_the_boundary_and_in_lookalikes() {
+    let codec = "serde::record!(struct A { a });\nimpl serde::Deserialize for B {}\n";
+    let boundary = file("crates/sim/src/time.rs", "ttt_sim", FileKind::Lib, codec);
     assert_eq!(rules_fired(&[boundary]), vec![]);
-    // Hand-written impls, imports, look-alike names, comments and strings
-    // are not derives.
+    // Look-alike names, comments and strings are not codecs.
     let f = lib(
-        "use serde::{Deserialize, Serialize};\n// #[derive(Serialize)]\n#[derive(Debug, SerializeLike)]\nstruct S;\nimpl Serialize for S {}\nconst T: &str = \"#[derive(Deserialize)]\";\n",
+        "// serde::record!(struct S { a });\nmacro_rules! my_record { () => {} }\nmy_record!();\nimpl serde::SerializeLike for S {}\nconst T: &str = \"impl serde::Deserialize for S\";\n",
     );
     assert_eq!(rules_fired(&[f]), vec![]);
 }

@@ -14,7 +14,6 @@
 use crate::coverage::CoverageSignature;
 use crate::grammar::ScenarioSpec;
 use crate::scenario_file::envelope_version;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Format version of serialized corpora — the only one this build reads.
@@ -23,20 +22,21 @@ pub const CORPUS_VERSION: u32 = 4;
 
 /// One coverage-novel scenario: the first spec observed to produce its
 /// signature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusEntry {
     /// The spec that reached the signature.
     pub spec: ScenarioSpec,
     /// The behavioral signature it produced.
     pub signature: CoverageSignature,
 }
+serde::record!(struct CorpusEntry { spec, signature });
 
 /// Serialized corpus envelope.
-#[derive(Serialize, Deserialize)]
 struct CorpusFile {
     version: u32,
     entries: Vec<CorpusEntry>,
 }
+serde::record!(struct CorpusFile { version, entries });
 
 /// The set of coverage-novel scenarios found so far, insertion-ordered.
 #[derive(Debug, Clone, Default)]
@@ -112,7 +112,7 @@ impl Corpus {
                 ))
             }
         }
-        let file: CorpusFile = Deserialize::from_value(&value).map_err(unreadable)?;
+        let file: CorpusFile = serde::Deserialize::from_value(&value).map_err(unreadable)?;
         let mut corpus = Corpus::new();
         for entry in file.entries {
             corpus.add(entry.spec, entry.signature);

@@ -38,7 +38,6 @@
 
 use crate::grammar::{ModeDim, RolloutDim, ScenarioSpec};
 use crate::oracle::CampaignDigest;
-use serde::{Deserialize, Serialize};
 use ttt_core::campaign::WAKE_REASONS;
 use ttt_testbed::{FaultKind, Layer};
 
@@ -54,7 +53,7 @@ fn wake_index(label: &str) -> Option<usize> {
 
 /// A campaign's behavioral fingerprint: three structural axes kept exact,
 /// five behavioral regime bits folded from the digest.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CoverageSignature {
     /// Scheduling mode: 0 external, 1 naive cron.
     pub mode: u8,
@@ -83,6 +82,10 @@ pub struct CoverageSignature {
     /// A site's RPC link was degraded (injected latency/loss).
     pub rpc_degraded_seen: bool,
 }
+serde::record!(struct CoverageSignature {
+    mode, rollout, sites, site_faults_injected, any_fault_detected, federated_placement,
+    arrival_driven, quiet_stretch, service_crash_seen, rpc_degraded_seen,
+});
 
 impl CoverageSignature {
     /// Fingerprint one finished campaign.

@@ -18,7 +18,6 @@
 //!    consistency, executor accounting, and metric bookkeeping identities.
 
 use crate::grammar::ScenarioSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use ttt_core::Campaign;
 use ttt_suite::{coverage_for, detection_failure};
@@ -79,7 +78,7 @@ pub const KNOWN_COVERAGE_GAPS: &[FaultKind] = &[];
 /// oracle, the `engine_equivalence` integration suite, and the run-log
 /// artifacts (`crate::runlog`), which persist the digest to disk so a
 /// replay can bitwise-diff against the original run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignDigest {
     /// Total tests run.
     pub tests_run: u64,
@@ -150,6 +149,14 @@ pub struct CampaignDigest {
     /// equivalence oracle — it exists for the coverage signature.
     pub wake_reasons: Vec<(String, u64)>,
 }
+serde::record!(struct CampaignDigest {
+    tests_run, tests_failed, unstable_builds, filed, fixed, triggered, deferred_peak,
+    deferred_site, deferred_resources, cancelled_not_immediate, completions, weekly_means,
+    monthly_means, bug_snapshots, executor_busy, oar_utilization, active_faults, grid_rows,
+    per_site_jobs, per_site_completions, spillovers, per_site_spillovers, co_allocations,
+    injected_by_kind, detected_by_kind, service_processes, saturation_episodes,
+    blackout_episodes, wake_reasons,
+});
 
 impl CampaignDigest {
     /// Capture a finished campaign's observable state.

@@ -18,7 +18,6 @@
 use crate::grammar::ScenarioSpec;
 use crate::oracle::CampaignDigest;
 use crate::scenario_file::envelope_version;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use ttt_core::Campaign;
 use ttt_sim::EventLog;
@@ -82,7 +81,7 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// One run's replayable record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunLogArtifact {
     /// Artifact format version ([`RUN_LOG_VERSION`]).
     pub version: u32,
@@ -93,6 +92,7 @@ pub struct RunLogArtifact {
     /// The structured event stream of the run.
     pub events: EventLog,
 }
+serde::record!(struct RunLogArtifact { version, spec, digest, events });
 
 impl RunLogArtifact {
     /// Serialize to the version-tagged JSON envelope.
@@ -115,7 +115,7 @@ impl RunLogArtifact {
             }
             None => return Err(ReplayError::parse("run log has no \"version\" field")),
         }
-        Deserialize::from_value(&value).map_err(|e| ReplayError::parse(e.to_string()))
+        serde::Deserialize::from_value(&value).map_err(|e| ReplayError::parse(e.to_string()))
     }
 }
 

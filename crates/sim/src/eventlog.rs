@@ -21,12 +21,11 @@
 //! when to record (recording is off by default and costs nothing when off).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One recorded campaign event. Payloads are plain strings/ints so the
 /// log stays readable as JSON and the sim crate needs no knowledge of the
 /// testbed's fault or service vocabularies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A fault arrived (injector arrival, maintenance drift, or initial
     /// burden applied at t=0).
@@ -110,6 +109,16 @@ pub enum Event {
         active_faults: u64,
     },
 }
+serde::record!(enum Event {
+    FaultArrival { at, fault_id, kind, target },
+    FaultRepair { at, fault_id },
+    RpcOutcome { at, site, service, outcome },
+    JobStarted { at, test, site },
+    JobCompleted { at, test, site, passed },
+    JobUnstable { at, test },
+    Wake { at, reason },
+    Checkpoint { at, tests_run, tests_failed, filed, fixed, active_faults },
+});
 
 impl Event {
     /// The instant this event was recorded at.
@@ -134,10 +143,11 @@ impl Event {
 }
 
 /// An append-only event stream for one campaign run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     events: Vec<Event>,
 }
+serde::record!(struct EventLog { events });
 
 impl EventLog {
     /// An empty log.
@@ -244,5 +254,30 @@ mod tests {
         let json = serde_json::to_string(&log).unwrap();
         let back: EventLog = serde_json::from_str(&json).unwrap();
         assert_eq!(log, back);
+
+        // The wire format itself, one event per variant: externally
+        // tagged, fields in declaration order, `at` a bare integer.
+        for text in [
+            r#"{"FaultArrival":{"at":5,"fault_id":7,"kind":"k","target":"t"}}"#,
+            r#"{"FaultRepair":{"at":5,"fault_id":7}}"#,
+            r#"{"RpcOutcome":{"at":5,"site":1,"service":"s","outcome":"ok"}}"#,
+            r#"{"JobStarted":{"at":5,"test":"t","site":2}}"#,
+            r#"{"JobCompleted":{"at":5,"test":"t","site":2,"passed":true}}"#,
+            r#"{"JobUnstable":{"at":5,"test":"t"}}"#,
+            r#"{"Wake":{"at":5,"reason":"r"}}"#,
+            r#"{"Checkpoint":{"at":5,"tests_run":1,"tests_failed":2,"filed":3,"fixed":4,"active_faults":5}}"#,
+        ] {
+            let event: Event = serde_json::from_str(text).unwrap();
+            assert_eq!(event.at(), SimTime::from_nanos(5));
+            assert_eq!(serde_json::to_string(&event).unwrap(), text);
+        }
+        for (text, why) in [
+            ("[]", "expected enum value"),
+            (r#"{"Nope":{}}"#, "unknown variant"),
+            (r#"{"Wake":{"at":1}}"#, "missing field `reason`"),
+        ] {
+            let err = serde_json::from_str::<Event>(text).unwrap_err().to_string();
+            assert!(err.contains(why), "{text}: {err}");
+        }
     }
 }

@@ -5,7 +5,6 @@
 //! resolution over a `u64` covers ~584 years, far beyond any campaign we run,
 //! while staying exact (no float drift) for event ordering.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -17,10 +16,21 @@ const SECS_PER_HOUR: u64 = 3_600;
 const SECS_PER_DAY: u64 = 86_400;
 
 /// An absolute instant in virtual time (nanoseconds since campaign start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
+
+/// On disk an instant is its bare nanosecond count, as serde encodes a newtype.
+impl serde::Serialize for SimTime {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl serde::Deserialize for SimTime {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        u64::from_value(v).map(SimTime)
+    }
+}
 
 /// A span of virtual time (nanoseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
