@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use ttt_sim::SimTime;
+use ttt_testbed::Signature;
 
 /// Unique bug identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,10 +29,10 @@ pub enum BugState {
 pub struct Bug {
     /// Identifier.
     pub id: BugId,
-    /// Stable signature (diagnostic signature, fault-compatible).
-    pub signature: String,
+    /// The diagnostic signature it was filed under.
+    pub signature: Signature,
     /// The test family that found it.
-    pub family: String,
+    pub family: &'static str,
     /// Operator-facing message from the first report.
     pub message: String,
     /// When first reported.
@@ -54,7 +55,7 @@ pub struct Bug {
 pub struct BugTracker {
     bugs: Vec<Bug>,
     /// Signature → index of the currently-open bug for it, if any.
-    open_by_signature: BTreeMap<String, usize>,
+    open_by_signature: BTreeMap<Signature, usize>,
 }
 
 impl BugTracker {
@@ -67,8 +68,8 @@ impl BugTracker {
     /// created (false = duplicate of an open bug).
     pub fn file(
         &mut self,
-        signature: &str,
-        family: &str,
+        signature: &Signature,
+        family: &'static str,
         message: &str,
         now: SimTime,
     ) -> (BugId, bool) {
@@ -81,8 +82,8 @@ impl BugTracker {
         let id = BugId(self.bugs.len() as u64);
         self.bugs.push(Bug {
             id,
-            signature: signature.to_string(),
-            family: family.to_string(),
+            signature: signature.clone(),
+            family,
             message: message.to_string(),
             first_seen: now,
             last_seen: now,
@@ -91,7 +92,7 @@ impl BugTracker {
             fixed_at: None,
         });
         self.open_by_signature
-            .insert(signature.to_string(), self.bugs.len() - 1);
+            .insert(signature.clone(), self.bugs.len() - 1);
         (id, true)
     }
 
@@ -144,12 +145,14 @@ impl BugTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttt_testbed::Symptom;
 
     #[test]
     fn filing_dedups_by_signature() {
         let mut t = BugTracker::new();
-        let (id1, new1) = t.file("cpu-cstates@n1", "refapi", "drift", SimTime::from_days(1));
-        let (id2, new2) = t.file("cpu-cstates@n1", "stdenv", "drift", SimTime::from_days(2));
+        let sig = Symptom::CpuCStates.on("n1");
+        let (id1, new1) = t.file(&sig, "refapi", "drift", SimTime::from_days(1));
+        let (id2, new2) = t.file(&sig, "stdenv", "drift", SimTime::from_days(2));
         assert!(new1);
         assert!(!new2);
         assert_eq!(id1, id2);
@@ -161,20 +164,21 @@ mod tests {
     #[test]
     fn different_signatures_different_bugs() {
         let mut t = BugTracker::new();
-        t.file("a@n1", "x", "m", SimTime::ZERO);
-        t.file("a@n2", "x", "m", SimTime::ZERO);
+        t.file(&Symptom::NodeDead.on("n1"), "x", "m", SimTime::ZERO);
+        t.file(&Symptom::NodeDead.on("n2"), "x", "m", SimTime::ZERO);
         assert_eq!(t.filed(), 2);
     }
 
     #[test]
     fn fix_and_regression() {
         let mut t = BugTracker::new();
-        let (id, _) = t.file("disk-firmware@n1", "disk", "m", SimTime::from_days(1));
+        let sig = Symptom::DiskFirmware.on("n1");
+        let (id, _) = t.file(&sig, "disk", "m", SimTime::from_days(1));
         assert!(t.fix(id, SimTime::from_days(3)));
         assert!(!t.fix(id, SimTime::from_days(4)), "double fix rejected");
         assert_eq!(t.fixed(), 1);
         // The same signature recurring afterwards is a *new* bug.
-        let (id2, new) = t.file("disk-firmware@n1", "disk", "m", SimTime::from_days(10));
+        let (id2, new) = t.file(&sig, "disk", "m", SimTime::from_days(10));
         assert!(new);
         assert_ne!(id, id2);
         assert_eq!(t.filed(), 2);
@@ -184,8 +188,8 @@ mod tests {
     #[test]
     fn open_is_oldest_first() {
         let mut t = BugTracker::new();
-        t.file("a", "x", "m", SimTime::from_days(1));
-        t.file("b", "x", "m", SimTime::from_days(2));
+        t.file(&Symptom::NodeDead.on("a"), "x", "m", SimTime::from_days(1));
+        t.file(&Symptom::NodeDead.on("b"), "x", "m", SimTime::from_days(2));
         let open = t.open();
         assert_eq!(open.len(), 2);
         assert!(open[0].first_seen <= open[1].first_seen);

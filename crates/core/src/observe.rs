@@ -69,15 +69,11 @@ impl Observer {
 
     pub(crate) fn faults_arrived(&mut self, arrived: Vec<Fault>) {
         for f in arrived {
-            self.log(|| {
-                let sig = f.signature();
-                let target = sig.split_once('@').map_or(sig.as_str(), |(_, t)| t);
-                Event::FaultArrival {
-                    at: f.injected_at,
-                    fault_id: f.id.0,
-                    kind: f.kind.name().to_string(),
-                    target: target.to_string(),
-                }
+            self.log(|| Event::FaultArrival {
+                at: f.injected_at,
+                fault_id: f.id.0,
+                kind: f.kind.name().to_string(),
+                target: f.target.to_string(),
             });
         }
     }

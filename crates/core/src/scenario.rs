@@ -40,7 +40,7 @@ pub fn paper_scenario(seed: u64) -> CampaignConfig {
     }
 }
 
-/// The scheduling-policy comparison scenario (experiment E5): one month,
+/// The scheduling-policy comparison scenario (experiment E12): one month,
 /// all families active from the start, heavy user load. Run once with
 /// [`SchedulingMode::External`] and once with [`SchedulingMode::NaiveCron`]
 /// and compare executor occupancy, user-job delay and time-to-result.

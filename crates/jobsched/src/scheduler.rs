@@ -84,7 +84,7 @@ pub struct ExternalScheduler {
     site_ids: BTreeMap<String, usize>,
     /// Count of in-flight entries per interned site.
     active_per_site: Vec<usize>,
-    /// Decision counters for reporting (experiment E5).
+    /// Decision counters for reporting (experiment E12).
     pub stats: SchedulerStats,
 }
 

@@ -21,7 +21,7 @@ use crate::grammar::ScenarioSpec;
 use std::fmt;
 use ttt_core::Campaign;
 use ttt_suite::{coverage_for, detection_failure};
-use ttt_testbed::{find_fault, Fault, FaultKind, FaultTarget, NodeId, Testbed};
+use ttt_testbed::{find_fault, Fault, FaultKind, FaultTarget, NodeId, Signature, Testbed};
 
 /// Which oracle a violation came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,15 +323,13 @@ pub fn check_engine_equivalence(spec: &ScenarioSpec, next_event: &CampaignDigest
 
 /// The diagnostic signature a test family would file for `fault`: its
 /// kind's canonical symptom (the first of the catalogue's symptom column)
-/// on the node's *name* — fault signatures use node ids — or, for service
-/// and site-scoped faults, on the target as the fault signature spells it.
-fn canonical_signature(fault: &Fault, tb: &Testbed) -> String {
+/// on the node's *name* — fault targets use node ids — or, for service and
+/// site-scoped faults, on the target's rendering.
+fn canonical_signature(fault: &Fault, tb: &Testbed) -> Signature {
     let symptom = fault.kind.spec().symptoms[0];
     match fault.target {
-        FaultTarget::Node(n) | FaultTarget::NodePair(n, _) => {
-            format!("{symptom}@{}", tb.node(n).name)
-        }
-        target => format!("{symptom}@{target}"),
+        FaultTarget::Node(n) | FaultTarget::NodePair(n, _) => symptom.on(&tb.node(n).name),
+        target => symptom.on(target),
     }
 }
 
@@ -371,17 +369,15 @@ pub fn check_fault_resolution(tb: &Testbed) -> Vec<Violation> {
             Some(found) => out.push(Violation {
                 oracle: OracleKind::DetectionSoundness,
                 detail: format!(
-                    "signature {sig} of {} resolved to unrelated fault {} ({})",
-                    fault.signature(),
-                    found.signature(),
-                    found.id
+                    "signature {sig} of {} on {} resolved to unrelated fault {} on {} ({})",
+                    fault.kind, fault.target, found.kind, found.target, found.id
                 ),
             }),
             None => out.push(Violation {
                 oracle: OracleKind::DetectionSoundness,
                 detail: format!(
-                    "active fault {} is unresolvable from its canonical signature {sig}",
-                    fault.signature()
+                    "active fault {} on {} is unresolvable from its canonical signature {sig}",
+                    fault.kind, fault.target
                 ),
             }),
         }

@@ -5,6 +5,7 @@ use crate::ctx::TestCtx;
 use crate::families::{deploy, description, hardware, services};
 use crate::report::{Diagnostic, TestReport};
 use ttt_sim::SimDuration;
+use ttt_testbed::Symptom;
 
 /// Run one test configuration against the simulated testbed.
 pub fn run_test(cfg: &TestConfig, ctx: &mut TestCtx) -> TestReport {
@@ -30,7 +31,7 @@ pub fn run_test(cfg: &TestConfig, ctx: &mut TestCtx) -> TestReport {
         (Family::Disk, Target::Cluster(c)) => hardware::disk(c, ctx),
         (family, target) => TestReport::from_diagnostics(
             vec![Diagnostic::new(
-                "invalid-configuration",
+                Symptom::InvalidConfiguration.on(""),
                 format!("family {family} cannot target {target}"),
             )],
             SimDuration::from_mins(1),

@@ -9,7 +9,7 @@ use rand::Rng;
 use ttt_nodecheck::check_node;
 use ttt_sim::process::truncated_normal;
 use ttt_sim::SimDuration;
-use ttt_testbed::perf;
+use ttt_testbed::{perf, Symptom};
 
 /// Turn a deployment report into per-node diagnostics.
 fn deploy_diagnostics(
@@ -20,7 +20,7 @@ fn deploy_diagnostics(
     for (node, step, reason) in report.failures() {
         let name = &ctx.tb.node(node).name;
         diagnostics.push(Diagnostic::new(
-            format!("deploy-failure@{name}"),
+            Symptom::DeployFailure.on(name),
             format!("{name}: {} failed at {step}: {reason}", report.env_name),
         ));
     }
@@ -32,7 +32,7 @@ pub fn environments(image: &str, _cluster: &str, ctx: &mut TestCtx) -> TestRepor
     let Some(env) = ctx.image(image).cloned() else {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(
-                format!("unknown-image@{image}"),
+                Symptom::UnknownImage.on(image),
                 "image missing from the catalogue",
             )],
             SimDuration::from_mins(1),
@@ -54,7 +54,7 @@ pub fn stdenv(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         .cloned()
     else {
         return TestReport::from_diagnostics(
-            vec![Diagnostic::new("no-stdenv", "no standard image available")],
+            vec![Diagnostic::new(Symptom::NoStdenv.on(""), "no standard image available")],
             SimDuration::from_mins(1),
         );
     };
@@ -99,11 +99,10 @@ pub fn multideploy(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         let report = ctx.deployer.deploy(ctx.tb, &env, &assigned, ctx.rng);
         total += report.makespan;
         for (node, step, reason) in report.failures() {
-            let name = ctx.tb.node(node).name.clone();
-            let sig = format!("deploy-failure@{name}");
-            if seen.insert(sig.clone()) {
+            if seen.insert(node) {
+                let name = &ctx.tb.node(node).name;
                 diagnostics.push(Diagnostic::new(
-                    sig,
+                    Symptom::DeployFailure.on(name),
                     format!("{name}: round {round} failed at {step}: {reason}"),
                 ));
             }
@@ -132,7 +131,7 @@ pub fn multireboot(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         };
         if !alive {
             diagnostics.push(Diagnostic::new(
-                format!("node-dead@{name}"),
+                Symptom::NodeDead.on(&name),
                 format!("{name} does not come back at all"),
             ));
             continue;
@@ -162,7 +161,7 @@ pub fn multireboot(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         }
         if failures >= 2 {
             diagnostics.push(Diagnostic::new(
-                format!("boot-failure@{name}"),
+                Symptom::BootFailure.on(&name),
                 format!("{name}: {failures}/{REBOOTS} reboots did not come back"),
             ));
         }
@@ -170,7 +169,7 @@ pub fn multireboot(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
             let mean = boot_times.iter().sum::<f64>() / boot_times.len() as f64;
             if mean > perf::BASE_BOOT_SECS + 30.0 {
                 diagnostics.push(Diagnostic::new(
-                    format!("boot-delay@{name}"),
+                    Symptom::BootDelay.on(&name),
                     format!(
                         "{name}: mean boot time {mean:.0}s, expected ≈{:.0}s",
                         perf::BASE_BOOT_SECS
@@ -190,7 +189,7 @@ mod tests {
     use crate::config::{Family, Target, TestConfig};
     use crate::testutil::Harness;
     use ttt_sim::SimTime;
-    use ttt_testbed::{FaultKind, FaultTarget};
+    use ttt_testbed::{FaultKind, FaultTarget, Symptom};
 
     fn cluster_cfg(family: Family) -> TestConfig {
         TestConfig {
@@ -241,7 +240,7 @@ mod tests {
         };
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert_eq!(report.diagnostics[0].signature, "deploy-failure@alpha-1");
+        assert_eq!(report.diagnostics[0].signature, Symptom::DeployFailure.on("alpha-1"));
     }
 
     #[test]
@@ -256,7 +255,7 @@ mod tests {
         assert!(report
             .diagnostics
             .iter()
-            .any(|d| d.signature == "cpu-cstates@alpha-1"));
+            .any(|d| d.signature == Symptom::CpuCStates.on("alpha-1")));
     }
 
     #[test]
@@ -285,7 +284,7 @@ mod tests {
         assert!(report
             .diagnostics
             .iter()
-            .any(|d| d.signature == "boot-delay@alpha-1"), "{:?}", report.diagnostics);
+            .any(|d| d.signature == Symptom::BootDelay.on("alpha-1")), "{:?}", report.diagnostics);
     }
 
     #[test]
@@ -302,7 +301,7 @@ mod tests {
             h.run(&cluster_cfg(Family::MultiReboot))
                 .diagnostics
                 .iter()
-                .any(|d| d.signature.starts_with("boot-failure@"))
+                .any(|d| d.signature.symptom == Symptom::BootFailure)
         });
         assert!(detected, "random reboots never detected");
     }
@@ -319,7 +318,7 @@ mod tests {
         };
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert_eq!(report.diagnostics[0].signature, "unknown-image@windows-3.11");
+        assert_eq!(report.diagnostics[0].signature.to_string(), "unknown-image@windows-3.11");
     }
 
     #[test]
@@ -357,7 +356,7 @@ mod tests {
         let count = report
             .diagnostics
             .iter()
-            .filter(|d| d.signature == "deploy-failure@alpha-1")
+            .filter(|d| d.signature == Symptom::DeployFailure.on("alpha-1"))
             .count();
         assert_eq!(count, 1, "three failing rounds, one diagnostic");
     }

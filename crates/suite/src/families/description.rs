@@ -8,6 +8,7 @@ use crate::ctx::TestCtx;
 use crate::report::{Diagnostic, TestReport};
 use ttt_nodecheck::{check_node, probe_node};
 use ttt_sim::SimDuration;
+use ttt_testbed::Symptom;
 
 /// `refapi`: sweep every alive node of the target cluster with g5k-checks
 /// against the latest Reference API description.
@@ -16,7 +17,7 @@ pub fn refapi(cluster: &str, ctx: &mut TestCtx) -> TestReport {
     let Some(desc) = ctx.refapi.latest() else {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(
-                format!("refapi-empty@{cluster}"),
+                Symptom::RefapiEmpty.on(cluster),
                 "no Reference API description published",
             )],
             duration,
@@ -26,7 +27,7 @@ pub fn refapi(cluster: &str, ctx: &mut TestCtx) -> TestReport {
     let Some(cl) = ctx.tb.cluster_by_name(cluster) else {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(
-                format!("unknown-cluster@{cluster}"),
+                Symptom::UnknownCluster.on(cluster),
                 "cluster not found on testbed",
             )],
             duration,
@@ -49,7 +50,7 @@ pub fn oarproperties(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         let name = ctx.tb.node(node).name.clone();
         let Some(probe) = probe_node(ctx.tb, node) else {
             diagnostics.push(Diagnostic::new(
-                format!("node-dead@{name}"),
+                Symptom::NodeDead.on(&name),
                 format!("{name} does not answer probes"),
             ));
             continue;
@@ -62,7 +63,7 @@ pub fn oarproperties(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         ) {
             if db != real {
                 diagnostics.push(Diagnostic::new(
-                    format!("dimm-failure@{name}"),
+                    Symptom::DimmFailure.on(&name),
                     format!("{name}: OAR DB says memnode={db} GB, node has {real} GB"),
                 ));
             }
@@ -79,7 +80,7 @@ pub fn oarproperties(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
             .unwrap_or(false);
         if db_10g && !real_10g {
             diagnostics.push(Diagnostic::new(
-                format!("nic-downgrade@{name}"),
+                Symptom::NicDowngrade.on(&name),
                 format!("{name}: OAR DB says eth10g=YES but the link negotiated below 10G"),
             ));
         }
@@ -102,7 +103,7 @@ pub fn dellbios(cluster: &str, ctx: &mut TestCtx) -> TestReport {
     let Some(expected) = expected else {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(
-                format!("refapi-empty@{cluster}"),
+                Symptom::RefapiEmpty.on(cluster),
                 "no described BIOS version for cluster",
             )],
             duration,
@@ -118,7 +119,7 @@ pub fn dellbios(cluster: &str, ctx: &mut TestCtx) -> TestReport {
         }
         if n.hardware.bios.version != expected {
             diagnostics.push(Diagnostic::new(
-                format!("bios-version@{}", n.name),
+                Symptom::BiosVersion.on(&n.name),
                 format!(
                     "{}: BIOS {} differs from cluster reference {}",
                     n.name, n.hardware.bios.version, expected
@@ -134,7 +135,7 @@ mod tests {
     use crate::config::{Family, Target, TestConfig};
     use crate::testutil::Harness;
     use ttt_sim::SimTime;
-    use ttt_testbed::{FaultKind, FaultTarget};
+    use ttt_testbed::{FaultKind, FaultTarget, Symptom};
 
     #[test]
     fn refapi_passes_on_clean_testbed() {
@@ -163,10 +164,10 @@ mod tests {
         };
         let report = h.run(&cfg);
         assert!(!report.passed());
-        let sigs: Vec<&str> = report.diagnostics.iter().map(|d| d.signature.as_str()).collect();
-        assert!(sigs.contains(&"cpu-cstates@alpha-1"), "{sigs:?}");
-        assert!(sigs.contains(&"disk-write-cache@alpha-2"), "{sigs:?}");
-        assert!(sigs.contains(&"bios-version@alpha-3"), "{sigs:?}");
+        let sigs: Vec<String> = report.diagnostics.iter().map(|d| d.signature.to_string()).collect();
+        assert!(sigs.iter().any(|s| s == "cpu-cstates@alpha-1"), "{sigs:?}");
+        assert!(sigs.iter().any(|s| s == "disk-write-cache@alpha-2"), "{sigs:?}");
+        assert!(sigs.iter().any(|s| s == "bios-version@alpha-3"), "{sigs:?}");
     }
 
     #[test]
@@ -182,7 +183,7 @@ mod tests {
         h.assigned = vec![node];
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert_eq!(report.diagnostics[0].signature, "dimm-failure@alpha-1");
+        assert_eq!(report.diagnostics[0].signature, Symptom::DimmFailure.on("alpha-1"));
     }
 
     #[test]
@@ -198,7 +199,7 @@ mod tests {
         let report = h.run(&cfg);
         assert!(!report.passed());
         assert_eq!(report.diagnostics.len(), 1);
-        assert_eq!(report.diagnostics[0].signature, "bios-version@alpha-3");
+        assert_eq!(report.diagnostics[0].signature, Symptom::BiosVersion.on("alpha-3"));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::ctx::TestCtx;
 use crate::report::{Diagnostic, TestReport};
 use rand::Rng;
 use ttt_sim::SimDuration;
-use ttt_testbed::perf;
+use ttt_testbed::{perf, Symptom};
 
 /// `mpigraph`: start an all-to-all bandwidth test over Infiniband on every
 /// node of the cluster. Nodes whose OFED stack is flaky fail to start the
@@ -26,14 +26,14 @@ pub fn mpigraph(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         };
         if !alive {
             diagnostics.push(Diagnostic::new(
-                format!("node-dead@{name}"),
+                Symptom::NodeDead.on(&name),
                 format!("{name} unreachable for the MPI run"),
             ));
             continue;
         }
         let Some(ib) = ib else {
             diagnostics.push(Diagnostic::new(
-                format!("no-infiniband@{name}"),
+                Symptom::NoInfiniband.on(&name),
                 format!("{name} has no HCA but the cluster is described as Infiniband"),
             ));
             continue;
@@ -41,7 +41,7 @@ pub fn mpigraph(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         // The OFED bug: applications over Infiniband randomly fail to start.
         if flaky && ctx.rng.gen_bool(0.5) {
             diagnostics.push(Diagnostic::new(
-                format!("ofed-flaky@{name}"),
+                Symptom::OfedFlaky.on(&name),
                 format!("{name}: ibv_open_device failed; OFED stack did not start cleanly"),
             ));
             continue;
@@ -56,7 +56,7 @@ pub fn mpigraph(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
             if *bw < 0.7 * max_bw {
                 let name = &ctx.tb.node(*node).name;
                 diagnostics.push(Diagnostic::new(
-                    format!("ib-degraded@{name}"),
+                    Symptom::IbDegraded.on(name),
                     format!("{name}: {bw:.1} Gbps against cluster peak {max_bw:.1} Gbps"),
                 ));
             }
@@ -83,7 +83,7 @@ pub fn disk(cluster: &str, ctx: &mut TestCtx) -> TestReport {
         let n = ctx.tb.node(node);
         if !n.condition.alive {
             diagnostics.push(Diagnostic::new(
-                format!("node-dead@{}", n.name),
+                Symptom::NodeDead.on(&n.name),
                 format!("{} unreachable for the disk audit", n.name),
             ));
             continue;
@@ -92,7 +92,7 @@ pub fn disk(cluster: &str, ctx: &mut TestCtx) -> TestReport {
             let Some(r) = reference.get(i) else { continue };
             if d.write_cache != r.write_cache {
                 diagnostics.push(Diagnostic::new(
-                    format!("disk-write-cache@{}", n.name),
+                    Symptom::DiskWriteCache.on(&n.name),
                     format!(
                         "{}/{}: write cache {} (reference: {})",
                         n.name,
@@ -106,7 +106,7 @@ pub fn disk(cluster: &str, ctx: &mut TestCtx) -> TestReport {
                 let measured = perf::disk_seq_write_mbps(d);
                 let expected = perf::disk_seq_write_mbps(r);
                 diagnostics.push(Diagnostic::new(
-                    format!("disk-firmware@{}", n.name),
+                    Symptom::DiskFirmware.on(&n.name),
                     format!(
                         "{}/{}: firmware {} vs reference {} — measured {measured:.0} MB/s \
                          against expected {expected:.0} MB/s",
@@ -132,7 +132,7 @@ mod tests {
     use crate::config::{Family, Target, TestConfig};
     use crate::testutil::Harness;
     use ttt_sim::SimTime;
-    use ttt_testbed::{FaultKind, FaultTarget};
+    use ttt_testbed::{FaultKind, FaultTarget, Symptom};
 
     #[test]
     fn mpigraph_passes_on_clean_ib_cluster() {
@@ -161,7 +161,7 @@ mod tests {
             h.run(&cfg)
                 .diagnostics
                 .iter()
-                .any(|d| d.signature == "ofed-flaky@alpha-1")
+                .any(|d| d.signature == Symptom::OfedFlaky.on("alpha-1"))
         });
         assert!(detected);
     }
@@ -180,15 +180,15 @@ mod tests {
         };
         let report = h.run(&cfg);
         assert!(!report.passed());
-        let sigs: Vec<&str> = report.diagnostics.iter().map(|d| d.signature.as_str()).collect();
-        assert!(sigs.contains(&"disk-write-cache@alpha-1"), "{sigs:?}");
-        assert!(sigs.contains(&"disk-firmware@alpha-2"), "{sigs:?}");
+        let sigs: Vec<String> = report.diagnostics.iter().map(|d| d.signature.to_string()).collect();
+        assert!(sigs.iter().any(|s| s == "disk-write-cache@alpha-1"), "{sigs:?}");
+        assert!(sigs.iter().any(|s| s == "disk-firmware@alpha-2"), "{sigs:?}");
         // The firmware message quantifies the performance loss operators
         // care about.
         let fw = report
             .diagnostics
             .iter()
-            .find(|d| d.signature == "disk-firmware@alpha-2")
+            .find(|d| d.signature == Symptom::DiskFirmware.on("alpha-2"))
             .unwrap();
         assert!(fw.message.contains("MB/s"));
     }

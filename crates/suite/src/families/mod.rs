@@ -6,28 +6,29 @@ pub mod hardware;
 pub mod services;
 
 use std::collections::BTreeSet;
+use ttt_testbed::Symptom;
 
-/// Map a nodecheck probe key to the fault-signature prefix the bug tracker
-/// expects, e.g. `"cpu/cstates"` → `"cpu-cstates"`.
-pub(crate) fn probe_key_to_signature(key: &str) -> &'static str {
+/// Map a nodecheck probe key to the symptom the bug tracker expects, e.g.
+/// `"cpu/cstates"` → [`Symptom::CpuCStates`].
+pub(crate) fn probe_key_to_signature(key: &str) -> Symptom {
     if key.starts_with("cpu/cstates") {
-        "cpu-cstates"
+        Symptom::CpuCStates
     } else if key.starts_with("cpu/turbo") {
-        "cpu-turbo"
+        Symptom::CpuTurbo
     } else if key.starts_with("cpu/ht") || key.starts_with("cpu/threads") {
-        "cpu-ht"
+        Symptom::CpuHt
     } else if key.starts_with("disk/") && key.ends_with("/firmware") {
-        "disk-firmware"
+        Symptom::DiskFirmware
     } else if key.starts_with("disk/") && key.ends_with("/write_cache") {
-        "disk-write-cache"
+        Symptom::DiskWriteCache
     } else if key.starts_with("memory/") {
-        "dimm-failure"
+        Symptom::DimmFailure
     } else if key.starts_with("network/") && key.ends_with("/rate_gbps") {
-        "nic-downgrade"
+        Symptom::NicDowngrade
     } else if key.starts_with("bios/") {
-        "bios-version"
+        Symptom::BiosVersion
     } else {
-        "description-mismatch"
+        Symptom::DescriptionMismatch
     }
 }
 
@@ -37,23 +38,23 @@ pub(crate) fn nodecheck_diagnostics(
 ) -> Vec<crate::report::Diagnostic> {
     if !report.reachable {
         return vec![crate::report::Diagnostic::new(
-            format!("node-dead@{}", report.node),
+            Symptom::NodeDead.on(&report.node),
             format!("{} does not answer probes", report.node),
         )];
     }
     if !report.described {
         return vec![crate::report::Diagnostic::new(
-            format!("undescribed@{}", report.node),
+            Symptom::Undescribed.on(&report.node),
             format!("{} is missing from the Reference API", report.node),
         )];
     }
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
     for m in &report.mismatches {
-        let sig = format!("{}@{}", probe_key_to_signature(&m.key), report.node);
-        if seen.insert(sig.clone()) {
+        let symptom = probe_key_to_signature(&m.key);
+        if seen.insert(symptom) {
             out.push(crate::report::Diagnostic::new(
-                sig,
+                symptom.on(&report.node),
                 format!(
                     "{}: {} (Reference API says {}, probed {})",
                     report.node, m.key, m.expected, m.actual
@@ -70,13 +71,13 @@ mod tests {
 
     #[test]
     fn key_mapping_covers_fault_kinds() {
-        assert_eq!(probe_key_to_signature("cpu/cstates"), "cpu-cstates");
-        assert_eq!(probe_key_to_signature("cpu/threads"), "cpu-ht");
-        assert_eq!(probe_key_to_signature("disk/sda/firmware"), "disk-firmware");
-        assert_eq!(probe_key_to_signature("disk/sdb/write_cache"), "disk-write-cache");
-        assert_eq!(probe_key_to_signature("memory/total_gb"), "dimm-failure");
-        assert_eq!(probe_key_to_signature("network/eth0/rate_gbps"), "nic-downgrade");
-        assert_eq!(probe_key_to_signature("bios/version"), "bios-version");
-        assert_eq!(probe_key_to_signature("gpu/count"), "description-mismatch");
+        assert_eq!(probe_key_to_signature("cpu/cstates"), Symptom::CpuCStates);
+        assert_eq!(probe_key_to_signature("cpu/threads"), Symptom::CpuHt);
+        assert_eq!(probe_key_to_signature("disk/sda/firmware"), Symptom::DiskFirmware);
+        assert_eq!(probe_key_to_signature("disk/sdb/write_cache"), Symptom::DiskWriteCache);
+        assert_eq!(probe_key_to_signature("memory/total_gb"), Symptom::DimmFailure);
+        assert_eq!(probe_key_to_signature("network/eth0/rate_gbps"), Symptom::NicDowngrade);
+        assert_eq!(probe_key_to_signature("bios/version"), Symptom::BiosVersion);
+        assert_eq!(probe_key_to_signature("gpu/count"), Symptom::DescriptionMismatch);
     }
 }

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use ttt_kavlan::{VlanKind, DEFAULT_VLAN};
 use ttt_kwapi::PowerSampler;
 use ttt_sim::{RpcError, SimDuration};
-use ttt_testbed::{CallFailure, ServiceKind, SiteId};
+use ttt_testbed::{CallFailure, FaultTarget, ServiceKind, SiteId, Symptom};
 
 /// Call one site service `attempts` times through the RPC envelope and
 /// classify what came back:
@@ -41,23 +41,23 @@ fn probe_service(
     }
     if refused == attempts {
         diagnostics.push(Diagnostic::new(
-            format!("service-crash@{site}/{kind}"),
+            Symptom::ServiceCrash.on(FaultTarget::Service(site, kind)),
             format!("{kind} on {site}: connection refused on all {attempts} attempts — the process is down"),
         ));
     } else if sick == attempts {
         diagnostics.push(Diagnostic::new(
-            format!("service-down@{site}/{kind}"),
+            Symptom::ServiceDown.on(FaultTarget::Service(site, kind)),
             format!("{kind} on {site}: {sick}/{attempts} calls failed"),
         ));
     } else if refused + sick > 0 {
         diagnostics.push(Diagnostic::new(
-            format!("service-flaky@{site}/{kind}"),
+            Symptom::ServiceFlaky.on(FaultTarget::Service(site, kind)),
             format!("{kind} on {site}: {n}/{attempts} calls failed", n = refused + sick),
         ));
     }
     if dropped > 0 {
         diagnostics.push(Diagnostic::new(
-            format!("rpc-degraded@{site}"),
+            Symptom::RpcDegraded.on(site),
             format!("{kind} on {site}: {dropped}/{attempts} calls lost on the wire"),
         ));
     }
@@ -83,7 +83,7 @@ pub fn oarstate(site: &str, ctx: &mut TestCtx) -> TestReport {
     for peer in ctx.tb.sites() {
         if !ctx.tb.site_powered(peer.id) {
             diagnostics.push(Diagnostic::new(
-                format!("site-power-outage@{}", peer.id),
+                Symptom::SitePowerOutage.on(peer.id),
                 format!("{}: every node unreachable — the site lost power", peer.name),
             ));
         } else if !ctx.tb.process_up(peer.id, ServiceKind::OarServer) {
@@ -92,7 +92,7 @@ pub fn oarstate(site: &str, ctx: &mut TestCtx) -> TestReport {
             // matters — an outage repair crew is the wrong fix for a
             // daemon that needs restarting, and vice versa.
             diagnostics.push(Diagnostic::new(
-                format!("service-crash@{}/{}", peer.id, ServiceKind::OarServer),
+                Symptom::ServiceCrash.on(FaultTarget::Service(peer.id, ServiceKind::OarServer)),
                 format!(
                     "{}: site is powered but its OAR server refuses connections",
                     peer.name
@@ -110,7 +110,7 @@ pub fn oarstate(site: &str, ctx: &mut TestCtx) -> TestReport {
         }
         if !node.condition.alive {
             diagnostics.push(Diagnostic::new(
-                format!("node-dead@{}", node.name),
+                Symptom::NodeDead.on(&node.name),
                 format!("{} is dead (OAR state should not be Alive)", node.name),
             ));
         }
@@ -139,7 +139,7 @@ pub fn cmdline(site: &str, ctx: &mut TestCtx) -> TestReport {
         let skew = ctx.tb.clock_skew_of(sid);
         if skew.abs() > 1.0 {
             diagnostics.push(Diagnostic::new(
-                format!("clock-skew@{sid}"),
+                Symptom::ClockSkew.on(sid),
                 format!("{site}: frontend clock is {skew:.0}s off the NTP reference"),
             ));
         }
@@ -148,14 +148,14 @@ pub fn cmdline(site: &str, ctx: &mut TestCtx) -> TestReport {
     let stat = ttt_oar::oarstat(ctx.oar);
     if !stat.starts_with("Job id") {
         diagnostics.push(Diagnostic::new(
-            format!("cmdline-oarstat@{site}"),
+            Symptom::CmdlineOarstat.on(site),
             "oarstat output lost its header",
         ));
     }
     let nodes = ttt_oar::oarnodes(ctx.oar, 4);
     if !nodes.contains("Host") {
         diagnostics.push(Diagnostic::new(
-            format!("cmdline-oarnodes@{site}"),
+            Symptom::CmdlineOarnodes.on(site),
             "oarnodes output lost its header",
         ));
     }
@@ -173,7 +173,7 @@ pub fn sidapi(site: &str, ctx: &mut TestCtx) -> TestReport {
     probe_service(ctx, sid, ServiceKind::ApiFrontend, 4, &mut diagnostics);
     match ctx.refapi.latest() {
         None => diagnostics.push(Diagnostic::new(
-            format!("refapi-empty@{site}"),
+            Symptom::RefapiEmpty.on(site),
             "the Reference API serves no description",
         )),
         Some(desc) => {
@@ -181,7 +181,7 @@ pub fn sidapi(site: &str, ctx: &mut TestCtx) -> TestReport {
                 let name = &ctx.tb.cluster(cid).name;
                 if desc.cluster(name).is_none() {
                     diagnostics.push(Diagnostic::new(
-                        format!("undescribed-cluster@{name}"),
+                        Symptom::UndescribedCluster.on(name),
                         format!("cluster {name} missing from the Reference API"),
                     ));
                 }
@@ -204,7 +204,7 @@ pub fn console(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
         let n = ctx.tb.node(node);
         if n.condition.console_dead {
             diagnostics.push(Diagnostic::new(
-                format!("console-dead@{}", n.name),
+                Symptom::ConsoleDead.on(&n.name),
                 format!("{}: no prompt on the serial console", n.name),
             ));
         }
@@ -221,7 +221,7 @@ pub fn kavlan(global: bool, ctx: &mut TestCtx) -> TestReport {
     if ctx.assigned.len() < 2 {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(
-                "kavlan-underprovisioned",
+                Symptom::KavlanUnderprovisioned.on(""),
                 "kavlan test needs two nodes",
             )],
             duration,
@@ -240,7 +240,7 @@ pub fn kavlan(global: bool, ctx: &mut TestCtx) -> TestReport {
         if sa != sb && !ctx.tb.topology().sites_connected(sa, sb) {
             let (lo, hi) = if sa <= sb { (sa, sb) } else { (sb, sa) };
             diagnostics.push(Diagnostic::new(
-                format!("site-link-partition@{lo}~{hi}"),
+                Symptom::SiteLinkPartition.on(FaultTarget::SiteLink(lo, hi)),
                 format!("{lo} and {hi} cannot reach each other — backbone link is down"),
             ));
             return TestReport::from_diagnostics(diagnostics, duration);
@@ -258,7 +258,7 @@ pub fn kavlan(global: bool, ctx: &mut TestCtx) -> TestReport {
         if ctx.kavlan.vlan_of(n) != vlan {
             let name = &ctx.tb.node(n).name;
             diagnostics.push(Diagnostic::new(
-                format!("vlan-port-stuck@{name}"),
+                Symptom::VlanPortStuck.on(name),
                 format!("{name}: port did not move to the requested VLAN"),
             ));
         }
@@ -267,7 +267,7 @@ pub fn kavlan(global: bool, ctx: &mut TestCtx) -> TestReport {
     if ctx.kavlan.vlan_of(a) == vlan && ctx.kavlan.vlan_of(b) == vlan && !ctx.kavlan.can_reach(a, b)
     {
         diagnostics.push(Diagnostic::new(
-            format!("vlan-broken@{vlanid}", vlanid = vlan.0),
+            Symptom::VlanBroken.on(vlan.0),
             "nodes in the same VLAN cannot reach each other",
         ));
     }
@@ -320,7 +320,7 @@ pub fn kwapi(site: &str, ctx: &mut TestCtx) -> TestReport {
         (Some(idle_w), Some(loaded_w)) => {
             if loaded_w - idle_w < 10.0 {
                 diagnostics.push(Diagnostic::new(
-                    format!("cabling-swap@{name}"),
+                    Symptom::CablingSwap.on(&name),
                     format!(
                         "{name}: induced full load, wattmeter moved only \
                          {idle_w:.0}→{loaded_w:.0} W — measurements are mis-attributed"
@@ -329,7 +329,7 @@ pub fn kwapi(site: &str, ctx: &mut TestCtx) -> TestReport {
             }
         }
         _ => diagnostics.push(Diagnostic::new(
-            format!("kwapi-no-data@{name}"),
+            Symptom::KwapiNoData.on(&name),
             format!("{name}: no power samples recorded"),
         )),
     }
@@ -343,7 +343,7 @@ pub fn kwapi(site: &str, ctx: &mut TestCtx) -> TestReport {
         .map_or(0, |w| w.count);
     if (got as f64) < expected * 0.8 {
         diagnostics.push(Diagnostic::new(
-            format!("kwapi-rate@{site}"),
+            Symptom::KwapiRate.on(site),
             format!("{got} samples over {expected:.0}s, expected ≈1 Hz"),
         ));
     }
@@ -356,7 +356,7 @@ mod tests {
     use crate::config::{Family, Target, TestConfig};
     use crate::testutil::Harness;
     use ttt_sim::SimTime;
-    use ttt_testbed::{FaultKind, FaultTarget, ServiceKind};
+    use ttt_testbed::{FaultKind, FaultTarget, ServiceKind, Symptom};
 
     #[test]
     fn oarstate_reports_dead_nodes() {
@@ -370,7 +370,7 @@ mod tests {
         };
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert_eq!(report.diagnostics[0].signature, "node-dead@alpha-2");
+        assert_eq!(report.diagnostics[0].signature, Symptom::NodeDead.on("alpha-2"));
     }
 
     #[test]
@@ -390,7 +390,7 @@ mod tests {
         let report = h.run(&cfg);
         assert!(!report.passed());
         assert_eq!(
-            report.diagnostics[0].signature,
+            report.diagnostics[0].signature.to_string(),
             format!("service-down@{site}/kadeploy-server")
         );
     }
@@ -428,7 +428,7 @@ mod tests {
         h.assigned = vec![node];
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert_eq!(report.diagnostics[0].signature, "console-dead@alpha-1");
+        assert_eq!(report.diagnostics[0].signature, Symptom::ConsoleDead.on("alpha-1"));
     }
 
     #[test]
@@ -445,7 +445,7 @@ mod tests {
         h.assigned = vec![node, h.tb.cluster_by_name("alpha").unwrap().nodes[1]];
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert_eq!(report.diagnostics[0].signature, "vlan-port-stuck@alpha-1");
+        assert_eq!(report.diagnostics[0].signature, Symptom::VlanPortStuck.on("alpha-1"));
     }
 
     #[test]
@@ -462,7 +462,7 @@ mod tests {
         assert!(report
             .diagnostics
             .iter()
-            .any(|d| d.signature.starts_with("refapi-empty@")));
+            .any(|d| d.signature.symptom == Symptom::RefapiEmpty));
     }
 
     fn throughout_refapi_blank() -> ttt_refapi::RefApi {
@@ -485,7 +485,7 @@ mod tests {
         };
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert!(report.diagnostics[0].signature.starts_with("service-down@"));
+        assert_eq!(report.diagnostics[0].signature.symptom, Symptom::ServiceDown);
     }
 
     #[test]
@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(
             report.diagnostics[0].signature,
-            format!("site-power-outage@{site}")
+            Symptom::SitePowerOutage.on(site)
         );
     }
 
@@ -542,7 +542,7 @@ mod tests {
         assert!(report
             .diagnostics
             .iter()
-            .any(|d| d.signature == format!("clock-skew@{site}")));
+            .any(|d| d.signature == Symptom::ClockSkew.on(site)));
     }
 
     #[test]
@@ -562,7 +562,7 @@ mod tests {
         let report = h.run(&cfg);
         assert!(!report.passed());
         assert_eq!(
-            report.diagnostics[0].signature,
+            report.diagnostics[0].signature.to_string(),
             format!("site-link-partition@{a}~{b}")
         );
         // Local (single-site) kavlan is unaffected by the partition.
@@ -592,6 +592,6 @@ mod tests {
         h.assigned = vec![cluster[0], cluster[2]];
         let report = h.run(&cfg);
         assert!(!report.passed());
-        assert_eq!(report.diagnostics[0].signature, "cabling-swap@alpha-1");
+        assert_eq!(report.diagnostics[0].signature, Symptom::CablingSwap.on("alpha-1"));
     }
 }

@@ -17,9 +17,9 @@
 //!
 //! [`build_suite`] generates the full 751-configuration set for the
 //! paper-scale testbed; [`run_test`] executes one configuration against the
-//! simulated testbed and returns a [`TestReport`] whose diagnostics carry
-//! fault-signature-compatible identifiers, so the bug tracker can
-//! deduplicate and operators can repair the right thing.
+//! simulated testbed and returns a [`TestReport`] whose diagnostics carry a
+//! typed [`ttt_testbed::Signature`], so the bug tracker can deduplicate and
+//! operators can repair the right thing.
 
 #![forbid(unsafe_code)]
 

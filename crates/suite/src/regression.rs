@@ -13,7 +13,7 @@
 use crate::ctx::TestCtx;
 use crate::report::{Diagnostic, TestReport};
 use ttt_sim::SimDuration;
-use ttt_testbed::perf;
+use ttt_testbed::{perf, Symptom};
 
 /// The measured quantity a captured experiment depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,7 @@ impl RegressionExperiment {
         let Some(measured) = self.measure(ctx) else {
             return TestReport::from_diagnostics(
                 vec![Diagnostic::new(
-                    format!("regression-unmeasurable@{}", self.cluster),
+                    Symptom::RegressionUnmeasurable.on(&self.cluster),
                     format!("{}: no assigned nodes expose the metric", self.id),
                 )],
                 duration,
@@ -110,7 +110,7 @@ impl RegressionExperiment {
         let mut diagnostics = Vec::new();
         if rel.abs() > self.tolerance {
             diagnostics.push(Diagnostic::new(
-                format!("regression-drift@{}", self.cluster),
+                Symptom::RegressionDrift.on(&self.cluster),
                 format!(
                     "{}: {:?} moved {:+.1}% from the published baseline \
                      ({measured:.1} vs {:.1}, tolerance ±{:.0}%)",
@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use crate::testutil::Harness;
     use ttt_sim::SimTime;
-    use ttt_testbed::{FaultKind, FaultTarget};
+    use ttt_testbed::{FaultKind, FaultTarget, Symptom};
 
     fn experiment(metric: Metric) -> RegressionExperiment {
         RegressionExperiment {
@@ -203,9 +203,7 @@ mod tests {
             tight.run(&mut ctx)
         };
         assert!(!report.passed());
-        assert!(report.diagnostics[0]
-            .signature
-            .starts_with("regression-drift@"));
+        assert_eq!(report.diagnostics[0].signature.symptom, Symptom::RegressionDrift);
     }
 
     #[test]
@@ -291,8 +289,6 @@ mod tests {
         };
         let report = exp.run(&mut ctx);
         assert!(!report.passed());
-        assert!(report.diagnostics[0]
-            .signature
-            .starts_with("regression-unmeasurable@"));
+        assert_eq!(report.diagnostics[0].signature.symptom, Symptom::RegressionUnmeasurable);
     }
 }

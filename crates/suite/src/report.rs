@@ -1,6 +1,8 @@
 //! Test outcome model.
 
+use std::fmt::Write as _;
 use ttt_sim::SimDuration;
+use ttt_testbed::Signature;
 
 /// Outcome of one test run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,23 +15,22 @@ pub enum TestStatus {
 
 /// One issue found by a test, with enough context for an operator.
 ///
-/// `signature` is stable across runs of the same underlying problem and is
-/// formatted compatibly with `ttt_testbed::Fault::signature()` (e.g.
-/// `"cpu-cstates@grisou-3"`), so the bug tracker can deduplicate reports
-/// and the repair loop can locate the fault.
+/// `signature` is stable across runs of the same underlying problem, so the
+/// bug tracker can deduplicate reports on it and the repair loop can locate
+/// the fault through `ttt_testbed::find_fault`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable dedup key.
-    pub signature: String,
+    pub signature: Signature,
     /// Operator-facing explanation.
     pub message: String,
 }
 
 impl Diagnostic {
     /// Convenience constructor.
-    pub fn new(signature: impl Into<String>, message: impl Into<String>) -> Self {
+    pub fn new(signature: Signature, message: impl Into<String>) -> Self {
         Diagnostic {
-            signature: signature.into(),
+            signature,
             message: message.into(),
         }
     }
@@ -69,7 +70,14 @@ impl TestReport {
     pub fn log_lines(&self) -> Vec<String> {
         self.diagnostics
             .iter()
-            .map(|d| format!("{}: {}", d.signature, d.message))
+            .map(|d| {
+                // Sized up front: the signature renders in several pieces.
+                let Signature { symptom, subject } = &d.signature;
+                let len = symptom.name().len() + 1 + subject.len() + 2 + d.message.len();
+                let mut line = String::with_capacity(len);
+                let _ = write!(line, "{}: {}", d.signature, d.message);
+                line
+            })
             .collect()
     }
 }
@@ -77,13 +85,14 @@ impl TestReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttt_testbed::Symptom;
 
     #[test]
     fn status_follows_diagnostics() {
         let ok = TestReport::from_diagnostics(vec![], SimDuration::from_mins(5));
         assert!(ok.passed());
         let bad = TestReport::from_diagnostics(
-            vec![Diagnostic::new("cpu-cstates@n1", "drift")],
+            vec![Diagnostic::new(Symptom::CpuCStates.on("n1"), "drift")],
             SimDuration::from_mins(5),
         );
         assert!(!bad.passed());

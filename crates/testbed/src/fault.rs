@@ -14,7 +14,7 @@
 //! [`FaultKind::CATALOGUE`] (emitted with the enum from the one list
 //! below): its catalogue name, its default arrivals per day, the
 //! [`TargetShape`] it lands on, the [`Layer`] it joined the catalogue with,
-//! and the symptom prefixes a test files it under (canonical one first).
+//! and the [`Symptom`]s a test files it under (canonical one first).
 //! Names, default rates, random and canonical targets, the layer sets and
 //! the bug→fault matcher [`find_fault`] — which inverts the symptom column
 //! — are all read off that table. What a kind *does* to the testbed is
@@ -93,10 +93,10 @@ pub struct KindSpec {
     pub shape: TargetShape,
     /// Which layer of the catalogue it belongs to.
     pub layer: Layer,
-    /// The diagnostic-signature prefixes a test files it under, canonical
-    /// one first. Several kinds can share a behavioural symptom
-    /// (`deploy-failure`), and look-alike pairs name each other.
-    pub symptoms: &'static [&'static str],
+    /// The symptoms a test files it under, canonical one first. Several
+    /// kinds can share a behavioural symptom (`deploy-failure`), and
+    /// look-alike pairs name each other.
+    pub symptoms: &'static [Symptom],
 }
 
 /// Emits [`FaultKind`], [`FaultKind::ALL`] and [`FaultKind::CATALOGUE`]
@@ -105,7 +105,7 @@ pub struct KindSpec {
 macro_rules! catalogue {
     ($(
         $(#[$doc:meta])*
-        $kind:ident = $name:literal, $per_day:literal, $shape:ident, $layer:ident, [$($symptom:literal),+];
+        $kind:ident = $name:literal, $per_day:literal, $shape:ident, $layer:ident, [$($symptom:ident),+];
     )+) => {
         /// The classes of problems the paper reports (slides 13 & 22).
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -124,7 +124,7 @@ macro_rules! catalogue {
                 per_day: $per_day,
                 shape: TargetShape::$shape,
                 layer: Layer::$layer,
-                symptoms: &[$($symptom),+],
+                symptoms: &[$(Symptom::$symptom),+],
             },)+];
         }
     };
@@ -133,65 +133,169 @@ macro_rules! catalogue {
 // One row per kind: name, arrivals/day, target shape, layer, symptoms.
 catalogue! {
     /// Disk volatile write cache toggled away from the reference setting.
-    DiskWriteCacheDrift = "disk-write-cache", 0.10, Node, Base, ["disk-write-cache"];
+    DiskWriteCacheDrift = "disk-write-cache", 0.10, Node, Base, [DiskWriteCache];
     /// Disk firmware downgraded to a known-bad revision.
-    DiskFirmwareDrift = "disk-firmware", 0.06, Node, Base, ["disk-firmware"];
+    DiskFirmwareDrift = "disk-firmware", 0.06, Node, Base, [DiskFirmware];
     /// Deep C-states enabled while the reference disables them.
-    CpuCStatesDrift = "cpu-cstates", 0.10, Node, Base, ["cpu-cstates"];
+    CpuCStatesDrift = "cpu-cstates", 0.10, Node, Base, [CpuCStates];
     /// Hyperthreading toggled away from the reference setting.
-    HyperthreadingDrift = "cpu-ht", 0.05, Node, Base, ["cpu-ht"];
+    HyperthreadingDrift = "cpu-ht", 0.05, Node, Base, [CpuHt];
     /// Turbo boost toggled away from the reference setting.
-    TurboDrift = "cpu-turbo", 0.05, Node, Base, ["cpu-turbo"];
+    TurboDrift = "cpu-turbo", 0.05, Node, Base, [CpuTurbo];
     /// BIOS downgraded/not upgraded relative to the cluster reference.
-    BiosVersionDrift = "bios-version", 0.08, Node, Base, ["bios-version"];
+    BiosVersionDrift = "bios-version", 0.08, Node, Base, [BiosVersion];
     /// A DIMM failed; the BIOS masks it and the node loses memory.
-    DimmFailure = "dimm-failure", 0.08, Node, Base, ["dimm-failure"];
+    DimmFailure = "dimm-failure", 0.08, Node, Base, [DimmFailure];
     /// NIC negotiated a lower link rate (bad cable/port).
-    NicDowngrade = "nic-downgrade", 0.05, Node, Base, ["nic-downgrade"];
+    NicDowngrade = "nic-downgrade", 0.05, Node, Base, [NicDowngrade];
     /// Power-monitoring wiring swapped between two nodes.
-    CablingSwap = "cabling-swap", 0.03, NodePair, Base, ["cabling-swap"];
+    CablingSwap = "cabling-swap", 0.03, NodePair, Base, [CablingSwap];
     /// Kernel race condition delaying boots. Surfaces as the symptom the
     /// deploy/reboot families report, not under its own name.
-    KernelBootRace = "kernel-boot-race", 0.04, Node, Base, ["boot-delay", "deploy-failure"];
+    KernelBootRace = "kernel-boot-race", 0.04, Node, Base, [BootDelay, DeployFailure];
     /// Node reboots spontaneously (the decommissioned-cluster bug).
-    RandomReboots = "random-reboots", 0.02, Node, Base, ["boot-failure", "deploy-failure"];
+    RandomReboots = "random-reboots", 0.02, Node, Base, [BootFailure, DeployFailure];
     /// OFED stack randomly fails to start Infiniband applications.
-    OfedFlaky = "ofed-flaky", 0.04, IbNode, Base, ["ofed-flaky"];
+    OfedFlaky = "ofed-flaky", 0.04, IbNode, Base, [OfedFlaky];
     /// Serial console unreachable.
-    ConsoleDead = "console-dead", 0.05, Node, Base, ["console-dead"];
+    ConsoleDead = "console-dead", 0.05, Node, Base, [ConsoleDead];
     /// Switch port refuses VLAN reconfiguration.
-    VlanPortStuck = "vlan-port-stuck", 0.03, Node, Base, ["vlan-port-stuck"];
+    VlanPortStuck = "vlan-port-stuck", 0.03, Node, Base, [VlanPortStuck];
     /// A site service became flaky. A flaky service can fail every probe
     /// of one run (looks down) and a down service is a special case of
     /// flaky, so the pair name each other: an unlucky sample still
     /// repairs the right fault.
-    ServiceFlaky = "service-flaky", 0.08, Service, Base, ["service-flaky", "service-down"];
+    ServiceFlaky = "service-flaky", 0.08, Service, Base, [ServiceFlaky, ServiceDown];
     /// A site service went down entirely.
-    ServiceDown = "service-down", 0.03, Service, Base, ["service-down", "service-flaky"];
+    ServiceDown = "service-down", 0.03, Service, Base, [ServiceDown, ServiceFlaky];
     /// Node hardware died outright (a deployment onto it fails too).
-    NodeDead = "node-dead", 0.04, Node, Base, ["node-dead", "deploy-failure"];
+    NodeDead = "node-dead", 0.04, Node, Base, [NodeDead, DeployFailure];
     /// A whole site lost power: every node of the site is unreachable
     /// until the outage is repaired (the multi-site failure class the
     /// single-domain model could never express).
-    SitePowerOutage = "site-power-outage", 0.01, Site, Site, ["site-power-outage"];
+    SitePowerOutage = "site-power-outage", 0.01, Site, Site, [SitePowerOutage];
     /// The backbone link between two sites is partitioned.
-    SiteLinkPartition = "site-link-partition", 0.02, SiteLink, Site, ["site-link-partition"];
+    SiteLinkPartition = "site-link-partition", 0.02, SiteLink, Site, [SiteLinkPartition];
     /// A site's clock drifted away from the federation's NTP reference.
-    ClockSkew = "clock-skew", 0.03, Site, Site, ["clock-skew"];
+    ClockSkew = "clock-skew", 0.03, Site, Site, [ClockSkew];
     /// A service *process* halted outright: calls are refused (connection
     /// refused, not an unhealthy reply) until an operator repair restarts
     /// it. Distinct from [`FaultKind::ServiceDown`], which models broken
     /// service logic on a running process. A refused probe cannot tell a
     /// crash from a bounded restart, so that pair name each other too.
-    ServiceCrash = "service-crash", 0.02, Service, Process, ["service-crash", "service-restart"];
+    ServiceCrash = "service-crash", 0.02, Service, Process, [ServiceCrash, ServiceRestart];
     /// A service process went down for a bounded restart window; the
     /// campaign driver completes the restart on its own (the restart
     /// instant is a wake term).
-    ServiceRestart = "service-restart", 0.04, Service, Process, ["service-restart", "service-crash"];
+    ServiceRestart = "service-restart", 0.04, Service, Process, [ServiceRestart, ServiceCrash];
     /// A site's service links degraded: every enveloped call into the site
     /// gains latency and may be dropped. Site-shaped, but it joined the
     /// catalogue with the process layer and is pinned by its cells.
-    RpcDegraded = "rpc-degraded", 0.03, Site, Process, ["rpc-degraded"];
+    RpcDegraded = "rpc-degraded", 0.03, Site, Process, [RpcDegraded];
+}
+
+/// Emits [`Symptom`], [`Symptom::ALL`] and [`Symptom::name`] from one list.
+macro_rules! symptoms {
+    ($($symptom:ident = $name:literal,)+) => {
+        /// What a test saw, the first half of a [`Signature`]. Each variant's
+        /// doc is its stable name.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Symptom {
+            $(#[doc = $name] $symptom,)+
+        }
+
+        impl Symptom {
+            /// All symptoms, in declaration order.
+            pub const ALL: [Symptom; 42] = [$(Symptom::$symptom,)+];
+
+            /// Short stable name, the part of a signature before its `@`.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Symptom::$symptom => $name,)+
+                }
+            }
+        }
+    };
+}
+
+// One row per symptom name. The catalogue's symptom column names the
+// first 24; tests file the other 18, which no fault kind shows.
+symptoms! {
+    DiskWriteCache = "disk-write-cache",
+    DiskFirmware = "disk-firmware",
+    CpuCStates = "cpu-cstates",
+    CpuHt = "cpu-ht",
+    CpuTurbo = "cpu-turbo",
+    BiosVersion = "bios-version",
+    DimmFailure = "dimm-failure",
+    NicDowngrade = "nic-downgrade",
+    CablingSwap = "cabling-swap",
+    BootDelay = "boot-delay",
+    DeployFailure = "deploy-failure",
+    BootFailure = "boot-failure",
+    OfedFlaky = "ofed-flaky",
+    ConsoleDead = "console-dead",
+    VlanPortStuck = "vlan-port-stuck",
+    ServiceFlaky = "service-flaky",
+    ServiceDown = "service-down",
+    NodeDead = "node-dead",
+    SitePowerOutage = "site-power-outage",
+    SiteLinkPartition = "site-link-partition",
+    ClockSkew = "clock-skew",
+    ServiceCrash = "service-crash",
+    ServiceRestart = "service-restart",
+    RpcDegraded = "rpc-degraded",
+    DescriptionMismatch = "description-mismatch",
+    Undescribed = "undescribed",
+    UndescribedCluster = "undescribed-cluster",
+    RefapiEmpty = "refapi-empty",
+    UnknownCluster = "unknown-cluster",
+    UnknownImage = "unknown-image",
+    NoInfiniband = "no-infiniband",
+    IbDegraded = "ib-degraded",
+    CmdlineOarstat = "cmdline-oarstat",
+    CmdlineOarnodes = "cmdline-oarnodes",
+    VlanBroken = "vlan-broken",
+    KwapiNoData = "kwapi-no-data",
+    KwapiRate = "kwapi-rate",
+    RegressionDrift = "regression-drift",
+    RegressionUnmeasurable = "regression-unmeasurable",
+    // Filed without a subject.
+    NoStdenv = "no-stdenv",
+    KavlanUnderprovisioned = "kavlan-underprovisioned",
+    InvalidConfiguration = "invalid-configuration",
+}
+
+impl Symptom {
+    /// This symptom seen on `subject`: a host, cluster, image or site name,
+    /// a VLAN number, or a fault target's rendering (`site-0/oar-server`).
+    pub fn on(self, subject: impl fmt::Display) -> Signature {
+        Signature {
+            symptom: self,
+            subject: subject.to_string(),
+        }
+    }
+}
+
+/// What a test files, the bug tracker deduplicates on and [`find_fault`]
+/// matches: a [`Symptom`] on a subject. It renders `symptom@subject`
+/// (`cpu-cstates@grisou-3`), or the bare symptom when the subject is empty.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Signature {
+    /// What was seen.
+    pub symptom: Symptom,
+    /// What it was seen on; empty for a symptom filed without one.
+    pub subject: String,
+}
+
+impl fmt::Display for Signature {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.symptom.name())?;
+        if self.subject.is_empty() {
+            return Ok(());
+        }
+        write!(f, "@{}", self.subject)
+    }
 }
 
 impl FaultKind {
@@ -253,7 +357,7 @@ pub enum FaultTarget {
     SiteLink(SiteId, SiteId),
 }
 
-/// The target half of a fault signature: `node-17`, `node-1+node-2`,
+/// A target as logs and diagnostics spell it: `node-17`, `node-1+node-2`,
 /// `site-0/oar-server`, `site-0`, `site-0~site-1`.
 impl fmt::Display for FaultTarget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -280,14 +384,6 @@ pub struct Fault {
     pub injected_at: SimTime,
 }
 
-impl Fault {
-    /// Stable signature used for bug deduplication, e.g.
-    /// `"disk-write-cache@node-17"`.
-    pub fn signature(&self) -> String {
-        format!("{}@{}", self.kind, self.target)
-    }
-}
-
 /// Whether `value` renders as exactly `expected`, decided piece by piece as
 /// `Display` writes them: nothing is formatted into a string.
 fn renders_as(value: impl fmt::Display, expected: &str) -> bool {
@@ -307,41 +403,39 @@ fn renders_as(value: impl fmt::Display, expected: &str) -> bool {
 /// signature points at, so that an operator fixing a filed bug repairs the
 /// fault behind it.
 ///
-/// Signatures are `prefix@subject`. A signature that is exactly a fault's
-/// own ([`Fault::signature`]: configuration drift, services, sites) wins;
-/// otherwise the prefix is read as a behavioural symptom
-/// (`deploy-failure@grisou-3`) and matched against the active faults whose
-/// kind lists it in the symptom column of [`FaultKind::CATALOGUE`] and
-/// whose target is the named node, service or site.
-pub fn find_fault<'a>(tb: &'a Testbed, bug_signature: &str) -> Option<&'a Fault> {
-    // No catalogue name contains '@', so a fault's signature splits here too.
-    let (prefix, subject) = bug_signature.split_once('@')?;
-    let active = tb.active_faults();
-    if let Some(exact) = active
-        .iter()
-        .find(|f| f.kind.name() == prefix && renders_as(f.target, subject))
-    {
-        return Some(exact);
-    }
-    let mut showing = active
-        .iter()
-        .filter(|f| f.kind.spec().symptoms.contains(&prefix))
-        .peekable();
-    showing.peek()?;
+/// The candidates are the active faults whose kind lists the symptom in the
+/// symptom column of [`FaultKind::CATALOGUE`] and whose target is the
+/// subject: a node by host name, a service or site by its rendering, a
+/// link by the pair or either endpoint. The first one whose canonical
+/// symptom this is wins — the flaky/down and crash/restart pairs can sit on
+/// one service — and otherwise the first one.
+pub fn find_fault<'a>(tb: &'a Testbed, signature: &Signature) -> Option<&'a Fault> {
+    let Signature { symptom, subject } = signature;
     // Diagnostics name nodes by host name, fault targets by id.
-    let node = tb.node_by_name(subject).map(|n| n.id);
-    showing.find(|f| match (f.target, node) {
-        (FaultTarget::Node(n), Some(id)) => n == id,
-        (FaultTarget::NodePair(a, b), Some(id)) => a == id || b == id,
-        (FaultTarget::Node(_) | FaultTarget::NodePair(..), None) => false,
-        // Identical for the flaky/down and crash/restart pairs on the
-        // same service.
-        (FaultTarget::Service(..) | FaultTarget::Site(..), _) => renders_as(f.target, subject),
-        // A partition diagnostic may name the pair or a single endpoint.
-        (FaultTarget::SiteLink(a, b), _) => {
-            renders_as(f.target, subject) || renders_as(a, subject) || renders_as(b, subject)
+    let host = |n: NodeId| tb.node(n).name == *subject;
+    let mut first = None;
+    for f in tb.active_faults() {
+        let symptoms = f.kind.spec().symptoms;
+        if !symptoms.contains(symptom) {
+            continue;
         }
-    })
+        let named = match f.target {
+            FaultTarget::Node(n) => host(n),
+            FaultTarget::NodePair(a, b) => host(a) || host(b),
+            FaultTarget::Service(..) | FaultTarget::Site(..) => renders_as(f.target, subject),
+            FaultTarget::SiteLink(a, b) => {
+                renders_as(f.target, subject) || renders_as(a, subject) || renders_as(b, subject)
+            }
+        };
+        if !named {
+            continue;
+        }
+        if symptoms[0] == *symptom {
+            return Some(f);
+        }
+        first = first.or(Some(f));
+    }
+    first
 }
 
 /// Per-kind arrival rates, in expected events per day across the whole
@@ -605,20 +699,13 @@ mod tests {
 
     #[test]
     fn signatures_are_stable_and_distinct() {
-        let f1 = Fault {
-            id: FaultId(1),
-            kind: FaultKind::DiskWriteCacheDrift,
-            target: FaultTarget::Node(NodeId(17)),
-            injected_at: SimTime::ZERO,
-        };
-        let f2 = Fault {
-            id: FaultId(2),
-            kind: FaultKind::DiskWriteCacheDrift,
-            target: FaultTarget::Node(NodeId(18)),
-            injected_at: SimTime::ZERO,
-        };
-        assert_eq!(f1.signature(), "disk-write-cache@node-17");
-        assert_ne!(f1.signature(), f2.signature());
+        let on = |n| Symptom::DiskWriteCache.on(FaultTarget::Node(NodeId(n)));
+        assert_eq!(on(17).to_string(), "disk-write-cache@node-17");
+        assert_ne!(on(17), on(18));
+        let service = FaultTarget::Service(SiteId(2), ServiceKind::OarServer);
+        assert_eq!(Symptom::ServiceCrash.on(service).to_string(), "service-crash@site-2/oar-server");
+        // Filed without a subject: the bare name.
+        assert_eq!(Symptom::NoStdenv.on("").to_string(), "no-stdenv");
     }
 
     #[test]
@@ -626,15 +713,13 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             FaultKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), FaultKind::ALL.len());
-        // A canonical symptom names one kind too, and `find_fault` splits a
-        // signature at its first '@': no name or symptom may contain one.
-        let canonical: std::collections::HashSet<&str> =
+        // A canonical symptom names one kind too.
+        let canonical: std::collections::HashSet<Symptom> =
             FaultKind::CATALOGUE.iter().map(|row| row.symptoms[0]).collect();
         assert_eq!(canonical.len(), FaultKind::ALL.len());
-        for row in &FaultKind::CATALOGUE {
-            assert!(!row.name.contains('@'));
-            assert!(row.symptoms.iter().all(|s| !s.contains('@')));
-        }
+        let symptoms: std::collections::HashSet<&str> =
+            Symptom::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(symptoms.len(), Symptom::ALL.len());
     }
 
     #[test]
@@ -679,14 +764,13 @@ mod tests {
             for symptom in row.symptoms {
                 let mut tb = TestbedBuilder::small().build();
                 let fault = apply_canonical(&mut tb, row.kind);
-                // Diagnostics name a node by host name, anything else the
-                // way the fault signature does.
-                let subject = match fault.target {
-                    FaultTarget::Node(n) | FaultTarget::NodePair(n, _) => tb.node(n).name.clone(),
-                    other => other.to_string(),
+                // Diagnostics name a node by host name, anything else by
+                // the target's rendering.
+                let signature = match fault.target {
+                    FaultTarget::Node(n) | FaultTarget::NodePair(n, _) => symptom.on(&tb.node(n).name),
+                    other => symptom.on(other),
                 };
-                let found = find_fault(&tb, &format!("{symptom}@{subject}"));
-                assert_eq!(found, Some(&fault), "{symptom}@{subject}");
+                assert_eq!(find_fault(&tb, &signature), Some(&fault), "{signature}");
             }
         }
     }
@@ -775,7 +859,7 @@ mod tests {
             let mut rng = stream_rng(seed, "inject");
             inj.advance(SimTime::from_days(90), &mut tb, &mut rng)
                 .iter()
-                .map(|f| f.signature())
+                .map(|f| (f.kind, f.target))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -791,10 +875,10 @@ mod tests {
             let mut inj = FaultInjector::new(InjectorConfig::default());
             let mut rng = stream_rng(7, "inject");
             let peeked = if peek { inj.next_event(&mut rng) } else { None };
-            let sigs: Vec<String> = inj
+            let sigs: Vec<(FaultKind, FaultTarget)> = inj
                 .advance(SimTime::from_days(30), &mut tb, &mut rng)
                 .iter()
-                .map(|f| f.signature())
+                .map(|f| (f.kind, f.target))
                 .collect();
             (peeked, sigs)
         };
@@ -829,12 +913,27 @@ mod tests {
             .apply_fault(FaultKind::CpuCStatesDrift, FaultTarget::Node(n), SimTime::ZERO)
             .unwrap();
         let name = tb.node(n).name.clone();
-        let found = find_fault(&tb, &format!("cpu-cstates@{name}")).unwrap();
+        let found = find_fault(&tb, &Symptom::CpuCStates.on(&name)).unwrap();
         assert_eq!(found.id, f.id);
-        // The fault's own signature (node id, not host name) is the exact
-        // pass; a signature that only starts like it is not.
-        assert_eq!(find_fault(&tb, &f.signature()), Some(&f));
-        assert_eq!(find_fault(&tb, &format!("{}0", f.signature())), None);
+        // A subject that only starts like the host name is not it.
+        assert_eq!(find_fault(&tb, &Symptom::CpuCStates.on(format!("{name}0"))), None);
+    }
+
+    #[test]
+    fn a_host_named_like_a_node_id_resolves_by_host_name() {
+        use crate::gen::ClusterSpec;
+        use crate::hardware::Vendor;
+        // Host `node-1` is node id 0, while node id 1 renders as `node-1`.
+        let spec = ClusterSpec::new("node", "only", 3, 4, Vendor::Dell, false, true);
+        let mut tb = TestbedBuilder::from_specs(vec![spec]).build();
+        let mut drift = |n| {
+            tb.apply_fault(FaultKind::CpuCStatesDrift, FaultTarget::Node(NodeId(n)), SimTime::ZERO)
+                .unwrap()
+        };
+        drift(1);
+        let own = drift(0);
+        assert_eq!(tb.node(NodeId(0)).name, "node-1");
+        assert_eq!(find_fault(&tb, &Symptom::CpuCStates.on("node-1")), Some(&own));
     }
 
     #[test]
@@ -845,9 +944,9 @@ mod tests {
             .apply_fault(FaultKind::RandomReboots, FaultTarget::Node(n), SimTime::ZERO)
             .unwrap();
         let name = tb.node(n).name.clone();
-        let found = find_fault(&tb, &format!("deploy-failure@{name}")).unwrap();
+        let found = find_fault(&tb, &Symptom::DeployFailure.on(&name)).unwrap();
         assert_eq!(found.id, f.id);
-        let found = find_fault(&tb, &format!("boot-failure@{name}")).unwrap();
+        let found = find_fault(&tb, &Symptom::BootFailure.on(&name)).unwrap();
         assert_eq!(found.id, f.id);
     }
 
@@ -861,7 +960,7 @@ mod tests {
             .unwrap();
         for n in [a, b] {
             let name = tb.node(n).name.clone();
-            let found = find_fault(&tb, &format!("cabling-swap@{name}")).unwrap();
+            let found = find_fault(&tb, &Symptom::CablingSwap.on(&name)).unwrap();
             assert_eq!(found.id, f.id);
         }
     }
@@ -877,15 +976,14 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        let found = find_fault(&tb, &f.signature()).unwrap();
+        let found = find_fault(&tb, &Symptom::ServiceFlaky.on(f.target)).unwrap();
         assert_eq!(found.id, f.id);
     }
 
     #[test]
     fn unknown_signatures_match_nothing() {
         let tb = TestbedBuilder::small().build();
-        assert!(find_fault(&tb, "nonsense").is_none());
-        assert!(find_fault(&tb, "cpu-cstates@alpha-1").is_none());
-        assert!(find_fault(&tb, "boot-delay@unknown-node").is_none());
+        assert!(find_fault(&tb, &Symptom::CpuCStates.on("alpha-1")).is_none());
+        assert!(find_fault(&tb, &Symptom::BootDelay.on("unknown-node")).is_none());
     }
 }

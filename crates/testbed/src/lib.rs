@@ -31,7 +31,7 @@ pub mod validate;
 pub use cluster::Cluster;
 pub use fault::{
     find_fault, Fault, FaultId, FaultInjector, FaultKind, FaultTarget, InjectorConfig, KindSpec,
-    Layer, TargetShape,
+    Layer, Signature, Symptom, TargetShape,
 };
 pub use gen::TestbedBuilder;
 pub use hardware::{

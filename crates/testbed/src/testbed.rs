@@ -967,7 +967,7 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        assert_eq!(f.signature(), format!("service-crash@{site}/oar-server"));
+        assert_eq!(f.target.to_string(), format!("{site}/oar-server"));
         assert!(!tb.process_up(site, ServiceKind::OarServer));
         // The crash kills the process, not the service health, and not the
         // site: a crashed OAR process must never masquerade as a blackout.
@@ -1028,7 +1028,7 @@ mod tests {
         let f = tb
             .apply_fault(FaultKind::RpcDegraded, FaultTarget::Site(site), SimTime::ZERO)
             .unwrap();
-        assert_eq!(f.signature(), format!("rpc-degraded@{site}"));
+        assert_eq!(f.target, FaultTarget::Site(site));
         let q = tb.rpc_degrade[site.index()].unwrap();
         let mut dropped = 0u32;
         for _ in 0..400 {
@@ -1313,7 +1313,7 @@ mod tests {
         let f = tb
             .apply_fault(FaultKind::SitePowerOutage, FaultTarget::Site(site), SimTime::ZERO)
             .unwrap();
-        assert_eq!(f.signature(), format!("site-power-outage@{site}"));
+        assert_eq!(f.target, FaultTarget::Site(site));
         assert!(!tb.site_powered(site));
         for &n in &site_nodes {
             assert!(!tb.node_alive(n), "{n} should be unreachable");
@@ -1366,7 +1366,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(f.target, FaultTarget::SiteLink(a, b));
-        assert_eq!(f.signature(), format!("site-link-partition@{a}~{b}"));
+        assert_eq!(f.target.to_string(), format!("{a}~{b}"));
         assert!(!tb.topology().sites_connected(a, b));
         // Same pair again (either order) is a no-op.
         assert!(tb

@@ -12,25 +12,24 @@ use throughout::sim::SimTime;
 fn main() {
     let mut c = Campaign::new(paper_scenario(2017));
     c.run_until(SimTime::from_days(120));
-    let mut by_prefix: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    let mut by_symptom: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for bug in c.tracker().bugs() {
-        let prefix = bug.signature.split('@').next().unwrap_or("?").to_string();
-        let e = by_prefix.entry(prefix).or_default();
+        let e = by_symptom.entry(bug.signature.symptom.name()).or_default();
         e.0 += 1;
         if bug.state == throughout::bugs::BugState::Fixed {
             e.1 += 1;
         }
     }
-    println!("{:<24} {:>6} {:>6}", "prefix", "filed", "fixed");
-    for (p, (filed, fixed)) in &by_prefix {
+    println!("{:<24} {:>6} {:>6}", "symptom", "filed", "fixed");
+    for (p, (filed, fixed)) in &by_symptom {
         println!("{p:<24} {filed:>6} {fixed:>6}");
     }
     println!("\nactive faults at day 120: {}", c.testbed().active_faults().len());
     println!("filed {} fixed {}", c.tracker().filed(), c.tracker().fixed());
     // Top recurring signatures (possible fix-refile loops).
-    let mut sig_count: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut sig_count: BTreeMap<String, usize> = BTreeMap::new();
     for bug in c.tracker().bugs() {
-        *sig_count.entry(bug.signature.as_str()).or_default() += 1;
+        *sig_count.entry(bug.signature.to_string()).or_default() += 1;
     }
     let mut v: Vec<_> = sig_count.into_iter().filter(|(_, n)| *n > 1).collect();
     v.sort_by_key(|(_, n)| std::cmp::Reverse(*n));

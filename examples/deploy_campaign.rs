@@ -1,4 +1,4 @@
-//! Experiment E2 (slide 8): "200 nodes deployed in ~5 minutes".
+//! Experiment E11 (slide 8): "200 nodes deployed in ~5 minutes".
 //!
 //! Sweeps deployment size and prints the makespan series, separating the
 //! clean path (no per-node failures) from the default failure/retry model.

@@ -1,4 +1,4 @@
-//! Experiment E5 (slides 16–17): the external scheduler vs. the naive
+//! Experiment E12 (slides 16–17): the external scheduler vs. the naive
 //! baseline, plus the per-node-scheduling ablation (slide 23's open
 //! question).
 //!

@@ -1,4 +1,4 @@
-//! Experiment E6 (slides 18–19): the status page.
+//! Experiment E13 (slides 18–19): the status page.
 //!
 //! Runs a short campaign on the paper-scale testbed and renders the
 //! external status page from the CI server's read API (the job histories

@@ -50,7 +50,7 @@ fn every_filed_bug_has_a_plausible_signature() {
     c.run();
     for bug in c.tracker().bugs() {
         assert!(
-            bug.signature.contains('@'),
+            !bug.signature.subject.is_empty(),
             "free-floating signature: {}",
             bug.signature
         );

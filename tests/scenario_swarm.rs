@@ -7,6 +7,7 @@ use throughout::scengen::{
     replay, run_scenario, run_seed, run_swarm, seed_block, shrink, Oracles, OracleKind,
     ScenarioSpec,
 };
+use throughout::testbed::Symptom;
 
 /// The headline acceptance: a 32-seed swarm, all oracles on.
 #[test]
@@ -189,9 +190,10 @@ fn multi_site_scenario_with_site_faults_passes_every_oracle() {
         .bugs()
         .iter()
         .filter(|b| {
-            b.signature.starts_with("site-power-outage@")
-                || b.signature.starts_with("site-link-partition@")
-                || b.signature.starts_with("clock-skew@")
+            matches!(
+                b.signature.symptom,
+                Symptom::SitePowerOutage | Symptom::SiteLinkPartition | Symptom::ClockSkew
+            )
         })
         .count();
     assert!(
@@ -290,10 +292,7 @@ fn service_chaos_scenario_on_multi_site_grid_passes_every_oracle() {
         .tracker()
         .bugs()
         .iter()
-        .filter(|b| {
-            b.signature.starts_with("service-crash@")
-                || b.signature.starts_with("rpc-degraded@")
-        })
+        .filter(|b| matches!(b.signature.symptom, Symptom::ServiceCrash | Symptom::RpcDegraded))
         .count();
     assert!(
         service_bugs > 0,
