@@ -211,6 +211,7 @@ impl Campaign {
             }
         }
 
+        // detlint: allow(no-unwrap-in-lib) -- `publish_from` at the top of `new` published version 1
         let mut fed = Federation::new(&tb, refapi.latest().expect("published"));
         // Same seed/rate; the submit path only uses the rng-free hashed
         // variant, so arming it never shifts a stream.
@@ -261,6 +262,7 @@ impl Campaign {
             user_load.cluster_affinity = 0.0;
         }
         let mut userload = UserLoadGenerator::new(user_load, clusters)
+            // detlint: allow(no-unwrap-in-lib) -- affinity was zeroed above when there are no clusters, the one config `new` rejects
             .expect("cluster affinity is zero whenever there are no clusters");
         userload.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
         Campaign {

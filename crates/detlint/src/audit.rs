@@ -12,13 +12,13 @@
 //!    `stale-buggify-registration`);
 //! 2. it enumerates the *fault surface* — `Result`-returning functions
 //!    in the six service crates, the static stand-in for "IO-shaped
-//!    operations that can fail" — and reports which of them contain a
-//!    buggify arm, as a covered/total density per crate.
+//!    operations that can fail" — and fires `unarmed-service-fn` at
+//!    each one whose body has no buggify arm.
 //!
-//! Uncovered surface functions are not violations by themselves; the
-//! baseline must either cover them or name a reason they stay bare,
-//! which turns ROADMAP's "grow buggify toward FoundationDB density"
-//! into a ratchet instead of an aspiration.
+//! A surface function either carries an arm or an inline escape naming
+//! why it stays bare (a pure parser, an internal invariant check), so
+//! the per-crate density — armed over the functions not escaped — is
+//! over the surface that does IO.
 
 use crate::rules::{brace_match, find_pattern, FileCtx, Violation};
 use crate::FileKind;
@@ -55,7 +55,6 @@ pub struct FireSite {
     /// 1-based line.
     pub line: u32,
 }
-serde::record!(struct FireSite { callsite, file, line });
 
 /// Buggify density of one service crate.
 #[derive(Debug, Clone)]
@@ -64,10 +63,11 @@ pub struct CrateDensity {
     pub crate_name: String,
     /// Surface functions containing a buggify arm.
     pub covered: usize,
+    /// Unarmed surface functions whose firing an escape silenced.
+    pub escaped: usize,
     /// Total surface functions.
     pub total: usize,
 }
-serde::record!(struct CrateDensity { crate_name, covered, total });
 
 /// A surface function with no buggify arm in its body.
 #[derive(Debug, Clone)]
@@ -81,22 +81,41 @@ pub struct UncoveredFn {
     /// 1-based line of the `fn` keyword.
     pub line: u32,
 }
-serde::record!(struct UncoveredFn { crate_name, file, fn_name, line });
 
 /// The audit half of a lint report.
 #[derive(Debug, Clone, Default)]
 pub struct Audit {
     /// Per-service-crate buggify density, sorted by crate name.
     pub crates: Vec<CrateDensity>,
-    /// Surface functions without an arm, sorted by (crate, file, line).
+    /// Surface functions without an arm, escaped or not, sorted by
+    /// (crate, file, line).
     pub uncovered: Vec<UncoveredFn>,
     /// Every fire site found in non-test library code.
     pub fires: Vec<FireSite>,
 }
-serde::record!(struct Audit { crates, uncovered, fires });
+
+impl Audit {
+    /// Count per crate the unarmed functions whose firing is gone from
+    /// `violations`, i.e. silenced by an escape.
+    pub(crate) fn count_escaped(&mut self, violations: &[Violation]) {
+        for u in &self.uncovered {
+            let silenced = !violations
+                .iter()
+                .any(|v| v.rule == "unarmed-service-fn" && v.file == u.file && v.line == u.line);
+            if let Some(c) = self
+                .crates
+                .iter_mut()
+                .find(|c| c.crate_name == u.crate_name)
+            {
+                c.escaped += usize::from(silenced);
+            }
+        }
+    }
+}
 
 /// Run the audit over all files. Returns the audit data plus the
-/// registry-reconciliation violations.
+/// registry-reconciliation and `unarmed-service-fn` firings, escapes
+/// not yet applied.
 pub fn run_audit(ctxs: &[FileCtx], registry: &[RegistryEntry]) -> (Audit, Vec<Violation>) {
     let mut fires: Vec<FireSite> = Vec::new();
     // (crate, file) → fire offsets, for the coverage check below.
@@ -176,23 +195,30 @@ pub fn run_audit(ctxs: &[FileCtx], registry: &[RegistryEntry]) -> (Audit, Vec<Vi
             if ctx.in_test_code(f.at) {
                 continue;
             }
-            let entry = density
-                .get_mut(&ctx.file.crate_name)
-                .expect("service crate pre-seeded");
+            let Some(entry) = density.get_mut(&ctx.file.crate_name) else {
+                continue;
+            };
             entry.1 += 1;
             let covered = offsets
                 .iter()
                 .any(|&o| o >= f.body_start && o < f.body_end);
             if covered {
                 entry.0 += 1;
-            } else {
-                uncovered.push(UncoveredFn {
-                    crate_name: ctx.file.crate_name.clone(),
-                    file: ctx.file.path.clone(),
-                    fn_name: f.name,
-                    line: ctx.line_of(f.at),
-                });
+                continue;
             }
+            let line = ctx.line_of(f.at);
+            violations.push(Violation {
+                rule: "unarmed-service-fn".into(),
+                file: ctx.file.path.clone(),
+                line,
+                message: format!("`{}` returns Result but has no buggify arm", f.name),
+            });
+            uncovered.push(UncoveredFn {
+                crate_name: ctx.file.crate_name.clone(),
+                file: ctx.file.path.clone(),
+                fn_name: f.name,
+                line,
+            });
         }
     }
 
@@ -206,6 +232,7 @@ pub fn run_audit(ctxs: &[FileCtx], registry: &[RegistryEntry]) -> (Audit, Vec<Vi
             .map(|(crate_name, (covered, total))| CrateDensity {
                 crate_name,
                 covered,
+                escaped: 0,
                 total,
             })
             .collect(),

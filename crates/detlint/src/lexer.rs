@@ -293,20 +293,18 @@ fn char_literal_end(src: &str, b: &[u8], i: usize) -> Option<usize> {
 /// numbers survive. Rules pattern-match against this view and can
 /// brace-match freely: braces inside strings and comments are gone.
 pub fn code_view(src: &str, toks: &[Token]) -> String {
-    let mut out = src.as_bytes().to_vec();
+    // The tokens partition `src` in order (see the module docs), so
+    // rebuilding it token by token keeps every offset.
+    let mut out = String::with_capacity(src.len());
     for t in toks {
-        if t.kind != TokKind::Code {
-            for byte in &mut out[t.start..t.end] {
-                if *byte != b'\n' {
-                    *byte = b' ';
-                }
-            }
+        let text = &src[t.start..t.end];
+        if t.kind == TokKind::Code {
+            out.push_str(text);
+        } else {
+            out.extend(text.bytes().map(|b| if b == b'\n' { '\n' } else { ' ' }));
         }
     }
-    // Blanking never splits a UTF-8 sequence partially: whole tokens
-    // are blanked and multi-byte characters never straddle a token
-    // boundary.
-    String::from_utf8(out).expect("blanking preserves UTF-8")
+    out
 }
 
 /// 1-based line number of byte offset `at` (count of newlines before it

@@ -12,16 +12,17 @@
 //!   `no-ambient-rng`, `no-unordered-iteration`, `no-rc-in-shared`,
 //!   `no-unwrap-in-lib`, `require-forbid-unsafe`) with inline
 //!   `// detlint: allow(rule) -- reason` escapes;
-//! * [`audit`] — the buggify-surface audit: which `Result`-returning
-//!   service functions carry a fault-injection arm, reconciled against
-//!   the runtime registry exported by `ttt_sim::rpc`;
-//! * [`report`] — human/JSON reports and the committed-baseline
-//!   ratchet that lets CI fail only on *new* debt.
+//! * [`audit`] — the buggify-surface audit: every `Result`-returning
+//!   service function carries a fault-injection arm or an escape, and
+//!   the fire sites reconcile with the registry exported by
+//!   `ttt_sim::rpc`;
+//! * [`report`] — the report and its human rendering.
 //!
-//! The core is pure — [`lint`] maps in-memory [`SourceFile`]s to a
-//! [`LintReport`] — so the test suite runs entirely on fixtures; only
-//! [`Workspace::load`] and the `detlint` example binary touch the
-//! filesystem.
+//! Any violation fails the run; an exemption is an inline escape with a
+//! reason, and there is no other. The core is pure — [`lint`] maps
+//! in-memory [`SourceFile`]s to a [`LintReport`] — so the test suite
+//! runs entirely on fixtures; only [`Workspace::load`] and the
+//! `detlint` example binary touch the filesystem.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +36,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use audit::{Audit, CrateDensity, FireSite, RegistryEntry, UncoveredFn};
-pub use report::{ratchet, render_human, write_baseline, Baseline, LintReport, RatchetOutcome};
+pub use report::{render_human, LintReport};
 pub use rules::{FileCtx, Violation, RULES};
 
 /// Where a file sits in its crate — rules scope on this.
@@ -62,16 +63,18 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// Lint `files` against `registry`: run every file-local rule, then
-/// the buggify-surface audit.
+/// Lint `files` against `registry`: run every file-local rule and the
+/// buggify-surface audit, then apply the escapes once to all firings.
 pub fn lint(files: &[SourceFile], registry: &[RegistryEntry]) -> LintReport {
     let ctxs: Vec<FileCtx> = files.iter().map(FileCtx::new).collect();
-    let mut violations = Vec::new();
+    let mut raw = Vec::new();
     for ctx in &ctxs {
-        violations.extend(rules::run_file_rules(ctx));
+        raw.extend(rules::run_file_rules(ctx));
     }
-    let (audit, audit_violations) = audit::run_audit(&ctxs, registry);
-    violations.extend(audit_violations);
+    let (mut audit, audit_violations) = audit::run_audit(&ctxs, registry);
+    raw.extend(audit_violations);
+    let mut violations = rules::apply_escapes(&ctxs, raw);
+    audit.count_escaped(&violations);
     violations.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     LintReport { violations, audit }
 }

@@ -11,26 +11,28 @@
 //! // detlint: allow(<rule>) -- <reason>
 //! ```
 //!
-//! on the offending line or on its own line directly above. An escape
-//! with a missing reason is itself a violation
-//! (`escape-missing-reason`), as is one naming a rule that does not
-//! exist (`escape-unknown-rule`): silencing is cheap, but it always
-//! leaves a paper trail.
+//! on the offending line or on its own line directly above. Rules and
+//! the audit emit raw firings; [`apply_escapes`] is the one place an
+//! escape removes them. An escape with a missing reason is itself a
+//! violation (`escape-missing-reason`), as is one naming a rule that
+//! does not exist (`escape-unknown-rule`) or one that silences nothing
+//! (`escape-unused`): silencing is cheap, but it always leaves a paper
+//! trail, and a stale one cannot pre-approve a future finding.
 
 use crate::lexer::{self, TokKind, Token};
 use crate::{FileKind, SourceFile};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One rule of the catalogue.
 pub struct RuleSpec {
-    /// Stable kebab-case name (used in escapes and baselines).
+    /// Stable kebab-case name (used in escapes).
     pub name: &'static str,
     /// One-line description for reports.
     pub desc: &'static str,
 }
 
-/// The full catalogue. Names are the vocabulary of escapes and
-/// baseline entries; reports list them verbatim.
+/// The full catalogue. Names are the vocabulary of escapes; reports
+/// list them verbatim.
 pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         name: "no-wall-clock",
@@ -69,12 +71,20 @@ pub const RULES: &[RuleSpec] = &[
         desc: "a detlint escape must name a rule from the catalogue",
     },
     RuleSpec {
+        name: "escape-unused",
+        desc: "a detlint escape must silence a firing of its rule on its line",
+    },
+    RuleSpec {
         name: "unregistered-buggify-callsite",
         desc: "a buggify fire site must be registered in ttt_sim::rpc",
     },
     RuleSpec {
         name: "stale-buggify-registration",
         desc: "a registered buggify callsite must exist in code",
+    },
+    RuleSpec {
+        name: "unarmed-service-fn",
+        desc: "a Result-returning service fn must carry a buggify arm",
     },
 ];
 
@@ -95,7 +105,6 @@ pub struct Violation {
     /// Human-readable detail.
     pub message: String,
 }
-serde::record!(struct Violation { rule, file, line, message });
 
 /// A parsed `// detlint: allow(rule) -- reason` comment.
 #[derive(Debug, Clone)]
@@ -104,6 +113,9 @@ pub struct Escape {
     pub rule: String,
     /// Line of the comment itself.
     pub line: u32,
+    /// The line it silences: its own when that holds code, else the
+    /// next line that does (`None` past the last one).
+    pub target: Option<u32>,
     /// Whether a non-empty reason follows `--`.
     pub has_reason: bool,
 }
@@ -122,8 +134,6 @@ pub struct FileCtx<'a> {
     pub test_spans: Vec<(usize, usize)>,
     /// Parsed escapes.
     pub escapes: Vec<Escape>,
-    /// line → rules allowed on that line.
-    allowed: BTreeMap<u32, BTreeSet<String>>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -133,8 +143,7 @@ impl<'a> FileCtx<'a> {
         let view = lexer::code_view(&file.text, &tokens);
         let newlines = lexer::line_index(&file.text);
         let test_spans = find_test_spans(&view);
-        let escapes = parse_escapes(&file.text, &tokens, &newlines);
-        let allowed = allow_map(&escapes, &view);
+        let escapes = parse_escapes(&file.text, &view, &tokens, &newlines);
         FileCtx {
             file,
             tokens,
@@ -142,7 +151,6 @@ impl<'a> FileCtx<'a> {
             newlines,
             test_spans,
             escapes,
-            allowed,
         }
     }
 
@@ -155,33 +163,26 @@ impl<'a> FileCtx<'a> {
     pub fn in_test_code(&self, at: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| at >= s && at < e)
     }
-
-    /// Whether an escape allows `rule` on `line`.
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
-        self.allowed
-            .get(&line)
-            .map(|rules| rules.contains(rule))
-            .unwrap_or(false)
-    }
 }
 
 /// Byte spans of `#[cfg(test)]` items: from the attribute to the end
-/// of the brace-matched block that follows it. Runs on the code view,
-/// so braces inside strings or comments cannot confuse the matcher.
+/// of the item — its `;` when that comes before any `{` (`use`,
+/// `mod x;`, `const`), else the brace-matched block that follows. Runs
+/// on the code view, so braces inside strings or comments cannot
+/// confuse the matcher.
 fn find_test_spans(view: &str) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut from = 0usize;
     while let Some(rel) = view[from..].find("#[cfg(test)]") {
         let at = from + rel;
-        match view[at..].find('{') {
-            Some(open_rel) => {
-                let open = at + open_rel;
-                let end = brace_match(view.as_bytes(), open);
-                spans.push((at, end));
-                from = end;
-            }
-            None => break,
-        }
+        let rest = &view[at..];
+        let end = match (rest.find(';'), rest.find('{')) {
+            (Some(semi), open) if open.is_none_or(|open| semi < open) => at + semi + 1,
+            (_, Some(open)) => brace_match(view.as_bytes(), at + open),
+            _ => break,
+        };
+        spans.push((at, end));
+        from = end;
     }
     spans
 }
@@ -206,8 +207,19 @@ pub fn brace_match(b: &[u8], open: usize) -> usize {
     b.len()
 }
 
-/// Parse every `detlint: allow(...)` line comment.
-fn parse_escapes(src: &str, tokens: &[Token], newlines: &[usize]) -> Vec<Escape> {
+/// Parse every `detlint: allow(...)` line comment and resolve its
+/// target line.
+fn parse_escapes(src: &str, view: &str, tokens: &[Token], newlines: &[usize]) -> Vec<Escape> {
+    // Lines with at least one non-whitespace code byte.
+    let mut code_lines: BTreeSet<u32> = BTreeSet::new();
+    let mut line = 1u32;
+    for b in view.bytes() {
+        if b == b'\n' {
+            line += 1;
+        } else if !b.is_ascii_whitespace() {
+            code_lines.insert(line);
+        }
+    }
     let mut escapes = Vec::new();
     for t in tokens {
         if t.kind != TokKind::LineComment {
@@ -224,41 +236,20 @@ fn parse_escapes(src: &str, tokens: &[Token], newlines: &[usize]) -> Vec<Escape>
             .strip_prefix("--")
             .map(|r| !r.trim().is_empty())
             .unwrap_or(false);
+        let line = lexer::line_of(newlines, t.start);
+        let target = if code_lines.contains(&line) {
+            Some(line)
+        } else {
+            code_lines.range(line + 1..).next().copied()
+        };
         escapes.push(Escape {
             rule,
-            line: lexer::line_of(newlines, t.start),
+            line,
+            target,
             has_reason,
         });
     }
     escapes
-}
-
-/// line → allowed rules. An escape on a line with code covers that
-/// line; an escape on a comment-only line covers the next line that
-/// has code.
-fn allow_map(escapes: &[Escape], view: &str) -> BTreeMap<u32, BTreeSet<String>> {
-    // Lines with at least one non-whitespace code byte.
-    let mut code_lines: BTreeSet<u32> = BTreeSet::new();
-    let mut line = 1u32;
-    for b in view.bytes() {
-        if b == b'\n' {
-            line += 1;
-        } else if !b.is_ascii_whitespace() {
-            code_lines.insert(line);
-        }
-    }
-    let mut map: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for e in escapes {
-        let target = if code_lines.contains(&e.line) {
-            Some(e.line)
-        } else {
-            code_lines.range(e.line + 1..).next().copied()
-        };
-        if let Some(t) = target {
-            map.entry(t).or_default().insert(e.rule.clone());
-        }
-    }
-    map
 }
 
 /// All boundary-respecting occurrences of `pat` in `view`: a pattern
@@ -335,7 +326,7 @@ const PATTERN_RULES: &[PatternRule] = &[
     },
     PatternRule {
         rule: "no-unwrap-in-lib",
-        patterns: &[".unwrap()"],
+        patterns: &[".unwrap()", ".expect("],
         in_scope: |f| f.kind == FileKind::Lib,
         skip_tests: true,
     },
@@ -348,13 +339,9 @@ const PATTERN_RULES: &[PatternRule] = &[
 ];
 
 /// The input boundary: the only files whose types reach an encoder or a
-/// decoder (scenario file, run log, corpus, detlint baseline/report). A
-/// decoder anywhere else is a public, unvalidated constructor nothing is
-/// pointed at.
-const BOUNDARY: [&str; 10] = [
-    "crates/detlint/src/audit.rs",
-    "crates/detlint/src/report.rs",
-    "crates/detlint/src/rules.rs",
+/// decoder (scenario file, run log, corpus). A decoder anywhere else is
+/// a public, unvalidated constructor nothing is pointed at.
+const BOUNDARY: [&str; 7] = [
     "crates/scengen/src/corpus.rs",
     "crates/scengen/src/coverage.rs",
     "crates/scengen/src/oracle.rs",
@@ -364,34 +351,10 @@ const BOUNDARY: [&str; 10] = [
     "crates/sim/src/time.rs",
 ];
 
-/// Run every file-local rule over `ctx`.
+/// Run every file-local rule over `ctx`; escapes are not applied here.
 pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
     let mut out = Vec::new();
     let path = &ctx.file.path;
-
-    // The escapes themselves first: unknown rules and missing reasons.
-    for e in &ctx.escapes {
-        if !is_rule(&e.rule) {
-            out.push(Violation {
-                rule: "escape-unknown-rule".into(),
-                file: path.clone(),
-                line: e.line,
-                message: format!("escape names unknown rule `{}`", e.rule),
-            });
-        }
-        if !e.has_reason {
-            out.push(Violation {
-                rule: "escape-missing-reason".into(),
-                file: path.clone(),
-                line: e.line,
-                message: format!(
-                    "escape for `{}` has no `-- <reason>` trailer",
-                    e.rule
-                ),
-            });
-        }
-    }
-
     for pr in PATTERN_RULES {
         if !(pr.in_scope)(ctx.file) {
             continue;
@@ -401,14 +364,10 @@ pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
                 if pr.skip_tests && ctx.in_test_code(at) {
                     continue;
                 }
-                let line = ctx.line_of(at);
-                if ctx.allowed(pr.rule, line) {
-                    continue;
-                }
                 out.push(Violation {
                     rule: pr.rule.into(),
                     file: path.clone(),
-                    line,
+                    line: ctx.line_of(at),
                     message: format!("`{pat}` in non-exempt code"),
                 });
             }
@@ -416,10 +375,7 @@ pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
     }
 
     // Crate roots must forbid unsafe code outright.
-    if ctx.file.path.ends_with("src/lib.rs")
-        && !ctx.view.contains("#![forbid(unsafe_code)]")
-        && !ctx.allowed("require-forbid-unsafe", 1)
-    {
+    if ctx.file.path.ends_with("src/lib.rs") && !ctx.view.contains("#![forbid(unsafe_code)]") {
         out.push(Violation {
             rule: "require-forbid-unsafe".into(),
             file: path.clone(),
@@ -428,5 +384,49 @@ pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
         });
     }
 
+    out
+}
+
+/// Drop every firing an escape in its file silences — the same rule on
+/// the escape's target line — then hold each escape to account: it must
+/// name a catalogue rule, give a reason and silence something.
+pub fn apply_escapes(ctxs: &[FileCtx], raw: Vec<Violation>) -> Vec<Violation> {
+    let mut escaped: BTreeSet<(&str, u32, &str)> = BTreeSet::new();
+    for ctx in ctxs {
+        for e in &ctx.escapes {
+            if let Some(target) = e.target {
+                escaped.insert((&ctx.file.path, target, &e.rule));
+            }
+        }
+    }
+    let (silenced, mut out): (Vec<Violation>, Vec<Violation>) = raw
+        .into_iter()
+        .partition(|v| escaped.contains(&(v.file.as_str(), v.line, v.rule.as_str())));
+    for ctx in ctxs {
+        for e in &ctx.escapes {
+            let mut flag = |rule: &str, message: String| {
+                out.push(Violation {
+                    rule: rule.into(),
+                    file: ctx.file.path.clone(),
+                    line: e.line,
+                    message,
+                })
+            };
+            let used = silenced
+                .iter()
+                .any(|v| v.file == ctx.file.path && Some(v.line) == e.target && v.rule == e.rule);
+            if !is_rule(&e.rule) {
+                flag("escape-unknown-rule", format!("escape names unknown rule `{}`", e.rule));
+            } else if !used {
+                flag("escape-unused", format!("escape for `{}` silences no firing", e.rule));
+            }
+            if !e.has_reason {
+                flag(
+                    "escape-missing-reason",
+                    format!("escape for `{}` has no `-- <reason>` trailer", e.rule),
+                );
+            }
+        }
+    }
     out
 }

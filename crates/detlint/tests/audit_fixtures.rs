@@ -1,6 +1,6 @@
 //! Fixtures for the buggify-surface audit and registry reconciliation.
 
-use ttt_detlint::{lint, FileKind, RegistryEntry, SourceFile};
+use ttt_detlint::{lint, FileKind, LintReport, RegistryEntry, SourceFile};
 
 fn reg(name: &str, crate_name: &str) -> RegistryEntry {
     RegistryEntry {
@@ -16,6 +16,14 @@ fn oar_file(text: &str) -> SourceFile {
         kind: FileKind::Lib,
         text: text.into(),
     }
+}
+
+fn rules_fired(report: &LintReport) -> Vec<(&str, u32)> {
+    report
+        .violations
+        .iter()
+        .map(|v| (v.rule.as_str(), v.line))
+        .collect()
 }
 
 const TWO_FNS_ONE_ARMED: &str = r#"
@@ -49,15 +57,45 @@ fn density_counts_covered_and_total() {
     assert_eq!(report.audit.uncovered[0].fn_name, "validate");
     assert_eq!(report.audit.fires.len(), 1);
     assert_eq!(report.audit.fires[0].callsite, "oar-submit");
-    // Registered and fired: no reconciliation violations.
-    assert!(report.violations.is_empty());
+    // Registered and fired: the only violation is the unarmed fn.
+    assert_eq!(rules_fired(&report), vec![("unarmed-service-fn", 9)]);
+    assert!(report.violations[0].message.contains("`validate`"));
+}
+
+#[test]
+fn unarmed_surface_fn_fires_unless_escaped() {
+    let bare = "\n/// Parse a request.\npub fn parse(s: &str) -> Result<u8, E> {\n    Ok(0)\n}\n";
+    let report = lint(&[oar_file(bare)], &[]);
+    assert_eq!(rules_fired(&report), vec![("unarmed-service-fn", 3)]);
+
+    // An escape above the doc comment reaches the `fn` line: the fn is
+    // excused from the density, not armed.
+    let escaped = bare.replacen(
+        "\n",
+        "\n// detlint: allow(unarmed-service-fn) -- pure parser, no IO to perturb\n",
+        1,
+    );
+    let report = lint(&[oar_file(&escaped)], &[]);
+    assert_eq!(rules_fired(&report), vec![]);
+    let oar = report
+        .audit
+        .crates
+        .iter()
+        .find(|c| c.crate_name == "ttt_oar")
+        .expect("service crate always reported");
+    assert_eq!((oar.covered, oar.escaped, oar.total), (0, 1, 1));
 }
 
 #[test]
 fn unregistered_callsite_is_a_violation() {
     let report = lint(&[oar_file(TWO_FNS_ONE_ARMED)], &[]);
-    assert_eq!(report.violations.len(), 1);
-    assert_eq!(report.violations[0].rule, "unregistered-buggify-callsite");
+    assert_eq!(
+        rules_fired(&report),
+        vec![
+            ("unregistered-buggify-callsite", 3),
+            ("unarmed-service-fn", 9)
+        ]
+    );
 }
 
 #[test]
@@ -66,9 +104,13 @@ fn stale_registration_is_a_violation() {
         &[oar_file(TWO_FNS_ONE_ARMED)],
         &[reg("oar-submit", "ttt_oar"), reg("ghost-site", "ttt_oar")],
     );
-    assert_eq!(report.violations.len(), 1);
-    assert_eq!(report.violations[0].rule, "stale-buggify-registration");
-    assert!(report.violations[0].message.contains("ghost-site"));
+    let stale: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "stale-buggify-registration")
+        .collect();
+    assert_eq!(stale.len(), 1);
+    assert!(stale[0].message.contains("ghost-site"));
 }
 
 #[test]
@@ -84,9 +126,8 @@ mod tests {
 "#;
     let report = lint(&[oar_file(text)], &[]);
     assert!(report.audit.fires.is_empty());
-    // And the surface fn is simply uncovered, not a violation.
-    assert_eq!(report.audit.uncovered.len(), 1);
-    assert!(report.violations.is_empty());
+    // So the surface fn is unarmed.
+    assert_eq!(rules_fired(&report), vec![("unarmed-service-fn", 2)]);
 }
 
 #[test]

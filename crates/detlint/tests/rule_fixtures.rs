@@ -77,6 +77,22 @@ fn escape_without_reason_is_a_violation() {
 }
 
 #[test]
+fn escape_that_silences_nothing_is_a_violation() {
+    // Nothing fires on its target line, or something else does: either
+    // way the escape would pre-approve a future finding there.
+    let stale =
+        lib("fn f() {\n    // detlint: allow(no-wall-clock) -- was a timer\n    let t = 1;\n}\n");
+    assert_eq!(rules_fired(&[stale]), vec![("escape-unused".into(), 2)]);
+    let wrong_rule = lib(
+        "fn f() {\n    // detlint: allow(no-rc-in-shared) -- timer\n    let t = Instant::now();\n}\n",
+    );
+    assert_eq!(
+        rules_fired(&[wrong_rule]),
+        vec![("escape-unused".into(), 2), ("no-wall-clock".into(), 3)]
+    );
+}
+
+#[test]
 fn escape_with_unknown_rule_is_a_violation() {
     let f = lib("// detlint: allow(no-such-rule) -- whatever\nfn f() {}\n");
     assert_eq!(rules_fired(&[f]), vec![("escape-unknown-rule".into(), 1)]);
@@ -120,6 +136,12 @@ fn unordered_iteration_exempt_in_cfg_test_mod() {
         "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn g() { let _: HashMap<u8, u8> = HashMap::new(); }\n}\n",
     );
     assert_eq!(rules_fired(&[f]), vec![]);
+    // On a `;`-terminated item the attribute covers that item only, not
+    // the library fn after it.
+    let f = lib(
+        "#[cfg(test)]\nuse std::collections::HashMap;\n\npub fn f() -> u8 {\n    Some(1).unwrap()\n}\n",
+    );
+    assert_eq!(rules_fired(&[f]), vec![("no-unwrap-in-lib".into(), 5)]);
 }
 
 #[test]
@@ -141,9 +163,14 @@ fn unwrap_fires_in_lib_not_in_tests() {
         "fn f() { let x = Some(1).unwrap(); }",
     );
     assert_eq!(rules_fired(&[t]), vec![]);
-    // `.expect` stays allowed: it documents the invariant.
+    // `.expect(` panics the same way; `.expect_err(` is another method.
     let e = lib("fn f() { let x = Some(1).expect(\"one\"); }");
-    assert_eq!(rules_fired(&[e]), vec![]);
+    assert_eq!(rules_fired(&[e]), vec![("no-unwrap-in-lib".into(), 1)]);
+    let in_test_mod =
+        lib("#[cfg(test)]\nmod tests {\n    fn t() { Some(1).expect(\"one\"); }\n}\n");
+    assert_eq!(rules_fired(&[in_test_mod]), vec![]);
+    let err = lib("fn f() { let e = r.expect_err(\"fails\"); }");
+    assert_eq!(rules_fired(&[err]), vec![]);
 }
 
 #[test]

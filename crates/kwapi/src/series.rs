@@ -85,8 +85,9 @@ impl RingSeries {
         }
         self.raw.push_back((t, value));
         if self.raw.len() > self.capacity {
-            let (old_t, old_v) = self.raw.pop_front().expect("non-empty");
-            self.consolidate(old_t, old_v);
+            if let Some((old_t, old_v)) = self.raw.pop_front() {
+                self.consolidate(old_t, old_v);
+            }
         }
     }
 

@@ -128,6 +128,7 @@ pub fn check_node(tb: &Testbed, desc: &TestbedDescription, node: NodeId) -> Chec
             mismatches: Vec::new(),
         };
     }
+    // detlint: allow(no-unwrap-in-lib) -- the node is alive (checked on entry), and `probe_node` answers every alive node
     let actual = probe_node(tb, node).expect("alive node answers probes");
     let expected = expected_report(described);
     CheckReport {

@@ -95,6 +95,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize an input string.
+// detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
 pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();

@@ -49,6 +49,7 @@ impl From<LexError> for ParseError {
 
 /// Parse a full resource request. `default_walltime` applies when the
 /// request omits the `walltime=` clause.
+// detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
 pub fn parse_request(
     input: &str,
     default_walltime: SimDuration,
@@ -66,6 +67,7 @@ pub fn parse_request(
 }
 
 /// Parse just a property expression (used by tests and the suite).
+// detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
     let mut p = Parser { tokens, idx: 0 };
@@ -119,7 +121,8 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
+    // detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
+    fn eat(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
         match self.next() {
             Some(t) if &t.kind == kind => Ok(()),
             Some(t) => Err(ParseError {
@@ -133,6 +136,7 @@ impl Parser {
         }
     }
 
+    // detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
     fn request(&mut self, default_walltime: SimDuration) -> Result<ResourceRequest, ParseError> {
         let mut groups = vec![self.group()?];
         while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Plus)) {
@@ -151,19 +155,20 @@ impl Parser {
                     })
                 }
             }
-            self.expect(&TokenKind::Eq)?;
+            self.eat(&TokenKind::Eq)?;
             walltime = self.time()?;
         }
         Ok(ResourceRequest { groups, walltime })
     }
 
+    // detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
     fn group(&mut self) -> Result<RequestGroup, ParseError> {
         let filter = match self.peek().map(|t| &t.kind) {
             // `{expr}` braced filter.
             Some(TokenKind::LBrace) => {
                 self.next();
                 let e = self.expr()?;
-                self.expect(&TokenKind::RBrace)?;
+                self.eat(&TokenKind::RBrace)?;
                 e
             }
             // Bare `/nodes=...`: no filter.
@@ -204,7 +209,7 @@ impl Parser {
                     })
                 }
             };
-            self.expect(&TokenKind::Eq)?;
+            self.eat(&TokenKind::Eq)?;
             let (count, pos) = match self.next() {
                 Some(Token { kind: TokenKind::Int(n), pos }) => {
                     (u32::try_from(n).ok().map(Count::Exact), pos)
@@ -238,6 +243,7 @@ impl Parser {
         Ok(RequestGroup { filter, hierarchy })
     }
 
+    // detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
     fn expr(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.term()?;
         loop {
@@ -258,6 +264,7 @@ impl Parser {
         Ok(left)
     }
 
+    // detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
     fn term(&mut self) -> Result<Expr, ParseError> {
         match self.peek().map(|t| t.kind.clone()) {
             Some(TokenKind::Ident(kw)) if kw == "not" || kw == "NOT" => {
@@ -267,7 +274,7 @@ impl Parser {
             Some(TokenKind::LParen) => {
                 self.next();
                 let e = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.eat(&TokenKind::RParen)?;
                 Ok(e)
             }
             Some(TokenKind::Ident(key)) => {
@@ -304,6 +311,7 @@ impl Parser {
     }
 
     /// `H`, `H:M`, or `H:M:S`.
+    // detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
     fn time(&mut self) -> Result<SimDuration, ParseError> {
         let hours = self.int("hours")?;
         let mut total = hours * 3600;
@@ -318,6 +326,7 @@ impl Parser {
         Ok(SimDuration::from_secs(total))
     }
 
+    // detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
     fn int(&mut self, what: &str) -> Result<u64, ParseError> {
         match self.next() {
             Some(Token { kind: TokenKind::Int(n), .. }) => Ok(n),

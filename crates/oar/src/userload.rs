@@ -86,6 +86,7 @@ impl UserLoadGenerator {
     /// Fails with [`UserLoadError::NoClusters`] when the config makes
     /// cluster-affine draws possible but `clusters` is empty — the
     /// combination that used to panic on the first affine arrival.
+    // detlint: allow(unarmed-service-fn) -- constructor validating campaign config at build time; not on the simulated request path
     pub fn new(config: UserLoadConfig, clusters: Vec<String>) -> Result<Self, UserLoadError> {
         if config.cluster_affinity > 0.0 && clusters.is_empty() {
             return Err(UserLoadError::NoClusters);
@@ -183,14 +184,13 @@ impl UserLoadGenerator {
             8 => SimDuration::from_hours(rng.gen_range(6..12)),
             _ => SimDuration::from_hours(rng.gen_range(12..48)),
         };
-        let cluster_affine =
-            !self.clusters.is_empty() && rng.gen_bool(self.config.cluster_affinity);
-        if cluster_affine {
-            let cluster = self
-                .clusters
-                .choose(rng)
-                .expect("non-empty by the cluster_affine guard and the constructor invariant")
-                .clone();
+        let affine_cluster =
+            if !self.clusters.is_empty() && rng.gen_bool(self.config.cluster_affinity) {
+                self.clusters.choose(rng).cloned()
+            } else {
+                None
+            };
+        if let Some(cluster) = affine_cluster {
             if rng.gen_bool(self.config.whole_cluster_prob) {
                 ResourceRequest::all_nodes(Expr::eq("cluster", &cluster), walltime)
             } else {

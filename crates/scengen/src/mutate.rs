@@ -258,10 +258,14 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
 /// a duplicate cluster name would duplicate node names and fail testbed
 /// validation.
 fn random_cluster<R: Rng>(existing: &[ClusterSpec], site: usize, rng: &mut R) -> ClusterSpec {
-    let name = (0..)
-        .map(|i| format!("swarm-m{i}"))
-        .find(|n| existing.iter().all(|c| &c.name != n))
-        .expect("unbounded namespace");
+    let mut i = 0;
+    let name = loop {
+        let name = format!("swarm-m{i}");
+        if existing.iter().all(|c| c.name != name) {
+            break name;
+        }
+        i += 1;
+    };
     let mut c = ClusterSpec::new(
         &name,
         &site_name(site),
@@ -374,13 +378,15 @@ pub fn sanitize(spec: &mut ScenarioSpec) {
     }
     // Trim the widest clusters until the arena fits.
     while spec.node_count() > MAX_NODES {
-        let widest = spec
+        let Some(widest) = spec
             .clusters
             .iter()
             .enumerate()
             .max_by_key(|(_, c)| c.nodes)
             .map(|(i, _)| i)
-            .expect("non-empty above");
+        else {
+            break;
+        };
         if spec.clusters.len() > 1 && spec.clusters[widest].nodes <= 2 {
             spec.clusters.remove(widest);
         } else {

@@ -127,6 +127,7 @@ pub fn run_logged(spec: &ScenarioSpec) -> RunLogArtifact {
     campaign.run();
     let events = campaign
         .take_event_log()
+        // detlint: allow(no-unwrap-in-lib) -- `record_events` above armed the log before the run
         .expect("recording was enabled before the run");
     RunLogArtifact {
         version: RUN_LOG_VERSION,

@@ -665,6 +665,7 @@ pub fn to_scenario_value(spec: &ScenarioSpec) -> Value {
 
 /// [`to_scenario_value`] pretty-printed, ready to write to disk.
 pub fn to_scenario_json(spec: &ScenarioSpec) -> String {
+    // detlint: allow(no-unwrap-in-lib) -- rendering a `Value` tree to text cannot fail
     serde_json::to_string_pretty(spec).expect("scenario value serializes")
 }
 
@@ -675,6 +676,7 @@ pub(crate) fn to_annotated_json(spec: &ScenarioSpec, notes: &str) -> String {
     if let Value::Object(fields) = &mut doc {
         fields.insert(1, ("notes".into(), Value::String(notes.into())));
     }
+    // detlint: allow(no-unwrap-in-lib) -- rendering a `Value` tree to text cannot fail
     serde_json::to_string_pretty(&doc).expect("scenario value serializes")
 }
 

@@ -70,6 +70,7 @@ impl LinkModelSpec {
                 let &(_, latency_s, loss_prob) = Self::TIERS
                     .iter()
                     .find(|&&(max, _, _)| d <= max)
+                    // detlint: allow(no-unwrap-in-lib) -- the last tier's bound is u16::MAX, which no u16 distance exceeds
                     .expect("last tier is unbounded");
                 (latency_s, loss_prob)
             }
