@@ -43,6 +43,7 @@ pub fn expand_axes(axes: &[Axis]) -> Vec<Cell> {
 
 /// Matrix Reloaded: the cells of a finished matrix build that did not
 /// succeed, in expansion order. These are the ones worth retrying.
+// detlint: allow(pub-fn-only-tests-call) -- Matrix Reloaded's retry list, driven by tests/matrix_reloaded.rs
 pub fn failed_cells(cell_builds: &[Build]) -> Vec<&str> {
     cell_builds
         .iter()

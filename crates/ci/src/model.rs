@@ -179,11 +179,6 @@ pub struct Build {
 }
 
 impl Build {
-    /// Time spent in the queue, if started.
-    pub fn queue_time(&self) -> Option<SimDuration> {
-        self.started_at.map(|s| s.since(self.queued_at))
-    }
-
     /// Execution duration, if finished.
     pub fn duration(&self) -> Option<SimDuration> {
         match (self.started_at, self.finished_at) {
@@ -250,10 +245,8 @@ mod tests {
             result: None,
             log: vec![],
         };
-        assert!(b.queue_time().is_none());
         b.started_at = Some(SimTime::from_mins(25));
         b.finished_at = Some(SimTime::from_mins(40));
-        assert_eq!(b.queue_time().unwrap(), SimDuration::from_mins(15));
         assert_eq!(b.duration().unwrap(), SimDuration::from_mins(15));
     }
 

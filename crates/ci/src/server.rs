@@ -321,6 +321,7 @@ impl CiServer {
     }
 
     /// All builds of one job sharing a build number (a matrix run).
+    // detlint: allow(pub-fn-only-tests-call) -- the matrix integration tests read a matrix build's cells through it
     pub fn builds_of_number(&self, job: &str, number: u32) -> Vec<&Build> {
         self.history(job)
             .iter()
@@ -492,7 +493,7 @@ mod tests {
         let w2 = s.assign();
         assert_eq!(w2.len(), 1);
         let b = &s.history("b").open()[0];
-        assert_eq!(b.queue_time().unwrap(), SimDuration::from_mins(30));
+        assert_eq!(b.started_at.unwrap().since(b.queued_at), SimDuration::from_mins(30));
     }
 
     #[test]

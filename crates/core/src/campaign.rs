@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttt_bugs::{BugTracker, OperatorModel};
 use ttt_ci::{BuildRef, BuildResult, CiServer, JobKind as CiJobKind, JobSpec, WorkItem};
-use ttt_jobsched::{TestEntry, Trigger};
+use ttt_jobsched::{PolicyConfig, TestEntry, Trigger};
 use ttt_kadeploy::{standard_images, Deployer, Environment};
 use ttt_kavlan::KavlanManager;
 use ttt_kwapi::MetricStore;
@@ -217,7 +217,7 @@ impl Campaign {
         // variant, so arming it never shifts a stream.
         fed.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
         let trigger = match cfg.mode {
-            SchedulingMode::External => Trigger::external(cfg.policy.clone()),
+            SchedulingMode::External => Trigger::external(PolicyConfig::default()),
             SchedulingMode::NaiveCron { period } => Trigger::cron(period, cfg.tick),
         };
         let mut ci = CiServer::new(cfg.executors);
@@ -387,6 +387,7 @@ impl Campaign {
     }
 
     /// The power metric store (read-only inspection).
+    // detlint: allow(pub-fn-only-tests-call) -- tests/query_plane.rs checks published windows against the live store
     pub fn power_store(&self) -> &MetricStore {
         &self.kwapi
     }

@@ -1,6 +1,5 @@
 //! Campaign configuration.
 
-use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
 use ttt_sim::{SimDuration, SimTime};
 use ttt_suite::Family;
@@ -122,8 +121,6 @@ pub struct CampaignConfig {
     pub initial_fault_burden: usize,
     /// Synthetic user load.
     pub user_load: UserLoadConfig,
-    /// External-scheduler policies.
-    pub policy: PolicyConfig,
     /// Scheduling mode (external vs naive baseline).
     pub mode: SchedulingMode,
     /// Operator fixing capacity, bugs per week.
@@ -174,7 +171,6 @@ impl CampaignConfig {
                 peak_jobs_per_day: 30.0,
                 ..Default::default()
             },
-            policy: PolicyConfig::default(),
             mode: SchedulingMode::External,
             operator_capacity_per_week: 5.0,
             operator_triage: SimDuration::from_days(1),

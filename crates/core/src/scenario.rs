@@ -1,7 +1,6 @@
 //! Scenario presets for the paper's experiments.
 
 use crate::config::{CampaignConfig, Rollout, SchedulingMode, TestbedScale};
-use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
 use ttt_sim::SimDuration;
 use ttt_testbed::{InjectorConfig, LinkModelSpec};
@@ -27,7 +26,6 @@ pub fn paper_scenario(seed: u64) -> CampaignConfig {
             cluster_affinity: 0.6,
             whole_cluster_prob: 0.10,
         },
-        policy: PolicyConfig::default(),
         mode: SchedulingMode::External,
         operator_capacity_per_week: 3.3,
         operator_triage: SimDuration::from_days(2),
@@ -60,7 +58,6 @@ pub fn scheduling_scenario(seed: u64, mode: SchedulingMode) -> CampaignConfig {
             cluster_affinity: 0.6,
             whole_cluster_prob: 0.08,
         },
-        policy: PolicyConfig::default(),
         mode,
         operator_capacity_per_week: 4.0,
         operator_triage: SimDuration::from_days(2),

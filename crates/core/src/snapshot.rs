@@ -170,6 +170,7 @@ impl ServiceLiveness {
 
     /// Every registered service process of a live testbed, as an epoch
     /// would hold them.
+    // detlint: allow(pub-fn-only-tests-call) -- tests/query_plane.rs rebuilds a published epoch's rows from live state
     pub fn rows_from_testbed(tb: &Testbed) -> Arc<[ServiceLiveness]> {
         Self::rows(tb, &site_names(tb))
     }

@@ -19,6 +19,12 @@
 //! why it stays bare (a pure parser, an internal invariant check), so
 //! the per-crate density — armed over the functions not escaped — is
 //! over the surface that does IO.
+//!
+//! 3. it fires `pub-fn-only-tests-call` at each `pub fn` in non-test
+//!    library code whose name nothing outside tests uses: not the
+//!    library outside `#[cfg(test)]`, an example, or a downstream
+//!    package. The count is by name, so a namesake hides a finding;
+//!    it never invents one.
 
 use crate::rules::{brace_match, find_pattern, FileCtx, Violation};
 use crate::FileKind;
@@ -222,6 +228,8 @@ pub fn run_audit(ctxs: &[FileCtx], registry: &[RegistryEntry]) -> (Audit, Vec<Vi
         }
     }
 
+    violations.extend(test_only_pub_fns(ctxs));
+
     uncovered.sort_by(|a, b| {
         (&a.crate_name, &a.file, a.line).cmp(&(&b.crate_name, &b.file, b.line))
     });
@@ -240,6 +248,72 @@ pub fn run_audit(ctxs: &[FileCtx], registry: &[RegistryEntry]) -> (Audit, Vec<Vi
         fires,
     };
     (audit, violations)
+}
+
+/// `pub fn`s of non-test library code that only tests call.
+fn test_only_pub_fns(ctxs: &[FileCtx]) -> Vec<Violation> {
+    let used = names_used(ctxs);
+    let mut out = Vec::new();
+    for ctx in ctxs.iter().filter(|c| c.file.kind == FileKind::Lib) {
+        for pat in ["pub fn ", "pub const fn "] {
+            for at in find_pattern(&ctx.view, pat) {
+                let name = ident_at(&ctx.view, at + pat.len());
+                if name.is_empty() || used.contains(name) || ctx.in_test_code(at) {
+                    continue;
+                }
+                out.push(Violation {
+                    rule: "pub-fn-only-tests-call".into(),
+                    file: ctx.file.path.clone(),
+                    line: ctx.line_of(at),
+                    message: format!("`{name}` is pub but only tests call it"),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Every identifier that code outside tests uses, except where it names
+/// the function a `fn` defines or sits in a `use` item.
+fn names_used<'a>(ctxs: &'a [FileCtx]) -> BTreeSet<&'a str> {
+    let mut used = BTreeSet::new();
+    for ctx in ctxs.iter().filter(|c| c.file.kind != FileKind::Test) {
+        let view = ctx.view.as_str();
+        let mut prev = "";
+        let mut in_use = false;
+        let mut i = 0;
+        while i < view.len() {
+            let c = view.as_bytes()[i];
+            if c.is_ascii_alphanumeric() || c == b'_' {
+                let word = ident_at(view, i);
+                if word == "use" {
+                    in_use = true;
+                } else if !in_use && prev != "fn" && !c.is_ascii_digit() && !ctx.in_test_code(i) {
+                    used.insert(word);
+                }
+                prev = word;
+                i += word.len();
+                continue;
+            }
+            if c == b';' {
+                in_use = false;
+            }
+            if !c.is_ascii_whitespace() {
+                prev = "";
+            }
+            i += 1;
+        }
+    }
+    used
+}
+
+/// The run of identifier characters starting at `at`.
+fn ident_at(view: &str, at: usize) -> &str {
+    let len = view.as_bytes()[at..]
+        .iter()
+        .take_while(|c| c.is_ascii_alphanumeric() || **c == b'_')
+        .count();
+    &view[at..at + len]
 }
 
 /// Read the string literal starting at or just after `open` in the

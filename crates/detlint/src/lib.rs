@@ -15,7 +15,7 @@
 //! * [`audit`] — the buggify-surface audit: every `Result`-returning
 //!   service function carries a fault-injection arm or an escape, and
 //!   the fire sites reconcile with the registry exported by
-//!   `ttt_sim::rpc`;
+//!   `ttt_sim::rpc`; and no `pub fn` is called by tests alone;
 //! * [`report`] — the report and its human rendering.
 //!
 //! Any violation fails the run; an exemption is an inline escape with a
@@ -48,6 +48,10 @@ pub enum FileKind {
     Test,
     /// Under `examples/`.
     Example,
+    /// Under a downstream package's `src/` (the benchmark ledger, which
+    /// compiles against the crates' public API from outside the
+    /// workspace): read for callers, never linted.
+    Downstream,
 }
 
 /// One source file to lint.
@@ -90,7 +94,8 @@ pub fn sim_registry() -> Vec<RegistryEntry> {
         .collect()
 }
 
-/// A loaded workspace: every `.rs` file of every member crate.
+/// A loaded workspace: every `.rs` file of every member crate, and the
+/// ledger's sources read for callers.
 pub struct Workspace {
     /// All source files, repo-relative, sorted by path.
     pub files: Vec<SourceFile>,
@@ -99,7 +104,8 @@ pub struct Workspace {
 impl Workspace {
     /// Load the workspace rooted at `root` (the directory holding the
     /// top-level `Cargo.toml`): each `crates/*` package plus the
-    /// facade package at the root itself.
+    /// facade package at the root itself, and `ledger/src` as
+    /// [`FileKind::Downstream`] when present.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
         let crates_dir = root.join("crates");
@@ -114,6 +120,11 @@ impl Workspace {
         }
         // The facade package at the workspace root.
         load_package(root, root, &mut files)?;
+        let ledger = root.join("ledger");
+        if ledger.join("src").is_dir() {
+            let name = package_name(&ledger.join("Cargo.toml"))?;
+            load_dir(root, &ledger.join("src"), &name, FileKind::Downstream, &mut files)?;
+        }
         files.sort_by(|a, b| a.path.cmp(&b.path));
         Ok(Workspace { files })
     }
@@ -128,25 +139,36 @@ fn load_package(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> io::Res
         ("examples", FileKind::Example),
     ] {
         let sub_dir = dir.join(sub);
-        if !sub_dir.is_dir() {
-            continue;
+        if sub_dir.is_dir() {
+            load_dir(root, &sub_dir, &crate_name, kind, files)?;
         }
-        let mut paths = Vec::new();
-        collect_rs(&sub_dir, &mut paths)?;
-        paths.sort();
-        for p in paths {
-            let rel = p
-                .strip_prefix(root)
-                .unwrap_or(&p)
-                .to_string_lossy()
-                .replace('\\', "/");
-            files.push(SourceFile {
-                path: rel,
-                crate_name: crate_name.clone(),
-                kind,
-                text: fs::read_to_string(&p)?,
-            });
-        }
+    }
+    Ok(())
+}
+
+/// Load every `.rs` file under `dir` as `kind` code of `crate_name`.
+fn load_dir(
+    root: &Path,
+    dir: &Path,
+    crate_name: &str,
+    kind: FileKind,
+    files: &mut Vec<SourceFile>,
+) -> io::Result<()> {
+    let mut paths = Vec::new();
+    collect_rs(dir, &mut paths)?;
+    paths.sort();
+    for p in paths {
+        let rel = p
+            .strip_prefix(root)
+            .unwrap_or(&p)
+            .to_string_lossy()
+            .replace('\\', "/");
+        files.push(SourceFile {
+            path: rel,
+            crate_name: crate_name.to_string(),
+            kind,
+            text: fs::read_to_string(&p)?,
+        });
     }
     Ok(())
 }

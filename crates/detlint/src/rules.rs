@@ -86,6 +86,10 @@ pub const RULES: &[RuleSpec] = &[
         name: "unarmed-service-fn",
         desc: "a Result-returning service fn must carry a buggify arm",
     },
+    RuleSpec {
+        name: "pub-fn-only-tests-call",
+        desc: "a pub library fn must have a caller outside tests",
+    },
 ];
 
 /// Whether `name` is a catalogue rule.
@@ -143,7 +147,13 @@ impl<'a> FileCtx<'a> {
         let view = lexer::code_view(&file.text, &tokens);
         let newlines = lexer::line_index(&file.text);
         let test_spans = find_test_spans(&view);
-        let escapes = parse_escapes(&file.text, &view, &tokens, &newlines);
+        // A downstream file is never linted, so its escapes answer to
+        // another linter run, not this one.
+        let escapes = if file.kind == FileKind::Downstream {
+            Vec::new()
+        } else {
+            parse_escapes(&file.text, &view, &tokens, &newlines)
+        };
         FileCtx {
             file,
             tokens,
@@ -352,8 +362,12 @@ const BOUNDARY: [&str; 7] = [
 ];
 
 /// Run every file-local rule over `ctx`; escapes are not applied here.
+/// A downstream file is read for callers only and never linted.
 pub fn run_file_rules(ctx: &FileCtx) -> Vec<Violation> {
     let mut out = Vec::new();
+    if ctx.file.kind == FileKind::Downstream {
+        return out;
+    }
     let path = &ctx.file.path;
     for pr in PATTERN_RULES {
         if !(pr.in_scope)(ctx.file) {

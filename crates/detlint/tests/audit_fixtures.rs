@@ -27,18 +27,18 @@ fn rules_fired(report: &LintReport) -> Vec<(&str, u32)> {
 }
 
 const TWO_FNS_ONE_ARMED: &str = r#"
-pub fn submit(&mut self, r: Request) -> Result<Job, SubmitError> {
+fn submit(&mut self, r: Request) -> Result<Job, SubmitError> {
     if self.buggify.fire_hashed("oar-submit", self.attempts) {
         return Err(SubmitError::TransientlyRefused);
     }
     Ok(self.admit(r))
 }
 
-pub fn validate(&self, r: &Request) -> Result<(), SubmitError> {
+fn validate(&self, r: &Request) -> Result<(), SubmitError> {
     Ok(())
 }
 
-pub fn not_a_candidate(&self) -> usize {
+fn not_a_candidate(&self) -> usize {
     0
 }
 "#;
@@ -64,7 +64,7 @@ fn density_counts_covered_and_total() {
 
 #[test]
 fn unarmed_surface_fn_fires_unless_escaped() {
-    let bare = "\n/// Parse a request.\npub fn parse(s: &str) -> Result<u8, E> {\n    Ok(0)\n}\n";
+    let bare = "\n/// Parse a request.\nfn parse(s: &str) -> Result<u8, E> {\n    Ok(0)\n}\n";
     let report = lint(&[oar_file(bare)], &[]);
     assert_eq!(rules_fired(&report), vec![("unarmed-service-fn", 3)]);
 
@@ -116,7 +116,7 @@ fn stale_registration_is_a_violation() {
 #[test]
 fn fires_in_cfg_test_do_not_count() {
     let text = r#"
-pub fn submit(&mut self) -> Result<(), E> {
+fn submit(&mut self) -> Result<(), E> {
     Ok(())
 }
 #[cfg(test)]
@@ -167,7 +167,7 @@ fn non_service_crates_are_reconciled_but_not_surfaced() {
         crate_name: "ttt_testbed".into(),
         kind: FileKind::Lib,
         text: r#"
-pub fn call(&mut self) -> Result<(), RpcError> {
+fn call(&mut self) -> Result<(), RpcError> {
     if self.buggify.fire("testbed-service-call", rng) { return Err(RpcError::Timeout); }
     Ok(())
 }
@@ -184,4 +184,65 @@ pub fn call(&mut self) -> Result<(), RpcError> {
         .crates
         .iter()
         .all(|c| c.crate_name != "ttt_testbed"));
+}
+
+fn source(path: &str, kind: FileKind, text: &str) -> SourceFile {
+    SourceFile {
+        path: path.into(),
+        crate_name: "ttt_x".into(),
+        kind,
+        text: text.into(),
+    }
+}
+
+/// A library `pub fn` called from `#[cfg(test)]` code, an integration
+/// test and a `use` item only — and named by its own definition — has no
+/// caller outside tests.
+const LONELY: &str = "\
+pub fn lonely() -> u8 {
+    1
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        assert_eq!(super::lonely(), 1);
+    }
+}
+";
+
+#[test]
+fn pub_fn_only_tests_call_fires() {
+    let files = [
+        source("crates/x/src/a.rs", FileKind::Lib, LONELY),
+        source("crates/x/src/b.rs", FileKind::Lib, "pub use crate::a::lonely;\n"),
+        source("crates/x/tests/t.rs", FileKind::Test, "fn t() { ttt_x::lonely(); }\n"),
+    ];
+    let report = lint(&files, &[]);
+    assert_eq!(rules_fired(&report), vec![("pub-fn-only-tests-call", 1)]);
+    assert_eq!(report.violations[0].file, "crates/x/src/a.rs");
+    assert!(report.violations[0].message.contains("`lonely`"));
+}
+
+#[test]
+fn a_real_caller_silences_pub_fn_only_tests_call() {
+    // Library code, an example, or a downstream package read for callers
+    // (never linted itself: its wall-clock read and escape are not ours).
+    let callers = [
+        ("crates/y/src/c.rs", FileKind::Lib, "fn go() -> u8 {\n    ttt_x::lonely()\n}\n"),
+        ("examples/demo.rs", FileKind::Example, "fn main() {\n    ttt_x::lonely();\n}\n"),
+        (
+            "ledger/src/main.rs",
+            FileKind::Downstream,
+            "// detlint: allow(no-wall-clock) -- timing harness\nfn main() {\n    let t = Instant::now();\n    ttt_x::lonely();\n}\n",
+        ),
+    ];
+    for (path, kind, text) in callers {
+        let files = [
+            source("crates/x/src/a.rs", FileKind::Lib, LONELY),
+            source(path, kind, text),
+        ];
+        assert_eq!(rules_fired(&lint(&files, &[])), vec![], "{path}");
+    }
 }

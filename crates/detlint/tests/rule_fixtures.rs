@@ -139,7 +139,7 @@ fn unordered_iteration_exempt_in_cfg_test_mod() {
     // On a `;`-terminated item the attribute covers that item only, not
     // the library fn after it.
     let f = lib(
-        "#[cfg(test)]\nuse std::collections::HashMap;\n\npub fn f() -> u8 {\n    Some(1).unwrap()\n}\n",
+        "#[cfg(test)]\nuse std::collections::HashMap;\n\nfn f() -> u8 {\n    Some(1).unwrap()\n}\n",
     );
     assert_eq!(rules_fired(&[f]), vec![("no-unwrap-in-lib".into(), 5)]);
 }

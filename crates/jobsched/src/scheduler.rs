@@ -302,6 +302,7 @@ impl ExternalScheduler {
     }
 
     /// Entries currently in flight.
+    #[cfg(test)]
     pub fn active_count(&self) -> usize {
         self.states.iter().filter(|s| s.active).count()
     }

@@ -144,6 +144,7 @@ impl RingSeries {
     }
 
     /// Observed sampling frequency over the raw window, in Hz.
+    #[cfg(test)]
     pub fn observed_hz(&self) -> Option<f64> {
         if self.raw.len() < 2 {
             return None;
@@ -180,6 +181,7 @@ impl RingSeries {
     }
 
     /// Number of raw samples currently held.
+    // detlint: allow(pub-fn-only-tests-call) -- the sampler and window model tests count raw samples through it
     pub fn raw_len(&self) -> usize {
         self.raw.len()
     }

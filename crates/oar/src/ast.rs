@@ -67,6 +67,7 @@ impl Expr {
     }
 
     /// Conjunction helper.
+    // detlint: allow(pub-fn-only-tests-call) -- tests/oar_scheduler_props.rs builds its random filters with it
     pub fn and(self, other: Expr) -> Expr {
         Expr::And(Box::new(self), Box::new(other))
     }

@@ -36,6 +36,7 @@ impl std::error::Error for CliError {}
 ///
 /// Returns the text a user would see (`OAR_JOB_ID=<n>`) plus the job id.
 // detlint: allow(unarmed-service-fn) -- thin CLI wrapper over OarServer::submit, which carries the oar-submit arm; arming both would double-inject one RPC
+// detlint: allow(pub-fn-only-tests-call) -- the paper's oarsub front end, pinned by tests/paper_numbers.rs
 pub fn oarsub(
     server: &mut OarServer,
     user: &str,

@@ -304,23 +304,12 @@ impl Federation {
         self.domain_of_site.get(site).copied()
     }
 
-    /// The home domain a request implies: the site owning its implied
-    /// cluster, or the site its filter pins via `site='…'`. `None` when
-    /// the request is site-agnostic (plain `nodes=N` user jobs).
+    /// The home domain a request implies: that of its first group pinned
+    /// to one — by the site owning its implied cluster, or, when it implies
+    /// none, by `site='…'`. `None` when the request is site-agnostic (plain
+    /// `nodes=N` user jobs).
     pub fn home_of_request(&self, request: &ResourceRequest) -> Option<usize> {
-        for group in &request.groups {
-            if let Some(cluster) = group.filter.implied_cluster() {
-                if let Some(&d) = self.domain_of_cluster.get(cluster) {
-                    return Some(d);
-                }
-            }
-            if let Some(site) = group.filter.implied_eq("site") {
-                if let Some(&d) = self.domain_of_site.get(site) {
-                    return Some(d);
-                }
-            }
-        }
-        None
+        request.groups.iter().find_map(|group| self.group_domain(group))
     }
 
     /// The domain a request group must run on, if statically pinned.
@@ -366,6 +355,7 @@ impl Federation {
     /// once enough of it is — never a request no instant can place.
     /// Requests statically spanning several sites are co-allocated and only
     /// place when every part can start at this instant.
+    // detlint: allow(pub-fn-only-tests-call) -- the decision the placement oracles compare against; submit books it in place
     pub fn place(&self, home: Option<usize>, request: &ResourceRequest) -> Placement {
         // A home that names no domain is no home.
         let home = home.filter(|&h| h < self.domains.len());

@@ -97,6 +97,7 @@ impl Job {
     }
 
     /// Runtime so far / total (None until started).
+    // detlint: allow(pub-fn-only-tests-call) -- the scheduler property test checks every job ran its walltime through it
     pub fn runtime(&self) -> Option<ttt_sim::SimDuration> {
         match (self.started_at, self.ended_at) {
             (Some(s), Some(e)) => Some(e.since(s)),

@@ -66,8 +66,8 @@ pub fn parse_request(
     Ok(req)
 }
 
-/// Parse just a property expression (used by tests and the suite).
-// detlint: allow(unarmed-service-fn) -- pure oarsub-syntax parser; no simulated IO or timing to perturb
+/// Parse just a property expression (the evaluator's tests).
+#[cfg(test)]
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
     let mut p = Parser { tokens, idx: 0 };

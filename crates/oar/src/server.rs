@@ -494,6 +494,7 @@ impl OarServer {
     /// Scans every node this server schedules; orchestrators that track
     /// which nodes flipped should call [`OarServer::sync_dirty_nodes`] with
     /// the testbed's alive-dirty set instead.
+    // detlint: allow(pub-fn-only-tests-call) -- the oarstat model test's full sync step: no dirty set to track
     pub fn sync_node_states(&mut self, tb: &Testbed) {
         let db = Arc::clone(&self.db);
         self.sync_nodes_inner(tb, &db.nodes_of_part[self.part]);
@@ -669,6 +670,7 @@ impl OarServer {
     /// Whether this server's resources can *ever* satisfy `request`: whether
     /// [`OarServer::immediate_assignment`] would find room for it on this
     /// server's alive nodes if none of them were reserved.
+    // detlint: allow(pub-fn-only-tests-call) -- the satisfiability oracle in tests/oar_scheduler_props.rs
     pub fn can_satisfy(&self, request: &ResourceRequest) -> bool {
         self.can_queue(request, self.db.resolve(request).as_slice())
     }

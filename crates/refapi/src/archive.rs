@@ -74,11 +74,6 @@ impl RefApi {
         self.snapshots.iter().find(|d| d.version == version)
     }
 
-    /// The description in force at time `t` (latest snapshot taken ≤ `t`).
-    pub fn at_time(&self, t: SimTime) -> Option<&TestbedDescription> {
-        self.snapshots.iter().rev().find(|d| d.taken_at <= t)
-    }
-
     /// Number of archived versions.
     pub fn len(&self) -> usize {
         self.snapshots.len()
@@ -106,21 +101,6 @@ mod tests {
         assert_eq!(api.latest().unwrap().version, 2);
         assert_eq!(api.version(1).unwrap().taken_at, SimTime::ZERO);
         assert!(api.version(9).is_none());
-    }
-
-    #[test]
-    fn at_time_picks_snapshot_in_force() {
-        let tb = TestbedBuilder::small().build();
-        let mut api = RefApi::new();
-        api.publish_from(&tb, SimTime::from_days(0));
-        api.publish_from(&tb, SimTime::from_days(10));
-        api.publish_from(&tb, SimTime::from_days(20));
-        assert_eq!(api.at_time(SimTime::from_days(5)).unwrap().version, 1);
-        assert_eq!(api.at_time(SimTime::from_days(10)).unwrap().version, 2);
-        assert_eq!(api.at_time(SimTime::from_days(99)).unwrap().version, 3);
-        // Before the first snapshot there is no description in force...
-        let empty = RefApi::new();
-        assert!(empty.at_time(SimTime::from_days(5)).is_none());
     }
 
     #[test]

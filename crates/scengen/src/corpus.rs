@@ -71,11 +71,6 @@ impl Corpus {
         &self.entries[i]
     }
 
-    /// Whether a signature is already covered.
-    pub fn covers(&self, signature: &CoverageSignature) -> bool {
-        self.seen.contains(signature)
-    }
-
     /// Admit `spec` if its signature is novel. Returns true when the entry
     /// was added (the scenario found new behavior).
     pub fn add(&mut self, spec: ScenarioSpec, signature: CoverageSignature) -> bool {
@@ -141,7 +136,6 @@ mod tests {
         assert!(corpus.add(spec.clone(), sig.clone()));
         assert!(!corpus.add(spec, sig.clone()), "same signature admitted twice");
         assert_eq!(corpus.len(), 1);
-        assert!(corpus.covers(&sig));
     }
 
     #[test]

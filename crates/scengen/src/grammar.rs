@@ -11,13 +11,11 @@
 //! scenario under the lockstep reference, so a scenario must stay in the
 //! "lockstep is affordable" regime (≤ 48 nodes, ≤ 10 days, tick ≥ 10 min).
 //! Every bound and file default is declared once, here: the scalar axes in
-//! [`SCALAR_AXES`], the structural ones as constants beside it.
+//! [`SCALAR_AXES`], the structural ones as [`Domain`] constants beside it.
 
 use rand::Rng;
 use std::fmt;
-use std::ops::RangeInclusive;
 use ttt_core::{CampaignConfig, Rollout, SchedulingMode, TestbedScale};
-use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
 use ttt_sim::rng::{pick, stream_rng};
 use ttt_sim::{SimDuration, SimTime};
@@ -30,39 +28,41 @@ use ttt_testbed::{FaultKind, InjectorConfig, Layer, LinkModelSpec};
 /// from_seed`]) and the structural mutators ([`crate::mutate`]) — one
 /// source of truth, so extending the grammar never desynchronizes the
 /// mutants from the generator.
-pub(crate) const CORE_MENU: [u32; 6] = [4, 8, 12, 16, 20, 24];
-pub(crate) const VENDOR_MENU: [Vendor; 4] = [Vendor::Dell, Vendor::Hp, Vendor::Bull, Vendor::Ibm];
+const CORE_MENU: [u32; 6] = [4, 8, 12, 16, 20, 24];
+const VENDOR_MENU: [Vendor; 4] = [Vendor::Dell, Vendor::Hp, Vendor::Bull, Vendor::Ibm];
 pub(crate) const TICK_MENU: [u64; 5] = [10, 15, 20, 30, 60];
-pub(crate) const CADENCE_MENU: [u64; 3] = [1, 2, 4];
+const CADENCE_MENU: [u64; 3] = [1, 2, 4];
 
-
-/// Limits of the structural axes (topology, arrivals, mode, link model,
-/// horizon × tick), read by the file validator and by
-/// [`crate::mutate::sanitize`] alike.
+/// Aggregate limits of the topology, checked by the file validator and
+/// imposed by [`crate::mutate::sanitize`].
 pub(crate) const MAX_CLUSTERS: usize = 8;
-pub(crate) const MAX_NODES_PER_CLUSTER: u32 = 8;
 pub(crate) const MAX_NODES: u32 = 48;
-pub(crate) const MAX_CORES_PER_NODE: u32 = 64;
 /// Grid-instant ceiling (the lockstep-affordability bound).
 pub(crate) const MAX_TICKS: u64 = 1440;
 pub(crate) const MAX_DURATION_HOURS: u64 = 240;
-pub(crate) const MIN_FAULT_RATE: f64 = 0.05;
-pub(crate) const MAX_FAULT_RATE: f64 = 6.0;
-pub(crate) const MAX_CRON_PERIOD_HOURS: u64 = 48;
-pub(crate) const MAX_ROLLOUT_PHASES: usize = Family::ALL.len();
-/// Latency beyond 30 s is a dead backbone pretending to be slow; loss
-/// beyond 0.5 is the placement layer's unreachability cutoff.
-pub(crate) const MAX_LINK_LATENCY_S: f64 = 30.0;
-pub(crate) const MAX_LINK_LOSS: f64 = 0.5;
 /// User-load ceiling — beyond the 100/day bare seeds draw so the fuzzer
 /// can reach saturation regimes, but bounded so a campaign stays
 /// differential-testable.
 pub(crate) const MAX_PEAK_JOBS: f64 = 300.0;
 
+/// The structural bounds (tick, topology, arrivals, mode, rollout, link
+/// model); the horizon's depends on the tick, see [`horizon_hours`].
+pub(crate) const TICK: Domain = Domain::Menu(&TICK_MENU);
+pub(crate) const CLUSTER_NODES: Domain = Domain::Integer(1, 8);
+pub(crate) const CORES_PER_NODE: Domain = Domain::Integer(1, 64);
+pub(crate) const FAULT_RATE: Domain = Domain::Float(0.05, 6.0);
+pub(crate) const CRON_PERIOD_HOURS: Domain = Domain::Integer(1, 48);
+pub(crate) const ROLLOUT_PHASES: Domain = Domain::Integer(1, Family::ALL.len() as u64);
+/// Latency beyond 30 s is a dead backbone pretending to be slow; loss
+/// beyond 0.5 is the placement layer's unreachability cutoff.
+pub(crate) const LINK_LATENCY_S: Domain = Domain::Float(0.0, 30.0);
+pub(crate) const LINK_LOSS: Domain = Domain::Float(0.0, 0.5);
+
 /// The horizons a `tick_mins` grid admits, in hours: at least one tick, at
 /// most [`MAX_TICKS`] grid instants.
-pub(crate) fn horizon_hours(tick_mins: u64) -> RangeInclusive<u64> {
-    (tick_mins / 60).max(1)..=(MAX_TICKS.saturating_mul(tick_mins) / 60).min(MAX_DURATION_HOURS)
+pub(crate) fn horizon_hours(tick_mins: u64) -> Domain {
+    let hi = (MAX_TICKS.saturating_mul(tick_mins) / 60).min(MAX_DURATION_HOURS);
+    Domain::Integer((tick_mins / 60).max(1), hi)
 }
 
 /// The cluster a scenario file gets when it names one and says nothing
@@ -72,7 +72,41 @@ pub(crate) fn default_cluster(name: &str) -> ClusterSpec {
     ClusterSpec::new(name, &site_name(0), 2, 8, Vendor::Dell, false, true)
 }
 
-/// The values a scalar axis may take.
+/// A generated cluster on the `site`-th site: size, cores, vendor,
+/// interconnect, disk checks and GPU drawn as bare seeds draw them.
+pub(crate) fn draw_cluster<R: Rng>(name: &str, site: usize, rng: &mut R) -> ClusterSpec {
+    let spec = ClusterSpec::new(
+        name,
+        &site_name(site),
+        rng.gen_range(2..=8u32),
+        pick(&CORE_MENU, rng),
+        pick(&VENDOR_MENU, rng),
+        rng.gen_bool(0.35),
+        rng.gen_bool(0.40),
+    );
+    if rng.gen_bool(0.15) {
+        spec.with_gpu()
+    } else {
+        spec
+    }
+}
+
+/// The naive-cron mode at a drawn period.
+pub(crate) fn draw_naive_cron<R: Rng>(rng: &mut R) -> ModeDim {
+    ModeDim::NaiveCron {
+        period_hours: rng.gen_range(2..=36),
+    }
+}
+
+/// A staged rollout in a drawn number of waves.
+pub(crate) fn draw_staged<R: Rng>(rng: &mut R) -> RolloutDim {
+    RolloutDim::Staged {
+        phases: rng.gen_range(2..=4),
+    }
+}
+
+/// The values a bounded field may take: a scalar axis or one of the
+/// structural bounds above.
 pub(crate) enum Domain {
     /// Any float in `lo..=hi`.
     Float(f64, f64),
@@ -80,6 +114,26 @@ pub(crate) enum Domain {
     Integer(u64, u64),
     /// One of the listed integers.
     Menu(&'static [u64]),
+}
+
+impl Domain {
+    /// The legal value nearest `v`: clamped into the range, or the menu's
+    /// first entry when off it. This is [`crate::mutate::sanitize`]'s
+    /// repair, and `v` is legal iff it returns `v` unchanged (see
+    /// [`Domain::admits`]), so the validator and `sanitize` cannot disagree.
+    pub(crate) fn nearest(&self, v: f64) -> f64 {
+        match *self {
+            Domain::Float(lo, hi) => v.clamp(lo, hi),
+            Domain::Integer(lo, hi) => v.clamp(lo as f64, hi as f64),
+            Domain::Menu(menu) if menu.iter().any(|&m| m as f64 == v) => v,
+            Domain::Menu(menu) => menu[0] as f64,
+        }
+    }
+
+    /// Whether `v` is legal: the scenario-file validator's one rule.
+    pub(crate) fn admits(&self, v: f64) -> bool {
+        self.nearest(v) == v
+    }
 }
 
 impl fmt::Display for Domain {
@@ -92,12 +146,28 @@ impl fmt::Display for Domain {
     }
 }
 
+/// How a bare seed draws a scalar axis; the redraw moves of
+/// [`crate::mutate`] that agree with the grammar read the same column.
+pub(crate) enum Draw {
+    /// Not drawn: bare seeds keep the file default, so arming the axis
+    /// later never shifts another draw.
+    Fixed,
+    /// `gen_range(lo..hi)`.
+    Float(f64, f64),
+    /// `gen_range(lo..=hi)`.
+    Integer(u64, u64),
+    /// A fair coin between 0 and `gen_range(lo..hi)`.
+    Sometimes(f64, f64),
+    /// A pick from the menu.
+    Pick(&'static [u64]),
+}
+
 /// One scalar axis of a [`ScenarioSpec`]: where it sits in a scenario
-/// file, what an omitted key means, what values are legal, and how to
-/// reach the field. The file parser, the emitter, the unknown-key lists
-/// and [`crate::mutate::sanitize`] all iterate [`SCALAR_AXES`], so a bound
-/// lives in exactly one row. Values travel as `f64`: integer axes stay far
-/// below 2⁵³, so the trip is exact.
+/// file, what an omitted key means, what values are legal, how a bare seed
+/// draws it, and how to reach the field. The file parser, the emitter, the
+/// unknown-key lists and [`crate::mutate::sanitize`] all iterate
+/// [`SCALAR_AXES`], so a bound lives in exactly one row. Values travel as
+/// `f64`: integer axes stay far below 2⁵³, so the trip is exact.
 pub(crate) struct ScalarAxis {
     /// Scenario-file section (`"faults"`, `"users"`, …).
     pub section: &'static str,
@@ -106,55 +176,67 @@ pub(crate) struct ScalarAxis {
     /// Value of an omitted key.
     pub default: f64,
     pub domain: Domain,
+    pub draw: Draw,
     pub get: fn(&ScenarioSpec) -> f64,
     pub set: fn(&mut ScenarioSpec, f64),
 }
 
 impl ScalarAxis {
-    /// The in-domain value nearest `v`: clamped into the range, or the
-    /// default when off a menu. `v` is legal iff this returns it unchanged
-    /// — the validator's definition, so it cannot disagree with `sanitize`.
-    pub(crate) fn sanitized(&self, v: f64) -> f64 {
-        match self.domain {
-            Domain::Float(lo, hi) => v.clamp(lo, hi),
-            Domain::Integer(lo, hi) => v.clamp(lo as f64, hi as f64),
-            Domain::Menu(menu) if menu.iter().any(|&m| m as f64 == v) => v,
-            Domain::Menu(_) => self.default,
-        }
+    /// Set the axis on `spec` to a fresh draw (its default if not drawn).
+    pub(crate) fn redraw<R: Rng>(&self, spec: &mut ScenarioSpec, rng: &mut R) {
+        let v = match self.draw {
+            Draw::Fixed => self.default,
+            Draw::Float(lo, hi) => rng.gen_range(lo..hi),
+            Draw::Integer(lo, hi) => rng.gen_range(lo..=hi) as f64,
+            Draw::Sometimes(lo, hi) => {
+                if rng.gen_bool(0.5) {
+                    rng.gen_range(lo..hi)
+                } else {
+                    0.0
+                }
+            }
+            Draw::Pick(menu) => pick(menu, rng) as f64,
+        };
+        (self.set)(spec, v);
     }
 }
 
-macro_rules! axis {
-    ($section:literal, $key:literal, $field:ident, $default:expr, $domain:expr) => {
-        ScalarAxis {
+/// One named row per scalar axis, and [`SCALAR_AXES`] listing them in file
+/// order within each section.
+macro_rules! scalar_axes {
+    ($($row:ident: $section:literal, $key:literal, $field:ident, $default:expr, $domain:expr, $draw:expr;)*) => {
+        $(pub(crate) const $row: ScalarAxis = ScalarAxis {
             section: $section,
             key: $key,
             default: $default,
             domain: $domain,
+            draw: $draw,
             get: |s| s.$field as f64,
             set: |s, v| s.$field = v as _,
-        }
+        };)*
+        /// Every scalar axis: section, key, field, file default, legal
+        /// values, bare-seed draw.
+        pub(crate) const SCALAR_AXES: [ScalarAxis; [$(stringify!($row)),*].len()] = [$($row),*];
     };
 }
 
-/// Every scalar axis: section, key, field, file default, legal values.
 #[rustfmt::skip] // one row per axis
-pub(crate) const SCALAR_AXES: [ScalarAxis; 14] = [
-    axis!("faults", "maintenance_per_day", maintenance_per_day, 0.0, Domain::Float(0.0, 1.0)),
-    axis!("faults", "maintenance_spread", maintenance_spread, 1.0, Domain::Integer(1, 4)),
-    axis!("faults", "initial_burden", initial_fault_burden, 0.0, Domain::Integer(0, 8)),
-    axis!("users", "peak_jobs_per_day", peak_jobs_per_day, 0.0, Domain::Float(0.0, MAX_PEAK_JOBS)),
-    axis!("users", "cluster_affinity", cluster_affinity, 0.5, Domain::Float(0.0, 1.0)),
-    axis!("users", "whole_cluster_prob", whole_cluster_prob, 0.1, Domain::Float(0.0, 0.5)),
-    axis!("scheduling", "executors", executors, 4.0, Domain::Integer(1, 8)),
-    axis!("operators", "capacity_per_week", operator_capacity_per_week, 5.0, Domain::Float(0.5, 20.0)),
-    axis!("operators", "triage_hours", operator_triage_hours, 24.0, Domain::Integer(1, 96)),
-    axis!("operators", "cadence_hours", operator_cadence_hours, 1.0, Domain::Menu(&CADENCE_MENU)),
-    axis!("sampling", "cadence_hours", sample_cadence_hours, 1.0, Domain::Menu(&CADENCE_MENU)),
-    axis!("chaos", "buggify_rate", buggify_rate, 0.0, Domain::Float(0.0, 0.25)),
-    axis!("queries", "per_day", queries_per_day, 0.0, Domain::Float(0.0, 10_000_000.0)),
-    axis!("queries", "users", query_users, 0.0, Domain::Integer(0, 10_000_000)),
-];
+scalar_axes! {
+    MAINTENANCE_PER_DAY: "faults", "maintenance_per_day", maintenance_per_day, 0.0, Domain::Float(0.0, 1.0), Draw::Sometimes(0.05, 0.40);
+    MAINTENANCE_SPREAD: "faults", "maintenance_spread", maintenance_spread, 1.0, Domain::Integer(1, 4), Draw::Integer(1, 4);
+    INITIAL_BURDEN: "faults", "initial_burden", initial_fault_burden, 0.0, Domain::Integer(0, 8), Draw::Integer(0, 8);
+    PEAK_JOBS: "users", "peak_jobs_per_day", peak_jobs_per_day, 0.0, Domain::Float(0.0, MAX_PEAK_JOBS), Draw::Float(0.0, 100.0);
+    CLUSTER_AFFINITY: "users", "cluster_affinity", cluster_affinity, 0.5, Domain::Float(0.0, 1.0), Draw::Float(0.2, 0.9);
+    WHOLE_CLUSTER: "users", "whole_cluster_prob", whole_cluster_prob, 0.1, Domain::Float(0.0, 0.5), Draw::Float(0.0, 0.25);
+    EXECUTORS: "scheduling", "executors", executors, 4.0, Domain::Integer(1, 8), Draw::Integer(2, 8);
+    OPERATOR_CAPACITY: "operators", "capacity_per_week", operator_capacity_per_week, 5.0, Domain::Float(0.5, 20.0), Draw::Float(1.0, 12.0);
+    OPERATOR_TRIAGE: "operators", "triage_hours", operator_triage_hours, 24.0, Domain::Integer(1, 96), Draw::Integer(4, 72);
+    OPERATOR_CADENCE: "operators", "cadence_hours", operator_cadence_hours, 1.0, Domain::Menu(&CADENCE_MENU), Draw::Pick(&CADENCE_MENU);
+    SAMPLE_CADENCE: "sampling", "cadence_hours", sample_cadence_hours, 1.0, Domain::Menu(&CADENCE_MENU), Draw::Pick(&CADENCE_MENU);
+    BUGGIFY: "chaos", "buggify_rate", buggify_rate, 0.0, Domain::Float(0.0, 0.25), Draw::Fixed;
+    QUERIES_PER_DAY: "queries", "per_day", queries_per_day, 0.0, Domain::Float(0.0, 10_000_000.0), Draw::Fixed;
+    QUERY_USERS: "queries", "users", query_users, 0.0, Domain::Integer(0, 10_000_000), Draw::Fixed;
+}
 
 /// Canonical name of the i-th generated site (clusters reference sites by
 /// name; the shrinker's single-site collapse and the mutators' site
@@ -164,9 +246,10 @@ pub(crate) fn site_name(i: usize) -> String {
 }
 
 /// Scheduling-mode dimension.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum ModeDim {
     /// The paper's external scheduler.
+    #[default]
     External,
     /// The naive Jenkins-cron baseline with the given period.
     NaiveCron {
@@ -176,9 +259,10 @@ pub enum ModeDim {
 }
 
 /// Rollout dimension.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum RolloutDim {
     /// Every family active from t=0.
+    #[default]
     AllAtStart,
     /// Families staged in `phases` evenly-spaced waves over the first half
     /// of the horizon ("tests still being added", slide 23).
@@ -197,7 +281,10 @@ pub enum RolloutDim {
 /// [`crate::scenario_file`]), lowers to a [`CampaignConfig`] via
 /// [`ScenarioSpec::campaign_config`], and is what the shrinker mutates
 /// when minimizing a failure.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Default` is the blank both constructors start from (no clusters, a
+/// zero tick): it is not a runnable spec until they fill it in.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioSpec {
     /// Master seed (drives both the expansion and the campaign's streams).
     pub seed: u64,
@@ -269,19 +356,8 @@ impl ScenarioSpec {
         let n_clusters = rng.gen_range(2..=6usize);
         let clusters: Vec<ClusterSpec> = (0..n_clusters)
             .map(|i| {
-                let mut spec = ClusterSpec::new(
-                    &format!("swarm-c{i}"),
-                    &site_name(rng.gen_range(0..n_sites)),
-                    rng.gen_range(2..=8u32),
-                    pick(&CORE_MENU, &mut rng),
-                    pick(&VENDOR_MENU, &mut rng),
-                    rng.gen_bool(0.35),
-                    rng.gen_bool(0.40),
-                );
-                if rng.gen_bool(0.15) {
-                    spec = spec.with_gpu();
-                }
-                spec
+                let site = rng.gen_range(0..n_sites);
+                draw_cluster(&format!("swarm-c{i}"), site, &mut rng)
             })
             .collect();
 
@@ -304,63 +380,59 @@ impl ScenarioSpec {
                 rng.gen_bool(0.5).then_some((kind, rate))
             })
             .collect();
-        let maintenance_per_day = if rng.gen_bool(0.5) {
-            rng.gen_range(0.05..0.40)
-        } else {
-            0.0
-        };
 
-        let mode = if rng.gen_bool(0.7) {
-            ModeDim::External
-        } else {
-            ModeDim::NaiveCron {
-                period_hours: rng.gen_range(2..=36),
-            }
-        };
-        let rollout = match rng.gen_range(0..10u32) {
-            0..=5 => RolloutDim::AllAtStart,
-            6..=8 => RolloutDim::Staged {
-                phases: rng.gen_range(2..=4),
-            },
-            _ => RolloutDim::NoTesting,
-        };
-
-        ScenarioSpec {
+        // The link model stays ideal and every `Draw::Fixed` axis keeps its
+        // default (buggify and the read plane off): arming them on bare
+        // seeds would shift every later draw. The rest is drawn in the
+        // order bare seeds always have, so every seed keeps its spec.
+        let mut spec = ScenarioSpec {
             seed,
             clusters,
             duration_hours,
             tick_mins,
-            executors: rng.gen_range(2..=8),
             fault_mix,
-            maintenance_per_day,
-            maintenance_spread: rng.gen_range(1..=4),
-            initial_fault_burden: rng.gen_range(0..=8),
-            peak_jobs_per_day: rng.gen_range(0.0..100.0),
-            cluster_affinity: rng.gen_range(0.2..0.9),
-            whole_cluster_prob: rng.gen_range(0.0..0.25),
-            mode,
-            rollout,
-            per_node_hardware: rng.gen_bool(0.25),
-            operator_capacity_per_week: rng.gen_range(1.0..12.0),
-            operator_triage_hours: rng.gen_range(4..=72),
-            operator_cadence_hours: pick(&CADENCE_MENU, &mut rng),
-            sample_cadence_hours: pick(&CADENCE_MENU, &mut rng),
-            // No draw: arming buggify here would shift every later stream
-            // and break the append-only seed discipline.
-            buggify_rate: 0.0,
-            // Same no-draw rule: bare seeds keep the historical ideal
-            // backbone so every pre-link-model seed expands byte-for-byte.
-            link_model: LinkModelSpec::Ideal,
-            // Same no-draw rule again: the read plane stays disarmed on
-            // bare seeds so pre-query-plane seeds expand byte-for-byte.
-            queries_per_day: 0.0,
-            query_users: 0,
+            ..ScenarioSpec::default()
+        };
+        MAINTENANCE_PER_DAY.redraw(&mut spec, &mut rng);
+        spec.mode = if rng.gen_bool(0.7) {
+            ModeDim::External
+        } else {
+            draw_naive_cron(&mut rng)
+        };
+        spec.rollout = match rng.gen_range(0..10u32) {
+            0..=5 => RolloutDim::AllAtStart,
+            6..=8 => draw_staged(&mut rng),
+            _ => RolloutDim::NoTesting,
+        };
+        for axis in [
+            EXECUTORS,
+            MAINTENANCE_SPREAD,
+            INITIAL_BURDEN,
+            PEAK_JOBS,
+            CLUSTER_AFFINITY,
+            WHOLE_CLUSTER,
+        ] {
+            axis.redraw(&mut spec, &mut rng);
         }
+        spec.per_node_hardware = rng.gen_bool(0.25);
+        for axis in [
+            OPERATOR_CAPACITY,
+            OPERATOR_TRIAGE,
+            OPERATOR_CADENCE,
+            SAMPLE_CADENCE,
+            BUGGIFY,
+            QUERIES_PER_DAY,
+            QUERY_USERS,
+        ] {
+            axis.redraw(&mut spec, &mut rng);
+        }
+        spec
     }
 
     /// Whether the fault mix contains any service-process kind (crash,
     /// bounded restart, RPC degradation) or buggify is armed — the
     /// service-chaos dimension of the scenario.
+    // detlint: allow(pub-fn-only-tests-call) -- the swarm tests classify scenarios by it
     pub fn has_service_faults(&self) -> bool {
         self.buggify_rate > 0.0
             || self
@@ -384,6 +456,7 @@ impl ScenarioSpec {
 
     /// Whether the fault mix contains any site-scoped kind (outage,
     /// partition, skew) — the inter-site dimension of the scenario.
+    // detlint: allow(pub-fn-only-tests-call) -- the swarm tests classify scenarios by it
     pub fn has_site_faults(&self) -> bool {
         self.fault_mix.iter().any(|&(k, _)| k.is_site_fault())
     }
@@ -440,7 +513,6 @@ impl ScenarioSpec {
                 cluster_affinity: self.cluster_affinity,
                 whole_cluster_prob: self.whole_cluster_prob,
             },
-            policy: PolicyConfig::default(),
             mode: match self.mode {
                 ModeDim::External => SchedulingMode::External,
                 ModeDim::NaiveCron { period_hours } => SchedulingMode::NaiveCron {

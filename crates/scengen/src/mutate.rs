@@ -14,14 +14,16 @@
 //! instants, bounded load) — the swarm re-runs scenarios under both
 //! engines, so a mutant must stay cheap enough to differential-test. The
 //! envelope is the one the scenario-file validator enforces, read from
-//! the same table and constants in [`crate::grammar`].
+//! the same table and domains in [`crate::grammar`].
 
 use crate::coverage::StructuralCell;
 use crate::grammar::{
-    default_cluster, horizon_hours, site_name, ModeDim, RolloutDim, ScenarioSpec,
-    CADENCE_MENU, CORE_MENU, MAX_CLUSTERS, MAX_CRON_PERIOD_HOURS, MAX_FAULT_RATE,
-    MAX_LINK_LATENCY_S, MAX_LINK_LOSS, MAX_NODES, MAX_NODES_PER_CLUSTER, MAX_PEAK_JOBS,
-    MAX_ROLLOUT_PHASES, MIN_FAULT_RATE, SCALAR_AXES, TICK_MENU, VENDOR_MENU,
+    default_cluster, draw_cluster, draw_naive_cron, draw_staged, horizon_hours, site_name,
+    ModeDim, RolloutDim, ScenarioSpec, CLUSTER_AFFINITY, CLUSTER_NODES, CORES_PER_NODE,
+    CRON_PERIOD_HOURS, FAULT_RATE, INITIAL_BURDEN, LINK_LATENCY_S, LINK_LOSS,
+    MAINTENANCE_PER_DAY, MAINTENANCE_SPREAD, MAX_CLUSTERS, MAX_NODES, MAX_PEAK_JOBS,
+    OPERATOR_CADENCE, OPERATOR_CAPACITY, OPERATOR_TRIAGE, ROLLOUT_PHASES, SAMPLE_CADENCE,
+    SCALAR_AXES, TICK, TICK_MENU,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -135,8 +137,7 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
             if !spec.fault_mix.is_empty() {
                 let i = rng.gen_range(0..spec.fault_mix.len());
                 let factor = pick(&[0.25, 0.5, 2.0, 4.0], rng);
-                spec.fault_mix[i].1 =
-                    (spec.fault_mix[i].1 * factor).clamp(MIN_FAULT_RATE, MAX_FAULT_RATE);
+                spec.fault_mix[i].1 = FAULT_RATE.nearest(spec.fault_mix[i].1 * factor);
             }
         }
         Mutator::AddCluster => {
@@ -172,30 +173,20 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
                 2 => spec.peak_jobs_per_day * 2.0 + 20.0,
                 _ => rng.gen_range(0.0..MAX_PEAK_JOBS),
             };
-            spec.cluster_affinity = rng.gen_range(0.2..0.9);
+            CLUSTER_AFFINITY.redraw(spec, rng);
             spec.whole_cluster_prob = rng.gen_range(0.0..0.5);
         }
         Mutator::FlipMode => {
+            // External always flips; cron flips back with p=0.7, else
+            // redraws its period.
             spec.mode = match spec.mode {
-                ModeDim::External => ModeDim::NaiveCron {
-                    period_hours: rng.gen_range(2..=36),
-                },
-                ModeDim::NaiveCron { .. } => {
-                    if rng.gen_bool(0.7) {
-                        ModeDim::External
-                    } else {
-                        ModeDim::NaiveCron {
-                            period_hours: rng.gen_range(2..=36),
-                        }
-                    }
-                }
+                ModeDim::NaiveCron { .. } if rng.gen_bool(0.7) => ModeDim::External,
+                _ => draw_naive_cron(rng),
             };
         }
         Mutator::FlipRollout => {
             spec.rollout = match spec.rollout {
-                RolloutDim::AllAtStart => RolloutDim::Staged {
-                    phases: rng.gen_range(2..=4),
-                },
+                RolloutDim::AllAtStart => draw_staged(rng),
                 RolloutDim::Staged { .. } => RolloutDim::NoTesting,
                 RolloutDim::NoTesting => RolloutDim::AllAtStart,
             };
@@ -205,19 +196,19 @@ fn apply<R: Rng>(m: Mutator, spec: &mut ScenarioSpec, donor: &ScenarioSpec, rng:
             spec.executors = rng.gen_range(1..=8);
         }
         Mutator::WarpBurden => {
-            spec.initial_fault_burden = rng.gen_range(0..=8);
-            spec.maintenance_per_day = if rng.gen_bool(0.5) {
-                rng.gen_range(0.05..0.40)
-            } else {
-                0.0
-            };
-            spec.maintenance_spread = rng.gen_range(1..=4);
+            for axis in [INITIAL_BURDEN, MAINTENANCE_PER_DAY, MAINTENANCE_SPREAD] {
+                axis.redraw(spec, rng);
+            }
         }
         Mutator::WarpOperator => {
-            spec.operator_capacity_per_week = rng.gen_range(1.0..12.0);
-            spec.operator_triage_hours = rng.gen_range(4..=72);
-            spec.operator_cadence_hours = pick(&CADENCE_MENU, rng);
-            spec.sample_cadence_hours = pick(&CADENCE_MENU, rng);
+            for axis in [
+                OPERATOR_CAPACITY,
+                OPERATOR_TRIAGE,
+                OPERATOR_CADENCE,
+                SAMPLE_CADENCE,
+            ] {
+                axis.redraw(spec, rng);
+            }
         }
         Mutator::Reseed => {
             spec.seed = rng.gen();
@@ -266,19 +257,7 @@ fn random_cluster<R: Rng>(existing: &[ClusterSpec], site: usize, rng: &mut R) ->
         }
         i += 1;
     };
-    let mut c = ClusterSpec::new(
-        &name,
-        &site_name(site),
-        rng.gen_range(2..=8u32),
-        pick(&CORE_MENU, rng),
-        pick(&VENDOR_MENU, rng),
-        rng.gen_bool(0.35),
-        rng.gen_bool(0.40),
-    );
-    if rng.gen_bool(0.15) {
-        c = c.with_gpu();
-    }
-    c
+    draw_cluster(&name, site, rng)
 }
 
 /// Pin `spec` onto a structural cell: the frontier move of the fuzzer.
@@ -299,16 +278,12 @@ pub fn pin_to_cell<R: Rng>(spec: &mut ScenarioSpec, cell: StructuralCell, rng: &
         (_, ModeDim::NaiveCron { period_hours }) => ModeDim::NaiveCron {
             period_hours: *period_hours,
         },
-        _ => ModeDim::NaiveCron {
-            period_hours: rng.gen_range(2..=36),
-        },
+        _ => draw_naive_cron(rng),
     };
     spec.rollout = match (cell.rollout, &spec.rollout) {
         (0, _) => RolloutDim::AllAtStart,
         (1, RolloutDim::Staged { phases }) => RolloutDim::Staged { phases: *phases },
-        (1, _) => RolloutDim::Staged {
-            phases: rng.gen_range(2..=4),
-        },
+        (1, _) => draw_staged(rng),
         _ => RolloutDim::NoTesting,
     };
     let sites = (cell.sites as usize).clamp(1, MAX_CLUSTERS);
@@ -364,17 +339,19 @@ pub fn pin_to_cell<R: Rng>(spec: &mut ScenarioSpec, cell: StructuralCell, rng: &
 }
 
 /// Re-impose the grammar's envelope on a mutant so it stays in the
-/// differential-testable regime: ≥ 1 cluster, ≤ [`MAX_NODES`] nodes, a
-/// horizon of at least one tick and at most `MAX_TICKS` grid instants,
-/// every scalar axis inside its [`SCALAR_AXES`] domain. What comes out is
-/// exactly what the scenario-file validator accepts.
+/// differential-testable regime: 1 to [`MAX_CLUSTERS`] clusters, ≤
+/// [`MAX_NODES`] nodes, and every bounded field (the scalar axes and the
+/// structural bounds) moved to its [`Domain`](crate::grammar::Domain)'s
+/// nearest legal value. A spec is legal iff this leaves it unchanged: the
+/// scenario-file validator applies the same rule to the same domains.
 pub fn sanitize(spec: &mut ScenarioSpec) {
     if spec.clusters.is_empty() {
         spec.clusters.push(default_cluster("swarm-m0"));
     }
     spec.clusters.truncate(MAX_CLUSTERS);
     for c in &mut spec.clusters {
-        c.nodes = c.nodes.clamp(1, MAX_NODES_PER_CLUSTER);
+        c.nodes = CLUSTER_NODES.nearest(c.nodes as f64) as u32;
+        c.cores_per_node = CORES_PER_NODE.nearest(c.cores_per_node as f64) as u32;
     }
     // Trim the widest clusters until the arena fits.
     while spec.node_count() > MAX_NODES {
@@ -393,31 +370,29 @@ pub fn sanitize(spec: &mut ScenarioSpec) {
             spec.clusters[widest].nodes = (spec.clusters[widest].nodes / 2).max(1);
         }
     }
-    if !TICK_MENU.contains(&spec.tick_mins) {
-        spec.tick_mins = TICK_MENU[0];
-    }
+    spec.tick_mins = TICK.nearest(spec.tick_mins as f64) as u64;
     let horizon = horizon_hours(spec.tick_mins);
-    spec.duration_hours = spec.duration_hours.clamp(*horizon.start(), *horizon.end());
+    spec.duration_hours = horizon.nearest(spec.duration_hours as f64) as u64;
     spec.fault_mix.truncate(FaultKind::ALL.len());
     for (_, rate) in &mut spec.fault_mix {
-        *rate = rate.clamp(MIN_FAULT_RATE, MAX_FAULT_RATE);
+        *rate = FAULT_RATE.nearest(*rate);
     }
     if let ModeDim::NaiveCron { period_hours } = &mut spec.mode {
-        *period_hours = (*period_hours).clamp(1, MAX_CRON_PERIOD_HOURS);
+        *period_hours = CRON_PERIOD_HOURS.nearest(*period_hours as f64) as u64;
     }
     if let RolloutDim::Staged { phases } = &mut spec.rollout {
-        *phases = (*phases).clamp(1, MAX_ROLLOUT_PHASES);
+        *phases = ROLLOUT_PHASES.nearest(*phases as f64) as usize;
     }
     if let LinkModelSpec::Uniform {
         latency_s,
         loss_prob,
     } = &mut spec.link_model
     {
-        *latency_s = latency_s.clamp(0.0, MAX_LINK_LATENCY_S);
-        *loss_prob = loss_prob.clamp(0.0, MAX_LINK_LOSS);
+        *latency_s = LINK_LATENCY_S.nearest(*latency_s);
+        *loss_prob = LINK_LOSS.nearest(*loss_prob);
     }
     for axis in &SCALAR_AXES {
-        (axis.set)(spec, axis.sanitized((axis.get)(spec)));
+        (axis.set)(spec, axis.domain.nearest((axis.get)(spec)));
     }
 }
 

@@ -20,14 +20,16 @@
 //! The scalar axes are parsed, bounded and emitted by iterating
 //! [`SCALAR_AXES`]; the structural ones (topology, arrivals, mode,
 //! rollout, link model, horizon × tick) are hand-written here and read
-//! their limits from the constants beside that table.
+//! their bounds from the [`Domain`] constants beside that table. Every
+//! bound has one rule: a value is legal iff [`Domain::nearest`] — what
+//! [`crate::mutate::sanitize`] applies — leaves it unchanged.
 //!
 //! An annotated example lives in `examples/scenarios/` at the repo root.
 
 use crate::grammar::{
-    default_cluster, horizon_hours, Domain, ModeDim, RolloutDim, ScenarioSpec, MAX_CLUSTERS,
-    MAX_CORES_PER_NODE, MAX_CRON_PERIOD_HOURS, MAX_FAULT_RATE, MAX_LINK_LATENCY_S, MAX_LINK_LOSS,
-    MAX_NODES, MAX_NODES_PER_CLUSTER, MAX_ROLLOUT_PHASES, MIN_FAULT_RATE, SCALAR_AXES, TICK_MENU,
+    default_cluster, horizon_hours, Domain, ModeDim, RolloutDim, ScenarioSpec, CLUSTER_NODES,
+    CORES_PER_NODE, CRON_PERIOD_HOURS, FAULT_RATE, LINK_LATENCY_S, LINK_LOSS, MAX_CLUSTERS,
+    MAX_NODES, ROLLOUT_PHASES, SCALAR_AXES, TICK,
 };
 use serde::Value;
 use std::fmt;
@@ -205,16 +207,20 @@ fn str_field<'a>(
     }
 }
 
-fn check_f64_range(ctx: &mut Ctx, path: String, value: f64, lo: f64, hi: f64) {
-    if !(lo..=hi).contains(&value) || !value.is_finite() {
-        ctx.err(path, format!("must be between {lo} and {hi}, got {value}"));
+/// Flag `value` (printed as `shown`, its type's own form) unless `domain`
+/// admits it; returns whether it did.
+fn check(
+    ctx: &mut Ctx,
+    path: String,
+    domain: &Domain,
+    value: f64,
+    shown: impl fmt::Display,
+) -> bool {
+    let legal = domain.admits(value);
+    if !legal {
+        ctx.err(path, format!("must be {domain}, got {shown}"));
     }
-}
-
-fn check_u64_range(ctx: &mut Ctx, path: String, value: u64, lo: u64, hi: u64) {
-    if !(lo..=hi).contains(&value) {
-        ctx.err(path, format!("must be between {lo} and {hi}, got {value}"));
-    }
+    legal
 }
 
 fn vendor_name(v: Vendor) -> &'static str {
@@ -295,18 +301,14 @@ fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileE
     let duration_hours = u64_field(&mut ctx, doc, "", "duration_hours", 96);
     // The horizon bound is a function of the tick, so it is only derived
     // from a tick that is on the menu.
-    if !TICK_MENU.contains(&tick_mins) {
-        ctx.err("tick_mins", format!("must be one of {TICK_MENU:?}, got {tick_mins}"));
-    } else {
-        let bounds = horizon_hours(tick_mins);
-        if !bounds.contains(&duration_hours) {
+    if check(&mut ctx, "tick_mins".into(), &TICK, tick_mins as f64, tick_mins) {
+        let horizon = horizon_hours(tick_mins);
+        if !horizon.admits(duration_hours as f64) {
             ctx.err(
                 "duration_hours",
                 format!(
-                    "must be between {} and {} at a {tick_mins}-minute tick (campaigns are \
-                     differential-tested under the lockstep engine), got {duration_hours}",
-                    bounds.start(),
-                    bounds.end()
+                    "must be {horizon} at a {tick_mins}-minute tick (campaigns are \
+                     differential-tested under the lockstep engine), got {duration_hours}"
                 ),
             );
         }
@@ -325,13 +327,8 @@ fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileE
         }
         "naive-cron" => {
             let period_hours = u64_field(&mut ctx, scheduling, "scheduling", "period_hours", 6);
-            check_u64_range(
-                &mut ctx,
-                "scheduling.period_hours".into(),
-                period_hours,
-                1,
-                MAX_CRON_PERIOD_HOURS,
-            );
+            let path = "scheduling.period_hours".into();
+            check(&mut ctx, path, &CRON_PERIOD_HOURS, period_hours as f64, period_hours);
             ModeDim::NaiveCron { period_hours }
         }
         other => {
@@ -353,8 +350,7 @@ fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileE
         "no-testing" => RolloutDim::NoTesting,
         "staged" => {
             let phases = u64_field(&mut ctx, rollout_obj, "rollout", "phases", 3);
-            let max = MAX_ROLLOUT_PHASES as u64;
-            check_u64_range(&mut ctx, "rollout.phases".into(), phases, 1, max);
+            check(&mut ctx, "rollout.phases".into(), &ROLLOUT_PHASES, phases as f64, phases);
             RolloutDim::Staged {
                 phases: phases as usize,
             }
@@ -383,10 +379,9 @@ fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileE
         "distance-tiered" => LinkModelSpec::DistanceTiered,
         "uniform" => {
             let latency_s = f64_field(&mut ctx, network, "network", "latency_s", 0.01);
-            let max = MAX_LINK_LATENCY_S;
-            check_f64_range(&mut ctx, "network.latency_s".into(), latency_s, 0.0, max);
+            check(&mut ctx, "network.latency_s".into(), &LINK_LATENCY_S, latency_s, latency_s);
             let loss_prob = f64_field(&mut ctx, network, "network", "loss_prob", 0.0);
-            check_f64_range(&mut ctx, "network.loss_prob".into(), loss_prob, 0.0, MAX_LINK_LOSS);
+            check(&mut ctx, "network.loss_prob".into(), &LINK_LOSS, loss_prob, loss_prob);
             LinkModelSpec::Uniform {
                 latency_s,
                 loss_prob,
@@ -401,8 +396,8 @@ fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileE
         }
     };
 
-    // The structural axes are in place; every scalar axis starts as a
-    // placeholder and is filled from its table row below.
+    // The structural axes are in place; every scalar axis is filled from
+    // its table row below.
     let mut spec = ScenarioSpec {
         seed: u64_field(&mut ctx, doc, "", "seed", 1),
         clusters: parse_clusters(&mut ctx, doc),
@@ -413,20 +408,7 @@ fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileE
         rollout,
         per_node_hardware: bool_field(&mut ctx, doc, "", "per_node_hardware", false),
         link_model,
-        executors: 0,
-        maintenance_per_day: 0.0,
-        maintenance_spread: 0,
-        initial_fault_burden: 0,
-        peak_jobs_per_day: 0.0,
-        cluster_affinity: 0.0,
-        whole_cluster_prob: 0.0,
-        operator_capacity_per_week: 0.0,
-        operator_triage_hours: 0,
-        operator_cadence_hours: 0,
-        sample_cadence_hours: 0,
-        buggify_rate: 0.0,
-        queries_per_day: 0.0,
-        query_users: 0,
+        ..ScenarioSpec::default()
     };
     for axis in &SCALAR_AXES {
         let fields = section(doc, axis.section);
@@ -436,12 +418,7 @@ fn parse_scenario_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileE
                 u64_field(&mut ctx, fields, axis.section, axis.key, axis.default as u64) as f64
             }
         };
-        if axis.sanitized(value) != value {
-            ctx.err(
-                join(axis.section, axis.key),
-                format!("must be {}, got {value}", axis.domain),
-            );
-        }
+        check(&mut ctx, join(axis.section, axis.key), &axis.domain, value, value);
         (axis.set)(&mut spec, value);
     }
 
@@ -496,9 +473,9 @@ fn parse_clusters(ctx: &mut Ctx, doc: &[(String, Value)]) -> Vec<ClusterSpec> {
             ctx.err(join(&path, "site"), "must not be empty");
         }
         let nodes = u64_field(ctx, fields, &path, "nodes", defaults.nodes as u64);
-        check_u64_range(ctx, join(&path, "nodes"), nodes, 1, MAX_NODES_PER_CLUSTER as u64);
+        check(ctx, join(&path, "nodes"), &CLUSTER_NODES, nodes as f64, nodes);
         let cores = u64_field(ctx, fields, &path, "cores_per_node", defaults.cores_per_node as u64);
-        check_u64_range(ctx, join(&path, "cores_per_node"), cores, 1, MAX_CORES_PER_NODE as u64);
+        check(ctx, join(&path, "cores_per_node"), &CORES_PER_NODE, cores as f64, cores);
         let vendor = str_field(ctx, fields, &path, "vendor", vendor_name(defaults.vendor));
         let vendor = match parse_vendor(vendor) {
             Some(v) => v,
@@ -568,7 +545,7 @@ fn parse_arrivals(ctx: &mut Ctx, faults: &[(String, Value)]) -> Vec<(FaultKind, 
             ctx.err(join(&path, "kind"), format!("duplicate fault kind {kind_name:?}"));
         }
         let per_day = f64_field(ctx, fields, &path, "per_day", 0.5);
-        check_f64_range(ctx, join(&path, "per_day"), per_day, MIN_FAULT_RATE, MAX_FAULT_RATE);
+        check(ctx, join(&path, "per_day"), &FAULT_RATE, per_day, per_day);
         out.push((kind, per_day));
     }
     out

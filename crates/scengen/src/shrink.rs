@@ -67,7 +67,7 @@ fn shrink_pass(best: &mut ScenarioSpec, violation: &mut Violation, oracles: &Ora
     // 1. Bisect the horizon: keep halving while the failure persists. The
     //    floor is one tick (a campaign must advance at least one grid
     //    instant to mean anything).
-    let floor_hours = *horizon_hours(best.tick_mins).start();
+    let floor_hours = horizon_hours(best.tick_mins).nearest(0.0) as u64;
     while best.duration_hours / 2 >= floor_hours {
         let mut candidate = best.clone();
         candidate.duration_hours /= 2;
@@ -165,6 +165,7 @@ pub fn shrink(spec: &ScenarioSpec, oracles: &Oracles) -> Option<Reproducer> {
 /// suite. The one-line regression test is
 /// `assert!(!replay(DUMP, &oracles).unwrap().is_empty())` — or, once
 /// fixed, `assert!(replay(DUMP, &oracles).unwrap().is_empty())`.
+// detlint: allow(pub-fn-only-tests-call) -- the reproducer re-run the swarm tests drive; the CLI loads the file instead
 pub fn replay(dump: &str, oracles: &Oracles) -> Result<Vec<Violation>, Vec<ScenarioFileError>> {
     Ok(run_scenario(&parse_scenario(dump)?, oracles).violations)
 }

@@ -389,6 +389,7 @@ pub struct FuzzReport {
 impl FuzzReport {
     /// Executions needed to first reach `signatures` distinct signatures,
     /// if the run ever did.
+    // detlint: allow(pub-fn-only-tests-call) -- the fuzz plateau test's measure
     pub fn executions_to_reach(&self, signatures: usize) -> Option<usize> {
         self.coverage_curve
             .iter()
@@ -481,6 +482,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut corpus: Corpus) -> FuzzReport {
 /// coverage capture only (no oracles) and return the corpus a pure-random
 /// search of that budget reaches, plus its coverage curve. Evaluations run
 /// in parallel; the curve is folded in seed order.
+// detlint: allow(pub-fn-only-tests-call) -- the random-sampling baseline the fuzz plateau test compares against
 pub fn random_coverage(seeds: &[u64]) -> (Corpus, Vec<usize>) {
     let runs = par_map(seeds, |&seed| {
         let spec = ScenarioSpec::from_seed(seed);

@@ -9,15 +9,17 @@
 //! grammar.
 
 use proptest::prelude::*;
+use rand::Rng;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use ttt_scengen::oracle::{run_campaign, run_reference};
 use ttt_scengen::{
-    load_scenario_file, parse_scenario, pin_to_cell, run_logged, sanitize, shrink,
-    to_scenario_json, CampaignDigest, Corpus, CoverageSignature, Oracles, RunLogArtifact,
-    ScenarioSpec, StructuralCell,
+    load_scenario_file, mutate, parse_scenario, pin_to_cell, run_logged, sanitize, shrink,
+    to_scenario_json, CampaignDigest, Corpus, CoverageSignature, ModeDim, Oracles, RolloutDim,
+    RunLogArtifact, ScenarioSpec, StructuralCell,
 };
 use ttt_sim::rng::stream_rng;
+use ttt_testbed::LinkModelSpec;
 
 /// The lockstep reference agrees on `spec`; return the shared digest.
 fn digest_all_engines(spec: &ScenarioSpec) -> CampaignDigest {
@@ -176,6 +178,168 @@ fn recode(doc: usize, text: &str) -> Result<String, String> {
     }
 }
 
+/// [`wild_spec`]'s inputs: 13 integer fields, then the selectors of the
+/// 10 float fields; and the 10 floats.
+const WILD_INTS: usize = 23;
+const WILD_FLOATS: usize = 10;
+
+/// A grammar spec with junk over every bounded field, scalar and
+/// structural. Field `i`'s selector keeps the grammar's value when it is
+/// 0 mod 4, lands near the legal range when it is 1 or 2, and anywhere
+/// when it is 3; so specs with a single stray field occur, as do specs
+/// that are junk throughout.
+fn wild_spec(seed: u64, ints: &[u64], floats: &[f64]) -> ScenarioSpec {
+    let junk = |i: usize| !ints[i].is_multiple_of(4);
+    let int = |i: usize, kept: u64| match ints[i] % 4 {
+        0 => kept,
+        3 => ints[i],
+        _ => ints[i] / 4 % 300,
+    };
+    let float = |i: usize, kept: f64, scale: f64| match ints[13 + i] % 4 {
+        0 => kept,
+        3 => floats[i],
+        _ => floats[i] / 1.0e7 * scale,
+    };
+    let mut s = ScenarioSpec::from_seed(seed);
+    s.tick_mins = int(0, s.tick_mins);
+    s.duration_hours = int(1, s.duration_hours);
+    s.executors = int(2, s.executors as u64) as usize;
+    s.maintenance_spread = int(3, s.maintenance_spread as u64) as usize;
+    s.initial_fault_burden = int(4, s.initial_fault_burden as u64) as usize;
+    s.operator_triage_hours = int(5, s.operator_triage_hours);
+    s.operator_cadence_hours = int(6, s.operator_cadence_hours);
+    s.sample_cadence_hours = int(7, s.sample_cadence_hours);
+    s.query_users = int(8, s.query_users);
+    for c in &mut s.clusters {
+        c.nodes = int(9, c.nodes as u64) as u32;
+        c.cores_per_node = int(10, c.cores_per_node as u64) as u32;
+    }
+    if junk(11) {
+        s.mode = ModeDim::NaiveCron { period_hours: int(11, 0) };
+    }
+    if junk(12) {
+        s.rollout = RolloutDim::Staged { phases: int(12, 0) as usize };
+    }
+    s.maintenance_per_day = float(0, s.maintenance_per_day, 1.0);
+    s.peak_jobs_per_day = float(1, s.peak_jobs_per_day, 100.0);
+    s.cluster_affinity = float(2, s.cluster_affinity, 1.0);
+    s.whole_cluster_prob = float(3, s.whole_cluster_prob, 1.0);
+    s.operator_capacity_per_week = float(4, s.operator_capacity_per_week, 10.0);
+    s.buggify_rate = float(5, s.buggify_rate, 1.0);
+    s.queries_per_day = float(6, s.queries_per_day, 1.0);
+    for (_, rate) in &mut s.fault_mix {
+        *rate = float(7, *rate, 4.0);
+    }
+    if junk(13 + 8) || junk(13 + 9) {
+        s.link_model = LinkModelSpec::Uniform {
+            latency_s: float(8, 0.01, 20.0),
+            loss_prob: float(9, 0.0, 0.5),
+        };
+    }
+    s
+}
+
+/// A spec's file parses iff `sanitize` leaves the spec unchanged, and
+/// `sanitize`'s output always parses back bit-identically.
+fn assert_legal_iff_sanitize_keeps(spec: &ScenarioSpec) {
+    let mut sanitized = spec.clone();
+    sanitize(&mut sanitized);
+    let parsed = parse_scenario(&to_scenario_json(spec));
+    assert_eq!(
+        parsed.is_ok(),
+        sanitized == *spec,
+        "legal iff sanitize keeps it: {parsed:?}\n{spec:?}"
+    );
+    let json = to_scenario_json(&sanitized);
+    let back = parse_scenario(&json)
+        .unwrap_or_else(|errs| panic!("sanitized spec does not validate: {errs:?}\n{json}"));
+    assert_eq!(back, sanitized);
+}
+
+/// A spec that is legal but for zero cores per node: `sanitize` must
+/// repair it, not pass it through to a file its validator rejects.
+#[test]
+fn zero_cores_per_node_is_repaired_by_sanitize() {
+    let mut spec = ScenarioSpec::from_seed(3);
+    spec.clusters[0].cores_per_node = 0;
+    assert_legal_iff_sanitize_keeps(&spec);
+}
+
+/// FNV-1a (64-bit) over a stream of documents.
+struct Fold(u64);
+
+impl Fold {
+    fn new() -> Self {
+        Fold(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn doc(&mut self, spec: &ScenarioSpec) {
+        let json = serde_json::to_string(spec).unwrap();
+        for b in json.bytes().chain([b'\n']) {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Every draw of the grammar, the mutators and `pin_to_cell`, and every
+/// `sanitize` repair, folded over the compact `scenario.v1` text of what
+/// they produce. A refactor of those modules must leave all four folds
+/// unchanged; a fold that moves is a behaviour change (`--nocapture`
+/// prints the folds). Wild specs keep their cores in range: the folds were
+/// minted before `sanitize` repaired cores.
+#[test]
+fn grammar_mutate_pin_and_sanitize_fingerprints_are_pinned() {
+    let mut grammar = Fold::new();
+    for seed in 0..3005 {
+        grammar.doc(&ScenarioSpec::from_seed(seed));
+    }
+
+    let mut mutants = Fold::new();
+    for chain in 0..8u64 {
+        let mut rng = stream_rng(chain, "fingerprint-mutate");
+        let donor = ScenarioSpec::from_seed(100 + chain);
+        let mut spec = ScenarioSpec::from_seed(chain);
+        for _ in 0..1500 {
+            spec = mutate(&spec, &donor, &mut rng);
+            mutants.doc(&spec);
+        }
+    }
+
+    let mut pinned = Fold::new();
+    for parent in 0..6u64 {
+        let mut rng = stream_rng(parent, "fingerprint-pin");
+        let spec = ScenarioSpec::from_seed(parent);
+        for cell in StructuralCell::all() {
+            let mut spec = spec.clone();
+            pin_to_cell(&mut spec, cell, &mut rng);
+            pinned.doc(&spec);
+        }
+    }
+
+    let mut sanitized = Fold::new();
+    let mut rng = stream_rng(0, "fingerprint-wild");
+    for _ in 0..500 {
+        let ints: Vec<u64> = (0..WILD_INTS).map(|_| rng.gen()).collect();
+        let floats: Vec<f64> = (0..WILD_FLOATS).map(|_| rng.gen_range(-2.0e7..2.0e7)).collect();
+        let mut spec = wild_spec(rng.gen(), &ints, &floats);
+        for c in &mut spec.clusters {
+            c.cores_per_node = c.cores_per_node.clamp(1, 64);
+        }
+        sanitize(&mut spec);
+        sanitized.doc(&spec);
+    }
+
+    let folds = [grammar.0, mutants.0, pinned.0, sanitized.0];
+    println!("folds: {folds:#018x?}");
+    let pinned_at_mint = [
+        0x9e74_f485_5e0c_c77d,
+        0x1b20_a906_a031_aab0,
+        0x8edf_8538_1242_174b,
+        0xf1b6_659d_6d77_27bf,
+    ];
+    assert_eq!(folds, pinned_at_mint, "from_seed, mutate, pin_to_cell, sanitize");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -216,51 +380,20 @@ proptest! {
         }
     }
 
-    /// The one guarantee of the shared bounds table: whatever scalars a
-    /// spec arrives with, `sanitize` lands it inside the envelope the
-    /// scenario-file validator accepts, and the file returns it
-    /// bit-identically.
+    /// The one guarantee of the shared bounds: a spec is legal iff
+    /// `sanitize` leaves it unchanged. Whatever a spec arrives with — junk
+    /// on every scalar axis and every structural bound — its file parses
+    /// exactly when `sanitize` is a no-op on it, and `sanitize`'s output
+    /// always parses back bit-identically.
     #[test]
     fn sanitize_always_yields_a_valid_scenario_file(
         seed in 0u64..u64::MAX,
-        ints in prop::collection::vec(0u64..u64::MAX, 9),
-        floats in prop::collection::vec(-2.0e7f64..2.0e7, 8),
+        ints in prop::collection::vec(0u64..u64::MAX, WILD_INTS),
+        floats in prop::collection::vec(-2.0e7f64..2.0e7, WILD_FLOATS),
     ) {
-        // Even draws are folded near the legal ranges (so in-range values
-        // and near misses occur); odd draws stay anywhere in the domain.
-        let near = |i: usize| ints[i] % 2 == 0;
-        let int = |i: usize| if near(i) { ints[i] % 300 } else { ints[i] };
-        let float = |i: usize| if near(i) { floats[i] / 1.0e7 } else { floats[i] };
-        let mut spec = ScenarioSpec::from_seed(seed);
-        spec.tick_mins = int(0);
-        spec.duration_hours = int(1);
-        spec.executors = int(2) as usize;
-        spec.maintenance_spread = int(3) as usize;
-        spec.initial_fault_burden = int(4) as usize;
-        spec.operator_triage_hours = int(5);
-        spec.operator_cadence_hours = int(6);
-        spec.sample_cadence_hours = int(7);
-        spec.query_users = int(8);
-        spec.maintenance_per_day = float(0);
-        spec.peak_jobs_per_day = float(1) * 100.0;
-        spec.cluster_affinity = float(2);
-        spec.whole_cluster_prob = float(3);
-        spec.operator_capacity_per_week = float(4) * 10.0;
-        spec.buggify_rate = float(5);
-        spec.queries_per_day = float(6);
-        for (_, rate) in &mut spec.fault_mix {
-            *rate = float(7) * 4.0;
-        }
-        for c in &mut spec.clusters {
-            c.nodes = int(2) as u32;
-        }
-        sanitize(&mut spec);
-        let json = to_scenario_json(&spec);
-        let back = parse_scenario(&json)
-            .unwrap_or_else(|errs| panic!("sanitized spec does not validate: {errs:?}\n{json}"));
-        prop_assert_eq!(back, spec);
+        let wild = wild_spec(seed, &ints, &floats);
+        assert_legal_iff_sanitize_keeps(&wild);
     }
-
     /// Corrupting a valid artifact never panics its decoder: splice
     /// printable junk mid-document, or cut the document off there, and
     /// it either reports a non-empty error or still decodes — and what

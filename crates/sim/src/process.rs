@@ -44,6 +44,7 @@ impl PoissonProcess {
 
     /// Sample all arrivals in `[from, to)` into a vector. Convenient for
     /// pre-generating fault schedules.
+    #[cfg(test)]
     pub fn arrivals_between<R: Rng>(
         &self,
         from: SimTime,

@@ -94,6 +94,7 @@ impl<E> EventQueue<E> {
     ///
     /// Thin allocating wrapper over [`EventQueue::drain_due_iter`]; hot
     /// paths should use the iterator directly.
+    // detlint: allow(pub-fn-only-tests-call) -- the eager reference the draining iterator is checked against
     pub fn drain_due(&mut self, now: SimTime) -> Vec<(SimTime, E)> {
         self.drain_due_iter(now).collect()
     }

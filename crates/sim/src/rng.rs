@@ -69,13 +69,6 @@ impl RngFactory {
     pub fn stream(&self, label: &str) -> SmallRng {
         stream_rng(self.seed, label)
     }
-
-    /// A derived factory namespaced under `label`, for handing to subsystems.
-    pub fn scoped(&self, label: &str) -> RngFactory {
-        RngFactory {
-            seed: stream_seed(self.seed, label),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,20 +98,6 @@ mod tests {
         let mut a = stream_rng(1, "x");
         let mut b = stream_rng(2, "x");
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
-    fn scoped_factory_is_namespaced() {
-        let f = RngFactory::new(7);
-        let scoped = f.scoped("oar");
-        // `oar` scope + `jobs` label must differ from flat `jobs` label.
-        let mut a = scoped.stream("jobs");
-        let mut b = f.stream("jobs");
-        assert_ne!(a.gen::<u64>(), b.gen::<u64>());
-        // But the scoped derivation is itself deterministic.
-        let mut c = f.scoped("oar").stream("jobs");
-        let mut d = RngFactory::new(7).scoped("oar").stream("jobs");
-        assert_eq!(c.gen::<u64>(), d.gen::<u64>());
     }
 
     #[test]

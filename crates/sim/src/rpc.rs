@@ -112,11 +112,6 @@ pub const BUGGIFY_CALLSITES: &[BuggifyCallsite] = &[
     },
 ];
 
-/// Look up a registered callsite by name.
-pub fn buggify_callsite(name: &str) -> Option<&'static BuggifyCallsite> {
-    BUGGIFY_CALLSITES.iter().find(|c| c.name == name)
-}
-
 /// Liveness of one simulated service process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Liveness {
@@ -297,18 +292,16 @@ mod tests {
 
     #[test]
     fn callsite_registry_is_well_formed() {
-        // Unique names, non-empty descriptions, and lookup round-trips.
+        // Unique names and non-empty descriptions.
         for (i, c) in BUGGIFY_CALLSITES.iter().enumerate() {
             assert!(!c.what.is_empty(), "{} has no description", c.name);
             assert!(c.crate_name.starts_with("ttt_"), "{} crate", c.name);
-            assert_eq!(buggify_callsite(c.name), Some(&BUGGIFY_CALLSITES[i]));
             assert!(
                 !BUGGIFY_CALLSITES[..i].iter().any(|p| p.name == c.name),
                 "duplicate callsite {}",
                 c.name
             );
         }
-        assert_eq!(buggify_callsite("no-such-site"), None);
     }
 
     #[test]

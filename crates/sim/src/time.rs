@@ -8,7 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-const NANOS_PER_MICRO: u64 = 1_000;
 const NANOS_PER_MILLI: u64 = 1_000_000;
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 const SECS_PER_MIN: u64 = 60;
@@ -108,11 +107,6 @@ impl SimDuration {
     /// Construct from raw nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
-    }
-
-    /// Construct from whole microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * NANOS_PER_MICRO)
     }
 
     /// Construct from whole milliseconds.
@@ -312,7 +306,6 @@ mod tests {
         assert_eq!(SimTime::from_hours(3).as_secs(), 10_800);
         assert_eq!(SimTime::from_days(2).as_days(), 2);
         assert_eq!(SimDuration::from_millis(1500).as_secs(), 1);
-        assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! status page must show whether a test's health is improving or decaying,
 //! not just its latest colour.
 
-use crate::grid::StatusGrid;
 use std::collections::BTreeMap;
 use ttt_ci::{success_series, FrozenJob};
 use ttt_sim::SimDuration;
@@ -33,15 +32,6 @@ impl HistoryReport {
             }
         }
         HistoryReport { period, per_job }
-    }
-
-    /// Trend of one job: latest-period success minus first-period success
-    /// (positive = improving).
-    pub fn trend(&self, job: &str) -> Option<f64> {
-        let series = self.per_job.get(job)?;
-        let first = series.first()?.1;
-        let last = series.last()?.1;
-        Some(last - first)
     }
 
     /// Unicode sparkline of one job's history (`▁▂▃▄▅▆▇█`).
@@ -83,25 +73,6 @@ pub fn sparkline(values: impl Iterator<Item = f64>) -> String {
         .collect()
 }
 
-/// Identify the worst targets of a grid (lowest success ratio with at
-/// least `min_builds` finished builds) — the operators' to-do list.
-pub fn worst_targets(grid: &StatusGrid, n: usize, min_builds: u64) -> Vec<(String, f64)> {
-    let mut totals: BTreeMap<&String, (u64, u64)> = BTreeMap::new();
-    for ((_, target), cell) in &grid.cells {
-        let e = totals.entry(target).or_default();
-        e.0 += cell.total;
-        e.1 += cell.successes;
-    }
-    let mut v: Vec<(String, f64)> = totals
-        .into_iter()
-        .filter(|(_, (total, _))| *total >= min_builds)
-        .map(|(t, (total, ok))| (t.clone(), ok as f64 / total as f64))
-        .collect();
-    v.sort_by(|a, b| a.1.total_cmp(&b.1));
-    v.truncate(n);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +93,12 @@ mod tests {
     }
 
     #[test]
-    fn history_buckets_and_trend() {
+    fn history_buckets_per_period() {
         let h = HistoryReport::from_jobs(&jobs(), SimDuration::from_days(7));
         let series = &h.per_job["disk"];
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 0.5).abs() < 1e-12);
         assert!((series[1].1 - 1.0).abs() < 1e-12);
-        assert!((h.trend("disk").unwrap() - 0.5).abs() < 1e-12);
-        assert!(h.trend("nope").is_none());
     }
 
     #[test]
@@ -145,17 +114,5 @@ mod tests {
         let s = h.render();
         assert!(s.contains("disk"));
         assert!(s.contains('→'));
-    }
-
-    #[test]
-    fn worst_targets_orders_ascending() {
-        let grid = StatusGrid::from_jobs(&jobs());
-        let worst = worst_targets(&grid, 5, 1);
-        assert_eq!(worst[0].0, "a"); // 2/3 success
-        assert!((worst[0].1 - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(worst[1].0, "b"); // 1/1
-        // min_builds filters thin targets.
-        let filtered = worst_targets(&grid, 5, 2);
-        assert_eq!(filtered.len(), 1);
     }
 }

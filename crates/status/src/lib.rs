@@ -19,7 +19,7 @@ pub mod history;
 pub mod services;
 
 pub use grid::{success_series, CellStatus, StatusGrid};
-pub use history::{sparkline, worst_targets, HistoryReport};
+pub use history::{sparkline, HistoryReport};
 pub use services::ServicesPanel;
 
 /// Fixtures for the unit tests: histories that ran through a real server.

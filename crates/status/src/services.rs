@@ -33,6 +33,7 @@ impl ServicesPanel {
 
     /// Rows that saw chaos at some point (non-zero ledger), for digests
     /// and post-campaign reports.
+    #[cfg(test)]
     pub fn touched(&self) -> Vec<&ServiceLiveness> {
         self.rows
             .iter()

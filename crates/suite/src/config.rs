@@ -328,6 +328,7 @@ pub fn build_suite(tb: &Testbed, images: &[Environment]) -> Vec<TestConfig> {
 }
 
 /// Count configurations per family.
+// detlint: allow(pub-fn-only-tests-call) -- tests/paper_numbers.rs pins the slide-21 family sizes through it
 pub fn family_counts(suite: &[TestConfig]) -> Vec<(Family, usize)> {
     Family::ALL
         .iter()

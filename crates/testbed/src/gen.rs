@@ -139,6 +139,7 @@ impl TestbedBuilder {
     /// mix cycles through the paper's heterogeneity axes (vendor, core
     /// count, Infiniband, introspectable disks, one GPU cluster per site)
     /// so every test family finds targets at any scale.
+    #[cfg(test)]
     pub fn grid_of_grids(sites: u32, clusters_per_site: u32, nodes_per_cluster: u32) -> Self {
         TestbedBuilder {
             specs: grid_specs(sites, clusters_per_site, nodes_per_cluster),

@@ -49,19 +49,6 @@ impl Default for NodeCondition {
     }
 }
 
-impl NodeCondition {
-    /// Whether the node is in nominal condition (no active degradation).
-    pub fn is_nominal(&self) -> bool {
-        self.alive
-            && self.boot_delay_s == 0.0
-            && self.random_reboot_mtbf_h.is_none()
-            && !self.ofed_flaky
-            && !self.console_dead
-            && self.failed_dimms == 0
-            && !self.vlan_port_stuck
-    }
-}
-
 /// One compute node.
 #[derive(Debug, Clone)]
 pub struct Node {
@@ -134,31 +121,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn default_condition_is_nominal() {
-        assert!(NodeCondition::default().is_nominal());
-    }
-
-    #[test]
-    fn degradations_break_nominal() {
-        let mut c = NodeCondition::default();
-        c.ofed_flaky = true;
-        assert!(!c.is_nominal());
-        let mut c = NodeCondition::default();
-        c.boot_delay_s = 45.0;
-        assert!(!c.is_nominal());
-        let mut c = NodeCondition::default();
-        c.alive = false;
-        assert!(!c.is_nominal());
-    }
-
-    #[test]
-    fn deployed_env_does_not_affect_nominal() {
-        let mut c = NodeCondition::default();
-        c.deployed_env = Some("debian9-min".into());
-        c.boots = 12;
-        assert!(c.is_nominal());
-    }
 
     #[test]
     fn failed_dimms_shrink_memory() {

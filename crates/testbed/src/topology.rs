@@ -121,6 +121,7 @@ impl Topology {
     }
 
     /// Count of currently partitioned site pairs.
+    #[cfg(test)]
     pub fn partitioned_pairs(&self) -> usize {
         self.site_links.iter().filter(|l| !l.up).count()
     }
@@ -150,6 +151,7 @@ impl Topology {
     }
 
     /// Count of mis-wired wattmeters.
+    #[cfg(test)]
     pub fn miswired_count(&self) -> usize {
         self.wattmeter_of.iter().filter(|(k, v)| k != v).count()
     }
