@@ -43,7 +43,7 @@
 //! * **Copied every epoch** — each job's open tail (builds that may still
 //!   change, at most a segment plus what is in flight); one queue row per
 //!   site; one power window per label sampled since the previous epoch
-//!   ([`MetricStore::windows`] opens no other ring). These are the facts
+//!   ([`MetricStore::windows`] replays no older sampler call). These are the facts
 //!   that move between epochs.
 //! * **When a segment seals** — once the leading builds of a job's tail
 //!   fill a segment (a private constant of [`ttt_ci::history`]) and all

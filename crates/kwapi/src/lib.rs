@@ -10,12 +10,14 @@
 //!   sampler reads each *wattmeter*, and the wattmeter→node wiring table
 //!   lives in the testbed topology — so a `CablingSwap` fault makes node
 //!   A's dashboard show node B's power, the paper's "wrong measurements by
-//!   testbed monitoring service" bug.
+//!   testbed monitoring service" bug. The store records each sampler call
+//!   and derives a wattmeter's samples when they are read.
 
 #![forbid(unsafe_code)]
 
+mod record;
 pub mod series;
 pub mod store;
 
 pub use series::{ConsolidatedPoint, RingSeries, WindowAgg};
-pub use store::{MetricStore, PowerSampler};
+pub use store::{MetricStore, PowerSampler, PowerSeries};

@@ -32,6 +32,52 @@ pub struct WindowAgg {
     pub max: f64,
 }
 
+/// A [`WindowAgg`] being folded, samples oldest first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fold {
+    count: u32,
+    min: f64,
+    max: f64,
+    sum: f64,
+}
+
+impl Default for Fold {
+    fn default() -> Self {
+        Fold {
+            count: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            sum: 0.0,
+        }
+    }
+}
+
+impl Fold {
+    pub(crate) fn push(&mut self, v: f64) {
+        self.count += 1;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.sum += v;
+    }
+
+    /// The aggregate, if any sample was folded in.
+    pub(crate) fn finish(self) -> Option<WindowAgg> {
+        (self.count > 0).then(|| WindowAgg {
+            count: self.count,
+            min: self.min,
+            mean: self.sum / self.count as f64,
+            max: self.max,
+        })
+    }
+}
+
+/// The mean of `values`, summed oldest first, if there are any.
+pub(crate) fn mean_of(values: impl Iterator<Item = f64>) -> Option<f64> {
+    let mut n = 0usize;
+    let sum: f64 = values.inspect(|_| n += 1).sum();
+    (n > 0).then(|| sum / n as f64)
+}
+
 /// A bounded raw series plus unbounded consolidated history.
 ///
 /// Raw samples older than the ring capacity are folded into per-period
@@ -51,26 +97,14 @@ pub struct RingSeries {
     acc: Option<ConsolidatedPoint>,
 }
 
-/// The series of a label nobody tracks: it never sampled.
-pub(crate) static UNTRACKED: RingSeries = RingSeries {
-    raw: VecDeque::new(),
-    capacity: 1,
-    period: SimDuration::from_mins(1),
-    consolidated: Vec::new(),
-    acc: None,
-};
-
 impl RingSeries {
     /// Create a series keeping `capacity` raw samples and consolidating
-    /// evicted samples over `period`.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero or `period` is zero.
+    /// evicted samples over `period`. A zero capacity keeps no raw sample:
+    /// each one is consolidated as it arrives. A zero period gives every
+    /// instant a point of its own.
     pub fn new(capacity: usize, period: SimDuration) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        assert!(!period.is_zero(), "period must be non-zero");
         RingSeries {
-            raw: VecDeque::with_capacity(capacity),
+            raw: VecDeque::new(),
             capacity,
             period,
             consolidated: Vec::new(),
@@ -92,8 +126,8 @@ impl RingSeries {
     }
 
     fn consolidate(&mut self, t: SimTime, v: f64) {
-        let period_start =
-            SimTime::from_nanos(t.as_nanos() / self.period.as_nanos() * self.period.as_nanos());
+        let p = self.period.as_nanos();
+        let period_start = t.as_nanos().checked_div(p).map_or(t, |q| SimTime::from_nanos(q * p));
         match &mut self.acc {
             Some(acc) if acc.period_start == period_start => {
                 acc.min = acc.min.min(v);
@@ -138,9 +172,7 @@ impl RingSeries {
 
     /// Mean of raw samples in `[from, to)`, if any.
     pub fn mean(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let pts = self.in_window(from, to);
-        let n = pts.len();
-        (n > 0).then(|| pts.map(|(_, v)| v).sum::<f64>() / n as f64)
+        mean_of(self.in_window(from, to).map(|&(_, v)| v))
     }
 
     /// Observed sampling frequency over the raw window, in Hz.
@@ -161,23 +193,11 @@ impl RingSeries {
     /// Aggregate raw samples in `[from, to)` without allocating, if any
     /// fall in the window.
     pub fn window(&self, from: SimTime, to: SimTime) -> Option<WindowAgg> {
-        let mut count = 0u32;
-        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+        let mut fold = Fold::default();
         for &(_, v) in self.in_window(from, to) {
-            count += 1;
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
+            fold.push(v);
         }
-        if count == 0 {
-            return None;
-        }
-        Some(WindowAgg {
-            count,
-            min,
-            mean: sum / count as f64,
-            max,
-        })
+        fold.finish()
     }
 
     /// Number of raw samples currently held.
@@ -257,9 +277,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = RingSeries::new(0, SimDuration::from_mins(1));
+    fn zero_capacity_consolidates_every_sample_at_once() {
+        let mut s = series(0);
+        for i in 0..5u64 {
+            s.push(SimTime::from_secs(i * 30), i as f64);
+        }
+        assert_eq!((s.raw_len(), s.latest()), (0, None));
+        assert_eq!(s.mean(SimTime::ZERO, SimTime::MAX), None);
+        // Minutes 0 and 1 are closed; minute 2 (t = 120 s) still accumulates.
+        let points: Vec<_> = s
+            .consolidated()
+            .iter()
+            .map(|c| (c.period_start, c.count, c.min, c.max))
+            .collect();
+        assert_eq!(
+            points,
+            [
+                (SimTime::ZERO, 2, 0.0, 1.0),
+                (SimTime::from_mins(1), 2, 2.0, 3.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn zero_period_gives_each_instant_its_own_point() {
+        let mut s = RingSeries::new(1, SimDuration::ZERO);
+        for (t, v) in [(1, 1.0), (1, 3.0), (2, 5.0), (7, 0.5), (9, 9.0)] {
+            s.push(SimTime::from_secs(t), v);
+        }
+        // t = 9 is the raw sample; t = 7 is still accumulating.
+        let points: Vec<_> = s
+            .consolidated()
+            .iter()
+            .map(|c| (c.period_start, c.count, c.mean))
+            .collect();
+        assert_eq!(
+            points,
+            [(SimTime::from_secs(1), 2, 2.0), (SimTime::from_secs(2), 1, 5.0)]
+        );
+        assert_eq!(s.latest(), Some((SimTime::from_secs(9), 9.0)));
     }
 
     /// What `range`, `mean` and `window` computed before they located the

@@ -1,93 +1,36 @@
-//! Model-based check of the power sampler.
+//! Model-based check of the power sampler and the store it records into.
 //!
-//! `PowerSampler::{run, run_site}` derive what each wattmeter reads before
-//! noise once per call, over the sampled site's own nodes. The reference
-//! below is the sampler they replaced: every simulated second it walks
-//! every node of the testbed, filters by site, and looks wiring, load and
-//! draw up again for each sample. The two must leave every series — raw
-//! ring and consolidated history — and the RNG bit-for-bit equal, whatever
-//! the wiring, the loads, the chaos rate or the layout of sites in the
+//! `PowerSampler::{run, run_site, sample_all}` record one call each and the
+//! store derives a wattmeter's samples when they are read. The reference
+//! (`model/mod.rs`) is the sampler as it was before either: every
+//! simulated second it walks every node of the testbed and pushes each
+//! noisy sample into a ring per label. The two must leave every series —
+//! raw samples, newest sample, consolidated history — every window read
+//! and the RNG bit-for-bit equal, whatever the wiring, the loads, the
+//! chaos rate, the interleaving of calls or the layout of sites in the
 //! node arena.
 
-use rand::rngs::SmallRng;
+mod model;
+
+use model::{model_bits, model_window_bits, store_bits, store_window_bits, Model};
 use rand::{Rng, RngCore};
 use std::collections::BTreeMap;
 use ttt_kwapi::{MetricStore, PowerSampler};
 use ttt_sim::rng::stream_rng;
 use ttt_sim::{Buggify, SimDuration, SimTime};
 use ttt_testbed::gen::{grid_specs, ClusterSpec};
-use ttt_testbed::{perf, FaultKind, FaultTarget, NodeId, SiteId, Testbed, TestbedBuilder, Vendor};
+use ttt_testbed::{FaultKind, FaultTarget, NodeId, SiteId, Testbed, TestbedBuilder, Vendor};
 
-/// One tick of the old sampler; `site: None` samples every node.
-fn reference_tick(
-    sampler: &PowerSampler,
-    tb: &Testbed,
-    site: Option<SiteId>,
-    loads: &BTreeMap<NodeId, f64>,
-    t: SimTime,
-    store: &mut MetricStore,
-    rng: &mut SmallRng,
-) {
+/// The store's series of every node equals the model's, bit for bit.
+fn assert_same_series(tb: &Testbed, got: &MetricStore, want: &Model, what: &str) {
     for node in tb.nodes() {
-        if site.is_some_and(|s| node.site != s) {
-            continue;
-        }
-        if tb
-            .buggify()
-            .fire_hashed("kwapi-sample", node.id.0 as u64 ^ t.as_nanos())
-        {
-            continue;
-        }
-        let measured = tb.topology().measured_node(node.id);
-        let load = loads.get(&measured).copied().unwrap_or(0.0);
-        let true_w = perf::power_draw_w(tb.node(measured), load);
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let gaussian = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let noisy = true_w * (1.0 + sampler.noise * gaussian);
-        store.push(node.id, t, noisy.max(0.0));
+        assert_eq!(
+            store_bits(got, node.id),
+            model_bits(want, node.id),
+            "{what}: series of {}",
+            node.name
+        );
     }
-}
-
-fn reference_run(
-    sampler: &PowerSampler,
-    tb: &Testbed,
-    site: Option<SiteId>,
-    loads: &BTreeMap<NodeId, f64>,
-    (from, to): (SimTime, SimTime),
-    store: &mut MetricStore,
-    rng: &mut SmallRng,
-) {
-    let mut t = from + sampler.period;
-    while t <= to {
-        reference_tick(sampler, tb, site, loads, t, store, rng);
-        t += sampler.period;
-    }
-}
-
-/// Raw `(instant, watts)` samples, then consolidated `(period start,
-/// [min, mean, max], count)` points, floats as their bit patterns.
-type SeriesBits = (Vec<(SimTime, u64)>, Vec<(SimTime, [u64; 3], u32)>);
-
-/// Every bit a series holds.
-fn bits(store: &MetricStore, node: NodeId) -> SeriesBits {
-    let series = store.power(node);
-    let raw = series.range(SimTime::ZERO, SimTime::MAX);
-    assert_eq!(raw.len(), series.raw_len());
-    (
-        raw.into_iter().map(|(t, w)| (t, w.to_bits())).collect(),
-        series
-            .consolidated()
-            .iter()
-            .map(|c| {
-                (
-                    c.period_start,
-                    [c.min, c.mean, c.max].map(f64::to_bits),
-                    c.count,
-                )
-            })
-            .collect(),
-    )
 }
 
 /// Three sites whose clusters interleave in the spec list, so no site's
@@ -163,8 +106,8 @@ fn sampler_matches_the_tick_by_tick_reference() {
 
         // Seven raw samples per ring and 5 s periods: a minute of sampling
         // evicts into, and closes, several consolidated points per node.
-        let new_store = || MetricStore::new(tb.nodes().len(), 7, SimDuration::from_secs(5));
-        let (mut got, mut want) = (new_store(), new_store());
+        let (n, period) = (tb.nodes().len(), SimDuration::from_secs(5));
+        let (mut got, mut want) = (MetricStore::new(n, 7, period), Model::new(n, 7, period));
         let mut got_rng = stream_rng(case, "sampler-model");
         let mut want_rng = got_rng.clone();
         let sampler = PowerSampler {
@@ -190,17 +133,10 @@ fn sampler_matches_the_tick_by_tick_reference() {
                 }
                 None => sampler.run(&tb, loads, window.0, window.1, &mut got, &mut got_rng),
             }
-            reference_run(sampler, &tb, site, loads, window, &mut want, &mut want_rng);
+            want.run(sampler, &tb, site, loads, window, &mut want_rng);
         }
 
-        for node in tb.nodes() {
-            assert_eq!(
-                bits(&got, node.id),
-                bits(&want, node.id),
-                "case {case}: series of {}",
-                node.name
-            );
-        }
+        assert_same_series(&tb, &got, &want, &format!("case {case}"));
         assert_eq!(
             got_rng.next_u64(),
             want_rng.next_u64(),
@@ -210,7 +146,7 @@ fn sampler_matches_the_tick_by_tick_reference() {
         let sampled = tb
             .nodes()
             .iter()
-            .filter(|n| want.power(n.id).raw_len() > 0)
+            .filter(|n| want.pushed[n.id.index()] > 0)
             .count();
         let expected = match site {
             Some(s) => tb.nodes().iter().filter(|n| n.site == s).count(),
@@ -232,24 +168,17 @@ fn sample_all_is_one_tick_of_the_reference() {
     .unwrap();
     tb.set_buggify(Buggify::new(3, 0.2));
     let loads = BTreeMap::from([(a, 1.0)]);
-    let new_store = || MetricStore::new(tb.nodes().len(), 4, SimDuration::from_secs(3));
-    let (mut got, mut want) = (new_store(), new_store());
+    let (n, period) = (tb.nodes().len(), SimDuration::from_secs(3));
+    let (mut got, mut want) = (MetricStore::new(n, 4, period), Model::new(n, 4, period));
     let mut got_rng = stream_rng(9, "sampler-model");
     let mut want_rng = got_rng.clone();
     let sampler = PowerSampler::default();
     for s in 1..=20 {
         let t = SimTime::from_secs(s);
         sampler.sample_all(&tb, &loads, t, &mut got, &mut got_rng);
-        reference_tick(&sampler, &tb, None, &loads, t, &mut want, &mut want_rng);
+        want.tick(&sampler, &tb, None, &loads, t, &mut want_rng);
     }
-    for node in tb.nodes() {
-        assert_eq!(
-            bits(&got, node.id),
-            bits(&want, node.id),
-            "series of {}",
-            node.name
-        );
-    }
+    assert_same_series(&tb, &got, &want, "sample_all");
     assert_eq!(got_rng.next_u64(), want_rng.next_u64());
 }
 
@@ -286,32 +215,14 @@ fn a_kwapi_run_costs_its_own_site() {
     assert_eq!(rng.next_u64(), fresh.next_u64());
 }
 
-/// An RNG that refuses to be drawn from more than `left` times.
-struct Budget {
-    inner: SmallRng,
-    left: u32,
-}
-
-impl RngCore for Budget {
-    fn next_u64(&mut self) -> u64 {
-        self.left = self
-            .left
-            .checked_sub(1)
-            .expect("tick budget spent: the sampler is not terminating");
-        self.inner.next_u64()
-    }
-}
-
 #[test]
 fn a_zero_period_samples_nothing_and_returns() {
-    // Regression: `t += 0` under `while t <= to` never ended. Every tick
-    // draws, so the budget turns the hang into a failure.
+    // Regression: `t += 0` under `while t <= to` never ended. A zero
+    // period has no tick, so no draw and no record.
     let tb = TestbedBuilder::small().build();
     let mut store = MetricStore::new(tb.nodes().len(), 16, SimDuration::from_mins(1));
-    let mut rng = Budget {
-        inner: stream_rng(1, "zero"),
-        left: 10_000,
-    };
+    let mut rng = stream_rng(1, "zero");
+    let untouched = rng.clone();
     let stopped = PowerSampler {
         period: SimDuration::ZERO,
         noise: 0.01,
@@ -327,9 +238,113 @@ fn a_zero_period_samples_nothing_and_returns() {
         &mut store,
         &mut rng,
     );
-    assert_eq!(rng.left, 10_000, "no tick, no draw");
+    assert_eq!(rng, untouched, "no tick, no draw");
     assert!(tb.nodes().iter().all(|n| store.power(n.id).raw_len() == 0));
     // `sample_all` names its instant and has no clock to stop.
     stopped.sample_all(&tb, &BTreeMap::new(), to, &mut store, &mut rng);
     assert!(tb.nodes().iter().all(|n| store.power(n.id).raw_len() == 1));
+}
+
+#[test]
+fn interleaved_calls_read_alike_before_at_and_past_the_wrap() {
+    // Sites sampled in turn on clocks of their own, so calls overlap in
+    // time across sites; whole-testbed ticks and runs in between; chaos
+    // on the samples and on the window reads; two labels the store does
+    // not track. After every step every read must agree.
+    const CAPACITY: usize = 50;
+    let period = SimDuration::from_secs(5);
+    let secs = SimDuration::from_secs;
+    // Reads of a label whose ring had not yet filled, was exactly full,
+    // or had wrapped.
+    let (mut before, mut at, mut past) = (0, 0, 0);
+    for seed in 0..8u64 {
+        let mut tb = interleaved();
+        tb.set_buggify(Buggify::new(seed, 0.2));
+        if seed % 2 == 1 {
+            tb.apply_fault(
+                FaultKind::CablingSwap,
+                FaultTarget::NodePair(NodeId(5), NodeId(11)),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        let tracked = tb.nodes().len() - 2;
+        let mut got = MetricStore::new(tracked, CAPACITY, period);
+        let mut want = Model::new(tracked, CAPACITY, period);
+        got.set_buggify(Buggify::new(seed + 100, 0.3));
+        want.set_buggify(Buggify::new(seed + 100, 0.3));
+        let mut draws = stream_rng(seed, "interleaved-model");
+        let mut rng = stream_rng(seed, "interleaved-noise");
+        let mut want_rng = rng.clone();
+        let sampler = PowerSampler::default();
+        let idle = BTreeMap::new();
+        let loaded = BTreeMap::from([(NodeId(0), 1.0), (NodeId(11), 0.5)]);
+        let sites = tb.sites().len();
+        // Per site (and one the testbed lacks), the last instant sampled.
+        let mut clocks = vec![SimTime::from_secs(1_000); sites + 1];
+        for step in 0..40 {
+            let newest = *clocks.iter().max().unwrap();
+            let loads = if draws.gen_bool(0.5) { &loaded } else { &idle };
+            match draws.gen_range(0..7u8) {
+                0..=3 => {
+                    let s = draws.gen_range(0..=sites);
+                    let (from, to) = (clocks[s], clocks[s] + secs(draws.gen_range(0..=30)));
+                    let site = SiteId(s as u16);
+                    sampler.run_site(&tb, site, loads, from, to, &mut got, &mut rng);
+                    want.run(&sampler, &tb, Some(site), loads, (from, to), &mut want_rng);
+                    clocks[s] = to;
+                }
+                4 => {
+                    let t = newest + secs(draws.gen_range(0..=2));
+                    sampler.sample_all(&tb, loads, t, &mut got, &mut rng);
+                    want.tick(&sampler, &tb, None, loads, t, &mut want_rng);
+                    clocks.fill(t);
+                }
+                5 => {
+                    let to = newest + secs(draws.gen_range(0..=10));
+                    sampler.run(&tb, loads, newest, to, &mut got, &mut rng);
+                    want.run(&sampler, &tb, None, loads, (newest, to), &mut want_rng);
+                    clocks.fill(to);
+                }
+                _ => clocks.fill(newest + secs(draws.gen_range(0..=200))),
+            }
+            let what = format!("seed {seed} step {step}");
+            assert_eq!(rng, want_rng, "{what}: RNG position");
+            assert_same_series(&tb, &got, &want, &what);
+            let newest = *clocks.iter().max().unwrap();
+            for _ in 0..16 {
+                let label = NodeId(draws.gen_range(0..tb.nodes().len() as u32));
+                let from = newest - secs(draws.gen_range(0..=120u64).min(newest.as_secs()));
+                let to = from + secs(draws.gen_range(0..=90));
+                assert_eq!(
+                    store_window_bits(&got, label, from, to),
+                    model_window_bits(&want, label, from, to),
+                    "{what}: [{from:?}, {to:?}) of {label:?}"
+                );
+                assert_eq!(
+                    got.window(label, from, to),
+                    want.window(label, from, to),
+                    "{what}: REST read of {label:?}"
+                );
+                if let Some(&pushed) = want.pushed.get(label.index()) {
+                    match pushed.cmp(&CAPACITY) {
+                        std::cmp::Ordering::Less => before += 1,
+                        std::cmp::Ordering::Equal => at += 1,
+                        std::cmp::Ordering::Greater => past += 1,
+                    }
+                }
+            }
+            // The section read of a recent window, and of everything held.
+            let from = newest - secs(draws.gen_range(0..=60u64).min(newest.as_secs()));
+            let to = newest + secs(draws.gen_range(0..=2));
+            for (from, to) in [(from, to), (SimTime::ZERO, SimTime::MAX)] {
+                assert_eq!(
+                    model::store_windows(&mut got, from, to),
+                    want.windows(from, to),
+                    "{what}: section read [{from:?}, {to:?})"
+                );
+            }
+        }
+    }
+    assert!(before > 1_000 && at > 10 && past > 1_000, "{before} / {at} / {past}");
 }

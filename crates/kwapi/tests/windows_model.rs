@@ -1,18 +1,20 @@
 //! Model-based check of the store's section read.
 //!
-//! `MetricStore::windows` serves a whole epoch's power windows in one call
-//! and never opens a ring whose newest sample is older than the window.
-//! The reference below is the walk it replaced, as the publisher ran it:
-//! label by label, skip the rings that never sampled, one counted `window`
-//! read for every other. Twin stores under armed chaos take the same
-//! samples; after every step the two reads must give the same rows, bit
-//! for bit, and leave the read counter — the salt of every later chaos
-//! decision — where the walk leaves it.
+//! `MetricStore::windows` serves a whole epoch's power windows in one call,
+//! replaying each recorded call that reaches the window once for all its
+//! labels. The reference is the eager model (`model/mod.rs`) read as the
+//! publisher once read it: label by label, skip the labels that never
+//! sampled, one counted `window` read for every other. Store and model
+//! take the same samples under armed chaos; after every step the two reads
+//! must give the same rows, bit for bit, and leave the read counter — the
+//! salt of every later chaos decision — at the same number.
 
-use rand::rngs::SmallRng;
+mod model;
+
+use model::{store_windows, Model};
 use rand::Rng;
 use std::collections::BTreeMap;
-use ttt_kwapi::{MetricStore, PowerSampler, WindowAgg};
+use ttt_kwapi::{MetricStore, PowerSampler};
 use ttt_sim::rng::stream_rng;
 use ttt_sim::{Buggify, SimDuration, SimTime};
 use ttt_testbed::gen::grid_specs;
@@ -20,51 +22,15 @@ use ttt_testbed::{NodeId, SiteId, Testbed, TestbedBuilder};
 
 const CAPACITY: usize = 600;
 
-/// A row with its floats as bit patterns.
-type RowBits = (u32, u32, [u64; 3]);
-
-fn row_bits(label: NodeId, w: WindowAgg) -> RowBits {
-    (label.0, w.count, [w.min, w.mean, w.max].map(f64::to_bits))
-}
-
-/// The publisher's walk before the store answered the section itself.
-fn reference_windows(store: &mut MetricStore, from: SimTime, to: SimTime) -> Vec<RowBits> {
-    let mut rows = Vec::new();
-    for label in (0..store.len() as u32).map(NodeId) {
-        if store.power(label).raw_len() == 0 {
-            continue;
-        }
-        if let Ok(Some(agg)) = store.window(label, from, to) {
-            rows.push(row_bits(label, agg));
-        }
-    }
-    rows
-}
-
-/// One sampling step, applied alike to both stores: each draws from where
-/// `rng` stood, and `rng` ends where either left it.
-fn sample_both(
-    stores: [&mut MetricStore; 2],
-    rng: &mut SmallRng,
-    step: impl Fn(&mut MetricStore, &mut SmallRng),
-) {
-    let before = rng.clone();
-    for store in stores {
-        *rng = before.clone();
-        step(store, rng);
-    }
-}
-
 fn run(tb: &Testbed, seed: u64, steps: usize) -> (usize, usize, usize) {
     let n = tb.nodes().len();
-    let new_store = || {
-        let mut store = MetricStore::new(n, CAPACITY, SimDuration::from_mins(1));
-        store.set_buggify(Buggify::new(seed, 0.3));
-        store
-    };
-    let (mut got, mut want) = (new_store(), new_store());
+    let mut got = MetricStore::new(n, CAPACITY, SimDuration::from_mins(1));
+    let mut want = Model::new(n, CAPACITY, SimDuration::from_mins(1));
+    got.set_buggify(Buggify::new(seed, 0.3));
+    want.set_buggify(Buggify::new(seed, 0.3));
     let mut draws = stream_rng(seed, "windows-model");
     let mut noise = stream_rng(seed, "windows-model-noise");
+    let mut want_noise = noise.clone();
     let sampler = PowerSampler::default();
     let idle = BTreeMap::new();
     let secs = SimDuration::from_secs;
@@ -78,16 +44,14 @@ fn run(tb: &Testbed, seed: u64, steps: usize) -> (usize, usize, usize) {
             0..=2 => {
                 let site = SiteId(draws.gen_range(0..tb.sites().len() as u16 + 1));
                 let to = clock + secs(draws.gen_range(0..=90));
-                sample_both([&mut got, &mut want], &mut noise, |store, rng| {
-                    sampler.run_site(tb, site, &idle, clock, to, store, rng)
-                });
+                sampler.run_site(tb, site, &idle, clock, to, &mut got, &mut noise);
+                want.run(&sampler, tb, Some(site), &idle, (clock, to), &mut want_noise);
                 (before, clock) = (clock, to);
             }
             3 => {
                 let t = clock + secs(draws.gen_range(0..=2));
-                sample_both([&mut got, &mut want], &mut noise, |store, rng| {
-                    sampler.sample_all(tb, &idle, t, store, rng)
-                });
+                sampler.sample_all(tb, &idle, t, &mut got, &mut noise);
+                want.tick(&sampler, tb, None, &idle, t, &mut want_noise);
                 (before, clock) = (clock, t);
             }
             // Quiet time: the next window may hold nothing at all.
@@ -107,17 +71,17 @@ fn run(tb: &Testbed, seed: u64, steps: usize) -> (usize, usize, usize) {
             6 => (clock + secs(1), SimTime::MAX),
             _ => (clock - back, clock + secs(draws.gen_range(0..=120))),
         };
-        let mut rows = Vec::new();
-        got.windows(from, to, |label, agg| rows.push(row_bits(label, agg)));
-        let expected = reference_windows(&mut want, from, to);
+        assert_eq!(noise, want_noise, "seed {seed} step {step}: RNG position");
+        let rows = store_windows(&mut got, from, to);
+        let expected = want.windows(from, to);
         assert_eq!(
             rows, expected,
             "seed {seed} step {step}: [{from:?}, {to:?})"
         );
         rows_seen += rows.len();
         skipped_rings += (0..n as u32)
-            .map(|l| want.power(NodeId(l)).latest())
-            .filter(|newest| newest.is_some_and(|(t, _)| t < from))
+            .filter_map(|l| want.ring(NodeId(l)).and_then(|r| r.latest()))
+            .filter(|&(t, _)| t < from)
             .count();
         // Both counters stand where the walk left its own: the next reads
         // are refused on the same read numbers.
@@ -133,7 +97,7 @@ fn run(tb: &Testbed, seed: u64, steps: usize) -> (usize, usize, usize) {
         }
     }
     let wrapped = (0..n as u32)
-        .filter(|&l| !want.power(NodeId(l)).consolidated().is_empty())
+        .filter(|&l| want.pushed[l as usize] > CAPACITY)
         .count();
     assert!(wrapped > 0, "seed {seed}: no ring went past its capacity");
     (rows_seen, skipped_rings, refusals)

@@ -334,7 +334,7 @@ pub fn kwapi(site: &str, ctx: &mut TestCtx) -> TestReport {
         )),
     }
     // Sampling-rate check on the control node, over THIS run's window
-    // only (the ring buffer also holds samples from earlier runs).
+    // only (the series also holds samples from earlier runs).
     let expected = load_to.since(idle_from).as_secs_f64();
     let got = ctx
         .kwapi
