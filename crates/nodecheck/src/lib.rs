@@ -4,7 +4,8 @@
 //! users). Acquires info using OHAI, ethtool, etc. Compares with Reference
 //! API." Here the probe reads the node's *actual* simulated hardware (the
 //! state faults mutate) and the comparison target is the latest Reference
-//! API description; any divergence yields a structured mismatch.
+//! API description; any divergence yields a structured mismatch keyed the
+//! way OHAI reports it (`cpu/cstates`, `disk/sda/firmware`, …).
 //!
 //! Deliberately, several fault classes are *invisible* to per-node probes —
 //! dead consoles, stuck VLAN ports, spontaneous reboots, flaky services,
@@ -15,7 +16,5 @@
 #![forbid(unsafe_code)]
 
 pub mod compare;
-pub mod probe;
 
-pub use compare::{check_node, CheckReport, Mismatch};
-pub use probe::{expected_report, probe_node, ProbeReport};
+pub use compare::{check_cluster, check_node, diff_hardware, CheckReport, Mismatch};

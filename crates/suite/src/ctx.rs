@@ -40,7 +40,7 @@ pub struct TestCtx<'a> {
 
 impl<'a> TestCtx<'a> {
     /// The image catalogue entry with the given name.
-    pub fn image(&self, name: &str) -> Option<&Environment> {
+    pub fn image(&self, name: &str) -> Option<&'a Environment> {
         self.images.iter().find(|e| e.name == name)
     }
 }

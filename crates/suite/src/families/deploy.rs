@@ -29,7 +29,7 @@ fn deploy_diagnostics(
 /// `environments`: deploy one image on one node of one cluster — one cell
 /// of the paper's 448-cell matrix.
 pub fn environments(image: &str, _cluster: &str, ctx: &mut TestCtx) -> TestReport {
-    let Some(env) = ctx.image(image).cloned() else {
+    let Some(env) = ctx.image(image) else {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(
                 Symptom::UnknownImage.on(image),
@@ -39,8 +39,7 @@ pub fn environments(image: &str, _cluster: &str, ctx: &mut TestCtx) -> TestRepor
         );
     };
     let mut diagnostics = Vec::new();
-    let assigned = ctx.assigned.to_vec();
-    let report = ctx.deployer.deploy(ctx.tb, &env, &assigned, ctx.rng);
+    let report = ctx.deployer.deploy(ctx.tb, env, ctx.assigned, ctx.rng);
     deploy_diagnostics(ctx, &report, &mut diagnostics);
     TestReport::from_diagnostics(diagnostics, report.makespan + SimDuration::from_mins(2))
 }
@@ -48,19 +47,14 @@ pub fn environments(image: &str, _cluster: &str, ctx: &mut TestCtx) -> TestRepor
 /// `stdenv`: deploy the standard environment, then run g5k-checks at boot —
 /// the per-node verification pass every real deployment triggers.
 pub fn stdenv(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
-    let Some(env) = ctx
-        .image("debian9-min")
-        .or_else(|| ctx.images.first())
-        .cloned()
-    else {
+    let Some(env) = ctx.image("debian9-min").or_else(|| ctx.images.first()) else {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(Symptom::NoStdenv.on(""), "no standard image available")],
             SimDuration::from_mins(1),
         );
     };
     let mut diagnostics = Vec::new();
-    let assigned = ctx.assigned.to_vec();
-    let report = ctx.deployer.deploy(ctx.tb, &env, &assigned, ctx.rng);
+    let report = ctx.deployer.deploy(ctx.tb, env, ctx.assigned, ctx.rng);
     deploy_diagnostics(ctx, &report, &mut diagnostics);
     // g5k-checks runs at node boot (slide 7).
     if let Some(desc) = ctx.refapi.latest() {
@@ -75,12 +69,11 @@ pub fn stdenv(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
 /// `paralleldeploy`: deploy every node of the cluster at once and require
 /// a high success ratio — the reliability test for Kadeploy at scale.
 pub fn paralleldeploy(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
-    let Some(env) = ctx.image("debian9-min").or_else(|| ctx.images.first()).cloned() else {
+    let Some(env) = ctx.image("debian9-min").or_else(|| ctx.images.first()) else {
         return TestReport::from_diagnostics(vec![], SimDuration::from_mins(1));
     };
     let mut diagnostics = Vec::new();
-    let assigned = ctx.assigned.to_vec();
-    let report = ctx.deployer.deploy(ctx.tb, &env, &assigned, ctx.rng);
+    let report = ctx.deployer.deploy(ctx.tb, env, ctx.assigned, ctx.rng);
     deploy_diagnostics(ctx, &report, &mut diagnostics);
     TestReport::from_diagnostics(diagnostics, report.makespan + SimDuration::from_mins(5))
 }
@@ -88,15 +81,14 @@ pub fn paralleldeploy(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
 /// `multideploy`: three consecutive full-cluster deployments; nodes that
 /// fail any round are reported once.
 pub fn multideploy(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
-    let Some(env) = ctx.image("debian9-min").or_else(|| ctx.images.first()).cloned() else {
+    let Some(env) = ctx.image("debian9-min").or_else(|| ctx.images.first()) else {
         return TestReport::from_diagnostics(vec![], SimDuration::from_mins(1));
     };
     let mut seen = BTreeSet::new();
     let mut diagnostics = Vec::new();
     let mut total = SimDuration::ZERO;
-    let assigned = ctx.assigned.to_vec();
     for round in 1..=3 {
-        let report = ctx.deployer.deploy(ctx.tb, &env, &assigned, ctx.rng);
+        let report = ctx.deployer.deploy(ctx.tb, env, ctx.assigned, ctx.rng);
         total += report.makespan;
         for (node, step, reason) in report.failures() {
             if seen.insert(node) {

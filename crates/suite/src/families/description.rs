@@ -6,7 +6,7 @@
 use super::nodecheck_diagnostics;
 use crate::ctx::TestCtx;
 use crate::report::{Diagnostic, TestReport};
-use ttt_nodecheck::{check_node, probe_node};
+use ttt_nodecheck::check_cluster;
 use ttt_sim::SimDuration;
 use ttt_testbed::Symptom;
 
@@ -33,8 +33,7 @@ pub fn refapi(cluster: &str, ctx: &mut TestCtx) -> TestReport {
             duration,
         );
     };
-    for &node in &cl.nodes {
-        let report = check_node(ctx.tb, desc, node);
+    for report in check_cluster(ctx.tb, desc, cl) {
         diagnostics.extend(nodecheck_diagnostics(&report));
     }
     TestReport::from_diagnostics(diagnostics, duration)
@@ -47,40 +46,32 @@ pub fn oarproperties(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
     let duration = SimDuration::from_mins(3);
     let mut diagnostics = Vec::new();
     for &node in ctx.assigned {
-        let name = ctx.tb.node(node).name.clone();
-        let Some(probe) = probe_node(ctx.tb, node) else {
+        let n = ctx.tb.node(node);
+        let name = &n.name;
+        if !n.condition.alive {
             diagnostics.push(Diagnostic::new(
-                Symptom::NodeDead.on(&name),
+                Symptom::NodeDead.on(name),
                 format!("{name} does not answer probes"),
             ));
             continue;
-        };
+        }
         let props = ctx.oar.properties(node);
-        // memnode vs probed memory.
-        if let (Some(db), Some(real)) = (
-            props.get("memnode").and_then(|v| v.as_int()),
-            probe.get("memory/total_gb").and_then(|v| v.parse::<i64>().ok()),
-        ) {
+        // memnode vs probed memory (failed DIMMs are masked by the BIOS).
+        let real = i64::from(n.effective_memory_gb());
+        if let Some(db) = props.get("memnode").and_then(|v| v.as_int()) {
             if db != real {
                 diagnostics.push(Diagnostic::new(
-                    Symptom::DimmFailure.on(&name),
+                    Symptom::DimmFailure.on(name),
                     format!("{name}: OAR DB says memnode={db} GB, node has {real} GB"),
                 ));
             }
         }
-        // eth10g vs probed NIC rate.
-        let db_10g = props
-            .get("eth10g")
-            .map(|v| v.render() == "YES")
-            .unwrap_or(false);
-        let real_10g = probe
-            .get("network/eth0/rate_gbps")
-            .and_then(|v| v.parse::<u32>().ok())
-            .map(|r| r >= 10)
-            .unwrap_or(false);
+        // eth10g vs the negotiated rate of the NIC it is derived from.
+        let db_10g = props.get("eth10g").is_some_and(|v| v.matches_literal("YES"));
+        let real_10g = n.hardware.primary_nic().is_some_and(|nic| nic.rate_gbps >= 10);
         if db_10g && !real_10g {
             diagnostics.push(Diagnostic::new(
-                Symptom::NicDowngrade.on(&name),
+                Symptom::NicDowngrade.on(name),
                 format!("{name}: OAR DB says eth10g=YES but the link negotiated below 10G"),
             ));
         }

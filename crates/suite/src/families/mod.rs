@@ -34,17 +34,17 @@ pub(crate) fn probe_key_to_signature(key: &str) -> Symptom {
 
 /// Convert a nodecheck report into deduplicated diagnostics.
 pub(crate) fn nodecheck_diagnostics(
-    report: &ttt_nodecheck::CheckReport,
+    report: &ttt_nodecheck::CheckReport<'_>,
 ) -> Vec<crate::report::Diagnostic> {
     if !report.reachable {
         return vec![crate::report::Diagnostic::new(
-            Symptom::NodeDead.on(&report.node),
+            Symptom::NodeDead.on(report.node),
             format!("{} does not answer probes", report.node),
         )];
     }
     if !report.described {
         return vec![crate::report::Diagnostic::new(
-            Symptom::Undescribed.on(&report.node),
+            Symptom::Undescribed.on(report.node),
             format!("{} is missing from the Reference API", report.node),
         )];
     }
@@ -54,7 +54,7 @@ pub(crate) fn nodecheck_diagnostics(
         let symptom = probe_key_to_signature(&m.key);
         if seen.insert(symptom) {
             out.push(crate::report::Diagnostic::new(
-                symptom.on(&report.node),
+                symptom.on(report.node),
                 format!(
                     "{}: {} (Reference API says {}, probed {})",
                     report.node, m.key, m.expected, m.actual

@@ -16,7 +16,9 @@
 //!
 //! The same allocator pins the write side's cost of one launched test: a
 //! CI build's names are written once per job and once per cell, not once
-//! per build or per holder.
+//! per build or per holder. And it pins g5k-checks' walk: the description
+//! families compare a conformant node without an allocator call, and a
+//! mismatch is rendered only where a field differs.
 //!
 //! The allocator counts per thread, so the tests of this file can run in
 //! parallel without polluting each other's counts.
@@ -27,8 +29,12 @@ use std::sync::Arc;
 use throughout::ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
 use throughout::core::snapshot::{CampaignSnapshot, Query, QueryAnswer, QueryEngine};
 use throughout::core::{Campaign, CampaignConfig};
+use throughout::nodecheck::check_node;
 use throughout::sim::SimTime;
 use throughout::status::{ServicesPanel, StatusGrid};
+use throughout::suite::testutil::Harness;
+use throughout::suite::{run_test, Family, Target, TestConfig, TestCtx};
+use throughout::testbed::{FaultKind, FaultTarget, NodeId};
 
 struct CountingAlloc;
 
@@ -225,4 +231,47 @@ fn a_launched_test_costs_ci_a_handful_of_allocations() {
         calls <= 64 * 3,
         "{calls} allocator calls for 64 launched tests"
     );
+}
+
+/// Run one configuration on `alpha` of the harness and count the
+/// allocator calls of `run_test` alone.
+fn run_counted(h: &mut Harness, family: Family, assigned: &[NodeId]) -> (bool, u64) {
+    let cfg = TestConfig {
+        family,
+        target: Target::Cluster("alpha".into()),
+    };
+    let mut ctx = TestCtx {
+        tb: &mut h.tb,
+        refapi: &h.refapi,
+        oar: &h.oar,
+        kavlan: &mut h.kavlan,
+        kwapi: &mut h.kwapi,
+        deployer: &h.deployer,
+        images: &h.images,
+        assigned,
+        now: h.now,
+        rng: &mut h.rng,
+    };
+    let (report, calls) = allocations_during(|| run_test(&cfg, &mut ctx));
+    (report.passed(), calls)
+}
+
+#[test]
+fn a_conformant_node_costs_the_description_checks_no_allocation() {
+    let mut h = Harness::new(1);
+    let alpha = h.tb.cluster_by_name("alpha").expect("small testbed").nodes.clone();
+
+    // The `refapi` sweep walks every node of the cluster; `oarproperties`
+    // reads two values of its node. Neither renders a conformant one.
+    assert_eq!(run_counted(&mut h, Family::Refapi, &[]), (true, 0), "{} nodes", alpha.len());
+    assert_eq!(run_counted(&mut h, Family::OarProperties, &alpha[..1]), (true, 0));
+
+    // One drifted field costs its mismatch: the key, the two values and
+    // the list that holds them.
+    h.tb.apply_fault(FaultKind::CpuCStatesDrift, FaultTarget::Node(alpha[0]), SimTime::ZERO)
+        .expect("the fault applies");
+    let desc = h.refapi.latest().expect("the harness publishes a description");
+    let (report, calls) = allocations_during(|| check_node(&h.tb, desc, alpha[0]));
+    assert_eq!(report.keys(), ["cpu/cstates"]);
+    assert!(calls <= 4, "{calls} allocator calls for one drifted field");
 }
