@@ -64,7 +64,7 @@ mod tests {
 
     fn filed(tracker: &mut BugTracker, n: usize, at: SimTime) {
         for i in 0..n {
-            tracker.file(&Symptom::NodeDead.on(format!("{at}-{i}")), "fam", "m", at);
+            tracker.file(&Symptom::NodeDead.on(format!("{at}-{i}")), None, "fam", "m", at);
         }
     }
 
@@ -110,8 +110,8 @@ mod tests {
     fn oldest_bugs_fixed_first() {
         let mut tracker = BugTracker::new();
         let mut ops = OperatorModel::new(1.0, SimDuration::ZERO);
-        let (old, _) = tracker.file(&Symptom::NodeDead.on("old"), "f", "m", SimTime::from_days(1));
-        tracker.file(&Symptom::NodeDead.on("new"), "f", "m", SimTime::from_days(5));
+        let (old, _) = tracker.file(&Symptom::NodeDead.on("old"), None, "f", "m", SimTime::from_days(1));
+        tracker.file(&Symptom::NodeDead.on("new"), None, "f", "m", SimTime::from_days(5));
         // One week elapsed => budget for exactly one fix: the oldest.
         let fixed = ops.step(&mut tracker, SimTime::from_days(7));
         assert_eq!(fixed, vec![old]);

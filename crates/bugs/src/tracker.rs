@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use ttt_sim::SimTime;
-use ttt_testbed::Signature;
+use ttt_testbed::{FaultId, Signature};
 
 /// Unique bug identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,6 +31,9 @@ pub struct Bug {
     pub id: BugId,
     /// The diagnostic signature it was filed under.
     pub signature: Signature,
+    /// The fault the first report that resolved one was filed against;
+    /// operators repair this id. `None` while no report resolved a fault.
+    pub fault: Option<FaultId>,
     /// The test family that found it.
     pub family: &'static str,
     /// Operator-facing message from the first report.
@@ -64,11 +67,15 @@ impl BugTracker {
         BugTracker::default()
     }
 
-    /// File a diagnostic. Returns the bug id and whether a new bug was
-    /// created (false = duplicate of an open bug).
+    /// File a diagnostic, with the active fault it resolved to (if any).
+    /// Returns the bug id and whether a new bug was created (false =
+    /// duplicate of an open bug). A duplicate binds its fault only to a
+    /// bug no earlier report bound: the first report that resolves a
+    /// fault keeps it.
     pub fn file(
         &mut self,
         signature: &Signature,
+        fault: Option<FaultId>,
         family: &'static str,
         message: &str,
         now: SimTime,
@@ -77,12 +84,14 @@ impl BugTracker {
             let bug = &mut self.bugs[idx];
             bug.reports += 1;
             bug.last_seen = now;
+            bug.fault = bug.fault.or(fault);
             return (bug.id, false);
         }
         let id = BugId(self.bugs.len() as u64);
         self.bugs.push(Bug {
             id,
             signature: signature.clone(),
+            fault,
             family,
             message: message.to_string(),
             first_seen: now,
@@ -151,8 +160,8 @@ mod tests {
     fn filing_dedups_by_signature() {
         let mut t = BugTracker::new();
         let sig = Symptom::CpuCStates.on("n1");
-        let (id1, new1) = t.file(&sig, "refapi", "drift", SimTime::from_days(1));
-        let (id2, new2) = t.file(&sig, "stdenv", "drift", SimTime::from_days(2));
+        let (id1, new1) = t.file(&sig, None, "refapi", "drift", SimTime::from_days(1));
+        let (id2, new2) = t.file(&sig, None, "stdenv", "drift", SimTime::from_days(2));
         assert!(new1);
         assert!(!new2);
         assert_eq!(id1, id2);
@@ -162,10 +171,27 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_binds_a_fault_only_to_an_unbound_bug() {
+        let mut t = BugTracker::new();
+        let sig = Symptom::ConsoleDead.on("n1");
+        let day = SimTime::from_days;
+        let (id, _) = t.file(&sig, None, "console", "m", day(1));
+        assert_eq!(t.bug(id).unwrap().fault, None);
+        // The first report that resolves a fault binds it...
+        t.file(&sig, Some(FaultId(7)), "console", "m", day(2));
+        assert_eq!(t.bug(id).unwrap().fault, Some(FaultId(7)));
+        // ...and later reports, resolved or not, never rebind it.
+        t.file(&sig, Some(FaultId(9)), "console", "m", day(3));
+        t.file(&sig, None, "console", "m", day(4));
+        assert_eq!(t.bug(id).unwrap().fault, Some(FaultId(7)));
+        assert_eq!(t.bug(id).unwrap().reports, 4);
+    }
+
+    #[test]
     fn different_signatures_different_bugs() {
         let mut t = BugTracker::new();
-        t.file(&Symptom::NodeDead.on("n1"), "x", "m", SimTime::ZERO);
-        t.file(&Symptom::NodeDead.on("n2"), "x", "m", SimTime::ZERO);
+        t.file(&Symptom::NodeDead.on("n1"), None, "x", "m", SimTime::ZERO);
+        t.file(&Symptom::NodeDead.on("n2"), None, "x", "m", SimTime::ZERO);
         assert_eq!(t.filed(), 2);
     }
 
@@ -173,12 +199,12 @@ mod tests {
     fn fix_and_regression() {
         let mut t = BugTracker::new();
         let sig = Symptom::DiskFirmware.on("n1");
-        let (id, _) = t.file(&sig, "disk", "m", SimTime::from_days(1));
+        let (id, _) = t.file(&sig, None, "disk", "m", SimTime::from_days(1));
         assert!(t.fix(id, SimTime::from_days(3)));
         assert!(!t.fix(id, SimTime::from_days(4)), "double fix rejected");
         assert_eq!(t.fixed(), 1);
         // The same signature recurring afterwards is a *new* bug.
-        let (id2, new) = t.file(&sig, "disk", "m", SimTime::from_days(10));
+        let (id2, new) = t.file(&sig, None, "disk", "m", SimTime::from_days(10));
         assert!(new);
         assert_ne!(id, id2);
         assert_eq!(t.filed(), 2);
@@ -188,8 +214,8 @@ mod tests {
     #[test]
     fn open_is_oldest_first() {
         let mut t = BugTracker::new();
-        t.file(&Symptom::NodeDead.on("a"), "x", "m", SimTime::from_days(1));
-        t.file(&Symptom::NodeDead.on("b"), "x", "m", SimTime::from_days(2));
+        t.file(&Symptom::NodeDead.on("a"), None, "x", "m", SimTime::from_days(1));
+        t.file(&Symptom::NodeDead.on("b"), None, "x", "m", SimTime::from_days(2));
         let open = t.open();
         assert_eq!(open.len(), 2);
         assert!(open[0].first_seen <= open[1].first_seen);

@@ -199,16 +199,14 @@ impl Campaign {
             .into_iter()
             .filter(|k| k.spec().layer != Layer::Process)
             .collect();
-        let mut applied = 0;
+        let mut burden = Vec::new();
         let mut attempts = 0;
-        while applied < cfg.initial_fault_burden && attempts < cfg.initial_fault_burden * 20 {
+        while burden.len() < cfg.initial_fault_burden && attempts < cfg.initial_fault_burden * 20 {
             attempts += 1;
             let Some(&kind) = kinds.choose(&mut rng_burden) else {
                 break;
             };
-            if inject_random(kind, SimTime::ZERO, &mut tb, &mut rng_burden).is_some() {
-                applied += 1;
-            }
+            burden.extend(inject_random(kind, SimTime::ZERO, &mut tb, &mut rng_burden));
         }
 
         // detlint: allow(no-unwrap-in-lib) -- `publish_from` at the top of `new` published version 1
@@ -265,6 +263,8 @@ impl Campaign {
             // detlint: allow(no-unwrap-in-lib) -- affinity was zeroed above when there are no clusters, the one config `new` rejects
             .expect("cluster affinity is zero whenever there are no clusters");
         userload.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
+        let mut observer = Observer::new(sites);
+        observer.faults_arrived(burden);
         Campaign {
             trigger,
             userload,
@@ -283,7 +283,7 @@ impl Campaign {
             deployer: Deployer::default(),
             images,
             tracker: BugTracker::new(),
-            observer: Observer::new(sites),
+            observer,
             suite,
             by_key,
             next_phase: 0,
@@ -304,11 +304,14 @@ impl Campaign {
     }
 
     /// Arm structured event recording. Call before the first step: the log
-    /// then receives fault arrivals/repairs, RPC outcomes, job lifecycle
-    /// transitions, wake reasons and daily digest checkpoints. Recording
-    /// never perturbs the campaign — no draws, no behavioral branches.
+    /// opens with a `FaultArrival` at its `injected_at` for every fault
+    /// already active (the t=0 burden), then receives fault
+    /// arrivals/repairs, RPC outcomes, job lifecycle transitions, wake
+    /// reasons and daily digest checkpoints, so every repaired fault id
+    /// was introduced first. Recording never perturbs the campaign — no
+    /// draws, no behavioral branches, no fault counted twice.
     pub fn record_events(&mut self) {
-        self.observer.arm_events();
+        self.observer.arm_events(self.tb.active_faults());
         self.tb.set_rpc_trace(true);
     }
 
@@ -640,13 +643,17 @@ impl Campaign {
             self.ci.finish(&r.build, result, r.report.log_lines());
             let family = config.family.job_name();
             for d in &r.report.diagnostics {
-                self.tracker.file(&d.signature, family, &d.message, t);
-                // Attribute the detection to the fault kind behind the
-                // diagnostic. Unattributable diagnostics (fault already
-                // repaired, stale symptom) stay unclassified.
-                if let Some(fault) = find_fault(&self.tb, &d.signature) {
-                    self.observer.detected(fault.kind.name());
+                // The one lookup of the fault behind a diagnostic: it
+                // attributes the detection to a kind and binds the bug to
+                // the id operators will repair. Unattributable diagnostics
+                // (fault already repaired, stale symptom) stay unclassified
+                // and leave the bug unbound.
+                let fault = find_fault(&self.tb, &d.signature);
+                if let Some(f) = fault {
+                    self.observer.detected(f.kind.name());
                 }
+                self.tracker
+                    .file(&d.signature, fault.map(|f| f.id), family, &d.message, t);
             }
             self.record_result(r.suite_idx, passed, t);
         }
@@ -794,17 +801,15 @@ impl Campaign {
         );
     }
 
-    /// Operators fix bugs on their cadence, repairing faults.
+    /// Operators fix bugs on their cadence, repairing the fault each bug
+    /// was bound to when filed.
     fn operators(&mut self, t: SimTime) {
         if t.since(self.last_op_step) < self.cfg.operator_cadence {
             return;
         }
         self.last_op_step = t;
         for bug_id in self.operators.step(&mut self.tracker, t) {
-            let Some(bug) = self.tracker.bug(bug_id) else {
-                continue;
-            };
-            let Some(fault) = find_fault(&self.tb, &bug.signature).map(|f| f.id) else {
+            let Some(fault) = self.tracker.bug(bug_id).and_then(|bug| bug.fault) else {
                 continue;
             };
             if self.tb.repair(fault) {

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use ttt_sim::{OnlineStats, PeriodSeries, SimDuration, SimTime};
+use ttt_testbed::FaultKind;
 
 /// Everything the experiments report.
 #[derive(Debug, Clone)]
@@ -29,10 +30,13 @@ pub struct CampaignMetrics {
     pub test_latency_hours: OnlineStats,
     /// Completed runs per family.
     pub completions_per_family: BTreeMap<&'static str, u64>,
+    /// Faults applied per kind, t=0 burden included, indexed like
+    /// [`FaultKind::ALL`]; repairs do not decrement.
+    pub injected_by_kind: [u64; FaultKind::ALL.len()],
     /// Diagnostics filed per fault kind (keyed by the kind's stable name):
-    /// how often the testing pipeline *detected* each kind. Together with
-    /// the testbed's injection ledger this is the injected × detected
-    /// feature the coverage-guided fuzzer fingerprints.
+    /// how often the testing pipeline *detected* each kind. With
+    /// `injected_by_kind` this is the injected × detected feature the
+    /// coverage-guided fuzzer fingerprints.
     pub detected_by_kind: BTreeMap<&'static str, u64>,
     /// Rising edges of testbed saturation (every alive node busy) observed
     /// at the utilization-sampling cadence.
@@ -56,6 +60,7 @@ impl Default for CampaignMetrics {
             user_wait_hours: OnlineStats::new(),
             test_latency_hours: OnlineStats::new(),
             completions_per_family: BTreeMap::new(),
+            injected_by_kind: [0; FaultKind::ALL.len()],
             detected_by_kind: BTreeMap::new(),
             saturation_episodes: 0,
             blackout_episodes: 0,

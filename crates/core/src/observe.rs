@@ -39,8 +39,15 @@ impl Observer {
         }
     }
 
-    pub(crate) fn arm_events(&mut self) {
-        self.events = Some(EventLog::new());
+    /// Arm the log and introduce every fault already `active` (the t=0
+    /// burden) at its injection instant. They were counted when they
+    /// arrived, so they are not counted again.
+    pub(crate) fn arm_events(&mut self, active: &[Fault]) {
+        let mut log = EventLog::new();
+        for f in active {
+            log.push(arrival(f));
+        }
+        self.events = Some(log);
     }
 
     pub(crate) fn take_events(&mut self) -> Option<EventLog> {
@@ -67,14 +74,11 @@ impl Observer {
         });
     }
 
+    /// Faults were applied: the one place injections are counted.
     pub(crate) fn faults_arrived(&mut self, arrived: Vec<Fault>) {
         for f in arrived {
-            self.log(|| Event::FaultArrival {
-                at: f.injected_at,
-                fault_id: f.id.0,
-                kind: f.kind.name().to_string(),
-                target: f.target.to_string(),
-            });
+            self.metrics.injected_by_kind[f.kind as usize] += 1;
+            self.log(|| arrival(&f));
         }
     }
 
@@ -196,6 +200,15 @@ impl Observer {
         self.metrics
             .test_latency_hours
             .push(latency.as_secs_f64() / 3600.0);
+    }
+}
+
+fn arrival(f: &Fault) -> Event {
+    Event::FaultArrival {
+        at: f.injected_at,
+        fault_id: f.id.0,
+        kind: f.kind.name().to_string(),
+        target: f.target.to_string(),
     }
 }
 

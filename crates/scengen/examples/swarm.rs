@@ -48,7 +48,8 @@
 //! sweep (`--max-tests` and the `--no-*` switches apply). `--log-dir DIR`
 //! writes a replayable run-log artifact — the scenario, digest,
 //! structured event log — per scenario run and per
-//! shrunken reproducer (`trophy-seed-<N>-runlog.json`); `--replay-log`
+//! shrunken reproducer (`trophy-seed-<N>-runlog.json`), and refuses a log
+//! that leaves a fault out (scenario-file mode then exits 1); `--replay-log`
 //! re-drives such an artifact and fails unless the digest and observable
 //! event stream match the original bit-for-bit.
 //!
@@ -61,9 +62,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use ttt_core::Campaign;
 use ttt_scengen::{
-    load_scenario_file, replay_run_log_file, run_fuzz, run_logged, run_scenario, run_swarm,
-    run_swarm_service_chaos, seed_block, worker_count, Corpus, FuzzConfig, Oracles,
-    ScenarioOutcome, ScenarioSpec,
+    check_log_complete, load_scenario_file, replay_run_log_file, run_fuzz, run_logged,
+    run_scenario, run_swarm, run_swarm_service_chaos, seed_block, worker_count, Corpus,
+    FuzzConfig, Oracles, ScenarioOutcome, ScenarioSpec,
 };
 
 /// A command-line usage error: one line on stderr, exit 2.
@@ -79,16 +80,28 @@ fn write_json(path: &str, json: serde_json::Result<String>) -> Result<(), String
     std::fs::write(path, json).map_err(|e| e.to_string())
 }
 
-fn write_run_log(dir: &str, stem: &str, artifact: &ttt_scengen::RunLogArtifact) {
+/// Write `artifact` as `<dir>/<stem>-runlog.json`, unless its event log
+/// leaves a fault out ([`check_log_complete`]): such a log cannot be
+/// re-entered on its own, so it is reported and not written. Returns
+/// whether the file was written.
+fn write_run_log(dir: &str, stem: &str, artifact: &ttt_scengen::RunLogArtifact) -> bool {
+    if let Err(e) = check_log_complete(&artifact.events, &artifact.digest) {
+        eprintln!("run log {stem} is incomplete, not written: {e}");
+        return false;
+    }
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {dir}: {e}");
-        return;
+        return false;
     }
     let path = format!("{dir}/{stem}-runlog.json");
     match write_json(&path, artifact.to_json()) {
         Ok(()) => println!("run log written to {path} ({} events)", artifact.events.len()),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            return false;
+        }
     }
+    true
 }
 
 fn write_reproducers(outcomes: &[&ScenarioOutcome], dump_dir: Option<&str>, log_dir: Option<&str>) {
@@ -120,7 +133,7 @@ fn write_reproducers(outcomes: &[&ScenarioOutcome], dump_dir: Option<&str>, log_
                 // The replayable record of the minimized scenario: CI
                 // re-drives it with --replay-log and diffs bitwise.
                 let artifact = run_logged(&r.spec);
-                write_run_log(dir, &format!("trophy-seed-{}", o.seed), &artifact);
+                let _ = write_run_log(dir, &format!("trophy-seed-{}", o.seed), &artifact);
             }
         }
     }
@@ -198,7 +211,7 @@ fn run_scenario_files(
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "scenario".to_string());
             let artifact = run_logged(&spec);
-            write_run_log(dir, &stem, &artifact);
+            any_failure |= !write_run_log(dir, &stem, &artifact);
         }
     }
     any_failure

@@ -54,7 +54,7 @@ pub use grammar::{ModeDim, RolloutDim, ScenarioSpec};
 pub use mutate::{mutate, pin_to_cell, sanitize, Mutator};
 pub use oracle::{CampaignDigest, OracleKind, Violation, KNOWN_COVERAGE_GAPS};
 pub use runlog::{
-    replay_run_log, replay_run_log_file, run_logged, ReplayError, ReplayErrorKind, RunLogArtifact,
+    check_log_complete, replay_run_log, replay_run_log_file, run_logged, ReplayError, ReplayErrorKind, RunLogArtifact,
     RunLogReplay, RUN_LOG_VERSION,
 };
 pub use scenario_file::{
@@ -64,6 +64,6 @@ pub use scenario_file::{
 pub use shrink::{replay, shrink, Reproducer};
 pub use swarm::{
     par_map, random_coverage, run_fuzz, run_scenario, run_seed, run_seed_service_chaos, run_swarm,
-    run_swarm_service_chaos, seed_block, worker_count, FuzzConfig, FuzzReport, Oracles,
-    ScenarioOutcome, ScenarioRun, SwarmReport,
+    run_swarm_service_chaos, seed_block, service_chaos_spec, worker_count, FuzzConfig, FuzzReport,
+    Oracles, ScenarioOutcome, ScenarioRun, SwarmReport,
 };

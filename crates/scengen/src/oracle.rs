@@ -225,10 +225,10 @@ impl CampaignDigest {
             spillovers: c.federation().spillovers(),
             per_site_spillovers: c.federation().spillovers_by_domain().to_vec(),
             co_allocations: c.federation().co_allocations(),
-            injected_by_kind: c
-                .testbed()
-                .injection_counts()
-                .into_iter()
+            injected_by_kind: FaultKind::ALL
+                .iter()
+                .zip(m.injected_by_kind)
+                .filter(|&(_, n)| n > 0)
                 .map(|(k, n)| (k.name().to_string(), n))
                 .collect(),
             detected_by_kind: m

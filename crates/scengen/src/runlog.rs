@@ -9,7 +9,8 @@
 //! consumes one from disk, re-drives the campaign from the embedded spec,
 //! and bitwise-diffs both the digest and the observable event stream
 //! against the original — the determinism claim, checked end to end from
-//! an on-disk artifact.
+//! an on-disk artifact. [`check_log_complete`] holds a log to introducing
+//! every fault its digest counts.
 //!
 //! Event recording is purely observational: a recorded run and a silent
 //! run of the same spec produce identical digests (pinned by a test
@@ -18,9 +19,10 @@
 use crate::grammar::ScenarioSpec;
 use crate::oracle::CampaignDigest;
 use crate::scenario_file::envelope_version;
+use std::collections::BTreeSet;
 use std::fmt;
 use ttt_core::Campaign;
-use ttt_sim::EventLog;
+use ttt_sim::{Event, EventLog};
 
 /// Format version of run-log artifacts — the only one this build reads.
 pub const RUN_LOG_VERSION: u32 = 3;
@@ -135,6 +137,32 @@ pub fn run_logged(spec: &ScenarioSpec) -> RunLogArtifact {
         digest: CampaignDigest::capture(&campaign),
         events,
     }
+}
+
+/// Whether `events` introduce every fault `digest` counts: each
+/// `FaultRepair` follows the `FaultArrival` of its id, no id arrives
+/// twice, and the arrivals number Σ `injected_by_kind` (the t=0 burden
+/// included). `Err` names the first break. Every fault a complete log
+/// mentions has its kind, target and instant in it.
+pub fn check_log_complete(events: &EventLog, digest: &CampaignDigest) -> Result<(), String> {
+    let mut arrived = BTreeSet::new();
+    for event in events.events() {
+        match event {
+            Event::FaultArrival { fault_id, .. } if !arrived.insert(*fault_id) => {
+                return Err(format!("fault {fault_id} arrives twice"));
+            }
+            Event::FaultRepair { at, fault_id } if !arrived.contains(fault_id) => {
+                return Err(format!("fault {fault_id} is repaired at {at} before it arrives"));
+            }
+            _ => {}
+        }
+    }
+    let injected: u64 = digest.injected_by_kind.iter().map(|(_, n)| n).sum();
+    let logged = arrived.len() as u64;
+    if logged != injected {
+        return Err(format!("{logged} fault arrivals logged, {injected} injected"));
+    }
+    Ok(())
 }
 
 /// The outcome of replaying a run log: the fresh run's digest and events,

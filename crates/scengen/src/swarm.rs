@@ -289,13 +289,8 @@ pub fn run_swarm(seeds: &[u64], oracles: &Oracles, shrink_failures: bool) -> Swa
 
 /// Expand one seed and pin it into a service-chaos cell (round-robin over
 /// the catalogue's service-fault block), which arms all three
-/// service-process fault kinds plus a low buggify rate — the CI
-/// `service-chaos-smoke` mode. Seeds that fail shrink like any other.
-pub fn run_seed_service_chaos(
-    seed: u64,
-    oracles: &Oracles,
-    shrink_failures: bool,
-) -> ScenarioOutcome {
+/// service-process fault kinds plus a low buggify rate.
+pub fn service_chaos_spec(seed: u64) -> ScenarioSpec {
     let cells: Vec<StructuralCell> = StructuralCell::all()
         .into_iter()
         .filter(|c| c.service_faults)
@@ -303,6 +298,17 @@ pub fn run_seed_service_chaos(
     let cell = cells[seed as usize % cells.len()];
     let mut spec = ScenarioSpec::from_seed(seed);
     pin_to_cell(&mut spec, cell, &mut stream_rng(seed, "swarm-service-chaos"));
+    spec
+}
+
+/// Run the [`service_chaos_spec`] of one seed — the CI
+/// `service-chaos-smoke` mode. Seeds that fail shrink like any other.
+pub fn run_seed_service_chaos(
+    seed: u64,
+    oracles: &Oracles,
+    shrink_failures: bool,
+) -> ScenarioOutcome {
+    let spec = service_chaos_spec(seed);
     let run = run_scenario(&spec, oracles);
     outcome(seed, spec, run, oracles, shrink_failures)
 }

@@ -16,7 +16,7 @@
 //! * [`time`] — [`SimTime`] / [`SimDuration`], nanosecond-resolution virtual time;
 //! * [`queue`] — a FIFO-stable binary-heap event queue;
 //! * [`rng`] — seed-derived named RNG streams;
-//! * [`stats`] — online mean/variance, histograms, percentiles, time series;
+//! * [`stats`] — online mean/variance, percentiles, time series;
 //! * [`calendar`] — day/hour arithmetic, peak-hour windows, diurnal intensity;
 //! * [`backoff`] — the exponential-backoff retry policy of the paper's scheduler;
 //! * [`process`] — Poisson arrival processes and related samplers;
@@ -42,5 +42,5 @@ pub use process::PoissonProcess;
 pub use queue::{DrainDue, EventQueue};
 pub use rng::{stream_rng, RngFactory};
 pub use rpc::{Buggify, BuggifyCallsite, LinkQuality, Liveness, RpcError, BUGGIFY_CALLSITES};
-pub use stats::{Histogram, OnlineStats, PeriodSeries};
+pub use stats::{OnlineStats, PeriodSeries};
 pub use time::{SimDuration, SimTime};

@@ -124,67 +124,6 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with out-of-range buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `nbuckets` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `nbuckets == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, nbuckets: usize) -> Self {
-        assert!(nbuckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; nbuckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Bucket counts (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 /// Accumulates `(value)` observations into fixed consecutive periods of
 /// virtual time, yielding one [`OnlineStats`] per period. Used for e.g.
 /// "success rate per month" (experiment E9).
@@ -287,27 +226,6 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), Some(4.0));
         assert_eq!(percentile(&v, 50.0), Some(2.5));
         assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(10.0);
-        h.push(99.0);
-        assert!(h.buckets().iter().all(|&c| c == 1));
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 13);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 
     #[test]

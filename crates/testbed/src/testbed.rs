@@ -82,10 +82,6 @@ pub struct Testbed {
     site_power: Vec<bool>,
     /// `clock_skew_s[site]` — seconds of NTP drift (0.0 = in sync).
     clock_skew_s: Vec<f64>,
-    /// `injected[k]` for `k` indexing [`FaultKind::ALL`] — every fault ever
-    /// successfully applied, repaired or not. The coverage-guided fuzzer's
-    /// behavioral signature reads this ledger (injected × detected kinds).
-    injected: [u64; FaultKind::ALL.len()],
     /// The simulated service processes (one per site × [`ServiceKind`]),
     /// each pinned to a host node with killable liveness.
     processes: ProcessRegistry,
@@ -125,7 +121,6 @@ impl Testbed {
         Testbed {
             site_power: vec![true; n_sites],
             clock_skew_s: vec![0.0; n_sites],
-            injected: [0; FaultKind::ALL.len()],
             processes,
             rpc_degrade: vec![None; n_sites],
             buggify: Buggify::off(),
@@ -428,24 +423,6 @@ impl Testbed {
         &self.active
     }
 
-    /// How many faults of each kind were ever applied (repairs do not
-    /// decrement), `(kind, count)` in [`FaultKind::ALL`] order, zero
-    /// entries skipped.
-    pub fn injection_counts(&self) -> Vec<(FaultKind, u64)> {
-        FaultKind::ALL
-            .iter()
-            .zip(self.injected)
-            .filter(|&(_, n)| n > 0)
-            .map(|(&k, n)| (k, n))
-            .collect()
-    }
-
-    /// The active fault with the given id, if any.
-    pub fn fault(&self, id: FaultId) -> Option<&Fault> {
-        self.active.iter().find(|f| f.id == id)
-    }
-
-
     /// Whether every node and site `target` names exists in this testbed.
     fn target_exists(&self, target: FaultTarget) -> bool {
         let node = |n: NodeId| n.index() < self.nodes.len();
@@ -486,7 +463,6 @@ impl Testbed {
             injected_at: at,
         };
         self.next_fault_id += 1;
-        self.injected[kind as usize] += 1;
         self.active.push(fault.clone());
         Some(fault)
     }
@@ -1252,7 +1228,6 @@ mod tests {
             };
             assert_eq!(tb.apply_fault(kind, phantom, SimTime::ZERO), None, "{kind}");
             assert!(tb.active_faults().is_empty(), "{kind}");
-            assert!(tb.injection_counts().is_empty(), "{kind}");
         }
         // One real endpoint does not make a pair or a link exist.
         let mut tb = tb();

@@ -69,17 +69,52 @@ fn fixed_bugs_faults_are_gone() {
     let mut c = Campaign::new(cfg);
     c.run();
     // With no new arrivals and ample operator capacity, every detected
-    // fault should eventually be repaired.
+    // fault should eventually be repaired: the fault a fixed bug was bound
+    // to at filing is no longer active.
+    let mut repaired = 0;
     for bug in c.tracker().bugs() {
-        if bug.state == throughout::bugs::BugState::Fixed {
+        if let (throughout::bugs::BugState::Fixed, Some(id)) = (bug.state, bug.fault) {
             assert!(
-                throughout::testbed::find_fault(c.testbed(), &bug.signature).is_none(),
-                "fixed bug {} still has an active fault",
+                c.testbed().active_faults().iter().all(|f| f.id != id),
+                "fixed bug {} still has its fault {id:?} active",
                 bug.signature
             );
+            repaired += 1;
         }
     }
-    assert!(c.tracker().fixed() > 0);
+    assert!(repaired > 0);
+}
+
+/// A service-chaos world with a t=0 burden, restart-window repairs and
+/// operator fixes.
+const SERVICE_CHAOS_SEED: u64 = 1;
+
+/// The run log introduces every fault it repairs, the t=0 burden
+/// included, and logs one arrival per injected fault.
+#[test]
+fn the_event_log_introduces_every_fault() {
+    use throughout::scengen::{check_log_complete, run_logged, service_chaos_spec};
+    use throughout::scengen::CampaignDigest;
+    use throughout::sim::{Event, EventLog};
+    let repairs = |log: &EventLog| {
+        let repair = |e: &&Event| matches!(e, Event::FaultRepair { .. });
+        log.events().iter().filter(repair).count()
+    };
+    let mut paper = throughout::core::scenario::paper_scenario(1);
+    paper.duration = SimDuration::from_days(30);
+    let burden = paper.initial_fault_burden;
+    let mut c = Campaign::new(paper);
+    c.record_events();
+    c.run();
+    let log = c.take_event_log().expect("recording was armed");
+    let at_zero = |e: &&Event| matches!(e, Event::FaultArrival { at, .. } if *at == SimTime::ZERO);
+    assert_eq!(log.events().iter().filter(at_zero).count(), burden);
+    assert!(repairs(&log) > 0);
+    check_log_complete(&log, &CampaignDigest::capture(&c)).expect("paper seed 1, 30 days");
+    // Restart windows repair service faults without an operator.
+    let chaos = run_logged(&service_chaos_spec(SERVICE_CHAOS_SEED));
+    assert!(repairs(&chaos.events) > 0);
+    check_log_complete(&chaos.events, &chaos.digest).expect("service-chaos seed");
 }
 
 #[test]
