@@ -44,8 +44,17 @@ struct SuiteRow {
     config: TestConfig,
     /// Home scheduling domain: the site whose resources the test consumes.
     home: Option<usize>,
-    /// Launch-list slot from [`Trigger::enroll`]; `None` until rolled out.
-    slot: Option<usize>,
+    /// `None` until rolled out.
+    enrolled: Option<Enrolment>,
+}
+
+/// What rolling a row out gives it.
+struct Enrolment {
+    /// Launch-list slot from [`Trigger::enroll`].
+    slot: usize,
+    /// The row's OAR request, built once, at enrolment: every submission
+    /// of the row and every job booked for it share it.
+    request: Arc<ResourceRequest>,
 }
 
 /// A test currently executing on the testbed (completion time is the
@@ -228,7 +237,7 @@ impl Campaign {
             .map(|config| SuiteRow {
                 home: fed.domain_by_name(&config.site(&tb)),
                 config,
-                slot: None,
+                enrolled: None,
             })
             .collect();
         for family in ttt_suite::Family::ALL {
@@ -584,23 +593,28 @@ impl Campaign {
             self.next_phase += 1;
             for idx in 0..self.suite.len() {
                 let row = &self.suite[idx];
-                if row.slot.is_some() || !families.contains(&row.config.family) {
+                if row.enrolled.is_some() || !families.contains(&row.config.family) {
                     continue;
                 }
-                let entry = self.make_entry(idx);
-                self.suite[idx].slot = Some(self.trigger.enroll(idx, entry, t));
+                let request = Arc::new(self.request_for(idx));
+                let entry = self.make_entry(idx, &request);
+                let slot = self.trigger.enroll(idx, entry, t);
+                self.suite[idx].enrolled = Some(Enrolment { slot, request });
             }
         }
     }
 
-    fn make_entry(&self, idx: usize) -> TestEntry {
+    /// The launch-list entry of a row. It keeps its own copy of the
+    /// request: `TestEntry` is a plain value type its other users build
+    /// field by field.
+    fn make_entry(&self, idx: usize, request: &ResourceRequest) -> TestEntry {
         let cfg = &self.suite[idx].config;
         TestEntry {
             id: cfg.id(),
             ci_job: cfg.family.job_name().to_string(),
             cell: cfg.cell(),
             site: cfg.site(&self.tb),
-            request: self.request_for(idx),
+            request: request.clone(),
             hardware_centric: cfg.family.hardware_centric(),
             period: cfg.family.period(),
         }
@@ -663,8 +677,8 @@ impl Campaign {
         let row = &self.suite[idx];
         self.observer
             .test_result(t, row.config.family.job_name(), passed);
-        if let Some(slot) = row.slot {
-            self.trigger.on_finished(slot, t);
+        if let Some(e) = &row.enrolled {
+            self.trigger.on_finished(e.slot, t);
         }
     }
 
@@ -713,16 +727,18 @@ impl Campaign {
     /// the test (started immediately) or handle the miss as the launch
     /// policy says.
     fn start_work(&mut self, item: WorkItem, t: SimTime) {
-        let Some(&idx) = self
+        // Builds come only from the trigger, so only for enrolled rows.
+        let enrolled = self
             .by_key
             .get(&*item.build.job)
             .and_then(|cells| cells.get(&item.build.cell))
-        else {
+            .and_then(|&idx| Some((idx, self.suite[idx].enrolled.as_ref()?)));
+        let Some((idx, enrolment)) = enrolled else {
             self.ci
                 .finish(&item.build, BuildResult::Aborted, vec!["unknown cell".into()]);
             return;
         };
-        let request = self.request_for(idx);
+        let request = Arc::clone(&enrolment.request);
         let submitted = self.fed.submit(
             "ci",
             Queue::Admin,
@@ -759,8 +775,8 @@ impl Campaign {
             .finish(build, BuildResult::Unstable, vec![why.to_string()]);
         let row = &self.suite[idx];
         self.observer.build_unstable(t, &row.config);
-        if let Some(slot) = row.slot {
-            self.trigger.on_not_immediate(slot, t, &mut self.rng_sched);
+        if let Some(e) = &row.enrolled {
+            self.trigger.on_not_immediate(e.slot, t, &mut self.rng_sched);
         }
     }
 

@@ -28,7 +28,7 @@
 
 use crate::ast::ResourceRequest;
 use crate::job::{Job, JobId, JobKind, JobState, Queue};
-use crate::server::{MatchSet, OarServer, ResourceDb, SubmitError};
+use crate::server::{MatchSet, OarServer, Picks, ResourceDb, SubmitError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttt_refapi::TestbedDescription;
@@ -96,26 +96,24 @@ pub trait AvailabilityProbe {
     fn can_start_now(&self, home_site: &str, request: &ResourceRequest) -> bool;
 }
 
-impl AvailabilityProbe for OarServer {
-    fn can_start_now(&self, _home_site: &str, request: &ResourceRequest) -> bool {
-        self.immediate_assignment(request).is_some()
-    }
-}
+/// One site's share of a cross-site request: its domain, the groups pinned
+/// there and their match-sets.
+type SitePart = (usize, ResourceRequest, Vec<Arc<MatchSet>>);
 
-/// Where a request starts at this instant, with the nodes each part starts
-/// on: what booking needs beside the [`Placement`].
-enum Start {
-    /// On one domain, on these nodes.
-    One(usize, Vec<NodeId>),
-    /// Co-allocated: every `(domain, part, nodes)` starts now.
-    Split(Vec<(usize, ResourceRequest, Vec<NodeId>)>),
+/// Where a request starts at this instant, with what the planner picked
+/// for each part — the nodes when booking, their number when probing.
+enum Start<P> {
+    /// On one domain.
+    One(usize, P),
+    /// Co-allocated: every site part starts now.
+    Split(Vec<(SitePart, P)>),
 }
 
 impl AvailabilityProbe for Federation {
     fn can_start_now(&self, home_site: &str, request: &ResourceRequest) -> bool {
         let home = self.domain_by_name(home_site);
         let sets = self.db.resolve(request);
-        self.place_now(home, request, sets.as_slice()).is_some()
+        self.place_now::<usize>(home, request, sets.as_slice()).is_some()
     }
 }
 
@@ -324,19 +322,31 @@ impl Federation {
     }
 
     /// Split a request whose groups span several sites into per-domain
-    /// parts. `None` unless every group is pinned and ≥ 2 domains appear.
-    fn split_by_site(&self, request: &ResourceRequest) -> Option<Vec<(usize, ResourceRequest)>> {
-        let mut parts: Vec<(usize, ResourceRequest)> = Vec::new();
-        for group in &request.groups {
+    /// parts, each with its groups' match-sets out of `sets`. `None` unless
+    /// there are several groups, every one is pinned and ≥ 2 domains appear.
+    fn split_by_site(
+        &self,
+        request: &ResourceRequest,
+        sets: &[Arc<MatchSet>],
+    ) -> Option<Vec<SitePart>> {
+        if request.groups.len() < 2 {
+            return None;
+        }
+        let mut parts: Vec<SitePart> = Vec::new();
+        for (group, set) in request.groups.iter().zip(sets) {
             let d = self.group_domain(group)?;
-            match parts.iter_mut().find(|(pd, _)| *pd == d) {
-                Some((_, part)) => part.groups.push(group.clone()),
+            match parts.iter_mut().find(|(pd, _, _)| *pd == d) {
+                Some((_, part, part_sets)) => {
+                    part.groups.push(group.clone());
+                    part_sets.push(Arc::clone(set));
+                }
                 None => parts.push((
                     d,
                     ResourceRequest {
                         groups: vec![group.clone()],
                         walltime: request.walltime,
                     },
+                    vec![Arc::clone(set)],
                 )),
             }
         }
@@ -361,10 +371,10 @@ impl Federation {
         let home = home.filter(|&h| h < self.domains.len());
         let sets = self.db.resolve(request);
         let sets = sets.as_slice();
-        match self.place_now(home, request, sets) {
+        match self.place_now::<usize>(home, request, sets) {
             Some(Start::One(d, _)) => Placement::Immediate(d),
             Some(Start::Split(parts)) => {
-                Placement::Split(parts.into_iter().map(|(d, part, _)| (d, part)).collect())
+                Placement::Split(parts.into_iter().map(|((d, part, _), _)| (d, part)).collect())
             }
             None => self
                 .queue_on(home, request, sets)
@@ -380,7 +390,7 @@ impl Federation {
         request: &ResourceRequest,
         sets: &[Arc<MatchSet>],
     ) -> Option<usize> {
-        if request.groups.len() > 1 && self.split_by_site(request).is_some() {
+        if self.split_by_site(request, sets).is_some() {
             // Cross-site co-allocations never queue (oargridsub semantics:
             // all parts or nothing, now).
             return None;
@@ -393,48 +403,49 @@ impl Federation {
 
     /// The immediate-start part of [`Federation::place`]: `Some` iff the
     /// request (or every part of a cross-site split) can start at this
-    /// instant, with the nodes it starts on. The external scheduler's
-    /// availability probe only needs this answer, so it skips the
-    /// queued-fallback validation sweep that `place` would run on a
-    /// saturated testbed. `sets` is the request resolved against the
+    /// instant, with what the planner picked into a `P` per part: the nodes
+    /// for a booking, only their number for a probe or a placement. The
+    /// external scheduler's availability probe only needs this answer, so
+    /// it skips the queued-fallback validation sweep that `place` would run
+    /// on a saturated testbed. `sets` is the request resolved against the
     /// database, once for the whole placement.
-    fn place_now(
+    fn place_now<P: Picks>(
         &self,
         home: Option<usize>,
         request: &ResourceRequest,
         sets: &[Arc<MatchSet>],
-    ) -> Option<Start> {
-        if request.groups.len() > 1 {
-            if let Some(parts) = self.split_by_site(request) {
-                // Every part's scheduling process must be reachable; a
-                // co-allocation cannot book around a crashed domain.
-                if parts.iter().any(|(d, _)| !self.domains[*d].oar.process_up()) {
-                    return None;
-                }
-                // All parts must be mutually reachable over the backbone —
-                // a co-allocation spanning a partition can never start.
-                for (i, &(a, _)) in parts.iter().enumerate() {
-                    for &(b, _) in &parts[i + 1..] {
-                        if !self.backbone_ok(a, b) {
-                            return None;
-                        }
+    ) -> Option<Start<P>> {
+        if let Some(parts) = self.split_by_site(request, sets) {
+            // Every part's scheduling process must be reachable; a
+            // co-allocation cannot book around a crashed domain.
+            if parts.iter().any(|(d, _, _)| !self.domains[*d].oar.process_up()) {
+                return None;
+            }
+            // All parts must be mutually reachable over the backbone — a
+            // co-allocation spanning a partition can never start.
+            for (i, &(a, _, _)) in parts.iter().enumerate() {
+                for &(b, _, _) in &parts[i + 1..] {
+                    if !self.backbone_ok(a, b) {
+                        return None;
                     }
                 }
-                let mut found = Vec::with_capacity(parts.len());
-                for (d, part) in parts {
-                    let nodes = self.domains[d].oar.immediate_assignment(&part)?;
-                    found.push((d, part, nodes));
-                }
-                return Some(Start::Split(found));
             }
+            let mut found = Vec::with_capacity(parts.len());
+            for (d, part, part_sets) in parts {
+                let mut picks = P::default();
+                if !self.domains[d].oar.plan_now(&part, &part_sets, &mut picks) {
+                    return None;
+                }
+                found.push(((d, part, part_sets), picks));
+            }
+            return Some(Start::Split(found));
         }
         // Domains whose OAR process is down refuse probes outright.
         self.candidates(home, sets).find_map(|d| {
             let oar = &self.domains[d].oar;
-            if !oar.process_up() {
-                return None;
-            }
-            oar.assignment_now(request, sets).map(|nodes| Start::One(d, nodes))
+            let mut picks = P::default();
+            (oar.process_up() && oar.plan_now(request, sets, &mut picks))
+                .then(|| Start::One(d, picks))
         })
     }
 
@@ -468,19 +479,35 @@ impl Federation {
     /// Submit a request: place it (home affinity + spillover), then book
     /// it on the chosen domain(s).
     ///
-    /// A request that starts now is booked on the nodes placement found
-    /// for it, so it is planned once. The outcome is the one a direct
-    /// `OarServer::submit` on the chosen domain would give: the same chaos
-    /// draw and checks, and the domain's full scheduling pass whenever a
-    /// job is already waiting there. The engine-equivalence and
-    /// conservation oracles lean on that, and the crate's twin-federation
-    /// model test checks it.
+    /// The request is resolved once, and one that starts now is booked on
+    /// the nodes placement found for it, so it is planned once. The job
+    /// shares `request`: a caller that submits one request many times
+    /// builds it once and passes clones of its `Arc`. The outcome is the
+    /// one a direct `OarServer::submit` on the chosen domain would give:
+    /// the same chaos draw and verdict, and the domain's full scheduling
+    /// pass whenever a job is already waiting there. The engine-equivalence
+    /// and conservation oracles lean on that, and the crate's
+    /// twin-federation model test checks it.
+    // detlint: allow(unarmed-service-fn) -- submit_shared() holds this path's fed-submit arm
     pub fn submit(
         &mut self,
         user: &str,
         queue: Queue,
         kind: JobKind,
-        request: ResourceRequest,
+        request: impl Into<Arc<ResourceRequest>>,
+        home: Option<usize>,
+    ) -> Result<FedJob, SubmitError> {
+        self.submit_shared(user, queue, kind, request.into(), home)
+    }
+
+    /// [`Federation::submit`] past the conversion: one copy of the body,
+    /// whatever type each caller hands in.
+    fn submit_shared(
+        &mut self,
+        user: &str,
+        queue: Queue,
+        kind: JobKind,
+        request: Arc<ResourceRequest>,
         home: Option<usize>,
     ) -> Result<FedJob, SubmitError> {
         // Buggify: the grid gateway loses the submission before placement
@@ -495,13 +522,15 @@ impl Federation {
             .filter(|&h| h < self.domains.len())
             .or_else(|| self.home_of_request(&request));
         let sets = self.db.resolve(&request);
-        let (d, placed) = match self.place_now(home, &request, sets.as_slice()) {
+        let sets = sets.as_slice();
+        let (d, placed) = match self.place_now::<Vec<NodeId>>(home, &request, sets) {
             Some(Start::One(d, nodes)) => (d, Some(nodes)),
             Some(Start::Split(parts)) => {
                 let mut out = Vec::with_capacity(parts.len());
-                for (d, part, nodes) in parts {
+                for ((d, part, part_sets), nodes) in parts {
                     let oar = &mut self.domains[d].oar;
-                    match oar.submit_placed(user, queue, kind, part, Some(nodes)) {
+                    let part = Arc::new(part);
+                    match oar.submit_placed(user, queue, kind, part, &part_sets, Some(nodes)) {
                         Ok(id) => out.push((d, id)),
                         Err(e) => {
                             // Roll the already-booked parts back; a
@@ -516,7 +545,7 @@ impl Federation {
                 self.co_allocations += 1;
                 return Ok(FedJob { parts: out });
             }
-            None => match self.queue_on(home, &request, sets.as_slice()) {
+            None => match self.queue_on(home, &request, sets) {
                 Some(d) => (d, None),
                 None => return Err(SubmitError::Unsatisfiable),
             },
@@ -527,7 +556,7 @@ impl Federation {
         }
         let id = self.domains[d]
             .oar
-            .submit_placed(user, queue, kind, request, placed)?;
+            .submit_placed(user, queue, kind, request, sets, placed)?;
         Ok(FedJob { parts: vec![(d, id)] })
     }
 
@@ -1125,6 +1154,32 @@ mod tests {
     }
 
     #[test]
+    fn a_placed_request_of_several_groups_is_still_admitted_by_plan() {
+        // `cluster=1/nodes=4` then one alpha node. With one alpha node
+        // busy, the greedy walk starts it now: beta for the first group, a
+        // free alpha node for the second. With nothing reserved the first
+        // group takes all of alpha and the second finds nothing. So nodes
+        // found now prove nothing for several groups: it is refused, as
+        // planning it again on the domain refuses it.
+        let (_tb, mut fed) = setup();
+        let hog = nodes_req(Expr::eq("cluster", "alpha"), 1, 10);
+        fed.submit("hog", Queue::Default, JobKind::User, hog, None).unwrap();
+        let req = crate::parse_request(
+            "cluster=1/nodes=4+{cluster='alpha'}/nodes=1,walltime=1",
+            SimDuration::from_hours(1),
+        )
+        .unwrap();
+        assert!(fed.can_start_now("east", &req));
+        assert_eq!(fed.place(None, &req), Placement::Immediate(0));
+        assert!(!fed.domain(0).oar.can_satisfy(&req));
+        let err = fed
+            .submit("ci", Queue::Admin, JobKind::Test, req, None)
+            .unwrap_err();
+        assert_eq!(err, SubmitError::Unsatisfiable);
+        assert_eq!(fed.all_jobs().count(), 1, "only the hog was booked");
+    }
+
+    #[test]
     fn advancing_backwards_is_ignored() {
         // Regression: `advance` to an earlier instant panicked.
         let (_tb, mut fed) = setup();
@@ -1145,7 +1200,9 @@ mod tests {
 /// Booking what placement found is unobservable: random worlds drive a
 /// federation through [`Federation::submit`] and a twin through the
 /// place-then-plan-again path it replaced, and after every operation the
-/// two must agree on every result, job and per-domain counter.
+/// two must agree on every result, job and per-domain counter, with no
+/// waiting job that its domain could start. Before each submission the
+/// availability probe must give placement's immediate answer.
 #[cfg(test)]
 mod twin {
     use super::*;
@@ -1269,6 +1326,8 @@ mod twin {
             assert_eq!(x.waiting_count(), y.waiting_count(), "{step}: {}", da.name);
             assert_eq!(x.check_end_index_consistency(), Ok(()), "{step}");
             assert_eq!(y.check_end_index_consistency(), Ok(()), "{step}");
+            assert_eq!(x.startable_waiting(), None, "{step}: {} is wedged", da.name);
+            assert_eq!(y.startable_waiting(), None, "{step}: {} is wedged", da.name);
         }
     }
 
@@ -1301,6 +1360,11 @@ mod twin {
                         let request = draw_request(&mut rng, &tb);
                         let home = rng.gen_bool(0.3).then(|| rng.gen_range(0..=tb.sites().len()));
                         let kind = if rng.gen_bool(0.5) { JobKind::User } else { JobKind::Test };
+                        // The probe is placement's immediate answer.
+                        let site = home.and_then(|h| tb.sites().get(h)).map_or("", |s| &s.name);
+                        let placed = b.place(home, &request);
+                        let now = matches!(placed, Placement::Immediate(_) | Placement::Split(_));
+                        assert_eq!(a.can_start_now(site, &request), now, "{step}");
                         let got = a.submit("u", Queue::Default, kind, request.clone(), home);
                         let want = submit_planning_twice(&mut b, kind, request, home);
                         assert_eq!(got, want, "{step}");

@@ -2,6 +2,7 @@
 
 use crate::ast::ResourceRequest;
 use std::fmt;
+use std::sync::Arc;
 use ttt_sim::SimTime;
 use ttt_testbed::NodeId;
 
@@ -74,8 +75,8 @@ pub struct Job {
     pub queue: Queue,
     /// User experiment or framework test.
     pub kind: JobKind,
-    /// The resource request.
-    pub request: ResourceRequest,
+    /// The resource request, shared with whoever submitted it.
+    pub request: Arc<ResourceRequest>,
     /// Current state.
     pub state: JobState,
     /// Submission instant.
@@ -118,7 +119,7 @@ mod tests {
             user: "alice".into(),
             queue: Queue::Default,
             kind: JobKind::User,
-            request: ResourceRequest::nodes(Expr::True, 1, SimDuration::from_hours(1)),
+            request: ResourceRequest::nodes(Expr::True, 1, SimDuration::from_hours(1)).into(),
             state: JobState::Waiting,
             submitted_at: SimTime::from_hours(1),
             scheduled_start: None,

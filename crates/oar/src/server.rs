@@ -16,15 +16,17 @@
 //! Two queries matter to the paper's external test scheduler (slide 17):
 //! "are this request's resources available *right now*?" and "can this
 //! request *ever* run here?" — one cannot just submit a job and wait. Both
-//! are the same planner, `find_assignment`: asked about this instant, and
-//! asked with reservations ignored. So a request the server accepts is one
-//! it can start on an idle part, and one it refuses as
-//! [`SubmitError::Unsatisfiable`] is one no instant could ever start.
+//! are the same planner, `plan`: asked about this instant, and asked with
+//! reservations ignored, collecting the nodes it picks only when they are
+//! to be booked. So a request the server accepts is one it can start on an
+//! idle part, and one it refuses as [`SubmitError::Unsatisfiable`] is one
+//! no instant could ever start.
 //! However a job ends — walltime, early completion, cancellation, failure —
 //! it ends in `end_job`; however one is reserved, it is booked in `book`.
 
 use crate::ast::{Count, Expr, Level, RequestGroup, ResourceRequest};
 use crate::eval::eval;
+use crate::federation::AvailabilityProbe;
 use crate::gantt::Gantt;
 use crate::job::{Job, JobId, JobKind, JobState, Queue};
 // detlint: allow(no-unordered-iteration) -- HashMap/HashSet here back the match cache and waiting-set membership test only; neither is ever iterated
@@ -33,6 +35,15 @@ use std::sync::{Arc, PoisonError, RwLock};
 use ttt_refapi::{all_properties, PropertyMap, TestbedDescription};
 use ttt_sim::{Buggify, EventQueue, SimDuration, SimTime};
 use ttt_testbed::{ClusterId, Node, NodeId, Testbed};
+
+/// The stand-alone server's probe: [`OarServer::immediate_assignment`]
+/// without collecting the nodes.
+impl AvailabilityProbe for OarServer {
+    fn can_start_now(&self, _home_site: &str, request: &ResourceRequest) -> bool {
+        let sets = self.db.resolve(request);
+        self.plan_now(request, sets.as_slice(), &mut 0)
+    }
+}
 
 /// OAR node states (slide 21's `oarstate` family checks these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,6 +200,59 @@ impl GroupSets {
             GroupSets::One(set) => std::slice::from_ref(set),
             GroupSets::Many(sets) => sets,
         }
+    }
+}
+
+/// Where the planner puts the nodes it picks: the nodes themselves when
+/// they are to be booked, or only how many when the caller asks whether a
+/// request fits. Probes and bookings run the one planner, so a probe of a
+/// single group allocates nothing and cannot disagree with the booking it
+/// predicts.
+pub(crate) trait Picks: Default {
+    /// Take `node`.
+    fn pick(&mut self, node: NodeId);
+    /// How many nodes were taken.
+    fn picked(&self) -> usize;
+    /// Give back every node taken after the first `len`.
+    fn truncate(&mut self, len: usize);
+    /// Take `nodes`, into an empty sink.
+    fn take_all(&mut self, nodes: Vec<NodeId>);
+}
+
+impl Picks for Vec<NodeId> {
+    fn pick(&mut self, node: NodeId) {
+        self.push(node);
+    }
+
+    fn picked(&self) -> usize {
+        self.len()
+    }
+
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
+
+    fn take_all(&mut self, nodes: Vec<NodeId>) {
+        debug_assert!(self.is_empty());
+        *self = nodes;
+    }
+}
+
+impl Picks for usize {
+    fn pick(&mut self, _: NodeId) {
+        *self += 1;
+    }
+
+    fn picked(&self) -> usize {
+        *self
+    }
+
+    fn truncate(&mut self, len: usize) {
+        *self = len;
+    }
+
+    fn take_all(&mut self, nodes: Vec<NodeId>) {
+        *self = nodes.len();
     }
 }
 
@@ -593,32 +657,37 @@ impl OarServer {
     }
 
     /// Submit a job. It will be planned at the next scheduling pass (which
-    /// runs immediately).
+    /// runs immediately). The job shares `request`: a caller that submits
+    /// one request many times builds it once and passes clones of its `Arc`.
     // detlint: allow(unarmed-service-fn) -- submit_placed() holds this path's oar-submit arm
     pub fn submit(
         &mut self,
         user: &str,
         queue: Queue,
         kind: JobKind,
-        request: ResourceRequest,
+        request: impl Into<Arc<ResourceRequest>>,
     ) -> Result<JobId, SubmitError> {
-        self.submit_placed(user, queue, kind, request, None)
+        let request = request.into();
+        let sets = self.db.resolve(&request);
+        self.submit_placed(user, queue, kind, request, sets.as_slice(), None)
     }
 
-    /// [`OarServer::submit`], given the assignment `placed` that the
-    /// planner found for `request` at this very instant, if any: a
-    /// federation places a request first and books what placement found
-    /// rather than planning it twice. The outcome is `submit`'s either way:
-    /// the same chaos draw and the same admission checks run first. With a
-    /// job already waiting, the full pass runs, because FCFS plans that job
-    /// first. Otherwise the pass would plan this job alone, and `now` is
-    /// its first candidate instant, so it books `placed`.
+    /// [`OarServer::submit`] of a request the caller already resolved into
+    /// `sets`, given the assignment `placed` that the planner found for it
+    /// at this very instant, if any: a federation places a request first
+    /// and books what placement found rather than planning it twice. The
+    /// outcome is `submit`'s either way: the same chaos draw and the same
+    /// admission verdict come first. With a job already waiting, the full
+    /// pass runs, because FCFS plans that job first. Otherwise the pass
+    /// would plan this job alone, and `now` is its first candidate instant,
+    /// so it books `placed`.
     pub(crate) fn submit_placed(
         &mut self,
         user: &str,
         queue: Queue,
         kind: JobKind,
-        request: ResourceRequest,
+        request: Arc<ResourceRequest>,
+        sets: &[Arc<MatchSet>],
         placed: Option<Vec<NodeId>>,
     ) -> Result<JobId, SubmitError> {
         // Buggify: the server transiently refuses a submission (dropped
@@ -630,7 +699,7 @@ impl OarServer {
         if self.buggify.fire_hashed("oar-submit", self.submit_attempts) {
             return Err(SubmitError::TransientlyRefused);
         }
-        self.validate(&request, self.db.resolve(&request).as_slice())?;
+        self.admit(&request, sets, placed.is_some())?;
         let id = JobId(self.next_job);
         self.next_job += 1;
         self.jobs.insert(
@@ -661,10 +730,13 @@ impl OarServer {
     }
 
     /// Would `request` start immediately if submitted right now? Returns the
-    /// assignment without booking anything. This is the availability check
-    /// the external test scheduler polls before triggering a build.
+    /// assignment without booking anything. The external test scheduler's
+    /// availability check is the same plan without the nodes
+    /// ([`AvailabilityProbe::can_start_now`]).
     pub fn immediate_assignment(&self, request: &ResourceRequest) -> Option<Vec<NodeId>> {
-        self.find_assignment(request, self.db.resolve(request).as_slice(), Some(self.now))
+        let mut nodes = Vec::new();
+        let sets = self.db.resolve(request);
+        self.plan_now(request, sets.as_slice(), &mut nodes).then_some(nodes)
     }
 
     /// Whether this server's resources can *ever* satisfy `request`: whether
@@ -675,21 +747,44 @@ impl OarServer {
         self.can_queue(request, self.db.resolve(request).as_slice())
     }
 
-    /// [`OarServer::immediate_assignment`] over match-sets the caller
-    /// already resolved: a federation resolves a request once and asks
-    /// several domains.
-    pub(crate) fn assignment_now(
+    /// Whether `request`, resolved into `sets`, can start at this instant,
+    /// with what the planner picks put in `out`: the nodes, or only their
+    /// number. A federation resolves a request once and asks several
+    /// domains; a probe asks without collecting a node.
+    pub(crate) fn plan_now(
         &self,
         request: &ResourceRequest,
         sets: &[Arc<MatchSet>],
-    ) -> Option<Vec<NodeId>> {
-        self.find_assignment(request, sets, Some(self.now))
+        out: &mut impl Picks,
+    ) -> bool {
+        self.plan(request, sets, Some(self.now), out)
     }
 
     /// [`OarServer::can_satisfy`] over already-resolved match-sets; decides
     /// which scheduling domain a request may queue on.
     pub(crate) fn can_queue(&self, request: &ResourceRequest, sets: &[Arc<MatchSet>]) -> bool {
-        self.validate(request, sets).is_ok()
+        self.admit(request, sets, false).is_ok()
+    }
+
+    /// The first job still `Waiting`, in queue order, that the planner
+    /// could start at this very instant on this server while its process
+    /// is up. `None` whenever scheduling works: a pass leaves waiting only
+    /// what no instant up to the horizon can start, only a pass books, and
+    /// every change that frees a node (an end, a cancellation, a failure,
+    /// a repair) runs one. A `Some` is a wedge — a job held back from
+    /// nodes it could have now — and the scenario swarm's conservation
+    /// oracle reports it.
+    pub fn startable_waiting(&self) -> Option<JobId> {
+        if !self.process_up {
+            return None;
+        }
+        let live = self.waiting.iter().filter(|id| self.waiting_set.contains(id));
+        live.copied().find(|id| {
+            self.jobs.get(id).is_some_and(|job| {
+                let sets = self.db.resolve(&job.request);
+                self.plan_now(&job.request, sets.as_slice(), &mut 0)
+            })
+        })
     }
 
     /// Cancel a job (waiting, scheduled or running).
@@ -895,33 +990,47 @@ impl OarServer {
         }
         let sets = self.db.resolve(request);
         candidates.into_iter().find_map(|t| {
-            self.find_assignment(request, sets.as_slice(), Some(t))
-                .map(|assignment| (t, assignment))
+            let mut assignment = Vec::new();
+            self.plan(request, sets.as_slice(), Some(t), &mut assignment)
+                .then_some((t, assignment))
         })
     }
 
-    /// The planner: a full assignment for `request` starting exactly at
-    /// `start`, or — with no `start` — on this part with nothing reserved,
-    /// which is what "can ever be satisfied here" means. `sets` holds the
+    /// The planner: whether `request` has a full assignment starting
+    /// exactly at `start` — or, with no `start`, on this part with nothing
+    /// reserved, which is what "can ever be satisfied here" means — with
+    /// the nodes picked put in `out`, which starts empty. `sets` holds the
     /// match-set of each group, in group order. A request for nothing (no
     /// group, or a zero count) has no assignment.
-    fn find_assignment(
+    ///
+    /// A single group is planned straight into `out`. Several are planned
+    /// greedily in group order, each passing over the nodes the groups
+    /// before it took, so their nodes are collected whatever `out` keeps.
+    fn plan(
         &self,
         request: &ResourceRequest,
         sets: &[Arc<MatchSet>],
         start: Option<SimTime>,
-    ) -> Option<Vec<NodeId>> {
+        out: &mut impl Picks,
+    ) -> bool {
         debug_assert_eq!(request.groups.len(), sets.len());
-        if request.groups.is_empty() {
-            return None;
-        }
         let window = start.map(|t| (t, request.walltime));
-        let mut taken: Vec<NodeId> = Vec::new();
-        for (group, set) in request.groups.iter().zip(sets) {
-            let picked = self.find_group(group, set, window, &taken)?;
-            taken.extend(picked);
+        match (request.groups.as_slice(), sets) {
+            ([group], [set]) => self.find_group(group, set, window, &[], out),
+            ([], _) => false,
+            (groups, sets) => {
+                let mut taken: Vec<NodeId> = Vec::new();
+                let mut picked = Vec::new();
+                for (group, set) in groups.iter().zip(sets) {
+                    if !self.find_group(group, set, window, &taken, &mut picked) {
+                        return false;
+                    }
+                    taken.append(&mut picked);
+                }
+                out.take_all(taken);
+                true
+            }
         }
-        Some(taken)
     }
 
     /// This server's alive nodes in `set` that are not already taken,
@@ -950,25 +1059,31 @@ impl OarServer {
         })
     }
 
+    /// One group's part of [`OarServer::plan`]: whether `group` finds its
+    /// nodes among this server's alive matches outside `taken`, free over
+    /// `window`, with them put in `out` (empty on entry; partly filled when
+    /// the answer is no).
     fn find_group(
         &self,
         group: &RequestGroup,
         set: &MatchSet,
         window: Option<(SimTime, SimDuration)>,
         taken: &[NodeId],
-    ) -> Option<Vec<NodeId>> {
+        out: &mut impl Picks,
+    ) -> bool {
         if group.has_zero_count() {
-            return None;
+            return false;
         }
         match group.hierarchy.as_slice() {
             [(Level::Nodes, Count::All)] => {
                 // ALL = every alive node matching the filter must be free.
-                let all: Vec<NodeId> = self.matching_alive(set, taken).collect();
-                if all.is_empty() {
-                    return None;
+                for n in self.matching_alive(set, taken) {
+                    if !self.is_free(n, window) {
+                        return false;
+                    }
+                    out.pick(n);
                 }
-                let free = all.iter().all(|&n| self.is_free(n, window));
-                free.then_some(all)
+                out.picked() > 0
             }
             [(Level::Cluster, Count::Exact(c)), (Level::Nodes, count)] => {
                 // The first `c` clusters, in name order, that can give
@@ -981,7 +1096,6 @@ impl OarServer {
                         .or_default()
                         .push(n);
                 }
-                let mut picked = Vec::new();
                 let mut clusters_left = *c;
                 for members in by_cluster.values() {
                     if clusters_left == 0 {
@@ -992,14 +1106,16 @@ impl OarServer {
                         Count::Exact(n) => *n as usize,
                         Count::All => members.len(),
                     };
+                    let before = out.picked();
                     let free = members.iter().filter(|&&n| self.is_free(n, window));
-                    let given: Vec<NodeId> = free.take(wanted).copied().collect();
-                    if given.len() == wanted {
-                        picked.extend(given);
+                    free.take(wanted).for_each(|&n| out.pick(n));
+                    if out.picked() - before == wanted {
                         clusters_left -= 1;
+                    } else {
+                        out.truncate(before);
                     }
                 }
-                (clusters_left == 0).then_some(picked)
+                clusters_left == 0
             }
             // `nodes=N` and, allocating whole nodes for the equivalent
             // node count (at least one), core/CPU-level or exotic
@@ -1009,8 +1125,8 @@ impl OarServer {
                 let eligible = self
                     .matching_alive(set, taken)
                     .filter(|&n| self.is_free(n, window));
-                let picked: Vec<NodeId> = eligible.take(needed).collect();
-                (picked.len() == needed).then_some(picked)
+                eligible.take(needed).for_each(|n| out.pick(n));
+                out.picked() == needed
             }
         }
     }
@@ -1023,11 +1139,19 @@ impl OarServer {
         self.gantt.divergence().map_or(Ok(()), Err)
     }
 
-    // detlint: allow(unarmed-service-fn) -- admission validation runs behind the oar-submit arm in submit_placed(); the arm already injects refusals on this path
-    fn validate(
+    /// Admission: `request` is well formed and this part could start it
+    /// if idle. `placed_now` says the planner already found it nodes at
+    /// this instant. For a single group that settles the second half: with
+    /// nothing reserved every node free now is still free, so the same
+    /// walk picks at least as well. Several groups are planned greedily,
+    /// and a node busy now can steer an earlier group off a node a later
+    /// one needs, so for them only the plan itself can say.
+    // detlint: allow(unarmed-service-fn) -- admission runs behind the oar-submit arm in submit_placed(); the arm already injects refusals on this path
+    fn admit(
         &self,
         request: &ResourceRequest,
         sets: &[Arc<MatchSet>],
+        placed_now: bool,
     ) -> Result<(), SubmitError> {
         if request.groups.is_empty() {
             return Err(SubmitError::InvalidRequest("no resource groups".into()));
@@ -1039,9 +1163,11 @@ impl OarServer {
             return Err(SubmitError::InvalidRequest("zero walltime".into()));
         }
         // Satisfiable: what the planner can place here with nothing reserved.
-        match self.find_assignment(request, sets, None) {
-            Some(_) => Ok(()),
-            None => Err(SubmitError::Unsatisfiable),
+        let proved = placed_now && request.groups.len() == 1;
+        if proved || self.plan(request, sets, None, &mut 0) {
+            Ok(())
+        } else {
+            Err(SubmitError::Unsatisfiable)
         }
     }
 }

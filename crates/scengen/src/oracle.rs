@@ -14,8 +14,9 @@
 //!    through the shared [`ttt_suite::detection_failure`] loop — unless
 //!    the kind is explicitly classified in [`KNOWN_COVERAGE_GAPS`].
 //! 3. **Conservation** — node/reservation/metric accounting: structural
-//!    testbed invariants, OAR reservation exclusivity and index
-//!    consistency, executor accounting, and metric bookkeeping identities.
+//!    testbed invariants, OAR reservation exclusivity, index consistency
+//!    and progress (no waiting job its server could start now), executor
+//!    accounting, and metric bookkeeping identities.
 
 use crate::grammar::ScenarioSpec;
 use std::fmt;
@@ -422,11 +423,16 @@ pub fn check_conservation(c: &Campaign) -> Vec<Violation> {
     }
 
     // OAR, per site: every domain's end-index cache must agree with its
-    // timelines, and a domain must only ever book its own site's nodes.
+    // timelines, no waiting job may be one its server could start right
+    // now (a scheduling wedge), and a domain must only ever book its own
+    // site's nodes.
     let fed = c.federation();
     for (i, domain) in fed.domains().iter().enumerate() {
         if let Err(e) = domain.oar.check_end_index_consistency() {
             fail(format!("oar end-index (site {i}): {e}"));
+        }
+        if let Some(job) = domain.oar.startable_waiting() {
+            fail(format!("oar progress (site {i}): waiting {job} could start now"));
         }
     }
 

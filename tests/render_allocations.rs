@@ -16,9 +16,11 @@
 //!
 //! The same allocator pins the write side's cost of one launched test: a
 //! CI build's names are written once per job and once per cell, not once
-//! per build or per holder. And it pins g5k-checks' walk: the description
-//! families compare a conformant node without an allocator call, and a
-//! mismatch is rendered only where a field differs.
+//! per build or per holder; OAR's availability probe collects no node,
+//! and a test's request is built once and shared by each of its jobs. And
+//! it pins g5k-checks' walk: the description families compare a
+//! conformant node without an allocator call, and a mismatch is rendered
+//! only where a field differs.
 //!
 //! The allocator counts per thread, so the tests of this file can run in
 //! parallel without polluting each other's counts.
@@ -30,11 +32,13 @@ use throughout::ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
 use throughout::core::snapshot::{CampaignSnapshot, Query, QueryAnswer, QueryEngine};
 use throughout::core::{Campaign, CampaignConfig};
 use throughout::nodecheck::check_node;
+use throughout::oar::{AvailabilityProbe, Federation, FedJobState, JobKind as OarJobKind, Queue};
+use throughout::refapi::describe;
 use throughout::sim::SimTime;
 use throughout::status::{ServicesPanel, StatusGrid};
 use throughout::suite::testutil::Harness;
 use throughout::suite::{run_test, Family, Target, TestConfig, TestCtx};
-use throughout::testbed::{FaultKind, FaultTarget, NodeId};
+use throughout::testbed::{FaultKind, FaultTarget, NodeId, TestbedBuilder};
 
 struct CountingAlloc;
 
@@ -274,4 +278,62 @@ fn a_conformant_node_costs_the_description_checks_no_allocation() {
     let (report, calls) = allocations_during(|| check_node(&h.tb, desc, alpha[0]));
     assert_eq!(report.keys(), ["cpu/cstates"]);
     assert!(calls <= 4, "{calls} allocator calls for one drifted field");
+}
+
+/// The external scheduler asks "could this start right now?" before every
+/// launch. For a request of one group the probe is the planner counting
+/// what it would pick: no node list, no copy, no allocator call. (It made
+/// two per probe, for a whole cluster and for one node, while it collected
+/// the nodes and copied them.)
+#[test]
+fn probing_a_startable_request_costs_no_allocation() {
+    let tb = TestbedBuilder::small().build();
+    let fed = Federation::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+    for family in [Family::Disk, Family::Console] {
+        let cfg = TestConfig {
+            family,
+            target: Target::Cluster("alpha".into()),
+        };
+        let request = cfg.resource_request(&tb);
+        // The first probe fills the filter's match-set cache.
+        assert!(fed.can_start_now("east", &request));
+        let (startable, calls) = allocations_during(|| fed.can_start_now("east", &request));
+        assert!(startable);
+        assert_eq!(calls, 0, "{family:?}: {calls} allocator calls for one probe");
+    }
+}
+
+/// One enrolled test's round trip on an idle cluster: probe, submit its
+/// request, which the job shares rather than copies, start on the nodes
+/// placement found, end early. 3.2 calls per cycle measured: the node
+/// list, the job's owner name, the federated handle, and the job table's
+/// growth. (12.2 with a request built per submission, collected by the
+/// probe and planned again by admission.)
+#[test]
+fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
+    let tb = TestbedBuilder::small().build();
+    let mut fed = Federation::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+    let cfg = TestConfig {
+        family: Family::Disk,
+        target: Target::Cluster("alpha".into()),
+    };
+    let request = Arc::new(cfg.resource_request(&tb));
+    let cycle = |fed: &mut Federation| {
+        assert!(fed.can_start_now("east", &request));
+        let job = fed
+            .submit("ci", Queue::Admin, OarJobKind::Test, Arc::clone(&request), None)
+            .expect("an idle cluster takes the test");
+        assert_eq!(fed.job_state(&job), FedJobState::Running);
+        assert!(fed.complete_early(&job));
+    };
+    // Warm the match-set cache and the timelines' buffers.
+    for _ in 0..64 {
+        cycle(&mut fed);
+    }
+    let ((), calls) = allocations_during(|| {
+        for _ in 0..64 {
+            cycle(&mut fed);
+        }
+    });
+    assert!(calls <= 64 * 4, "{calls} allocator calls for 64 round trips");
 }
