@@ -574,7 +574,7 @@ impl Campaign {
     /// process is up (a dead OAR process stops placement on that domain —
     /// without looking anything like a site blackout), and refreshes the
     /// backbone reachability view (a no-op clear under the ideal link
-    /// model).
+    /// model; under a real one, a refill only when a link flipped).
     fn dirty_sync(&mut self, _t: SimTime) {
         let dirty = self.tb.take_alive_dirty();
         self.fed.sync_dirty_nodes(&self.tb, &dirty);
@@ -997,6 +997,34 @@ mod tests {
             initial,
             c.testbed().active_faults().len()
         );
+    }
+
+    #[test]
+    fn a_partition_in_the_t0_burden_is_seen_before_the_first_step() {
+        // Regression: the backbone view was first installed by the first
+        // step's `dirty-sync`, after that step's `user-load` had placed
+        // across a link the burden had already cut.
+        use ttt_oar::{AvailabilityProbe, Count, Expr, Level, RequestGroup};
+        let mut cfg = crate::scenario::multi_site_scenario(1);
+        cfg.link_model = ttt_testbed::LinkModelSpec::DistanceTiered;
+        cfg.initial_fault_burden = 4;
+        cfg.injector.rates_per_day = vec![(FaultKind::SiteLinkPartition, 0.5)];
+        let mut c = Campaign::new(cfg);
+        let site = |name: &str| c.testbed().sites().iter().find(|s| s.name == name).map(|s| s.id);
+        let (rennes, sophia) = (site("rennes").unwrap(), site("sophia").unwrap());
+        assert!(!c.testbed().topology().sites_connected(rennes, sophia));
+        let group = |site: &str| RequestGroup {
+            filter: Expr::eq("site", site),
+            hierarchy: vec![(Level::Nodes, Count::Exact(1))],
+        };
+        let both = ResourceRequest {
+            groups: vec![group("rennes"), group("sophia")],
+            walltime: SimDuration::from_hours(1),
+        };
+        assert!(!c.federation().can_start_now("", &both), "right after Campaign::new");
+        assert_eq!(c.federation().backbone_divergence(c.testbed()), None);
+        c.run_until(c.now() + c.cfg.tick);
+        assert!(!c.federation().can_start_now("", &both), "after the first step");
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! The paper's thesis is that a testbed's software must itself be
 //! tested under injected faults. The runtime half of that story lives
-//! in `ttt_sim::rpc`: every `Buggify::fire`/`fire_hashed` call names
-//! its callsite, and the crate exports a registry describing each one.
+//! in `ttt_sim::rpc`: every `Buggify::fire`/`fire_hashed`/`keyed` call
+//! names its callsite, and the crate exports a registry describing each one.
 //! This module is the static half:
 //!
-//! 1. it enumerates every `.fire("…")` / `.fire_hashed("…")` in
+//! 1. it enumerates every `.fire("…")` / `.fire_hashed("…")` /
+//!    `.keyed("…")` (a callsite hashed once, fired by salt later) in
 //!    non-test library code and reconciles the set against the
 //!    registry in both directions (`unregistered-buggify-callsite`,
 //!    `stale-buggify-registration`);
@@ -45,7 +46,7 @@ pub const SERVICE_CRATES: &[&str] = &[
 /// core stays testable with synthetic registries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistryEntry {
-    /// Callsite name as passed to `fire`/`fire_hashed`.
+    /// Callsite name as passed to `fire`/`fire_hashed`/`keyed`.
     pub name: String,
     /// Crate the registry claims hosts it.
     pub crate_name: String,
@@ -131,7 +132,7 @@ pub fn run_audit(ctxs: &[FileCtx], registry: &[RegistryEntry]) -> (Audit, Vec<Vi
         if ctx.file.kind != FileKind::Lib {
             continue;
         }
-        for pat in [".fire(", ".fire_hashed("] {
+        for pat in [".fire(", ".fire_hashed(", ".keyed("] {
             for at in find_pattern(&ctx.view, pat) {
                 if ctx.in_test_code(at) {
                     continue;

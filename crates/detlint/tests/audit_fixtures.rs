@@ -186,6 +186,31 @@ fn call(&mut self) -> Result<(), RpcError> {
         .all(|c| c.crate_name != "ttt_testbed"));
 }
 
+#[test]
+fn a_keyed_callsite_is_a_fire_site() {
+    // The callsite is hashed once and fired by salt in a loop: the
+    // `.keyed("…")` literal names it, the later `.fire(salt)` does not.
+    let kwapi = SourceFile {
+        path: "crates/kwapi/src/store.rs".into(),
+        crate_name: "ttt_kwapi".into(),
+        kind: FileKind::Lib,
+        text: r#"
+fn sample(&self, tb: &Testbed) {
+    let chaos = tb.buggify().keyed("kwapi-sample");
+    for t in ticks { if chaos.fire(t) { continue; } }
+}
+"#
+        .into(),
+    };
+    let report = lint(std::slice::from_ref(&kwapi), &[reg("kwapi-sample", "ttt_kwapi")]);
+    let fires: Vec<_> = report.audit.fires.iter().map(|f| (f.callsite.as_str(), f.line)).collect();
+    assert_eq!(fires, vec![("kwapi-sample", 3)]);
+    // Registered and keyed: not stale, not unregistered.
+    assert_eq!(rules_fired(&report), vec![]);
+    let report = lint(&[kwapi], &[]);
+    assert_eq!(rules_fired(&report), vec![("unregistered-buggify-callsite", 3)]);
+}
+
 fn source(path: &str, kind: FileKind, text: &str) -> SourceFile {
     SourceFile {
         path: path.into(),

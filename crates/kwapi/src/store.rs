@@ -444,6 +444,8 @@ impl PowerSampler {
             return;
         }
         let buggify = tb.buggify();
+        // The callsite is hashed once per call, not once per sample.
+        let chaos = buggify.keyed("kwapi-sample");
         let reach = store.records.last().map_or(SimTime::ZERO, |r| r.reach);
         let head = store.arenas.record(
             readings,
@@ -456,7 +458,7 @@ impl PowerSampler {
             // draw, so the decision replays identically across engines.
             // At the default chaos rates the loss stays far below the 20%
             // per-label gap the kwapi family alarms on.
-            |label, t| buggify.fire_hashed("kwapi-sample", label.0 as u64 ^ t.as_nanos()),
+            |label, t| chaos.fire(label.0 as u64 ^ t.as_nanos()),
             rng,
         );
         let r = store.records.len();

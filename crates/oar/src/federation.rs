@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttt_refapi::TestbedDescription;
 use ttt_sim::{Buggify, SimTime};
-use ttt_testbed::{NodeId, ServiceKind, SiteId, Testbed};
+use ttt_testbed::{LinkModelSpec, NodeId, ServiceKind, SiteId, Testbed};
 
 /// One site's scheduling domain.
 pub struct SiteDomain {
@@ -135,11 +135,11 @@ pub struct Federation {
     spillovers_in: Vec<u64>,
     /// Cross-site co-allocations booked (`oargridsub`-style splits).
     co_allocations: u64,
-    /// Backbone reachability between domains, row-major `n × n`, refreshed
-    /// by [`Federation::sync_backbone`]. `None` — the default, and always
-    /// the case under the ideal link model — means the backbone is free
-    /// and placement ignores it entirely (the historical behavior).
-    backbone: Option<Vec<bool>>,
+    /// Backbone reachability between domains, refreshed by
+    /// [`Federation::sync_backbone`]. `None` — always the case under the
+    /// ideal link model — means the backbone is free and placement ignores
+    /// it entirely (the historical behavior).
+    backbone: Option<BackboneView>,
     now: SimTime,
     /// Chaos hook: when armed, the federation gateway can lose a
     /// submission before placement. Off by default.
@@ -147,6 +147,17 @@ pub struct Federation {
     /// Monotone count of gateway submission attempts (rng-free buggify
     /// salt; retries draw fresh salts — delay, never starvation).
     submit_attempts: u64,
+}
+
+/// Which domain pairs can reach each other over the backbone, and the
+/// link state it was derived from.
+struct BackboneView {
+    /// The testbed's link stamp when the matrix was filled.
+    stamp: u64,
+    /// The link model the matrix was filled under.
+    model: LinkModelSpec,
+    /// Row-major `n × n` over the domains.
+    reachable: Vec<bool>,
 }
 
 impl Federation {
@@ -172,7 +183,7 @@ impl Federation {
             });
         }
         let n = domains.len();
-        Federation {
+        let mut fed = Federation {
             db,
             domains,
             domain_of_cluster,
@@ -184,7 +195,13 @@ impl Federation {
             now: SimTime::ZERO,
             buggify: Buggify::off(),
             submit_attempts: 0,
-        }
+        };
+        // Born current: a testbed that starts with a crashed OAR process or
+        // a partitioned backbone (a t=0 fault burden) is seen before the
+        // first sync, not after it.
+        fed.sync_process_liveness(tb);
+        fed.sync_backbone(tb);
+        fed
     }
 
     /// Arm (or disarm) chaos on the federation gateway and fan the switch
@@ -272,20 +289,71 @@ impl Federation {
     /// consider domain pairs whose backbone path is usable
     /// ([`Testbed::backbone_reachable`]), so a partition — or a
     /// mostly-dead modelled link — degrades placement instead of being
-    /// invisible to it.
+    /// invisible to it. The matrix is refilled only when the link stamp or
+    /// the model moved since the last fill: a step with no link flip pays
+    /// one comparison.
     pub fn sync_backbone(&mut self, tb: &Testbed) {
-        if tb.link_model().is_ideal() {
+        let model = tb.link_model();
+        if model.is_ideal() {
             self.backbone = None;
             return;
         }
-        // Refilled in place: under a real model this runs every step.
-        let matrix = self.backbone.get_or_insert_with(Vec::new);
-        matrix.clear();
-        for a in &self.domains {
-            for b in &self.domains {
-                matrix.push(tb.backbone_reachable(a.site, b.site));
-            }
+        let stamp = tb.topology().link_stamp();
+        if self
+            .backbone
+            .as_ref()
+            .is_some_and(|v| v.stamp == stamp && v.model == model)
+        {
+            return;
         }
+        // Refilled in place once a view exists.
+        let n = self.domains.len();
+        let mut reachable = self
+            .backbone
+            .take()
+            .map_or_else(|| Vec::with_capacity(n * n), |v| v.reachable);
+        reachable.clear();
+        reachable.extend(self.reachability(tb));
+        self.backbone = Some(BackboneView {
+            stamp,
+            model,
+            reachable,
+        });
+    }
+
+    /// Every domain pair's backbone reachability as the testbed derives it
+    /// now, row-major.
+    fn reachability<'a>(&'a self, tb: &'a Testbed) -> impl Iterator<Item = bool> + 'a {
+        let sites = || self.domains.iter().map(|d| d.site);
+        sites().flat_map(move |a| sites().map(move |b| tb.backbone_reachable(a, b)))
+    }
+
+    /// The backbone view's oracle: the installed view against a fresh
+    /// derivation from `tb`. `None` when they agree, and when a link flipped
+    /// after the last [`Federation::sync_backbone`]: the view follows the
+    /// links at each sync (the campaign's `dirty-sync` phase), so a repair
+    /// later in a step is not a divergence. The model is never waited for:
+    /// a campaign installs it once, before the federation is built.
+    pub fn backbone_divergence(&self, tb: &Testbed) -> Option<String> {
+        let model = tb.link_model();
+        let view = match (&self.backbone, model.is_ideal()) {
+            (None, true) => return None,
+            (Some(_), true) => return Some("a backbone view under the ideal link model".into()),
+            (None, false) => return Some(format!("no backbone view under {model:?}")),
+            (Some(view), false) => view,
+        };
+        if view.stamp != tb.topology().link_stamp() {
+            return None;
+        }
+        let n = self.domains.len();
+        let cell = view.reachable.iter().zip(self.reachability(tb)).position(|(v, f)| *v != f)?;
+        let (a, b) = (&self.domains[cell / n], &self.domains[cell % n]);
+        Some(format!(
+            "backbone view says {}~{} is {}reachable under {model:?}; the links say otherwise",
+            a.name,
+            b.name,
+            if view.reachable[cell] { "" } else { "un" }
+        ))
     }
 
     /// Whether the backbone path between two domains is usable for
@@ -293,7 +361,7 @@ impl Federation {
     fn backbone_ok(&self, a: usize, b: usize) -> bool {
         match &self.backbone {
             None => true,
-            Some(m) => a == b || m[a * self.domains.len() + b],
+            Some(v) => a == b || v.reachable[a * self.domains.len() + b],
         }
     }
 
@@ -1311,8 +1379,26 @@ mod twin {
         ResourceRequest { groups, walltime }
     }
 
-    fn assert_twins(a: &Federation, b: &Federation, step: &str) {
+    /// The models the twin switches between. The lossy `Uniform` cuts every
+    /// cross-site pair where the others keep them all, so a view that
+    /// missed a model switch under unchanged links diverges.
+    const MODELS: [LinkModelSpec; 4] = [
+        LinkModelSpec::Ideal,
+        LinkModelSpec::Uniform {
+            latency_s: 0.01,
+            loss_prob: 0.0,
+        },
+        LinkModelSpec::Uniform {
+            latency_s: 0.05,
+            loss_prob: 0.6,
+        },
+        LinkModelSpec::DistanceTiered,
+    ];
+
+    fn assert_twins(a: &Federation, b: &Federation, tb: &Testbed, step: &str) {
         assert!(a.all_jobs().eq(b.all_jobs()), "{step}: job tables differ");
+        assert_eq!(a.backbone_divergence(tb), None, "{step}");
+        assert_eq!(b.backbone_divergence(tb), None, "{step}");
         assert_eq!(
             (a.now, a.spillovers, &a.spillovers_in, a.co_allocations),
             (b.now, b.spillovers, &b.spillovers_in, b.co_allocations),
@@ -1335,7 +1421,7 @@ mod twin {
     fn booking_placement_equals_planning_twice() {
         // Outcomes seen across all worlds, so the worlds provably reach
         // both booking paths and the chaos arms.
-        let (mut started, mut pending, mut refused) = (0, 0, 0);
+        let (mut started, mut pending, mut refused, mut models) = (0, 0, 0, 0);
         for world in 0..40u64 {
             let mut rng = stream_rng(world, "fed-twin");
             let sites = rng.gen_range(2..=5);
@@ -1350,7 +1436,6 @@ mod twin {
             let (mut a, mut b) = (Federation::new(&tb, &desc), Federation::new(&tb, &desc));
             for fed in [&mut a, &mut b] {
                 fed.set_buggify(Buggify::new(world, 0.3));
-                fed.sync_backbone(&tb);
             }
             let mut jobs: Vec<FedJob> = Vec::new();
             for step in 0..200 {
@@ -1422,16 +1507,24 @@ mod twin {
                         }
                     }
                     _ => {
-                        let x = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
-                        let y = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
-                        tb.topology_mut().set_site_link(x, y, rng.gen_bool(0.5));
+                        // A link flips, or the model changes under the same
+                        // links: the view must follow both.
+                        if rng.gen_bool(0.3) {
+                            tb.set_link_model(MODELS[rng.gen_range(0..MODELS.len())]);
+                            models += 1;
+                        } else {
+                            let x = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
+                            let y = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
+                            tb.topology_mut().set_site_link(x, y, rng.gen_bool(0.5));
+                        }
                         a.sync_backbone(&tb);
                         b.sync_backbone(&tb);
                     }
                 }
-                assert_twins(&a, &b, &step);
+                assert_twins(&a, &b, &tb, &step);
             }
         }
         assert!(started > 100 && pending > 100 && refused > 100, "{started} {pending} {refused}");
+        assert!(models > 100, "{models} model switches");
     }
 }

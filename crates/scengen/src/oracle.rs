@@ -436,6 +436,12 @@ pub fn check_conservation(c: &Campaign) -> Vec<Violation> {
         }
     }
 
+    // Federation: the cached backbone view equals a fresh derivation from
+    // the link state (a flip after the last step's sync is not yet due).
+    if let Some(e) = fed.backbone_divergence(tb) {
+        fail(format!("backbone view: {e}"));
+    }
+
     // OAR, global: running reservations hold disjoint, existing nodes —
     // across the whole federation, not just within one domain.
     let mut claimed: Vec<NodeId> = Vec::new();

@@ -41,6 +41,8 @@ pub use eventlog::{Event, EventLog};
 pub use process::PoissonProcess;
 pub use queue::{DrainDue, EventQueue};
 pub use rng::{stream_rng, RngFactory};
-pub use rpc::{Buggify, BuggifyCallsite, LinkQuality, Liveness, RpcError, BUGGIFY_CALLSITES};
+pub use rpc::{
+    Buggify, BuggifyCallsite, KeyedBuggify, LinkQuality, Liveness, RpcError, BUGGIFY_CALLSITES,
+};
 pub use stats::{OnlineStats, PeriodSeries};
 pub use time::{SimDuration, SimTime};

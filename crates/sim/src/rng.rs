@@ -29,9 +29,20 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The label half of a stream seed: what `label` contributes, whatever
+/// the seed. A caller that seeds many streams of one label hashes it once.
+pub(crate) fn label_key(label: &str) -> u64 {
+    splitmix64(fnv1a(label.as_bytes()))
+}
+
+/// The stream seed for a seed and a label's [`label_key`].
+pub(crate) fn keyed_seed(seed: u64, key: u64) -> u64 {
+    splitmix64(seed ^ key)
+}
+
 /// Derive the 64-bit seed for the stream `(seed, label)`.
 pub fn stream_seed(seed: u64, label: &str) -> u64 {
-    splitmix64(seed ^ splitmix64(fnv1a(label.as_bytes())))
+    keyed_seed(seed, label_key(label))
 }
 
 /// Create a small, fast RNG for the stream `(seed, label)`.

@@ -36,7 +36,7 @@
 //!   submitted) and the event sequence is identical across engines, the
 //!   draw sequence is too.
 
-use crate::rng::stream_seed;
+use crate::rng::{keyed_seed, label_key};
 use crate::time::SimTime;
 use rand::Rng;
 use std::fmt;
@@ -44,9 +44,9 @@ use std::fmt;
 /// One registered buggify callsite: the runtime half of the workspace
 /// buggify-surface census.
 ///
-/// Every `Buggify::fire`/`Buggify::fire_hashed` call in non-test code
-/// names its callsite with a string literal, and that name must appear
-/// here. `detlint`'s static audit scans the workspace for fire sites and
+/// Every `Buggify::fire`/`Buggify::fire_hashed`/`Buggify::keyed` call in
+/// non-test code names its callsite with a string literal, and that name
+/// must appear here. `detlint`'s static audit scans the workspace for fire sites and
 /// reconciles them against this registry in both directions — a fire with
 /// an unregistered name and a registration with no surviving fire are both
 /// lint violations — so the registry IS the authoritative list of armed
@@ -230,11 +230,38 @@ impl Buggify {
     /// Fire from a pure hash of `(seed, callsite, salt)` — for callsites
     /// with no RNG in scope. The caller supplies a per-event counter as
     /// the salt; identical event sequences give identical draws.
-    pub fn fire_hashed(&self, callsite: &str, salt: u64) -> bool {
-        if !self.enabled() {
+    pub fn fire_hashed(&self, callsite: &'static str, salt: u64) -> bool {
+        self.keyed(callsite).fire(salt)
+    }
+
+    /// This switch with `callsite` hashed in once, for a caller that fires
+    /// one callsite many times: `keyed(c).fire(salt)` is
+    /// `fire_hashed(c, salt)`, bit for bit. Disarmed, nothing is hashed.
+    pub fn keyed(&self, callsite: &'static str) -> KeyedBuggify {
+        KeyedBuggify {
+            rate: self.rate,
+            seed: self.seed,
+            key: if self.enabled() { label_key(callsite) } else { 0 },
+        }
+    }
+}
+
+/// A [`Buggify`] switch bound to one callsite by [`Buggify::keyed`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeyedBuggify {
+    rate: f64,
+    seed: u64,
+    /// The callsite's [`label_key`]; 0 when disarmed.
+    key: u64,
+}
+
+impl KeyedBuggify {
+    /// Fire from a pure hash of `(seed, callsite, salt)`.
+    pub fn fire(&self, salt: u64) -> bool {
+        if self.rate <= 0.0 {
             return false;
         }
-        let h = stream_seed(self.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15), callsite);
+        let h = keyed_seed(self.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15), self.key);
         // Top 53 bits → uniform in [0, 1).
         ((h >> 11) as f64 / (1u64 << 53) as f64) < self.rate
     }
@@ -288,6 +315,28 @@ mod tests {
         let a: Vec<bool> = (0..64).map(|s| b.fire_hashed("ci/assign", s)).collect();
         let c: Vec<bool> = (0..64).map(|s| b.fire_hashed("fed/submit", s)).collect();
         assert_ne!(a, c, "two callsites produced identical draw sequences");
+    }
+
+    #[test]
+    fn a_keyed_callsite_fires_as_the_hashed_one() {
+        // The reference is the per-call hash `fire_hashed` computed before
+        // `keyed` existed: the whole `(seed, callsite, salt)` stream seed.
+        let reference = |b: &Buggify, callsite: &str, salt: u64| {
+            let salted = b.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let h = crate::rng::stream_seed(salted, callsite);
+            b.enabled() && ((h >> 11) as f64 / (1u64 << 53) as f64) < b.rate
+        };
+        for b in [Buggify::new(7, 0.3), Buggify::new(u64::MAX, 0.02), Buggify::off()] {
+            for c in BUGGIFY_CALLSITES {
+                let keyed = b.keyed(c.name);
+                for salt in 0..10_000u64 {
+                    let salt = salt.wrapping_mul(0x2545_f491_4f6c_dd1d);
+                    let want = reference(&b, c.name, salt);
+                    assert_eq!(keyed.fire(salt), want, "{} salt {salt}", c.name);
+                    assert_eq!(b.fire_hashed(c.name, salt), want, "{} salt {salt}", c.name);
+                }
+            }
+        }
     }
 
     #[test]

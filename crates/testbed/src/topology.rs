@@ -73,14 +73,24 @@ pub struct Topology {
     /// the wattmeter *labelled* `n` actually measures. Identity when the
     /// cabling is correct; a `CablingSwap` fault swaps two entries.
     pub wattmeter_of: BTreeMap<NodeId, NodeId>,
-    /// Inter-site backbone links (full mesh, endpoints ordered `a < b`).
-    pub site_links: Vec<SiteLink>,
+    /// Inter-site backbone links (full mesh, endpoints ordered `a < b`,
+    /// in row order: `(0,1), (0,2), …, (1,2), …`). Private, so every
+    /// change goes through a method that moves `link_stamp`.
+    site_links: Vec<SiteLink>,
+    /// Sites the mesh covers: `site_links` holds every pair below it.
+    meshed: usize,
+    /// Bumped by every effective link flip and by [`Topology::mesh_sites`]:
+    /// a view derived from the link state is current while it holds the
+    /// stamp it was built at.
+    link_stamp: u64,
 }
 
 impl Topology {
     /// Register the full mesh of backbone links for `n_sites` sites, all up.
     pub fn mesh_sites(&mut self, n_sites: usize) {
         self.site_links.clear();
+        self.meshed = n_sites;
+        self.link_stamp += 1;
         for a in 0..n_sites {
             for b in (a + 1)..n_sites {
                 self.site_links.push(SiteLink {
@@ -92,9 +102,26 @@ impl Topology {
         }
     }
 
+    /// The backbone links, one per unordered site pair.
+    pub fn site_links(&self) -> &[SiteLink] {
+        &self.site_links
+    }
+
+    /// The link-state stamp: equal stamps mean no link flipped in between.
+    pub fn link_stamp(&self) -> u64 {
+        self.link_stamp
+    }
+
+    /// Where the link between two sites sits in `site_links`: the row-major
+    /// triangular index of the full mesh. `None` for a same-site pair or a
+    /// site the mesh never covered.
     fn link_position(&self, a: SiteId, b: SiteId) -> Option<usize> {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        self.site_links.iter().position(|l| l.a == lo && l.b == hi)
+        let (lo, hi) = if a <= b { (a.index(), b.index()) } else { (b.index(), a.index()) };
+        if lo == hi || hi >= self.meshed {
+            return None;
+        }
+        // Rows before `lo` hold `n-1, n-2, …, n-lo` links.
+        Some(lo * (2 * self.meshed - lo - 1) / 2 + (hi - lo - 1))
     }
 
     /// Whether traffic can flow between two sites. Intra-site traffic and
@@ -108,16 +135,18 @@ impl Topology {
             .unwrap_or(true)
     }
 
-    /// Set one backbone link up or down. Returns false when the pair has no
-    /// link (same site, or a site the mesh never covered).
+    /// Set one backbone link up or down; a flip moves the link stamp, a
+    /// set to the state the link already has does not. Returns false when
+    /// the pair has no link (same site, or a site the mesh never covered).
     pub fn set_site_link(&mut self, a: SiteId, b: SiteId, up: bool) -> bool {
-        match self.link_position(a, b) {
-            Some(i) => {
-                self.site_links[i].up = up;
-                true
-            }
-            None => false,
+        let Some(link) = self.link_position(a, b).map(|i| &mut self.site_links[i]) else {
+            return false;
+        };
+        if link.up != up {
+            link.up = up;
+            self.link_stamp += 1;
         }
+        true
     }
 
     /// Count of currently partitioned site pairs.
@@ -217,7 +246,7 @@ mod tests {
     fn site_mesh_connects_every_pair() {
         let mut t = Topology::default();
         t.mesh_sites(3);
-        assert_eq!(t.site_links.len(), 3);
+        assert_eq!(t.site_links().len(), 3);
         for a in 0..3u16 {
             for b in 0..3u16 {
                 assert!(t.sites_connected(SiteId(a), SiteId(b)));
@@ -246,8 +275,46 @@ mod tests {
     fn unknown_pairs_count_as_connected() {
         let mut t = Topology::default();
         t.mesh_sites(1);
-        assert!(t.site_links.is_empty());
+        assert!(t.site_links().is_empty());
         assert!(t.sites_connected(SiteId(0), SiteId(5)));
         assert!(!t.set_site_link(SiteId(0), SiteId(5), false));
+    }
+
+    #[test]
+    fn link_index_equals_a_linear_scan() {
+        for n in 0..=70usize {
+            let mut t = Topology::default();
+            t.mesh_sites(n);
+            // Ids run past the mesh, so pairs it never covered are asked too.
+            for a in 0..n as u16 + 3 {
+                for b in 0..n as u16 + 3 {
+                    let (lo, hi) = (SiteId(a.min(b)), SiteId(a.max(b)));
+                    let scan = t.site_links.iter().position(|l| l.a == lo && l.b == hi);
+                    assert_eq!(t.link_position(SiteId(a), SiteId(b)), scan, "{n} sites, {a}~{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_effective_flip_moves_the_link_stamp() {
+        let mut t = Topology::default();
+        let before = t.link_stamp();
+        t.mesh_sites(4);
+        assert_ne!(t.link_stamp(), before, "a new mesh is a new link state");
+        for (a, b) in [(0, 1), (3, 1), (2, 3)] {
+            let (a, b) = (SiteId(a), SiteId(b));
+            for up in [true, false, false, true, true] {
+                let stamp = t.link_stamp();
+                let flips = t.sites_connected(a, b) != up;
+                assert!(t.set_site_link(a, b, up));
+                assert_eq!(t.link_stamp() != stamp, flips, "{a}~{b} set to {up}");
+            }
+        }
+        // No link to set: nothing moves.
+        let stamp = t.link_stamp();
+        assert!(!t.set_site_link(SiteId(1), SiteId(1), false));
+        assert!(!t.set_site_link(SiteId(0), SiteId(9), false));
+        assert_eq!(t.link_stamp(), stamp);
     }
 }

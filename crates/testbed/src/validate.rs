@@ -77,7 +77,7 @@ pub fn validate(tb: &Testbed) -> Result<(), String> {
     // Backbone mesh: exactly one link per unordered site pair, endpoints
     // ordered and in range.
     let n_sites = tb.sites().len();
-    let links = &tb.topology().site_links;
+    let links = tb.topology().site_links();
     let expected = n_sites * n_sites.saturating_sub(1) / 2;
     if links.len() != expected {
         return Err(format!(
