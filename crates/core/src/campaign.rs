@@ -36,7 +36,7 @@ use ttt_refapi::RefApi;
 use ttt_sim::{EventLog, EventQueue, RngFactory, SimDuration, SimTime};
 use ttt_suite::{build_suite, run_test, TestConfig, TestCtx, TestReport};
 use ttt_testbed::fault::{find_fault, inject_random};
-use ttt_testbed::{FaultInjector, FaultKind, Layer, Testbed, TestbedBuilder};
+use ttt_testbed::{FaultInjector, FaultKind, Layer, NodeId, Testbed, TestbedBuilder};
 
 /// One test configuration, referred to everywhere by its index in
 /// `Campaign::suite`; only `Campaign::by_key` turns a name back into one.
@@ -148,6 +148,8 @@ pub struct Campaign {
     /// `(finish_at, submission order)`.
     running: EventQueue<RunningTest>,
     blocked: Vec<BlockedWork>,
+    /// The nodes of the test `execute_test` runs, refilled per test.
+    assigned: Vec<NodeId>,
     rng_inject: SmallRng,
     rng_user: SmallRng,
     rng_sched: SmallRng,
@@ -298,6 +300,7 @@ impl Campaign {
             next_phase: 0,
             running: EventQueue::new(),
             blocked: Vec::new(),
+            assigned: Vec::new(),
             now: SimTime::ZERO,
             last_snapshot: SimTime::ZERO,
             last_op_step: SimTime::ZERO,
@@ -783,7 +786,7 @@ impl Campaign {
     /// Run the test script now; bookkeeping happens when its virtual
     /// duration elapses.
     fn execute_test(&mut self, build: BuildRef, idx: usize, oar_job: FedJob, t: SimTime) {
-        let assigned = self.fed.assigned_nodes(&oar_job);
+        self.fed.assigned_into(&oar_job, &mut self.assigned);
         let report = {
             let cfg = &self.suite[idx].config;
             // Scripts see the OAR server of the site they run on (the
@@ -796,7 +799,7 @@ impl Campaign {
                 kwapi: &mut self.kwapi,
                 deployer: &self.deployer,
                 images: &self.images,
-                assigned: &assigned,
+                assigned: &self.assigned,
                 now: t,
                 rng: &mut self.rng_test,
             };

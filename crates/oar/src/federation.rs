@@ -262,9 +262,10 @@ impl Federation {
         self.co_allocations
     }
 
-    /// Number of domains with no alive node left (blacked-out sites).
-    /// A crashed OAR *process* does not count — its nodes are still
-    /// powered; see [`Federation::sync_process_liveness`].
+    /// Number of domains with no alive node left (blacked-out sites):
+    /// O(domains), each domain keeps its count. A crashed OAR *process*
+    /// does not count — its nodes are still powered; see
+    /// [`Federation::sync_process_liveness`].
     pub fn dead_domains(&self) -> usize {
         self.domains.iter().filter(|d| d.oar.alive_nodes() == 0).count()
     }
@@ -656,15 +657,16 @@ impl Federation {
         }
     }
 
-    /// All nodes assigned to a federated job, parts concatenated.
-    pub fn assigned_nodes(&self, job: &FedJob) -> Vec<NodeId> {
-        let mut out = Vec::new();
+    /// Put all nodes assigned to a federated job, parts concatenated, in
+    /// `out` in place of what it held: a caller that asks once per test
+    /// keeps one buffer.
+    pub fn assigned_into(&self, job: &FedJob, out: &mut Vec<NodeId>) {
+        out.clear();
         for &(d, id) in &job.parts {
             if let Some(j) = self.domains[d].oar.job(id) {
-                out.extend(j.assigned.iter().copied());
+                out.extend_from_slice(&j.assigned);
             }
         }
-        out
     }
 
     /// Complete every running part early. Returns true if any part changed.
@@ -716,7 +718,8 @@ impl Federation {
         }
     }
 
-    /// Fraction of alive nodes busy across the whole federation.
+    /// Fraction of alive nodes busy across the whole federation: a sum of
+    /// every domain's kept counts.
     pub fn utilization(&self) -> f64 {
         let mut busy = 0usize;
         let mut alive = 0usize;
@@ -791,10 +794,10 @@ mod tests {
         assert_eq!(fed.job_state(&job), FedJobState::Running);
         assert_eq!(fed.spillovers(), 0);
         let gamma = tb.cluster_by_name("gamma").unwrap();
-        assert!(fed
-            .assigned_nodes(&job)
-            .iter()
-            .all(|n| gamma.nodes.contains(n)));
+        let mut assigned = vec![NodeId::from(0)];
+        fed.assigned_into(&job, &mut assigned);
+        assert_eq!(assigned.len(), 2, "what the buffer held is gone");
+        assert!(assigned.iter().all(|n| gamma.nodes.contains(n)));
     }
 
     #[test]
@@ -820,6 +823,29 @@ mod tests {
         assert_eq!(fed.spillovers(), 1);
         // The receiving domain is credited, not the saturated home.
         assert_eq!(fed.spillovers_by_domain(), &[0, 1]);
+    }
+
+    #[test]
+    fn a_domain_too_full_for_the_request_is_skipped() {
+        // East has 8 nodes. With 7 busy, a request for two is refused there
+        // on the free count, before a node is walked, and goes where the
+        // planner's walk sends it: spilled to west, or queued at home once
+        // west is full too. A request for one still reaches east's planner.
+        let (_tb, mut fed) = setup();
+        let east = fed.domain_by_name("east");
+        let pinned = |site: &str, n| nodes_req(Expr::eq("site", site), n, 10);
+        fed.submit("hog", Queue::Default, JobKind::User, pinned("east", 7), None).unwrap();
+        let oar = &fed.domain(0).oar;
+        assert_eq!(oar.alive_nodes() - oar.busy_nodes(), 1);
+        let two = nodes_req(Expr::True, 2, 1);
+        assert_eq!(fed.place(east, &two), Placement::Immediate(1));
+        assert_eq!(fed.place(east, &nodes_req(Expr::True, 1, 1)), Placement::Immediate(0));
+        fed.submit("hog", Queue::Default, JobKind::User, pinned("west", 6), None).unwrap();
+        assert_eq!(fed.place(east, &two), Placement::Queued(0));
+        assert!(!fed.can_start_now("east", &two));
+        let job = fed.submit("bob", Queue::Default, JobKind::User, two, east).unwrap();
+        assert_eq!(job.primary_domain(), 0);
+        assert_eq!(fed.job_state(&job), FedJobState::Pending);
     }
 
     #[test]
@@ -872,7 +898,8 @@ mod tests {
         assert_eq!(fed.job_state(&job), FedJobState::Running);
         assert_eq!(fed.co_allocations(), 1);
         assert_eq!(fed.spillovers(), 0);
-        let assigned = fed.assigned_nodes(&job);
+        let mut assigned = Vec::new();
+        fed.assigned_into(&job, &mut assigned);
         assert_eq!(assigned.len(), 2);
         let sites: std::collections::HashSet<_> =
             assigned.iter().map(|&n| tb.node(n).site).collect();
@@ -1410,8 +1437,8 @@ mod twin {
             assert_eq!(x.next_event_time(), y.next_event_time(), "{step}: {}", da.name);
             assert_eq!(x.busy_nodes(), y.busy_nodes(), "{step}: {}", da.name);
             assert_eq!(x.waiting_count(), y.waiting_count(), "{step}: {}", da.name);
-            assert_eq!(x.check_end_index_consistency(), Ok(()), "{step}");
-            assert_eq!(y.check_end_index_consistency(), Ok(()), "{step}");
+            assert_eq!(x.check_consistency(), Ok(()), "{step}");
+            assert_eq!(y.check_consistency(), Ok(()), "{step}");
             assert_eq!(x.startable_waiting(), None, "{step}: {} is wedged", da.name);
             assert_eq!(y.startable_waiting(), None, "{step}: {} is wedged", da.name);
         }

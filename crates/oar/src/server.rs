@@ -23,6 +23,10 @@
 //! no instant could ever start.
 //! However a job ends — walltime, early completion, cancellation, failure —
 //! it ends in `end_job`; however one is reserved, it is booked in `book`.
+//! The server keeps how many of its nodes are alive and how many running
+//! jobs hold, so sampling reads two numbers and a placement probe refuses
+//! a part too full for the request before it walks a node; the scans those
+//! counts replace are [`OarServer::check_consistency`]'s reference.
 
 use crate::ast::{Count, Expr, Level, RequestGroup, ResourceRequest};
 use crate::eval::eval;
@@ -398,6 +402,14 @@ pub struct OarServer {
     /// State and reservations of this part's nodes, indexed by slot (see
     /// `ResourceDb::slot_of_node`).
     node_states: Vec<NodeState>,
+    /// How many of `node_states` are `Alive`. Only the two state writes in
+    /// `sync_nodes_inner` move it.
+    alive: usize,
+    /// How many nodes `Running` jobs hold: what `start_job` adds and
+    /// `end_job` takes back, however the job ends. Every such node is
+    /// alive (a start checks it, a death ends the job), and it is exactly
+    /// the nodes with a reservation active now.
+    busy: usize,
     /// The clusters of this part, ascending. The Gantt's end index files a
     /// reservation end under the position of its node's cluster here.
     clusters: Vec<ClusterId>,
@@ -466,6 +478,8 @@ impl OarServer {
             .collect();
         OarServer {
             node_states: vec![NodeState::Alive; nodes.len()],
+            alive: nodes.len(),
+            busy: 0,
             gantt: Gantt::new(cluster_of_slot, clusters.len()),
             clusters,
             db,
@@ -588,13 +602,19 @@ impl OarServer {
             let alive = tb.node_alive(id);
             match (alive, self.node_states[slot]) {
                 (false, NodeState::Dead) => {}
-                (false, _) => {
+                (false, was) => {
+                    if was == NodeState::Alive {
+                        self.alive = self.alive.saturating_sub(1);
+                    }
                     self.node_states[slot] = NodeState::Dead;
                     if let Some(r) = self.gantt.timeline(slot).active_at(self.now) {
                         to_fail.push(r.job);
                     }
                 }
-                (true, NodeState::Dead) => self.node_states[slot] = NodeState::Alive,
+                (true, NodeState::Dead) => {
+                    self.node_states[slot] = NodeState::Alive;
+                    self.alive = self.alive.saturating_add(1);
+                }
                 (true, _) => {}
             }
         }
@@ -605,26 +625,23 @@ impl OarServer {
         any
     }
 
-    /// Number of nodes busy (running a job) right now.
+    /// Number of nodes busy (held by a running job) right now. O(1): a
+    /// kept count.
     pub fn busy_nodes(&self) -> usize {
-        self.gantt.busy_count(self.now)
+        self.busy
     }
 
-    /// Number of nodes currently in the `Alive` state.
+    /// Number of nodes currently in the `Alive` state. O(1): a kept count.
     pub fn alive_nodes(&self) -> usize {
-        self.node_states
-            .iter()
-            .filter(|s| matches!(s, NodeState::Alive))
-            .count()
+        self.alive
     }
 
     /// Fraction of alive nodes currently busy.
     pub fn utilization(&self) -> f64 {
-        let alive = self.alive_nodes();
-        if alive == 0 {
+        if self.alive == 0 {
             0.0
         } else {
-            self.busy_nodes() as f64 / alive as f64
+            self.busy as f64 / self.alive as f64
         }
     }
 
@@ -751,13 +768,20 @@ impl OarServer {
     /// with what the planner picks put in `out`: the nodes, or only their
     /// number. A federation resolves a request once and asks several
     /// domains; a probe asks without collecting a node.
+    ///
+    /// The planner picks only alive nodes free over a window starting now,
+    /// and a node busy now is free over no such window, so a part with
+    /// fewer idle alive nodes than the fewest the request can take cannot
+    /// start it: that part is refused before a node is walked.
     pub(crate) fn plan_now(
         &self,
         request: &ResourceRequest,
         sets: &[Arc<MatchSet>],
         out: &mut impl Picks,
     ) -> bool {
-        self.plan(request, sets, Some(self.now), out)
+        let fewest = request.groups.iter().map(fewest_nodes).fold(0, usize::saturating_add);
+        self.alive.saturating_sub(self.busy) >= fewest
+            && self.plan(request, sets, Some(self.now), out)
     }
 
     /// [`OarServer::can_satisfy`] over already-resolved match-sets; decides
@@ -823,9 +847,13 @@ impl OarServer {
         if !may_end {
             return false;
         }
-        if job.state == JobState::Waiting {
+        match job.state {
             // The deque entry goes stale and is skipped lazily.
-            self.waiting_set.remove(&id);
+            JobState::Waiting => {
+                self.waiting_set.remove(&id);
+            }
+            JobState::Running => self.busy = self.busy.saturating_sub(job.assigned.len()),
+            _ => {}
         }
         job.state = state;
         job.ended_at = Some(self.now);
@@ -908,6 +936,7 @@ impl OarServer {
         let now = self.now;
         job.state = JobState::Running;
         job.started_at = Some(now);
+        self.busy = self.busy.saturating_add(job.assigned.len());
         let ends_at = now + job.request.walltime;
         self.events.push(ends_at, OarEvent::JobShouldEnd(id));
     }
@@ -1121,7 +1150,7 @@ impl OarServer {
             // node count (at least one), core/CPU-level or exotic
             // hierarchies: the first `needed` eligible nodes, in node order.
             _ => {
-                let needed = group.node_count().unwrap_or(1).max(1) as usize;
+                let needed = fewest_nodes(group);
                 let eligible = self
                     .matching_alive(set, taken)
                     .filter(|&n| self.is_free(n, window));
@@ -1131,12 +1160,25 @@ impl OarServer {
         }
     }
 
-    /// Debug/property-test validation: the Gantt's end index must exactly
-    /// mirror a linear scan over every node timeline (see
-    /// [`Gantt::divergence`]).
+    /// The consistency check, for property tests and oracles: the Gantt's
+    /// end index must mirror a scan over every node timeline (see
+    /// [`Gantt::divergence`]), the alive count a scan of the node states,
+    /// and the busy count the nodes a timeline has reserved at this instant.
     // detlint: allow(unarmed-service-fn) -- internal invariant audit; a failure here is a simulator bug, not a service fault to inject
-    pub fn check_end_index_consistency(&self) -> Result<(), String> {
-        self.gantt.divergence().map_or(Ok(()), Err)
+    pub fn check_consistency(&self) -> Result<(), String> {
+        if let Some(divergence) = self.gantt.divergence() {
+            return Err(divergence);
+        }
+        let alive = self.node_states.iter().filter(|&&s| s == NodeState::Alive).count();
+        let busy = self.gantt.busy_count(self.now);
+        if (self.alive, self.busy) == (alive, busy) {
+            Ok(())
+        } else {
+            Err(format!(
+                "kept counts diverged at {}: alive {} busy {}, scanned alive {alive} busy {busy}",
+                self.now, self.alive, self.busy
+            ))
+        }
     }
 
     /// Admission: `request` is well formed and this part could start it
@@ -1170,6 +1212,13 @@ impl OarServer {
             Err(SubmitError::Unsatisfiable)
         }
     }
+}
+
+/// The fewest nodes the planner can place `group` on: its node count, and
+/// at least one (`ALL` takes every alive match, of which there is one at
+/// least; core- and CPU-level requests take whole nodes).
+fn fewest_nodes(group: &RequestGroup) -> usize {
+    group.node_count().unwrap_or(1).max(1) as usize
 }
 
 #[cfg(test)]
@@ -1583,5 +1632,146 @@ mod tests {
         s.submit("x", Queue::Default, JobKind::User, nodes_req(Expr::True, 7, 1))
             .unwrap();
         assert!((s.utilization() - 0.5).abs() < 1e-9);
+    }
+
+    /// The kept counts are `(alive, busy)` and equal their scans: the node
+    /// states, and the timelines reserved at this instant.
+    fn assert_counts(s: &OarServer, alive: usize, busy: usize) {
+        let scanned = s.node_states.iter().filter(|&&st| st == NodeState::Alive).count();
+        let kept = (s.alive_nodes(), s.busy_nodes());
+        assert_eq!(kept, (scanned, s.gantt.busy_count(s.now)), "at {}", s.now);
+        assert_eq!(kept, (alive, busy), "at {}", s.now);
+        assert_eq!(s.check_consistency(), Ok(()));
+    }
+
+    /// Kill `node`'s hardware; false when it was dead already.
+    fn kill(tb: &mut Testbed, node: NodeId) -> bool {
+        let target = ttt_testbed::FaultTarget::Node(node);
+        tb.apply_fault(ttt_testbed::FaultKind::NodeDead, target, SimTime::ZERO).is_some()
+    }
+
+    #[test]
+    fn kept_counts_follow_every_way_a_job_leaves_running() {
+        let (mut tb, mut s) = setup();
+        let submit = |s: &mut OarServer, req| s.submit("x", Queue::Default, JobKind::User, req);
+        assert_counts(&s, 14, 0);
+        // A booking that starts in the future holds nothing until then.
+        let a = submit(&mut s, nodes_req(Expr::True, 3, 2)).unwrap();
+        let b = submit(&mut s, nodes_req(Expr::True, 14, 1)).unwrap();
+        assert_eq!(s.job(b).unwrap().state, JobState::Scheduled);
+        assert_counts(&s, 14, 3);
+        // Early completion.
+        s.advance(SimTime::from_hours(1));
+        assert!(s.complete_early(a));
+        assert_counts(&s, 14, 0);
+        s.advance(SimTime::from_hours(2));
+        assert_eq!(s.job(b).unwrap().state, JobState::Running);
+        assert_counts(&s, 14, 14);
+        // Walltime end.
+        s.advance(SimTime::from_hours(3));
+        assert_eq!(s.job(b).unwrap().state, JobState::Terminated);
+        assert_counts(&s, 14, 0);
+        // Cancel.
+        let c = submit(&mut s, nodes_req(Expr::True, 2, 5)).unwrap();
+        assert_counts(&s, 14, 2);
+        assert!(s.cancel(c));
+        assert_counts(&s, 14, 0);
+        // A node dies under a running job: the job fails, all of its nodes
+        // are free again and one fewer is alive.
+        let d = submit(&mut s, nodes_req(Expr::True, 5, 5)).unwrap();
+        assert!(kill(&mut tb, s.job(d).unwrap().assigned[0]));
+        s.sync_node_states(&tb);
+        assert_eq!(s.job(d).unwrap().state, JobState::Error);
+        assert_counts(&s, 13, 0);
+        // A repair brings it back.
+        let fault = tb.active_faults()[0].id;
+        assert!(tb.repair(fault));
+        s.sync_node_states(&tb);
+        assert_counts(&s, 14, 0);
+        // A scheduled job whose idle node dies before its start: nothing
+        // it holds was busy, and its start fails it.
+        let beta = || Expr::eq("cluster", "beta");
+        let e = submit(&mut s, nodes_req(beta(), 1, 2)).unwrap();
+        let all_beta = ResourceRequest::all_nodes(beta(), SimDuration::from_hours(1));
+        let f = submit(&mut s, all_beta).unwrap();
+        assert_eq!(s.job(f).unwrap().state, JobState::Scheduled);
+        assert_counts(&s, 14, 1);
+        let held = &s.job(e).unwrap().assigned;
+        let idle = s.job(f).unwrap().assigned.iter().find(|n| !held.contains(n));
+        assert!(kill(&mut tb, *idle.unwrap()));
+        s.sync_node_states(&tb);
+        assert_eq!(s.job(e).unwrap().state, JobState::Running);
+        assert_eq!(s.job(f).unwrap().state, JobState::Scheduled);
+        assert_counts(&s, 13, 1);
+        s.advance(SimTime::from_hours(6));
+        assert_eq!(s.job(e).unwrap().state, JobState::Terminated);
+        assert_eq!(s.job(f).unwrap().state, JobState::Error);
+        assert_counts(&s, 13, 0);
+    }
+
+    /// The free-count refusal in `plan_now` never refuses what the planner
+    /// would place: over random bookings, ends, deaths and repairs, it
+    /// agrees with the planner asked directly for this instant.
+    #[test]
+    fn plan_now_refuses_only_what_the_planner_cannot_place() {
+        use rand::Rng;
+        let (mut refused, mut placed) = (0, 0);
+        for world in 0..24u64 {
+            let mut rng = ttt_sim::rng::stream_rng(world, "plan-now-prefilter");
+            let (mut tb, mut s) = setup();
+            let clusters: Vec<String> = tb.clusters().iter().map(|c| c.name.clone()).collect();
+            let draw = |rng: &mut rand::rngs::SmallRng| {
+                let cluster = Expr::eq("cluster", &clusters[rng.gen_range(0..clusters.len())]);
+                let hours = SimDuration::from_hours(rng.gen_range(1..6));
+                let text = match rng.gen_range(0..5) {
+                    0 => return ResourceRequest::all_nodes(cluster, hours),
+                    1 => return ResourceRequest::nodes(cluster, rng.gen_range(1..5), hours),
+                    2 => "cluster=2/nodes=2",
+                    3 => "{cluster='alpha'}/nodes=1+{cluster='gamma'}/nodes=2",
+                    _ => return ResourceRequest::nodes(Expr::True, rng.gen_range(1..16), hours),
+                };
+                crate::parse_request(text, hours).unwrap()
+            };
+            let mut ids = Vec::new();
+            for _ in 0..60 {
+                match rng.gen_range(0..6) {
+                    0 | 1 => {
+                        let request = draw(&mut rng);
+                        ids.extend(s.submit("x", Queue::Default, JobKind::User, request));
+                    }
+                    2 => s.advance(s.now() + SimDuration::from_mins(rng.gen_range(0..180))),
+                    3 if !ids.is_empty() => {
+                        let id = ids[rng.gen_range(0..ids.len())];
+                        if rng.gen_bool(0.5) {
+                            s.cancel(id);
+                        } else {
+                            s.complete_early(id);
+                        }
+                    }
+                    _ => {
+                        let active = tb.active_faults();
+                        if rng.gen_bool(0.6) || active.is_empty() {
+                            let node = tb.nodes()[rng.gen_range(0..tb.nodes().len())].id;
+                            kill(&mut tb, node);
+                        } else {
+                            tb.repair(active[rng.gen_range(0..active.len())].id);
+                        }
+                        s.sync_node_states(&tb);
+                    }
+                }
+                assert_eq!(s.check_consistency(), Ok(()));
+                for _ in 0..8 {
+                    let request = draw(&mut rng);
+                    let sets = s.db.resolve(&request);
+                    let planner = s.plan(&request, sets.as_slice(), Some(s.now), &mut 0);
+                    assert_eq!(s.plan_now(&request, sets.as_slice(), &mut 0), planner, "{request}");
+                    let fewest: usize = request.groups.iter().map(fewest_nodes).sum();
+                    refused += usize::from(s.alive_nodes() - s.busy_nodes() < fewest);
+                    placed += usize::from(planner);
+                }
+            }
+        }
+        // Both answers, and the refusal itself, are reached.
+        assert!(refused > 100 && placed > 100, "{refused} refused, {placed} placed");
     }
 }

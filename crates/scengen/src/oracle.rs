@@ -422,14 +422,14 @@ pub fn check_conservation(c: &Campaign) -> Vec<Violation> {
         fail(format!("testbed structure: {e}"));
     }
 
-    // OAR, per site: every domain's end-index cache must agree with its
-    // timelines, no waiting job may be one its server could start right
-    // now (a scheduling wedge), and a domain must only ever book its own
-    // site's nodes.
+    // OAR, per site: every domain's end-index cache and kept alive/busy
+    // counts must agree with its timelines and node states, no waiting job
+    // may be one its server could start right now (a scheduling wedge),
+    // and a domain must only ever book its own site's nodes.
     let fed = c.federation();
     for (i, domain) in fed.domains().iter().enumerate() {
-        if let Err(e) = domain.oar.check_end_index_consistency() {
-            fail(format!("oar end-index (site {i}): {e}"));
+        if let Err(e) = domain.oar.check_consistency() {
+            fail(format!("oar consistency (site {i}): {e}"));
         }
         if let Some(job) = domain.oar.startable_waiting() {
             fail(format!("oar progress (site {i}): waiting {job} could start now"));

@@ -12,8 +12,9 @@
 use throughout::core::campaign::PHASES;
 use throughout::core::{Campaign, CampaignConfig, Rollout, SchedulingMode};
 use throughout::scengen::CampaignDigest;
-use throughout::sim::{SimDuration, SimTime};
+use throughout::sim::{EventLog, SimDuration, SimTime};
 use throughout::suite::Family;
+use throughout::testbed::LinkModelSpec;
 
 fn run(cfg: CampaignConfig, drive: fn(&mut Campaign)) -> CampaignDigest {
     let mut c = Campaign::new(cfg);
@@ -167,25 +168,55 @@ fn digest_diff_names_the_diverging_fields() {
     assert_eq!(a.diff(&b), vec!["tests_run", "filed"]);
 }
 
+/// A driver: how it runs a campaign to an instant, and to its horizon.
+type Driver = (fn(&mut Campaign, SimTime), fn(&mut Campaign));
+
+const DRIVERS: [(&str, Driver); 2] = [
+    ("next-event", (Campaign::run_until, Campaign::run)),
+    ("lockstep", (Campaign::run_lockstep_until, Campaign::run_lockstep)),
+];
+
+/// `cfg` driven in legs ending at each of `legs` and then to its horizon,
+/// with the event log recorded.
+fn run_in_legs(cfg: CampaignConfig, legs: &[SimTime], (until, run): Driver) -> (CampaignDigest, EventLog) {
+    let mut c = Campaign::new(cfg);
+    c.record_events();
+    for &leg in legs {
+        until(&mut c, leg);
+    }
+    run(&mut c);
+    let log = c.take_event_log().expect("recording was armed");
+    (CampaignDigest::capture(&c), log)
+}
+
 #[test]
 fn partial_advance_matches_single_run() {
     // Driving either driver in several legs lands on the same grid and
-    // the same outcome as one shot.
-    let cfg = CampaignConfig::small(5);
-    let mut a = Campaign::new(cfg.clone());
-    a.run();
-    let mut b = Campaign::new(cfg.clone());
-    let mut c = Campaign::new(cfg);
-    for day in [2u64, 5, 7] {
-        b.run_until(SimTime::from_days(day));
-        c.run_lockstep_until(SimTime::from_days(day));
-    }
-    b.run();
-    c.run_lockstep();
-    for legs in [&b, &c] {
-        assert_eq!(a.metrics().tests_run, legs.metrics().tests_run);
-        assert_eq!(a.tracker().filed(), legs.tracker().filed());
-        assert_eq!(a.tracker().fixed(), legs.tracker().fixed());
+    // the same campaign as one shot: every digest field, every event.
+    // Two worlds: the small one in day legs, and the `chaos_week` recipe
+    // cut to two days in legs at odd hours. A leg ends inside the horizon:
+    // `run_until` past it simulates past it, which one shot never does.
+    let mut chaos = throughout::core::scenario::multi_site_scenario(2017);
+    chaos.duration = SimDuration::from_days(2);
+    chaos.tick = SimDuration::from_mins(1);
+    chaos.buggify_rate = 0.10;
+    chaos.link_model = LinkModelSpec::DistanceTiered;
+    let worlds = [
+        ("small", CampaignConfig::small(5), [2u64, 5, 7].map(SimTime::from_days).to_vec()),
+        ("chaos-2d", chaos, [1u64, 7, 25, 47].map(SimTime::from_hours).to_vec()),
+    ];
+    for (label, cfg, legs) in worlds {
+        let (whole, _) = run_in_legs(cfg.clone(), &[], DRIVERS[0].1);
+        assert!(whole.tests_run > 0, "{label} ran nothing");
+        for (driver, run) in DRIVERS {
+            let (digest, log) = run_in_legs(cfg.clone(), &legs, run);
+            let diverging = whole.diff(&digest);
+            assert!(diverging.is_empty(), "{label} ({driver} legs) diverged on {diverging:?}");
+            // Only the next-event driver logs its wakes, so a stream is
+            // held against one shot of its own driver.
+            let (_, whole_log) = run_in_legs(cfg.clone(), &[], run);
+            assert!(whole_log == log, "{label} ({driver} legs): the event stream moved");
+        }
     }
 }
 
@@ -205,7 +236,6 @@ fn partial_advance_matches_single_run() {
 /// pin, so the digest half did not move.
 #[test]
 fn golden_event_stream_is_pinned_across_commits() {
-    use throughout::testbed::LinkModelSpec;
     let naive = |period_hours: u64, rollout: Rollout| {
         let mut cfg = CampaignConfig::small(21);
         cfg.mode = SchedulingMode::NaiveCron {

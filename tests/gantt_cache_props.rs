@@ -115,9 +115,9 @@ proptest! {
         }
     }
 
-    /// The live OAR server keeps its end-index cache exactly in sync with
-    /// its timelines through arbitrary submit/advance/cancel/complete
-    /// streams (including GC).
+    /// The live OAR server keeps its end-index cache and its alive/busy
+    /// counts exactly in sync with its timelines through arbitrary
+    /// submit/advance/cancel/complete streams (including GC).
     #[test]
     fn server_end_index_stays_consistent(
         steps in prop::collection::vec(
@@ -162,13 +162,13 @@ proptest! {
                 }
             }
             prop_assert!(
-                server.check_end_index_consistency().is_ok(),
+                server.check_consistency().is_ok(),
                 "{:?}",
-                server.check_end_index_consistency()
+                server.check_consistency()
             );
         }
         // Push far forward so GC and remaining ends both fire.
         server.advance(SimTime::from_days(40));
-        prop_assert!(server.check_end_index_consistency().is_ok());
+        prop_assert!(server.check_consistency().is_ok());
     }
 }

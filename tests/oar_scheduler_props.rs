@@ -384,7 +384,7 @@ proptest! {
                 prop_assert_eq!(domain.oar.busy_nodes(), busy.len());
                 let utilization = if alive == 0 { 0.0 } else { busy.len() as f64 / alive as f64 };
                 prop_assert_eq!(domain.oar.utilization(), utilization);
-                prop_assert!(domain.oar.check_end_index_consistency().is_ok());
+                prop_assert!(domain.oar.check_consistency().is_ok());
             }
         }
     }
