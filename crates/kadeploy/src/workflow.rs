@@ -16,6 +16,7 @@
 
 use crate::env::{EnvKind, Environment};
 use rand::Rng;
+use std::sync::Arc;
 use ttt_sim::process::truncated_normal;
 use ttt_sim::SimDuration;
 use ttt_testbed::{perf, NodeId, Testbed};
@@ -55,7 +56,7 @@ pub enum NodeOutcome {
         /// The step that failed last.
         step: MacroStep,
         /// Human-readable reason.
-        reason: String,
+        reason: &'static str,
     },
 }
 
@@ -93,8 +94,8 @@ impl Default for DeployConfig {
 /// Report of one deployment.
 #[derive(Debug, Clone)]
 pub struct DeployReport {
-    /// Image that was deployed.
-    pub env_name: String,
+    /// Image that was deployed, shared with every node it was deployed to.
+    pub env_name: Arc<str>,
     /// Per-node outcomes, in request order.
     pub outcomes: Vec<(NodeId, NodeOutcome)>,
     /// Wall time of the whole deployment (all rounds).
@@ -122,14 +123,29 @@ impl DeployReport {
     }
 
     /// Outcomes that failed, with their steps.
-    pub fn failures(&self) -> Vec<(NodeId, MacroStep, String)> {
+    pub fn failures(&self) -> Vec<(NodeId, MacroStep, &'static str)> {
         self.outcomes
             .iter()
             .filter_map(|(n, o)| match o {
-                NodeOutcome::Failed { step, reason } => Some((*n, *step, reason.clone())),
+                NodeOutcome::Failed { step, reason } => Some((*n, *step, *reason)),
                 NodeOutcome::Deployed { .. } => None,
             })
             .collect()
+    }
+}
+
+/// Where a deployment's rounds write: each node's latest outcome, by
+/// request index, and the indices the current round failed, in the order
+/// they failed (step 1, then step 2, then step 3).
+struct Tally {
+    outcomes: Vec<(NodeId, NodeOutcome)>,
+    failed: Vec<usize>,
+}
+
+impl Tally {
+    fn fail(&mut self, i: usize, step: MacroStep, reason: &'static str) {
+        self.outcomes[i].1 = NodeOutcome::Failed { step, reason };
+        self.failed.push(i);
     }
 }
 
@@ -157,6 +173,10 @@ impl Deployer {
     /// *cleanly*: every node reports `kadeploy server unreachable`, no
     /// testbed state changes and no RNG is drawn — the caller can simply
     /// resubmit once the process is back (never a wedged half-deployment).
+    ///
+    /// A deployment allocates per call, not per node: the image name is
+    /// interned once and shared by the report and every deployed node, and
+    /// each round writes its outcomes in place by request index.
     pub fn deploy<R: Rng>(
         &self,
         tb: &mut Testbed,
@@ -164,17 +184,18 @@ impl Deployer {
         nodes: &[NodeId],
         rng: &mut R,
     ) -> DeployReport {
+        let env_name: Arc<str> = env.name.as_str().into();
         if let Some(&first) = nodes.first() {
             let site = tb.node(first).site;
             if !tb.process_up(site, ttt_testbed::ServiceKind::KadeployServer) {
                 return DeployReport {
-                    env_name: env.name.clone(),
+                    env_name,
                     outcomes: nodes
                         .iter()
                         .map(|&n| {
                             (n, NodeOutcome::Failed {
                                 step: MacroStep::SetDeploymentEnv,
-                                reason: "kadeploy server unreachable".into(),
+                                reason: "kadeploy server unreachable",
                             })
                         })
                         .collect(),
@@ -183,70 +204,69 @@ impl Deployer {
                 };
             }
         }
-        let mut pending: Vec<NodeId> = nodes.to_vec();
-        let mut outcomes: Vec<(NodeId, NodeOutcome)> =
-            nodes.iter().map(|&n| (n, NodeOutcome::Failed {
-                step: MacroStep::SetDeploymentEnv,
-                reason: "not attempted".into(),
-            })).collect();
+        // The first round attempts every node and overwrites this.
+        const NOT_ATTEMPTED: NodeOutcome = NodeOutcome::Failed {
+            step: MacroStep::SetDeploymentEnv,
+            reason: "not attempted",
+        };
+        let mut tally = Tally {
+            outcomes: nodes.iter().map(|&n| (n, NOT_ATTEMPTED)).collect(),
+            failed: Vec::with_capacity(nodes.len()),
+        };
+        let mut pending: Vec<usize> = (0..nodes.len()).collect();
+        let mut live = Vec::with_capacity(nodes.len());
         let mut makespan = SimDuration::ZERO;
         let mut rounds = 0;
 
         while !pending.is_empty() && rounds <= self.config.retries {
             rounds += 1;
-            let (round_time, round_outcomes) = self.run_round(tb, env, &pending, rng);
-            makespan += round_time;
-            let mut still_failed = Vec::new();
-            for (node, outcome) in round_outcomes {
-                let ok = outcome.is_deployed();
-                if let Some(slot) = outcomes.iter_mut().find(|(n, _)| *n == node) {
-                    slot.1 = outcome;
-                }
-                if !ok {
-                    still_failed.push(node);
-                }
-            }
-            pending = still_failed;
+            makespan += self.run_round(tb, env, nodes, &pending, &mut tally, &mut live, rng);
+            // The next round visits the failed nodes in the order they
+            // failed: its draws depend on that order.
+            std::mem::swap(&mut pending, &mut tally.failed);
+            tally.failed.clear();
         }
 
         // Record effects on the testbed.
-        for (node, outcome) in &outcomes {
+        for (node, outcome) in &tally.outcomes {
             if outcome.is_deployed() {
                 let n = tb.node_mut(*node);
-                n.condition.deployed_env = Some(env.name.clone());
+                n.condition.deployed_env = Some(Arc::clone(&env_name));
                 n.condition.deployments += 1;
                 n.condition.boots += 2;
             }
         }
 
         DeployReport {
-            env_name: env.name.clone(),
-            outcomes,
+            env_name,
+            outcomes: tally.outcomes,
             makespan,
             rounds,
         }
     }
 
-    /// One round over `nodes`: returns (round makespan, per-node outcomes).
+    /// One round over the request indices `pending` of `nodes`: writes each
+    /// node's outcome into `tally` and returns the round's makespan. `live`
+    /// is scratch for the nodes still in the round after each step.
+    #[allow(clippy::too_many_arguments)]
     fn run_round<R: Rng>(
         &self,
         tb: &Testbed,
         env: &Environment,
         nodes: &[NodeId],
+        pending: &[usize],
+        tally: &mut Tally,
+        live: &mut Vec<(usize, f64)>,
         rng: &mut R,
-    ) -> (SimDuration, Vec<(NodeId, NodeOutcome)>) {
-        let mut outcomes = Vec::with_capacity(nodes.len());
-        let mut survivors = Vec::with_capacity(nodes.len());
+    ) -> SimDuration {
+        live.clear();
         let mut max_step1 = 0.0f64;
 
         // Step 1: reboot into the deployment environment.
-        for &id in nodes {
-            let node = tb.node(id);
+        for &i in pending {
+            let node = tb.node(nodes[i]);
             if !node.condition.alive {
-                outcomes.push((id, NodeOutcome::Failed {
-                    step: MacroStep::SetDeploymentEnv,
-                    reason: "node does not answer".into(),
-                }));
+                tally.fail(i, MacroStep::SetDeploymentEnv, "node does not answer");
                 continue;
             }
             // Buggify: a chaos-armed campaign occasionally loses the PXE
@@ -254,33 +274,30 @@ impl Deployer {
             // (the default) draws nothing, keeping unarmed campaigns
             // byte-identical.
             if tb.buggify().fire("kadeploy-pxe", rng) {
-                outcomes.push((id, NodeOutcome::Failed {
-                    step: MacroStep::SetDeploymentEnv,
-                    reason: "buggify: deployment kernel lost on the wire".into(),
-                }));
+                tally.fail(
+                    i,
+                    MacroStep::SetDeploymentEnv,
+                    "buggify: deployment kernel lost on the wire",
+                );
                 continue;
             }
             let t = truncated_normal(rng, self.config.deploy_env_boot_s, 8.0, 35.0, 180.0)
                 + node.condition.boot_delay_s;
             if self.boot_fails(node, t, rng) {
-                outcomes.push((id, NodeOutcome::Failed {
-                    step: MacroStep::SetDeploymentEnv,
-                    reason: "timeout waiting for deployment kernel".into(),
-                }));
+                tally.fail(i, MacroStep::SetDeploymentEnv, "timeout waiting for deployment kernel");
                 continue;
             }
             max_step1 = max_step1.max(t);
-            survivors.push((id, t));
+            live.push((i, t));
         }
 
         // Step 2: chain broadcast, bound by the slowest node's effective
         // write path (min of network and disk sequential write).
         let mut broadcast_s = 0.0f64;
-        let mut writers = Vec::with_capacity(survivors.len());
-        if !survivors.is_empty() {
+        if !live.is_empty() {
             let mut min_bw = f64::INFINITY;
-            for &(id, _) in &survivors {
-                let node = tb.node(id);
+            for &(i, _) in live.iter() {
+                let node = tb.node(nodes[i]);
                 let net_mbps = node
                     .hardware
                     .primary_nic()
@@ -294,41 +311,34 @@ impl Deployer {
                 min_bw = min_bw.min(net_mbps.min(disk_mbps));
             }
             broadcast_s = env.size_mb as f64 / min_bw
-                + (survivors.len() as f64 - 1.0) * self.config.handoff_s;
-            for (id, t1) in survivors {
-                if rng.gen_bool(self.config.step_fail_prob / 2.0) {
-                    outcomes.push((id, NodeOutcome::Failed {
-                        step: MacroStep::BroadcastEnv,
-                        reason: "image write error".into(),
-                    }));
-                } else {
-                    writers.push((id, t1));
+                + (live.len() as f64 - 1.0) * self.config.handoff_s;
+            live.retain(|&(i, _)| {
+                let lost = rng.gen_bool(self.config.step_fail_prob / 2.0);
+                if lost {
+                    tally.fail(i, MacroStep::BroadcastEnv, "image write error");
                 }
-            }
+                !lost
+            });
         }
 
         // Step 3: reboot into the new environment.
         let mut max_step3 = 0.0f64;
-        for (id, t1) in writers {
-            let node = tb.node(id);
+        for &(i, t1) in live.iter() {
+            let node = tb.node(nodes[i]);
             let xen_penalty = if env.kind == EnvKind::Xen { 30.0 } else { 0.0 };
             let t3 = truncated_normal(rng, perf::BASE_BOOT_SECS + xen_penalty, 12.0, 60.0, 400.0)
                 + node.condition.boot_delay_s;
             if self.boot_fails(node, t3, rng) {
-                outcomes.push((id, NodeOutcome::Failed {
-                    step: MacroStep::BootNewEnv,
-                    reason: "timeout waiting for deployed environment".into(),
-                }));
+                tally.fail(i, MacroStep::BootNewEnv, "timeout waiting for deployed environment");
                 continue;
             }
             max_step3 = max_step3.max(t3);
-            outcomes.push((id, NodeOutcome::Deployed {
+            tally.outcomes[i].1 = NodeOutcome::Deployed {
                 time: SimDuration::from_secs_f64(t1 + broadcast_s + t3),
-            }));
+            };
         }
 
-        let round = SimDuration::from_secs_f64(max_step1 + broadcast_s + max_step3);
-        (round, outcomes)
+        SimDuration::from_secs_f64(max_step1 + broadcast_s + max_step3)
     }
 
     /// Whether a boot of `secs` seconds fails on this node: base failure
@@ -350,6 +360,214 @@ mod tests {
     use ttt_sim::rng::stream_rng;
     use ttt_testbed::{FaultKind, FaultTarget, TestbedBuilder};
     use ttt_sim::SimTime;
+
+    /// `Deployer::deploy` as it was before a deployment allocated per
+    /// call: a `String` reason per outcome, a prefill of every node, a
+    /// linear search per round outcome, a name copy per deployed node. Kept
+    /// as the reference the in-place rounds must match draw for draw.
+    mod reference {
+        use super::super::*;
+
+        #[derive(Debug, Clone, PartialEq)]
+        pub(super) enum RefOutcome {
+            Deployed { time: SimDuration },
+            Failed { step: MacroStep, reason: String },
+        }
+
+        impl RefOutcome {
+            fn is_deployed(&self) -> bool {
+                matches!(self, RefOutcome::Deployed { .. })
+            }
+        }
+
+        pub(super) struct RefReport {
+            pub(super) env_name: String,
+            pub(super) outcomes: Vec<(NodeId, RefOutcome)>,
+            pub(super) makespan: SimDuration,
+            pub(super) rounds: u32,
+        }
+
+        /// Deploy `env` to `nodes`, mutating the testbed (deployed environment
+        /// recorded on each success, boot/deployment counters updated).
+        ///
+        /// If the site's Kadeploy server process is down, the workflow fails
+        /// *cleanly*: every node reports `kadeploy server unreachable`, no
+        /// testbed state changes and no RNG is drawn — the caller can simply
+        /// resubmit once the process is back (never a wedged half-deployment).
+        pub(super) fn deploy<R: Rng>(
+            d: &Deployer,
+            tb: &mut Testbed,
+            env: &Environment,
+            nodes: &[NodeId],
+            rng: &mut R,
+        ) -> RefReport {
+            if let Some(&first) = nodes.first() {
+                let site = tb.node(first).site;
+                if !tb.process_up(site, ttt_testbed::ServiceKind::KadeployServer) {
+                    return RefReport {
+                        env_name: env.name.clone(),
+                        outcomes: nodes
+                            .iter()
+                            .map(|&n| {
+                                (n, RefOutcome::Failed {
+                                    step: MacroStep::SetDeploymentEnv,
+                                    reason: "kadeploy server unreachable".into(),
+                                })
+                            })
+                            .collect(),
+                        makespan: SimDuration::ZERO,
+                        rounds: 0,
+                    };
+                }
+            }
+            let mut pending: Vec<NodeId> = nodes.to_vec();
+            let mut outcomes: Vec<(NodeId, RefOutcome)> =
+                nodes.iter().map(|&n| (n, RefOutcome::Failed {
+                    step: MacroStep::SetDeploymentEnv,
+                    reason: "not attempted".into(),
+                })).collect();
+            let mut makespan = SimDuration::ZERO;
+            let mut rounds = 0;
+
+            while !pending.is_empty() && rounds <= d.config.retries {
+                rounds += 1;
+                let (round_time, round_outcomes) = run_round(d, tb, env, &pending, rng);
+                makespan += round_time;
+                let mut still_failed = Vec::new();
+                for (node, outcome) in round_outcomes {
+                    let ok = outcome.is_deployed();
+                    if let Some(slot) = outcomes.iter_mut().find(|(n, _)| *n == node) {
+                        slot.1 = outcome;
+                    }
+                    if !ok {
+                        still_failed.push(node);
+                    }
+                }
+                pending = still_failed;
+            }
+
+            // Record effects on the testbed.
+            for (node, outcome) in &outcomes {
+                if outcome.is_deployed() {
+                    let n = tb.node_mut(*node);
+                    n.condition.deployed_env = Some(env.name.as_str().into());
+                    n.condition.deployments += 1;
+                    n.condition.boots += 2;
+                }
+            }
+
+            RefReport {
+                env_name: env.name.clone(),
+                outcomes,
+                makespan,
+                rounds,
+            }
+        }
+
+        /// One round over `nodes`: returns (round makespan, per-node outcomes).
+        fn run_round<R: Rng>(
+            d: &Deployer,
+            tb: &Testbed,
+            env: &Environment,
+            nodes: &[NodeId],
+            rng: &mut R,
+        ) -> (SimDuration, Vec<(NodeId, RefOutcome)>) {
+            let mut outcomes = Vec::with_capacity(nodes.len());
+            let mut survivors = Vec::with_capacity(nodes.len());
+            let mut max_step1 = 0.0f64;
+
+            // Step 1: reboot into the deployment environment.
+            for &id in nodes {
+                let node = tb.node(id);
+                if !node.condition.alive {
+                    outcomes.push((id, RefOutcome::Failed {
+                        step: MacroStep::SetDeploymentEnv,
+                        reason: "node does not answer".into(),
+                    }));
+                    continue;
+                }
+                // Buggify: a chaos-armed campaign occasionally loses the PXE
+                // handshake. Transient — the retry round rescues it. Rate 0
+                // (the default) draws nothing, keeping unarmed campaigns
+                // byte-identical.
+                if tb.buggify().fire("kadeploy-pxe", rng) {
+                    outcomes.push((id, RefOutcome::Failed {
+                        step: MacroStep::SetDeploymentEnv,
+                        reason: "buggify: deployment kernel lost on the wire".into(),
+                    }));
+                    continue;
+                }
+                let t = truncated_normal(rng, d.config.deploy_env_boot_s, 8.0, 35.0, 180.0)
+                    + node.condition.boot_delay_s;
+                if d.boot_fails(node, t, rng) {
+                    outcomes.push((id, RefOutcome::Failed {
+                        step: MacroStep::SetDeploymentEnv,
+                        reason: "timeout waiting for deployment kernel".into(),
+                    }));
+                    continue;
+                }
+                max_step1 = max_step1.max(t);
+                survivors.push((id, t));
+            }
+
+            // Step 2: chain broadcast, bound by the slowest node's effective
+            // write path (min of network and disk sequential write).
+            let mut broadcast_s = 0.0f64;
+            let mut writers = Vec::with_capacity(survivors.len());
+            if !survivors.is_empty() {
+                let mut min_bw = f64::INFINITY;
+                for &(id, _) in &survivors {
+                    let node = tb.node(id);
+                    let net_mbps = node
+                        .hardware
+                        .primary_nic()
+                        .map(|n| perf::net_bw_gbps(n) * 1000.0 / 8.0)
+                        .unwrap_or(10.0);
+                    let disk_mbps = node
+                        .hardware
+                        .primary_disk()
+                        .map(perf::disk_seq_write_mbps)
+                        .unwrap_or(100.0);
+                    min_bw = min_bw.min(net_mbps.min(disk_mbps));
+                }
+                broadcast_s = env.size_mb as f64 / min_bw
+                    + (survivors.len() as f64 - 1.0) * d.config.handoff_s;
+                for (id, t1) in survivors {
+                    if rng.gen_bool(d.config.step_fail_prob / 2.0) {
+                        outcomes.push((id, RefOutcome::Failed {
+                            step: MacroStep::BroadcastEnv,
+                            reason: "image write error".into(),
+                        }));
+                    } else {
+                        writers.push((id, t1));
+                    }
+                }
+            }
+
+            // Step 3: reboot into the new environment.
+            let mut max_step3 = 0.0f64;
+            for (id, t1) in writers {
+                let node = tb.node(id);
+                let xen_penalty = if env.kind == EnvKind::Xen { 30.0 } else { 0.0 };
+                let t3 = truncated_normal(rng, perf::BASE_BOOT_SECS + xen_penalty, 12.0, 60.0, 400.0)
+                    + node.condition.boot_delay_s;
+                if d.boot_fails(node, t3, rng) {
+                    outcomes.push((id, RefOutcome::Failed {
+                        step: MacroStep::BootNewEnv,
+                        reason: "timeout waiting for deployed environment".into(),
+                    }));
+                    continue;
+                }
+                max_step3 = max_step3.max(t3);
+                outcomes.push((id, RefOutcome::Deployed {
+                    time: SimDuration::from_secs_f64(t1 + broadcast_s + t3),
+                }));
+            }
+
+            let round = SimDuration::from_secs_f64(max_step1 + broadcast_s + max_step3);
+            (round, outcomes)
+        }
+    }
 
     fn base_env() -> Environment {
         standard_images()
@@ -528,7 +746,7 @@ mod tests {
         for (_, outcome) in &report.outcomes {
             match outcome {
                 NodeOutcome::Failed { reason, .. } => {
-                    assert_eq!(reason, "kadeploy server unreachable");
+                    assert_eq!(*reason, "kadeploy server unreachable");
                 }
                 other => panic!("expected clean failure, got {other:?}"),
             }
@@ -536,5 +754,106 @@ mod tests {
         for &n in &nodes {
             assert_eq!(tb.node(n).condition.deployments, 0);
         }
+    }
+
+    /// One deployment's observable result, with the reason as text.
+    type Seen = (Vec<(NodeId, Result<SimDuration, (MacroStep, String)>)>, SimDuration, u32, String);
+
+    fn seen(report: &DeployReport) -> Seen {
+        let outcomes = report.outcomes.iter().map(|(n, o)| {
+            (*n, match o {
+                NodeOutcome::Deployed { time } => Ok(*time),
+                NodeOutcome::Failed { step, reason } => Err((*step, reason.to_string())),
+            })
+        });
+        (outcomes.collect(), report.makespan, report.rounds, report.env_name.to_string())
+    }
+
+    fn seen_ref(report: &reference::RefReport) -> Seen {
+        let outcomes = report.outcomes.iter().map(|(n, o)| {
+            (*n, match o {
+                reference::RefOutcome::Deployed { time } => Ok(*time),
+                reference::RefOutcome::Failed { step, reason } => Err((*step, reason.clone())),
+            })
+        });
+        (outcomes.collect(), report.makespan, report.rounds, report.env_name.clone())
+    }
+
+    /// What a deployment leaves on each node.
+    fn conditions(tb: &Testbed) -> Vec<(Option<String>, u64, u64)> {
+        tb.nodes()
+            .iter()
+            .map(|n| {
+                let c = &n.condition;
+                (c.deployed_env.as_deref().map(str::to_string), c.deployments, c.boots)
+            })
+            .collect()
+    }
+
+    /// The in-place rounds are the reference's rounds: over random worlds
+    /// (dead nodes, boot delays, spontaneous reboots, a crashed server,
+    /// buggify armed, failure rates up to 0.5, 0–3 retries, each world
+    /// deployed three times in a row), every outcome with its step and
+    /// reason, the makespan, the rounds, every node's environment and
+    /// counters and the caller's next draw are equal. A retry round that
+    /// visits the failed nodes in request order rather than in the order
+    /// they failed draws differently and fails here.
+    #[test]
+    fn deploy_matches_the_reference_draw_for_draw() {
+        use rand::seq::SliceRandom;
+        use rand::RngCore;
+        use ttt_sim::Buggify;
+        use ttt_testbed::gen::grid_specs;
+        let images = standard_images();
+        let (mut retried, mut failed, mut deployed) = (0, 0, 0);
+        for world in 0..160u64 {
+            let mut draws = stream_rng(world, "deploy-reference");
+            let mut tb = TestbedBuilder::from_specs(grid_specs(2, 3, 8)).build();
+            let all: Vec<NodeId> = tb.nodes().iter().map(|n| n.id).collect();
+            for &n in &all {
+                let kind = match draws.gen_range(0..20) {
+                    0 => FaultKind::NodeDead,
+                    1 | 2 => FaultKind::KernelBootRace,
+                    3 | 4 => FaultKind::RandomReboots,
+                    _ => continue,
+                };
+                tb.apply_fault(kind, FaultTarget::Node(n), SimTime::ZERO).unwrap();
+            }
+            if draws.gen_bool(0.5) {
+                tb.set_buggify(Buggify::new(world, draws.gen_range(0.0..0.3)));
+            }
+            // Distinct nodes in a random order, as OAR assigns them.
+            let mut nodes = all.clone();
+            nodes.shuffle(&mut draws);
+            nodes.truncate(draws.gen_range(0..=all.len()));
+            if world % 16 == 5 && !nodes.is_empty() {
+                let site = tb.node(nodes[0]).site;
+                let service = ttt_testbed::ServiceKind::KadeployServer;
+                let crash = FaultTarget::Service(site, service);
+                tb.apply_fault(FaultKind::ServiceCrash, crash, SimTime::ZERO).unwrap();
+            }
+            let deployer = Deployer::new(DeployConfig {
+                retries: draws.gen_range(0..=3),
+                step_fail_prob: draws.gen_range(0.0..=0.5),
+                ..Default::default()
+            });
+            let mut ref_tb = tb.clone();
+            let mut rng = stream_rng(world, "deploy-reference-run");
+            let mut ref_rng = rng.clone();
+            for pass in 0..3 {
+                let env = images.choose(&mut draws).unwrap();
+                let got = deployer.deploy(&mut tb, env, &nodes, &mut rng);
+                let want = reference::deploy(&deployer, &mut ref_tb, env, &nodes, &mut ref_rng);
+                assert_eq!(seen(&got), seen_ref(&want), "world {world} pass {pass}");
+                assert_eq!(conditions(&tb), conditions(&ref_tb), "world {world} pass {pass}");
+                retried += usize::from(got.rounds > 1);
+                failed += got.failures().len();
+                deployed += got.deployed().len();
+            }
+            assert_eq!(rng.next_u64(), ref_rng.next_u64(), "world {world}: caller's next draw");
+        }
+        // Not vacuous: retry rounds ran, and nodes both failed and deployed.
+        let counts = format!("{retried} retried, {failed} failed, {deployed} deployed");
+        assert!(retried > 100 && failed > 1_000 && deployed > 1_000, "{counts}");
     }
 }

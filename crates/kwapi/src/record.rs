@@ -269,6 +269,14 @@ impl Call<'_> {
             .is_some_and(|w| w >> (slot % 64) & 1 == 1)
     }
 
+    /// How many of reading `j`'s samples at `ticks` chaos kept.
+    pub(crate) fn kept_in(&self, j: usize, ticks: Range<u64>) -> u64 {
+        if self.drops.is_empty() {
+            return ticks.end.saturating_sub(ticks.start);
+        }
+        ticks.filter(|&k| !self.dropped(k, j)).count() as u64
+    }
+
     /// The tick of reading `j`'s `n`-th kept sample (from zero), or the
     /// tick count when it kept no more.
     pub(crate) fn nth_kept_tick(&self, j: usize, n: u64) -> u64 {

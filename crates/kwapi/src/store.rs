@@ -9,6 +9,7 @@ use crate::record::{Arenas, Call, Reading, Record, Replay};
 use crate::series::{mean_of, ConsolidatedPoint, Fold, RingSeries, WindowAgg};
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use ttt_sim::{Buggify, RpcError, SimDuration, SimTime};
 use ttt_testbed::{perf, NodeId, SiteId, Testbed};
 
@@ -204,6 +205,26 @@ impl MetricStore {
         to: SimTime,
         keep: u64,
     ) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        self.spans(label, from, to, keep)
+            .flat_map(|(call, j, ticks)| {
+                let mut draws = Replay::of(call);
+                ticks
+                    .filter(move |&k| !call.dropped(k, j))
+                    .map(move |k| (call.tick_at(k), draws.sample(k, j)))
+            })
+    }
+
+    /// Where the samples of [`MetricStore::samples`] are: each call that
+    /// holds some, oldest first, with `label`'s reading in it and the
+    /// ticks of that reading inside the window and still held. A tick
+    /// chaos dropped has no sample.
+    fn spans(
+        &self,
+        label: NodeId,
+        from: SimTime,
+        to: SimTime,
+        keep: u64,
+    ) -> impl Iterator<Item = (Call<'_>, usize, Range<u64>)> + '_ {
         let state = self.labels.get(label.index()).copied().unwrap_or_default();
         let end = if state.total == 0 { 0 } else { state.last + 1 };
         // Walk back to the oldest call that can hold such a sample,
@@ -231,12 +252,6 @@ impl MetricStore {
                 let ticks = call.ticks_in(from, to);
                 let held = first_held(call, j, keep.saturating_sub(newer));
                 Some((call, j, ticks.start.max(held)..ticks.end))
-            })
-            .flat_map(|(call, j, ticks)| {
-                let mut draws = Replay::of(call);
-                ticks
-                    .filter(move |&k| !call.dropped(k, j))
-                    .map(move |k| (call.tick_at(k), draws.sample(k, j)))
             })
     }
 }
@@ -294,6 +309,14 @@ impl PowerSeries<'_> {
             fold.push(v);
         }
         fold.finish()
+    }
+
+    /// Number of raw samples in `[from, to)`: the count of
+    /// [`PowerSeries::window`], from the records' tick ranges and drop
+    /// bits alone, with no noise replayed.
+    pub fn count(&self, from: SimTime, to: SimTime) -> u32 {
+        let held = self.store.spans(self.label, from, to, self.store.capacity as u64);
+        held.map(|(call, j, ticks)| call.kept_in(j, ticks)).sum::<u64>() as u32
     }
 
     /// Number of raw samples held.

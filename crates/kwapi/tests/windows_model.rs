@@ -120,3 +120,75 @@ fn section_read_matches_the_label_by_label_walk() {
     assert!(skipped > 1_000, "{skipped} stale rings");
     assert!(refusals > 10_000, "{refusals} refusals");
 }
+
+/// `PowerSeries::count` is `window`'s count read off the records' tick
+/// ranges and drop bits, with no noise replayed. Over random windows of a
+/// store whose sampler drops samples under chaos and whose rings wrap
+/// many times, the two agree for every label, untracked ones included.
+#[test]
+fn count_is_the_window_count_without_a_replay() {
+    let mut tb = TestbedBuilder::from_specs(grid_specs(3, 2, 2)).build();
+    let n = tb.nodes().len();
+    let secs = SimDuration::from_secs;
+    let (mut dropped, mut wrapped, mut counted) = (0, 0, 0u64);
+    for seed in 0..8u64 {
+        let chaos = if seed % 4 == 3 { 0.0 } else { 0.3 };
+        tb.set_buggify(Buggify::new(seed, chaos));
+        let mut store = MetricStore::new(n, 64, SimDuration::from_mins(1));
+        let mut draws = stream_rng(seed, "count-model");
+        let mut noise = stream_rng(seed, "count-model-noise");
+        let idle = BTreeMap::new();
+        // A first call over everything, before any ring wraps: under chaos
+        // it keeps fewer samples than it took.
+        let mut clock = SimTime::from_secs(10_000);
+        PowerSampler::default().run(&tb, &idle, clock - secs(60), clock, &mut store, &mut noise);
+        let kept: u32 = (0..n as u32)
+            .map(|l| store.power(NodeId(l)).count(SimTime::ZERO, SimTime::MAX))
+            .sum();
+        assert_eq!(kept < 60 * n as u32, chaos > 0.0, "seed {seed}: {kept} kept");
+        dropped += usize::from(kept < 60 * n as u32);
+        for _ in 0..200 {
+            let sampler = PowerSampler {
+                period: secs([1, 1, 7][draws.gen_range(0..3usize)]),
+                noise: 0.01,
+            };
+            match draws.gen_range(0..4u8) {
+                0 | 1 => {
+                    let site = SiteId(draws.gen_range(0..tb.sites().len() as u16));
+                    let to = clock + secs(draws.gen_range(0..=120));
+                    sampler.run_site(&tb, site, &idle, clock, to, &mut store, &mut noise);
+                    clock = to;
+                }
+                2 => {
+                    clock += secs(draws.gen_range(1..=3));
+                    sampler.sample_all(&tb, &idle, clock, &mut store, &mut noise);
+                }
+                _ => clock += secs(draws.gen_range(1..=600)),
+            }
+            for _ in 0..16 {
+                let label = NodeId(draws.gen_range(0..n as u32 + 2));
+                let from = clock - secs(draws.gen_range(0..=900));
+                let to = match draws.gen_range(0..4u8) {
+                    0 => clock + secs(1),
+                    1 => SimTime::MAX,
+                    2 => from,
+                    _ => clock - secs(draws.gen_range(0..=900)),
+                };
+                let series = store.power(label);
+                let count = series.count(from, to);
+                assert_eq!(
+                    count,
+                    series.window(from, to).map_or(0, |w| w.count),
+                    "seed {seed}: {label:?} over [{from:?}, {to:?})"
+                );
+                counted += u64::from(count);
+            }
+        }
+        wrapped += (0..n as u32)
+            .filter(|&l| store.power(NodeId(l)).raw_len() == 64)
+            .count();
+    }
+    // Not vacuous: chaos dropped samples, rings wrapped, samples counted.
+    assert_eq!(dropped, 6);
+    assert!(wrapped > 40 && counted > 10_000, "{wrapped} wrapped, {counted} counted");
+}

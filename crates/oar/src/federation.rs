@@ -46,17 +46,39 @@ pub struct SiteDomain {
 }
 
 /// A job handle spanning the federation: one `(domain, job)` part for
-/// ordinary jobs, several for co-allocated cross-site jobs.
+/// ordinary jobs, several for co-allocated cross-site jobs. The first part
+/// is held inline, so the handle of an ordinary job allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FedJob {
-    /// `(domain index, per-domain job id)` parts, in group order.
-    pub parts: Vec<(usize, JobId)>,
+    /// The first `(domain index, per-domain job id)` part.
+    first: (usize, JobId),
+    /// A co-allocation's other parts, in group order; empty otherwise.
+    rest: Vec<(usize, JobId)>,
 }
 
 impl FedJob {
+    /// The handle of a job of one part.
+    fn one(domain: usize, id: JobId) -> Self {
+        FedJob {
+            first: (domain, id),
+            rest: Vec::new(),
+        }
+    }
+
+    /// The handle of a co-allocation's booked parts, in group order.
+    fn split(mut parts: Vec<(usize, JobId)>) -> Self {
+        let first = parts.remove(0);
+        FedJob { first, rest: parts }
+    }
+
+    /// The `(domain index, per-domain job id)` parts, in group order.
+    pub fn parts(&self) -> impl Iterator<Item = (usize, JobId)> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
     /// The domain a single-part job ran on (first part for co-allocations).
     pub fn primary_domain(&self) -> usize {
-        self.parts[0].0
+        self.first.0
     }
 }
 
@@ -612,7 +634,7 @@ impl Federation {
                     }
                 }
                 self.co_allocations += 1;
-                return Ok(FedJob { parts: out });
+                return Ok(FedJob::split(out));
             }
             None => match self.queue_on(home, &request, sets) {
                 Some(d) => (d, None),
@@ -626,14 +648,14 @@ impl Federation {
         let id = self.domains[d]
             .oar
             .submit_placed(user, queue, kind, request, sets, placed)?;
-        Ok(FedJob { parts: vec![(d, id)] })
+        Ok(FedJob::one(d, id))
     }
 
     /// Aggregate state of a federated job.
     pub fn job_state(&self, job: &FedJob) -> FedJobState {
-        let mut running = 0;
-        let mut done = 0;
-        for &(d, id) in &job.parts {
+        let (mut n, mut running, mut done) = (0, 0, 0);
+        for (d, id) in job.parts() {
+            n += 1;
             match self.domains[d].oar.job(id).map(|j| j.state) {
                 Some(JobState::Running) => running += 1,
                 Some(JobState::Terminated) => done += 1,
@@ -643,7 +665,6 @@ impl Federation {
                 }
             }
         }
-        let n = job.parts.len();
         if running == n {
             FedJobState::Running
         } else if done == n {
@@ -662,7 +683,7 @@ impl Federation {
     /// keeps one buffer.
     pub fn assigned_into(&self, job: &FedJob, out: &mut Vec<NodeId>) {
         out.clear();
-        for &(d, id) in &job.parts {
+        for (d, id) in job.parts() {
             if let Some(j) = self.domains[d].oar.job(id) {
                 out.extend_from_slice(&j.assigned);
             }
@@ -672,7 +693,7 @@ impl Federation {
     /// Complete every running part early. Returns true if any part changed.
     pub fn complete_early(&mut self, job: &FedJob) -> bool {
         let mut any = false;
-        for &(d, id) in &job.parts {
+        for (d, id) in job.parts() {
             any |= self.domains[d].oar.complete_early(id);
         }
         any
@@ -681,7 +702,7 @@ impl Federation {
     /// Cancel every part. Returns true if any part changed.
     pub fn cancel(&mut self, job: &FedJob) -> bool {
         let mut any = false;
-        for &(d, id) in &job.parts {
+        for (d, id) in job.parts() {
             any |= self.domains[d].oar.cancel(id);
         }
         any
@@ -789,7 +810,7 @@ mod tests {
         let job = fed
             .submit("alice", Queue::Default, JobKind::User, req, None)
             .unwrap();
-        assert_eq!(job.parts.len(), 1);
+        assert_eq!(job.parts().count(), 1);
         assert_eq!(job.primary_domain(), 1);
         assert_eq!(fed.job_state(&job), FedJobState::Running);
         assert_eq!(fed.spillovers(), 0);
@@ -894,7 +915,7 @@ mod tests {
         let job = fed
             .submit("ci", Queue::Admin, JobKind::Test, req, None)
             .unwrap();
-        assert_eq!(job.parts.len(), 2);
+        assert_eq!(job.parts().count(), 2);
         assert_eq!(fed.job_state(&job), FedJobState::Running);
         assert_eq!(fed.co_allocations(), 1);
         assert_eq!(fed.spillovers(), 0);
@@ -1166,7 +1187,7 @@ mod tests {
         let job = fed
             .submit("ci", Queue::Admin, JobKind::Test, req(), None)
             .unwrap();
-        assert_eq!(job.parts.len(), 2);
+        assert_eq!(job.parts().count(), 2);
     }
 
     #[test]
@@ -1331,7 +1352,7 @@ mod twin {
                     fed.spillovers_in[d] += 1;
                 }
                 let id = fed.domains[d].oar.submit("u", Queue::Default, kind, request)?;
-                Ok(FedJob { parts: vec![(d, id)] })
+                Ok(FedJob::one(d, id))
             }
             Placement::Split(parts) => {
                 let mut out = Vec::new();
@@ -1347,7 +1368,7 @@ mod twin {
                     }
                 }
                 fed.co_allocations += 1;
-                Ok(FedJob { parts: out })
+                Ok(FedJob::split(out))
             }
             Placement::Nowhere => Err(SubmitError::Unsatisfiable),
         }

@@ -69,8 +69,9 @@ impl JobState {
 pub struct Job {
     /// Unique id.
     pub id: JobId,
-    /// Owner name (user or `"ci"`).
-    pub user: String,
+    /// Owner name (user or `"ci"`), shared with the server's other jobs
+    /// of the same owner.
+    pub user: Arc<str>,
     /// Submission queue.
     pub queue: Queue,
     /// User experiment or framework test.

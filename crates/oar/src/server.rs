@@ -34,7 +34,7 @@ use crate::federation::AvailabilityProbe;
 use crate::gantt::Gantt;
 use crate::job::{Job, JobId, JobKind, JobState, Queue};
 // detlint: allow(no-unordered-iteration) -- HashMap/HashSet here back the match cache and waiting-set membership test only; neither is ever iterated
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, PoisonError, RwLock};
 use ttt_refapi::{all_properties, PropertyMap, TestbedDescription};
 use ttt_sim::{Buggify, EventQueue, SimDuration, SimTime};
@@ -415,6 +415,9 @@ pub struct OarServer {
     clusters: Vec<ClusterId>,
     gantt: Gantt,
     jobs: BTreeMap<JobId, Job>,
+    /// Every owner any job was submitted by: each name is written once and
+    /// shared by all of its jobs.
+    users: BTreeSet<Arc<str>>,
     /// Jobs currently in `Waiting` state, FCFS order. Cancellation removes
     /// from `waiting_set` only; stale deque entries are skipped lazily, so
     /// no O(n) `retain` runs per job.
@@ -485,6 +488,7 @@ impl OarServer {
             db,
             part,
             jobs: BTreeMap::new(),
+            users: BTreeSet::new(),
             waiting: VecDeque::new(),
             // detlint: allow(no-unordered-iteration) -- see the field: membership only
             waiting_set: HashSet::new(),
@@ -719,11 +723,12 @@ impl OarServer {
         self.admit(&request, sets, placed.is_some())?;
         let id = JobId(self.next_job);
         self.next_job += 1;
+        let user = self.intern(user);
         self.jobs.insert(
             id,
             Job {
                 id,
-                user: user.to_string(),
+                user,
                 queue,
                 kind,
                 request,
@@ -744,6 +749,17 @@ impl OarServer {
             }
         }
         Ok(id)
+    }
+
+    /// The server's one copy of the owner name `user`, made on its first
+    /// submission.
+    fn intern(&mut self, user: &str) -> Arc<str> {
+        if let Some(held) = self.users.get(user) {
+            return Arc::clone(held);
+        }
+        let held: Arc<str> = user.into();
+        self.users.insert(Arc::clone(&held));
+        held
     }
 
     /// Would `request` start immediately if submitted right now? Returns the

@@ -197,16 +197,16 @@ impl UserLoadGenerator {
         };
         let affine_cluster =
             if !self.clusters.is_empty() && rng.gen_bool(self.config.cluster_affinity) {
-                self.clusters.choose(rng).cloned()
+                self.clusters.choose(rng)
             } else {
                 None
             };
         if let Some(cluster) = affine_cluster {
             if rng.gen_bool(self.config.whole_cluster_prob) {
-                ResourceRequest::all_nodes(Expr::eq("cluster", &cluster), walltime)
+                ResourceRequest::all_nodes(Expr::eq("cluster", cluster), walltime)
             } else {
                 let n = rng.gen_range(1..=4);
-                ResourceRequest::nodes(Expr::eq("cluster", &cluster), n, walltime)
+                ResourceRequest::nodes(Expr::eq("cluster", cluster), n, walltime)
             }
         } else {
             let n = match rng.gen_range(0..10) {

@@ -112,23 +112,23 @@ pub fn multireboot(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
     let mut diagnostics = Vec::new();
     let mut total_s = 0.0;
     for &node in ctx.assigned {
-        let (name, alive, delay_s, mtbf) = {
-            let n = ctx.tb.node(node);
-            (
-                n.name.clone(),
-                n.condition.alive,
-                n.condition.boot_delay_s,
-                n.condition.random_reboot_mtbf_h,
-            )
-        };
+        let n = ctx.tb.node(node);
+        let (alive, delay_s, mtbf) = (
+            n.condition.alive,
+            n.condition.boot_delay_s,
+            n.condition.random_reboot_mtbf_h,
+        );
         if !alive {
+            let name = &n.name;
             diagnostics.push(Diagnostic::new(
-                Symptom::NodeDead.on(&name),
+                Symptom::NodeDead.on(name),
                 format!("{name} does not come back at all"),
             ));
             continue;
         }
-        let mut boot_times = Vec::with_capacity(REBOOTS as usize);
+        // The boots that came back, as a running sum in boot order: the
+        // mean is the one a list of them would give, bit for bit.
+        let (mut booted_s, mut booted) = (0.0, 0u32);
         let mut failures = 0;
         for _ in 0..REBOOTS {
             let t = truncated_normal(ctx.rng, perf::BASE_BOOT_SECS, 12.0, 60.0, 400.0) + delay_s;
@@ -137,7 +137,8 @@ pub fn multireboot(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
             if ctx.rng.gen_bool((0.002 + hazard).clamp(0.0, 1.0)) {
                 failures += 1;
             } else {
-                boot_times.push(t);
+                booted_s += t;
+                booted += 1;
             }
             total_s += t;
         }
@@ -151,17 +152,18 @@ pub fn multireboot(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
                 failures += REBOOTS; // force the boot-failure diagnostic
             }
         }
+        let name = &ctx.tb.node(node).name;
         if failures >= 2 {
             diagnostics.push(Diagnostic::new(
-                Symptom::BootFailure.on(&name),
+                Symptom::BootFailure.on(name),
                 format!("{name}: {failures}/{REBOOTS} reboots did not come back"),
             ));
         }
-        if !boot_times.is_empty() {
-            let mean = boot_times.iter().sum::<f64>() / boot_times.len() as f64;
+        if booted > 0 {
+            let mean = booted_s / booted as f64;
             if mean > perf::BASE_BOOT_SECS + 30.0 {
                 diagnostics.push(Diagnostic::new(
-                    Symptom::BootDelay.on(&name),
+                    Symptom::BootDelay.on(name),
                     format!(
                         "{name}: mean boot time {mean:.0}s, expected ≈{:.0}s",
                         perf::BASE_BOOT_SECS

@@ -339,8 +339,7 @@ pub fn kwapi(site: &str, ctx: &mut TestCtx) -> TestReport {
     let got = ctx
         .kwapi
         .power(control)
-        .window(idle_from, load_to + SimDuration::from_secs(1))
-        .map_or(0, |w| w.count);
+        .count(idle_from, load_to + SimDuration::from_secs(1));
     if (got as f64) < expected * 0.8 {
         diagnostics.push(Diagnostic::new(
             Symptom::KwapiRate.on(site),

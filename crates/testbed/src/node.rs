@@ -2,6 +2,7 @@
 
 use crate::hardware::NodeHardware;
 use crate::ids::{ClusterId, NodeId, SiteId};
+use std::sync::Arc;
 
 /// Runtime condition of a node — everything that is *not* static hardware
 /// description but affects how the node behaves under test. Faults mutate
@@ -24,8 +25,9 @@ pub struct NodeCondition {
     pub failed_dimms: u8,
     /// Whether the switch port refuses VLAN reconfiguration.
     pub vlan_port_stuck: bool,
-    /// Name of the environment currently deployed, if any.
-    pub deployed_env: Option<String>,
+    /// Name of the environment currently deployed, if any: the one copy
+    /// its deployment shares among all the nodes it reached.
+    pub deployed_env: Option<Arc<str>>,
     /// Lifetime count of boots (for diagnostics).
     pub boots: u64,
     /// Lifetime count of deployments (for diagnostics).

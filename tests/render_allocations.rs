@@ -20,7 +20,9 @@
 //! and a test's request is built once and shared by each of its jobs. And
 //! it pins g5k-checks' walk: the description families compare a
 //! conformant node without an allocator call, and a mismatch is rendered
-//! only where a field differs.
+//! only where a field differs. The deployment families allocate per call:
+//! a deployment costs the same for 8 nodes as for 64, and a `multireboot`
+//! run nothing per node.
 //!
 //! The allocator counts per thread, so the tests of this file can run in
 //! parallel without polluting each other's counts.
@@ -31,13 +33,16 @@ use std::sync::Arc;
 use throughout::ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
 use throughout::core::snapshot::{CampaignSnapshot, Query, QueryAnswer, QueryEngine};
 use throughout::core::{Campaign, CampaignConfig};
+use throughout::kadeploy::{standard_images, DeployConfig, Deployer};
 use throughout::nodecheck::check_node;
 use throughout::oar::{AvailabilityProbe, Federation, FedJobState, JobKind as OarJobKind, Queue};
 use throughout::refapi::describe;
+use throughout::sim::rng::stream_rng;
 use throughout::sim::SimTime;
 use throughout::status::{ServicesPanel, StatusGrid};
 use throughout::suite::testutil::Harness;
 use throughout::suite::{run_test, Family, Target, TestConfig, TestCtx};
+use throughout::testbed::gen::grid_specs;
 use throughout::testbed::{FaultKind, FaultTarget, NodeId, TestbedBuilder};
 
 struct CountingAlloc;
@@ -305,10 +310,11 @@ fn probing_a_startable_request_costs_no_allocation() {
 
 /// One enrolled test's round trip on an idle cluster: probe, submit its
 /// request, which the job shares rather than copies, start on the nodes
-/// placement found, end early. 3.2 calls per cycle measured: the node
-/// list, the job's owner name, the federated handle, and the job table's
-/// growth. (12.2 with a request built per submission, collected by the
-/// probe and planned again by admission.)
+/// placement found, end early. 1.2 calls per cycle measured: the node
+/// list and the job table's growth. (3.2 with the owner name copied per
+/// job and the federated handle's one part in a list of its own; 12.2
+/// with a request built per submission, collected by the probe and
+/// planned again by admission.)
 #[test]
 fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
     let tb = TestbedBuilder::small().build();
@@ -335,5 +341,47 @@ fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
             cycle(&mut fed);
         }
     });
-    assert!(calls <= 64 * 4, "{calls} allocator calls for 64 round trips");
+    assert!(calls <= 64 * 3 / 2, "{calls} allocator calls for 64 round trips");
+}
+
+/// A deployment allocates per call, not per node: the image name is
+/// interned once and shared by the report and every node it reached, and
+/// the rounds write their outcomes in place. Deploying 8 or 64 healthy
+/// nodes costs the same allocator calls, 5 measured: the name, the
+/// outcomes and three index lists. (A placeholder reason, a round outcome
+/// list and a copied name per node made it 22 and 134.)
+#[test]
+fn a_deployment_allocates_per_call_not_per_node() {
+    let env = standard_images().into_iter().next().expect("a standard image");
+    let healthy = Deployer::new(DeployConfig {
+        step_fail_prob: 0.0,
+        ..Default::default()
+    });
+    let calls = |n: usize| {
+        let mut tb = TestbedBuilder::from_specs(grid_specs(2, 4, 8)).build();
+        let nodes: Vec<NodeId> = tb.nodes().iter().map(|n| n.id).take(n).collect();
+        assert_eq!(nodes.len(), n);
+        let mut rng = stream_rng(1, "deploy");
+        let (report, calls) =
+            allocations_during(|| healthy.deploy(&mut tb, &env, &nodes, &mut rng));
+        assert_eq!((report.rounds, report.failures().len()), (1, 0));
+        calls
+    };
+    let (eight, sixty_four) = (calls(8), calls(64));
+    assert_eq!(eight, sixty_four, "8 nodes: {eight} allocator calls, 64 nodes: {sixty_four}");
+    assert!(eight <= 6, "{eight} allocator calls for one deployment");
+}
+
+/// `multireboot` reboots each node five times and keeps a running mean:
+/// a healthy node costs no allocator call, so one node and the whole
+/// testbed cost the same (0 measured). It copied each node's name and
+/// kept a list of its boot times: two calls per node.
+#[test]
+fn a_multireboot_run_allocates_nothing_per_node() {
+    let mut h = Harness::new(1);
+    let all: Vec<NodeId> = h.tb.nodes().iter().map(|n| n.id).collect();
+    let (passed_one, one) = run_counted(&mut h, Family::MultiReboot, &all[..1]);
+    let (passed_all, every) = run_counted(&mut h, Family::MultiReboot, &all);
+    assert!(passed_one && passed_all);
+    assert_eq!(one, every, "1 node: {one} allocator calls, {} nodes: {every}", all.len());
 }
