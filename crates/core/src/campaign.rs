@@ -419,7 +419,9 @@ impl Campaign {
         self.finalize();
     }
 
-    /// Advance the campaign to `until` (idempotent if already past).
+    /// Advance the campaign to `until` (idempotent if already past), and
+    /// never past its horizon: a later `until` stops at
+    /// `SimTime::ZERO + duration`, where [`Campaign::run`] stops.
     ///
     /// Asks every subsystem for its earliest due instant and jumps to it
     /// (snapped up to the decision grid), skipping the quiet ticks the
@@ -427,6 +429,7 @@ impl Campaign {
     /// instants whenever anything is due, so the campaigns are
     /// bit-identical.
     pub fn run_until(&mut self, until: SimTime) {
+        let until = until.min(SimTime::ZERO + self.cfg.duration);
         // The grid is anchored where this call starts, exactly like the
         // lockstep `now + k*tick` sequence.
         let anchor = self.now;

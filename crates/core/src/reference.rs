@@ -16,8 +16,10 @@ impl Campaign {
         self.finalize();
     }
 
-    /// [`Campaign::run_until`] under the lockstep reference driver.
+    /// [`Campaign::run_until`] under the lockstep reference driver, which
+    /// stops at the horizon too.
     pub fn run_lockstep_until(&mut self, until: SimTime) {
+        let until = until.min(SimTime::ZERO + self.cfg.duration);
         while self.now() < until {
             let t = (self.now() + self.cfg.tick).min(until);
             self.step_to(t);

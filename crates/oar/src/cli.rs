@@ -9,7 +9,8 @@
 use crate::job::{JobKind, JobState, Queue};
 use crate::parser::parse_request;
 use crate::server::{NodeState, OarServer, SubmitError};
-use std::fmt::Write as _;
+use std::fmt;
+use ttt_refapi::PropValue;
 use ttt_sim::SimDuration;
 
 /// Error from a CLI invocation.
@@ -51,9 +52,17 @@ pub fn oarsub(
 }
 
 /// `oarstat` — tabular view of non-final jobs (plus recently finished).
+// detlint: allow(pub-fn-only-tests-call) -- the whole table as text, which the oarstat model test holds byte for byte; the cmdline family writes through oarstat_into
 pub fn oarstat(server: &OarServer) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{:<8} {:<10} {:<10} {:<9} {:>6}", "Job id", "User", "State", "Queue", "Nodes");
+    let _ = oarstat_into(server, &mut out);
+    out
+}
+
+/// [`oarstat`], written into `out`: a caller that reads part of the table
+/// need not keep the rest.
+pub fn oarstat_into(server: &OarServer, out: &mut impl fmt::Write) -> fmt::Result {
+    writeln!(out, "{:<8} {:<10} {:<10} {:<9} {:>6}", "Job id", "User", "State", "Queue", "Nodes")?;
     for job in server.live_jobs() {
         let state = match job.state {
             JobState::Waiting => "Waiting",
@@ -68,7 +77,7 @@ pub fn oarstat(server: &OarServer) -> String {
             Queue::Besteffort => "besteffort",
             Queue::Admin => "admin",
         };
-        let _ = writeln!(
+        writeln!(
             out,
             "{:<8} {:<10} {:<10} {:<9} {:>6}",
             job.id.0,
@@ -76,16 +85,23 @@ pub fn oarstat(server: &OarServer) -> String {
             state,
             queue,
             job.assigned.len()
-        );
+        )?;
     }
-    out
+    Ok(())
 }
 
 /// `oarnodes` — state and key properties of the first `limit` nodes the
 /// server schedules (all of them when it has fewer).
+// detlint: allow(pub-fn-only-tests-call) -- the whole page as text, for the cli tests; the cmdline family writes through oarnodes_into
 pub fn oarnodes(server: &OarServer, limit: usize) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{:<16} {:<10} {:<12} {:>6}", "Host", "State", "Cluster", "Cores");
+    let _ = oarnodes_into(server, limit, &mut out);
+    out
+}
+
+/// [`oarnodes`], written into `out`.
+pub fn oarnodes_into(server: &OarServer, limit: usize, out: &mut impl fmt::Write) -> fmt::Result {
+    writeln!(out, "{:<16} {:<10} {:<12} {:>6}", "Host", "State", "Cluster", "Cores")?;
     for &node in server.own_nodes().iter().take(limit) {
         let props = server.properties(node);
         let Some(host) = props.get("host") else { break };
@@ -94,11 +110,26 @@ pub fn oarnodes(server: &OarServer, limit: usize) -> String {
             NodeState::Absent => "Absent",
             NodeState::Dead => "Dead",
         };
-        let cluster = props.get("cluster").map(|v| v.render()).unwrap_or_default();
-        let cores = props.get("cpucore").map(|v| v.render()).unwrap_or_default();
-        let _ = writeln!(out, "{:<16} {:<10} {:<12} {:>6}", host.render(), state, cluster, cores);
+        let (cluster, cores) = (PropCell(props.get("cluster")), PropCell(props.get("cpucore")));
+        writeln!(out, "{:<16} {:<10} {:<12} {:>6}", PropCell(Some(host)), state, cluster, cores)?;
     }
-    out
+    Ok(())
+}
+
+/// A table cell holding a property's OAR rendering ([`PropValue::render`]),
+/// empty when the node lacks the property: padded like the rendered
+/// string, without rendering one.
+struct PropCell<'a>(Option<&'a PropValue>);
+
+impl fmt::Display for PropCell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            None => f.pad(""),
+            Some(PropValue::Str(s)) => f.pad(s),
+            Some(PropValue::Int(i)) => fmt::Display::fmt(i, f),
+            Some(PropValue::Bool(b)) => f.pad(if *b { "YES" } else { "NO" }),
+        }
+    }
 }
 
 #[cfg(test)]

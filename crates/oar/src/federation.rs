@@ -760,7 +760,7 @@ impl Federation {
         self.domains
             .iter()
             .enumerate()
-            .flat_map(|(i, d)| d.oar.jobs().values().map(move |j| (i, j)))
+            .flat_map(|(i, d)| d.oar.jobs().iter().map(move |j| (i, j)))
     }
 }
 

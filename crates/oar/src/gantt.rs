@@ -134,25 +134,26 @@ impl EndIndex {
         }
     }
 
-    fn add(&mut self, cluster: usize, end: SimTime) {
-        *self.per_cluster[cluster].entry(end).or_insert(0) += 1;
-        *self.global.entry(end).or_insert(0) += 1;
+    /// Record `n` reservations ending at `end` on `cluster`.
+    fn add(&mut self, (cluster, end, n): Run) {
+        *self.per_cluster[cluster].entry(end).or_insert(0) += n;
+        *self.global.entry(end).or_insert(0) += n;
     }
 
-    /// Remove one end previously recorded with `add`.
-    fn remove(&mut self, cluster: usize, end: SimTime) {
-        Self::dec(&mut self.per_cluster[cluster], end);
-        Self::dec(&mut self.global, end);
+    /// Remove `n` ends previously recorded with `add`.
+    fn remove(&mut self, (cluster, end, n): Run) {
+        Self::dec(&mut self.per_cluster[cluster], end, n);
+        Self::dec(&mut self.global, end, n);
     }
 
-    fn dec(map: &mut BTreeMap<SimTime, u32>, end: SimTime) {
-        if let Some(c) = map.get_mut(&end) {
-            *c -= 1;
-            if *c == 0 {
+    fn dec(map: &mut BTreeMap<SimTime, u32>, end: SimTime, n: u32) {
+        match map.get_mut(&end) {
+            Some(c) if *c > n => *c -= n,
+            Some(c) => {
+                debug_assert_eq!(*c, n, "removing {n} ends at {end}, {c} tracked");
                 map.remove(&end);
             }
-        } else {
-            debug_assert!(false, "removing untracked end {end}");
+            None => debug_assert!(false, "removing untracked end {end}"),
         }
     }
 
@@ -205,9 +206,33 @@ impl EndIndex {
     }
 }
 
+/// `n` reservation ends at one instant on one cluster: `(cluster, end, n)`.
+type Run = (usize, SimTime, u32);
+
+/// Consecutive end-index writes, folded while they name the same cluster
+/// and the same end: a job's nodes come in node order, so the nodes of one
+/// cluster come in a row and cost one index write between them.
+#[derive(Default)]
+struct Runs(Option<Run>);
+
+impl Runs {
+    /// One more end at `end` on `cluster`; the run this one does not
+    /// continue is handed back for writing.
+    fn push(&mut self, cluster: usize, end: SimTime) -> Option<Run> {
+        match &mut self.0 {
+            Some((c, e, n)) if (*c, *e) == (cluster, end) => {
+                *n += 1;
+                None
+            }
+            run => run.replace((cluster, end, 1)),
+        }
+    }
+}
+
 /// The reservations of one scheduling part: a [`NodeTimeline`] per node,
 /// addressed by the node's slot in the part, and the [`EndIndex`] over them.
-/// Every write goes through here and updates both.
+/// Every write goes through here and updates both, the index once per run
+/// of same-cluster nodes rather than once per node.
 #[derive(Debug, Clone)]
 pub struct Gantt {
     timelines: Vec<NodeTimeline>,
@@ -255,25 +280,40 @@ impl Gantt {
         start: SimTime,
         d: SimDuration,
     ) {
+        let mut runs = Runs::default();
         for slot in slots {
             self.timelines[slot].reserve(start, d, job);
-            self.ends.add(self.cluster_of_slot[slot] as usize, start + d);
+            let cluster = self.cluster_of_slot[slot] as usize;
+            if let Some(run) = runs.push(cluster, start + d) {
+                self.ends.add(run);
+            }
+        }
+        if let Some(run) = runs.0 {
+            self.ends.add(run);
         }
     }
 
     /// Drop `job`'s reservation, past and future, on every node of `slots`.
     pub fn release(&mut self, job: JobId, slots: impl IntoIterator<Item = usize>) {
+        let mut runs = Runs::default();
         for slot in slots {
             if let Some(end) = self.timelines[slot].end_of(job) {
-                self.ends.remove(self.cluster_of_slot[slot] as usize, end);
+                let cluster = self.cluster_of_slot[slot] as usize;
+                if let Some(run) = runs.push(cluster, end) {
+                    self.ends.remove(run);
+                }
             }
             self.timelines[slot].release(job);
+        }
+        if let Some(run) = runs.0 {
+            self.ends.remove(run);
         }
     }
 
     /// End `job`'s running reservation at `at` on every node of `slots`
     /// (see [`NodeTimeline::truncate`]).
     pub fn truncate(&mut self, job: JobId, slots: impl IntoIterator<Item = usize>, at: SimTime) {
+        let (mut gone, mut moved) = (Runs::default(), Runs::default());
         for slot in slots {
             let cluster = self.cluster_of_slot[slot] as usize;
             let old = self.timelines[slot].end_of(job);
@@ -281,12 +321,22 @@ impl Gantt {
             let new = self.timelines[slot].end_of(job);
             if old != new {
                 if let Some(end) = old {
-                    self.ends.remove(cluster, end);
+                    if let Some(run) = gone.push(cluster, end) {
+                        self.ends.remove(run);
+                    }
                 }
                 if let Some(end) = new {
-                    self.ends.add(cluster, end);
+                    if let Some(run) = moved.push(cluster, end) {
+                        self.ends.add(run);
+                    }
                 }
             }
+        }
+        if let Some(run) = gone.0 {
+            self.ends.remove(run);
+        }
+        if let Some(run) = moved.0 {
+            self.ends.add(run);
         }
     }
 
@@ -306,7 +356,7 @@ impl Gantt {
         let mut scanned = EndIndex::new(self.ends.per_cluster.len());
         for (tl, &cluster) in self.timelines.iter().zip(&self.cluster_of_slot) {
             for r in tl.reservations() {
-                scanned.add(cluster as usize, r.end);
+                scanned.add((cluster as usize, r.end, 1));
             }
         }
         (self.ends != scanned).then(|| {
@@ -406,18 +456,18 @@ mod tests {
     #[test]
     fn end_index_multiset_semantics() {
         let mut idx = EndIndex::new(2);
-        idx.add(0, t(3));
-        idx.add(0, t(3));
-        idx.add(1, t(5));
+        idx.add((0, t(3), 1));
+        idx.add((0, t(3), 1));
+        idx.add((1, t(5), 1));
         let mut out = Vec::new();
         idx.global_candidates_into(t(0), t(10), &mut out);
         assert_eq!(out, vec![t(3), t(5)]);
         // One of the two t=3 ends goes away: t=3 must survive.
-        idx.remove(0, t(3));
+        idx.remove((0, t(3), 1));
         out.clear();
         idx.candidates_into(0, t(0), t(10), &mut out);
         assert_eq!(out, vec![t(3)]);
-        idx.remove(0, t(3));
+        idx.remove((0, t(3), 1));
         out.clear();
         idx.global_candidates_into(t(0), t(10), &mut out);
         assert_eq!(out, vec![t(5)]);

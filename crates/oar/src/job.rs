@@ -108,6 +108,85 @@ impl Job {
     }
 }
 
+/// Jobs in the first segment of a [`JobTable`]; segment `k` holds
+/// `FIRST_SEGMENT << k` of them.
+const FIRST_SEGMENT: usize = 16;
+
+/// Every job a server was ever given, addressed by id.
+///
+/// A server numbers its jobs densely from 1, so job `id` sits at index
+/// `id - 1`. The indices are cut into geometric segments, each allocated
+/// once at its full size, so the table grows without ever moving a job,
+/// holds at most about twice what it stores, and finds a job with one
+/// `leading_zeros` and two indexings. (A single vector finds a job as
+/// fast, but copies every job it holds each time it doubles.)
+#[derive(Debug, Default)]
+pub struct JobTable {
+    /// Segment `k` holds the jobs of indices `16 * (2^k - 1)` onwards.
+    segments: Vec<Vec<Job>>,
+    len: usize,
+}
+
+impl JobTable {
+    /// Number of jobs held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no job was ever added.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The job `id`; `None` for an id the table does not hold.
+    pub fn get(&self, id: JobId) -> Option<&Job> {
+        let (k, at) = self.locate(id)?;
+        Some(&self.segments[k][at])
+    }
+
+    pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut Job> {
+        let (k, at) = self.locate(id)?;
+        Some(&mut self.segments[k][at])
+    }
+
+    /// Every job, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &Job> {
+        self.segments.iter().flatten()
+    }
+
+    /// The jobs from `id` (at least 1) on, in id order: none when `id` is
+    /// past the last job.
+    pub(crate) fn iter_from(&self, id: JobId) -> impl Iterator<Item = &Job> {
+        let (k, at) = self.locate(id).unwrap_or((self.segments.len(), 0));
+        let first = self.segments.get(k).map_or(&[][..], |segment| &segment[at..]);
+        first.iter().chain(self.segments.iter().skip(k + 1).flatten())
+    }
+
+    /// Add `job`, whose id must be the next one: `len() + 1`.
+    pub(crate) fn push(&mut self, job: Job) {
+        debug_assert_eq!(job.id.0, self.len as u64 + 1, "job ids are dense from 1");
+        let (k, _) = segment_of(self.len);
+        if k == self.segments.len() {
+            self.segments.push(Vec::with_capacity(FIRST_SEGMENT << k));
+        }
+        self.segments[k].push(job);
+        self.len += 1;
+    }
+
+    /// The segment and place in it of job `id`, if the table holds it.
+    fn locate(&self, id: JobId) -> Option<(usize, usize)> {
+        let index = usize::try_from(id.0.checked_sub(1)?).ok()?;
+        (index < self.len).then(|| segment_of(index))
+    }
+}
+
+/// The segment holding table index `index`, and the index's place in it.
+fn segment_of(index: usize) -> (usize, usize) {
+    let n = index + FIRST_SEGMENT;
+    let k = (n.ilog2() - FIRST_SEGMENT.ilog2()) as usize;
+    (k, n - (FIRST_SEGMENT << k))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +228,21 @@ mod tests {
         assert!(j.runtime().is_none());
         j.ended_at = Some(SimTime::from_hours(4));
         assert_eq!(j.runtime().unwrap(), SimDuration::from_hours(1));
+    }
+
+    #[test]
+    fn segments_double_from_sixteen() {
+        assert_eq!(segment_of(0), (0, 0));
+        assert_eq!(segment_of(15), (0, 15));
+        assert_eq!(segment_of(16), (1, 0));
+        assert_eq!(segment_of(47), (1, 31));
+        assert_eq!(segment_of(48), (2, 0));
+        // Every index has one place, in order: segment `k` fills 16 << k.
+        let mut next = (0, 0);
+        for index in 0..100_000 {
+            assert_eq!(segment_of(index), next, "{index}");
+            next = if next.1 + 1 == FIRST_SEGMENT << next.0 { (next.0 + 1, 0) } else { (next.0, next.1 + 1) };
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   database filled from the Reference API;
 //! * [`gantt`] — per-node reservation timelines and the index of their
 //!   ends, kept together by one `Gantt` per server;
-//! * [`job`] — job lifecycle (Waiting → Scheduled → Running → Terminated);
+//! * [`job`] — job lifecycle (Waiting → Scheduled → Running → Terminated)
+//!   and the table a server keeps its jobs in, by id;
 //! * [`server`] — the OAR server: submission, FCFS + conservative
 //!   backfilling, immediate-start queries (what the external test scheduler
 //!   polls), node-state integration with the testbed;
@@ -35,8 +36,8 @@ pub mod userload;
 
 pub use ast::{CmpOp, Count, Expr, Level, RequestGroup, ResourceRequest};
 pub use federation::{AvailabilityProbe, FedJob, FedJobState, Federation, Placement, SiteDomain};
-pub use job::{Job, JobId, JobKind, JobState, Queue};
-pub use cli::{oarnodes, oarstat, oarsub, CliError};
+pub use job::{Job, JobId, JobKind, JobState, JobTable, Queue};
+pub use cli::{oarnodes, oarnodes_into, oarstat, oarstat_into, oarsub, CliError};
 pub use parser::{parse_request, ParseError};
 pub use server::{NodeState, OarServer, SubmitError};
 pub use userload::{UserLoadError, UserLoadGenerator};

@@ -32,9 +32,9 @@ use crate::ast::{Count, Expr, Level, RequestGroup, ResourceRequest};
 use crate::eval::eval;
 use crate::federation::AvailabilityProbe;
 use crate::gantt::Gantt;
-use crate::job::{Job, JobId, JobKind, JobState, Queue};
-// detlint: allow(no-unordered-iteration) -- HashMap/HashSet here back the match cache and waiting-set membership test only; neither is ever iterated
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use crate::job::{Job, JobId, JobKind, JobState, JobTable, Queue};
+// detlint: allow(no-unordered-iteration) -- the HashMap here backs the match cache only, which is never iterated
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, PoisonError, RwLock};
 use ttt_refapi::{all_properties, PropertyMap, TestbedDescription};
 use ttt_sim::{Buggify, EventQueue, SimDuration, SimTime};
@@ -414,16 +414,20 @@ pub struct OarServer {
     /// reservation end under the position of its node's cluster here.
     clusters: Vec<ClusterId>,
     gantt: Gantt,
-    jobs: BTreeMap<JobId, Job>,
+    /// Every job ever submitted, by id.
+    jobs: JobTable,
     /// Every owner any job was submitted by: each name is written once and
     /// shared by all of its jobs.
     users: BTreeSet<Arc<str>>,
-    /// Jobs currently in `Waiting` state, FCFS order. Cancellation removes
-    /// from `waiting_set` only; stale deque entries are skipped lazily, so
-    /// no O(n) `retain` runs per job.
+    /// Jobs in `Waiting` state, FCFS order, and stale entries: a job that
+    /// ends while queued stays in the deque until a pass skips it, so no
+    /// O(n) `retain` runs per job. An entry is live exactly when its job's
+    /// state is `Waiting`.
     waiting: VecDeque<JobId>,
-    // detlint: allow(no-unordered-iteration) -- hot membership test mirroring `waiting` (which owns the order); never iterated
-    waiting_set: HashSet<JobId>,
+    /// How many jobs are `Waiting`: the live entries of `waiting`. A
+    /// submission that queues its job adds one; a pass booking a queued
+    /// job, or the job ending while queued, takes it back.
+    queued: usize,
     /// Scratch deque reused by scheduling passes.
     waiting_scratch: VecDeque<JobId>,
     next_job: u64,
@@ -487,11 +491,10 @@ impl OarServer {
             clusters,
             db,
             part,
-            jobs: BTreeMap::new(),
+            jobs: JobTable::default(),
             users: BTreeSet::new(),
             waiting: VecDeque::new(),
-            // detlint: allow(no-unordered-iteration) -- see the field: membership only
-            waiting_set: HashSet::new(),
+            queued: 0,
             waiting_scratch: VecDeque::new(),
             next_job: 1,
             first_live: 1,
@@ -531,22 +534,20 @@ impl OarServer {
     }
 
     /// All jobs ever submitted, by id.
-    pub fn jobs(&self) -> &BTreeMap<JobId, Job> {
+    pub fn jobs(&self) -> &JobTable {
         &self.jobs
     }
 
     /// The jobs not yet in a final state, in id order, without walking the
     /// finished past: what `oarstat` lists.
     pub fn live_jobs(&self) -> impl Iterator<Item = &Job> {
-        self.jobs
-            .range(JobId(self.first_live)..)
-            .map(|(_, job)| job)
-            .filter(|job| !job.state.is_final())
+        let from = self.jobs.iter_from(JobId(self.first_live));
+        from.filter(|job| !job.state.is_final())
     }
 
     /// One job.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.get(&id)
+        self.jobs.get(id)
     }
 
     /// The nodes this server schedules, in node order.
@@ -650,10 +651,10 @@ impl OarServer {
     }
 
     /// Number of jobs currently waiting — the queue-depth view a campaign
-    /// snapshot captures. O(1): `waiting_set` holds exactly the live
-    /// waiting ids, while the deque may carry stale entries.
+    /// snapshot captures. O(1): a kept count, while the deque may carry
+    /// stale entries.
     pub fn waiting_count(&self) -> usize {
-        self.waiting_set.len()
+        self.queued
     }
 
     /// The next instant at which this server's state can change on its own:
@@ -662,7 +663,7 @@ impl OarServer {
     /// re-planning of waiting jobs becomes worthwhile. `None` when nothing
     /// is pending — an event-driven orchestrator can skip ahead freely.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let replan = if self.waiting_set.is_empty() {
+        let replan = if self.queued == 0 {
             None
         } else {
             // End `e` enters the horizon at `e - horizon`.
@@ -724,27 +725,24 @@ impl OarServer {
         let id = JobId(self.next_job);
         self.next_job += 1;
         let user = self.intern(user);
-        self.jobs.insert(
+        self.jobs.push(Job {
             id,
-            Job {
-                id,
-                user,
-                queue,
-                kind,
-                request,
-                state: JobState::Waiting,
-                submitted_at: self.now,
-                scheduled_start: None,
-                started_at: None,
-                ended_at: None,
-                assigned: Vec::new(),
-            },
-        );
-        match placed.filter(|_| self.waiting_set.is_empty()) {
+            user,
+            queue,
+            kind,
+            request,
+            state: JobState::Waiting,
+            submitted_at: self.now,
+            scheduled_start: None,
+            started_at: None,
+            ended_at: None,
+            assigned: Vec::new(),
+        });
+        match placed.filter(|_| self.queued == 0) {
             Some(assignment) => self.book(id, self.now, assignment),
             None => {
                 self.waiting.push_back(id);
-                self.waiting_set.insert(id);
+                self.queued += 1;
                 self.schedule();
             }
         }
@@ -818,13 +816,17 @@ impl OarServer {
         if !self.process_up {
             return None;
         }
-        let live = self.waiting.iter().filter(|id| self.waiting_set.contains(id));
-        live.copied().find(|id| {
-            self.jobs.get(id).is_some_and(|job| {
-                let sets = self.db.resolve(&job.request);
-                self.plan_now(&job.request, sets.as_slice(), &mut 0)
-            })
-        })
+        let mut live = self.waiting.iter().filter_map(|&id| self.queued_job(id));
+        let startable = live.find(|job| {
+            let sets = self.db.resolve(&job.request);
+            self.plan_now(&job.request, sets.as_slice(), &mut 0)
+        });
+        startable.map(|job| job.id)
+    }
+
+    /// The job of a `waiting` entry, while the entry is live.
+    fn queued_job(&self, id: JobId) -> Option<&Job> {
+        self.jobs.get(id).filter(|job| job.state == JobState::Waiting)
     }
 
     /// Cancel a job (waiting, scheduled or running).
@@ -853,7 +855,7 @@ impl OarServer {
     /// a transition that rule forbids, and then nothing changed.
     fn end_job(&mut self, id: JobId, state: JobState, release: Release) -> bool {
         debug_assert!(state.is_final());
-        let Some(job) = self.jobs.get_mut(&id) else {
+        let Some(job) = self.jobs.get_mut(id) else {
             return false;
         };
         let may_end = match state {
@@ -865,9 +867,7 @@ impl OarServer {
         }
         match job.state {
             // The deque entry goes stale and is skipped lazily.
-            JobState::Waiting => {
-                self.waiting_set.remove(&id);
-            }
+            JobState::Waiting => self.queued -= 1,
             JobState::Running => self.busy = self.busy.saturating_sub(job.assigned.len()),
             _ => {}
         }
@@ -880,7 +880,7 @@ impl OarServer {
             Release::FromNow => self.gantt.truncate(id, slots, self.now),
         }
         if id.0 == self.first_live {
-            let finals = self.jobs.range(id..).take_while(|(_, j)| j.state.is_final());
+            let finals = self.jobs.iter_from(id).take_while(|j| j.state.is_final());
             self.first_live += finals.count() as u64;
         }
         true
@@ -908,7 +908,7 @@ impl OarServer {
         // A reservation end sliding into the planning horizon can unblock a
         // job that was unplaceable on every earlier pass: re-plan exactly
         // when one enters the window.
-        if !self.waiting_set.is_empty() {
+        if self.queued > 0 {
             let prev = self.last_replan_check;
             if self
                 .gantt
@@ -936,7 +936,7 @@ impl OarServer {
     }
 
     fn start_job(&mut self, id: JobId) {
-        let Some(job) = self.jobs.get_mut(&id) else { return };
+        let Some(job) = self.jobs.get_mut(id) else { return };
         if job.state != JobState::Scheduled {
             return;
         }
@@ -962,21 +962,21 @@ impl OarServer {
         // Anything a pass can place is derived from candidates within
         // `now + horizon`; later entries are caught by the re-plan check.
         self.last_replan_check = self.now;
-        if self.waiting_set.is_empty() {
+        if self.queued == 0 {
             self.waiting.clear();
             return;
         }
         let mut still = std::mem::take(&mut self.waiting_scratch);
         still.clear();
         while let Some(id) = self.waiting.pop_front() {
-            if !self.waiting_set.contains(&id) {
-                // Cancelled while queued: stale entry.
-                continue;
-            }
+            // A job that ended while queued leaves a stale entry.
+            let Some(job) = self.queued_job(id) else { continue };
             // Plan from the stored request in place.
-            let Some(job) = self.jobs.get(&id) else { continue };
             match self.earliest_assignment(&job.request) {
-                Some((start, assignment)) => self.book(id, start, assignment),
+                Some((start, assignment)) => {
+                    self.queued -= 1;
+                    self.book(id, start, assignment);
+                }
                 // Stays Waiting; re-planned on the next pass.
                 None => still.push_back(id),
             }
@@ -987,8 +987,7 @@ impl OarServer {
     /// Reserve `assignment` for job `id` from `start` on, and start it now
     /// or at its start event: the one way a job leaves `Waiting` alive.
     fn book(&mut self, id: JobId, start: SimTime, assignment: Vec<NodeId>) {
-        let Some(job) = self.jobs.get_mut(&id) else { return };
-        self.waiting_set.remove(&id);
+        let Some(job) = self.jobs.get_mut(id) else { return };
         let slots = assignment.iter().map(|&n| self.db.slot(self.part, n));
         self.gantt.book(id, slots, start, job.request.walltime);
         job.assigned = assignment;
@@ -1179,7 +1178,9 @@ impl OarServer {
     /// The consistency check, for property tests and oracles: the Gantt's
     /// end index must mirror a scan over every node timeline (see
     /// [`Gantt::divergence`]), the alive count a scan of the node states,
-    /// and the busy count the nodes a timeline has reserved at this instant.
+    /// the busy count the nodes a timeline has reserved at this instant,
+    /// and the queued count the `Waiting` jobs of the table; every job
+    /// below the low-water mark of [`OarServer::live_jobs`] must be final.
     // detlint: allow(unarmed-service-fn) -- internal invariant audit; a failure here is a simulator bug, not a service fault to inject
     pub fn check_consistency(&self) -> Result<(), String> {
         if let Some(divergence) = self.gantt.divergence() {
@@ -1187,13 +1188,22 @@ impl OarServer {
         }
         let alive = self.node_states.iter().filter(|&&s| s == NodeState::Alive).count();
         let busy = self.gantt.busy_count(self.now);
-        if (self.alive, self.busy) == (alive, busy) {
-            Ok(())
-        } else {
-            Err(format!(
-                "kept counts diverged at {}: alive {} busy {}, scanned alive {alive} busy {busy}",
-                self.now, self.alive, self.busy
-            ))
+        let waiting = self.jobs.iter().filter(|j| j.state == JobState::Waiting).count();
+        let kept = (self.alive, self.busy, self.queued);
+        if kept != (alive, busy, waiting) {
+            return Err(format!(
+                "kept counts diverged at {}: alive {} busy {} queued {}, \
+                 scanned alive {alive} busy {busy} waiting {waiting}",
+                self.now, kept.0, kept.1, kept.2
+            ));
+        }
+        let mut below = self.jobs.iter().take_while(|j| j.id.0 < self.first_live);
+        match below.find(|j| !j.state.is_final()) {
+            Some(job) => Err(format!(
+                "{} is {:?} below the low-water mark {}",
+                job.id, job.state, self.first_live
+            )),
+            None => Ok(()),
         }
     }
 

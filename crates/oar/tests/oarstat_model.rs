@@ -24,7 +24,7 @@ fn full_scan(server: &OarServer) -> String {
         "{:<8} {:<10} {:<10} {:<9} {:>6}",
         "Job id", "User", "State", "Queue", "Nodes"
     );
-    for job in server.jobs().values() {
+    for job in server.jobs().iter() {
         let state = match job.state {
             JobState::Waiting => "Waiting",
             JobState::Scheduled => "Scheduled",
@@ -159,7 +159,7 @@ fn oarstat_matches_the_full_scan_after_every_step() {
                 "the pin stays first"
             );
         }
-        let finished = s.jobs().values().filter(|j| j.state.is_final()).count();
+        let finished = s.jobs().iter().filter(|j| j.state.is_final()).count();
         assert!(
             finished > 50,
             "seed {seed}: only {finished} jobs ended behind the pin"

@@ -144,22 +144,58 @@ pub fn cmdline(site: &str, ctx: &mut TestCtx) -> TestReport {
             ));
         }
     }
-    // The CLI tools must produce well-formed output.
-    let stat = ttt_oar::oarstat(ctx.oar);
-    if !stat.starts_with("Job id") {
+    // The CLI tools must produce well-formed output. Both print every row,
+    // as the real tools do; only the headers are checked, so only the
+    // first line is kept.
+    let mut header = FirstLine::default();
+    let _ = ttt_oar::oarstat_into(ctx.oar, &mut header);
+    if !header.line.starts_with("Job id") {
         diagnostics.push(Diagnostic::new(
             Symptom::CmdlineOarstat.on(site),
             "oarstat output lost its header",
         ));
     }
-    let nodes = ttt_oar::oarnodes(ctx.oar, 4);
-    if !nodes.contains("Host") {
+    header.clear();
+    let _ = ttt_oar::oarnodes_into(ctx.oar, 4, &mut header);
+    if !header.line.contains("Host") {
         diagnostics.push(Diagnostic::new(
             Symptom::CmdlineOarnodes.on(site),
             "oarnodes output lost its header",
         ));
     }
     TestReport::from_diagnostics(diagnostics, duration)
+}
+
+/// A text sink that keeps the first line written to it and drops the rest.
+struct FirstLine {
+    line: String,
+    ended: bool,
+}
+
+impl Default for FirstLine {
+    fn default() -> Self {
+        // Room for either tool's header: one allocation, never regrown.
+        FirstLine { line: String::with_capacity(64), ended: false }
+    }
+}
+
+impl FirstLine {
+    /// Forget the line, keeping its buffer.
+    fn clear(&mut self) {
+        self.line.clear();
+        self.ended = false;
+    }
+}
+
+impl std::fmt::Write for FirstLine {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        if !self.ended {
+            let head = s.split_once('\n').map_or(s, |(head, _)| head);
+            self.line.push_str(head);
+            self.ended = head.len() < s.len();
+        }
+        Ok(())
+    }
 }
 
 /// `sidapi`: exercise the site REST API and cross-check it serves a

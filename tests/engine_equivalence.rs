@@ -193,17 +193,17 @@ fn run_in_legs(cfg: CampaignConfig, legs: &[SimTime], (until, run): Driver) -> (
 fn partial_advance_matches_single_run() {
     // Driving either driver in several legs lands on the same grid and
     // the same campaign as one shot: every digest field, every event.
-    // Two worlds: the small one in day legs, and the `chaos_week` recipe
-    // cut to two days in legs at odd hours. A leg ends inside the horizon:
-    // `run_until` past it simulates past it, which one shot never does.
+    // Two worlds: the small one (10 days) in day legs, and the
+    // `chaos_week` recipe cut to two days in legs at odd hours. The last
+    // leg of each asks past the horizon, where both drivers stop.
     let mut chaos = throughout::core::scenario::multi_site_scenario(2017);
     chaos.duration = SimDuration::from_days(2);
     chaos.tick = SimDuration::from_mins(1);
     chaos.buggify_rate = 0.10;
     chaos.link_model = LinkModelSpec::DistanceTiered;
     let worlds = [
-        ("small", CampaignConfig::small(5), [2u64, 5, 7].map(SimTime::from_days).to_vec()),
-        ("chaos-2d", chaos, [1u64, 7, 25, 47].map(SimTime::from_hours).to_vec()),
+        ("small", CampaignConfig::small(5), [2u64, 5, 7, 12].map(SimTime::from_days).to_vec()),
+        ("chaos-2d", chaos, [1u64, 7, 25, 47, 49].map(SimTime::from_hours).to_vec()),
     ];
     for (label, cfg, legs) in worlds {
         let (whole, _) = run_in_legs(cfg.clone(), &[], DRIVERS[0].1);

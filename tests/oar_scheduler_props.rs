@@ -129,7 +129,7 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&u), "utilization {u}");
         }
         server.advance(SimTime::from_days(10));
-        for job in server.jobs().values() {
+        for job in server.jobs().iter() {
             if let Some(w) = job.waiting_time() {
                 prop_assert!(w >= SimDuration::ZERO);
             }
@@ -375,7 +375,7 @@ proptest! {
                 let busy: Vec<_> = domain
                     .oar
                     .jobs()
-                    .values()
+                    .iter()
                     .filter(|j| j.state == JobState::Running)
                     .flat_map(|j| j.assigned.iter().copied())
                     .collect();

@@ -17,28 +17,32 @@
 //! The same allocator pins the write side's cost of one launched test: a
 //! CI build's names are written once per job and once per cell, not once
 //! per build or per holder; OAR's availability probe collects no node,
-//! and a test's request is built once and shared by each of its jobs. And
-//! it pins g5k-checks' walk: the description families compare a
+//! and a test's request is built once and shared by each of its jobs; a
+//! server's job table grows by doubling segments, never a call per job.
+//! And it pins g5k-checks' walk: the description families compare a
 //! conformant node without an allocator call, and a mismatch is rendered
 //! only where a field differs. The deployment families allocate per call:
-//! a deployment costs the same for 8 nodes as for 64, and a `multireboot`
-//! run nothing per node.
+//! a deployment costs the same for 8 nodes as for 64, a `multireboot` run
+//! nothing per node, and a `cmdline` run one header buffer.
 //!
 //! The allocator counts per thread, so the tests of this file can run in
 //! parallel without polluting each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 use std::sync::Arc;
 use throughout::ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
 use throughout::core::snapshot::{CampaignSnapshot, Query, QueryAnswer, QueryEngine};
 use throughout::core::{Campaign, CampaignConfig};
 use throughout::kadeploy::{standard_images, DeployConfig, Deployer};
 use throughout::nodecheck::check_node;
-use throughout::oar::{AvailabilityProbe, Federation, FedJobState, JobKind as OarJobKind, Queue};
+use throughout::oar::{
+    AvailabilityProbe, Expr, Federation, FedJobState, Job, JobKind as OarJobKind, Queue, ResourceRequest,
+};
 use throughout::refapi::describe;
 use throughout::sim::rng::stream_rng;
-use throughout::sim::SimTime;
+use throughout::sim::{SimDuration, SimTime};
 use throughout::status::{ServicesPanel, StatusGrid};
 use throughout::suite::testutil::Harness;
 use throughout::suite::{run_test, Family, Target, TestConfig, TestCtx};
@@ -51,20 +55,26 @@ thread_local! {
     /// Allocator calls made by this thread. Const-initialised and without
     /// a destructor, so touching it from inside the allocator is safe.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread requested in blocks of at least one OAR job's
+    /// size: where a job table's storage shows.
+    static JOB_SIZED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if bytes >= size_of::<Job>() {
+        let _ = JOB_SIZED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -245,10 +255,12 @@ fn a_launched_test_costs_ci_a_handful_of_allocations() {
 /// Run one configuration on `alpha` of the harness and count the
 /// allocator calls of `run_test` alone.
 fn run_counted(h: &mut Harness, family: Family, assigned: &[NodeId]) -> (bool, u64) {
-    let cfg = TestConfig {
-        family,
-        target: Target::Cluster("alpha".into()),
-    };
+    run_counted_on(h, family, Target::Cluster("alpha".into()), assigned)
+}
+
+/// [`run_counted`] on any target.
+fn run_counted_on(h: &mut Harness, family: Family, target: Target, assigned: &[NodeId]) -> (bool, u64) {
+    let cfg = TestConfig { family, target };
     let mut ctx = TestCtx {
         tb: &mut h.tb,
         refapi: &h.refapi,
@@ -308,23 +320,19 @@ fn probing_a_startable_request_costs_no_allocation() {
     }
 }
 
-/// One enrolled test's round trip on an idle cluster: probe, submit its
-/// request, which the job shares rather than copies, start on the nodes
-/// placement found, end early. 1.2 calls per cycle measured: the node
-/// list and the job table's growth. (3.2 with the owner name copied per
-/// job and the federated handle's one part in a list of its own; 12.2
-/// with a request built per submission, collected by the probe and
-/// planned again by admission.)
-#[test]
-fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
+/// A federation of the small testbed and a `disk` test's request on
+/// `alpha`, whose enrolment round trip the two tests below repeat: probe,
+/// submit the request, which the job shares rather than copies, start on
+/// the nodes placement found, end early.
+fn round_trip_world() -> (Federation, impl Fn(&mut Federation)) {
     let tb = TestbedBuilder::small().build();
-    let mut fed = Federation::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+    let fed = Federation::new(&tb, &describe(&tb, 1, SimTime::ZERO));
     let cfg = TestConfig {
         family: Family::Disk,
         target: Target::Cluster("alpha".into()),
     };
     let request = Arc::new(cfg.resource_request(&tb));
-    let cycle = |fed: &mut Federation| {
+    let cycle = move |fed: &mut Federation| {
         assert!(fed.can_start_now("east", &request));
         let job = fed
             .submit("ci", Queue::Admin, OarJobKind::Test, Arc::clone(&request), None)
@@ -332,6 +340,19 @@ fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
         assert_eq!(fed.job_state(&job), FedJobState::Running);
         assert!(fed.complete_early(&job));
     };
+    (fed, cycle)
+}
+
+/// One enrolled test's round trip on an idle cluster. 66 calls for 64
+/// cycles measured: the node list each job keeps, and the growth of the
+/// job table (one segment) and of the event queue. (76 with the job table
+/// in an ordered map, a tree node every few jobs; 3.2 per cycle with the owner
+/// name copied per job and the federated handle's one part in a list of
+/// its own; 12.2 with a request built per submission, collected by the
+/// probe and planned again by admission.)
+#[test]
+fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
+    let (mut fed, cycle) = round_trip_world();
     // Warm the match-set cache and the timelines' buffers.
     for _ in 0..64 {
         cycle(&mut fed);
@@ -341,7 +362,36 @@ fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
             cycle(&mut fed);
         }
     });
-    assert!(calls <= 64 * 3 / 2, "{calls} allocator calls for 64 round trips");
+    assert!(calls <= 66, "{calls} allocator calls for 64 round trips");
+}
+
+/// A server's job table grows by segments that double, allocated once
+/// each: 10 000 jobs cost it a logarithmic number of allocator calls and
+/// at most twice their size, whereas an ordered map allocates a tree node
+/// every few jobs and a single vector copies every job at each doubling.
+/// Each round trip keeps one node list of its own, so everything beyond
+/// one call per job is growth: the table's, and the event queue's (a job
+/// ended early leaves its walltime event behind until its instant). 40
+/// calls and 3.01 MB in job-sized blocks measured; the ordered map made
+/// 1 693 calls and 3.44 MB.
+#[test]
+fn ten_thousand_jobs_grow_the_job_table_without_a_call_per_job() {
+    const JOBS: u64 = 10_000;
+    let (mut fed, cycle) = round_trip_world();
+    let bytes_before = JOB_SIZED_BYTES.with(Cell::get);
+    let ((), calls) = allocations_during(|| {
+        for _ in 0..JOBS {
+            cycle(&mut fed);
+        }
+    });
+    let bytes = JOB_SIZED_BYTES.with(Cell::get) - bytes_before;
+    assert_eq!(fed.all_jobs().count() as u64, JOBS);
+    let growth = calls - JOBS;
+    assert!(growth <= 40, "{growth} allocator calls beyond one node list per job");
+    // The largest segment at 10 000 jobs holds 8 192 of them.
+    let segment = 8_192 * size_of::<Job>() as u64;
+    let table = 2 * JOBS * size_of::<Job>() as u64;
+    assert!(bytes <= table + segment, "{bytes} bytes requested in job-sized blocks");
 }
 
 /// A deployment allocates per call, not per node: the image name is
@@ -370,6 +420,29 @@ fn a_deployment_allocates_per_call_not_per_node() {
     let (eight, sixty_four) = (calls(8), calls(64));
     assert_eq!(eight, sixty_four, "8 nodes: {eight} allocator calls, 64 nodes: {sixty_four}");
     assert!(eight <= 6, "{eight} allocator calls for one deployment");
+}
+
+/// `cmdline` prints `oarstat` and `oarnodes` and checks their headers: it
+/// formats every row, as the real tools do, into a sink that keeps the
+/// first line only. One run costs that line's buffer whatever the number
+/// of live jobs (it rendered both tables whole into strings it dropped:
+/// 26.3 calls a run, more with each live job).
+#[test]
+fn a_cmdline_run_keeps_only_the_headers_it_checks() {
+    let mut h = Harness::new(1);
+    let site = || Target::Site("east".into());
+    let (idle_passed, idle) = run_counted_on(&mut h, Family::Cmdline, site(), &[]);
+    for user in ["u1", "u2", "u3", "u4"] {
+        for _ in 0..10 {
+            let request = ResourceRequest::nodes(Expr::True, 1, SimDuration::from_hours(2));
+            h.oar.submit(user, Queue::Default, OarJobKind::User, request).expect("the request fits");
+        }
+    }
+    assert_eq!(h.oar.live_jobs().count(), 40);
+    let (busy_passed, busy) = run_counted_on(&mut h, Family::Cmdline, site(), &[]);
+    assert!(idle_passed && busy_passed);
+    assert_eq!(idle, busy, "no job: {idle} allocator calls, 40 live jobs: {busy}");
+    assert!(idle <= 1, "{idle} allocator calls for one cmdline run");
 }
 
 /// `multireboot` reboots each node five times and keeps a running mean:
