@@ -29,7 +29,7 @@ use ttt_kadeploy::{standard_images, Deployer, Environment};
 use ttt_kavlan::KavlanManager;
 use ttt_kwapi::MetricStore;
 use ttt_oar::{
-    FedJob, FedJobState, Federation, JobKind as OarJobKind, Queue, ResourceRequest,
+    Count, FedJob, FedJobState, Federation, JobKind as OarJobKind, Queue, ResourceRequest,
     UserLoadGenerator,
 };
 use ttt_refapi::RefApi;
@@ -629,16 +629,13 @@ impl Campaign {
     /// The OAR request for a configuration, honouring the per-node ablation.
     fn request_for(&self, idx: usize) -> ResourceRequest {
         let cfg = &self.suite[idx].config;
-        let request = cfg.resource_request(&self.tb);
+        let mut request = cfg.resource_request(&self.tb);
         if self.cfg.per_node_hardware && cfg.family.hardware_centric() {
-            // Per-node mode: sample three nodes instead of the whole
-            // cluster (slide 23's open question).
-            if let ttt_suite::Target::Cluster(c) = &cfg.target {
-                return ResourceRequest::nodes(
-                    ttt_oar::Expr::eq("cluster", c),
-                    3,
-                    cfg.family.walltime(),
-                );
+            // Per-node mode: sample three nodes of the same filter instead
+            // of the whole cluster (slide 23's open question).
+            let counts = request.groups.iter_mut().flat_map(|g| &mut g.hierarchy);
+            for (_, count) in counts.filter(|(_, c)| *c == Count::All) {
+                *count = Count::Exact(3);
             }
         }
         request
@@ -912,6 +909,38 @@ mod tests {
         assert_eq!(names.len(), PHASES.len(), "duplicate phase name");
         let kebab = |n: &str| n.split('-').all(|w| !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase()));
         assert!(names.iter().all(|n| kebab(n)), "{names:?}");
+    }
+
+    /// Slide 23's per-node ablation rewrites the suite's own request: a
+    /// hardware-centric row keeps its filter and walltime and asks for
+    /// three nodes instead of `ALL` — `ResourceRequest::nodes` of its
+    /// cluster — and every other row is untouched.
+    #[test]
+    fn the_per_node_ablation_rewrites_only_the_node_count() {
+        use ttt_oar::Expr;
+        let mut cfg = crate::scenario::paper_scenario(1);
+        cfg.per_node_hardware = true;
+        let c = Campaign::new(cfg);
+        let (mut rewritten, mut kept) = (0, 0);
+        for (idx, row) in c.suite.iter().enumerate() {
+            let (config, ablated) = (&row.config, c.request_for(idx));
+            let full = config.resource_request(&c.tb);
+            if !config.family.hardware_centric() {
+                assert_eq!(ablated, full, "{}", config.id());
+                kept += 1;
+                continue;
+            }
+            let full = full.to_string();
+            assert!(full.contains("/nodes=ALL,"), "{full}");
+            assert_eq!(ablated.to_string(), full.replace("/nodes=ALL,", "/nodes=3,"));
+            let ttt_suite::Target::Cluster(cluster) = &config.target else {
+                panic!("{}: a hardware-centric row off a cluster", config.id())
+            };
+            let walltime = config.family.walltime();
+            assert_eq!(ablated, ResourceRequest::nodes(Expr::eq("cluster", cluster), 3, walltime));
+            rewritten += 1;
+        }
+        assert_eq!((rewritten, kept), (116, 635));
     }
 
     #[test]

@@ -116,18 +116,15 @@ pub fn oarnodes_into(server: &OarServer, limit: usize, out: &mut impl fmt::Write
     Ok(())
 }
 
-/// A table cell holding a property's OAR rendering ([`PropValue::render`]),
-/// empty when the node lacks the property: padded like the rendered
-/// string, without rendering one.
+/// A table cell holding a property's OAR rendering, empty when the node
+/// lacks the property.
 struct PropCell<'a>(Option<&'a PropValue>);
 
 impl fmt::Display for PropCell<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0 {
             None => f.pad(""),
-            Some(PropValue::Str(s)) => f.pad(s),
-            Some(PropValue::Int(i)) => fmt::Display::fmt(i, f),
-            Some(PropValue::Bool(b)) => f.pad(if *b { "YES" } else { "NO" }),
+            Some(value) => fmt::Display::fmt(value, f),
         }
     }
 }

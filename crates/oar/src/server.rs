@@ -577,7 +577,6 @@ impl OarServer {
     /// Scans every node this server schedules; orchestrators that track
     /// which nodes flipped should call [`OarServer::sync_dirty_nodes`] with
     /// the testbed's alive-dirty set instead.
-    // detlint: allow(pub-fn-only-tests-call) -- the oarstat model test's full sync step: no dirty set to track
     pub fn sync_node_states(&mut self, tb: &Testbed) {
         let db = Arc::clone(&self.db);
         self.sync_nodes_inner(tb, &db.nodes_of_part[self.part]);

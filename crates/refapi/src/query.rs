@@ -55,9 +55,15 @@ impl PropValue {
     }
 }
 
+/// Pads in place to the formatter's width and alignment, allocating
+/// nothing: `oarnodes` lays its table out with it.
 impl fmt::Display for PropValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            PropValue::Str(s) => f.pad(s),
+            PropValue::Int(i) => fmt::Display::fmt(i, f),
+            PropValue::Bool(b) => f.pad(if *b { "YES" } else { "NO" }),
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use crate::config::{Family, Target, TestConfig};
 use crate::testutil::Harness;
 use ttt_nodecheck::check_node;
 use ttt_sim::SimTime;
-use ttt_testbed::{find_fault, Fault, FaultKind, NodeId};
+use ttt_testbed::{find_fault, Fault, FaultKind};
 
 /// One coverage claim: `family`, run against `target`, detects `kind`
 /// injected on `cluster` of the small harness testbed within `max_runs`
@@ -85,12 +85,10 @@ pub fn coverage_for(kind: FaultKind) -> Coverage {
 
 impl Harness {
     /// Inject `row.kind` on the canonical target its shape has on
-    /// `row.cluster`, and pin the node assignment the row's family would
-    /// get: hardware-centric families take the cluster, site tests two of
-    /// its nodes, the global configuration one node on each of two sites,
-    /// everything else the faulty node. `Err(detail)` is a miswired row
-    /// (unknown cluster, a testbed too small for it, a fault that cannot
-    /// apply there) — never a pass.
+    /// `row.cluster`. The row's configuration then runs on whatever nodes
+    /// the harness's `OarServer` assigns it, as every other harness run
+    /// does. `Err(detail)` is a miswired row (unknown cluster, a testbed
+    /// too small for it, a fault that cannot apply there) — never a pass.
     pub fn inject(&mut self, row: &Coverage) -> Result<Fault, String> {
         let Coverage { kind, cluster, .. } = *row;
         let miswired = |why: &str| format!("{kind} {why} {cluster} — coverage entry is miswired");
@@ -98,32 +96,14 @@ impl Harness {
             .tb
             .cluster_by_name(cluster)
             .ok_or_else(|| miswired("is declared on unknown cluster"))?;
-        let nodes = on.nodes.clone();
         let target = kind
             .spec()
             .shape
             .canonical_target(&self.tb, on)
             .ok_or_else(|| miswired("has no target of its shape on"))?;
-        let fault = self
-            .tb
+        self.tb
             .apply_fault(kind, target, SimTime::ZERO)
-            .ok_or_else(|| miswired("cannot be injected on"))?;
-        let node = |i: usize| nodes.get(i).copied();
-        let remote = || {
-            let cluster = *self.tb.sites().get(1)?.clusters.first()?;
-            self.tb.cluster(cluster).nodes.first().copied()
-        };
-        let assigned: Option<Vec<NodeId>> = if row.family.hardware_centric() {
-            Some(nodes.clone())
-        } else {
-            match row.target {
-                Target::Global => node(0).zip(remote()).map(|(a, b)| vec![a, b]),
-                Target::Site(_) => node(0).zip(node(2)).map(|(a, b)| vec![a, b]),
-                _ => node(0).map(|a| vec![a]),
-            }
-        };
-        self.assigned = assigned.ok_or_else(|| miswired("finds too few nodes to assign on"))?;
-        Ok(fault)
+            .ok_or_else(|| miswired("cannot be injected on"))
     }
 
     /// Run `row.family` up to `row.max_runs` times at the harness's
@@ -180,6 +160,35 @@ pub fn detection_failure(row: &Coverage, seed: u64, stream: &str) -> Option<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The harness runs each row's configuration where OAR's planner puts
+    /// it. That must be where the row's canonical target is, or the row
+    /// would test for a fault its run cannot see.
+    #[test]
+    fn canonical_targets_are_where_the_planner_lands() {
+        use ttt_testbed::FaultTarget;
+        let h = Harness::new(1);
+        for kind in FaultKind::ALL {
+            let row = coverage_for(kind);
+            let cfg = TestConfig { family: row.family, target: row.target.clone() };
+            let assigned = h
+                .oar
+                .immediate_assignment(&cfg.resource_request(&h.tb))
+                .unwrap_or_else(|| panic!("{kind}: the planner cannot start {}", cfg.id()));
+            let on = h.tb.cluster_by_name(row.cluster).expect("a small-testbed cluster");
+            let target = kind.spec().shape.canonical_target(&h.tb, on).expect("a target");
+            let mut sites: Vec<_> = assigned.iter().map(|&n| h.tb.node(n).site).collect();
+            sites.sort();
+            sites.dedup();
+            let reached = match target {
+                FaultTarget::Node(n) => assigned.contains(&n),
+                FaultTarget::NodePair(a, b) => assigned.contains(&a) || assigned.contains(&b),
+                FaultTarget::Service(s, _) | FaultTarget::Site(s) => sites == [s],
+                FaultTarget::SiteLink(a, b) => sites == [a.min(b), a.max(b)],
+            };
+            assert!(reached, "{kind}: {} runs on {assigned:?}, not on {target}", cfg.id());
+        }
+    }
 
     #[test]
     fn miswired_rows_are_reported_not_panicked() {

@@ -1,6 +1,7 @@
 //! Shared test harness: a small testbed with every service stood up
-//! (testbed + refapi + oar + kavlan + kwapi + deployer), plus automatic
-//! node assignment per configuration.
+//! (testbed + refapi + oar + kavlan + kwapi + deployer). A configuration's
+//! nodes are what the harness's own [`OarServer`] assigns to its
+//! [`TestConfig::resource_request`], as the campaign's are.
 //!
 //! Family unit tests, the end-to-end detection matrix, the coverage
 //! ablation and the scenario swarm's detection-soundness oracle all run
@@ -8,7 +9,7 @@
 //! their own copy of the world; [`crate::coverage`] drives it through the
 //! inject → run → attribute loop.
 
-use crate::config::{Target, TestConfig};
+use crate::config::TestConfig;
 use crate::ctx::TestCtx;
 use crate::dispatch::run_test;
 use crate::report::TestReport;
@@ -31,7 +32,8 @@ pub struct Harness {
     pub kwapi: MetricStore,
     pub deployer: Deployer,
     pub images: Vec<Environment>,
-    /// Explicit node assignment; emptied means "derive from the config".
+    /// Explicit node assignment; empty means "ask `oar` for the config's
+    /// request".
     pub assigned: Vec<NodeId>,
     pub now: SimTime,
     pub rng: SmallRng,
@@ -72,52 +74,8 @@ impl Harness {
         }
     }
 
-    /// Derive a plausible OAR assignment for a configuration.
-    fn derive_assignment(&self, cfg: &TestConfig) -> Vec<NodeId> {
-        let alive = |n: &NodeId| self.tb.node_alive(*n);
-        match &cfg.target {
-            Target::Cluster(c) | Target::ImageCluster { cluster: c, .. } => {
-                let nodes: Vec<NodeId> = self
-                    .tb
-                    .cluster_by_name(c)
-                    .map(|cl| cl.nodes.iter().copied().filter(alive).collect())
-                    .unwrap_or_default();
-                if cfg.family.hardware_centric() {
-                    nodes
-                } else {
-                    nodes.into_iter().take(1).collect()
-                }
-            }
-            Target::Site(s) => {
-                let site = self.tb.site_by_name(s).map(|s| s.id);
-                self.tb
-                    .nodes()
-                    .iter()
-                    .filter(|n| Some(n.site) == site && self.tb.node_alive(n.id))
-                    .map(|n| n.id)
-                    .take(2)
-                    .collect()
-            }
-            Target::Global => {
-                let mut out = Vec::new();
-                for site in self.tb.sites() {
-                    if let Some(&cid) = site.clusters.first() {
-                        if let Some(&nid) = self.tb.cluster(cid).nodes.first() {
-                            out.push(nid);
-                        }
-                    }
-                    if out.len() == 2 {
-                        break;
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Run one configuration, deriving the assignment unless `assigned`
-    /// was set explicitly, and advance the harness clock by the test's
-    /// virtual duration.
+    /// Run one configuration, on `assigned` if it was set explicitly, and
+    /// advance the harness clock by the test's virtual duration.
     pub fn run(&mut self, cfg: &TestConfig) -> TestReport {
         let report = self.run_static(cfg);
         self.now += report.duration;
@@ -128,9 +86,15 @@ impl Harness {
     /// advancing the clock — probabilistic detection loops (the detection
     /// matrix, the swarm's soundness oracle) re-run a family many times at
     /// one fixed instant.
+    ///
+    /// `oar` is first reconciled with the testbed, so an injected fault or a
+    /// direct `node_mut` write since the last run is what the planner sees.
+    /// A request the planner cannot start now runs on no node.
     pub fn run_static(&mut self, cfg: &TestConfig) -> TestReport {
+        self.oar.sync_node_states(&self.tb);
         let assigned = if self.assigned.is_empty() {
-            self.derive_assignment(cfg)
+            let request = cfg.resource_request(&self.tb);
+            self.oar.immediate_assignment(&request).unwrap_or_default()
         } else {
             self.assigned.clone()
         };

@@ -663,7 +663,10 @@ impl TargetShape {
     /// `cluster` — what the detection harness and the ablation inject:
     /// the cluster's first node (or first two), its site, the first
     /// site's kadeploy service, the link between the first two sites.
-    /// `None` when the testbed is too small for the shape.
+    /// `None` when the testbed is too small for the shape. "First" is the
+    /// order OAR's planner assigns in: the harness runs each coverage row
+    /// where the planner puts it, and `ttt_suite::coverage`'s
+    /// `canonical_targets_are_where_the_planner_lands` fails if the two part.
     pub fn canonical_target(self, tb: &Testbed, cluster: &Cluster) -> Option<FaultTarget> {
         let site = |i: usize| tb.sites().get(i).map(|s| s.id);
         let node = |i: usize| cluster.nodes.get(i).copied();

@@ -40,7 +40,7 @@ use throughout::nodecheck::check_node;
 use throughout::oar::{
     AvailabilityProbe, Expr, Federation, FedJobState, Job, JobKind as OarJobKind, Queue, ResourceRequest,
 };
-use throughout::refapi::describe;
+use throughout::refapi::{describe, PropValue};
 use throughout::sim::rng::stream_rng;
 use throughout::sim::{SimDuration, SimTime};
 use throughout::status::{ServicesPanel, StatusGrid};
@@ -420,6 +420,23 @@ fn a_deployment_allocates_per_call_not_per_node() {
     let (eight, sixty_four) = (calls(8), calls(64));
     assert_eq!(eight, sixty_four, "8 nodes: {eight} allocator calls, 64 nodes: {sixty_four}");
     assert!(eight <= 6, "{eight} allocator calls for one deployment");
+}
+
+/// A property value pads to the formatter's width in place, as `oarnodes`
+/// lays out its cells: no allocator call into a buffer already large
+/// enough. (Its `Display` rendered a `String` first and ignored the width.)
+#[test]
+fn a_property_value_pads_without_allocating() {
+    use std::fmt::Write;
+    let (yes, seven) = (PropValue::Bool(true), PropValue::Int(7));
+    assert_eq!(format!("{yes:<5}|{seven:>3}"), "YES  |  7");
+    let alpha = PropValue::Str("alpha".into());
+    let mut out = String::with_capacity(64);
+    let ((), calls) = allocations_during(|| {
+        write!(out, "{yes:<5}|{seven:>3}|{alpha:^9}|").expect("a String takes every write");
+    });
+    assert_eq!(out, "YES  |  7|  alpha  |");
+    assert_eq!(calls, 0, "{calls} allocator calls to format three values");
 }
 
 /// `cmdline` prints `oarstat` and `oarnodes` and checks their headers: it
