@@ -42,8 +42,6 @@ use ttt_testbed::{FaultInjector, FaultKind, Layer, NodeId, Testbed, TestbedBuild
 /// `Campaign::suite`; only `Campaign::by_key` turns a name back into one.
 struct SuiteRow {
     config: TestConfig,
-    /// Home scheduling domain: the site whose resources the test consumes.
-    home: Option<usize>,
     /// `None` until rolled out.
     enrolled: Option<Enrolment>,
 }
@@ -237,7 +235,6 @@ impl Campaign {
         let suite: Vec<SuiteRow> = build_suite(&tb, &images)
             .into_iter()
             .map(|config| SuiteRow {
-                home: fed.domain_by_name(&config.site(&tb)),
                 config,
                 enrolled: None,
             })
@@ -741,14 +738,10 @@ impl Campaign {
                 .finish(&item.build, BuildResult::Aborted, vec!["unknown cell".into()]);
             return;
         };
+        // The federation homes the job where its request is pinned: the
+        // site the row's configuration names.
         let request = Arc::clone(&enrolment.request);
-        let submitted = self.fed.submit(
-            "ci",
-            Queue::Admin,
-            OarJobKind::Test,
-            request,
-            self.suite[idx].home,
-        );
+        let submitted = self.fed.submit("ci", Queue::Admin, OarJobKind::Test, request, None);
         let Ok(oar_job) = submitted else {
             // Whole target unavailable (e.g. cluster dead).
             self.mark_unstable(&item.build, idx, "no eligible resources on the testbed", t);
@@ -941,6 +934,30 @@ mod tests {
             rewritten += 1;
         }
         assert_eq!((rewritten, kept), (116, 635));
+    }
+
+    /// A row's job is submitted with no home: `Federation::submit` derives
+    /// it from the request, and for every row that is the domain of the
+    /// site the row's configuration names — cluster, image × cluster,
+    /// site and global rows alike.
+    #[test]
+    fn every_row_is_homed_on_the_site_its_configuration_names() {
+        let c = Campaign::new(crate::scenario::paper_scenario(1));
+        let mut kinds = BTreeMap::new();
+        for (idx, row) in c.suite.iter().enumerate() {
+            let site = c.fed.domain_by_name(&row.config.site(&c.tb));
+            assert!(site.is_some(), "{}", row.config.id());
+            assert_eq!(c.fed.home_of_request(&c.request_for(idx)), site, "{}", row.config.id());
+            let kind = match row.config.target {
+                ttt_suite::Target::Cluster(_) => "cluster",
+                ttt_suite::Target::ImageCluster { .. } => "image-cluster",
+                ttt_suite::Target::Site(_) => "site",
+                ttt_suite::Target::Global => "global",
+            };
+            *kinds.entry(kind).or_insert(0) += 1;
+        }
+        assert_eq!(kinds.len(), 4, "{kinds:?}");
+        assert_eq!(kinds.values().sum::<usize>(), 751);
     }
 
     #[test]

@@ -253,14 +253,6 @@ impl ResourceRequest {
             walltime,
         }
     }
-
-    /// The clusters this request can ever touch, one per group, if every
-    /// group statically implies one (see [`Expr::implied_cluster`]). `None`
-    /// means the request may span arbitrary clusters.
-    pub fn implied_clusters(&self) -> Option<impl Iterator<Item = &str>> {
-        let implied = || self.groups.iter().map(|g| g.filter.implied_cluster());
-        implied().all(|c| c.is_some()).then(|| implied().flatten())
-    }
 }
 
 impl fmt::Display for ResourceRequest {
@@ -305,26 +297,6 @@ mod tests {
             Expr::Not(Box::new(Expr::eq("cluster", "a"))).implied_cluster(),
             None
         );
-
-        let req = ResourceRequest {
-            groups: vec![
-                RequestGroup {
-                    filter: Expr::eq("cluster", "a").and(Expr::eq("gpu", "YES")),
-                    hierarchy: vec![(Level::Nodes, Count::Exact(1))],
-                },
-                RequestGroup {
-                    filter: Expr::eq("cluster", "b"),
-                    hierarchy: vec![(Level::Nodes, Count::Exact(2))],
-                },
-            ],
-            walltime: SimDuration::from_hours(1),
-        };
-        fn clusters(r: &ResourceRequest) -> Option<Vec<&str>> {
-            r.implied_clusters().map(Iterator::collect)
-        }
-        assert_eq!(clusters(&req), Some(vec!["a", "b"]));
-        let open = ResourceRequest::nodes(Expr::True, 1, SimDuration::from_hours(1));
-        assert_eq!(clusters(&open), None);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! A [`NodeTimeline`] is one node's sorted list of non-overlapping
 //! reservations; "is this node free over `[t, t+d)`?" is O(#reservations)
 //! on it, and the daily GC keeps it to the reservations still ahead. An
-//! [`EndIndex`] holds the planner's candidate start instants. A [`Gantt`]
-//! owns both for the nodes of one part and is the only code that writes
-//! either, so booking, releasing, truncating and collecting a reservation
-//! each update timeline and index in one call and the two cannot drift
-//! apart; [`Gantt::divergence`] is the scan that says so. What is *not*
+//! [`EndIndex`] holds the planner's candidate start instants: one ordered
+//! multiset of the part's reservation ends, into which a booked job writes
+//! its end once, whatever its node count. A [`Gantt`] owns both for the
+//! nodes of one part and is the only code that writes either, so booking,
+//! releasing, truncating and collecting a reservation each update timeline
+//! and index in one call and the two cannot drift apart;
+//! [`Gantt::divergence`] is the scan that says so. What is *not*
 //! cheap is asking many nodes: [`crate::server`] keeps that to the nodes of
 //! its part that match the request's filter.
 
@@ -112,61 +114,39 @@ impl NodeTimeline {
     }
 }
 
-/// Per-cluster index of upcoming reservation *end* instants.
+/// Index of the upcoming reservation *end* instants of one part.
 ///
 /// Conservative backfilling only ever starts a job "now" or at an instant
 /// where some reservation ends — a free window cannot open anywhere else —
-/// so these are the planner's candidate instants, kept per cluster so that
-/// a request reads only the ends that can concern it. Multiset semantics
+/// so these are the planner's candidate instants. Multiset semantics
 /// (`end → count`) because many reservations share an end. Read-only
 /// outside this module: the owning [`Gantt`] writes it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EndIndex {
-    per_cluster: Vec<BTreeMap<SimTime, u32>>,
-    global: BTreeMap<SimTime, u32>,
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EndIndex(BTreeMap<SimTime, u32>);
 
 impl EndIndex {
-    fn new(clusters: usize) -> Self {
-        EndIndex {
-            per_cluster: vec![BTreeMap::new(); clusters],
-            global: BTreeMap::new(),
-        }
-    }
-
-    /// Record `n` reservations ending at `end` on `cluster`.
-    fn add(&mut self, (cluster, end, n): Run) {
-        *self.per_cluster[cluster].entry(end).or_insert(0) += n;
-        *self.global.entry(end).or_insert(0) += n;
+    /// Record `n` reservations ending at `end`.
+    fn add(&mut self, (end, n): Run) {
+        *self.0.entry(end).or_insert(0) += n;
     }
 
     /// Remove `n` ends previously recorded with `add`.
-    fn remove(&mut self, (cluster, end, n): Run) {
-        Self::dec(&mut self.per_cluster[cluster], end, n);
-        Self::dec(&mut self.global, end, n);
-    }
-
-    fn dec(map: &mut BTreeMap<SimTime, u32>, end: SimTime, n: u32) {
-        match map.get_mut(&end) {
+    fn remove(&mut self, (end, n): Run) {
+        match self.0.get_mut(&end) {
             Some(c) if *c > n => *c -= n,
             Some(c) => {
                 debug_assert_eq!(*c, n, "removing {n} ends at {end}, {c} tracked");
-                map.remove(&end);
+                self.0.remove(&end);
             }
             None => debug_assert!(false, "removing untracked end {end}"),
         }
     }
 
-    /// Append every distinct end in `(after, upto]` on `cluster` to `out`.
-    pub fn candidates_into(
-        &self,
-        cluster: usize,
-        after: SimTime,
-        upto: SimTime,
-        out: &mut Vec<SimTime>,
-    ) {
+    /// Append every distinct end in `(after, upto]` to `out`, in ascending
+    /// order.
+    pub fn candidates_into(&self, after: SimTime, upto: SimTime, out: &mut Vec<SimTime>) {
         out.extend(
-            self.per_cluster[cluster]
+            self.0
                 .range((
                     std::ops::Bound::Excluded(after),
                     std::ops::Bound::Included(upto),
@@ -175,23 +155,10 @@ impl EndIndex {
         );
     }
 
-    /// Append every distinct end in `(after, upto]` across all clusters to
-    /// `out`, in ascending order.
-    pub fn global_candidates_into(&self, after: SimTime, upto: SimTime, out: &mut Vec<SimTime>) {
-        out.extend(
-            self.global
-                .range((
-                    std::ops::Bound::Excluded(after),
-                    std::ops::Bound::Included(upto),
-                ))
-                .map(|(&t, _)| t),
-        );
-    }
-
-    /// The earliest tracked end strictly after `t` across all clusters
-    /// (drives the planning-horizon re-plan wakeup).
+    /// The earliest tracked end strictly after `t` (drives the
+    /// planning-horizon re-plan wakeup).
     pub fn first_beyond(&self, t: SimTime) -> Option<SimTime> {
-        self.global
+        self.0
             .range((std::ops::Bound::Excluded(t), std::ops::Bound::Unbounded))
             .next()
             .map(|(&e, _)| e)
@@ -199,58 +166,48 @@ impl EndIndex {
 
     /// Drop ends at or before `horizon` (mirrors [`NodeTimeline::gc`]).
     fn gc(&mut self, horizon: SimTime) {
-        for m in &mut self.per_cluster {
-            *m = m.split_off(&next_instant(horizon));
-        }
-        self.global = self.global.split_off(&next_instant(horizon));
+        self.0 = self.0.split_off(&next_instant(horizon));
     }
 }
 
-/// `n` reservation ends at one instant on one cluster: `(cluster, end, n)`.
-type Run = (usize, SimTime, u32);
+/// `n` reservation ends at one instant: `(end, n)`.
+type Run = (SimTime, u32);
 
-/// Consecutive end-index writes, folded while they name the same cluster
-/// and the same end: a job's nodes come in node order, so the nodes of one
-/// cluster come in a row and cost one index write between them.
+/// Consecutive end-index writes, folded while they name the same end: a
+/// job's nodes share their end, so they cost one index write between them.
 #[derive(Default)]
 struct Runs(Option<Run>);
 
 impl Runs {
-    /// One more end at `end` on `cluster`; the run this one does not
-    /// continue is handed back for writing.
-    fn push(&mut self, cluster: usize, end: SimTime) -> Option<Run> {
+    /// One more end at `end`; the run this one does not continue is handed
+    /// back for writing.
+    fn push(&mut self, end: SimTime) -> Option<Run> {
         match &mut self.0 {
-            Some((c, e, n)) if (*c, *e) == (cluster, end) => {
+            Some((e, n)) if *e == end => {
                 *n += 1;
                 None
             }
-            run => run.replace((cluster, end, 1)),
+            run => run.replace((end, 1)),
         }
     }
 }
 
 /// The reservations of one scheduling part: a [`NodeTimeline`] per node,
 /// addressed by the node's slot in the part, and the [`EndIndex`] over them.
-/// Every write goes through here and updates both, the index once per run
-/// of same-cluster nodes rather than once per node.
+/// Every write goes through here and updates both, the index once per job
+/// rather than once per node.
 #[derive(Debug, Clone)]
 pub struct Gantt {
     timelines: Vec<NodeTimeline>,
-    /// The cluster (an index below the `clusters` of [`Gantt::new`]) each
-    /// slot's ends are filed under.
-    cluster_of_slot: Vec<u32>,
     ends: EndIndex,
 }
 
 impl Gantt {
-    /// An empty chart with one node per entry of `cluster_of_slot`, each
-    /// naming its node's cluster as an index below `clusters`.
-    pub fn new(cluster_of_slot: Vec<u32>, clusters: usize) -> Self {
-        assert!(cluster_of_slot.iter().all(|&c| (c as usize) < clusters));
+    /// An empty chart of `nodes` nodes, in slots `0..nodes`.
+    pub fn new(nodes: usize) -> Self {
         Gantt {
-            timelines: vec![NodeTimeline::new(); cluster_of_slot.len()],
-            cluster_of_slot,
-            ends: EndIndex::new(clusters),
+            timelines: vec![NodeTimeline::new(); nodes],
+            ends: EndIndex::default(),
         }
     }
 
@@ -280,16 +237,13 @@ impl Gantt {
         start: SimTime,
         d: SimDuration,
     ) {
-        let mut runs = Runs::default();
+        let mut nodes = 0;
         for slot in slots {
             self.timelines[slot].reserve(start, d, job);
-            let cluster = self.cluster_of_slot[slot] as usize;
-            if let Some(run) = runs.push(cluster, start + d) {
-                self.ends.add(run);
-            }
+            nodes += 1;
         }
-        if let Some(run) = runs.0 {
-            self.ends.add(run);
+        if nodes > 0 {
+            self.ends.add((start + d, nodes));
         }
     }
 
@@ -298,8 +252,7 @@ impl Gantt {
         let mut runs = Runs::default();
         for slot in slots {
             if let Some(end) = self.timelines[slot].end_of(job) {
-                let cluster = self.cluster_of_slot[slot] as usize;
-                if let Some(run) = runs.push(cluster, end) {
+                if let Some(run) = runs.push(end) {
                     self.ends.remove(run);
                 }
             }
@@ -315,20 +268,15 @@ impl Gantt {
     pub fn truncate(&mut self, job: JobId, slots: impl IntoIterator<Item = usize>, at: SimTime) {
         let (mut gone, mut moved) = (Runs::default(), Runs::default());
         for slot in slots {
-            let cluster = self.cluster_of_slot[slot] as usize;
             let old = self.timelines[slot].end_of(job);
             self.timelines[slot].truncate(job, at);
             let new = self.timelines[slot].end_of(job);
             if old != new {
-                if let Some(end) = old {
-                    if let Some(run) = gone.push(cluster, end) {
-                        self.ends.remove(run);
-                    }
+                if let Some(run) = old.and_then(|end| gone.push(end)) {
+                    self.ends.remove(run);
                 }
-                if let Some(end) = new {
-                    if let Some(run) = moved.push(cluster, end) {
-                        self.ends.add(run);
-                    }
+                if let Some(run) = new.and_then(|end| moved.push(end)) {
+                    self.ends.add(run);
                 }
             }
         }
@@ -350,14 +298,12 @@ impl Gantt {
 
     /// The consistency check, for property tests and oracles: how the end
     /// index differs from the one a scan over every timeline builds — the
-    /// same multiset of reservation ends, globally and per cluster. `None`
-    /// always, unless this module has a bug.
+    /// same multiset of reservation ends. `None` always, unless this module
+    /// has a bug.
     pub fn divergence(&self) -> Option<String> {
-        let mut scanned = EndIndex::new(self.ends.per_cluster.len());
-        for (tl, &cluster) in self.timelines.iter().zip(&self.cluster_of_slot) {
-            for r in tl.reservations() {
-                scanned.add((cluster as usize, r.end, 1));
-            }
+        let mut scanned = EndIndex::default();
+        for r in self.timelines.iter().flat_map(NodeTimeline::reservations) {
+            scanned.add((r.end, 1));
         }
         (self.ends != scanned).then(|| {
             format!("end index diverged: cached {:?}, scanned {:?}", self.ends, scanned)
@@ -455,36 +401,35 @@ mod tests {
 
     #[test]
     fn end_index_multiset_semantics() {
-        let mut idx = EndIndex::new(2);
-        idx.add((0, t(3), 1));
-        idx.add((0, t(3), 1));
-        idx.add((1, t(5), 1));
+        let mut idx = EndIndex::default();
+        idx.add((t(3), 1));
+        idx.add((t(3), 1));
+        idx.add((t(5), 1));
         let mut out = Vec::new();
-        idx.global_candidates_into(t(0), t(10), &mut out);
+        idx.candidates_into(t(0), t(10), &mut out);
         assert_eq!(out, vec![t(3), t(5)]);
         // One of the two t=3 ends goes away: t=3 must survive.
-        idx.remove((0, t(3), 1));
+        idx.remove((t(3), 1));
         out.clear();
-        idx.candidates_into(0, t(0), t(10), &mut out);
-        assert_eq!(out, vec![t(3)]);
-        idx.remove((0, t(3), 1));
+        idx.candidates_into(t(0), t(10), &mut out);
+        assert_eq!(out, vec![t(3), t(5)]);
+        idx.remove((t(3), 1));
         out.clear();
-        idx.global_candidates_into(t(0), t(10), &mut out);
+        idx.candidates_into(t(0), t(10), &mut out);
         assert_eq!(out, vec![t(5)]);
     }
 
     #[test]
     fn end_index_ranges_and_moves() {
-        // Two nodes of cluster 0, one of cluster 1.
-        let mut g = Gantt::new(vec![0, 0, 1], 2);
-        g.book(JobId(1), [0, 1], t(0), H * 2); // ends at 2 on cluster 0
-        g.book(JobId(2), [2], t(0), H * 6); // ends at 6 on cluster 1
+        let mut g = Gantt::new(3);
+        g.book(JobId(1), [0, 1], t(0), H * 2); // two nodes end at 2
+        g.book(JobId(2), [2], t(0), H * 6); // one node ends at 6
         assert_eq!(g.busy_count(t(1)), 3);
         assert!(!g.timeline(0).is_free(t(1), H));
         // Range bounds: after exclusive, upto inclusive.
         let ends = |g: &Gantt, after, upto| {
             let mut out = Vec::new();
-            g.ends().global_candidates_into(t(after), t(upto), &mut out);
+            g.ends().candidates_into(t(after), t(upto), &mut out);
             out
         };
         assert_eq!(ends(&g, 2, 6), vec![t(6)]);
@@ -495,9 +440,6 @@ mod tests {
         g.truncate(JobId(2), [2], t(4));
         g.truncate(JobId(2), [2], t(4));
         assert_eq!(ends(&g, 0, 10), vec![t(2), t(4)]);
-        let mut on_c1 = Vec::new();
-        g.ends().candidates_into(1, t(0), t(10), &mut on_c1);
-        assert_eq!(on_c1, vec![t(4)]);
         // Releasing one of two nodes keeps their shared end; releasing a
         // job that holds nothing is a no-op.
         g.release(JobId(1), [0]);

@@ -11,7 +11,8 @@
 //! states and reservations exist for that part only — the latter in one
 //! [`Gantt`], the sole writer of timelines and end index alike — and every
 //! planner scan walks the part's run of a cached match-set, never the node
-//! arena.
+//! arena. A waiting job is tried at now and at each reservation end of the
+//! part within the horizon, in order, whichever clusters it can touch.
 //!
 //! Two queries matter to the paper's external test scheduler (slide 17):
 //! "are this request's resources available *right now*?" and "can this
@@ -126,11 +127,11 @@ enum Release {
 pub struct ResourceDb {
     /// Host-name-keyed properties from the Reference API.
     props: Vec<PropertyMap>,
-    /// Owning cluster per node. The per-cluster caches are indexed by
-    /// `ClusterId` directly (dense copy type), so the per-node hot paths
-    /// never hash a cluster-name string.
+    /// Owning cluster per node, as its dense `ClusterId`: the planner
+    /// groups a `cluster=N` request's matches by it without hashing a
+    /// cluster-name string per node.
     cluster_of_node: Vec<ClusterId>,
-    /// Cluster names in `ClusterId` order (index space of the caches).
+    /// Cluster names in `ClusterId` order.
     cluster_names: Vec<String>,
     /// Cluster name → id, used once when resolving a filter's string
     /// cluster reference; everything downstream carries the `ClusterId`.
@@ -291,8 +292,8 @@ impl ResourceDb {
             slot_of_node.push((part as u32, nodes_of_part[part].len() as u32));
             nodes_of_part[part].push(node.id);
         }
-        // The testbed's ClusterIds are dense, so they ARE the cache index
-        // space — no separate interning pass.
+        // The testbed's ClusterIds are dense, so they index the per-cluster
+        // tables directly — no separate interning pass.
         ResourceDb {
             props,
             cluster_of_node,
@@ -410,10 +411,10 @@ pub struct OarServer {
     /// alive (a start checks it, a death ends the job), and it is exactly
     /// the nodes with a reservation active now.
     busy: usize,
-    /// The clusters of this part, ascending. The Gantt's end index files a
-    /// reservation end under the position of its node's cluster here.
-    clusters: Vec<ClusterId>,
     gantt: Gantt,
+    /// Candidate start instants, rebuilt for each job a pass plans and
+    /// kept across passes, so listing them allocates nothing once grown.
+    candidates: Vec<SimTime>,
     /// Every job ever submitted, by id.
     jobs: JobTable,
     /// Every owner any job was submitted by: each name is written once and
@@ -474,21 +475,13 @@ impl OarServer {
     /// Build the server of one part of a shared resource database — what
     /// a federation does once per site.
     pub(crate) fn over_part(db: Arc<ResourceDb>, part: usize) -> Self {
-        let nodes = &db.nodes_of_part[part];
-        let mut clusters: Vec<ClusterId> =
-            nodes.iter().map(|n| db.cluster_of_node[n.index()]).collect();
-        clusters.sort_unstable();
-        clusters.dedup();
-        let cluster_of_slot = nodes
-            .iter()
-            .map(|n| clusters.partition_point(|&c| c < db.cluster_of_node[n.index()]) as u32)
-            .collect();
+        let nodes = db.nodes_of_part[part].len();
         OarServer {
-            node_states: vec![NodeState::Alive; nodes.len()],
-            alive: nodes.len(),
+            node_states: vec![NodeState::Alive; nodes],
+            alive: nodes,
             busy: 0,
-            gantt: Gantt::new(cluster_of_slot, clusters.len()),
-            clusters,
+            gantt: Gantt::new(nodes),
+            candidates: Vec::new(),
             db,
             part,
             jobs: JobTable::default(),
@@ -967,11 +960,12 @@ impl OarServer {
         }
         let mut still = std::mem::take(&mut self.waiting_scratch);
         still.clear();
+        let mut candidates = std::mem::take(&mut self.candidates);
         while let Some(id) = self.waiting.pop_front() {
             // A job that ended while queued leaves a stale entry.
             let Some(job) = self.queued_job(id) else { continue };
             // Plan from the stored request in place.
-            match self.earliest_assignment(&job.request) {
+            match self.earliest_assignment(&job.request, &mut candidates) {
                 Some((start, assignment)) => {
                     self.queued -= 1;
                     self.book(id, start, assignment);
@@ -980,6 +974,7 @@ impl OarServer {
                 None => still.push_back(id),
             }
         }
+        self.candidates = candidates;
         self.waiting_scratch = std::mem::replace(&mut self.waiting, still);
     }
 
@@ -1001,38 +996,27 @@ impl OarServer {
         }
     }
 
-    /// Earliest `(start, assignment)` for a request within the horizon.
+    /// Earliest `(start, assignment)` for a request within the horizon,
+    /// with `candidates` as the scratch list of instants to try.
     ///
-    /// Candidate start instants: now plus every reservation end within the
-    /// horizon (a free window can only open when something ends), read off
-    /// the Gantt's end index and narrowed to the clusters the request can
-    /// touch: an end on an unrelated cluster never changes this request's
-    /// feasibility, and feasibility between two relevant ends is monotone
-    /// non-increasing, so dropping irrelevant instants cannot change the
-    /// answer.
-    fn earliest_assignment(&self, request: &ResourceRequest) -> Option<(SimTime, Vec<NodeId>)> {
+    /// Candidate start instants: now plus every reservation end of the part
+    /// within the horizon, in ascending order — a free window can only open
+    /// when something ends. Ends on clusters the request cannot touch are
+    /// tried too, and cannot move the answer: between two ends on its own
+    /// clusters the request's feasibility only falls, so it is never
+    /// feasible at such an end without being feasible at the instant
+    /// tried before.
+    fn earliest_assignment(
+        &self,
+        request: &ResourceRequest,
+        candidates: &mut Vec<SimTime>,
+    ) -> Option<(SimTime, Vec<NodeId>)> {
+        candidates.clear();
+        candidates.push(self.now);
         let limit = self.now + self.horizon;
-        let ends = self.gantt.ends();
-        let mut candidates: Vec<SimTime> = vec![self.now];
-        match request.implied_clusters() {
-            Some(names) => {
-                for name in names {
-                    // Unknown cluster names, and other parts' clusters,
-                    // contribute no nodes here, hence no candidate
-                    // instants either.
-                    let id = self.db.cluster_ids.get(name);
-                    if let Some(c) = id.and_then(|id| self.clusters.binary_search(id).ok()) {
-                        ends.candidates_into(c, self.now, limit, &mut candidates);
-                    }
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-            }
-            // Global keys are already ascending and unique, and all > now.
-            None => ends.global_candidates_into(self.now, limit, &mut candidates),
-        }
+        self.gantt.ends().candidates_into(self.now, limit, candidates);
         let sets = self.db.resolve(request);
-        candidates.into_iter().find_map(|t| {
+        candidates.iter().find_map(|&t| {
             let mut assignment = Vec::new();
             self.plan(request, sets.as_slice(), Some(t), &mut assignment)
                 .then_some((t, assignment))
@@ -1798,5 +1782,123 @@ mod tests {
         }
         // Both answers, and the refusal itself, are reached.
         assert!(refused > 100 && placed > 100, "{refused} refused, {placed} placed");
+    }
+
+    /// The planner's candidate list while ends were also indexed per
+    /// cluster: now plus the ends, within the horizon, on the clusters
+    /// every group of `request` implies — or on the whole part when a group
+    /// implies none — here read off the timelines of the part's nodes.
+    /// Unknown and other parts' clusters contribute no instant. Returns the
+    /// answer and how many instants it had to try from.
+    fn narrowed_assignment(
+        s: &OarServer,
+        request: &ResourceRequest,
+    ) -> (Option<(SimTime, Vec<NodeId>)>, usize) {
+        let limit = s.now + s.horizon;
+        let implied: Option<Vec<&str>> =
+            request.groups.iter().map(|g| g.filter.implied_cluster()).collect();
+        let touches = |node: NodeId| {
+            let cluster = s.db.cluster_of_node[node.index()].index();
+            implied.as_ref().is_none_or(|names| names.contains(&&*s.db.cluster_names[cluster]))
+        };
+        let mut candidates = vec![s.now];
+        for (slot, &node) in s.db.nodes_of_part[s.part].iter().enumerate() {
+            if touches(node) {
+                let ends = s.gantt.timeline(slot).reservations().iter().map(|r| r.end);
+                candidates.extend(ends.filter(|&e| e > s.now && e <= limit));
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        let sets = s.db.resolve(request);
+        let planned = candidates.iter().find_map(|&t| {
+            let mut assignment = Vec::new();
+            s.plan(request, sets.as_slice(), Some(t), &mut assignment)
+                .then_some((t, assignment))
+        });
+        (planned, candidates.len())
+    }
+
+    /// Planning from every end of the part answers what planning from the
+    /// ends of the request's own clusters answered: the same start and the
+    /// same nodes, over random bookings, early ends, cancels, deaths,
+    /// repairs and daily GC, on a whole testbed and on one site's part,
+    /// for cluster-pinned, `cluster=N/nodes=M`, `nodes=ALL`, multi-group
+    /// and site-agnostic requests.
+    #[test]
+    fn planning_from_every_end_matches_the_cluster_narrowed_candidates() {
+        use rand::Rng;
+        let (mut now, mut later, mut never, mut wider) = (0, 0, 0, 0);
+        let mut candidates = Vec::new();
+        for world in 0..24u64 {
+            let mut rng = ttt_sim::rng::stream_rng(world, "one-end-index");
+            let (mut tb, mut s) = setup();
+            if world % 2 == 1 {
+                // The west site's part of a per-site database.
+                let desc = describe(&tb, 1, SimTime::ZERO);
+                s = OarServer::over_part(Arc::new(ResourceDb::load_by_site(&tb, &desc)), 1);
+            }
+            let clusters: Vec<String> = tb.clusters().iter().map(|c| c.name.clone()).collect();
+            let draw = |rng: &mut rand::rngs::SmallRng, hours: SimDuration| {
+                let cluster = Expr::eq("cluster", &clusters[rng.gen_range(0..clusters.len())]);
+                let text = match rng.gen_range(0..7) {
+                    0 => return ResourceRequest::all_nodes(cluster, hours),
+                    1 => return ResourceRequest::nodes(cluster, rng.gen_range(1..4), hours),
+                    2 => "cluster=2/nodes=2",
+                    3 => "{cluster='alpha'}/nodes=1+{cluster='gamma'}/nodes=2",
+                    4 => "{cluster='delta'}/nodes=1+{cluster='gamma'}/nodes=ALL",
+                    5 => "{cluster='gamma'}/nodes=1+nodes=2",
+                    _ => return ResourceRequest::nodes(Expr::True, rng.gen_range(1..8), hours),
+                };
+                crate::parse_request(text, hours).unwrap()
+            };
+            let mut ids = Vec::new();
+            for _ in 0..80 {
+                match rng.gen_range(0..7) {
+                    0..=2 => {
+                        let hours = SimDuration::from_hours(rng.gen_range(1..60));
+                        let request = draw(&mut rng, hours);
+                        ids.extend(s.submit("x", Queue::Default, JobKind::User, request));
+                    }
+                    3 => s.advance(s.now() + SimDuration::from_mins(rng.gen_range(0..900))),
+                    4 if !ids.is_empty() => {
+                        let id = ids[rng.gen_range(0..ids.len())];
+                        if rng.gen_bool(0.5) {
+                            s.cancel(id);
+                        } else {
+                            s.complete_early(id);
+                        }
+                    }
+                    _ => {
+                        let active = tb.active_faults();
+                        if rng.gen_bool(0.3) || active.is_empty() {
+                            let node = tb.nodes()[rng.gen_range(0..tb.nodes().len())].id;
+                            kill(&mut tb, node);
+                        } else {
+                            tb.repair(active[rng.gen_range(0..active.len())].id);
+                        }
+                        s.sync_node_states(&tb);
+                    }
+                }
+                assert_eq!(s.check_consistency(), Ok(()));
+                for _ in 0..8 {
+                    let hours = SimDuration::from_hours(rng.gen_range(1..12));
+                    let request = draw(&mut rng, hours);
+                    let planned = s.earliest_assignment(&request, &mut candidates);
+                    let (narrowed, tried) = narrowed_assignment(&s, &request);
+                    assert_eq!(planned, narrowed, "world {world}: {request}");
+                    wider += usize::from(candidates.len() > tried);
+                    match planned {
+                        Some((t, _)) if t == s.now => now += 1,
+                        Some(_) => later += 1,
+                        None => never += 1,
+                    }
+                }
+            }
+        }
+        // Starts now, starts at a later end and no start are all reached,
+        // and so are lists holding ends the narrowing left out.
+        assert!(now > 2000 && later > 2000 && never > 1000, "{now} now, {later} later, {never} never");
+        assert!(wider > 2000, "{wider} candidate lists wider than the narrowed one");
     }
 }

@@ -9,7 +9,7 @@ use throughout::refapi::describe;
 use throughout::sim::{SimDuration, SimTime};
 use throughout::testbed::TestbedBuilder;
 
-/// One randomized op against a small two-cluster Gantt.
+/// One randomized op against a small six-node Gantt.
 #[derive(Debug, Clone)]
 enum Op {
     /// Book a job on the nodes of `mask` at hour `start` for `hours`.
@@ -43,9 +43,7 @@ proptest! {
     /// an instant equal a brute-force scan of the timelines.
     #[test]
     fn end_index_matches_linear_scan(ops in prop::collection::vec(op_strategy(), 1..60)) {
-        // Six nodes, two "clusters": nodes 0-2 → cluster 0, 3-5 → cluster 1.
-        let cluster_of: Vec<u32> = vec![0, 0, 0, 1, 1, 1];
-        let mut gantt = Gantt::new(cluster_of.clone(), 2);
+        let mut gantt = Gantt::new(6);
         // (job, its nodes, booked start, booked end)
         let mut issued: Vec<(JobId, Vec<usize>, SimTime, SimTime)> = Vec::new();
 
@@ -80,36 +78,26 @@ proptest! {
             }
             prop_assert_eq!(gantt.divergence(), None);
 
-            // Uncached linear scan over every timeline; the last entry is
-            // every cluster together.
-            let mut scan_ends: Vec<Vec<SimTime>> = vec![Vec::new(); 3];
-            for (node, &cluster) in cluster_of.iter().enumerate() {
-                for r in gantt.timeline(node).reservations() {
-                    scan_ends[cluster as usize].push(r.end);
-                    scan_ends[2].push(r.end);
-                }
-            }
-            for (c, ends) in scan_ends.iter_mut().enumerate() {
-                ends.sort_unstable();
-                ends.dedup();
-                // Cached candidate instants == scanned distinct ends, over
-                // several probe windows.
-                for (after, upto) in [(0u64, 400u64), (10, 50), (30, 31), (100, 150)] {
-                    let (after, upto) = (SimTime::from_hours(after), SimTime::from_hours(upto));
-                    let mut cached = Vec::new();
-                    match c {
-                        2 => gantt.ends().global_candidates_into(after, upto, &mut cached),
-                        _ => gantt.ends().candidates_into(c, after, upto, &mut cached),
-                    }
-                    let scanned: Vec<SimTime> =
-                        ends.iter().copied().filter(|&e| e > after && e <= upto).collect();
-                    prop_assert_eq!(&cached, &scanned, "cluster {} window {}..{}", c, after, upto);
-                }
+            // Uncached linear scan over every timeline.
+            let mut scan_ends: Vec<SimTime> = (0..6)
+                .flat_map(|node| gantt.timeline(node).reservations().iter().map(|r| r.end))
+                .collect();
+            scan_ends.sort_unstable();
+            scan_ends.dedup();
+            // Cached candidate instants == scanned distinct ends, over
+            // several probe windows.
+            for (after, upto) in [(0u64, 400u64), (10, 50), (30, 31), (100, 150)] {
+                let (after, upto) = (SimTime::from_hours(after), SimTime::from_hours(upto));
+                let mut cached = Vec::new();
+                gantt.ends().candidates_into(after, upto, &mut cached);
+                let scanned: Vec<SimTime> =
+                    scan_ends.iter().copied().filter(|&e| e > after && e <= upto).collect();
+                prop_assert_eq!(&cached, &scanned, "window {}..{}", after, upto);
             }
             // Cached first end beyond an instant == scanned minimum.
             for probe in [0u64, 5, 25, 75, 150] {
                 let probe = SimTime::from_hours(probe);
-                let scanned_min = scan_ends[2].iter().copied().find(|&e| e > probe);
+                let scanned_min = scan_ends.iter().copied().find(|&e| e > probe);
                 prop_assert_eq!(gantt.ends().first_beyond(probe), scanned_min, "probe {}", probe);
             }
         }

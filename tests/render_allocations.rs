@@ -18,7 +18,8 @@
 //! CI build's names are written once per job and once per cell, not once
 //! per build or per holder; OAR's availability probe collects no node,
 //! and a test's request is built once and shared by each of its jobs; a
-//! server's job table grows by doubling segments, never a call per job.
+//! server's job table grows by doubling segments, never a call per job,
+//! and a scheduling pass plans its waiting jobs in a list it keeps.
 //! And it pins g5k-checks' walk: the description families compare a
 //! conformant node without an allocator call, and a mismatch is rendered
 //! only where a field differs. The deployment families allocate per call:
@@ -38,7 +39,8 @@ use throughout::core::{Campaign, CampaignConfig};
 use throughout::kadeploy::{standard_images, DeployConfig, Deployer};
 use throughout::nodecheck::check_node;
 use throughout::oar::{
-    AvailabilityProbe, Expr, Federation, FedJobState, Job, JobKind as OarJobKind, Queue, ResourceRequest,
+    AvailabilityProbe, Expr, Federation, FedJobState, Job, JobKind as OarJobKind, OarServer, Queue,
+    ResourceRequest,
 };
 use throughout::refapi::{describe, PropValue};
 use throughout::sim::rng::stream_rng;
@@ -392,6 +394,35 @@ fn ten_thousand_jobs_grow_the_job_table_without_a_call_per_job() {
     let segment = 8_192 * size_of::<Job>() as u64;
     let table = 2 * JOBS * size_of::<Job>() as u64;
     assert!(bytes <= table + segment, "{bytes} bytes requested in job-sized blocks");
+}
+
+/// A scheduling pass tries each waiting job at now and at every
+/// reservation end within the planning horizon, listed into one buffer the
+/// server keeps across passes. Behind a booking of all of `alpha` that
+/// outlasts the horizon, a pass over jobs pinned to `alpha` finds no start
+/// for any and makes no allocator call (a list built per job made one call
+/// per waiting job).
+#[test]
+fn a_scheduling_pass_plans_waiting_jobs_without_allocating() {
+    const WAITING: usize = 16;
+    let tb = TestbedBuilder::small().build();
+    let mut oar = OarServer::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+    let alpha = || Expr::eq("cluster", "alpha");
+    let mut submit = |request| {
+        oar.submit("u", Queue::Default, OarJobKind::User, request)
+            .expect("alpha can take the request")
+    };
+    submit(ResourceRequest::all_nodes(alpha(), SimDuration::from_days(8)));
+    let queued: Vec<_> = (0..WAITING)
+        .map(|_| submit(ResourceRequest::nodes(alpha(), 1, SimDuration::from_hours(1))))
+        .collect();
+    assert_eq!(oar.waiting_count(), WAITING);
+    // The pass after the first cancellation grows the scratch buffers.
+    assert!(oar.cancel(queued[0]));
+    let (cancelled, calls) = allocations_during(|| oar.cancel(queued[1]));
+    assert!(cancelled);
+    assert_eq!(oar.waiting_count(), WAITING - 2);
+    assert_eq!(calls, 0, "{calls} allocator calls for a pass over {} waiting jobs", WAITING - 2);
 }
 
 /// A deployment allocates per call, not per node: the image name is
