@@ -1,13 +1,17 @@
 //! Comparison of probed reality against the Reference API description.
 //!
 //! The probe reports OHAI-style keys (`cpu/cstates`, `disk/sda/firmware`,
-//! `network/eth0/rate_gbps`, …). The walk below visits both sides' fields
-//! at once and compares each pair typed, in place; a key and its two values
-//! are rendered to text only for a field that differs, and the mismatches
-//! are listed in key order. Checking a conformant node makes no allocator
-//! call.
+//! `network/eth0/rate_gbps`, …). A conformant node shares its cluster's
+//! hardware template with the description generated from it, so one
+//! pointer compare proves it conforms; any other pair is compared with
+//! `==` first. Only a pair that differs is walked: the walk visits both
+//! sides' fields at once and compares each pair typed, in place; a key and
+//! its two values are rendered to text only for a field that differs, and
+//! the mismatches are listed in key order. Checking a conformant node makes
+//! no allocator call.
 
 use std::fmt;
+use std::sync::Arc;
 use ttt_refapi::{NodeDescription, TestbedDescription};
 use ttt_testbed::{
     BiosSpec, Cluster, CpuSpec, DiskSpec, GpuSpec, IbSpec, NicSpec, NodeHardware, NodeId, Testbed,
@@ -301,10 +305,14 @@ fn check_described<'t>(
     let memory_gb = n.effective_memory_gb();
     let mismatches = match described {
         Some(d) if n.condition.alive => {
-            // Most nodes conform, and `==` settles those faster than the
-            // walk does (see the paired ledger runs of *Probe typed* in
-            // EXPERIMENTS.md). Only the walk names a mismatch.
-            let conforms = n.hardware == d.hardware && memory_gb == d.hardware.memory_gb();
+            // Most nodes conform, and a conformant node shares its
+            // cluster's template with the description generated from it:
+            // one pointer compare proves it. Other pairs (a drifted node, a
+            // description built elsewhere) take `==`, which settles an
+            // equal pair faster than the walk (*Probe typed* in
+            // EXPERIMENTS.md); only the walk names a mismatch.
+            let same = Arc::ptr_eq(&n.hardware, &d.hardware) || n.hardware == d.hardware;
+            let conforms = same && memory_gb == d.hardware.memory_gb();
             if conforms {
                 Vec::new()
             } else {
@@ -400,7 +408,7 @@ mod tests {
         // Each part of the hardware answers under the key OHAI would
         // report it by.
         let tb = TestbedBuilder::small().build();
-        let hw = &tb.nodes()[0].hardware;
+        let hw: &NodeHardware = &tb.nodes()[0].hardware;
         let memory = hw.memory_gb();
         type Drift = fn(&mut NodeHardware);
         let drifted: [(&str, Drift); 6] = [
@@ -450,7 +458,7 @@ mod tests {
         // A key only the probe reports reads `<absent>` as its expectation
         // and follows every key the description has.
         let tb = TestbedBuilder::small().build();
-        let hw = &tb.nodes()[0].hardware;
+        let hw: &NodeHardware = &tb.nodes()[0].hardware;
         let mut probed = hw.clone();
         let mut extra = probed.disks[0].clone();
         extra.device = "sdz".into();

@@ -1,5 +1,6 @@
 //! The testbed description data model.
 
+use std::sync::Arc;
 use ttt_sim::SimTime;
 use ttt_testbed::{NodeHardware, Testbed, Vendor};
 
@@ -8,8 +9,10 @@ use ttt_testbed::{NodeHardware, Testbed, Vendor};
 pub struct NodeDescription {
     /// Host name, e.g. `"graphene-12"`.
     pub name: String,
-    /// Described hardware (the cluster reference at publication time).
-    pub hardware: NodeHardware,
+    /// Described hardware: the cluster reference at publication time,
+    /// shared with the cluster and with every node still conforming to it
+    /// rather than copied per node.
+    pub hardware: Arc<NodeHardware>,
 }
 
 /// Description of one cluster.
@@ -82,7 +85,8 @@ impl TestbedDescription {
 
 /// Produce a description of the testbed from the clusters' *reference*
 /// hardware — i.e. what the operators believe, not the (possibly drifted)
-/// actual node state.
+/// actual node state. Every node of a cluster is described by the one
+/// template the cluster holds; the description copies no hardware.
 pub fn describe(tb: &Testbed, version: u64, at: SimTime) -> TestbedDescription {
     let sites = tb
         .sites()
@@ -103,7 +107,7 @@ pub fn describe(tb: &Testbed, version: u64, at: SimTime) -> TestbedDescription {
                             .iter()
                             .map(|&nid| NodeDescription {
                                 name: tb.node(nid).name.clone(),
-                                hardware: c.reference.clone(),
+                                hardware: Arc::clone(&c.reference),
                             })
                             .collect(),
                     }
@@ -156,7 +160,7 @@ mod tests {
         // The description keeps the reference setting, not the drifted one.
         let described = &d.node(&name).unwrap().hardware;
         assert_ne!(described, &tb.node(n).hardware);
-        assert_eq!(described, tb.reference_of(n));
+        assert!(Arc::ptr_eq(described, &tb.cluster(tb.node(n).cluster).reference));
     }
 
     #[test]

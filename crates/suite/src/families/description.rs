@@ -90,7 +90,7 @@ pub fn dellbios(cluster: &str, ctx: &mut TestCtx) -> TestReport {
         .latest()
         .and_then(|d| d.cluster(cluster))
         .and_then(|c| c.nodes.first())
-        .map(|n| n.hardware.bios.version.clone());
+        .map(|n| n.hardware.bios.version.as_str());
     let Some(expected) = expected else {
         return TestReport::from_diagnostics(
             vec![Diagnostic::new(

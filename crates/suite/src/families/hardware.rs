@@ -15,38 +15,31 @@ pub fn mpigraph(_cluster: &str, ctx: &mut TestCtx) -> TestReport {
     let mut diagnostics = Vec::new();
     let mut participants = Vec::new();
     for &node in ctx.assigned {
-        let (name, alive, flaky, ib) = {
-            let n = ctx.tb.node(node);
-            (
-                n.name.clone(),
-                n.condition.alive,
-                n.condition.ofed_flaky,
-                n.hardware.ib.clone(),
-            )
-        };
-        if !alive {
+        let n = ctx.tb.node(node);
+        let name = &n.name;
+        if !n.condition.alive {
             diagnostics.push(Diagnostic::new(
-                Symptom::NodeDead.on(&name),
+                Symptom::NodeDead.on(name),
                 format!("{name} unreachable for the MPI run"),
             ));
             continue;
         }
-        let Some(ib) = ib else {
+        let Some(ib) = &n.hardware.ib else {
             diagnostics.push(Diagnostic::new(
-                Symptom::NoInfiniband.on(&name),
+                Symptom::NoInfiniband.on(name),
                 format!("{name} has no HCA but the cluster is described as Infiniband"),
             ));
             continue;
         };
         // The OFED bug: applications over Infiniband randomly fail to start.
-        if flaky && ctx.rng.gen_bool(0.5) {
+        if n.condition.ofed_flaky && ctx.rng.gen_bool(0.5) {
             diagnostics.push(Diagnostic::new(
-                Symptom::OfedFlaky.on(&name),
+                Symptom::OfedFlaky.on(name),
                 format!("{name}: ibv_open_device failed; OFED stack did not start cleanly"),
             ));
             continue;
         }
-        participants.push((node, perf::ib_bw_gbps(&ib)));
+        participants.push((node, perf::ib_bw_gbps(ib)));
     }
     // All-to-all bandwidth sanity: every participating pair should achieve
     // close to line rate; a straggler indicates a fabric problem.
@@ -77,8 +70,7 @@ pub fn disk(cluster: &str, ctx: &mut TestCtx) -> TestReport {
         .latest()
         .and_then(|d| d.cluster(cluster))
         .and_then(|c| c.nodes.first())
-        .map(|n| n.hardware.disks.clone())
-        .unwrap_or_default();
+        .map_or(&[][..], |n| &n.hardware.disks);
     for &node in ctx.assigned {
         let n = ctx.tb.node(node);
         if !n.condition.alive {

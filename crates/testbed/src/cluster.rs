@@ -2,6 +2,7 @@
 
 use crate::hardware::{NodeHardware, Vendor};
 use crate::ids::{ClusterId, NodeId, SiteId};
+use std::sync::Arc;
 
 /// A cluster of (supposedly) identical nodes.
 ///
@@ -26,8 +27,11 @@ pub struct Cluster {
     /// Whether the disk configuration is introspectable enough for the
     /// `disk` test family (HDD with controllable caches).
     pub disk_checkable: bool,
-    /// The hardware template all member nodes should match.
-    pub reference: NodeHardware,
+    /// The hardware template all member nodes should match: one value per
+    /// cluster, shared by every conformant member's
+    /// [`Node::hardware`](crate::Node::hardware) and by every description
+    /// the Reference API generates from it.
+    pub reference: Arc<NodeHardware>,
 }
 
 impl Cluster {
@@ -87,7 +91,7 @@ mod tests {
             nodes: (0..24u32).map(NodeId).collect(),
             has_ib: false,
             disk_checkable: true,
-            reference,
+            reference: Arc::new(reference),
         };
         assert_eq!(c.node_count(), 24);
         assert_eq!(c.cores_per_node(), 16);

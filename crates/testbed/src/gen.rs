@@ -17,6 +17,7 @@ use crate::site::Site;
 use crate::testbed::Testbed;
 use crate::topology::{Pdu, PortRef, Switch, Topology};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Specification of one cluster to generate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,7 +229,7 @@ impl TestbedBuilder {
                 ports: spec.nodes as u16,
             });
 
-            let reference = reference_hardware(spec);
+            let reference = Arc::new(reference_hardware(spec));
             let mut member_ids = Vec::with_capacity(spec.nodes as usize);
             for i in 0..spec.nodes {
                 let node_id = NodeId(nodes.len() as u32);
@@ -245,7 +246,7 @@ impl TestbedBuilder {
                     name: format!("{}-{}", spec.name, i + 1),
                     cluster: cluster_id,
                     site: site_id,
-                    hardware: reference.clone(),
+                    hardware: Arc::clone(&reference),
                     condition: NodeCondition::default(),
                 });
             }
@@ -483,11 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn nodes_start_identical_to_reference() {
+    fn nodes_start_sharing_their_reference() {
         let tb = TestbedBuilder::paper_scale().build();
         for c in tb.clusters() {
             for &n in &c.nodes {
-                assert_eq!(tb.node(n).hardware, c.reference, "node {n} of {}", c.name);
+                let hw = &tb.node(n).hardware;
+                assert!(Arc::ptr_eq(hw, &c.reference), "node {n} of {}", c.name);
             }
         }
     }

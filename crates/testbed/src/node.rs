@@ -62,8 +62,12 @@ pub struct Node {
     pub cluster: ClusterId,
     /// Owning site.
     pub site: SiteId,
-    /// Actual hardware state (faults mutate this).
-    pub hardware: NodeHardware,
+    /// Actual hardware state. A node that matches its cluster's template
+    /// shares it ([`Cluster::reference`](crate::Cluster::reference)); a
+    /// hardware fault gives the node a copy of its own, copy-on-write, and
+    /// the repair that makes it equal the template again shares the
+    /// template once more.
+    pub hardware: Arc<NodeHardware>,
     /// Runtime condition.
     pub condition: NodeCondition,
 }
@@ -95,7 +99,7 @@ mod tests {
             name: "test-1".into(),
             cluster: ClusterId(0),
             site: SiteId(0),
-            hardware: NodeHardware {
+            hardware: Arc::new(NodeHardware {
                 cpu: CpuSpec {
                     model: "X".into(),
                     microarch: "Y".into(),
@@ -118,7 +122,7 @@ mod tests {
                 },
                 ib: None,
                 gpu: None,
-            },
+            }),
             condition: NodeCondition::default(),
         }
     }

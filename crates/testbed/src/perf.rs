@@ -166,7 +166,7 @@ mod tests {
             name: "n-1".into(),
             cluster: ClusterId(0),
             site: SiteId(0),
-            hardware: NodeHardware {
+            hardware: std::sync::Arc::new(NodeHardware {
                 cpu: cpu(),
                 mem: MemSpec::uniform(8, 16, 2133),
                 disks: vec![],
@@ -178,7 +178,7 @@ mod tests {
                 },
                 ib: None,
                 gpu: None,
-            },
+            }),
             condition: NodeCondition::default(),
         }
     }
@@ -198,7 +198,7 @@ mod tests {
     fn cstates_lower_idle_power() {
         let hi = node(); // cstates disabled in fixture
         let mut lo = node();
-        lo.hardware.cpu.cstates_enabled = true;
+        std::sync::Arc::make_mut(&mut lo.hardware).cpu.cstates_enabled = true;
         assert!(power_draw_w(&lo, 0.0) < power_draw_w(&hi, 0.0));
     }
 

@@ -13,6 +13,7 @@ use crate::site::Site;
 use crate::topology::Topology;
 use rand::Rng;
 use std::fmt;
+use std::sync::Arc;
 use ttt_sim::rpc::{Buggify, LinkQuality, RpcError};
 use ttt_sim::{SimDuration, SimTime};
 
@@ -477,9 +478,13 @@ impl Testbed {
         true
     }
 
-    /// Reference hardware for `node` (its cluster template).
-    pub fn reference_of(&self, node: NodeId) -> &NodeHardware {
-        &self.clusters[self.nodes[node.index()].cluster.index()].reference
+    /// `node` and its cluster's template, borrowed together: a drift
+    /// compares the node's field with the template's in place and copies
+    /// the node's hardware (`Arc::make_mut`) only when it writes.
+    fn node_and_reference(&mut self, node: NodeId) -> (&mut Node, &NodeHardware) {
+        let n = &mut self.nodes[node.index()];
+        let cluster = n.cluster.index();
+        (n, &self.clusters[cluster].reference)
     }
 
     /// Mutate the testbed according to `kind`; returns false for no-ops.
@@ -488,41 +493,40 @@ impl Testbed {
     fn apply_effect(&mut self, kind: FaultKind, target: FaultTarget, at: SimTime) -> bool {
         match (kind, target) {
             (FaultKind::DiskWriteCacheDrift, FaultTarget::Node(n)) => {
-                let r = self.reference_of(n).disks.first().map(|d| d.write_cache);
-                let node = &mut self.nodes[n.index()];
-                match (node.hardware.disks.first_mut(), r) {
-                    (Some(d), Some(r)) if d.write_cache == r => {
-                        d.write_cache = !r;
+                let (node, reference) = self.node_and_reference(n);
+                match (node.hardware.disks.first(), reference.disks.first()) {
+                    (Some(d), Some(r)) if d.write_cache == r.write_cache => {
+                        Arc::make_mut(&mut node.hardware).disks[0].write_cache = !r.write_cache;
                         true
                     }
                     _ => false,
                 }
             }
             (FaultKind::DiskFirmwareDrift, FaultTarget::Node(n)) => {
-                let r = self.reference_of(n).disks.first().map(|d| d.firmware.clone());
-                let node = &mut self.nodes[n.index()];
-                match (node.hardware.disks.first_mut(), r) {
-                    (Some(d), Some(r)) if d.firmware == r => {
-                        d.firmware = "GA63".to_string();
+                let (node, reference) = self.node_and_reference(n);
+                match (node.hardware.disks.first(), reference.disks.first()) {
+                    (Some(d), Some(r)) if d.firmware == r.firmware => {
+                        Arc::make_mut(&mut node.hardware).disks[0].firmware = "GA63".to_string();
                         true
                     }
                     _ => false,
                 }
             }
             (FaultKind::CpuCStatesDrift, FaultTarget::Node(n)) => {
-                let r = self.reference_of(n).cpu.cstates_enabled;
-                let cpu = &mut self.nodes[n.index()].hardware.cpu;
-                if cpu.cstates_enabled == r {
-                    cpu.cstates_enabled = !r;
+                let (node, reference) = self.node_and_reference(n);
+                let r = reference.cpu.cstates_enabled;
+                if node.hardware.cpu.cstates_enabled == r {
+                    Arc::make_mut(&mut node.hardware).cpu.cstates_enabled = !r;
                     true
                 } else {
                     false
                 }
             }
             (FaultKind::HyperthreadingDrift, FaultTarget::Node(n)) => {
-                let r = self.reference_of(n).cpu.ht_enabled;
-                let cpu = &mut self.nodes[n.index()].hardware.cpu;
-                if cpu.ht_enabled == r {
+                let (node, reference) = self.node_and_reference(n);
+                let r = reference.cpu.ht_enabled;
+                if node.hardware.cpu.ht_enabled == r {
+                    let cpu = &mut Arc::make_mut(&mut node.hardware).cpu;
                     cpu.ht_enabled = !r;
                     cpu.threads_per_core = if cpu.ht_enabled { 2 } else { 1 };
                     true
@@ -531,20 +535,20 @@ impl Testbed {
                 }
             }
             (FaultKind::TurboDrift, FaultTarget::Node(n)) => {
-                let r = self.reference_of(n).cpu.turbo_enabled;
-                let cpu = &mut self.nodes[n.index()].hardware.cpu;
-                if cpu.turbo_enabled == r {
-                    cpu.turbo_enabled = !r;
+                let (node, reference) = self.node_and_reference(n);
+                let r = reference.cpu.turbo_enabled;
+                if node.hardware.cpu.turbo_enabled == r {
+                    Arc::make_mut(&mut node.hardware).cpu.turbo_enabled = !r;
                     true
                 } else {
                     false
                 }
             }
             (FaultKind::BiosVersionDrift, FaultTarget::Node(n)) => {
-                let r = self.reference_of(n).bios.version.clone();
-                let bios = &mut self.nodes[n.index()].hardware.bios;
-                if bios.version == r {
-                    bios.version = format!("{r}-beta");
+                let (node, reference) = self.node_and_reference(n);
+                let r = &reference.bios.version;
+                if node.hardware.bios.version == *r {
+                    Arc::make_mut(&mut node.hardware).bios.version = [r, "-beta"].concat();
                     true
                 } else {
                     false
@@ -560,17 +564,14 @@ impl Testbed {
                 }
             }
             (FaultKind::NicDowngrade, FaultTarget::Node(n)) => {
-                let r = self
-                    .reference_of(n)
-                    .primary_nic()
-                    .map(|nic| nic.rate_gbps);
-                let node = &mut self.nodes[n.index()];
-                match (
-                    node.hardware.nics.iter_mut().find(|nic| nic.mounted),
-                    r,
-                ) {
+                let (node, reference) = self.node_and_reference(n);
+                let r = reference.primary_nic().map(|nic| nic.rate_gbps);
+                match (node.hardware.primary_nic(), r) {
                     (Some(nic), Some(r)) if nic.rate_gbps == r && r > 1 => {
-                        nic.rate_gbps = 1;
+                        let hw = Arc::make_mut(&mut node.hardware);
+                        if let Some(nic) = hw.nics.iter_mut().find(|nic| nic.mounted) {
+                            nic.rate_gbps = 1;
+                        }
                         true
                     }
                     _ => false,
@@ -745,42 +746,44 @@ impl Testbed {
                 self.clock_skew_s[s.index()] = 0.0;
             }
             (kind, FaultTarget::Node(n)) => {
-                let reference = self.reference_of(n).clone();
                 let node = &mut self.nodes[n.index()];
+                let reference = Arc::clone(&self.clusters[node.cluster.index()].reference);
+                let hw = &mut node.hardware;
                 match kind {
                     FaultKind::DiskWriteCacheDrift => {
                         if let (Some(d), Some(r)) =
-                            (node.hardware.disks.first_mut(), reference.disks.first())
+                            (Arc::make_mut(hw).disks.first_mut(), reference.disks.first())
                         {
                             d.write_cache = r.write_cache;
                         }
                     }
                     FaultKind::DiskFirmwareDrift => {
                         if let (Some(d), Some(r)) =
-                            (node.hardware.disks.first_mut(), reference.disks.first())
+                            (Arc::make_mut(hw).disks.first_mut(), reference.disks.first())
                         {
-                            d.firmware = r.firmware.clone();
+                            d.firmware.clone_from(&r.firmware);
                         }
                     }
                     FaultKind::CpuCStatesDrift => {
-                        node.hardware.cpu.cstates_enabled = reference.cpu.cstates_enabled;
+                        Arc::make_mut(hw).cpu.cstates_enabled = reference.cpu.cstates_enabled;
                     }
                     FaultKind::HyperthreadingDrift => {
-                        node.hardware.cpu.ht_enabled = reference.cpu.ht_enabled;
-                        node.hardware.cpu.threads_per_core = reference.cpu.threads_per_core;
+                        let cpu = &mut Arc::make_mut(hw).cpu;
+                        cpu.ht_enabled = reference.cpu.ht_enabled;
+                        cpu.threads_per_core = reference.cpu.threads_per_core;
                     }
                     FaultKind::TurboDrift => {
-                        node.hardware.cpu.turbo_enabled = reference.cpu.turbo_enabled;
+                        Arc::make_mut(hw).cpu.turbo_enabled = reference.cpu.turbo_enabled;
                     }
                     FaultKind::BiosVersionDrift => {
-                        node.hardware.bios.version = reference.bios.version.clone();
+                        Arc::make_mut(hw).bios.version.clone_from(&reference.bios.version);
                     }
                     FaultKind::DimmFailure => {
                         node.condition.failed_dimms = node.condition.failed_dimms.saturating_sub(1);
                     }
                     FaultKind::NicDowngrade => {
                         if let (Some(nic), Some(r)) = (
-                            node.hardware.nics.iter_mut().find(|nic| nic.mounted),
+                            Arc::make_mut(hw).nics.iter_mut().find(|nic| nic.mounted),
                             reference.primary_nic(),
                         ) {
                             nic.rate_gbps = r.rate_gbps;
@@ -796,6 +799,11 @@ impl Testbed {
                         self.alive_dirty.push(n);
                     }
                     _ => {}
+                }
+                // The repair that makes the node conform again drops its
+                // copy: a conformant node shares its cluster's template.
+                if !Arc::ptr_eq(&node.hardware, &reference) && *node.hardware == *reference {
+                    node.hardware = reference;
                 }
             }
             _ => {}

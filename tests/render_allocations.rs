@@ -22,7 +22,10 @@
 //! and a scheduling pass plans its waiting jobs in a list it keeps.
 //! And it pins g5k-checks' walk: the description families compare a
 //! conformant node without an allocator call, and a mismatch is rendered
-//! only where a field differs. The deployment families allocate per call:
+//! only where a field differs. Nodes share their cluster's hardware
+//! template until a fault drifts them: repairing a node copies nothing, and
+//! a drifted node's copy is made once and written in place after that. The
+//! deployment families allocate per call:
 //! a deployment costs the same for 8 nodes as for 64, a `multireboot` run
 //! nothing per node, and a `cmdline` run one header buffer.
 //!
@@ -297,6 +300,45 @@ fn a_conformant_node_costs_the_description_checks_no_allocation() {
     let (report, calls) = allocations_during(|| check_node(&h.tb, desc, alpha[0]));
     assert_eq!(report.keys(), ["cpu/cstates"]);
     assert!(calls <= 4, "{calls} allocator calls for one drifted field");
+}
+
+/// A repair reads the cluster's template in place: repairing a condition
+/// fault, or the drift that made the node differ from its template, makes
+/// no allocator call, and the repaired node shares the template again.
+/// (Every node repair copied the template whole, of any kind: 28 calls on
+/// `alpha`.)
+#[test]
+fn a_node_repair_allocates_nothing() {
+    let mut tb = TestbedBuilder::small().build();
+    let node = tb.clusters()[0].nodes[0];
+    for kind in [FaultKind::NodeDead, FaultKind::ConsoleDead, FaultKind::TurboDrift] {
+        let fault = tb
+            .apply_fault(kind, FaultTarget::Node(node), SimTime::ZERO)
+            .expect("the fault applies");
+        let (repaired, calls) = allocations_during(|| tb.repair(fault.id));
+        assert!(repaired);
+        assert_eq!(calls, 0, "{kind}: {calls} allocator calls to repair");
+    }
+    assert!(Arc::ptr_eq(&tb.node(node).hardware, &tb.clusters()[0].reference));
+}
+
+/// The first drift copies the node's hardware off its template; a second
+/// drift writes that copy in place and allocates at most its new value (a
+/// firmware or BIOS version string). (Each drift also copied the
+/// template's string it compared with, and the BIOS version grew while it
+/// was formatted: 2 and 3 calls.)
+#[test]
+fn a_second_drift_allocates_at_most_one_call() {
+    let mut tb = TestbedBuilder::small().build();
+    let node = tb.clusters()[0].nodes[0];
+    tb.apply_fault(FaultKind::CpuCStatesDrift, FaultTarget::Node(node), SimTime::ZERO)
+        .expect("the first drift applies");
+    for kind in [FaultKind::BiosVersionDrift, FaultKind::DiskFirmwareDrift, FaultKind::TurboDrift] {
+        let (fault, calls) =
+            allocations_during(|| tb.apply_fault(kind, FaultTarget::Node(node), SimTime::ZERO));
+        assert!(fault.is_some(), "{kind} applies");
+        assert!(calls <= 1, "{kind}: {calls} allocator calls on a drifted node");
+    }
 }
 
 /// The external scheduler asks "could this start right now?" before every
