@@ -585,13 +585,28 @@ impl Campaign {
         self.fed.sync_backbone(&self.tb);
     }
 
-    /// New test families roll out.
+    /// New test families roll out. The launch list grows at most twice:
+    /// the first phase reserves slots for its own rows, and the next one
+    /// for every row the rollout has left. A campaign that ends within its
+    /// first phase pays for that phase's rows alone; one that goes on
+    /// grows once more, to the final size, where growing phase by phase
+    /// would copy the per-slot tables at every phase.
     fn rollout(&mut self, t: SimTime) {
         while self.next_phase < self.cfg.rollout.phases.len() {
-            let (at, families) = &self.cfg.rollout.phases[self.next_phase];
+            let phases = &self.cfg.rollout.phases;
+            let (at, families) = &phases[self.next_phase];
             if *at > t {
                 break;
             }
+            let upcoming = match self.next_phase {
+                0 => &phases[..1],
+                next => &phases[next..],
+            };
+            let joins = |row: &&SuiteRow| {
+                let family = &row.config.family;
+                row.enrolled.is_none() && upcoming.iter().any(|(_, fams)| fams.contains(family))
+            };
+            self.trigger.reserve_exact(self.suite.iter().filter(joins).count());
             let families = families.clone();
             self.next_phase += 1;
             for idx in 0..self.suite.len() {
@@ -727,21 +742,29 @@ impl Campaign {
     /// the test (started immediately) or handle the miss as the launch
     /// policy says.
     fn start_work(&mut self, item: WorkItem, t: SimTime) {
-        // Builds come only from the trigger, so only for enrolled rows.
-        let enrolled = self
+        // Builds come only from the trigger, so only for enrolled rows. A
+        // row's request is resolved once for its launch-list slot: by the
+        // external scheduler's first availability probe, homed on the site
+        // the row's configuration names, or at the row's first submission,
+        // homed where the request is pinned — the same domain.
+        let (fed, trigger) = (&self.fed, &mut self.trigger);
+        let launched = self
             .by_key
             .get(&*item.build.job)
             .and_then(|cells| cells.get(&item.build.cell))
-            .and_then(|&idx| Some((idx, self.suite[idx].enrolled.as_ref()?)));
-        let Some((idx, enrolment)) = enrolled else {
+            .and_then(|&idx| {
+                let enrolment = self.suite[idx].enrolled.as_ref()?;
+                let request = &enrolment.request;
+                let resolved = trigger.resolved(enrolment.slot, || fed.resolve(request, None))?;
+                Some((idx, Arc::clone(request), resolved))
+            });
+        let Some((idx, request, resolved)) = launched else {
             self.ci
                 .finish(&item.build, BuildResult::Aborted, vec!["unknown cell".into()]);
             return;
         };
-        // The federation homes the job where its request is pinned: the
-        // site the row's configuration names.
-        let request = Arc::clone(&enrolment.request);
-        let submitted = self.fed.submit("ci", Queue::Admin, OarJobKind::Test, request, None);
+        let kind = OarJobKind::Test;
+        let submitted = self.fed.submit_resolved("ci", Queue::Admin, kind, request, resolved);
         let Ok(oar_job) = submitted else {
             // Whole target unavailable (e.g. cluster dead).
             self.mark_unstable(&item.build, idx, "no eligible resources on the testbed", t);
@@ -936,28 +959,43 @@ mod tests {
         assert_eq!((rewritten, kept), (116, 635));
     }
 
-    /// A row's job is submitted with no home: `Federation::submit` derives
-    /// it from the request, and for every row that is the domain of the
-    /// site the row's configuration names — cluster, image × cluster,
-    /// site and global rows alike.
+    /// A row's request is resolved once for its launch-list slot, by
+    /// whichever asks first: the external scheduler's availability probe,
+    /// which homes it on the domain of the site the row's configuration
+    /// names, or the row's first submission, which homes it where the
+    /// request is pinned (`Federation::home_of_request`). One handle serves
+    /// both because they are the same domain on every row — cluster,
+    /// image × cluster, site and global — of the paper's testbed, the
+    /// multi-site one and a 64-site grid of grids.
     #[test]
     fn every_row_is_homed_on_the_site_its_configuration_names() {
-        let c = Campaign::new(crate::scenario::paper_scenario(1));
-        let mut kinds = BTreeMap::new();
-        for (idx, row) in c.suite.iter().enumerate() {
-            let site = c.fed.domain_by_name(&row.config.site(&c.tb));
-            assert!(site.is_some(), "{}", row.config.id());
-            assert_eq!(c.fed.home_of_request(&c.request_for(idx)), site, "{}", row.config.id());
-            let kind = match row.config.target {
-                ttt_suite::Target::Cluster(_) => "cluster",
-                ttt_suite::Target::ImageCluster { .. } => "image-cluster",
-                ttt_suite::Target::Site(_) => "site",
-                ttt_suite::Target::Global => "global",
-            };
-            *kinds.entry(kind).or_insert(0) += 1;
+        use crate::scenario::{grid_of_grids_scenario, multi_site_scenario, paper_scenario};
+        use ttt_oar::AvailabilityProbe;
+        let worlds = [
+            ("paper", paper_scenario(1), [262, 448, 40, 1]),
+            ("multi-site", multi_site_scenario(1), [262, 448, 40, 1]),
+            ("grid64", grid_of_grids_scenario(1, 64), [1003, 1792, 320, 1]),
+        ];
+        for (world, cfg, want) in worlds {
+            let c = Campaign::new(cfg);
+            let mut kinds = [0; 4];
+            for (idx, row) in c.suite.iter().enumerate() {
+                let (config, request) = (&row.config, c.request_for(idx));
+                let probed = c.fed.resolve_for(&config.site(&c.tb), &request).home();
+                assert!(probed.is_some(), "{world}: {}", config.id());
+                let id = config.id();
+                assert_eq!(c.fed.resolve(&request, None).home(), probed, "{world}: {id}");
+                assert_eq!(c.fed.home_of_request(&request), probed, "{world}: {id}");
+                kinds[match config.target {
+                    ttt_suite::Target::Cluster(_) => 0,
+                    ttt_suite::Target::ImageCluster { .. } => 1,
+                    ttt_suite::Target::Site(_) => 2,
+                    ttt_suite::Target::Global => 3,
+                }] += 1;
+            }
+            // Rows by kind: cluster, image × cluster, site, global.
+            assert_eq!(kinds, want, "{world}");
         }
-        assert_eq!(kinds.len(), 4, "{kinds:?}");
-        assert_eq!(kinds.values().sum::<usize>(), 751);
     }
 
     #[test]

@@ -22,6 +22,11 @@ impl DueIndex {
         self.queue.push(at, slot);
     }
 
+    /// Make room for exactly `additional` more due dates than are queued.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.queue.reserve_exact(additional);
+    }
+
     /// The earliest live due instant, dropping superseded entries off the
     /// front. O(log n) amortized.
     pub fn next_time(&mut self, live: impl Fn(SimTime, usize) -> bool) -> Option<SimTime> {

@@ -5,7 +5,7 @@ use crate::entry::TestEntry;
 use rand::Rng;
 use std::collections::BTreeMap;
 use ttt_ci::{Cause, CiServer};
-use ttt_oar::AvailabilityProbe;
+use ttt_oar::{AvailabilityProbe, Resolved};
 use ttt_sim::{Calendar, ExponentialBackoff, HourRange, SimDuration, SimTime};
 
 /// Scheduling policies (slide 17).
@@ -52,7 +52,7 @@ pub enum Decision {
     DeferredPending,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EntryState {
     next_due: SimTime,
     /// Consecutive resource-unavailability deferrals (drives backoff).
@@ -62,6 +62,10 @@ struct EntryState {
     /// Interned site (index into `active_per_site`), so the per-site
     /// concurrency cap compares no strings on the decision path.
     site: usize,
+    /// The entry's request resolved by the probe, made at its first
+    /// availability question and asked with ever after; the build's
+    /// submission reads it too ([`ExternalScheduler::resolved`]).
+    resolved: Option<Resolved>,
 }
 
 impl EntryState {
@@ -127,6 +131,14 @@ impl ExternalScheduler {
         &self.entries
     }
 
+    /// Make room for exactly `additional` more entries, so a batch enrolled
+    /// at once grows each per-entry table once.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+        self.states.reserve_exact(additional);
+        self.due.reserve_exact(additional);
+    }
+
     /// Add an entry mid-campaign ("tests still being added", slide 23), due
     /// at `now`. Returns its slot: the index the completion callbacks take.
     pub fn add_entry(&mut self, entry: TestEntry, now: SimTime) -> usize {
@@ -145,6 +157,7 @@ impl ExternalScheduler {
             failures: 0,
             active: false,
             site,
+            resolved: None,
         });
         self.due.push(now, slot);
         slot
@@ -234,8 +247,12 @@ impl ExternalScheduler {
 
         // Policy 3: resource availability on the testbed, queried from OAR
         // (a federation answers for the entry's home site, spillover
-        // included; a single server ignores the site).
-        if !oar.can_start_now(&entry.site, &entry.request) {
+        // included; a single server ignores the site). The request is
+        // resolved at the entry's first question, then kept.
+        let resolved = self.states[i]
+            .resolved
+            .get_or_insert_with(|| oar.resolve_for(&entry.site, &entry.request));
+        if !oar.can_start_resolved(&entry.request, resolved) {
             let delay = self
                 .policy
                 .backoff
@@ -262,6 +279,14 @@ impl ExternalScheduler {
         self.active_per_site[self.states[i].site] += 1;
         self.stats.triggered += 1;
         Decision::Triggered
+    }
+
+    /// Entry `i`'s resolved request: the probe's handle, or one `make`
+    /// resolves now when the entry was never probed. `None` for a slot
+    /// nobody enrolled.
+    pub fn resolved(&mut self, i: usize, make: impl FnOnce() -> Resolved) -> Option<&Resolved> {
+        let state = self.states.get_mut(i)?;
+        Some(state.resolved.get_or_insert_with(make))
     }
 
     /// The orchestrator reports that the testbed job created by the build

@@ -6,7 +6,7 @@ use crate::entry::TestEntry;
 use crate::scheduler::{ExternalScheduler, PolicyConfig, SchedulerStats};
 use rand::Rng;
 use ttt_ci::{Cause, CiServer};
-use ttt_oar::AvailabilityProbe;
+use ttt_oar::{AvailabilityProbe, Resolved};
 use ttt_sim::{SimDuration, SimTime};
 
 /// Who decides that a test configuration's build starts, and what happens
@@ -39,6 +39,8 @@ struct CronEntry {
     ci_job: String,
     cell: Option<String>,
     next_due: SimTime,
+    /// The request resolved at the configuration's first submission.
+    resolved: Option<Resolved>,
 }
 
 impl NaiveCron {
@@ -95,6 +97,19 @@ impl Trigger {
         })
     }
 
+    /// Make room on the launch list for exactly `additional` more
+    /// configurations: a caller that knows how many it will enroll grows
+    /// each per-slot table once, rather than by doubling from empty.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        match self {
+            Trigger::External(sched) => sched.reserve_exact(additional),
+            Trigger::NaiveCron(cron) => {
+                cron.entries.reserve_exact(additional);
+                cron.due.reserve_exact(additional);
+            }
+        }
+    }
+
     /// Put a configuration on the launch list, due at `now`; returns its
     /// slot there, which the completion callbacks take (a slot nobody
     /// enrolled is ignored). `rank` is its position in the suite: cron
@@ -110,6 +125,7 @@ impl Trigger {
                     ci_job: entry.ci_job,
                     cell: entry.cell,
                     next_due: now,
+                    resolved: None,
                 });
                 cron.due.push(now, slot);
                 slot
@@ -138,6 +154,21 @@ impl Trigger {
             // No decision list materialized on the campaign hot path.
             Trigger::External(sched) => sched.pass(now, ci, oar, rng, &mut |_, _| {}),
             Trigger::NaiveCron(cron) => cron.run_due(now, ci),
+        }
+    }
+
+    /// The resolved request of the configuration in `slot`, which every
+    /// submission of its builds hands to OAR: under the external scheduler
+    /// the handle its availability probe made, else — and on a first
+    /// submission nothing probed before — the one `make` resolves now,
+    /// kept for the next. `None` for a slot nobody enrolled.
+    pub fn resolved(&mut self, slot: usize, make: impl FnOnce() -> Resolved) -> Option<&Resolved> {
+        match self {
+            Trigger::External(sched) => sched.resolved(slot, make),
+            Trigger::NaiveCron(cron) => {
+                let entry = cron.entries.get_mut(slot)?;
+                Some(entry.resolved.get_or_insert_with(make))
+            }
         }
     }
 

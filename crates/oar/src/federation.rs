@@ -15,10 +15,12 @@
 //!   spills over to a remote domain when the home site cannot start it
 //!   immediately but a remote one can;
 //! * placement asks only the sites that can answer: a request's filters
-//!   are resolved once per placement, and only domains where every group
-//!   has a matching node are probed, so a cluster- or site-pinned request
-//!   costs one probe however wide the federation is; a request that can
-//!   start now is booked on the nodes that probe found, not planned again;
+//!   are resolved once per placement — or once for good, into a
+//!   [`Resolved`] handle its caller keeps — and only domains where every
+//!   group has a matching node are probed, so a cluster- or site-pinned
+//!   request costs one probe however wide the federation is; a request that
+//!   can start now is booked on the nodes that probe found, not planned
+//!   again;
 //! * requests whose groups statically span several sites (the global
 //!   kavlan configuration) are *co-allocated*: split into per-site parts
 //!   that must all start at the same instant, mirroring `oargridsub`;
@@ -28,7 +30,7 @@
 
 use crate::ast::ResourceRequest;
 use crate::job::{Job, JobId, JobKind, JobState, Queue};
-use crate::server::{MatchSet, OarServer, Picks, ResourceDb, SubmitError};
+use crate::server::{MatchSet, OarServer, Picks, ResourceDb, Resolved, SubmitError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttt_refapi::TestbedDescription;
@@ -113,9 +115,27 @@ pub enum Placement {
 /// Read-only availability view the external scheduler polls: "could this
 /// request start right now, given its home site?". Implemented by the
 /// single-server world (tests, harnesses) and by the federation.
+///
+/// A question is asked in two steps, resolve then probe, and the one-off
+/// [`AvailabilityProbe::can_start_now`] is exactly those two. A caller that
+/// asks about the same request again and again — the scheduler, once per
+/// due test configuration — keeps the [`Resolved`] handle of its first
+/// question and probes with it: the home lookup and the filters' match-set
+/// lookups are paid once per request, not once per question.
 pub trait AvailabilityProbe {
+    /// Resolve `request` against this probe's resource database, homed on
+    /// the domain of the site named `home_site` (none when no site has
+    /// that name, and always none for a stand-alone server).
+    fn resolve_for(&self, home_site: &str, request: &ResourceRequest) -> Resolved;
+
+    /// Whether `request`, resolved into `resolved` by this probe (or by
+    /// the federation it is), would start immediately if submitted now.
+    fn can_start_resolved(&self, request: &ResourceRequest, resolved: &Resolved) -> bool;
+
     /// Whether the request would start immediately if submitted now.
-    fn can_start_now(&self, home_site: &str, request: &ResourceRequest) -> bool;
+    fn can_start_now(&self, home_site: &str, request: &ResourceRequest) -> bool {
+        self.can_start_resolved(request, &self.resolve_for(home_site, request))
+    }
 }
 
 /// One site's share of a cross-site request: its domain, the groups pinned
@@ -132,10 +152,13 @@ enum Start<P> {
 }
 
 impl AvailabilityProbe for Federation {
-    fn can_start_now(&self, home_site: &str, request: &ResourceRequest) -> bool {
-        let home = self.domain_by_name(home_site);
-        let sets = self.db.resolve(request);
-        self.place_now::<usize>(home, request, sets.as_slice()).is_some()
+    fn resolve_for(&self, home_site: &str, request: &ResourceRequest) -> Resolved {
+        self.db.resolve_homed(request, self.domain_by_name(home_site))
+    }
+
+    fn can_start_resolved(&self, request: &ResourceRequest, resolved: &Resolved) -> bool {
+        let sets = resolved.sets(&self.db);
+        self.place_now::<usize>(resolved.home(), request, sets).is_some()
     }
 }
 
@@ -567,18 +590,29 @@ impl Federation {
         home.into_iter().filter(move |&h| hosts(h)).chain(remote)
     }
 
+    /// Resolve `request` into a handle homed as [`Federation::submit`]
+    /// homes it: on `home` when that names a domain, else on the domain
+    /// its groups are pinned to ([`Federation::home_of_request`]).
+    pub fn resolve(&self, request: &ResourceRequest, home: Option<usize>) -> Resolved {
+        let home = home
+            .filter(|&h| h < self.domains.len())
+            .or_else(|| self.home_of_request(request));
+        self.db.resolve_homed(request, home)
+    }
+
     /// Submit a request: place it (home affinity + spillover), then book
     /// it on the chosen domain(s).
     ///
-    /// The request is resolved once, and one that starts now is booked on
-    /// the nodes placement found for it, so it is planned once. The job
-    /// shares `request`: a caller that submits one request many times
-    /// builds it once and passes clones of its `Arc`. The outcome is the
-    /// one a direct `OarServer::submit` on the chosen domain would give:
-    /// the same chaos draw and verdict, and the domain's full scheduling
-    /// pass whenever a job is already waiting there. The engine-equivalence
-    /// and conservation oracles lean on that, and the crate's
-    /// twin-federation model test checks it.
+    /// Past the gateway's chaos draw this is [`Federation::resolve`], then
+    /// what [`Federation::submit_resolved`] does with that handle. A
+    /// request that starts now is booked on the nodes placement found for
+    /// it, so it is planned once. The job shares `request`: a caller that
+    /// submits one request many times builds it once and passes clones of
+    /// its `Arc`. The outcome is the one a direct `OarServer::submit` on
+    /// the chosen domain would give: the same chaos draw and verdict, and
+    /// the domain's full scheduling pass whenever a job is already waiting
+    /// there. The engine-equivalence and conservation oracles lean on
+    /// that, and the crate's twin-federation model test checks it.
     // detlint: allow(unarmed-service-fn) -- submit_shared() holds this path's fed-submit arm
     pub fn submit(
         &mut self,
@@ -588,32 +622,55 @@ impl Federation {
         request: impl Into<Arc<ResourceRequest>>,
         home: Option<usize>,
     ) -> Result<FedJob, SubmitError> {
-        self.submit_shared(user, queue, kind, request.into(), home)
+        self.submit_shared(user, queue, kind, request.into(), None, home)
     }
 
-    /// [`Federation::submit`] past the conversion: one copy of the body,
-    /// whatever type each caller hands in.
+    /// [`Federation::submit`] of a request its caller resolved once, with
+    /// [`Federation::resolve`] or this federation's
+    /// [`AvailabilityProbe::resolve_for`]: `resolved` must be `request`'s,
+    /// and its home is the job's home.
+    // detlint: allow(unarmed-service-fn) -- submit_shared() holds this path's fed-submit arm
+    pub fn submit_resolved(
+        &mut self,
+        user: &str,
+        queue: Queue,
+        kind: JobKind,
+        request: Arc<ResourceRequest>,
+        resolved: &Resolved,
+    ) -> Result<FedJob, SubmitError> {
+        self.submit_shared(user, queue, kind, request, Some(resolved), None)
+    }
+
+    /// The one body of both submissions: `resolved`, or a handle resolved
+    /// here and homed on `home` when the caller kept none.
     fn submit_shared(
         &mut self,
         user: &str,
         queue: Queue,
         kind: JobKind,
         request: Arc<ResourceRequest>,
+        resolved: Option<&Resolved>,
         home: Option<usize>,
     ) -> Result<FedJob, SubmitError> {
         // Buggify: the grid gateway loses the submission before placement
         // (the oargridsub wrapper's RPC never reaches a server). Hashed
         // from a monotone attempt counter — engine-order independent, and
-        // a retried submission draws a fresh salt.
+        // a retried submission draws a fresh salt. A lost submission
+        // resolves nothing.
         self.submit_attempts += 1;
         if self.buggify.fire_hashed("fed-submit", self.submit_attempts) {
             return Err(SubmitError::TransientlyRefused);
         }
-        let home = home
-            .filter(|&h| h < self.domains.len())
-            .or_else(|| self.home_of_request(&request));
-        let sets = self.db.resolve(&request);
-        let sets = sets.as_slice();
+        let fresh;
+        let resolved = match resolved {
+            Some(resolved) => resolved,
+            None => {
+                fresh = self.resolve(&request, home);
+                &fresh
+            }
+        };
+        let home = resolved.home();
+        let sets = resolved.sets(&self.db);
         let (d, placed) = match self.place_now::<Vec<NodeId>>(home, &request, sets) {
             Some(Start::One(d, nodes)) => (d, Some(nodes)),
             Some(Start::Split(parts)) => {
@@ -1296,6 +1353,33 @@ mod tests {
     }
 
     #[test]
+    fn a_servers_handle_has_no_home_and_follows_its_bookings() {
+        let (tb, _) = setup();
+        let mut server = OarServer::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+        let hour = SimDuration::from_hours(1);
+        let alpha = ResourceRequest::all_nodes(Expr::eq("cluster", "alpha"), hour);
+        let handle = server.resolve_for("east", &alpha);
+        assert_eq!(handle.home(), None);
+        assert!(server.can_start_resolved(&alpha, &handle));
+        let one = nodes_req(Expr::eq("cluster", "alpha"), 1, 1);
+        server.submit("u", Queue::Default, JobKind::User, one).unwrap();
+        assert!(!server.can_start_resolved(&alpha, &handle));
+        assert!(!server.can_start_now("east", &alpha));
+    }
+
+    /// A handle is valid only with the database that made it: debug
+    /// builds refuse one from another federation's.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a handle resolved against another database")]
+    fn a_handle_from_another_database_is_refused() {
+        let (tb, made) = setup();
+        let asked = Federation::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+        let request = nodes_req(Expr::eq("cluster", "alpha"), 1, 1);
+        asked.can_start_resolved(&request, &made.resolve(&request, None));
+    }
+
+    #[test]
     fn advancing_backwards_is_ignored() {
         // Regression: `advance` to an earlier instant panicked.
         let (_tb, mut fed) = setup();
@@ -1530,49 +1614,158 @@ mod twin {
                             assert_eq!(a.complete_early(job), b.complete_early(job), "{step}");
                         }
                     }
-                    15 | 16 => {
-                        let site = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
-                        let node = tb.nodes()[rng.gen_range(0..tb.nodes().len())].id;
-                        let (kind, target) = match rng.gen_range(0..4) {
-                            0 => (FaultKind::SitePowerOutage, FaultTarget::Site(site)),
-                            1 => (
-                                FaultKind::ServiceCrash,
-                                FaultTarget::Service(site, ServiceKind::OarServer),
-                            ),
-                            _ => (FaultKind::NodeDead, FaultTarget::Node(node)),
-                        };
-                        let active = tb.active_faults();
-                        if rng.gen_bool(0.6) || active.is_empty() {
-                            tb.apply_fault(kind, target, a.now());
-                        } else {
-                            let id = active[rng.gen_range(0..active.len())].id;
-                            tb.repair(id);
-                        }
-                        let dirty = tb.take_alive_dirty();
-                        for fed in [&mut a, &mut b] {
-                            fed.sync_dirty_nodes(&tb, &dirty);
-                            fed.sync_process_liveness(&tb);
-                        }
-                    }
-                    _ => {
-                        // A link flips, or the model changes under the same
-                        // links: the view must follow both.
-                        if rng.gen_bool(0.3) {
-                            tb.set_link_model(MODELS[rng.gen_range(0..MODELS.len())]);
-                            models += 1;
-                        } else {
-                            let x = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
-                            let y = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
-                            tb.topology_mut().set_site_link(x, y, rng.gen_bool(0.5));
-                        }
-                        a.sync_backbone(&tb);
-                        b.sync_backbone(&tb);
-                    }
+                    15 | 16 => fault_step(&mut rng, &mut tb, [&mut a, &mut b]),
+                    _ => models += usize::from(link_step(&mut rng, &mut tb, [&mut a, &mut b])),
                 }
                 assert_twins(&a, &b, &tb, &step);
             }
         }
         assert!(started > 100 && pending > 100 && refused > 100, "{started} {pending} {refused}");
         assert!(models > 100, "{models} model switches");
+    }
+
+    /// A node dies or a site blacks out or its OAR process crashes, or
+    /// one of those is repaired; both twins sync.
+    fn fault_step(rng: &mut impl Rng, tb: &mut Testbed, twins: [&mut Federation; 2]) {
+        let site = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
+        let node = tb.nodes()[rng.gen_range(0..tb.nodes().len())].id;
+        let (kind, target) = match rng.gen_range(0..4) {
+            0 => (FaultKind::SitePowerOutage, FaultTarget::Site(site)),
+            1 => (FaultKind::ServiceCrash, FaultTarget::Service(site, ServiceKind::OarServer)),
+            _ => (FaultKind::NodeDead, FaultTarget::Node(node)),
+        };
+        let active = tb.active_faults();
+        if rng.gen_bool(0.6) || active.is_empty() {
+            tb.apply_fault(kind, target, twins[0].now());
+        } else {
+            let id = active[rng.gen_range(0..active.len())].id;
+            tb.repair(id);
+        }
+        let dirty = tb.take_alive_dirty();
+        for fed in twins {
+            fed.sync_dirty_nodes(tb, &dirty);
+            fed.sync_process_liveness(tb);
+        }
+    }
+
+    /// A link flips, or the model changes under the same links (returns
+    /// true then): both twins' views must follow either.
+    fn link_step(rng: &mut impl Rng, tb: &mut Testbed, twins: [&mut Federation; 2]) -> bool {
+        let switched = rng.gen_bool(0.3);
+        if switched {
+            tb.set_link_model(MODELS[rng.gen_range(0..MODELS.len())]);
+        } else {
+            let x = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
+            let y = tb.sites()[rng.gen_range(0..tb.sites().len())].id;
+            tb.topology_mut().set_site_link(x, y, rng.gen_bool(0.5));
+        }
+        for fed in twins {
+            fed.sync_backbone(tb);
+        }
+        switched
+    }
+
+    /// A request resolved once answers as one placed afresh: random worlds
+    /// keep a pool of requests, each resolved into a handle at its first
+    /// probe or first submission — as a campaign does for a test row — and
+    /// asked and submitted with that handle ever after, through bookings,
+    /// early ends, cancellations, deaths, repairs, site outages, crashed
+    /// OAR processes, partitions and link-model switches. Its twin asks
+    /// `place` (the probe's answer is its immediate one) and submits
+    /// through place-then-plan-again, resolving every time. Pinned requests
+    /// are homed where they are pinned, others on a drawn site or none; a
+    /// probe names the site, a submission the domain, as the scheduler and
+    /// the campaign do.
+    #[test]
+    fn a_kept_handle_answers_as_placing_afresh() {
+        let (mut yes, mut no, mut split, mut crashed) = (0, 0, 0, 0);
+        let (mut started, mut pending, mut refused) = (0, 0, 0);
+        for world in 0..40u64 {
+            let mut rng = stream_rng(world, "resolved-twin");
+            let mut tb = TestbedBuilder::from_specs(grid_specs(rng.gen_range(2..=4), 2, 4)).build();
+            let desc = describe(&tb, 1, SimTime::ZERO);
+            let (mut a, mut b) = (Federation::new(&tb, &desc), Federation::new(&tb, &desc));
+            for fed in [&mut a, &mut b] {
+                fed.set_buggify(Buggify::new(world, 0.1));
+            }
+            // Every world holds a co-allocation across two of its sites.
+            let sites = tb.sites().len();
+            let (x, y) = (rng.gen_range(0..sites), rng.gen_range(1..sites));
+            let on_site = |s: usize| nodes(Expr::eq("site", &tb.sites()[s % sites].name), 1);
+            let split_of = |x: usize, y: usize| ResourceRequest {
+                groups: vec![on_site(x), on_site(x + y)],
+                walltime: SimDuration::from_mins(90),
+            };
+            let pool: Vec<(Arc<ResourceRequest>, Option<usize>, String)> = (0..12)
+                .map(|k| {
+                    let request = if k == 0 { split_of(x, y) } else { draw_request(&mut rng, &tb) };
+                    let drawn = rng.gen_bool(0.6).then(|| rng.gen_range(0..sites));
+                    let home = a.home_of_request(&request).or(drawn);
+                    let site = home.map_or(String::new(), |h| a.domains[h].name.clone());
+                    (Arc::new(request), home, site)
+                })
+                .collect();
+            let mut kept: Vec<Option<Resolved>> = pool.iter().map(|_| None).collect();
+            let mut jobs: Vec<FedJob> = Vec::new();
+            for step in 0..250 {
+                let step = format!("world {world} step {step}");
+                let i = rng.gen_range(0..pool.len());
+                let (request, home, site) = &pool[i];
+                match rng.gen_range(0..20) {
+                    0..=4 => {
+                        let placed = b.place(*home, request);
+                        let want = matches!(placed, Placement::Immediate(_) | Placement::Split(_));
+                        let handle = kept[i].get_or_insert_with(|| a.resolve_for(site, request));
+                        assert_eq!(handle.home(), *home, "{step}");
+                        assert_eq!(a.can_start_resolved(request, handle), want, "{step}");
+                        assert_eq!(a.can_start_now(site, request), want, "{step}");
+                        if want { yes += 1 } else { no += 1 }
+                        crashed += usize::from(a.domains.iter().any(|d| !d.oar.process_up()));
+                    }
+                    5..=9 => {
+                        let handle = kept[i].get_or_insert_with(|| a.resolve(request, *home));
+                        assert_eq!(handle.home(), *home, "{step}");
+                        let kind = if rng.gen_bool(0.5) { JobKind::User } else { JobKind::Test };
+                        let shared = Arc::clone(request);
+                        let got = a.submit_resolved("u", Queue::Default, kind, shared, handle);
+                        let want = submit_planning_twice(&mut b, kind, (**request).clone(), *home);
+                        assert_eq!(got, want, "{step}");
+                        match got {
+                            Ok(job) => {
+                                split += usize::from(job.parts().count() > 1);
+                                match a.job_state(&job) {
+                                    FedJobState::Running => started += 1,
+                                    _ => pending += 1,
+                                }
+                                jobs.push(job);
+                            }
+                            Err(SubmitError::TransientlyRefused) => refused += 1,
+                            Err(_) => {}
+                        }
+                    }
+                    10..=12 => {
+                        let to = a.now() + SimDuration::from_mins(rng.gen_range(0..300));
+                        a.advance(to);
+                        b.advance(to);
+                    }
+                    13 | 14 if !jobs.is_empty() => {
+                        let job = &jobs[rng.gen_range(0..jobs.len())];
+                        if rng.gen_bool(0.5) {
+                            assert_eq!(a.cancel(job), b.cancel(job), "{step}");
+                        } else {
+                            assert_eq!(a.complete_early(job), b.complete_early(job), "{step}");
+                        }
+                    }
+                    15..=17 => fault_step(&mut rng, &mut tb, [&mut a, &mut b]),
+                    _ => {
+                        link_step(&mut rng, &mut tb, [&mut a, &mut b]);
+                    }
+                }
+                assert_twins(&a, &b, &tb, &step);
+            }
+        }
+        assert!(yes > 500 && no > 1000 && crashed > 800, "{yes} startable, {no} not, {crashed}");
+        assert!(started > 300 && pending > 200 && refused > 200, "{started} {pending} {refused}");
+        assert!(split > 25, "{split} co-allocations");
     }
 }

@@ -39,5 +39,5 @@ pub use federation::{AvailabilityProbe, FedJob, FedJobState, Federation, Placeme
 pub use job::{Job, JobId, JobKind, JobState, JobTable, Queue};
 pub use cli::{oarnodes, oarnodes_into, oarstat, oarstat_into, oarsub, CliError};
 pub use parser::{parse_request, ParseError};
-pub use server::{NodeState, OarServer, SubmitError};
+pub use server::{NodeState, OarServer, Resolved, SubmitError};
 pub use userload::{UserLoadError, UserLoadGenerator};

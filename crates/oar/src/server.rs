@@ -39,14 +39,18 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, PoisonError, RwLock};
 use ttt_refapi::{all_properties, PropertyMap, TestbedDescription};
 use ttt_sim::{Buggify, EventQueue, SimDuration, SimTime};
-use ttt_testbed::{ClusterId, Node, NodeId, Testbed};
+use ttt_testbed::{ClusterId, NodeId, Testbed};
 
 /// The stand-alone server's probe: [`OarServer::immediate_assignment`]
-/// without collecting the nodes.
+/// without collecting the nodes. It has no sites to choose from, so a
+/// handle it resolves has no home.
 impl AvailabilityProbe for OarServer {
-    fn can_start_now(&self, _home_site: &str, request: &ResourceRequest) -> bool {
-        let sets = self.db.resolve(request);
-        self.plan_now(request, sets.as_slice(), &mut 0)
+    fn resolve_for(&self, _home_site: &str, request: &ResourceRequest) -> Resolved {
+        self.db.resolve_homed(request, None)
+    }
+
+    fn can_start_resolved(&self, request: &ResourceRequest, resolved: &Resolved) -> bool {
+        self.plan_now(request, resolved.sets(&self.db), &mut 0)
     }
 }
 
@@ -112,7 +116,8 @@ enum Release {
 /// server's database has a single part holding every node
 /// ([`ResourceDb::load`]); a federation's has one part per site, and each
 /// site's server keeps state for, and plans over, its own part only. Both
-/// are the same code: nothing below asks how many parts there are.
+/// are the same code: only [`ResourceDb::part_nodes`] asks which kind of
+/// database it is, to hand out a part's node list.
 ///
 /// The database is loaded once and never mutated afterwards (the
 /// *description* drifts, the DB does not — that inconsistency is the
@@ -138,12 +143,19 @@ pub struct ResourceDb {
     cluster_ids: BTreeMap<String, ClusterId>,
     /// Node ids per cluster (`ClusterId`-indexed), in node order.
     nodes_of_cluster: Vec<Vec<NodeId>>,
-    /// All node ids (scan fallback for cluster-agnostic filters).
+    /// Site name → its `SiteId` index, used once when resolving a filter's
+    /// string site reference.
+    site_ids: BTreeMap<String, usize>,
+    /// Node ids per site (`SiteId`-indexed), in node order.
+    nodes_of_site: Vec<Vec<NodeId>>,
+    /// All node ids, in node order (scan fallback for filters that name no
+    /// known cluster or site).
     all_nodes: Vec<NodeId>,
-    /// Node ids per part, in node order: a server's slot → node table.
-    nodes_of_part: Vec<Vec<NodeId>>,
+    /// Whether part `i` is site `i` (a federation's database) rather than
+    /// one part holding every node: see [`ResourceDb::part_nodes`].
+    parts_are_sites: bool,
     /// Per node, its part and its slot in that part's
-    /// [`ResourceDb::nodes_of_part`] row — the one node → slot table every
+    /// [`ResourceDb::part_nodes`] list — the one node → slot table every
     /// server indexes its own state through. A site's node ids need not be
     /// contiguous (sites may interleave in the arena).
     slot_of_node: Vec<(u32, u32)>,
@@ -195,7 +207,7 @@ impl MatchSet {
 /// resolving a request allocates only when it has several groups.
 pub(crate) enum GroupSets {
     One(Arc<MatchSet>),
-    Many(Vec<Arc<MatchSet>>),
+    Many(Box<[Arc<MatchSet>]>),
 }
 
 impl GroupSets {
@@ -205,6 +217,55 @@ impl GroupSets {
             GroupSets::One(set) => std::slice::from_ref(set),
             GroupSets::Many(sets) => sets,
         }
+    }
+}
+
+/// A request resolved once against one resource database: its groups'
+/// match-sets and the home domain placement tries first. It is what
+/// [`Federation::submit`](crate::Federation::submit) and
+/// [`AvailabilityProbe::can_start_now`] compute on every call, kept: a
+/// caller that probes or submits one unchanging request many times — the
+/// campaign, once per enrolled test row — resolves it once and hands the
+/// handle back with the request each time. It holds match-sets, not node
+/// picks, so it never goes stale: nodes die, jobs book and end, and every
+/// use plans against the state of that instant.
+///
+/// A handle is only valid with the request it was made from and the
+/// database that made it (a federation's, which its domains share, or a
+/// stand-alone server's). Debug builds assert the database.
+pub struct Resolved {
+    sets: GroupSets,
+    /// The domain placement tries first; `None` for none, and always for a
+    /// stand-alone server, which has no domains. Domains are sites, whose
+    /// ids are 16 bits wide, so 32 hold any: a launch list keeps one handle
+    /// per slot, and the narrower field keeps the handle at 24 bytes.
+    home: Option<u32>,
+    /// The address of the database that made the handle, for the check.
+    #[cfg(debug_assertions)]
+    db: usize,
+}
+
+impl Resolved {
+    /// The match-set of each group, in group order, for use against `db`.
+    pub(crate) fn sets(&self, db: &ResourceDb) -> &[Arc<MatchSet>] {
+        #[cfg(debug_assertions)]
+        assert_eq!(self.db, db.address(), "a handle resolved against another database");
+        let _ = db; // only debug builds check it
+        self.sets.as_slice()
+    }
+
+    /// The home domain placement tries first.
+    pub fn home(&self) -> Option<usize> {
+        self.home.map(|h| h as usize)
+    }
+}
+
+impl std::fmt::Debug for Resolved {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Resolved")
+            .field("groups", &self.sets.as_slice().len())
+            .field("home", &self.home)
+            .finish()
     }
 }
 
@@ -265,32 +326,31 @@ impl ResourceDb {
     /// Load the database from a testbed and its published description, as
     /// a single part: what a stand-alone server plans over.
     pub fn load(tb: &Testbed, desc: &TestbedDescription) -> Self {
-        Self::load_parts(tb, desc, 1, |_| 0)
+        Self::load_parts(tb, desc, false)
     }
 
     /// Load the database with one part per site, in site order: what a
     /// federation's per-site servers share.
     pub(crate) fn load_by_site(tb: &Testbed, desc: &TestbedDescription) -> Self {
-        Self::load_parts(tb, desc, tb.sites().len(), |node| node.site.index())
+        Self::load_parts(tb, desc, true)
     }
 
-    fn load_parts(
-        tb: &Testbed,
-        desc: &TestbedDescription,
-        parts: usize,
-        part_of: impl Fn(&Node) -> usize,
-    ) -> Self {
+    fn load_parts(tb: &Testbed, desc: &TestbedDescription, parts_are_sites: bool) -> Self {
         let by_name = all_properties(desc);
         let mut props = Vec::with_capacity(tb.nodes().len());
         let mut cluster_of_node = Vec::with_capacity(tb.nodes().len());
-        let mut nodes_of_part: Vec<Vec<NodeId>> = vec![Vec::new(); parts];
+        let mut nodes_of_site: Vec<Vec<NodeId>> = vec![Vec::new(); tb.sites().len()];
         let mut slot_of_node = Vec::with_capacity(tb.nodes().len());
         for node in tb.nodes() {
             props.push(by_name.get(&node.name).cloned().unwrap_or_default());
             cluster_of_node.push(node.cluster);
-            let part = part_of(node);
-            slot_of_node.push((part as u32, nodes_of_part[part].len() as u32));
-            nodes_of_part[part].push(node.id);
+            let site = &mut nodes_of_site[node.site.index()];
+            slot_of_node.push(if parts_are_sites {
+                (node.site.index() as u32, site.len() as u32)
+            } else {
+                (0, node.id.index() as u32)
+            });
+            site.push(node.id);
         }
         // The testbed's ClusterIds are dense, so they index the per-cluster
         // tables directly — no separate interning pass.
@@ -304,11 +364,38 @@ impl ResourceDb {
                 .map(|c| (c.name.clone(), c.id))
                 .collect(),
             nodes_of_cluster: tb.clusters().iter().map(|c| c.nodes.clone()).collect(),
+            site_ids: tb.sites().iter().map(|s| (s.name.clone(), s.id.index())).collect(),
+            nodes_of_site,
             all_nodes: (0..tb.nodes().len()).map(NodeId::from).collect(),
-            nodes_of_part,
+            parts_are_sites,
             slot_of_node,
             // detlint: allow(no-unordered-iteration) -- see the field: lookup-only cache, never iterated
             match_cache: RwLock::new(HashMap::new()),
+        }
+    }
+
+    /// The nodes of `part`, in node order: a server's slot → node table.
+    pub(crate) fn part_nodes(&self, part: usize) -> &[NodeId] {
+        if self.parts_are_sites {
+            &self.nodes_of_site[part]
+        } else {
+            &self.all_nodes
+        }
+    }
+
+    /// The address that tells this database from any other alive.
+    #[cfg(debug_assertions)]
+    fn address(&self) -> usize {
+        std::ptr::from_ref(self) as usize
+    }
+
+    /// Resolve `request` into a handle with `home` as its home domain.
+    pub(crate) fn resolve_homed(&self, request: &ResourceRequest, home: Option<usize>) -> Resolved {
+        Resolved {
+            sets: self.resolve(request),
+            home: home.map(|h| h as u32),
+            #[cfg(debug_assertions)]
+            db: self.address(),
         }
     }
 
@@ -380,14 +467,19 @@ impl ResourceDb {
         set
     }
 
-    /// The node ids a filter can possibly match: its implied cluster's
-    /// nodes, or every node when the filter may span clusters.
+    /// The node ids a filter can possibly match, in node order: its
+    /// implied cluster's nodes, else its implied site's, else every node.
+    /// A filter implies a value only by an equality that every match must
+    /// satisfy (see [`Expr::implied_eq`]), and a node's `cluster` and `site`
+    /// properties name the cluster and site it is loaded under, so each
+    /// list holds every node the full scan would keep, in the same order.
     fn scan_range(&self, filter: &Expr) -> &[NodeId] {
-        match filter
-            .implied_cluster()
-            .and_then(|name| self.cluster_ids.get(name))
-        {
-            Some(&c) => &self.nodes_of_cluster[c.index()],
+        let cluster = filter.implied_cluster().and_then(|name| self.cluster_ids.get(name));
+        if let Some(&c) = cluster {
+            return &self.nodes_of_cluster[c.index()];
+        }
+        match filter.implied_eq("site").and_then(|name| self.site_ids.get(name)) {
+            Some(&s) => &self.nodes_of_site[s],
             None => &self.all_nodes,
         }
     }
@@ -475,7 +567,7 @@ impl OarServer {
     /// Build the server of one part of a shared resource database — what
     /// a federation does once per site.
     pub(crate) fn over_part(db: Arc<ResourceDb>, part: usize) -> Self {
-        let nodes = db.nodes_of_part[part].len();
+        let nodes = db.part_nodes(part).len();
         OarServer {
             node_states: vec![NodeState::Alive; nodes],
             alive: nodes,
@@ -545,7 +637,7 @@ impl OarServer {
 
     /// The nodes this server schedules, in node order.
     pub(crate) fn own_nodes(&self) -> &[NodeId] {
-        &self.db.nodes_of_part[self.part]
+        self.db.part_nodes(self.part)
     }
 
     /// The resource-database properties of one node (as loaded from the
@@ -572,7 +664,7 @@ impl OarServer {
     /// the testbed's alive-dirty set instead.
     pub fn sync_node_states(&mut self, tb: &Testbed) {
         let db = Arc::clone(&self.db);
-        self.sync_nodes_inner(tb, &db.nodes_of_part[self.part]);
+        self.sync_nodes_inner(tb, db.part_nodes(self.part));
         self.schedule();
     }
 
@@ -1802,7 +1894,7 @@ mod tests {
             implied.as_ref().is_none_or(|names| names.contains(&&*s.db.cluster_names[cluster]))
         };
         let mut candidates = vec![s.now];
-        for (slot, &node) in s.db.nodes_of_part[s.part].iter().enumerate() {
+        for (slot, &node) in s.db.part_nodes(s.part).iter().enumerate() {
             if touches(node) {
                 let ends = s.gantt.timeline(slot).reservations().iter().map(|r| r.end);
                 candidates.extend(ends.filter(|&e| e > s.now && e <= limit));
@@ -1900,5 +1992,92 @@ mod tests {
         // and so are lists holding ends the narrowing left out.
         assert!(now > 2000 && later > 2000 && never > 1000, "{now} now, {later} later, {never} never");
         assert!(wider > 2000, "{wider} candidate lists wider than the narrowed one");
+    }
+
+    /// What a filter matches by the scan the narrowing replaced: every node
+    /// of the arena evaluated, then grouped by part as `matching_nodes`
+    /// groups its matches.
+    fn full_scan(db: &ResourceDb, filter: &Expr) -> (Vec<NodeId>, Vec<(u32, u32)>) {
+        let matches = |n: &NodeId| eval(filter, &db.props[n.index()]);
+        let mut nodes: Vec<NodeId> = db.all_nodes.iter().copied().filter(matches).collect();
+        let part_of = |n: &NodeId| db.slot_of_node[n.index()].0;
+        nodes.sort_by_key(part_of);
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for (i, n) in nodes.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if run.0 == part_of(n) => run.1 = i as u32 + 1,
+                _ => runs.push((part_of(n), i as u32 + 1)),
+            }
+        }
+        (nodes, runs)
+    }
+
+    /// A random filter over `site`, `cluster` and one hardware property:
+    /// equalities and inequalities on known and unknown names, nested in
+    /// `and`, `or` and `not`, `depth` levels at most.
+    fn draw_filter(rng: &mut rand::rngs::SmallRng, names: &[Vec<String>; 2], depth: u32) -> Expr {
+        use crate::ast::CmpOp;
+        use rand::Rng;
+        if depth == 0 || rng.gen_bool(0.3) {
+            let op = if rng.gen_bool(0.7) { CmpOp::Eq } else { CmpOp::Neq };
+            let (key, known) = match rng.gen_range(0..5) {
+                0 | 1 => ("site", &names[0]),
+                2 | 3 => ("cluster", &names[1]),
+                _ => return Expr::eq("gpu", "YES"),
+            };
+            // One draw in eight names nothing the testbed has.
+            let value = match rng.gen_range(0..known.len() + known.len().div_ceil(7)) {
+                i if i < known.len() => known[i].clone(),
+                _ => "atlantis".to_string(),
+            };
+            return Expr::Cmp { key: key.into(), op, value };
+        }
+        let a = draw_filter(rng, names, depth - 1);
+        match rng.gen_range(0..4) {
+            0 | 1 => a.and(draw_filter(rng, names, depth - 1)),
+            2 => a.or(draw_filter(rng, names, depth - 1)),
+            _ => Expr::Not(Box::new(a)),
+        }
+    }
+
+    /// A site-narrowed scan keeps what the full scan keeps, in its order:
+    /// random filters resolved by a per-site database (a federation's) and
+    /// by a single-part one (a stand-alone server's) over grids whose sites
+    /// interleave in the node arena, each match-set equal to the full
+    /// scan's, node for node and part run for part run. A narrowing that
+    /// wrongly took `site<>'x'` for `site='x'` would keep no node.
+    #[test]
+    fn a_site_narrowed_scan_keeps_what_the_full_scan_keeps() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let (mut by_site, mut by_cluster, mut whole) = (0, 0, 0);
+        for world in 0..24u64 {
+            let mut rng = ttt_sim::rng::stream_rng(world, "site-narrowing");
+            let mut specs = ttt_testbed::gen::grid_specs(rng.gen_range(1..=6), 2, 3);
+            specs.shuffle(&mut rng);
+            let tb = TestbedBuilder::from_specs(specs).build();
+            let desc = describe(&tb, 1, SimTime::ZERO);
+            let names = [
+                tb.sites().iter().map(|s| s.name.clone()).collect(),
+                tb.clusters().iter().map(|c| c.name.clone()).collect(),
+            ];
+            for db in [ResourceDb::load_by_site(&tb, &desc), ResourceDb::load(&tb, &desc)] {
+                for _ in 0..200 {
+                    let filter = draw_filter(&mut rng, &names, 3);
+                    let scanned = db.scan_range(&filter).len();
+                    let set = db.matching_nodes(&filter);
+                    let (nodes, runs) = full_scan(&db, &filter);
+                    assert_eq!((&set.nodes, &set.runs), (&nodes, &runs), "world {world}: {filter}");
+                    let cluster = filter.implied_cluster().and_then(|c| db.cluster_ids.get(c));
+                    match (cluster, scanned < db.all_nodes.len()) {
+                        (Some(_), _) => by_cluster += 1,
+                        (None, true) => by_site += 1,
+                        (None, false) => whole += 1,
+                    }
+                }
+            }
+        }
+        // Every scan range is reached, the site's most of all.
+        assert!(by_site > 500 && by_cluster > 500 && whole > 500, "{by_site} {by_cluster} {whole}");
     }
 }

@@ -70,9 +70,10 @@ pub struct Topology {
     /// Where each node's primary NIC is cabled.
     pub uplink: BTreeMap<NodeId, PortRef>,
     /// Power-monitoring wiring: `wattmeter_of[n]` is the node whose power
-    /// the wattmeter *labelled* `n` actually measures. Identity when the
-    /// cabling is correct; a `CablingSwap` fault swaps two entries.
-    pub wattmeter_of: BTreeMap<NodeId, NodeId>,
+    /// the wattmeter *labelled* `n` actually measures, indexed by label.
+    /// Identity when the cabling is correct (a label past the end measures
+    /// itself); a `CablingSwap` fault swaps two entries.
+    pub wattmeter_of: Vec<NodeId>,
     /// Inter-site backbone links (full mesh, endpoints ordered `a < b`,
     /// in row order: `(0,1), (0,2), …, (1,2), …`). Private, so every
     /// change goes through a method that moves `link_stamp`.
@@ -158,20 +159,26 @@ impl Topology {
     /// Register a node on a switch port and wire its wattmeter correctly.
     pub fn attach_node(&mut self, node: NodeId, port: PortRef) {
         self.uplink.insert(node, port);
-        self.wattmeter_of.insert(node, node);
+        self.wire_identity_through(node);
+        self.wattmeter_of[node.index()] = node;
     }
 
-    /// The node actually measured by the wattmeter labelled `label`.
+    /// Extend the wiring table with correctly wired labels up to `label`.
+    fn wire_identity_through(&mut self, label: NodeId) {
+        let from = self.wattmeter_of.len();
+        self.wattmeter_of.extend((from..=label.index()).map(NodeId::from));
+    }
+
+    /// The node actually measured by the wattmeter labelled `label`: O(1),
+    /// one index into the wiring table.
     pub fn measured_node(&self, label: NodeId) -> NodeId {
-        *self.wattmeter_of.get(&label).unwrap_or(&label)
+        self.wattmeter_of.get(label.index()).copied().unwrap_or(label)
     }
 
     /// Swap the power wiring of two nodes (the cabling-mistake fault).
     pub fn swap_wattmeters(&mut self, a: NodeId, b: NodeId) {
-        let ma = self.measured_node(a);
-        let mb = self.measured_node(b);
-        self.wattmeter_of.insert(a, mb);
-        self.wattmeter_of.insert(b, ma);
+        self.wire_identity_through(a.max(b));
+        self.wattmeter_of.swap(a.index(), b.index());
     }
 
     /// Whether the monitoring wiring is the identity for `label`.
@@ -182,7 +189,8 @@ impl Topology {
     /// Count of mis-wired wattmeters.
     #[cfg(test)]
     pub fn miswired_count(&self) -> usize {
-        self.wattmeter_of.iter().filter(|(k, v)| k != v).count()
+        let wired = self.wattmeter_of.iter().enumerate();
+        wired.filter(|&(k, &v)| NodeId::from(k) != v).count()
     }
 }
 
