@@ -13,7 +13,8 @@
 //! * [`matrix`] — axis expansion and failed-cell selection;
 //! * [`server`] — queue + executors + history + triggers. The server hands
 //!   work items to the campaign orchestrator and receives completions; it
-//!   never runs test logic itself;
+//!   never runs test logic itself. Each (job, cell) pair is a [`CellKey`]
+//!   made once, which a caller triggers by and every work item carries;
 //! * [`history`] — each job's builds as immutable sealed segments plus an
 //!   open tail, so a reader freezes the whole history for the cost of the
 //!   tail, with the three folds every reader shares (finished builds,
@@ -31,4 +32,4 @@ pub use history::{
 };
 pub use matrix::{expand_axes, failed_cells, render_cell, Cell};
 pub use model::{Axis, Build, BuildResult, BuildRef, Cause, CronTrigger, JobKind, JobSpec};
-pub use server::{CiServer, WorkItem};
+pub use server::{CellKey, CiServer, WorkItem};

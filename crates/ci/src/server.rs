@@ -9,6 +9,17 @@
 //! The server does not execute test logic. The campaign orchestrator calls
 //! [`CiServer::assign`] to pull work onto free executors, runs it, and
 //! reports back through [`CiServer::finish`].
+//!
+//! Builds are routed by position, not by name. Each (job, cell) pair gets
+//! one [`CellKey`] the first time it is named ([`CiServer::cell_key`]): a
+//! row of the server's key table holding the job's row, the one copy of
+//! the cell's text, and whether a build of the pair is queued or running.
+//! A caller that keeps its key triggers through [`CiServer::trigger_key`]
+//! and compares, hashes and allocates nothing to learn that the pair is
+//! already pending; every [`WorkItem`] and executor slot carries its key,
+//! so assignment and completion never look a job up by name.
+//! [`CiServer::trigger`] and [`CiServer::trigger_cells`] are wrappers that
+//! resolve names to keys and call the same body.
 
 use crate::history::{FrozenJob, JobHistory, EMPTY};
 use crate::matrix::{expand_axes, render_cell};
@@ -17,6 +28,20 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use ttt_sim::{Buggify, SimTime};
 
+/// One (job, cell) pair of a server, addressed by position: at most one
+/// build of it is queued or running at a time. Made once per pair by
+/// [`CiServer::cell_key`]; the same server hands the same pair the same key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CellKey(u32);
+
+impl CellKey {
+    /// Position in the server's key table: keys are numbered from 0 in the
+    /// order their pairs were first named.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A unit of work handed to the orchestrator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkItem {
@@ -24,6 +49,9 @@ pub struct WorkItem {
     pub build: BuildRef,
     /// Why it runs.
     pub cause: Cause,
+    /// The build's (job, cell) pair: the server finds its job through it,
+    /// and an orchestrator can index its own per-key table by it.
+    pub key: CellKey,
 }
 
 /// One registered job: everything the server keeps under its name.
@@ -34,6 +62,25 @@ struct JobRow {
     /// Full build history, in creation order.
     history: JobHistory,
     next_number: u32,
+    /// The key of the job's cell-less build, once named.
+    bare: Option<CellKey>,
+    /// The keys of the cells named so far, sorted by their text (which
+    /// only the key table holds). Searched only when a pair is named by
+    /// text.
+    cells: Vec<CellKey>,
+}
+
+/// One row of the key table.
+struct KeyRow {
+    /// Row of `CiServer::jobs`.
+    job: u32,
+    /// Written once, shared by every build of the pair.
+    cell: Option<Arc<str>>,
+    /// Whether a build of the pair is queued or running. A build enters
+    /// only through `enqueue`, leaves the queue only onto an executor and
+    /// leaves an executor only through `finish`, so this is exactly what a
+    /// scan of the queue and the executors would answer.
+    pending: bool,
 }
 
 /// The automation server.
@@ -44,12 +91,10 @@ pub struct CiServer {
     /// Job name → row of `jobs`. Key order is the order same-instant cron
     /// triggers fire in and [`CiServer::all_history`] walks.
     by_name: BTreeMap<Arc<str>, usize>,
-    /// Every cell any job ever built: each is written once and shared by
-    /// all of its builds, so one cell is one `Arc`.
-    // detlint: allow(no-unordered-iteration) -- lookup-only interner on the enqueue path; never iterated, so its order cannot leak
-    cells: std::collections::HashSet<Arc<str>>,
-    queue: VecDeque<(BuildRef, Cause)>,
-    executors: Vec<Option<BuildRef>>,
+    /// Every (job, cell) pair named so far, indexed by [`CellKey`].
+    keys: Vec<KeyRow>,
+    queue: VecDeque<WorkItem>,
+    executors: Vec<Option<WorkItem>>,
     now: SimTime,
     last_trigger_scan: SimTime,
     /// The first cron firing after `last_trigger_scan`. Only `register` and
@@ -70,7 +115,7 @@ impl CiServer {
         CiServer {
             jobs: Vec::new(),
             by_name: BTreeMap::new(),
-            cells: Default::default(),
+            keys: Vec::new(),
             queue: VecDeque::new(),
             executors: vec![None; executors],
             now: SimTime::ZERO,
@@ -89,7 +134,8 @@ impl CiServer {
     }
 
     /// Register (or replace) a job definition. Replacement keeps the
-    /// original registration position, the history and the build counter.
+    /// original registration position, the history, the build counter and
+    /// the keys.
     pub fn register(&mut self, spec: JobSpec) {
         if let Some(&row) = self.by_name.get(spec.name.as_str()) {
             self.jobs[row].spec = spec;
@@ -101,6 +147,8 @@ impl CiServer {
                 spec,
                 history: JobHistory::new(),
                 next_number: 1,
+                bare: None,
+                cells: Vec::new(),
             });
         }
         self.next_cron = self.scan_next_cron();
@@ -143,13 +191,13 @@ impl CiServer {
         if self.next_cron.is_some_and(|at| at <= to) {
             let timed: Vec<_> = self
                 .by_name
-                .iter()
-                .filter_map(|(name, &row)| Some((Arc::clone(name), self.jobs[row].spec.trigger?)))
+                .values()
+                .filter_map(|&row| Some((row, self.jobs[row].spec.trigger?)))
                 .collect();
-            for (name, trigger) in timed {
+            for (row, trigger) in timed {
                 for at in trigger.firings(after, to) {
                     self.now = at;
-                    self.trigger(&name, Cause::Cron);
+                    self.trigger_row(row, Cause::Cron);
                 }
             }
             self.next_cron = self.scan_next_cron();
@@ -157,61 +205,102 @@ impl CiServer {
         self.now = to;
     }
 
+    /// The key of `job`'s build for `cell` (`None`: its cell-less build),
+    /// made on first use. `None` for a job nobody registered.
+    pub fn cell_key(&mut self, job: &str, cell: Option<&str>) -> Option<CellKey> {
+        let row = *self.by_name.get(job)?;
+        Some(self.key_in(row, cell))
+    }
+
+    fn key_in(&mut self, row: usize, cell: Option<&str>) -> CellKey {
+        // Both positions fit in 32 bits: every job and key row owns an
+        // allocation, so memory runs out long before 2^32 of either.
+        let next = CellKey(self.keys.len() as u32);
+        let keys = &self.keys;
+        let job = &mut self.jobs[row];
+        match cell {
+            None => match job.bare {
+                Some(key) => return key,
+                None => job.bare = Some(next),
+            },
+            Some(cell) => {
+                let text = |key: &CellKey| keys[key.index()].cell.as_deref();
+                match job.cells.binary_search_by(|key| text(key).cmp(&Some(cell))) {
+                    Ok(at) => return job.cells[at],
+                    Err(at) => job.cells.insert(at, next),
+                }
+            }
+        }
+        self.keys.push(KeyRow {
+            job: row as u32,
+            cell: cell.map(Arc::from),
+            pending: false,
+        });
+        next
+    }
+
+    /// Whether a build of `key`'s pair is queued or running (`false` for a
+    /// key this server never made).
+    // detlint: allow(pub-fn-only-tests-call) -- the job-table model test compares it with a scan of the queue and executors
+    pub fn is_pending(&self, key: CellKey) -> bool {
+        self.keys.get(key.index()).is_some_and(|k| k.pending)
+    }
+
+    /// Trigger the build of one (job, cell) pair under the job's next
+    /// number, unless one is already queued or running (then `None`:
+    /// coalesced, as Jenkins does under trigger pileup). `None` too for a
+    /// key this server never made.
+    pub fn trigger_key(&mut self, key: CellKey, cause: Cause) -> Option<BuildRef> {
+        let row = self.keys.get(key.index())?.job as usize;
+        let number = self.jobs[row].next_number;
+        let r = self.enqueue(key, number, cause)?;
+        self.jobs[row].next_number = number + 1;
+        Some(r)
+    }
+
     /// Trigger a job: freestyle jobs enqueue one build, matrix jobs one
     /// build per cell. Cells already queued or running are coalesced
     /// (Jenkins' behaviour under trigger pileup). Returns the enqueued
     /// build references.
     pub fn trigger(&mut self, name: &str, cause: Cause) -> Vec<BuildRef> {
-        let Some(&row) = self.by_name.get(name) else {
-            return Vec::new();
-        };
+        match self.by_name.get(name) {
+            Some(&row) => self.trigger_row(row, cause),
+            None => Vec::new(),
+        }
+    }
+
+    fn trigger_row(&mut self, row: usize, cause: Cause) -> Vec<BuildRef> {
         match &self.jobs[row].spec.kind {
-            JobKind::Freestyle => self.enqueue(row, cause, &mut std::iter::once(None)),
+            JobKind::Freestyle => self.enqueue_cells(row, cause, [None]),
             JobKind::Matrix { axes } => {
                 let cells: Vec<String> = expand_axes(axes).iter().map(render_cell).collect();
-                self.enqueue(row, cause, &mut cells.iter().map(|c| Some(c.as_str())))
+                self.enqueue_cells(row, cause, cells.iter().map(|c| Some(c.as_str())))
             }
         }
     }
 
     /// Trigger only specific cells of a matrix job (Matrix Reloaded).
+    // detlint: allow(pub-fn-only-tests-call) -- the by-name retry API the Matrix Reloaded tests and the status fixtures drive; the launch path triggers by key
     pub fn trigger_cells(&mut self, name: &str, cause: Cause, cells: &[String]) -> Vec<BuildRef> {
         match self.by_name.get(name) {
-            Some(&row) => self.enqueue(row, cause, &mut cells.iter().map(|c| Some(c.as_str()))),
+            Some(&row) => self.enqueue_cells(row, cause, cells.iter().map(|c| Some(c.as_str()))),
             None => Vec::new(),
         }
     }
 
-    /// One build per cell not already queued or running, under one number.
-    fn enqueue(
+    /// One build per named cell not already queued or running, all under
+    /// the job's next number.
+    fn enqueue_cells<'a>(
         &mut self,
         row: usize,
         cause: Cause,
-        cells: &mut dyn Iterator<Item = Option<&str>>,
+        cells: impl IntoIterator<Item = Option<&'a str>>,
     ) -> Vec<BuildRef> {
         let number = self.jobs[row].next_number;
         let mut enqueued = Vec::new();
         for cell in cells {
-            let cell = cell.map(|cell| self.intern(cell));
-            if self.is_pending(&self.jobs[row].name, cell.as_ref()) {
-                continue;
-            }
-            let r = BuildRef {
-                job: Arc::clone(&self.jobs[row].name),
-                number,
-                cell,
-            };
-            self.jobs[row].history.push(Build {
-                r#ref: r.clone(),
-                cause,
-                queued_at: self.now,
-                started_at: None,
-                finished_at: None,
-                result: None,
-                log: Vec::new(),
-            });
-            self.queue.push_back((r.clone(), cause));
-            enqueued.push(r);
+            let key = self.key_in(row, cell);
+            enqueued.extend(self.enqueue(key, number, cause));
         }
         if !enqueued.is_empty() {
             self.jobs[row].next_number = number + 1;
@@ -219,29 +308,35 @@ impl CiServer {
         enqueued
     }
 
-    /// The server's one copy of `cell`, made on its first build.
-    fn intern(&mut self, cell: &str) -> Arc<str> {
-        if let Some(held) = self.cells.get(cell) {
-            return Arc::clone(held);
+    /// Queue build `number` of `key`'s pair unless one is pending: the one
+    /// place a build enters the server.
+    fn enqueue(&mut self, key: CellKey, number: u32, cause: Cause) -> Option<BuildRef> {
+        let k = &mut self.keys[key.index()];
+        if k.pending {
+            return None;
         }
-        let held: Arc<str> = cell.into();
-        self.cells.insert(Arc::clone(&held));
-        held
-    }
-
-    /// Whether an identical job+cell is already queued or running. Every
-    /// queued or running reference was made by `enqueue` from its job's one
-    /// name and the one copy of its cell, so an identical one holds the same
-    /// `Arc`s.
-    fn is_pending(&self, job: &Arc<str>, cell: Option<&Arc<str>>) -> bool {
-        let same = |r: &BuildRef| {
-            Arc::ptr_eq(&r.job, job)
-                && match (&r.cell, cell) {
-                    (Some(held), Some(cell)) => Arc::ptr_eq(held, cell),
-                    (held, cell) => held.is_none() && cell.is_none(),
-                }
+        k.pending = true;
+        let job = &mut self.jobs[k.job as usize];
+        let r = BuildRef {
+            job: Arc::clone(&job.name),
+            number,
+            cell: k.cell.clone(),
         };
-        self.queue.iter().any(|(r, _)| same(r)) || self.executors.iter().flatten().any(same)
+        job.history.push(Build {
+            r#ref: r.clone(),
+            cause,
+            queued_at: self.now,
+            started_at: None,
+            finished_at: None,
+            result: None,
+            log: Vec::new(),
+        });
+        self.queue.push_back(WorkItem {
+            build: r.clone(),
+            cause,
+            key,
+        });
+        Some(r)
     }
 
     /// Move queued builds onto free executors; returns the work to run.
@@ -254,47 +349,60 @@ impl CiServer {
     /// retried with a fresh salt — delay, never starvation.
     pub fn assign(&mut self) -> Vec<WorkItem> {
         let mut out = Vec::new();
+        self.assign_into(&mut out);
+        out
+    }
+
+    /// [`CiServer::assign`], appending the work to `out`: a caller that
+    /// assigns every step keeps one buffer for it.
+    pub fn assign_into(&mut self, out: &mut Vec<WorkItem>) {
         for slot in self.executors.iter_mut() {
             if slot.is_some() {
                 continue;
             }
-            let Some((r, cause)) = self.queue.pop_front() else {
+            let Some(item) = self.queue.pop_front() else {
                 break;
             };
             self.assign_attempts += 1;
             if self.buggify.fire_hashed("ci-assign", self.assign_attempts) {
-                self.queue.push_front((r, cause));
+                self.queue.push_front(item);
                 break;
             }
-            let job = self.by_name.get(&*r.job).map(|&row| &mut self.jobs[row]);
-            if let Some(b) = job.and_then(|job| job.history.pending_mut(&r)) {
+            let row = self.keys[item.key.index()].job as usize;
+            if let Some(b) = self.jobs[row].history.pending_mut(&item.build) {
                 b.started_at = Some(self.now);
             }
-            *slot = Some(r.clone());
-            out.push(WorkItem { build: r, cause });
+            *slot = Some(item.clone());
+            out.push(item);
         }
-        out
     }
 
     /// Report a build finished. Returns false if the build was not running.
+    ///
+    /// The executor is found by pointer: a reference handed out by this
+    /// server shares its job's and cell's `Arc`s. An equal reference built
+    /// elsewhere is matched by content.
     pub fn finish(&mut self, r: &BuildRef, result: BuildResult, log: Vec<String>) -> bool {
-        let Some(slot) = self
-            .executors
-            .iter_mut()
-            .find(|s| s.as_ref() == Some(r))
+        let holds = |same: fn(&BuildRef, &BuildRef) -> bool| {
+            self.executors
+                .iter()
+                .position(|s| s.as_ref().is_some_and(|w| same(&w.build, r)))
+        };
+        let Some(item) = holds(same_build)
+            .or_else(|| holds(|a, b| a == b))
+            .and_then(|i| self.executors[i].take())
         else {
             return false;
         };
-        *slot = None;
-        if let Some(&row) = self.by_name.get(&*r.job) {
-            let history = &mut self.jobs[row].history;
-            if let Some(b) = history.pending_mut(r) {
-                b.finished_at = Some(self.now);
-                b.result = Some(result);
-                b.log = log;
-            }
-            history.seal_settled();
+        let k = &mut self.keys[item.key.index()];
+        k.pending = false;
+        let history = &mut self.jobs[k.job as usize].history;
+        if let Some(b) = history.pending_mut(&item.build) {
+            b.finished_at = Some(self.now);
+            b.result = Some(result);
+            b.log = log;
         }
+        history.seal_settled();
         true
     }
 
@@ -348,6 +456,17 @@ impl CiServer {
     pub fn executor_count(&self) -> usize {
         self.executors.len()
     }
+}
+
+/// Whether two references share their job's and cell's text and number:
+/// equal without reading the text.
+fn same_build(a: &BuildRef, b: &BuildRef) -> bool {
+    a.number == b.number
+        && Arc::ptr_eq(&a.job, &b.job)
+        && match (&a.cell, &b.cell) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            (x, y) => x.is_none() && y.is_none(),
+        }
 }
 
 #[cfg(test)]

@@ -1,24 +1,29 @@
-//! Model-based check of the server's job table and segmented histories.
+//! Model-based check of the server's job table, key table and segmented
+//! histories.
 //!
 //! The server keeps one row per job (spec, history, build counter;
-//! registration order is row order) behind one name index, each history as
-//! sealed segments plus an open tail, and looks builds up only in that
-//! tail. The reference model below keeps what the server kept before: one
-//! name-keyed map each for specs, histories and counters plus a vector of
-//! names, and one flat `Vec<Build>` per job searched from the front by
-//! full `BuildRef` equality. Random operation sequences — triggers of
-//! registered and unregistered jobs, coalesced re-triggers, partial matrix
-//! retries, re-registration under another kind or cron trigger, late
-//! first registrations, cron firings, assignment rounds with buggified
-//! deferrals, out-of-order and bogus finishes — must leave the two
-//! indistinguishable through every public accessor, with every return
-//! value equal on the way.
+//! registration order is row order) behind one name index, one row per
+//! (job, cell) key with a pending flag, each history as sealed segments
+//! plus an open tail, and looks builds up only in that tail. The reference
+//! model below keeps what the server kept before keys: one name-keyed map
+//! each for specs, histories and counters plus a vector of names, one flat
+//! `Vec<Build>` per job searched from the front by full `BuildRef`
+//! equality, and "pending" answered by scanning the queue and the
+//! executors; it numbers keys by first naming. Random operation sequences
+//! — triggers by name of registered and unregistered jobs, coalesced
+//! re-triggers, partial matrix retries with repeated cells, keyed triggers
+//! by fresh and long-held keys, re-registration under another kind or cron
+//! trigger, late first registrations, cron firings, assignment rounds with
+//! buggified deferrals, out-of-order and bogus finishes, finishes by the
+//! server's own reference and by an equal one built elsewhere — must leave
+//! the two indistinguishable through every public accessor (pending state
+//! included), with every return value equal on the way.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use ttt_ci::{
-    expand_axes, render_cell, tally, Axis, Build, BuildRef, BuildResult, Cause, CiServer,
+    expand_axes, render_cell, tally, Axis, Build, BuildRef, BuildResult, Cause, CellKey, CiServer,
     CronTrigger, JobKind, JobSpec, WorkItem,
 };
 use ttt_sim::{Buggify, SimDuration, SimTime};
@@ -75,14 +80,27 @@ fn respec(pick: usize) -> JobSpec {
     }
 }
 
+/// A work item as the model sees it: the key is its number.
+type Work = (BuildRef, Cause, usize);
+
+/// A server's work items in the model's terms.
+fn work(items: Vec<WorkItem>) -> Vec<Work> {
+    items
+        .into_iter()
+        .map(|w| (w.build, w.cause, w.key.index()))
+        .collect()
+}
+
 /// The naive reference: the server as it was before its containers
 /// became one table and its histories were segmented, reduced to what
 /// these operations touch.
 struct Model {
     specs: BTreeMap<String, JobSpec>,
     order: Vec<String>,
-    queue: VecDeque<(BuildRef, Cause)>,
-    executors: Vec<Option<BuildRef>>,
+    /// (job, cell) per key number, in the order the pairs were named.
+    keys: Vec<(String, Option<String>)>,
+    queue: VecDeque<Work>,
+    executors: Vec<Option<Work>>,
     history: BTreeMap<String, Vec<Build>>,
     next_number: BTreeMap<String, u32>,
     now: SimTime,
@@ -96,6 +114,7 @@ impl Model {
         let mut model = Model {
             specs: BTreeMap::new(),
             order: Vec::new(),
+            keys: Vec::new(),
             queue: VecDeque::new(),
             executors: vec![None; EXECUTORS],
             history: BTreeMap::new(),
@@ -165,13 +184,41 @@ impl Model {
         self.enqueue(name, cause, &cells)
     }
 
+    /// The number of `job`'s `cell` key, given on first naming.
+    fn cell_key(&mut self, job: &str, cell: Option<&str>) -> Option<usize> {
+        if !self.specs.contains_key(job) {
+            return None;
+        }
+        let named = |(j, c): &(String, Option<String>)| j == job && c.as_deref() == cell;
+        Some(match self.keys.iter().position(named) {
+            Some(key) => key,
+            None => {
+                self.keys.push((job.to_string(), cell.map(str::to_string)));
+                self.keys.len() - 1
+            }
+        })
+    }
+
+    fn trigger_key(&mut self, key: usize, cause: Cause) -> Option<BuildRef> {
+        let (job, cell) = self.keys[key].clone();
+        let mut enqueued = self.enqueue(&job, cause, &[cell]);
+        assert!(enqueued.len() <= 1);
+        enqueued.pop()
+    }
+
+    /// Whether a build of key `key` is queued or running, by scan.
+    fn is_pending(&self, key: usize) -> bool {
+        self.queue.iter().chain(self.executors.iter().flatten()).any(|w| w.2 == key)
+    }
+
     fn enqueue(&mut self, name: &str, cause: Cause, cells: &[Option<String>]) -> Vec<BuildRef> {
         let number = self.next_number[name];
         let mut enqueued = Vec::new();
         for cell in cells {
+            let key = self.cell_key(name, cell.as_deref()).expect("registered");
             let pending = |r: &BuildRef| &*r.job == name && r.cell.as_deref() == cell.as_deref();
-            if self.queue.iter().any(|(r, _)| pending(r))
-                || self.executors.iter().flatten().any(pending)
+            if self.queue.iter().any(|(r, _, _)| pending(r))
+                || self.executors.iter().flatten().any(|(r, _, _)| pending(r))
             {
                 continue;
             }
@@ -192,7 +239,7 @@ impl Model {
                     result: None,
                     log: Vec::new(),
                 });
-            self.queue.push_back((r.clone(), cause));
+            self.queue.push_back((r.clone(), cause, key));
             enqueued.push(r);
         }
         if !enqueued.is_empty() {
@@ -208,32 +255,33 @@ impl Model {
             .find(|b| &b.r#ref == r)
     }
 
-    fn assign(&mut self) -> Vec<WorkItem> {
+    fn assign(&mut self) -> Vec<Work> {
         let mut out = Vec::new();
         for slot in 0..self.executors.len() {
             if self.executors[slot].is_some() {
                 continue;
             }
-            let Some((r, cause)) = self.queue.pop_front() else {
+            let Some(item) = self.queue.pop_front() else {
                 break;
             };
             self.assign_attempts += 1;
             if self.buggify.fire_hashed("ci-assign", self.assign_attempts) {
-                self.queue.push_front((r, cause));
+                self.queue.push_front(item);
                 break;
             }
             let now = self.now;
-            if let Some(b) = self.find(&r) {
+            if let Some(b) = self.find(&item.0) {
                 b.started_at = Some(now);
             }
-            self.executors[slot] = Some(r.clone());
-            out.push(WorkItem { build: r, cause });
+            self.executors[slot] = Some(item.clone());
+            out.push(item);
         }
         out
     }
 
     fn finish(&mut self, r: &BuildRef, result: BuildResult, log: Vec<String>) -> bool {
-        let Some(slot) = self.executors.iter_mut().find(|s| s.as_ref() == Some(r)) else {
+        let running = |s: &&mut Option<Work>| s.as_ref().is_some_and(|w| &w.0 == r);
+        let Some(slot) = self.executors.iter_mut().find(running) else {
             return false;
         };
         *slot = None;
@@ -321,6 +369,16 @@ fn assert_same_history(server: &CiServer, model: &Model) {
     assert_eq!(server.now(), model.now);
 }
 
+/// Every key the server handed out is pending exactly when the model's
+/// scan of its queue and executors says so.
+fn assert_same_pending(server: &CiServer, model: &Model, held: &[CellKey]) {
+    assert_eq!(held.len(), model.keys.len(), "every named pair has one key");
+    for (i, &key) in held.iter().enumerate() {
+        assert_eq!(key.index(), i);
+        assert_eq!(server.is_pending(key), model.is_pending(i), "key {i} {:?}", model.keys[i]);
+    }
+}
+
 /// The tally each history carries for its sealed part, plus its open
 /// tail, is the fold over every finished build — live and frozen.
 fn assert_carried_tallies(server: &CiServer, step: usize) {
@@ -339,7 +397,7 @@ proptest! {
     fn job_table_matches_the_naive_model(
         seed in 0u64..1_000_000,
         chaos in 0usize..3,
-        ops in prop::collection::vec((0u8..13, 0u64..1_000_000), 300..700),
+        ops in prop::collection::vec((0u8..16, 0u64..1_000_000), 300..700),
     ) {
         let buggify = Buggify::new(seed, [0.0, 0.1, 0.5][chaos]);
         let mut server = CiServer::new(EXECUTORS);
@@ -349,6 +407,10 @@ proptest! {
         }
         let mut model = Model::new(buggify);
         let cells: Vec<String> = expand_axes(&matrix_axes()).iter().map(render_cell).collect();
+        // Every key the server made, by number; and the references its
+        // assignments handed out, which share its `Arc`s.
+        let mut held: Vec<CellKey> = Vec::new();
+        let mut handed: Vec<BuildRef> = Vec::new();
         let results = [
             BuildResult::Success,
             BuildResult::Failure,
@@ -386,7 +448,9 @@ proptest! {
                     );
                 }
                 3..=5 => {
-                    prop_assert_eq!(server.assign(), model.assign(), "step {}: assign", step);
+                    let assigned = server.assign();
+                    handed.extend(assigned.iter().map(|w| w.build.clone()));
+                    prop_assert_eq!(work(assigned), model.assign(), "step {}: assign", step);
                 }
                 // Finish whichever running build the draw lands on: the
                 // order of finishes is unrelated to the order of starts.
@@ -397,11 +461,14 @@ proptest! {
                 6..=8 => {
                     let stuck = usize::from(!pick.is_multiple_of(16));
                     let running: Vec<BuildRef> =
-                        model.executors.iter().skip(stuck).flatten().cloned().collect();
+                        model.executors.iter().skip(stuck).flatten().map(|w| w.0.clone()).collect();
                     if let Some(r) = running.get(pick % running.len().max(1)) {
                         let result = results[pick % results.len()];
                         let log = vec![format!("step {step}")];
-                        prop_assert!(server.finish(r, result, log.clone()));
+                        // The server's own reference (found by pointer) or
+                        // the model's equal one (found by content).
+                        let own = handed.iter().rev().find(|h| *h == r).filter(|_| !pick.is_multiple_of(3));
+                        prop_assert!(server.finish(own.unwrap_or(r), result, log.clone()));
                         prop_assert!(model.finish(r, result, log));
                     }
                 }
@@ -426,13 +493,55 @@ proptest! {
                     model.advance(to);
                     server.advance(to);
                 }
+                // Keyed triggers by a key made now: a cell of the matrix,
+                // one it never had, the cell-less build, or a job nobody
+                // registered (no key).
+                12 | 13 => {
+                    let job = ["matrix", "smoke", "idle", "nobody", "alpha"][pick % 5];
+                    let cell = match pick / 5 % 4 {
+                        0 => None,
+                        1 => Some("cluster=z,image=x"),
+                        _ => Some(cells[pick / 20 % cells.len()].as_str()),
+                    };
+                    let key = server.cell_key(job, cell);
+                    prop_assert_eq!(key.map(CellKey::index), model.cell_key(job, cell), "step {}: key", step);
+                    if let Some(key) = key {
+                        if key.index() == held.len() {
+                            held.push(key);
+                        }
+                        prop_assert_eq!(
+                            server.trigger_key(key, Cause::ExternalScheduler),
+                            model.trigger_key(key.index(), Cause::ExternalScheduler),
+                            "step {}: trigger_key {:?}", step, key
+                        );
+                    }
+                }
+                // Keyed triggers by a key held since it was made.
+                14 => {
+                    if let Some(&key) = held.get(pick % held.len().max(1)) {
+                        prop_assert_eq!(
+                            server.trigger_key(key, Cause::Cron),
+                            model.trigger_key(key.index(), Cause::Cron),
+                            "step {}: held trigger_key {:?}", step, key
+                        );
+                    }
+                }
                 // (Re-)registration: the spec changes, the position, the
-                // history and the build counter do not.
+                // history, the build counter and the keys do not.
                 _ => {
                     server.register(respec(pick));
                     model.register(respec(pick));
                 }
             }
+            // Keys the name-based triggers made: the server numbers them
+            // as the model does, so the next one is the model's next.
+            while held.len() < model.keys.len() {
+                let (job, cell) = model.keys[held.len()].clone();
+                let key = server.cell_key(&job, cell.as_deref());
+                prop_assert_eq!(key.map(CellKey::index), Some(held.len()), "step {}", step);
+                held.extend(key);
+            }
+            assert_same_pending(&server, &model, &held);
             prop_assert_eq!(server.next_cron_firing(), model.next_cron_firing(), "step {}", step);
             assert_carried_tallies(&server, step);
             if step % 64 == 0 {

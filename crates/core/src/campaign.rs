@@ -19,7 +19,6 @@ use crate::observe::Observer;
 use crate::snapshot::{Publisher, QueryStats, SnapshotHub};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttt_bugs::{BugTracker, OperatorModel};
@@ -39,7 +38,8 @@ use ttt_testbed::fault::{find_fault, inject_random};
 use ttt_testbed::{FaultInjector, FaultKind, Layer, NodeId, Testbed, TestbedBuilder};
 
 /// One test configuration, referred to everywhere by its index in
-/// `Campaign::suite`; only `Campaign::by_key` turns a name back into one.
+/// `Campaign::suite`; a CI build reaches its row through
+/// `Campaign::row_of_key`, by the build's key, never by name.
 struct SuiteRow {
     config: TestConfig,
     /// `None` until rolled out.
@@ -137,9 +137,12 @@ pub struct Campaign {
     /// Everything the run records about itself.
     pub(crate) observer: Observer,
     suite: Vec<SuiteRow>,
-    /// ci job → cell → row of `suite`: the one place a CI build name is
-    /// turned back into a row.
-    by_key: BTreeMap<&'static str, BTreeMap<Option<Arc<str>>, usize>>,
+    /// Row of `suite` by the [`CellKey`] of its (job, cell) pair, made
+    /// when the row enrolled; `usize::MAX` where no row made the key. The
+    /// one place a CI build is turned back into a row.
+    row_of_key: Vec<usize>,
+    /// The work one assignment round hands out, kept across steps.
+    work: Vec<WorkItem>,
     /// The next entry of `cfg.rollout.phases` to apply.
     next_phase: usize,
     /// In-flight tests keyed by `finish_at`; completions pop in
@@ -246,13 +249,6 @@ impl Campaign {
                 trigger: None,
             });
         }
-        let mut by_key: BTreeMap<_, BTreeMap<_, _>> = BTreeMap::new();
-        for (i, row) in suite.iter().enumerate() {
-            by_key
-                .entry(row.config.family.job_name())
-                .or_default()
-                .insert(row.config.cell().map(Arc::from), i);
-        }
         let clusters: Vec<String> = tb.clusters().iter().map(|c| c.name.clone()).collect();
         let mut kwapi = MetricStore::new(tb.nodes().len(), 600, SimDuration::from_mins(5));
         // Read-plane chaos hooks: both sides only use the rng-free hashed
@@ -293,7 +289,8 @@ impl Campaign {
             tracker: BugTracker::new(),
             observer,
             suite,
-            by_key,
+            row_of_key: Vec::new(),
+            work: Vec::new(),
             next_phase: 0,
             running: EventQueue::new(),
             blocked: Vec::new(),
@@ -609,9 +606,20 @@ impl Campaign {
             self.trigger.reserve_exact(self.suite.iter().filter(joins).count());
             let families = families.clone();
             self.next_phase += 1;
+            let joining = |row: &SuiteRow| {
+                row.enrolled.is_none() && families.contains(&row.config.family)
+            };
+            // The phase's CI keys first: each writes its cell's text once,
+            // and written together the texts sit together in memory, where
+            // a reader walking a job's builds reads them.
+            let mut cell = String::new();
             for idx in 0..self.suite.len() {
-                let row = &self.suite[idx];
-                if row.enrolled.is_some() || !families.contains(&row.config.family) {
+                if joining(&self.suite[idx]) {
+                    self.key_row(idx, &mut cell);
+                }
+            }
+            for idx in 0..self.suite.len() {
+                if !joining(&self.suite[idx]) {
                     continue;
                 }
                 let request = Arc::new(self.request_for(idx));
@@ -619,6 +627,20 @@ impl Campaign {
                 let slot = self.trigger.enroll(idx, entry, t);
                 self.suite[idx].enrolled = Some(Enrolment { slot, request });
             }
+        }
+    }
+
+    /// Make the CI key of row `idx`'s (job, cell) pair and file the row
+    /// under it; `cell` is a buffer for the cell's text.
+    fn key_row(&mut self, idx: usize, cell: &mut String) {
+        let config = &self.suite[idx].config;
+        config.write_cell(cell);
+        if let Some(key) = self.ci.cell_key(config.family.job_name(), Some(cell)) {
+            let key = key.index();
+            if key >= self.row_of_key.len() {
+                self.row_of_key.resize(key + 1, usize::MAX);
+            }
+            self.row_of_key[key] = idx;
         }
     }
 
@@ -733,9 +755,12 @@ impl Campaign {
 
     /// Executors pick work up.
     fn executor_assignment(&mut self, t: SimTime) {
-        for item in self.ci.assign() {
+        let mut work = std::mem::take(&mut self.work);
+        self.ci.assign_into(&mut work);
+        for item in work.drain(..) {
             self.start_work(item, t);
         }
+        self.work = work;
     }
 
     /// An executor picked a build up: create the testbed job and either run
@@ -749,11 +774,10 @@ impl Campaign {
         // homed where the request is pinned — the same domain.
         let (fed, trigger) = (&self.fed, &mut self.trigger);
         let launched = self
-            .by_key
-            .get(&*item.build.job)
-            .and_then(|cells| cells.get(&item.build.cell))
+            .row_of_key
+            .get(item.key.index())
             .and_then(|&idx| {
-                let enrolment = self.suite[idx].enrolled.as_ref()?;
+                let enrolment = self.suite.get(idx)?.enrolled.as_ref()?;
                 let request = &enrolment.request;
                 let resolved = trigger.resolved(enrolment.slot, || fed.resolve(request, None))?;
                 Some((idx, Arc::clone(request), resolved))

@@ -1,5 +1,6 @@
 //! Schedulable test configurations.
 
+use ttt_ci::{Cause, CellKey, CiServer};
 use ttt_oar::ResourceRequest;
 use ttt_sim::SimDuration;
 
@@ -23,4 +24,22 @@ pub struct TestEntry {
     pub hardware_centric: bool,
     /// Desired cadence between successful runs.
     pub period: SimDuration,
+}
+
+/// Trigger the CI build of `job`'s `cell` (the job's one build when there
+/// is no cell) through its key, made at the first call and kept in `key`;
+/// a job CI does not know yet gets none and is asked for again next time.
+/// Whether a build was enqueued: `false` when one is already queued or
+/// running.
+pub(crate) fn trigger_keyed(
+    ci: &mut CiServer,
+    key: &mut Option<CellKey>,
+    job: &str,
+    cell: Option<&str>,
+    cause: Cause,
+) -> bool {
+    if key.is_none() {
+        *key = ci.cell_key(job, cell);
+    }
+    key.and_then(|key| ci.trigger_key(key, cause)).is_some()
 }

@@ -1,10 +1,10 @@
 //! The decision loop.
 
 use crate::due::DueIndex;
-use crate::entry::TestEntry;
+use crate::entry::{trigger_keyed, TestEntry};
 use rand::Rng;
 use std::collections::BTreeMap;
-use ttt_ci::{Cause, CiServer};
+use ttt_ci::{Cause, CellKey, CiServer};
 use ttt_oar::{AvailabilityProbe, Resolved};
 use ttt_sim::{Calendar, ExponentialBackoff, HourRange, SimDuration, SimTime};
 
@@ -66,6 +66,9 @@ struct EntryState {
     /// availability question and asked with ever after; the build's
     /// submission reads it too ([`ExternalScheduler::resolved`]).
     resolved: Option<Resolved>,
+    /// The entry's CI (job, cell) key, made at its first trigger and
+    /// triggered by ever after.
+    key: Option<CellKey>,
 }
 
 impl EntryState {
@@ -83,7 +86,8 @@ pub struct ExternalScheduler {
     entries: Vec<TestEntry>,
     states: Vec<EntryState>,
     /// Entry indices keyed by their `next_due` instant; every due-date
-    /// assignment pushes here.
+    /// assignment pushes here, a fixed delay after `now` into that delay's
+    /// lane, a jittered backoff into the heap.
     due: DueIndex,
     site_ids: BTreeMap<String, usize>,
     /// Count of in-flight entries per interned site.
@@ -132,11 +136,12 @@ impl ExternalScheduler {
     }
 
     /// Make room for exactly `additional` more entries, so a batch enrolled
-    /// at once grows each per-entry table once.
+    /// at once grows each per-entry table once. Of the due-date index only
+    /// the re-examination lane is sized: most deferred entries wait there.
     pub fn reserve_exact(&mut self, additional: usize) {
         self.entries.reserve_exact(additional);
         self.states.reserve_exact(additional);
-        self.due.reserve_exact(additional);
+        self.due.reserve_exact(self.policy.reexamine, additional);
     }
 
     /// Add an entry mid-campaign ("tests still being added", slide 23), due
@@ -158,15 +163,27 @@ impl ExternalScheduler {
             active: false,
             site,
             resolved: None,
+            key: None,
         });
-        self.due.push(now, slot);
+        self.due.push_after(now, SimDuration::ZERO, slot);
         slot
     }
 
-    /// Record a new due date for entry `i` and index it for pickup.
-    fn set_due(&mut self, i: usize, at: SimTime) {
-        self.states[i].next_due = at;
-        self.due.push(at, i);
+    /// Record a new due date for entry `i`, `delay` after `now`, and index
+    /// it for pickup.
+    fn set_due_after(&mut self, i: usize, now: SimTime, delay: SimDuration) {
+        self.states[i].next_due = now + delay;
+        self.due.push_after(now, delay, i);
+    }
+
+    /// Back entry `i` off after a resource miss: a jittered delay that
+    /// grows with its consecutive misses.
+    fn back_off<R: Rng>(&mut self, i: usize, now: SimTime, rng: &mut R) {
+        let state = &mut self.states[i];
+        let delay = self.policy.backoff.delay_jittered(state.failures, rng);
+        state.failures = state.failures.saturating_add(1);
+        state.next_due = now + delay;
+        self.due.push(now + delay, i);
     }
 
     /// When the earliest entry becomes due, skipping superseded queue
@@ -232,7 +249,7 @@ impl ExternalScheduler {
             && entry.hardware_centric
             && Calendar::is_peak(now, self.policy.peak_hours)
         {
-            self.set_due(i, now + self.policy.reexamine);
+            self.set_due_after(i, now, self.policy.reexamine);
             self.stats.deferred_peak += 1;
             return Decision::DeferredPeak;
         }
@@ -240,7 +257,7 @@ impl ExternalScheduler {
         // Policy 2: same-site concurrency cap.
         let site_active = self.active_per_site[self.states[i].site];
         if site_active >= self.policy.max_active_per_site {
-            self.set_due(i, now + self.policy.reexamine);
+            self.set_due_after(i, now, self.policy.reexamine);
             self.stats.deferred_site += 1;
             return Decision::DeferredSite;
         }
@@ -253,26 +270,17 @@ impl ExternalScheduler {
             .resolved
             .get_or_insert_with(|| oar.resolve_for(&entry.site, &entry.request));
         if !oar.can_start_resolved(&entry.request, resolved) {
-            let delay = self
-                .policy
-                .backoff
-                .delay_jittered(self.states[i].failures, rng);
-            self.states[i].failures = self.states[i].failures.saturating_add(1);
-            self.set_due(i, now + delay);
+            self.back_off(i, now, rng);
             self.stats.deferred_resources += 1;
             return Decision::DeferredResources;
         }
 
         // Everything lines up: trigger the CI build for this cell.
-        let triggered = match &entry.cell {
-            Some(cell) => {
-                ci.trigger_cells(&entry.ci_job, Cause::ExternalScheduler, std::slice::from_ref(cell))
-            }
-            None => ci.trigger(&entry.ci_job, Cause::ExternalScheduler),
-        };
-        if triggered.is_empty() {
+        let key = &mut self.states[i].key;
+        let cell = entry.cell.as_deref();
+        if !trigger_keyed(ci, key, &entry.ci_job, cell, Cause::ExternalScheduler) {
             // Already queued or running in CI: wait for it to finish.
-            self.set_due(i, now + self.policy.reexamine);
+            self.set_due_after(i, now, self.policy.reexamine);
             return Decision::DeferredPending;
         }
         self.states[i].active = true;
@@ -298,12 +306,7 @@ impl ExternalScheduler {
             return;
         }
         self.clear_active(i);
-        let delay = self
-            .policy
-            .backoff
-            .delay_jittered(self.states[i].failures, rng);
-        self.states[i].failures = self.states[i].failures.saturating_add(1);
-        self.set_due(i, now + delay);
+        self.back_off(i, now, rng);
         self.stats.cancelled_not_immediate += 1;
     }
 
@@ -315,7 +318,7 @@ impl ExternalScheduler {
         }
         self.clear_active(i);
         self.states[i].failures = 0;
-        self.set_due(i, now + self.entries[i].period);
+        self.set_due_after(i, now, self.entries[i].period);
     }
 
     fn clear_active(&mut self, i: usize) {

@@ -2,10 +2,10 @@
 //! baseline it is compared against (slides 16–17), behind one value.
 
 use crate::due::DueIndex;
-use crate::entry::TestEntry;
+use crate::entry::{trigger_keyed, TestEntry};
 use crate::scheduler::{ExternalScheduler, PolicyConfig, SchedulerStats};
 use rand::Rng;
-use ttt_ci::{Cause, CiServer};
+use ttt_ci::{Cause, CellKey, CiServer};
 use ttt_oar::{AvailabilityProbe, Resolved};
 use ttt_sim::{SimDuration, SimTime};
 
@@ -41,17 +41,19 @@ struct CronEntry {
     next_due: SimTime,
     /// The request resolved at the configuration's first submission.
     resolved: Option<Resolved>,
+    /// The configuration's CI (job, cell) key, made at its first firing.
+    key: Option<CellKey>,
 }
 
 impl NaiveCron {
-    fn set_due(&mut self, i: usize, at: SimTime) {
-        self.entries[i].next_due = at;
-        self.due.push(at, i);
+    fn set_due_after(&mut self, i: usize, now: SimTime, delay: SimDuration) {
+        self.entries[i].next_due = now + delay;
+        self.due.push_after(now, delay, i);
     }
 
     fn rearm(&mut self, i: usize, now: SimTime) {
         if i < self.entries.len() {
-            self.set_due(i, now + self.period);
+            self.set_due_after(i, now, self.period);
         }
     }
 
@@ -66,15 +68,15 @@ impl NaiveCron {
         // Cron fires in suite order, whatever order rollout enrolled in.
         due.sort_unstable_by_key(|&i| entries[i].rank);
         for &i in &due {
-            let e = &self.entries[i];
-            let triggered = ci.trigger_cells(&e.ci_job, Cause::Cron, e.cell.as_slice());
-            let delay = if triggered.is_empty() {
+            let e = &mut self.entries[i];
+            let cell = e.cell.as_deref();
+            let delay = if trigger_keyed(ci, &mut e.key, &e.ci_job, cell, Cause::Cron) {
+                self.period
+            } else {
                 // Still pending in CI.
                 self.retry
-            } else {
-                self.period
             };
-            self.set_due(i, now + delay);
+            self.set_due_after(i, now, delay);
         }
         self.due.recycle(due);
     }
@@ -105,7 +107,7 @@ impl Trigger {
             Trigger::External(sched) => sched.reserve_exact(additional),
             Trigger::NaiveCron(cron) => {
                 cron.entries.reserve_exact(additional);
-                cron.due.reserve_exact(additional);
+                cron.due.reserve_exact(cron.period, additional);
             }
         }
     }
@@ -126,8 +128,9 @@ impl Trigger {
                     cell: entry.cell,
                     next_due: now,
                     resolved: None,
+                    key: None,
                 });
-                cron.due.push(now, slot);
+                cron.due.push_after(now, SimDuration::ZERO, slot);
                 slot
             }
         }

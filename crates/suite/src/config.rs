@@ -176,13 +176,22 @@ impl TestConfig {
 
     /// Matrix cell key for the CI job, if the family is matrix-shaped.
     pub fn cell(&self) -> Option<String> {
+        Some(self.cell_parts().concat())
+    }
+
+    /// The text of [`TestConfig::cell`], written over `out`: a caller that
+    /// names many cells in a row reuses one buffer.
+    pub fn write_cell(&self, out: &mut String) {
+        out.clear();
+        self.cell_parts().iter().for_each(|part| out.push_str(part));
+    }
+
+    fn cell_parts(&self) -> [&str; 4] {
         match &self.target {
-            Target::Cluster(c) => Some(format!("cluster={c}")),
-            Target::Site(s) => Some(format!("site={s}")),
-            Target::ImageCluster { image, cluster } => {
-                Some(format!("cluster={cluster},image={image}"))
-            }
-            Target::Global => Some("scope=global".to_string()),
+            Target::Cluster(c) => ["cluster=", c, "", ""],
+            Target::Site(s) => ["site=", s, "", ""],
+            Target::ImageCluster { image, cluster } => ["cluster=", cluster, ",image=", image],
+            Target::Global => ["scope=global", "", "", ""],
         }
     }
 

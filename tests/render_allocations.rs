@@ -257,6 +257,39 @@ fn a_launched_test_costs_ci_a_handful_of_allocations() {
     );
 }
 
+/// The launch path proper: a key made once, a keyed trigger, assignment
+/// into a kept buffer and a finish. No vector is returned and no name is
+/// looked up, so the only calls left are the history's: a sealed segment
+/// per eight builds, and the list of segments doubling once (9 measured;
+/// the by-name cycle above adds its two returned vectors per launch).
+#[test]
+fn a_keyed_launch_costs_ci_only_its_sealed_segments() {
+    let mut ci = CiServer::new(4);
+    ci.register(JobSpec {
+        name: "disk".into(),
+        kind: JobKind::Freestyle,
+        trigger: None,
+    });
+    let key = ci.cell_key("disk", Some("cluster=grisou")).expect("registered");
+    let mut work = Vec::new();
+    let mut cycle = |ci: &mut CiServer| {
+        assert!(ci.trigger_key(key, Cause::ExternalScheduler).is_some());
+        ci.assign_into(&mut work);
+        let item = work.pop().expect("one free executor");
+        assert_eq!(item.key, key);
+        assert!(ci.finish(&item.build, BuildResult::Success, Vec::new()));
+    };
+    for _ in 0..64 {
+        cycle(&mut ci);
+    }
+    let ((), calls) = allocations_during(|| {
+        for _ in 0..64 {
+            cycle(&mut ci);
+        }
+    });
+    assert!(calls <= 64 / 8 + 1, "{calls} allocator calls for 64 keyed launches");
+}
+
 /// Run one configuration on `alpha` of the harness and count the
 /// allocator calls of `run_test` alone.
 fn run_counted(h: &mut Harness, family: Family, assigned: &[NodeId]) -> (bool, u64) {
