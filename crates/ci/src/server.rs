@@ -379,17 +379,14 @@ impl CiServer {
 
     /// Report a build finished. Returns false if the build was not running.
     ///
-    /// The executor is found by pointer: a reference handed out by this
-    /// server shares its job's and cell's `Arc`s. An equal reference built
-    /// elsewhere is matched by content.
+    /// The executor is found by comparing references; for a reference this
+    /// server handed out, the compare of its shared `Arc`s stops at their
+    /// pointers without reading the text.
     pub fn finish(&mut self, r: &BuildRef, result: BuildResult, log: Vec<String>) -> bool {
-        let holds = |same: fn(&BuildRef, &BuildRef) -> bool| {
-            self.executors
-                .iter()
-                .position(|s| s.as_ref().is_some_and(|w| same(&w.build, r)))
-        };
-        let Some(item) = holds(same_build)
-            .or_else(|| holds(|a, b| a == b))
+        let Some(item) = self
+            .executors
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|w| w.build == *r))
             .and_then(|i| self.executors[i].take())
         else {
             return false;
@@ -456,17 +453,6 @@ impl CiServer {
     pub fn executor_count(&self) -> usize {
         self.executors.len()
     }
-}
-
-/// Whether two references share their job's and cell's text and number:
-/// equal without reading the text.
-fn same_build(a: &BuildRef, b: &BuildRef) -> bool {
-    a.number == b.number
-        && Arc::ptr_eq(&a.job, &b.job)
-        && match (&a.cell, &b.cell) {
-            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
-            (x, y) => x.is_none() && y.is_none(),
-        }
 }
 
 #[cfg(test)]

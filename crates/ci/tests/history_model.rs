@@ -465,8 +465,8 @@ proptest! {
                     if let Some(r) = running.get(pick % running.len().max(1)) {
                         let result = results[pick % results.len()];
                         let log = vec![format!("step {step}")];
-                        // The server's own reference (found by pointer) or
-                        // the model's equal one (found by content).
+                        // The server's own reference (sharing its `Arc`s) or
+                        // the model's equal one (its own texts).
                         let own = handed.iter().rev().find(|h| *h == r).filter(|_| !pick.is_multiple_of(3));
                         prop_assert!(server.finish(own.unwrap_or(r), result, log.clone()));
                         prop_assert!(model.finish(r, result, log));

@@ -12,7 +12,10 @@ pub struct TestEntry {
     pub id: String,
     /// The CI job this configuration belongs to.
     pub ci_job: String,
-    /// Matrix cell key within the CI job, if any.
+    /// Matrix cell key within the CI job, if any. An entry with a cell is
+    /// triggered through its CI key; a cell-less one by its job's name
+    /// (the external scheduler triggers the whole job, every cell of a
+    /// matrix job; cron fires nothing for it).
     pub cell: Option<String>,
     /// Site whose resources the test consumes (same-site policy input).
     pub site: String,
@@ -26,20 +29,19 @@ pub struct TestEntry {
     pub period: SimDuration,
 }
 
-/// Trigger the CI build of `job`'s `cell` (the job's one build when there
-/// is no cell) through its key, made at the first call and kept in `key`;
-/// a job CI does not know yet gets none and is asked for again next time.
-/// Whether a build was enqueued: `false` when one is already queued or
-/// running.
+/// Trigger the CI build of `job`'s `cell` through its key, made at the
+/// first call and kept in `key`; a job CI does not know yet gets none and
+/// is asked for again next time. Whether a build was enqueued: `false`
+/// when one is already queued or running.
 pub(crate) fn trigger_keyed(
     ci: &mut CiServer,
     key: &mut Option<CellKey>,
     job: &str,
-    cell: Option<&str>,
+    cell: &str,
     cause: Cause,
 ) -> bool {
     if key.is_none() {
-        *key = ci.cell_key(job, cell);
+        *key = ci.cell_key(job, Some(cell));
     }
     key.and_then(|key| ci.trigger_key(key, cause)).is_some()
 }

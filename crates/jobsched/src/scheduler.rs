@@ -276,9 +276,13 @@ impl ExternalScheduler {
         }
 
         // Everything lines up: trigger the CI build for this cell.
-        let key = &mut self.states[i].key;
-        let cell = entry.cell.as_deref();
-        if !trigger_keyed(ci, key, &entry.ci_job, cell, Cause::ExternalScheduler) {
+        let cause = Cause::ExternalScheduler;
+        let triggered = match entry.cell.as_deref() {
+            Some(cell) => trigger_keyed(ci, &mut self.states[i].key, &entry.ci_job, cell, cause),
+            // A cell-less entry stands for the whole job.
+            None => !ci.trigger(&entry.ci_job, cause).is_empty(),
+        };
+        if !triggered {
             // Already queued or running in CI: wait for it to finish.
             self.set_due_after(i, now, self.policy.reexamine);
             return Decision::DeferredPending;
@@ -602,5 +606,25 @@ mod tests {
         assert_eq!((s.active_count(), s.next_due_time(), s.stats.clone()), before);
         // Not even a backoff-jitter draw.
         assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>());
+    }
+
+    #[test]
+    fn a_cell_less_entry_triggers_every_cell_of_its_job() {
+        let (_tb, oar, mut ci) = setup();
+        let whole = TestEntry {
+            cell: None,
+            ..entry("disk", "alpha", false)
+        };
+        let mut s = ExternalScheduler::new(PolicyConfig::default(), vec![whole]);
+        let mut rng = stream_rng(11, "sched");
+        let d = s.tick(OFFPEAK, &mut ci, &oar, &mut rng);
+        assert_eq!(d, vec![("disk".to_string(), Decision::Triggered)]);
+        let cells: Vec<_> = ci.assign().into_iter().map(|w| w.build.cell).collect();
+        assert_eq!(cells, [Some("cluster=alpha".into()), Some("cluster=gamma".into())]);
+        // Both pending: the next examination coalesces.
+        s.on_finished(0, OFFPEAK);
+        let later = OFFPEAK + SimDuration::from_days(7);
+        let d = s.tick(later, &mut ci, &oar, &mut rng);
+        assert_eq!(d, vec![("disk".to_string(), Decision::DeferredPending)]);
     }
 }

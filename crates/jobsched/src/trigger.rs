@@ -69,11 +69,14 @@ impl NaiveCron {
         due.sort_unstable_by_key(|&i| entries[i].rank);
         for &i in &due {
             let e = &mut self.entries[i];
-            let cell = e.cell.as_deref();
-            let delay = if trigger_keyed(ci, &mut e.key, &e.ci_job, cell, Cause::Cron) {
+            // A cell-less configuration names no cell to fire.
+            let fired = e.cell.as_deref().is_some_and(|cell| {
+                trigger_keyed(ci, &mut e.key, &e.ci_job, cell, Cause::Cron)
+            });
+            let delay = if fired {
                 self.period
             } else {
-                // Still pending in CI.
+                // Still pending in CI, or nothing to fire.
                 self.retry
             };
             self.set_due_after(i, now, delay);
@@ -271,5 +274,30 @@ mod tests {
         t.on_not_immediate(751, done + day, &mut rng);
         assert_eq!(t.wake_terms(), [None, Some(done + day)]);
         assert_eq!(t.stats(), SchedulerStats::default());
+    }
+
+    #[test]
+    fn cron_fires_nothing_for_a_cell_less_configuration() {
+        let tb = TestbedBuilder::small().build();
+        let oar = OarServer::new(&tb, &describe(&tb, 1, SimTime::ZERO));
+        let mut ci = CiServer::new(2);
+        ci.register(JobSpec {
+            name: "disk".into(),
+            kind: JobKind::Freestyle,
+            trigger: None,
+        });
+        let mut rng = stream_rng(2, "sched");
+        let (day, tick) = (SimDuration::from_days(1), SimDuration::from_mins(15));
+        let mut t = Trigger::cron(day, tick);
+        let bare = TestEntry {
+            cell: None,
+            ..entry("disk")
+        };
+        t.enroll(0, bare, SimTime::ZERO);
+        t.run_due(SimTime::ZERO, &mut ci, &oar, &mut rng);
+        assert_eq!(ci.queue_len(), 0);
+        assert!(ci.history("disk").is_empty());
+        // Looked at again one retry on, as a pending one would be.
+        assert_eq!(t.wake_terms(), [None, Some(SimTime::ZERO + tick)]);
     }
 }

@@ -106,12 +106,6 @@ impl<E> EventQueue<E> {
         DrainDue { queue: self, now }
     }
 
-    /// Make room for exactly `additional` more events than are pending,
-    /// when there is not room already.
-    pub fn reserve_exact(&mut self, additional: usize) {
-        self.heap.reserve_exact(additional);
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
