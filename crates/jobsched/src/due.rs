@@ -69,9 +69,12 @@ impl DueIndex {
     }
 
     /// Make room in `delay`'s lane for exactly `additional` more due dates
-    /// than it holds.
+    /// than it holds. Room for none makes no lane: every wake walks the
+    /// lanes, so a campaign that enrolls nothing keeps none.
     pub fn reserve_exact(&mut self, delay: SimDuration, additional: usize) {
-        self.lane(delay).dates.reserve_exact(additional);
+        if additional > 0 {
+            self.lane(delay).dates.reserve_exact(additional);
+        }
     }
 
     /// The earliest live due instant, dropping superseded entries off the
