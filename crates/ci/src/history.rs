@@ -6,7 +6,7 @@
 //! only changes between its trigger and its completion. So a job's
 //! history is one logical sequence, in creation order, held in two parts:
 //!
-//! * **sealed segments** — `Arc<[Build]>` runs of exactly
+//! * **sealed segments** — `Arc<Segment>` runs of exactly
 //!   [`SEGMENT_LEN`] builds, every one of them final (it has a result).
 //!   A sealed segment is never touched again, so anyone may hold it by
 //!   `Arc` for as long as they like;
@@ -20,34 +20,83 @@
 //! delays sealing — builds behind it wait in the tail, in order — and the
 //! iteration order `sealed ++ open` is the creation order at all times.
 //!
+//! Each segment carries a header, fixed when it seals and kept in the
+//! same allocation as its builds: the span of its builds' finish instants,
+//! and the job's running tally and Welford accumulator of success scores
+//! over every finished build up to and including it. The tally of a
+//! history is the last header plus the open tail; [`trend_ends`] resumes
+//! its first bucket from a header and steps over every segment whose span
+//! misses both of its buckets.
+//!
 //! Cloning a [`JobHistory`] is how a reader freezes it: the sealed
 //! segments are shared (`Arc` clones), the tail is copied. There is no
 //! other copy of history anywhere, and no second shape of it: the status
 //! page, the query engine and the digests all read a `JobHistory`, live
-//! or frozen, through the three folds defined here —
-//! [`JobHistory::finished`], [`success_series`] and [`trend_ends`], the
-//! series' first and last entries at the cost of two walks.
+//! or frozen, through the folds defined here — [`JobHistory::finished`]
+//! and its per-target tally [`JobHistory::tally_in`], [`success_series`]
+//! and [`trend_ends`], the series' first and last entries.
+//!
+//! A build's status-page target ([`cell_target`]) is numbered once, when
+//! its (job, cell) pair is first named, in the server's [`TargetTable`];
+//! a per-target tally compares those numbers and reads no cell text.
 
-use crate::model::{Build, BuildRef, BuildResult};
+use crate::model::{Build, BuildRef, BuildResult, TargetId};
 use std::sync::Arc;
 use ttt_sim::{OnlineStats, PeriodSeries, SimDuration, SimTime};
 
 /// Builds per sealed segment.
 const SEGMENT_LEN: usize = 8;
 
+/// A sealed run of [`SEGMENT_LEN`] final builds and what a reader needs
+/// to know of them without reading them. See the module docs.
+#[derive(Debug)]
+pub struct Segment {
+    /// Earliest and latest finish instant of the segment's builds, in
+    /// nanoseconds; `(u64::MAX, 0)` when none finished.
+    span: (u64, u64),
+    /// Success scores of the job's finished builds through this segment,
+    /// pushed in creation order: what a series bucket holding exactly
+    /// those builds would hold, bit for bit.
+    through: OnlineStats,
+    /// How many of them succeeded.
+    passed: u64,
+    builds: [Build; SEGMENT_LEN],
+}
+
+impl Segment {
+    /// Seal `builds`, carrying `before`'s running totals on.
+    fn seal(before: Option<&Segment>, builds: [Build; SEGMENT_LEN]) -> Segment {
+        let (mut through, mut passed) =
+            before.map_or((OnlineStats::new(), 0), |s| (s.through, s.passed));
+        let mut span = (u64::MAX, 0);
+        finished(&builds).for_each(|(_, result, at)| {
+            through.push(score(result));
+            passed += u64::from(result.is_success());
+            span = (span.0.min(at.as_nanos()), span.1.max(at.as_nanos()));
+        });
+        Segment {
+            span,
+            through,
+            passed,
+            builds,
+        }
+    }
+
+    /// The segment's builds, in creation order.
+    pub fn builds(&self) -> &[Build] {
+        &self.builds
+    }
+}
+
 /// One job's builds, in creation order. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct JobHistory {
-    sealed: Vec<Arc<[Build]>>,
+    sealed: Vec<Arc<Segment>>,
     open: Vec<Build>,
     /// Leading builds of `open` already seen final (always below
     /// [`SEGMENT_LEN`] between calls): where the next sealing check
     /// resumes, and the lower bound of every lookup.
     settled: usize,
-    /// [`tally`] of the sealed segments' finished builds, advanced where
-    /// a segment seals. `u32`s: every clone (each job of each epoch)
-    /// carries it, and a history too long for them does not fit in memory.
-    sealed_tally: (u32, u32),
 }
 
 /// The history of a job nobody registered.
@@ -59,7 +108,6 @@ impl JobHistory {
             sealed: Vec::new(),
             open: Vec::new(),
             settled: 0,
-            sealed_tally: (0, 0),
         }
     }
 
@@ -77,7 +125,7 @@ impl JobHistory {
     pub fn iter(&self) -> impl Iterator<Item = &Build> + Clone + '_ {
         self.sealed
             .iter()
-            .flat_map(|segment| segment.iter())
+            .flat_map(|segment| segment.builds.iter())
             .chain(&self.open)
     }
 
@@ -91,18 +139,25 @@ impl JobHistory {
     }
 
     /// [`tally`] of [`JobHistory::finished`], at the cost of the open tail:
-    /// sealed segments never change, so their share is carried.
+    /// the last sealed segment carries the sealed part's.
     pub fn tally(&self) -> (u64, u64) {
         let (finished, succeeded) = tally(finished(&self.open));
-        (
-            u64::from(self.sealed_tally.0) + finished,
-            u64::from(self.sealed_tally.1) + succeeded,
-        )
+        let (sealed, passed) = self
+            .sealed
+            .last()
+            .map_or((0, 0), |s| (s.through.count(), s.passed));
+        (sealed + finished, passed + succeeded)
+    }
+
+    /// [`tally`] of the finished builds whose target is `target`: a status
+    /// cell. One walk comparing target numbers; no cell text is read.
+    pub fn tally_in(&self, target: TargetId) -> (u64, u64) {
+        tally(finished(self.iter().filter(|b| b.target == target)))
     }
 
     /// The sealed segments, oldest first. Two histories frozen from the
     /// same server share these by pointer.
-    pub fn sealed(&self) -> &[Arc<[Build]>] {
+    pub fn sealed(&self) -> &[Arc<Segment>] {
         &self.sealed
     }
 
@@ -128,8 +183,9 @@ impl JobHistory {
             .find(|b| b.r#ref.number == r.number && b.r#ref.cell == r.cell)
     }
 
-    /// Seal every full run of leading final builds. Called after a build
-    /// became final; amortised O(1) per build.
+    /// Seal every full run of leading final builds into one allocation
+    /// each, header included. Called after a build became final;
+    /// amortised O(1) per build.
     pub(crate) fn seal_settled(&mut self) {
         while self
             .open
@@ -139,11 +195,12 @@ impl JobHistory {
             self.settled += 1;
         }
         while self.settled >= SEGMENT_LEN {
-            let segment: Arc<[Build]> = self.open.drain(..SEGMENT_LEN).collect();
-            let (finished, succeeded) = tally(finished(segment.iter()));
-            self.sealed_tally.0 += finished as u32;
-            self.sealed_tally.1 += succeeded as u32;
-            self.sealed.push(segment);
+            let mut run = self.open.drain(..SEGMENT_LEN);
+            // detlint: allow(no-unwrap-in-lib) -- `settled` counts builds of `open`, so the drain holds all `SEGMENT_LEN`
+            let builds = std::array::from_fn(|_| run.next().expect("a settled build"));
+            drop(run);
+            let segment = Segment::seal(self.sealed.last().map(|s| &**s), builds);
+            self.sealed.push(Arc::new(segment));
             self.settled -= SEGMENT_LEN;
         }
     }
@@ -196,27 +253,47 @@ pub fn success_series<'a>(
 
 /// The first and last entries of `success_series([history], period).means()`,
 /// bit for bit, without a bucket for every period in between; `None` when
-/// nothing finished. Pass one finds the earliest and latest finish, whose
-/// buckets are the series' first and last non-empty ones; pass two replays
-/// the finished builds of those two buckets in creation order, the order
-/// the series' Welford accumulators see them in. When the two buckets are
-/// one, every finished build is in it and one accumulator serves both ends.
+/// nothing finished. The segment spans and the open tail give the earliest
+/// and latest finish, whose buckets are the series' first and last
+/// non-empty ones. The finished builds of those two buckets are then fed
+/// to two Welford accumulators in creation order, the order the series'
+/// accumulators see them in: the head resumes from the running accumulator
+/// of the last leading segment that lies wholly inside its bucket, a
+/// segment whose span misses both buckets is stepped over, and every other
+/// build is replayed. When the two buckets are one, every finished build is
+/// in it and one accumulator serves both ends.
 pub fn trend_ends(history: &JobHistory, period: SimDuration) -> Option<(f64, f64)> {
     let width = bucket_width(period).as_nanos();
-    let (earliest, latest) = history
-        .finished()
-        .fold((u64::MAX, 0), |(lo, hi), (.., at)| {
-            (lo.min(at.as_nanos()), hi.max(at.as_nanos()))
+    let open = finished(&history.open).map(|(.., at)| (at.as_nanos(), at.as_nanos()));
+    let (earliest, latest) = (history.sealed.iter().map(|s| s.span))
+        .chain(open)
+        .fold((u64::MAX, 0), |(lo, hi), (from, to)| {
+            (lo.min(from), hi.max(to))
         });
     if earliest > latest {
         return None;
     }
     // Where the two buckets start. `at - first < width` is `at` before the
     // first bucket's end, which may lie past the last representable instant.
+    // No finish lies before `first`. A segment with none (span
+    // `(u64::MAX, 0)`) may be resumed over or replayed: it adds nothing.
     let first = earliest / width * width;
     let last = latest / width * width;
-    let (mut head, mut tail) = (OnlineStats::new(), OnlineStats::new());
-    history.finished().for_each(|(_, result, at)| {
+    let resumed = history
+        .sealed
+        .iter()
+        .take_while(|s| s.span.1.saturating_sub(first) < width)
+        .count();
+    let mut head = history.sealed[..resumed]
+        .last()
+        .map_or(OnlineStats::new(), |s| s.through);
+    let mut tail = OnlineStats::new();
+    let replayed = history.sealed[resumed..]
+        .iter()
+        .filter(|s| s.span.0 - first < width || s.span.1 >= last)
+        .flat_map(|s| s.builds.iter())
+        .chain(&history.open);
+    finished(replayed).for_each(|(_, result, at)| {
         let at = at.as_nanos();
         if at - first < width {
             head.push(score(result));
@@ -231,9 +308,10 @@ pub fn trend_ends(history: &JobHistory, period: SimDuration) -> Option<(f64, f64
 /// The status-page target a matrix cell belongs to: the value of the first
 /// part naming the cluster, site or scope axis (images group under their
 /// cluster), the whole cell when no part does, `"global"` for cell-less
-/// builds. The one bucketing rule of the status grid and the query engine,
-/// borrowed from the cell so bucketing a history allocates nothing. One
-/// scan: every cell the suite renders names its axis in its first part.
+/// builds. The one bucketing rule of the status grid and of the
+/// [`TargetTable`] a server numbers its builds' targets in, borrowed from
+/// the cell so bucketing a history allocates nothing. One scan: every cell
+/// the suite renders names its axis in its first part.
 pub fn cell_target(cell: Option<&str>) -> &str {
     let Some(cell) = cell else {
         return "global";
@@ -250,6 +328,62 @@ pub fn cell_target(cell: Option<&str>) -> &str {
         match comma(part) {
             Some(end) => part = &part[end + 1..],
             None => return cell,
+        }
+    }
+}
+
+/// A server's status-page targets, each numbered once: [`TargetId`]s are
+/// positions here, in the order the targets were first met. A reader
+/// turns a target's text into its number once and then compares numbers.
+///
+/// The texts sit back to back in one buffer, so a new target costs only
+/// the table's amortised growth, and a lookup reads the same few cache
+/// lines wherever the server's cell texts were allocated. A server shares
+/// its table with every epoch by `Arc` until a new target appears.
+#[derive(Debug, Clone, Default)]
+pub struct TargetTable {
+    /// Every target's text, in number order.
+    texts: String,
+    /// Where each target's text ends in `texts`, by number.
+    ends: Vec<usize>,
+    /// The numbers, sorted by text.
+    by_text: Vec<TargetId>,
+}
+
+impl TargetTable {
+    /// The number of `target`, if any cell of the server belongs to it.
+    pub fn id(&self, target: &str) -> Option<TargetId> {
+        let at = self
+            .by_text
+            .binary_search_by(|&id| self.text(id).cmp(&Some(target)));
+        at.ok().map(|at| self.by_text[at])
+    }
+
+    /// The text of `id` (`None` for a number this table never gave).
+    pub fn text(&self, id: TargetId) -> Option<&str> {
+        let n = usize::from(id.0);
+        let end = *self.ends.get(n)?;
+        let start = n.checked_sub(1).map_or(0, |before| self.ends[before]);
+        Some(&self.texts[start..end])
+    }
+
+    /// The number of `target`, given on first sight; `None` for a new
+    /// target once every number is taken. The table is copied only when a
+    /// new target appears while a reader holds it.
+    pub(crate) fn intern(table: &mut Arc<TargetTable>, target: &str) -> Option<TargetId> {
+        match table
+            .by_text
+            .binary_search_by(|&id| table.text(id).cmp(&Some(target)))
+        {
+            Ok(at) => Some(table.by_text[at]),
+            Err(at) => {
+                let id = TargetId(u16::try_from(table.ends.len()).ok()?);
+                let table = Arc::make_mut(table);
+                table.texts.push_str(target);
+                table.ends.push(table.texts.len());
+                table.by_text.insert(at, id);
+                Some(id)
+            }
         }
     }
 }
@@ -278,6 +412,7 @@ mod tests {
                 number,
                 cell: None,
             },
+            target: TargetId(0),
             cause: Cause::Manual,
             queued_at: SimTime::ZERO,
             started_at: None,

@@ -17,8 +17,9 @@
 //!   made once, which a caller triggers by and every work item carries;
 //! * [`history`] — each job's builds as immutable sealed segments plus an
 //!   open tail, so a reader freezes the whole history for the cost of the
-//!   tail, with the three folds every reader shares (finished builds,
-//!   their success series bucketed by a period, and its two ends).
+//!   tail, with the folds every reader shares (finished builds, their tally
+//!   per status-page target, their success series bucketed by a period,
+//!   and its two ends) and the table that numbers those targets.
 
 #![forbid(unsafe_code)]
 
@@ -28,8 +29,11 @@ pub mod model;
 pub mod server;
 
 pub use history::{
-    cell_target, success_series, tally, trend_ends, Finished, FrozenJob, JobHistory,
+    cell_target, success_series, tally, trend_ends, Finished, FrozenJob, JobHistory, Segment,
+    TargetTable,
 };
 pub use matrix::{expand_axes, failed_cells, render_cell, Cell};
-pub use model::{Axis, Build, BuildResult, BuildRef, Cause, CronTrigger, JobKind, JobSpec};
+pub use model::{
+    Axis, Build, BuildResult, BuildRef, Cause, CronTrigger, JobKind, JobSpec, TargetId,
+};
 pub use server::{CellKey, CiServer, WorkItem};

@@ -59,7 +59,7 @@ pub fn failed_cells(cell_builds: &[Build]) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{BuildRef, Cause};
+    use crate::model::{BuildRef, Cause, TargetId};
     use ttt_sim::SimTime;
 
     #[test]
@@ -102,6 +102,7 @@ mod tests {
                 number: 1,
                 cell: Some(cell.into()),
             },
+            target: TargetId(0),
             cause: Cause::Cron,
             queued_at: SimTime::ZERO,
             started_at: Some(SimTime::ZERO),

@@ -159,11 +159,19 @@ impl fmt::Display for BuildRef {
     }
 }
 
+/// A status-page target ([`crate::cell_target`]) by number: its position
+/// in the [`crate::TargetTable`] of the server that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TargetId(pub u16);
+
 /// A finished (or running) build record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Build {
     /// Identity.
     pub r#ref: BuildRef,
+    /// The status-page target of its cell, fixed when its (job, cell) pair
+    /// was first named. It sits in bytes the record pads anyway.
+    pub target: TargetId,
     /// Why it ran.
     pub cause: Cause,
     /// When it entered the queue.
@@ -238,6 +246,7 @@ mod tests {
                 number: 3,
                 cell: None,
             },
+            target: TargetId(0),
             cause: Cause::Cron,
             queued_at: SimTime::from_mins(10),
             started_at: None,

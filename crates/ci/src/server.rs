@@ -19,11 +19,13 @@
 //! already pending; every [`WorkItem`] and executor slot carries its key,
 //! so assignment and completion never look a job up by name.
 //! [`CiServer::trigger`] and [`CiServer::trigger_cells`] are wrappers that
-//! resolve names to keys and call the same body.
+//! resolve names to keys and call the same body. Making a key also numbers
+//! its cell's status-page target in the server's [`TargetTable`], and every
+//! build of the pair carries that number.
 
-use crate::history::{FrozenJob, JobHistory, EMPTY};
+use crate::history::{cell_target, FrozenJob, JobHistory, TargetTable, EMPTY};
 use crate::matrix::{expand_axes, render_cell};
-use crate::model::{Build, BuildRef, BuildResult, Cause, JobKind, JobSpec};
+use crate::model::{Build, BuildRef, BuildResult, Cause, JobKind, JobSpec, TargetId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use ttt_sim::{Buggify, SimTime};
@@ -76,6 +78,8 @@ struct KeyRow {
     job: u32,
     /// Written once, shared by every build of the pair.
     cell: Option<Arc<str>>,
+    /// The cell's status-page target, copied into every build of the pair.
+    target: TargetId,
     /// Whether a build of the pair is queued or running. A build enters
     /// only through `enqueue`, leaves the queue only onto an executor and
     /// leaves an executor only through `finish`, so this is exactly what a
@@ -93,6 +97,9 @@ pub struct CiServer {
     by_name: BTreeMap<Arc<str>, usize>,
     /// Every (job, cell) pair named so far, indexed by [`CellKey`].
     keys: Vec<KeyRow>,
+    /// The targets of those cells, numbered. Shared with every epoch that
+    /// froze it; copied only when a new target appears after one did.
+    targets: Arc<TargetTable>,
     queue: VecDeque<WorkItem>,
     executors: Vec<Option<WorkItem>>,
     now: SimTime,
@@ -116,6 +123,7 @@ impl CiServer {
             jobs: Vec::new(),
             by_name: BTreeMap::new(),
             keys: Vec::new(),
+            targets: Arc::default(),
             queue: VecDeque::new(),
             executors: vec![None; executors],
             now: SimTime::ZERO,
@@ -206,37 +214,53 @@ impl CiServer {
     }
 
     /// The key of `job`'s build for `cell` (`None`: its cell-less build),
-    /// made on first use. `None` for a job nobody registered.
+    /// made on first use. `None` for a job nobody registered, and for a
+    /// cell whose status-page target would be the server's 65 537th: a
+    /// build numbers its target in two bytes it pads anyway, and a status
+    /// page that wide has no reader.
     pub fn cell_key(&mut self, job: &str, cell: Option<&str>) -> Option<CellKey> {
         let row = *self.by_name.get(job)?;
-        Some(self.key_in(row, cell))
+        self.key_in(row, cell)
     }
 
-    fn key_in(&mut self, row: usize, cell: Option<&str>) -> CellKey {
+    fn key_in(&mut self, row: usize, cell: Option<&str>) -> Option<CellKey> {
+        let keys = &self.keys;
+        let job = &self.jobs[row];
+        let text = |key: &CellKey| keys[key.index()].cell.as_deref();
+        let at = match (cell, job.bare) {
+            (None, Some(key)) => return Some(key),
+            (None, None) => 0,
+            (Some(cell), _) => {
+                match job.cells.binary_search_by(|key| text(key).cmp(&Some(cell))) {
+                    Ok(at) => return Some(job.cells[at]),
+                    Err(at) => at,
+                }
+            }
+        };
+        let target = TargetTable::intern(&mut self.targets, cell_target(cell))?;
+        let cell = cell.map(Arc::from);
         // Both positions fit in 32 bits: every job and key row owns an
         // allocation, so memory runs out long before 2^32 of either.
         let next = CellKey(self.keys.len() as u32);
-        let keys = &self.keys;
         let job = &mut self.jobs[row];
         match cell {
-            None => match job.bare {
-                Some(key) => return key,
-                None => job.bare = Some(next),
-            },
-            Some(cell) => {
-                let text = |key: &CellKey| keys[key.index()].cell.as_deref();
-                match job.cells.binary_search_by(|key| text(key).cmp(&Some(cell))) {
-                    Ok(at) => return job.cells[at],
-                    Err(at) => job.cells.insert(at, next),
-                }
-            }
+            None => job.bare = Some(next),
+            Some(_) => job.cells.insert(at, next),
         }
         self.keys.push(KeyRow {
             job: row as u32,
-            cell: cell.map(Arc::from),
+            cell,
+            target,
             pending: false,
         });
-        next
+        Some(next)
+    }
+
+    /// The status-page targets of every cell named so far, numbered as the
+    /// builds carry them. A reader keeps this `Arc` beside the histories it
+    /// froze.
+    pub fn targets(&self) -> &Arc<TargetTable> {
+        &self.targets
     }
 
     /// Whether a build of `key`'s pair is queued or running (`false` for a
@@ -288,8 +312,8 @@ impl CiServer {
         }
     }
 
-    /// One build per named cell not already queued or running, all under
-    /// the job's next number.
+    /// One build per named cell not already queued or running (and with a
+    /// key, see [`CiServer::cell_key`]), all under the job's next number.
     fn enqueue_cells<'a>(
         &mut self,
         row: usize,
@@ -299,8 +323,9 @@ impl CiServer {
         let number = self.jobs[row].next_number;
         let mut enqueued = Vec::new();
         for cell in cells {
-            let key = self.key_in(row, cell);
-            enqueued.extend(self.enqueue(key, number, cause));
+            if let Some(key) = self.key_in(row, cell) {
+                enqueued.extend(self.enqueue(key, number, cause));
+            }
         }
         if !enqueued.is_empty() {
             self.jobs[row].next_number = number + 1;
@@ -324,6 +349,7 @@ impl CiServer {
         };
         job.history.push(Build {
             r#ref: r.clone(),
+            target: k.target,
             cause,
             queued_at: self.now,
             started_at: None,
@@ -634,6 +660,25 @@ mod tests {
         let mut c = build();
         c.register(freestyle("alpha"));
         assert_eq!(names(&c), vec!["zeta", "alpha", "mid"]);
+    }
+
+    #[test]
+    fn a_server_numbers_at_most_65_536_targets() {
+        let mut s = CiServer::new(1);
+        s.register(freestyle("a"));
+        for i in 0..=u32::from(u16::MAX) {
+            assert!(s.cell_key("a", Some(&format!("site={i:05}"))).is_some(), "{i}");
+        }
+        assert_eq!(s.targets().id("65535"), Some(TargetId(u16::MAX)));
+        // No 65 537th target, cell-less or named, by key or by name...
+        assert_eq!(s.cell_key("a", Some("site=x")), None);
+        assert_eq!(s.cell_key("a", None), None);
+        assert!(s.trigger("a", Cause::Manual).is_empty());
+        assert!(s.trigger_cells("a", Cause::Manual, &["site=x".into()]).is_empty());
+        // ...but a new cell of a numbered target still gets its key.
+        let key = s.cell_key("a", Some("site=00007,image=y")).expect("known target");
+        assert!(s.trigger_key(key, Cause::Manual).is_some());
+        assert_eq!(s.history("a").open()[0].target, TargetId(7));
     }
 
     #[test]

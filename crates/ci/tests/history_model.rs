@@ -9,7 +9,8 @@
 //! each for specs, histories and counters plus a vector of names, one flat
 //! `Vec<Build>` per job searched from the front by full `BuildRef`
 //! equality, and "pending" answered by scanning the queue and the
-//! executors; it numbers keys by first naming. Random operation sequences
+//! executors; it numbers keys by first naming, and their status-page
+//! targets by first sight in a plain list. Random operation sequences
 //! — triggers by name of registered and unregistered jobs, coalesced
 //! re-triggers, partial matrix retries with repeated cells, keyed triggers
 //! by fresh and long-held keys, re-registration under another kind or cron
@@ -23,8 +24,8 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use ttt_ci::{
-    expand_axes, render_cell, tally, Axis, Build, BuildRef, BuildResult, Cause, CellKey, CiServer,
-    CronTrigger, JobKind, JobSpec, WorkItem,
+    cell_target, expand_axes, render_cell, tally, Axis, Build, BuildRef, BuildResult, Cause,
+    CellKey, CiServer, CronTrigger, JobKind, JobSpec, TargetId, WorkItem,
 };
 use ttt_sim::{Buggify, SimDuration, SimTime};
 
@@ -99,6 +100,8 @@ struct Model {
     order: Vec<String>,
     /// (job, cell) per key number, in the order the pairs were named.
     keys: Vec<(String, Option<String>)>,
+    /// Target texts per target number, in the order keys first met them.
+    targets: Vec<String>,
     queue: VecDeque<Work>,
     executors: Vec<Option<Work>>,
     history: BTreeMap<String, Vec<Build>>,
@@ -115,6 +118,7 @@ impl Model {
             specs: BTreeMap::new(),
             order: Vec::new(),
             keys: Vec::new(),
+            targets: Vec::new(),
             queue: VecDeque::new(),
             executors: vec![None; EXECUTORS],
             history: BTreeMap::new(),
@@ -194,9 +198,18 @@ impl Model {
             Some(key) => key,
             None => {
                 self.keys.push((job.to_string(), cell.map(str::to_string)));
+                if !self.targets.iter().any(|t| t == cell_target(cell)) {
+                    self.targets.push(cell_target(cell).to_string());
+                }
                 self.keys.len() - 1
             }
         })
+    }
+
+    /// The number of `cell`'s target, by scan.
+    fn target(&self, cell: Option<&str>) -> TargetId {
+        let at = self.targets.iter().position(|t| t == cell_target(cell));
+        TargetId(at.expect("a named cell's target is listed") as u16)
     }
 
     fn trigger_key(&mut self, key: usize, cause: Cause) -> Option<BuildRef> {
@@ -227,11 +240,13 @@ impl Model {
                 number,
                 cell: cell.as_deref().map(Arc::from),
             };
+            let target = self.target(cell.as_deref());
             self.history
                 .entry(name.to_string())
                 .or_default()
                 .push(Build {
                     r#ref: r.clone(),
+                    target,
                     cause,
                     queued_at: self.now,
                     started_at: None,
@@ -307,7 +322,7 @@ fn assert_same_history(server: &CiServer, model: &Model) {
         assert!(history.iter().eq(flat.iter()), "{job}: iteration order");
         // `sealed ++ open` is that same order, sealed builds are final,
         // and exactly the full leading runs of final builds are sealed.
-        let sealed: Vec<&Build> = history.sealed().iter().flat_map(|s| s.iter()).collect();
+        let sealed: Vec<&Build> = history.sealed().iter().flat_map(|s| s.builds()).collect();
         assert!(
             sealed.iter().all(|b| b.result.is_some()),
             "{job}: sealed yet pending"
@@ -317,9 +332,9 @@ fn assert_same_history(server: &CiServer, model: &Model) {
             "{job}: sealed ++ open"
         );
         let leading_final = flat.iter().take_while(|b| b.result.is_some()).count();
-        match history.sealed().first().map(|s| s.len()) {
+        match history.sealed().first().map(|s| s.builds().len()) {
             Some(segment) => {
-                assert!(history.sealed().iter().all(|s| s.len() == segment));
+                assert!(history.sealed().iter().all(|s| s.builds().len() == segment));
                 assert!(
                     leading_final - sealed.len() < segment,
                     "{job}: a full run stayed open"
@@ -367,6 +382,15 @@ fn assert_same_history(server: &CiServer, model: &Model) {
         model.executors.iter().flatten().count()
     );
     assert_eq!(server.now(), model.now);
+    // The server numbers targets as the model does, and finds each by text.
+    let targets = server.targets();
+    for (i, text) in model.targets.iter().enumerate() {
+        let id = TargetId(i as u16);
+        assert_eq!(targets.text(id), Some(text.as_str()), "target {i}");
+        assert_eq!(targets.id(text), Some(id), "target {text:?}");
+    }
+    assert_eq!(targets.text(TargetId(model.targets.len() as u16)), None);
+    assert_eq!(targets.id("nowhere"), None);
 }
 
 /// Every key the server handed out is pending exactly when the model's

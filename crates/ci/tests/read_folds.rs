@@ -10,10 +10,15 @@
 //! * [`cell_target`] is the split-and-scan rule it replaced, on every cell
 //!   of up to three parts drawn from axis, near-miss, empty and non-ASCII
 //!   parts.
+//! * On histories long enough to seal hundreds of segments, with cells of
+//!   different texts sharing a target and cell-less builds, every status
+//!   cell answered by target number ([`JobHistory::tally_in`]) is the walk
+//!   that parses every finished build's cell, and [`trend_ends`], which
+//!   reads segment headers, is still the series' two ends.
 
 use ttt_ci::{
-    cell_target, success_series, trend_ends, BuildRef, BuildResult, Cause, CiServer, JobHistory,
-    JobKind, JobSpec,
+    cell_target, success_series, tally, trend_ends, BuildRef, BuildResult, Cause, CiServer,
+    JobHistory, JobKind, JobSpec,
 };
 use ttt_sim::{SimDuration, SimTime};
 
@@ -283,4 +288,143 @@ fn cell_target_is_the_split_rule() {
         }
     }
     assert_eq!(cells, 16 + 16 * 16 + 16 * 16 * 16);
+}
+
+/// The cells of the long histories: two texts of target `a`, a site, a
+/// scope cell whose target `global` is also the cell-less build's, a cell
+/// that names no axis and so is its own target, and the cell-less build.
+const SHARED: [Option<&str>; 6] = [
+    Some("cluster=a,image=x"),
+    Some("cluster=a,image=y"),
+    Some("site=b"),
+    Some("scope=global"),
+    Some("image=z"),
+    None,
+];
+
+/// The status cell of `target` as the grid computes it: parse the cell of
+/// every finished build.
+fn walked_cell(history: &JobHistory, target: &str) -> (u64, u64) {
+    tally(
+        history
+            .finished()
+            .filter(|(cell, ..)| cell_target(*cell) == target),
+    )
+}
+
+/// Whether some sealed segment's finished builds all lie in the bucket of
+/// `width` ns starting at `start`.
+fn a_segment_inside(history: &JobHistory, start: u64, width: u64) -> bool {
+    history.sealed().iter().any(|s| {
+        s.builds()
+            .iter()
+            .filter_map(|b| b.finished_at)
+            .all(|at| at.as_nanos() >= start && at.as_nanos() - start < width)
+    })
+}
+
+/// Random histories of several thousand operations on a four-executor
+/// server, keyed by the six [`SHARED`] cells: finishes out of creation
+/// order, a head build that finishes one time in sixteen (so sealing lags
+/// behind it), and time steps of up to two hours. Every 32nd step and at
+/// the end, every status cell equals [`walked_cell`] and the trend equals
+/// the series' ends at periods shorter than a segment's span, about one,
+/// spanning several and longer than the history. The run must see sealed
+/// segments wholly inside the first bucket (where the trend resumes from
+/// a header) and wholly inside the last (which it must not step over).
+#[test]
+fn status_cells_and_trends_read_from_headers_equal_the_full_walks() {
+    let results = [
+        BuildResult::Success,
+        BuildResult::Failure,
+        BuildResult::Unstable,
+        BuildResult::Aborted,
+    ];
+    let targets = ["a", "b", "global", "image=z", "cluster=a", "x", "nowhere"];
+    let (mut checks, mut in_head, mut in_tail, mut segments) = (0u32, 0u32, 0u32, 0usize);
+    for seed in 0..12u64 {
+        let mut state = seed ^ 0x5eed;
+        let mut draw = || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut ci = server(4);
+        let keys: Vec<_> = SHARED
+            .iter()
+            .map(|cell| ci.cell_key(JOB, *cell).expect("registered"))
+            .collect();
+        let table = ci.targets();
+        for target in targets {
+            let named = SHARED.iter().any(|cell| cell_target(*cell) == target);
+            assert_eq!(table.id(target).is_some(), named, "{target}");
+        }
+        let mut running: Vec<BuildRef> = Vec::new();
+        let steps = 4_000 + draw() % 2_000;
+        for step in 0..steps {
+            let (op, arg) = (draw() % 10, draw());
+            match op {
+                0..=2 => {
+                    ci.trigger_key(keys[(arg % 6) as usize], Cause::ExternalScheduler);
+                }
+                3 | 4 => running.extend(ci.assign().into_iter().map(|w| w.build)),
+                5..=7 => {
+                    let stuck = usize::from(!arg.is_multiple_of(16)).min(running.len());
+                    if running.len() > stuck {
+                        let r =
+                            running.remove(stuck + (arg / 16) as usize % (running.len() - stuck));
+                        assert!(ci.finish(&r, results[(arg / 7 % 4) as usize], Vec::new()));
+                    }
+                }
+                _ => {
+                    let to =
+                        ci.now().as_nanos() + (arg >> 8) % SimDuration::from_hours(2).as_nanos();
+                    ci.advance(SimTime::from_nanos(to));
+                }
+            }
+            if step % 32 != 0 && step + 1 != steps {
+                continue;
+            }
+            let history = ci.history(JOB);
+            let what = format!("seed {seed}, step {step}");
+            let table = ci.targets();
+            for target in targets {
+                let by_number = table.id(target).map_or((0, 0), |id| history.tally_in(id));
+                assert_eq!(by_number, walked_cell(history, target), "{what}: {target}");
+            }
+            let periods = [
+                SimDuration::from_mins(1),
+                SimDuration::from_hours(1),
+                SimDuration::from_hours(6),
+                SimDuration::from_days(1),
+                SimDuration::from_days(7),
+                SimDuration::from_nanos(ci.now().as_nanos() + 1),
+            ];
+            assert_trend_is_the_series_ends(history, &periods, &what);
+            checks += 1;
+            let finishes = history.finished().map(|(.., at)| at.as_nanos());
+            let (earliest, latest) =
+                finishes.fold((u64::MAX, 0), |(lo, hi), at| (lo.min(at), hi.max(at)));
+            for period in &periods[..5] {
+                let width = period.as_nanos();
+                let (first, last) = (earliest / width * width, latest / width * width);
+                if first == last {
+                    continue;
+                }
+                in_head += u32::from(a_segment_inside(history, first, width));
+                in_tail += u32::from(a_segment_inside(history, last, width));
+            }
+        }
+        segments += ci.history(JOB).sealed().len();
+    }
+    assert!(
+        segments > 12 * 80,
+        "only {segments} sealed segments in 12 histories"
+    );
+    assert!(
+        in_head * 10 > checks && in_tail * 10 > checks,
+        "{checks} checks: a segment inside the first bucket {in_head} times, inside the last {in_tail}"
+    );
 }

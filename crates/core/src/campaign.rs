@@ -611,7 +611,8 @@ impl Campaign {
             };
             // The phase's CI keys first: each writes its cell's text once,
             // and written together the texts sit together in memory, where
-            // a reader walking a job's builds reads them.
+            // making the next key (a search of its job's cell texts) reads
+            // them.
             let mut cell = String::new();
             for idx in 0..self.suite.len() {
                 if joining(&self.suite[idx]) {

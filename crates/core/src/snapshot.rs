@@ -32,8 +32,9 @@
 //! allocation* as last epoch's and no section is re-derived from its past:
 //!
 //! * **Shared across epochs** (and with the write plane) — each job's
-//!   name and its sealed history segments (`Arc<[Build]>`, see
-//!   [`ttt_ci::history`]); the [`PropertyDb`] of the served description
+//!   name and its sealed history segments (`Arc<Segment>`, see
+//!   [`ttt_ci::history`]); the server's [`TargetTable`], until a new
+//!   status-page target appears; the [`PropertyDb`] of the served description
 //!   version, maps and node index both, built at the first publish of a
 //!   version; the service rows, for as long as every row still renders
 //!   its process; site names, in service rows and queue rows alike. The
@@ -53,12 +54,16 @@
 //! Nothing else holds history, and no reader needs another shape of it:
 //! the status page renders `&snap.jobs` and `snap.services` as they are.
 //! A [`QueryAnswer::Nodes`] answer is the index's own list, not a copy.
-//! The snapshot fold is a fold over open tails: each history carries the
-//! tally of its sealed part ([`ttt_ci::JobHistory::tally`]). A status-cell
-//! read walks the job's builds once, a prefix test and a short compare
-//! each; a job-trend read walks them twice and replays only its first and
-//! last buckets ([`ttt_ci::trend_ends`]), whatever the period. Neither
-//! allocates.
+//! The snapshot fold is a fold over open tails: each history's last
+//! sealed segment carries the tally of its sealed part
+//! ([`ttt_ci::JobHistory::tally`]). A status-cell read looks its target's
+//! number up in the epoch's [`TargetTable`] once, then walks the job's
+//! builds comparing numbers ([`ttt_ci::JobHistory::tally_in`]): no cell
+//! text is read, so where the texts sit in memory does not matter. A
+//! job-trend read ([`ttt_ci::trend_ends`]) finds its two buckets from the
+//! segment headers and the tail, resumes the first from a header, steps
+//! over every segment whose span misses both, and replays the rest.
+//! Neither allocates.
 //!
 //! ## Locking honesty
 //!
@@ -78,7 +83,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
-use ttt_ci::{cell_target, tally, trend_ends, CiServer, Finished, FrozenJob};
+use ttt_ci::{trend_ends, CiServer, FrozenJob, TargetTable};
 use ttt_kwapi::{MetricStore, WindowAgg};
 use ttt_oar::Federation;
 use ttt_refapi::{all_properties, PropertyDb, RefApi};
@@ -215,6 +220,10 @@ pub struct CampaignSnapshot {
     /// segments shared with the server and every other epoch, open tails
     /// copied at the publish instant.
     pub jobs: Vec<FrozenJob>,
+    /// The server's status-page targets by number, as the builds of
+    /// `jobs` carry them (shared with the server until a new target
+    /// appears).
+    pub targets: Arc<TargetTable>,
     /// Per-site queue depths and spillovers, in domain (site) order.
     pub queues: Vec<SiteQueueView>,
     /// Service process rows, registry-ordered (shared with the previous
@@ -342,8 +351,10 @@ impl QueryEngine {
                 let Some(frozen) = snap.jobs.iter().find(|j| *j.name == **job) else {
                     return QueryAnswer::NotFound;
                 };
-                let in_cell = |(cell, ..): &Finished<'_>| cell_target(*cell) == *target;
-                let (total, pass) = tally(frozen.history.finished().filter(in_cell));
+                let Some(target) = snap.targets.id(target) else {
+                    return QueryAnswer::NotFound;
+                };
+                let (total, pass) = frozen.history.tally_in(target);
                 if total == 0 {
                     QueryAnswer::NotFound
                 } else {
@@ -678,6 +689,7 @@ impl Publisher {
             epoch: self.epoch,
             at: t,
             jobs: ci.freeze_history(),
+            targets: Arc::clone(ci.targets()),
             queues,
             services: Arc::clone(&self.service_rows),
             description_version: self.props_cache.as_ref().map(|(v, _)| *v),
@@ -713,8 +725,9 @@ mod tests {
     use super::*;
     use ttt_ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
 
-    /// One `disk` job whose builds ran through a real server.
-    fn disk_history() -> Vec<FrozenJob> {
+    /// One `disk` job whose builds ran through a real server, and the
+    /// server's targets.
+    fn disk_history() -> (Vec<FrozenJob>, Arc<TargetTable>) {
         let mut ci = CiServer::new(1);
         ci.register(JobSpec {
             name: "disk".into(),
@@ -732,14 +745,16 @@ mod tests {
                 ci.finish(&work.build, result, vec![]);
             }
         }
-        ci.freeze_history()
+        (ci.freeze_history(), Arc::clone(ci.targets()))
     }
 
     fn snap(epoch: u64) -> CampaignSnapshot {
+        let (jobs, targets) = disk_history();
         CampaignSnapshot {
             epoch,
             at: SimTime::from_days(epoch),
-            jobs: disk_history(),
+            jobs,
+            targets,
             queues: vec![SiteQueueView {
                 site: "east".into(),
                 waiting: 4,

@@ -11,13 +11,18 @@
 //!   a per-render copy of the histories or the rows cannot pass either;
 //! * consecutive epochs must hold the *same* allocations for what did not
 //!   move between them;
+//! * a status-cell or job-trend answer makes no allocator call: both read
+//!   target numbers and segment headers the write side fixed;
 //! * what arming the read plane adds to a campaign's allocator calls must
 //!   not grow with the campaign's length.
 //!
 //! The same allocator pins the write side's cost of one launched test: a
 //! CI build's names are written once per job and once per cell, not once
-//! per build or per holder; OAR's availability probe collects no node,
-//! and a test's request is built once and shared by each of its jobs; a
+//! per build or per holder, and a cell's status-page target is numbered
+//! without an allocation of its own; a sealed segment, header included, is one
+//! call, and the build record keeps its size; OAR's availability probe
+//! collects no node, and a test's request is built once and shared by
+//! each of its jobs; a
 //! server's job table grows by doubling segments, never a call per job,
 //! and a scheduling pass plans its waiting jobs in a list it keeps.
 //! And it pins g5k-checks' walk: the description families compare a
@@ -36,7 +41,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
 use std::sync::Arc;
-use throughout::ci::{BuildResult, Cause, CiServer, JobKind, JobSpec};
+use throughout::ci::{Build, BuildResult, Cause, CiServer, JobKind, JobSpec, TargetId};
 use throughout::core::snapshot::{CampaignSnapshot, Query, QueryAnswer, QueryEngine};
 use throughout::core::{Campaign, CampaignConfig};
 use throughout::kadeploy::{standard_images, DeployConfig, Deployer};
@@ -143,7 +148,7 @@ fn consecutive_epochs_share_what_did_not_change() {
     let mut c = Campaign::new(small(true));
     let hub = c.snapshot_hub().expect("armed config builds a hub");
     let mut prev: Option<Arc<CampaignSnapshot>> = None;
-    let (mut shared_segments, mut shared_rows) = (0usize, 0usize);
+    let (mut shared_segments, mut shared_rows, mut shared_targets) = (0usize, 0usize, 0usize);
     for hour in 1..=5 * 24 {
         c.run_until(SimTime::from_hours(hour));
         let next = hub.latest().expect("an epoch per hour");
@@ -159,6 +164,17 @@ fn consecutive_epochs_share_what_did_not_change() {
                     assert!(Arc::ptr_eq(a, b), "hour {hour}: a sealed segment was copied");
                 }
                 shared_segments += old.len();
+            }
+            // The target table, until a new target appears: then the
+            // newer one numbers every older target as before.
+            if Arc::ptr_eq(&prev.targets, &next.targets) {
+                shared_targets += 1;
+            } else {
+                let mut id = 0;
+                while let Some(text) = prev.targets.text(TargetId(id)) {
+                    assert_eq!(next.targets.text(TargetId(id)), Some(text));
+                    id += 1;
+                }
             }
             // The property database, its index included: one per version.
             assert_eq!(next.description_version, prev.description_version);
@@ -193,6 +209,84 @@ fn consecutive_epochs_share_what_did_not_change() {
     }
     assert!(shared_segments > 0, "five days must seal some history");
     assert!(shared_rows > 0, "service rows must survive some epoch unchanged");
+    assert!(shared_targets > 0, "the target table must survive some epoch");
+}
+
+/// The two status-page reads that used to walk whole histories answer
+/// every job of a ten-day epoch, at every target and period, without one
+/// allocator call.
+#[test]
+fn status_cell_and_job_trend_answers_allocate_nothing() {
+    let mut c = Campaign::new(small(true));
+    let hub = c.snapshot_hub().expect("armed config builds a hub");
+    c.run_until(SimTime::from_days(10));
+    let snap = hub.latest().expect("epochs published");
+    let mut targets: Vec<String> = vec!["global".into(), "nowhere".into()];
+    let mut id = 0;
+    while let Some(text) = snap.targets.text(TargetId(id)) {
+        targets.push(text.to_string());
+        id += 1;
+    }
+    let mut queries = Vec::new();
+    for job in &snap.jobs {
+        for target in &targets {
+            queries.push(Query::StatusCell {
+                job: job.name.to_string(),
+                target: target.clone(),
+            });
+        }
+        for period_mins in [0, 60, 1440, 10_080, u64::MAX] {
+            queries.push(Query::JobTrend {
+                job: job.name.to_string(),
+                period_mins,
+            });
+        }
+    }
+    let (answers, calls) = allocations_during(|| {
+        queries
+            .iter()
+            .map(|q| QueryEngine::answer(&snap, q))
+            .filter(|a| *a != QueryAnswer::NotFound)
+            .count()
+    });
+    assert!(answers > 2 * snap.jobs.len(), "{answers} answers found something");
+    assert_eq!(calls, 0, "{} status-cell and job-trend answers", queries.len());
+}
+
+/// A build record carries its target number in bytes it padded before.
+#[test]
+fn a_build_record_keeps_its_size() {
+    assert_eq!(size_of::<Build>(), 112);
+}
+
+/// Numbering a new target allocates nothing of its own: 512 keys of 512
+/// new targets cost their 512 cell texts and the doubling of five buffers
+/// (the key rows, the job's sorted keys, and the table's texts, ends and
+/// order), and 512 more keys of those same targets cost their texts alone,
+/// give or take one doubling of the first two.
+#[test]
+fn a_new_target_costs_only_the_tables_growth() {
+    let mut ci = CiServer::new(1);
+    ci.register(JobSpec {
+        name: "disk".into(),
+        kind: JobKind::Freestyle,
+        trigger: None,
+    });
+    let fresh: Vec<String> = (0..512).map(|i| format!("cluster=c{i}")).collect();
+    let known: Vec<String> = (0..512).map(|i| format!("cluster=c{i},image=x")).collect();
+    let mut key_all = |cells: &[String]| {
+        allocations_during(|| {
+            for cell in cells {
+                ci.cell_key("disk", Some(cell)).expect("registered");
+            }
+        })
+        .1
+    };
+    let fresh_calls = key_all(&fresh);
+    let known_calls = key_all(&known);
+    assert!(fresh_calls <= 512 + 5 * 12, "{fresh_calls} calls for 512 new targets");
+    assert!(known_calls <= 512 + 2, "{known_calls} calls for 512 known targets");
+    assert_eq!(ci.targets().text(TargetId(511)), Some("c511"));
 }
 
 /// Allocator calls of `run_until(day 3)` and of `run_until(day 6)` after
@@ -260,7 +354,8 @@ fn a_launched_test_costs_ci_a_handful_of_allocations() {
 /// The launch path proper: a key made once, a keyed trigger, assignment
 /// into a kept buffer and a finish. No vector is returned and no name is
 /// looked up, so the only calls left are the history's: a sealed segment
-/// per eight builds, and the list of segments doubling once (9 measured;
+/// per eight builds, its header in the same allocation, and the list of
+/// segments doubling once (9 measured;
 /// the by-name cycle above adds its two returned vectors per launch).
 #[test]
 fn a_keyed_launch_costs_ci_only_its_sealed_segments() {
