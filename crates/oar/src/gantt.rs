@@ -3,16 +3,16 @@
 //!
 //! A [`NodeTimeline`] is one node's sorted list of non-overlapping
 //! reservations; "is this node free over `[t, t+d)`?" is O(#reservations)
-//! on it, and the daily GC keeps it to the reservations still ahead. An
+//! on it. A reservation leaves the chart when its job ends, so a timeline
+//! holds only the reservations of jobs still scheduled or running. An
 //! [`EndIndex`] holds the planner's candidate start instants: one ordered
 //! multiset of the part's reservation ends, into which a booked job writes
 //! its end once, whatever its node count. A [`Gantt`] owns both for the
-//! nodes of one part and is the only code that writes either, so booking,
-//! releasing, truncating and collecting a reservation each update timeline
-//! and index in one call and the two cannot drift apart;
-//! [`Gantt::divergence`] is the scan that says so. What is *not*
-//! cheap is asking many nodes: [`crate::server`] keeps that to the nodes of
-//! its part that match the request's filter.
+//! nodes of one part and is the only code that writes either, so booking
+//! and releasing a reservation each update timeline and index in one call
+//! and the two cannot drift apart; [`Gantt::divergence`] is the scan that
+//! says so. What is *not* cheap is asking many nodes: [`crate::server`]
+//! keeps that to the nodes of its part that match the request's filter.
 
 use crate::job::JobId;
 use std::collections::BTreeMap;
@@ -29,7 +29,8 @@ pub struct Reservation {
     pub job: JobId,
 }
 
-/// Reservation timeline of a single node.
+/// Reservation timeline of a single node: the reservations of the jobs
+/// still scheduled or running on it, each dropped when its job ends.
 #[derive(Debug, Clone, Default)]
 pub struct NodeTimeline {
     /// Reservations sorted by start, non-overlapping.
@@ -74,23 +75,10 @@ impl NodeTimeline {
         self.slots.insert(idx, r);
     }
 
-    /// Remove every reservation belonging to `job`. Returns how many were
-    /// removed.
-    pub fn release(&mut self, job: JobId) -> usize {
-        let before = self.slots.len();
-        self.slots.retain(|r| r.job != job);
-        before - self.slots.len()
-    }
-
-    /// Truncate a running reservation of `job` to end at `at` (early
-    /// completion). No-op if the job holds no reservation covering `at`.
-    pub fn truncate(&mut self, job: JobId, at: SimTime) {
-        for r in &mut self.slots {
-            if r.job == job && r.start <= at && r.end > at {
-                r.end = at;
-            }
-        }
-        self.slots.retain(|r| r.start < r.end);
+    /// Remove `job`'s reservation, returning its end, if it holds one.
+    pub fn release(&mut self, job: JobId) -> Option<SimTime> {
+        let i = self.slots.iter().position(|r| r.job == job)?;
+        Some(self.slots.remove(i).end)
     }
 
     /// The end instant of `job`'s reservation on this node, if it holds one.
@@ -106,11 +94,6 @@ impl NodeTimeline {
     /// Whether the node is busy at instant `t`.
     pub fn busy_at(&self, t: SimTime) -> bool {
         self.active_at(t).is_some()
-    }
-
-    /// Drop reservations that ended at or before `horizon` (history GC).
-    pub fn gc(&mut self, horizon: SimTime) {
-        self.slots.retain(|r| r.end > horizon);
     }
 }
 
@@ -163,34 +146,10 @@ impl EndIndex {
             .next()
             .map(|(&e, _)| e)
     }
-
-    /// Drop ends at or before `horizon` (mirrors [`NodeTimeline::gc`]).
-    fn gc(&mut self, horizon: SimTime) {
-        self.0 = self.0.split_off(&next_instant(horizon));
-    }
 }
 
 /// `n` reservation ends at one instant: `(end, n)`.
 type Run = (SimTime, u32);
-
-/// Consecutive end-index writes, folded while they name the same end: a
-/// job's nodes share their end, so they cost one index write between them.
-#[derive(Default)]
-struct Runs(Option<Run>);
-
-impl Runs {
-    /// One more end at `end`; the run this one does not continue is handed
-    /// back for writing.
-    fn push(&mut self, end: SimTime) -> Option<Run> {
-        match &mut self.0 {
-            Some((e, n)) if *e == end => {
-                *n += 1;
-                None
-            }
-            run => run.replace((end, 1)),
-        }
-    }
-}
 
 /// The reservations of one scheduling part: a [`NodeTimeline`] per node,
 /// addressed by the node's slot in the part, and the [`EndIndex`] over them.
@@ -247,53 +206,24 @@ impl Gantt {
         }
     }
 
-    /// Drop `job`'s reservation, past and future, on every node of `slots`.
+    /// Drop `job`'s reservation on every node of `slots`. A job is booked
+    /// in one call, so its nodes share one end, which leaves the index once
+    /// for all of them.
     pub fn release(&mut self, job: JobId, slots: impl IntoIterator<Item = usize>) {
-        let mut runs = Runs::default();
+        let mut held: Option<Run> = None;
         for slot in slots {
-            if let Some(end) = self.timelines[slot].end_of(job) {
-                if let Some(run) = runs.push(end) {
-                    self.ends.remove(run);
-                }
+            if let Some(end) = self.timelines[slot].release(job) {
+                held.get_or_insert((end, 0)).1 += 1;
             }
-            self.timelines[slot].release(job);
         }
-        if let Some(run) = runs.0 {
+        if let Some(run) = held {
             self.ends.remove(run);
         }
     }
 
-    /// End `job`'s running reservation at `at` on every node of `slots`
-    /// (see [`NodeTimeline::truncate`]).
-    pub fn truncate(&mut self, job: JobId, slots: impl IntoIterator<Item = usize>, at: SimTime) {
-        let (mut gone, mut moved) = (Runs::default(), Runs::default());
-        for slot in slots {
-            let old = self.timelines[slot].end_of(job);
-            self.timelines[slot].truncate(job, at);
-            let new = self.timelines[slot].end_of(job);
-            if old != new {
-                if let Some(run) = old.and_then(|end| gone.push(end)) {
-                    self.ends.remove(run);
-                }
-                if let Some(run) = new.and_then(|end| moved.push(end)) {
-                    self.ends.add(run);
-                }
-            }
-        }
-        if let Some(run) = gone.0 {
-            self.ends.remove(run);
-        }
-        if let Some(run) = moved.0 {
-            self.ends.add(run);
-        }
-    }
-
-    /// Drop reservations that ended at or before `horizon` (history GC).
-    pub fn gc(&mut self, horizon: SimTime) {
-        for tl in &mut self.timelines {
-            tl.gc(horizon);
-        }
-        self.ends.gc(horizon);
+    /// Every reservation on the chart, node by node.
+    pub fn reservations(&self) -> impl Iterator<Item = &Reservation> {
+        self.timelines.iter().flat_map(NodeTimeline::reservations)
     }
 
     /// The consistency check, for property tests and oracles: how the end
@@ -302,18 +232,13 @@ impl Gantt {
     /// has a bug.
     pub fn divergence(&self) -> Option<String> {
         let mut scanned = EndIndex::default();
-        for r in self.timelines.iter().flat_map(NodeTimeline::reservations) {
+        for r in self.reservations() {
             scanned.add((r.end, 1));
         }
         (self.ends != scanned).then(|| {
             format!("end index diverged: cached {:?}, scanned {:?}", self.ends, scanned)
         })
     }
-}
-
-/// The smallest instant strictly after `t` (for exclusive-bound `split_off`).
-fn next_instant(t: SimTime) -> SimTime {
-    SimTime::from_nanos(t.as_nanos().saturating_add(1))
 }
 
 #[cfg(test)]
@@ -354,21 +279,14 @@ mod tests {
     }
 
     #[test]
-    fn release_and_truncate() {
+    fn release_frees_the_window() {
         let mut tl = NodeTimeline::new();
         tl.reserve(t(0), H * 4, JobId(1));
         tl.reserve(t(6), H, JobId(2));
-        assert_eq!(tl.release(JobId(2)), 1);
+        assert_eq!(tl.release(JobId(2)), Some(t(7)));
+        assert_eq!(tl.release(JobId(2)), None);
         assert!(tl.is_free(t(6), H * 10));
-        // Truncate job 1 at hour 2: the tail frees up.
-        tl.truncate(JobId(1), t(2));
-        assert!(tl.is_free(t(2), H * 10));
         assert!(tl.busy_at(t(1)));
-        // Truncating at its start removes it entirely.
-        let mut tl2 = NodeTimeline::new();
-        tl2.reserve(t(0), H, JobId(3));
-        tl2.truncate(JobId(3), t(0));
-        assert!(tl2.reservations().is_empty());
     }
 
     #[test]
@@ -379,16 +297,6 @@ mod tests {
         tl.reserve(t(3), H, JobId(2));
         let starts: Vec<_> = tl.reservations().iter().map(|r| r.start).collect();
         assert_eq!(starts, vec![t(0), t(3), t(6)]);
-    }
-
-    #[test]
-    fn gc_drops_history() {
-        let mut tl = NodeTimeline::new();
-        tl.reserve(t(0), H, JobId(1));
-        tl.reserve(t(5), H, JobId(2));
-        tl.gc(t(2));
-        assert_eq!(tl.reservations().len(), 1);
-        assert_eq!(tl.reservations()[0].job, JobId(2));
     }
 
     #[test]
@@ -435,21 +343,17 @@ mod tests {
         assert_eq!(ends(&g, 2, 6), vec![t(6)]);
         assert_eq!(ends(&g, 0, 2), vec![t(2)]);
         assert_eq!(g.ends().first_beyond(t(6)), None);
-        // Truncation moves an end earlier; a second one at the same
-        // instant changes nothing.
-        g.truncate(JobId(2), [2], t(4));
-        g.truncate(JobId(2), [2], t(4));
-        assert_eq!(ends(&g, 0, 10), vec![t(2), t(4)]);
         // Releasing one of two nodes keeps their shared end; releasing a
         // job that holds nothing is a no-op.
         g.release(JobId(1), [0]);
         g.release(JobId(9), [0, 1, 2]);
-        assert_eq!(ends(&g, 0, 10), vec![t(2), t(4)]);
+        assert_eq!(ends(&g, 0, 10), vec![t(2), t(6)]);
         assert_eq!(g.busy_count(t(1)), 2);
+        assert_eq!(g.reservations().count(), 2);
         assert_eq!(g.divergence(), None);
-        // GC drops history, keeping ends strictly after the horizon.
-        g.gc(t(2));
-        assert_eq!(ends(&g, 0, 10), vec![t(4)]);
+        // Releasing the other node takes the end with it.
+        g.release(JobId(1), [1]);
+        assert_eq!(ends(&g, 0, 10), vec![t(6)]);
         assert!(g.timeline(1).reservations().is_empty());
         assert_eq!(g.divergence(), None);
     }

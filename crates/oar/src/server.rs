@@ -96,17 +96,6 @@ enum OarEvent {
     JobShouldEnd(JobId),
 }
 
-/// What ending a job does to the reservation it holds.
-#[derive(Debug, Clone, Copy)]
-enum Release {
-    /// Nothing: the reservation ends at this very instant by itself.
-    Keep,
-    /// All of it goes, the part already elapsed included.
-    Whole,
-    /// It is cut short at this instant; the elapsed part stays.
-    FromNow,
-}
-
 /// The immutable resource database a server (or a whole federation of
 /// per-site servers) plans against: node properties from the Reference
 /// API, the `ClusterId` index space, the partition of the node arena into
@@ -534,8 +523,6 @@ pub struct OarServer {
     horizon: SimDuration,
     /// Last instant up to which horizon-entry re-planning was checked.
     last_replan_check: SimTime,
-    /// Last reservation-history garbage collection.
-    last_gc: SimTime,
     /// Whether this server's OAR *process* is accepting calls. A crashed
     /// process refuses submissions and placement probes, but the nodes
     /// underneath stay alive — deliberately distinct from a site blackout,
@@ -587,7 +574,6 @@ impl OarServer {
             now: SimTime::ZERO,
             horizon: SimDuration::from_days(7),
             last_replan_check: SimTime::ZERO,
-            last_gc: SimTime::ZERO,
             process_up: true,
             buggify: Buggify::off(),
             submit_attempts: 0,
@@ -621,6 +607,12 @@ impl OarServer {
     /// All jobs ever submitted, by id.
     pub fn jobs(&self) -> &JobTable {
         &self.jobs
+    }
+
+    /// The part's reservation chart: the reservations of its scheduled
+    /// and running jobs.
+    pub fn gantt(&self) -> &Gantt {
+        &self.gantt
     }
 
     /// The jobs not yet in a final state, in id order, without walking the
@@ -709,7 +701,7 @@ impl OarServer {
         }
         // No pass in between: the caller plans once, over everything freed.
         for job in to_fail {
-            self.end_job(job, JobState::Error, Release::Whole);
+            self.end_job(job, JobState::Error);
         }
         any
     }
@@ -915,17 +907,17 @@ impl OarServer {
 
     /// Cancel a job (waiting, scheduled or running).
     pub fn cancel(&mut self, id: JobId) -> bool {
-        self.end_and_replan(id, JobState::Canceled, Release::Whole)
+        self.end_and_replan(id, JobState::Canceled)
     }
 
     /// A running job finished early (tests usually do).
     pub fn complete_early(&mut self, id: JobId) -> bool {
-        self.end_and_replan(id, JobState::Terminated, Release::FromNow)
+        self.end_and_replan(id, JobState::Terminated)
     }
 
     /// [`OarServer::end_job`], then a scheduling pass over what that freed.
-    fn end_and_replan(&mut self, id: JobId, state: JobState, release: Release) -> bool {
-        let ended = self.end_job(id, state, release);
+    fn end_and_replan(&mut self, id: JobId, state: JobState) -> bool {
+        let ended = self.end_job(id, state);
         if ended {
             self.schedule();
         }
@@ -933,11 +925,14 @@ impl OarServer {
     }
 
     /// The one way a job ends: `id` enters the final `state` at this
-    /// instant and its reservation is treated as `release` says. Only a
-    /// running job terminates; any job not yet final can be cancelled or
-    /// fail. Returns whether the job ended — `false` for an unknown id or
-    /// a transition that rule forbids, and then nothing changed.
-    fn end_job(&mut self, id: JobId, state: JobState, release: Release) -> bool {
+    /// instant and its reservation leaves the chart, whether it ran its
+    /// walltime, ended early, was cancelled or failed. No planner reads a
+    /// reservation that ended at or before now, so the chart holds only
+    /// the jobs still scheduled or running. Only a running job terminates;
+    /// any job not yet final can be cancelled or fail. Returns whether the
+    /// job ended — `false` for an unknown id or a transition that rule
+    /// forbids, and then nothing changed.
+    fn end_job(&mut self, id: JobId, state: JobState) -> bool {
         debug_assert!(state.is_final());
         let Some(job) = self.jobs.get_mut(id) else {
             return false;
@@ -958,11 +953,7 @@ impl OarServer {
         job.state = state;
         job.ended_at = Some(self.now);
         let slots = job.assigned.iter().map(|&n| self.db.slot(self.part, n));
-        match release {
-            Release::Keep => {}
-            Release::Whole => self.gantt.release(id, slots),
-            Release::FromNow => self.gantt.truncate(id, slots, self.now),
-        }
+        self.gantt.release(id, slots);
         if id.0 == self.first_live {
             let finals = self.jobs.iter_from(id).take_while(|j| j.state.is_final());
             self.first_live += finals.count() as u64;
@@ -970,9 +961,9 @@ impl OarServer {
         true
     }
 
-    /// Advance virtual time to `to`, firing job starts/ends on the way.
-    /// Time never goes backwards: a `to` before [`OarServer::now`] is
-    /// ignored.
+    /// Advance virtual time to `to`, firing job starts/ends on the way;
+    /// each end takes its job's reservation off the chart. Time never goes
+    /// backwards: a `to` before [`OarServer::now`] is ignored.
     pub fn advance(&mut self, to: SimTime) {
         if to < self.now {
             return;
@@ -982,9 +973,9 @@ impl OarServer {
             match ev {
                 OarEvent::JobShouldStart(id) => self.start_job(id),
                 // Stale when the job already ended (early, cancelled,
-                // failed); its reservation ends here by itself.
+                // failed), and its reservation went with it.
                 OarEvent::JobShouldEnd(id) => {
-                    self.end_and_replan(id, JobState::Terminated, Release::Keep);
+                    self.end_and_replan(id, JobState::Terminated);
                 }
             }
         }
@@ -1004,19 +995,6 @@ impl OarServer {
             }
         }
         self.last_replan_check = to;
-        // Daily GC of finished reservations keeps timelines short over
-        // months-long campaigns.
-        if to.since(self.last_gc) >= SimDuration::from_days(1) {
-            self.last_gc = to;
-            // Keep a one-minute grace window so `busy_at(now)` queries on
-            // just-finished reservations stay accurate.
-            let horizon = if to.as_secs() > 60 {
-                to - SimDuration::from_secs(60)
-            } else {
-                SimTime::ZERO
-            };
-            self.gantt.gc(horizon);
-        }
     }
 
     fn start_job(&mut self, id: JobId) {
@@ -1030,7 +1008,7 @@ impl OarServer {
             !matches!(state, NodeState::Alive)
         });
         if dead {
-            self.end_and_replan(id, JobState::Error, Release::Whole);
+            self.end_and_replan(id, JobState::Error);
             return;
         }
         let now = self.now;
@@ -1252,14 +1230,39 @@ impl OarServer {
 
     /// The consistency check, for property tests and oracles: the Gantt's
     /// end index must mirror a scan over every node timeline (see
-    /// [`Gantt::divergence`]), the alive count a scan of the node states,
-    /// the busy count the nodes a timeline has reserved at this instant,
-    /// and the queued count the `Waiting` jobs of the table; every job
-    /// below the low-water mark of [`OarServer::live_jobs`] must be final.
+    /// [`Gantt::divergence`]), and the chart must hold exactly one
+    /// reservation per assigned node of each `Scheduled` or `Running` job,
+    /// each ending after now; the alive count must equal a scan of the
+    /// node states, the busy count the nodes a timeline has reserved at
+    /// this instant, and the queued count the `Waiting` jobs of the table;
+    /// every job below the low-water mark of [`OarServer::live_jobs`] must
+    /// be final.
     // detlint: allow(unarmed-service-fn) -- internal invariant audit; a failure here is a simulator bug, not a service fault to inject
     pub fn check_consistency(&self) -> Result<(), String> {
         if let Some(divergence) = self.gantt.divergence() {
             return Err(divergence);
+        }
+        // A waiting job has no nodes assigned.
+        let mut held = 0;
+        for job in self.live_jobs() {
+            for &node in &job.assigned {
+                match self.gantt.timeline(self.db.slot(self.part, node)).end_of(job.id) {
+                    Some(end) if end > self.now => held += 1,
+                    end => {
+                        return Err(format!(
+                            "{} ({:?}) holds a reservation ending {end:?} on {node:?} at {}",
+                            job.id, job.state, self.now
+                        ))
+                    }
+                }
+            }
+        }
+        let charted = self.gantt.reservations().count();
+        if charted != held {
+            return Err(format!(
+                "{charted} reservations charted at {}, {held} held by live jobs",
+                self.now
+            ));
         }
         let alive = self.node_states.iter().filter(|&&s| s == NodeState::Alive).count();
         let busy = self.gantt.busy_count(self.now);
@@ -1913,8 +1916,8 @@ mod tests {
 
     /// Planning from every end of the part answers what planning from the
     /// ends of the request's own clusters answered: the same start and the
-    /// same nodes, over random bookings, early ends, cancels, deaths,
-    /// repairs and daily GC, on a whole testbed and on one site's part,
+    /// same nodes, over random bookings, early ends, cancels, deaths and
+    /// repairs, on a whole testbed and on one site's part,
     /// for cluster-pinned, `cluster=N/nodes=M`, `nodes=ALL`, multi-group
     /// and site-agnostic requests.
     #[test]

@@ -423,9 +423,10 @@ pub fn check_conservation(c: &Campaign) -> Vec<Violation> {
     }
 
     // OAR, per site: every domain's end-index cache and kept alive/busy
-    // counts must agree with its timelines and node states, no waiting job
-    // may be one its server could start right now (a scheduling wedge),
-    // and a domain must only ever book its own site's nodes.
+    // counts must agree with its timelines and node states, its chart must
+    // hold exactly its scheduled and running jobs' reservations, no waiting
+    // job may be one its server could start right now (a scheduling
+    // wedge), and a domain must only ever book its own site's nodes.
     let fed = c.federation();
     for (i, domain) in fed.domains().iter().enumerate() {
         if let Err(e) = domain.oar.check_consistency() {

@@ -16,21 +16,15 @@ enum Op {
     Book { mask: u8, start: u64, hours: u64 },
     /// Release the job created by book #`k` (modulo issued).
     Release { k: usize },
-    /// Truncate the job created by book #`k` at `percent`% of its span.
-    Truncate { k: usize, percent: u64 },
-    /// Collect everything that ended by `hour`.
-    Gc { hour: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Tagged-tuple encoding (the vendored proptest has no `prop_oneof`):
-    // half the ops book, the rest split release/truncate/gc.
-    (0u8..6, 1u8..64, 0u64..200, 1u64..30, 0usize..40, 0u64..101).prop_map(
-        |(tag, mask, start, hours, k, percent)| match tag {
+    // half the ops book, the rest release.
+    (0u8..6, 1u8..64, 0u64..200, 1u64..30, 0usize..40).prop_map(
+        |(tag, mask, start, hours, k)| match tag {
             0..=2 => Op::Book { mask, start, hours },
-            3 => Op::Release { k },
-            4 => Op::Truncate { k, percent },
-            _ => Op::Gc { hour: start },
+            _ => Op::Release { k },
         },
     )
 }
@@ -44,8 +38,8 @@ proptest! {
     #[test]
     fn end_index_matches_linear_scan(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut gantt = Gantt::new(6);
-        // (job, its nodes, booked start, booked end)
-        let mut issued: Vec<(JobId, Vec<usize>, SimTime, SimTime)> = Vec::new();
+        // (job, its nodes)
+        let mut issued: Vec<(JobId, Vec<usize>)> = Vec::new();
 
         for op in &ops {
             match *op {
@@ -56,25 +50,15 @@ proptest! {
                     if nodes.iter().all(|&n| gantt.timeline(n).is_free(start, d)) {
                         let job = JobId(issued.len() as u64 + 1);
                         gantt.book(job, nodes.iter().copied(), start, d);
-                        issued.push((job, nodes, start, start + d));
+                        issued.push((job, nodes));
                     }
                 }
                 Op::Release { k } => {
                     if issued.is_empty() { continue; }
-                    let (job, nodes, ..) = &issued[k % issued.len()];
+                    let (job, nodes) = &issued[k % issued.len()];
                     gantt.release(*job, nodes.iter().copied());
                     prop_assert!(nodes.iter().all(|&n| gantt.timeline(n).end_of(*job).is_none()));
                 }
-                Op::Truncate { k, percent } => {
-                    if issued.is_empty() { continue; }
-                    let (job, nodes, start, end) = &issued[k % issued.len()];
-                    // Inside the booked span; a no-op where the job no
-                    // longer holds a reservation covering it.
-                    let at = *start + (*end - *start) * (percent as f64 / 100.0);
-                    gantt.truncate(*job, nodes.iter().copied(), at);
-                    prop_assert!(nodes.iter().all(|&n| gantt.timeline(n).end_of(*job).is_none_or(|e| e <= at)));
-                }
-                Op::Gc { hour } => gantt.gc(SimTime::from_hours(hour)),
             }
             prop_assert_eq!(gantt.divergence(), None);
 
@@ -104,8 +88,9 @@ proptest! {
     }
 
     /// The live OAR server keeps its end-index cache and its alive/busy
-    /// counts exactly in sync with its timelines through arbitrary
-    /// submit/advance/cancel/complete streams (including GC).
+    /// counts exactly in sync with its timelines, and its chart to the
+    /// reservations of its scheduled and running jobs, through arbitrary
+    /// submit/advance/cancel/complete streams.
     #[test]
     fn server_end_index_stays_consistent(
         steps in prop::collection::vec(
@@ -155,7 +140,7 @@ proptest! {
                 server.check_consistency()
             );
         }
-        // Push far forward so GC and remaining ends both fire.
+        // Push far forward so every remaining end fires.
         server.advance(SimTime::from_days(40));
         prop_assert!(server.check_consistency().is_ok());
     }

@@ -24,7 +24,8 @@
 //! collects no node, and a test's request is built once and shared by
 //! each of its jobs; a
 //! server's job table grows by doubling segments, never a call per job,
-//! and a scheduling pass plans its waiting jobs in a list it keeps.
+//! a test's reservation leaves the chart with it, so no timeline grows, and
+//! a scheduling pass plans its waiting jobs in a list it keeps.
 //! And it pins g5k-checks' walk: the description families compare a
 //! conformant node without an allocator call, and a mismatch is rendered
 //! only where a field differs. Nodes share their cluster's hardware
@@ -493,10 +494,10 @@ fn probing_a_startable_request_costs_no_allocation() {
 }
 
 /// A federation of the small testbed and a `disk` test's request on
-/// `alpha`, whose enrolment round trip the two tests below repeat: probe,
+/// `alpha`, whose enrolment round trip the three tests below repeat: probe,
 /// submit the request, which the job shares rather than copies, start on
-/// the nodes placement found, end early.
-fn round_trip_world() -> (Federation, impl Fn(&mut Federation)) {
+/// the nodes placement found, run for the given time, end early.
+fn round_trip_world() -> (Federation, impl Fn(&mut Federation, SimDuration)) {
     let tb = TestbedBuilder::small().build();
     let fed = Federation::new(&tb, &describe(&tb, 1, SimTime::ZERO));
     let cfg = TestConfig {
@@ -504,12 +505,13 @@ fn round_trip_world() -> (Federation, impl Fn(&mut Federation)) {
         target: Target::Cluster("alpha".into()),
     };
     let request = Arc::new(cfg.resource_request(&tb));
-    let cycle = move |fed: &mut Federation| {
+    let cycle = move |fed: &mut Federation, run: SimDuration| {
         assert!(fed.can_start_now("east", &request));
         let job = fed
             .submit("ci", Queue::Admin, OarJobKind::Test, Arc::clone(&request), None)
             .expect("an idle cluster takes the test");
         assert_eq!(fed.job_state(&job), FedJobState::Running);
+        fed.advance(fed.now() + run);
         assert!(fed.complete_early(&job));
     };
     (fed, cycle)
@@ -525,13 +527,14 @@ fn round_trip_world() -> (Federation, impl Fn(&mut Federation)) {
 #[test]
 fn a_test_round_trip_through_oar_allocates_only_what_it_keeps() {
     let (mut fed, cycle) = round_trip_world();
-    // Warm the match-set cache and the timelines' buffers.
+    // Warm the match-set cache and give each of alpha's timelines its
+    // buffer, which a released reservation leaves empty, not freed.
     for _ in 0..64 {
-        cycle(&mut fed);
+        cycle(&mut fed, SimDuration::ZERO);
     }
     let ((), calls) = allocations_during(|| {
         for _ in 0..64 {
-            cycle(&mut fed);
+            cycle(&mut fed, SimDuration::ZERO);
         }
     });
     assert!(calls <= 66, "{calls} allocator calls for 64 round trips");
@@ -553,7 +556,7 @@ fn ten_thousand_jobs_grow_the_job_table_without_a_call_per_job() {
     let bytes_before = JOB_SIZED_BYTES.with(Cell::get);
     let ((), calls) = allocations_during(|| {
         for _ in 0..JOBS {
-            cycle(&mut fed);
+            cycle(&mut fed, SimDuration::ZERO);
         }
     });
     let bytes = JOB_SIZED_BYTES.with(Cell::get) - bytes_before;
@@ -564,6 +567,30 @@ fn ten_thousand_jobs_grow_the_job_table_without_a_call_per_job() {
     let segment = 8_192 * size_of::<Job>() as u64;
     let table = 2 * JOBS * size_of::<Job>() as u64;
     assert!(bytes <= table + segment, "{bytes} bytes requested in job-sized blocks");
+}
+
+/// A day of round trips on `alpha`, each test running one minute before it
+/// ends early: its reservation leaves the chart with it, so every timeline
+/// of the east part stays empty and none grows. Each round trip keeps one
+/// node list; the rest is the growth of the job table and of the event
+/// queue, which holds each test's walltime event until its instant.
+/// 27 calls of growth measured. (544 while an ended test kept the minute
+/// it ran on the chart until a daily collection: each of alpha's
+/// timelines, and the end index, grew all day.)
+#[test]
+fn a_day_of_round_trips_leaves_every_timeline_empty() {
+    const ROUND_TRIPS: u64 = 24 * 60;
+    let (mut fed, cycle) = round_trip_world();
+    let east = fed.domain_by_name("east").expect("the small testbed has an east site");
+    let ((), calls) = allocations_during(|| {
+        for _ in 0..ROUND_TRIPS {
+            cycle(&mut fed, SimDuration::from_mins(1));
+            let chart = fed.domain(east).oar.gantt();
+            assert_eq!(chart.reservations().count(), 0, "at {}", fed.now());
+        }
+    });
+    let growth = calls - ROUND_TRIPS;
+    assert!(growth <= 27, "{growth} allocator calls beyond one node list per round trip");
 }
 
 /// A scheduling pass tries each waiting job at now and at every
